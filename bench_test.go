@@ -9,6 +9,7 @@
 package pimtree_test
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"pimtree/internal/bench"
@@ -435,6 +436,35 @@ func BenchmarkFig14_MergeCost(b *testing.B) {
 		fill(pt.MergeThreshold())
 		b.StartTimer()
 	}
+}
+
+// --- Serial hot path at a window past cache ---
+
+// BenchmarkSerialPushW20 times join.Streaming.Push on the PIM-Tree at
+// W = 2^20 per stream, where the window rings and TS leaves (8 MiB each) no
+// longer fit in cache: keys uniform over the whole uint32 domain, band sized
+// for about two matches per tuple, both windows full and the merge cycle in
+// steady state before the timer starts.
+func BenchmarkSerialPushW20(b *testing.B) {
+	const w = 1 << 20
+	eng := join.NewStreaming(join.SerialConfig{
+		WR: w, WS: w, Index: join.IndexPIMTree,
+		Band: join.Band{Diff: 1<<32/w - 1},
+	})
+	rng := rand.New(rand.NewPCG(1, 2))
+	next := func() stream.Arrival {
+		v := rng.Uint64()
+		return stream.Arrival{Stream: uint8(v & 1), Key: uint32(v >> 32)}
+	}
+	for i := 0; i < 5*w/2; i++ {
+		eng.Push(next())
+	}
+	matches := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matches += eng.Push(next())
+	}
+	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
 }
 
 // --- Ablations ---

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -241,6 +242,63 @@ func TestPIMTreeQueryMatchesReferenceAcrossMerges(t *testing.T) {
 		})
 		if gotN != wantN {
 			t.Fatalf("Query(%d,%d) = %d elems, want %d", lo, hi, gotN, wantN)
+		}
+	}
+}
+
+// Query and QueryPairs take lo's subindex from the TS descent instead of
+// routing lo again; after random inserts and merges they must still emit
+// exactly what the TS-only and TI-only entry points emit together.
+func TestPIMTreeFusedQueryEqualsTSPlusTI(t *testing.T) {
+	const keySpace = 1 << 14
+	for _, cfg := range []PIMTreeConfig{
+		{MergeRatio: 0.25, InsertionDepth: 1, CSTree: cstree.Config{Fanout: 4, LeafSize: 4}},
+		{MergeRatio: 0.5, InsertionDepth: 2, CSTree: cstree.Config{Fanout: 3, LeafSize: 5}, NoLocks: true},
+		{MergeRatio: 1, InsertionDepth: 3, CSTree: cstree.Config{Fanout: 2, LeafSize: 2}, NoLocks: true},
+		{NoLocks: true}, // default geometry: TS fits one leaf run for a while
+	} {
+		rng := rand.New(rand.NewSource(int64(cfg.InsertionDepth) + 40))
+		pt := NewPIMTree(512, cfg)
+		for i := 0; i < 4000; i++ {
+			pt.Insert(pair(rng.Uint32()%keySpace, uint32(i)))
+			if pt.NeedsMerge() {
+				oldest := uint32(i) - uint32(rng.Intn(600))
+				pt.MergeInPlace(func(p kv.Pair) bool { return int32(p.Ref-oldest) >= 0 })
+			}
+			if i%7 != 0 {
+				continue
+			}
+			lo := rng.Uint32() % keySpace
+			hi := lo + rng.Uint32()%64
+			switch rng.Intn(6) {
+			case 0:
+				hi = ^uint32(0)
+			case 1:
+				hi = lo + keySpace/3 // crosses several subindexes
+			case 2:
+				lo, hi = 0, ^uint32(0)
+			}
+			var want, got, gotPairs []kv.Pair
+			collect := func(dst *[]kv.Pair) func(kv.Pair) bool {
+				return func(p kv.Pair) bool { *dst = append(*dst, p); return true }
+			}
+			pt.QueryTS(lo, hi, collect(&want))
+			pt.QueryTI(lo, hi, collect(&want))
+			pt.Query(lo, hi, collect(&got))
+			pt.QueryPairs(lo, hi, func(run []kv.Pair) bool {
+				gotPairs = append(gotPairs, run...)
+				return true
+			})
+			for _, ps := range [][]kv.Pair{want, got, gotPairs} {
+				kv.Sort(ps)
+			}
+			if !slices.Equal(got, want) || !slices.Equal(gotPairs, want) {
+				t.Fatalf("cfg %+v step %d [%d, %d]: Query %d / QueryPairs %d elements, TS+TI %d",
+					cfg, i, lo, hi, len(got), len(gotPairs), len(want))
+			}
+		}
+		if merges, _ := pt.Merges(); merges < 3 {
+			t.Fatalf("cfg %+v: only %d merges exercised", cfg, merges)
 		}
 	}
 }

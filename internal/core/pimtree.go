@@ -197,11 +197,16 @@ func (t *PIMTree) NeedsMerge() bool { return t.tiLen.Load() >= int64(t.threshold
 // lock-free, then the matching TI subindexes under handed-over locks
 // (Algorithm 2). Safe for concurrent use with Insert. Results may include
 // expired tuples; callers filter against the window.
+//
+// TS's directory is descended once: the walk that finds lo's lower bound
+// also passes the depth-DI node whose ordinal is lo's subindex, so the TI
+// scan starts there instead of routing lo a second time.
 func (t *PIMTree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	if t.ts.Query(lo, hi, emit) {
+	start, stopped := t.ts.QueryVia(lo, hi, t.effDI, emit)
+	if stopped {
 		return true
 	}
-	return t.queryTI(lo, hi, emit)
+	return t.queryTI(start, lo, hi, emit)
 }
 
 // QueryPairs is the columnar form of Query: contiguous in-range runs from
@@ -211,20 +216,21 @@ func (t *PIMTree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
 // while the emitting subindex's lock is held — emit must consume, not
 // retain). Returns true when emit asked to stop early.
 func (t *PIMTree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
-	if t.ts.QueryPairs(lo, hi, emit) {
+	start, stopped := t.ts.QueryPairsVia(lo, hi, t.effDI, emit)
+	if stopped {
 		return true
 	}
-	return t.queryTIPairs(lo, hi, emit)
+	return t.queryTIPairs(start, lo, hi, emit)
 }
 
-// queryTI scans TI subindexes for [lo, hi], moving from a subindex to its
-// successor with lock handoff when the scan crosses the partition boundary
-// (Algorithm 2 lines 16–39). The per-subindex scans are range-bounded
-// B+-tree walks (QueryFrom/Query), so an emit refusal and range exhaustion
-// are distinguished by the return value alone — no bounds-checking closure
-// is allocated. Returns true when emit asked to stop early.
-func (t *PIMTree) queryTI(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	start := t.route(lo)
+// queryTI scans TI subindexes for [lo, hi] beginning at subindex start (the
+// one lo routes to), moving from a subindex to its successor with lock
+// handoff when the scan crosses the partition boundary (Algorithm 2 lines
+// 16–39). The per-subindex scans are range-bounded B+-tree walks
+// (QueryFrom/Query), so an emit refusal and range exhaustion are
+// distinguished by the return value alone — no bounds-checking closure is
+// allocated. Returns true when emit asked to stop early.
+func (t *PIMTree) queryTI(start int, lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
 	i := start
 	t.lock(i)
 	for {
@@ -256,8 +262,7 @@ func (t *PIMTree) queryTI(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool)
 
 // queryTIPairs is the columnar queryTI: identical traversal and locking,
 // with per-leaf contiguous emission.
-func (t *PIMTree) queryTIPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
-	start := t.route(lo)
+func (t *PIMTree) queryTIPairs(start int, lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
 	i := start
 	t.lock(i)
 	for {
@@ -285,9 +290,10 @@ func (t *PIMTree) QueryTS(lo, hi uint32, emit func(kv.Pair) bool) {
 	t.ts.Query(lo, hi, emit)
 }
 
-// QueryTI searches only the mutable component.
+// QueryTI searches only the mutable component. With no TS scan to share a
+// descent with, it routes lo on its own.
 func (t *PIMTree) QueryTI(lo, hi uint32, emit func(kv.Pair) bool) {
-	t.queryTI(lo, hi, emit)
+	t.queryTI(t.route(lo), lo, hi, emit)
 }
 
 // snapshotTI concatenates all subindexes' sorted contents. Because subindex

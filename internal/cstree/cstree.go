@@ -43,6 +43,7 @@ type Tree struct {
 	leafSize int   // lib: elements per leaf node
 	offsets  []int // offsets[d]: first key slot of depth d within inners
 	counts   []int // counts[d]: number of inner nodes at depth d
+	lastLeaf int   // ordinal of the rightmost leaf node
 }
 
 // Config controls node geometry. Zero values select the defaults.
@@ -89,6 +90,7 @@ func Build(sorted []kv.Pair, cfg Config) *Tree {
 // offsets, then push each leaf node's maximum up through the levels.
 func (t *Tree) buildInners() {
 	leafNodes := (len(t.leaves) + t.leafSize - 1) / t.leafSize
+	t.lastLeaf = leafNodes - 1
 	if leafNodes <= 1 {
 		// A single (possibly empty) leaf node needs no directory.
 		t.offsets = nil
@@ -185,28 +187,17 @@ func (t *Tree) routeNode(d, p int, key uint32) int {
 	return t.sib
 }
 
-// RouteToDepth descends the directory to depth d (exclusive of leaves) and
-// returns the node ordinal at that depth that covers key. Depth 0 always
-// returns 0. This is the first half of Algorithm 1: PIM-Tree uses it to find
-// the subindex Bi responsible for an inserted key.
-func (t *Tree) RouteToDepth(key uint32, d int) int {
-	if d <= 0 || len(t.counts) == 0 {
-		return 0
-	}
-	if d > len(t.counts) {
-		d = len(t.counts)
-	}
-	leafNodes := (len(t.leaves) + t.leafSize - 1) / t.leafSize
-	p := 0
-	for i := 0; i < d; i++ {
+// walk continues key's descent of the directory from node p at depth from
+// down to depth to (len(counts) is the leaf-node level) and returns the node
+// ordinal reached there. It needs 0 <= from and to <= len(counts).
+func (t *Tree) walk(key uint32, p, from, to int) int {
+	for i := from; i < to; i++ {
 		p = p*t.fanout + t.routeNode(i, p, key)
 		// Clamp to existing nodes at depth i+1 (ragged right edge: the
 		// rightmost node may have fewer children than fanout).
-		var max int
+		max := t.lastLeaf
 		if i+1 < len(t.counts) {
 			max = t.counts[i+1] - 1
-		} else {
-			max = leafNodes - 1
 		}
 		if p > max {
 			p = max
@@ -215,23 +206,46 @@ func (t *Tree) RouteToDepth(key uint32, d int) int {
 	return p
 }
 
+// clampDepth bounds a caller-supplied directory depth to [0, len(counts)].
+func (t *Tree) clampDepth(d int) int {
+	if d < 0 {
+		return 0
+	}
+	if d > len(t.counts) {
+		return len(t.counts)
+	}
+	return d
+}
+
+// RouteToDepth descends the directory to depth d (exclusive of leaves) and
+// returns the node ordinal at that depth that covers key. Depth 0 always
+// returns 0. This is the first half of Algorithm 1: PIM-Tree uses it to find
+// the subindex Bi responsible for an inserted key.
+func (t *Tree) RouteToDepth(key uint32, d int) int {
+	return t.walk(key, 0, 0, t.clampDepth(d))
+}
+
 // LowerBound returns the index into Leaves() of the first element with
 // Key >= key, descending the directory and then scanning forward (Algorithm 2
 // lines 1–12).
 func (t *Tree) LowerBound(key uint32) int {
-	if len(t.leaves) == 0 {
-		return 0
-	}
-	p := t.RouteToDepth(key, len(t.counts)+1) // descend to leaf-node depth
-	i := p * t.leafSize
-	if i > len(t.leaves) {
-		i = len(t.leaves)
-	}
+	i, _ := t.LowerBoundVia(key, 0)
+	return i
+}
+
+// LowerBoundVia is LowerBound that also reports the node ordinal the descent
+// passed at depth d, i.e. RouteToDepth(key, d), so a caller that needs both
+// (PIM-Tree: the TS range start and the TI subindex of the same key) walks
+// the directory once.
+func (t *Tree) LowerBoundVia(key uint32, d int) (i, ord int) {
+	d = t.clampDepth(d)
+	ord = t.walk(key, 0, 0, d)
+	i = t.walk(key, ord, d, len(t.counts)) * t.leafSize
 	for i < len(t.leaves) && t.leaves[i].Key < key {
 		metrics.Load(kv.PairBytes)
 		i++
 	}
-	return i
+	return i, ord
 }
 
 // Query invokes emit for every element with lo <= Key <= hi in order. It
@@ -239,17 +253,25 @@ func (t *Tree) LowerBound(key uint32) int {
 // exhausted (see btree.Query for why composite indexes need the
 // distinction).
 func (t *Tree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	for i := t.LowerBound(lo); i < len(t.leaves); i++ {
+	_, stopped = t.QueryVia(lo, hi, 0, emit)
+	return stopped
+}
+
+// QueryVia is Query that also reports RouteToDepth(lo, d) from the same
+// descent (see LowerBoundVia).
+func (t *Tree) QueryVia(lo, hi uint32, d int, emit func(kv.Pair) bool) (ord int, stopped bool) {
+	i, ord := t.LowerBoundVia(lo, d)
+	for ; i < len(t.leaves); i++ {
 		p := t.leaves[i]
 		metrics.Load(kv.PairBytes)
 		if p.Key > hi {
-			return false
+			return ord, false
 		}
 		if !emit(p) {
-			return true
+			return ord, true
 		}
 	}
-	return false
+	return ord, false
 }
 
 // QueryPairs is the columnar form of Query: the leaf array is one
@@ -258,16 +280,26 @@ func (t *Tree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
 // the next Reset/Build; emit must not retain it. Returns true when emit
 // asked to stop, false otherwise.
 func (t *Tree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
-	i := t.LowerBound(lo)
-	if i >= len(t.leaves) {
-		return false
+	_, stopped = t.QueryPairsVia(lo, hi, 0, emit)
+	return stopped
+}
+
+// QueryPairsVia is QueryPairs that also reports RouteToDepth(lo, d) from the
+// same descent (see LowerBoundVia). The end of the run is found by scanning
+// forward from the lower bound: the caller visits those elements anyway, so
+// the scan reads nothing a binary search over the leaf suffix would not also
+// pull in, minus its cache-missing probes.
+func (t *Tree) QueryPairsVia(lo, hi uint32, d int, emit func([]kv.Pair) bool) (ord int, stopped bool) {
+	i, ord := t.LowerBoundVia(lo, d)
+	j := i
+	for j < len(t.leaves) && t.leaves[j].Key <= hi {
+		j++
 	}
-	j := i + kv.UpperBound(t.leaves[i:], hi)
 	if i == j {
-		return false
+		return ord, false
 	}
 	metrics.Load((j - i) * kv.PairBytes)
-	return !emit(t.leaves[i:j])
+	return ord, !emit(t.leaves[i:j])
 }
 
 // SubtreeBounds returns, for each node at depth d, the largest key routed to
@@ -279,7 +311,6 @@ func (t *Tree) SubtreeBounds(d int) []uint32 {
 		return []uint32{maxKey}
 	}
 	bounds := make([]uint32, n)
-	leafNodes := (len(t.leaves) + t.leafSize - 1) / t.leafSize
 	// Each node at depth d covers fanout^(depth-d) leaf nodes.
 	span := 1
 	for i := d; i < len(t.counts); i++ {
@@ -287,7 +318,7 @@ func (t *Tree) SubtreeBounds(d int) []uint32 {
 	}
 	for p := 0; p < n; p++ {
 		lastLeaf := (p+1)*span - 1
-		if lastLeaf >= leafNodes-1 || p == n-1 {
+		if lastLeaf >= t.lastLeaf || p == n-1 {
 			bounds[p] = maxKey
 			continue
 		}

@@ -2,6 +2,7 @@ package cstree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -280,5 +281,115 @@ func BenchmarkBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(ps, Config{})
+	}
+}
+
+// routeRef is an independent directory walk to depth d: at each level take
+// the first child whose routing key is >= key, clamped to the nodes that
+// exist below. The fused walks must report the same ordinal.
+func routeRef(t *Tree, key uint32, d int) int {
+	if d > len(t.counts) {
+		d = len(t.counts)
+	}
+	p := 0
+	for i := 0; i < d; i++ {
+		k := 0
+		for k < t.sib && key > t.inners[t.offsets[i]+p*t.sib+k] {
+			k++
+		}
+		p = p*t.fanout + k
+		below := (len(t.leaves)+t.leafSize-1)/t.leafSize - 1
+		if i+1 < len(t.counts) {
+			below = t.counts[i+1] - 1
+		}
+		if p > below {
+			p = below
+		}
+	}
+	return p
+}
+
+// The fused walk: for random trees (ragged right edge, single leaf with no
+// directory, empty) and random ranges, every *Via entry point reports the
+// depth-d ordinal RouteToDepth would, and emits exactly the slice the
+// binary-searched bounds select — including hi = MaxUint32 and ranges that
+// run off the end of the leaves.
+func TestViaWalksMatchSeparateDescents(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	cfgs := []Config{{}, {Fanout: 2, LeafSize: 2}, {Fanout: 3, LeafSize: 5}, {Fanout: 4, LeafSize: 4}}
+	sizes := []int{0, 1, 7, 32, 33, 100, 1000, 1025, 4099}
+	for _, cfg := range cfgs {
+		for _, n := range sizes {
+			keySpace := uint32(4 * (n + 1))
+			ps := sortedPairs(n, int64(n)+int64(cfg.Fanout), keySpace)
+			if n > 1 && rng.Intn(2) == 0 {
+				ps[n-1].Key = maxKey // a stored MaxUint32 key
+			}
+			tr := Build(ps, cfg)
+			for q := 0; q < 300; q++ {
+				lo := rng.Uint32() % (keySpace + 8)
+				hi := lo + rng.Uint32()%16
+				switch rng.Intn(8) {
+				case 0:
+					hi = maxKey
+				case 1:
+					lo, hi = 0, maxKey
+				case 2:
+					lo, hi = maxKey, maxKey
+				case 3:
+					hi = lo - 1 // empty range (wraps to MaxUint32 at lo == 0)
+					if lo == 0 {
+						hi = 0
+					}
+				}
+				d := rng.Intn(tr.InnerDepth() + 3) // past the directory too
+				wantOrd := routeRef(tr, lo, d)
+				if got := tr.RouteToDepth(lo, d); got != wantOrd {
+					t.Fatalf("n %d cfg %+v: RouteToDepth(%d, %d) = %d, reference %d", n, cfg, lo, d, got, wantOrd)
+				}
+				wantLo := kv.LowerBound(ps, lo)
+				want := ps[wantLo:wantLo]
+				if hi >= lo {
+					want = ps[wantLo:kv.UpperBound(ps, hi)]
+				}
+
+				if i, ord := tr.LowerBoundVia(lo, d); i != wantLo || ord != wantOrd {
+					t.Fatalf("n %d cfg %+v: LowerBoundVia(%d, %d) = (%d, %d), want (%d, %d)", n, cfg, lo, d, i, ord, wantLo, wantOrd)
+				}
+
+				var got []kv.Pair
+				calls := 0
+				ord, stopped := tr.QueryPairsVia(lo, hi, d, func(run []kv.Pair) bool {
+					calls++
+					got = append(got, run...)
+					return true
+				})
+				if ord != wantOrd || stopped || calls > 1 || (calls == 1) != (len(want) > 0) {
+					t.Fatalf("n %d cfg %+v: QueryPairsVia(%d, %d, %d) ord %d stopped %v calls %d, want ord %d over %d elements",
+						n, cfg, lo, hi, d, ord, stopped, calls, wantOrd, len(want))
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("n %d cfg %+v: QueryPairsVia(%d, %d) emitted %v, want %v", n, cfg, lo, hi, got, want)
+				}
+
+				got = got[:0]
+				ord, stopped = tr.QueryVia(lo, hi, d, func(p kv.Pair) bool {
+					got = append(got, p)
+					return true
+				})
+				if ord != wantOrd || stopped || !slices.Equal(got, want) {
+					t.Fatalf("n %d cfg %+v: QueryVia(%d, %d, %d) = ord %d stopped %v %v, want ord %d %v",
+						n, cfg, lo, hi, d, ord, stopped, got, wantOrd, want)
+				}
+				if len(want) > 0 {
+					if ord, stopped := tr.QueryPairsVia(lo, hi, d, func([]kv.Pair) bool { return false }); !stopped || ord != wantOrd {
+						t.Fatalf("QueryPairsVia refusal: ord %d stopped %v, want ord %d stopped", ord, stopped, wantOrd)
+					}
+					if ord, stopped := tr.QueryVia(lo, hi, d, func(kv.Pair) bool { return false }); !stopped || ord != wantOrd {
+						t.Fatalf("QueryVia refusal: ord %d stopped %v, want ord %d stopped", ord, stopped, wantOrd)
+					}
+				}
+			}
+		}
 	}
 }

@@ -212,3 +212,32 @@ func TestStreamingEngineIntrospection(t *testing.T) {
 		t.Fatal("window count wrong")
 	}
 }
+
+// KeyOf answers from ring position alone: a sequence at or past the head was
+// never pushed, and one whose slot has since been rewritten (more than the
+// ring's capacity of arrivals ago) is gone, even though both name a slot
+// that holds some key.
+func TestStreamingKeyOfResidency(t *testing.T) {
+	const w = 3 // ring capacity pow2Ceil(2w+2) = 8
+	eng := NewStreaming(SerialConfig{WR: w, WS: w, Band: Band{Diff: 1}, Index: IndexPIMTree})
+	if _, ok := eng.KeyOf(stream.StreamR, 0); ok {
+		t.Fatal("KeyOf on an empty window reported ok")
+	}
+	const n = 29 // > 3 wraps
+	for i := 0; i < n; i++ {
+		eng.Push(stream.Arrival{Stream: stream.StreamR, Key: uint32(100 + i)})
+	}
+	for seq := uint64(0); seq < n+20; seq++ {
+		key, ok := eng.KeyOf(stream.StreamR, seq)
+		resident := seq < n && n-seq <= 8
+		if ok != resident || ok && key != uint32(100+seq) {
+			t.Fatalf("KeyOf(%d) = (%d, %v) at head %d, want resident %v", seq, key, ok, n, resident)
+		}
+	}
+	if _, ok := eng.KeyOf(stream.StreamR, ^uint64(0)); ok {
+		t.Fatal("KeyOf(MaxUint64) reported ok")
+	}
+	if _, ok := eng.KeyOf(stream.StreamS, 0); ok {
+		t.Fatal("KeyOf on the never-pushed stream reported ok")
+	}
+}

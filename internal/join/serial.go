@@ -202,7 +202,11 @@ func newSerialIndex(kind IndexKind, w int, cfg SerialConfig) serialIndex {
 	case IndexIMTree:
 		return &imIndex{t: core.NewIMTree(w, cfg.IM)}
 	case IndexPIMTree:
-		return &pimIndex{t: core.NewPIMTree(w, cfg.PIM)}
+		// One goroutine owns a serial index, so the subindex mutexes would
+		// only ever be taken uncontended — once per insert and per probe.
+		pim := cfg.PIM
+		pim.NoLocks = true
+		return &pimIndex{t: core.NewPIMTree(w, pim)}
 	default:
 		panic("join: unknown index kind")
 	}

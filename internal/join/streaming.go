@@ -106,8 +106,12 @@ func (s *Streaming) KeyOf(streamID uint8, seq uint64) (uint32, bool) {
 		streamID = 0
 	}
 	r := s.rings[streamID]
-	ref := uint32(seq & uint64(r.Capacity()-1))
-	key, gotSeq := r.Get(ref)
+	if seq >= r.Head() {
+		return 0, false
+	}
+	// The slot's occupant is the newest sequence congruent to seq; it is seq
+	// itself unless the ring has since wrapped past it.
+	key, gotSeq := r.Get(uint32(seq & uint64(r.Capacity()-1)))
 	return key, gotSeq == seq
 }
 

@@ -49,7 +49,12 @@ func Sort(ps []Pair) {
 
 // IsSorted reports whether ps is in (Key, Ref) order.
 func IsSorted(ps []Pair) bool {
-	return sort.SliceIsSorted(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
+	for i := 1; i < len(ps); i++ {
+		if ps[i].Less(ps[i-1]) {
+			return false
+		}
+	}
+	return true
 }
 
 // LowerBound returns the index of the first element of sorted ps whose key is

@@ -237,7 +237,11 @@ func (x *bwShardIndex) Eager() bool                  { return true }
 func newShardIndex(cfg Config, w int) shardIndex {
 	switch cfg.Index {
 	case join.IndexPIMTree:
-		return &pimShardIndex{t: core.NewPIMTree(w, cfg.PIM)}
+		// The engine is single-writer (see engine), so the subindex mutexes
+		// would only ever be taken uncontended.
+		pim := cfg.PIM
+		pim.NoLocks = true
+		return &pimShardIndex{t: core.NewPIMTree(w, pim)}
 	case join.IndexIMTree:
 		return &imShardIndex{t: core.NewIMTree(w, cfg.IM)}
 	case join.IndexBTree:

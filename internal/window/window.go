@@ -29,9 +29,12 @@ import (
 // Ring is the single-threaded count-based sliding window used by all
 // single-threaded join variants and by the per-core private windows of the
 // round-robin joins.
+//
+// Only keys are stored. Ref = seq mod capacity and appends are consecutive,
+// so the slot at ref was last written age(ref) arrivals before the newest
+// tuple; its sequence number and its liveness follow from (ref, head) alone.
 type Ring struct {
 	keys []uint32
-	seqs []uint64
 	mask uint64
 	w    uint64
 	head uint64 // next sequence number to assign
@@ -40,7 +43,9 @@ type Ring struct {
 // NewRing returns a window of length w. The ring capacity is the next power
 // of two of at least 2w+2 so that references stay valid for the full
 // lifetime of delta-merge index entries (which may keep an expired tuple for
-// up to m*w more arrivals, m <= 1, before a merge prunes it).
+// up to m*w more arrivals, m <= 1, before a merge prunes it): every index
+// drops an entry before its tuple is 2w arrivals old, so the occupant of a
+// slot an entry names is always the tuple the entry was inserted for.
 func NewRing(w int) *Ring {
 	if w <= 0 {
 		panic(fmt.Sprintf("window: length %d must be positive", w))
@@ -48,7 +53,6 @@ func NewRing(w int) *Ring {
 	capacity := pow2Ceil(2*uint64(w) + 2)
 	return &Ring{
 		keys: make([]uint32, capacity),
-		seqs: make([]uint64, capacity),
 		mask: capacity - 1,
 		w:    uint64(w),
 	}
@@ -60,13 +64,16 @@ func (r *Ring) W() int { return int(r.w) }
 // Head returns the next sequence number to be assigned.
 func (r *Ring) Head() uint64 { return r.head }
 
-// Count returns the number of live tuples (at most w).
-func (r *Ring) Count() int {
+// count is min(head, w), the number of live tuples.
+func (r *Ring) count() uint64 {
 	if r.head < r.w {
-		return int(r.head)
+		return r.head
 	}
-	return int(r.w)
+	return r.w
 }
+
+// Count returns the number of live tuples (at most w).
+func (r *Ring) Count() int { return int(r.count()) }
 
 // Append inserts a tuple, slides the window, and reports the element that
 // just expired (the tuple w arrivals ago), if any. The returned ref is the
@@ -80,25 +87,29 @@ func (r *Ring) Append(key uint32) (ref uint32, seq uint64, expired kv.Pair, hasE
 		hasExpired = true
 	}
 	r.keys[ref] = key
-	r.seqs[ref] = seq
-	metrics.Store(12)
+	metrics.Store(4)
 	r.head = seq + 1
 	return ref, seq, expired, hasExpired
 }
 
-// Get resolves a ring reference to its current occupant.
+// age returns how many arrivals before the newest tuple (sequence head-1)
+// the slot at ref was last written. The occupant's sequence number is
+// head-1-age; age >= head means the slot was never written (in particular
+// every slot of an empty ring, where head-1 wraps).
+func (r *Ring) age(ref uint32) uint64 { return (r.head - 1 - uint64(ref)) & r.mask }
+
+// Get resolves a ring reference to its current occupant. A slot that was
+// never written reports key 0 and a sequence number >= Head().
 func (r *Ring) Get(ref uint32) (key uint32, seq uint64) {
-	metrics.Load(12)
-	return r.keys[ref], r.seqs[ref]
+	metrics.Load(4)
+	return r.keys[ref], r.head - 1 - r.age(ref)
 }
 
 // Live reports whether the tuple currently stored at ref is inside the
-// window. Index entries whose slot was reused or slid out fail this check,
-// which is how expired tuples are filtered from search results (Section 3.2).
-func (r *Ring) Live(ref uint32) bool {
-	seq := r.seqs[ref]
-	return seq < r.head && r.head-seq <= r.w
-}
+// window. Index entries whose tuple slid out fail this check, which is how
+// expired tuples are filtered from search results (Section 3.2). Never-
+// written slots are not live.
+func (r *Ring) Live(ref uint32) bool { return r.age(ref) < r.count() }
 
 // LiveSeq reports whether sequence number seq is inside the window.
 func (r *Ring) LiveSeq(seq uint64) bool {
@@ -107,9 +118,9 @@ func (r *Ring) LiveSeq(seq uint64) bool {
 
 // Resolve returns the occupant of ref only if it is live.
 func (r *Ring) Resolve(ref uint32) (key uint32, seq uint64, live bool) {
-	key, seq = r.keys[ref], r.seqs[ref]
-	metrics.Load(12)
-	return key, seq, seq < r.head && r.head-seq <= r.w
+	age := r.age(ref)
+	metrics.Load(4)
+	return r.keys[ref], r.head - 1 - age, age < r.count()
 }
 
 // Scan invokes emit for every live tuple in arrival order.

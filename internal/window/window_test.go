@@ -1,6 +1,7 @@
 package window
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -388,6 +389,123 @@ func TestPow2Ceil(t *testing.T) {
 	for in, want := range cases {
 		if got := pow2Ceil(in); got != want {
 			t.Fatalf("pow2Ceil(%d) = %d, want %d", in, got, want)
+		}
+	}
+}
+
+// ringShadow is the array-reading form Ring used to have: one stored
+// (key, seq) per slot, with liveness decided from the stored sequence. The
+// positional arithmetic in Ring must agree with it slot for slot.
+type ringShadow struct {
+	keys   []uint32
+	seqs   []uint64
+	issued []bool
+	head   uint64
+	w      uint64
+}
+
+func (s *ringShadow) append(ref uint32, key uint32) {
+	s.keys[ref], s.seqs[ref], s.issued[ref] = key, s.head, true
+	s.head++
+}
+
+func (s *ringShadow) live(ref uint32) bool {
+	return s.issued[ref] && s.seqs[ref] < s.head && s.head-s.seqs[ref] <= s.w
+}
+
+// checkRingAgainstShadow compares every slot of r with the shadow, and every
+// index entry in held with the slot it names: the occupant must still be the
+// tuple the entry was inserted for (no reuse under a held reference).
+func checkRingAgainstShadow(t *testing.T, r *Ring, s *ringShadow, held []heldEntry) {
+	t.Helper()
+	for ref := uint32(0); int(ref) < r.Capacity(); ref++ {
+		want := s.live(ref)
+		if got := r.Live(ref); got != want {
+			t.Fatalf("head %d: Live(%d) = %v, shadow says %v", s.head, ref, got, want)
+		}
+		key, seq, live := r.Resolve(ref)
+		if live != want {
+			t.Fatalf("head %d: Resolve(%d) live = %v, shadow says %v", s.head, ref, live, want)
+		}
+		gkey, gseq := r.Get(ref)
+		if gkey != key || gseq != seq {
+			t.Fatalf("head %d: Get(%d) = (%d, %d), Resolve = (%d, %d)", s.head, ref, gkey, gseq, key, seq)
+		}
+		if !s.issued[ref] {
+			if seq < r.Head() {
+				t.Fatalf("head %d: never-issued ref %d resolves to issued seq %d", s.head, ref, seq)
+			}
+			continue
+		}
+		if key != s.keys[ref] || seq != s.seqs[ref] {
+			t.Fatalf("head %d: slot %d = (%d, %d), shadow (%d, %d)", s.head, ref, key, seq, s.keys[ref], s.seqs[ref])
+		}
+	}
+	for _, e := range held {
+		if _, seq := r.Get(e.ref); seq != e.seq {
+			t.Fatalf("head %d: held ref %d (seq %d) now resolves to seq %d", s.head, e.ref, e.seq, seq)
+		}
+		if got, want := r.Live(e.ref), r.LiveSeq(e.seq); got != want {
+			t.Fatalf("head %d: Live(%d) = %v, LiveSeq(%d) = %v", s.head, e.ref, got, e.seq, want)
+		}
+	}
+}
+
+// heldEntry is an index element as a delta-merge index holds it: the ref,
+// plus (for the test only) the sequence it was inserted for.
+type heldEntry struct {
+	ref uint32
+	seq uint64
+}
+
+// Property: over random append / merge schedules, the positional Live,
+// Resolve and Get agree with stored sequences for every slot, and no ref an
+// index still holds (age < (1+m)w, pruned by Live at each merge) is reused.
+func TestRingPositionalMatchesStoredSeqs(t *testing.T) {
+	for _, w := range []int{1, 3, 1000, 1 << 12} {
+		for _, m := range []float64{1.0 / 16, 0.5, 1} {
+			r := NewRing(w)
+			n := r.Capacity()
+			s := &ringShadow{keys: make([]uint32, n), seqs: make([]uint64, n), issued: make([]bool, n), w: uint64(w)}
+			rng := rand.New(rand.NewSource(int64(w)*31 + int64(m*16)))
+			threshold := int(m * float64(w))
+			if threshold < 1 {
+				threshold = 1
+			}
+			var held []heldEntry
+			sinceMerge := 0
+			checkRingAgainstShadow(t, r, s, held) // head == 0: nothing is live
+			// Full sweeps are O(cap); space them so large windows stay fast
+			// while windows of 1 and 3 are swept after every append.
+			every := n / 16
+			for i := 0; i < 3*n+w+7; i++ {
+				key := rng.Uint32()
+				ref, seq, _, _ := r.Append(key)
+				if seq != s.head {
+					t.Fatalf("Append seq = %d, want %d", seq, s.head)
+				}
+				s.append(ref, key)
+				held = append(held, heldEntry{ref, seq})
+				sinceMerge++
+				// The engines merge at the threshold; merging early is also
+				// legal (it only drops more), merging late is not.
+				if merge := sinceMerge >= threshold || rng.Intn(4*threshold) == 0; merge {
+					checkRingAgainstShadow(t, r, s, held)
+					kept := held[:0]
+					for _, e := range held {
+						if r.Live(e.ref) {
+							kept = append(kept, e)
+						}
+					}
+					held, sinceMerge = kept, 0
+				} else if every == 0 || i%every == 0 || i < 2*w+4 && rng.Intn(w) == 0 {
+					checkRingAgainstShadow(t, r, s, held)
+				}
+				if max := (1 + m) * float64(w); float64(len(held)) > max {
+					t.Fatalf("w %d m %v: index holds %d entries, bound %v", w, m, len(held), max)
+				}
+			}
+			checkRingAgainstShadow(t, r, s, held)
 		}
 	}
 }
