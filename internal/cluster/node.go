@@ -154,12 +154,10 @@ func (n *node) reader() {
 				}
 				// The decoded seqs are freshly allocated per group (see
 				// decodeResults), so the bucket can retain them directly.
-				n.fe.results[e.slot][e.bucket] = r.Seqs
-				if n.fe.state[e.slot].pending.Add(-1) == 0 {
-					n.fe.state[e.slot].completed.Store(true)
-				}
+				n.fe.SetBucket(int(e.slot), int(e.bucket), r.Seqs)
+				n.fe.Done(int(e.slot))
 			}
-			n.fe.propagate()
+			n.fe.Propagate()
 		case server.FrameNodeStatus:
 			n.stMu.Lock()
 			n.status = ev.Status
@@ -210,15 +208,13 @@ func (fe *Frontend) nodeDown(n *node, cause error) {
 		n.ohead = 0
 		n.omu.Unlock()
 		for _, e := range owed {
-			fe.results[e.slot][e.bucket] = nil
-			if fe.state[e.slot].pending.Add(-1) == 0 {
-				fe.state[e.slot].completed.Store(true)
-			}
+			fe.SetBucket(int(e.slot), int(e.bucket), nil)
+			fe.Done(int(e.slot))
 		}
 		if len(owed) > 0 {
 			fe.sheds.Add(uint64(len(owed)))
 		}
-		fe.propagate()
+		fe.Propagate()
 		if n.leaving.Load() {
 			fe.cfg.Logf("cluster: node %s (%s) left", n.id, n.addr)
 			return

@@ -39,6 +39,7 @@ type conn struct {
 	done        chan struct{} // hard close: writer and enqueuers give up
 	closeWrites chan struct{} // graceful close: writer drains out, flushes, exits
 	writerDone  chan struct{}
+	readerDone  chan struct{}
 
 	closeOnce    sync.Once
 	gracefulOnce sync.Once
@@ -58,6 +59,7 @@ func newConn(s *Server, nc net.Conn) *conn {
 		done:        make(chan struct{}),
 		closeWrites: make(chan struct{}),
 		writerDone:  make(chan struct{}),
+		readerDone:  make(chan struct{}),
 	}
 }
 
@@ -112,8 +114,12 @@ func (c *conn) deliver(m pimtree.Match, block bool) bool {
 
 // abort fails the connection for a protocol or engine-level error: best
 // effort error frame (bounded — a wedged peer whose queue is full must not
-// pin this goroutine), a bounded wait for the writer to flush it, then a
-// hard close.
+// pin this goroutine), then, off the caller's goroutine and inside one 2 s
+// budget, a wait for the writer to flush it, a half-close, a linger while the
+// reader discards what the peer pipelined behind the failure, and the hard
+// close. The linger is what lets the peer read the error frame: closing a
+// socket with unread inbound bytes (or having more arrive afterwards) sends
+// a reset, which can overtake or discard the frame on the peer's side.
 func (c *conn) abort(msg string) {
 	c.failed.Store(true)
 	c.srv.protoErrs.Add(1)
@@ -123,19 +129,40 @@ func (c *conn) abort(msg string) {
 	case <-time.After(time.Second):
 	}
 	c.closeGraceful()
-	select {
-	case <-c.writerDone:
-	case <-time.After(2 * time.Second):
-	}
-	c.close()
+	go func() {
+		budget := time.After(2 * time.Second)
+		select {
+		case <-c.writerDone:
+		case <-budget:
+		}
+		if hc, ok := c.nc.(interface{ CloseWrite() error }); ok {
+			hc.CloseWrite() // error ignored: the hard close below follows either way
+		}
+		select {
+		case <-c.readerDone: // the peer closed its side, or the socket died
+		case <-budget:
+		}
+		c.close()
+	}()
 }
 
-// reader owns the inbound half of the connection. The frame payload buffer
-// is per-connection (readFrameInto) and decoded batches come from the
-// arrival pool, so steady-state ingest reads without allocating.
+// reader owns the inbound half of the connection: it serves frames until
+// the peer finishes or the connection fails, and after a failure keeps
+// discarding inbound bytes until abort's hard close (see there).
 func (c *conn) reader() {
 	defer c.srv.readerWg.Done()
+	defer close(c.readerDone)
 	br := bufio.NewReaderSize(c.nc, 1<<16)
+	c.serve(br)
+	if c.failed.Load() {
+		io.Copy(io.Discard, br) // ends at the peer's EOF or the hard close
+	}
+}
+
+// serve runs the handshake and the ingest loop. The frame payload buffer is
+// per-connection (readFrameInto) and decoded batches come from the arrival
+// pool, so steady-state ingest reads without allocating.
+func (c *conn) serve(br *bufio.Reader) {
 	if ok := c.handshake(br); !ok {
 		return
 	}

@@ -372,12 +372,14 @@ func TestPipelinedBatchesDiscardedAfterRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for _, batch := range [][]pimtree.Arrival{
+	for i, batch := range [][]pimtree.Arrival{
 		mk(10, 20, 30), // admitted
 		mk(40, 5),      // rejected: timestamp regression
 		mk(50, 60, 70), // pipelined past the failure — must be discarded
 	} {
-		if err := c.PushBatch(batch); err != nil {
+		// Only a batch pipelined after the rejected one may fail to send: by
+		// then the server may already have closed the connection.
+		if err := c.PushBatch(batch); err != nil && i < 2 {
 			t.Fatal(err)
 		}
 	}

@@ -67,10 +67,9 @@ func (r *Router) walSnapshot() {
 }
 
 // walState captures the live window at a drain barrier: the sequence heads,
-// the per-slot eviction frontiers (the same computation reshard uses for its
-// migration watermarks), the reorder clock, and every live tuple.
+// the per-slot eviction frontiers, the reorder clock, and every live tuple.
 func (r *Router) walState() *wal.State {
-	st := &wal.State{Timed: r.cfg.Timed, Heads: r.heads}
+	st := &wal.State{Timed: r.cfg.Timed, Heads: r.heads, WMs: r.frontiers()}
 	if r.reorder != nil {
 		st.MaxTS = r.reorder.MaxTS()
 		st.Floor = r.reorder.Watermark()
@@ -78,20 +77,6 @@ func (r *Router) walState() *wal.State {
 	slots := 2
 	if r.cfg.Self {
 		slots = 1
-	}
-	for slot := 0; slot < slots; slot++ {
-		if r.cfg.Timed {
-			for _, e := range r.engines {
-				if w := e.stores[slot].wm; w > st.WMs[slot] {
-					st.WMs[slot] = w
-				}
-			}
-		} else if r.heads[slot] > r.wlen[slot] {
-			st.WMs[slot] = r.heads[slot] - r.wlen[slot]
-		}
-	}
-	if r.cfg.Self {
-		st.WMs[1] = st.WMs[0]
 	}
 	for slot := 0; slot < slots; slot++ {
 		var live []migrant
@@ -136,11 +121,10 @@ func (r *Router) Restore(st *wal.State) {
 	// st.Tuples is globally seq-sorted, so each slot's subsequence is too —
 	// the order the store rings require.
 	for _, t := range st.Tuples {
-		slot := int(r.sid(t.Stream))
-		e := r.engines[r.clampShard(r.part.ShardOf(t.Key))]
-		e.adopt(slot, migrant{key: t.Key, seq: t.Seq, ts: t.TS})
+		e := r.engines[Clamp(r.part.ShardOf(t.Key), len(r.engines))]
+		e.adopt(int(sid(r.cfg.Self, t.Stream)), migrant{key: t.Key, seq: t.Seq, ts: t.TS})
 	}
 	for _, e := range r.engines {
-		e.updateResident(r.cfg.Self)
+		e.updateResident()
 	}
 }

@@ -258,7 +258,7 @@ func newShardIndex(cfg Config, w int) shardIndex {
 // rebalance epoch, on the router goroutine while every worker is quiescent at
 // the drain barrier — so the engine needs no locks of its own.
 type engine struct {
-	timed  bool // time-window mode: ts-filtered probes, ts-watermark evicts
+	cfg    Config // Timed, Self, WR/WS and the index knobs shape the slots
 	stores [2]*store
 	idxs   [2]shardIndex
 	evicts [2]func(kv.Pair) // Remove hooks for eager indexes (nil otherwise)
@@ -285,36 +285,43 @@ type engine struct {
 }
 
 func newEngine(cfg Config) *engine {
-	e := &engine{timed: cfg.Timed}
-	e.stores[0] = newStore(cfg.WR, cfg.Timed)
-	e.idxs[0] = newShardIndex(cfg, cfg.WR)
-	if cfg.Self {
-		e.stores[1] = e.stores[0]
-		e.idxs[1] = e.idxs[0]
-	} else {
-		e.stores[1] = newStore(cfg.WS, cfg.Timed)
-		e.idxs[1] = newShardIndex(cfg, cfg.WS)
-	}
-	for i := 0; i < 2; i++ {
-		if e.idxs[i].Eager() {
-			idx := e.idxs[i]
-			e.evicts[i] = func(p kv.Pair) { idx.Remove(p) }
-		}
-		st := e.stores[i]
-		if cfg.Timed {
-			e.liveFns[i] = func(p kv.Pair) bool {
-				_, ts, ok := st.resolveTimed(p)
-				return ok && ts >= st.wm
-			}
-		} else {
-			e.liveFns[i] = func(p kv.Pair) bool {
-				seq, ok := st.resolve(p)
-				return ok && seq >= st.wm
-			}
-		}
+	e := &engine{cfg: cfg}
+	e.installSlot(0, 0)
+	if !cfg.Self {
+		e.installSlot(1, 0)
 	}
 	e.pemit = e.emitPairs
 	return e
+}
+
+// installSlot gives a stream slot an empty store and index whose eviction
+// watermark starts at wm, with the eviction and liveness hooks bound to them.
+// For self-joins slot 0 is the only real slot and slot 1 aliases it.
+func (e *engine) installSlot(slot int, wm uint64) {
+	w := e.cfg.WR
+	if slot == 1 {
+		w = e.cfg.WS
+	}
+	st, idx := newStore(w, e.cfg.Timed), newShardIndex(e.cfg, w)
+	st.wm = wm
+	e.stores[slot], e.idxs[slot], e.evicts[slot] = st, idx, nil
+	if idx.Eager() {
+		e.evicts[slot] = func(p kv.Pair) { idx.Remove(p) }
+	}
+	if e.cfg.Timed {
+		e.liveFns[slot] = func(p kv.Pair) bool {
+			_, ts, ok := st.resolveTimed(p)
+			return ok && ts >= st.wm
+		}
+	} else {
+		e.liveFns[slot] = func(p kv.Pair) bool {
+			seq, ok := st.resolve(p)
+			return ok && seq >= st.wm
+		}
+	}
+	if e.cfg.Self {
+		e.stores[1], e.idxs[1], e.evicts[1], e.liveFns[1] = st, idx, e.evicts[0], e.liveFns[0]
+	}
 }
 
 // insert applies an insert op: advance the stream's eviction watermark, then
@@ -323,7 +330,7 @@ func newEngine(cfg Config) *engine {
 func (e *engine) insert(o *op) {
 	st := e.stores[o.stream]
 	var ref uint32
-	if e.timed {
+	if e.cfg.Timed {
 		st.evictTime(o.te, e.evicts[o.stream])
 		ref = st.appendTimed(o.key, o.seq, o.ts)
 	} else {
@@ -344,7 +351,7 @@ func (e *engine) insert(o *op) {
 // timestamp order, so seq < tl already implies ts <= the probe's timestamp.
 func (e *engine) probe(o *op, dst []uint64) []uint64 {
 	st := e.stores[o.stream]
-	if e.timed {
+	if e.cfg.Timed {
 		st.evictTime(o.te, e.evicts[o.stream])
 	} else {
 		st.evict(o.te, e.evicts[o.stream])
@@ -361,7 +368,7 @@ func (e *engine) probe(o *op, dst []uint64) []uint64 {
 // and appending deduplicated live sequences to the destination slice.
 func (e *engine) emitPairs(ps []kv.Pair) bool {
 	o, st := e.pcur, e.pst
-	if e.timed {
+	if e.cfg.Timed {
 		for _, p := range ps {
 			s, ts, ok := st.resolveTimed(p)
 			if !ok || s >= o.tl || ts < o.te {
@@ -395,20 +402,18 @@ func appendSeq(dst []uint64, seq uint64) []uint64 {
 
 // maintain runs deferred index maintenance (delta merges) for both streams,
 // dropping entries that expired or whose slot was recycled.
-func (e *engine) maintain(self bool) {
-	for i := 0; i < 2; i++ {
-		if self && i == 1 {
-			break
-		}
-		e.idxs[i].Maintain(e.liveFns[i])
+func (e *engine) maintain() {
+	e.idxs[0].Maintain(e.liveFns[0])
+	if !e.cfg.Self {
+		e.idxs[1].Maintain(e.liveFns[1])
 	}
 }
 
 // merges sums merge statistics over both indexes, plus the merges of any
 // indexes discarded by rebalance epochs.
-func (e *engine) merges(self bool) (int, time.Duration) {
+func (e *engine) merges() (int, time.Duration) {
 	m, t := e.idxs[0].Merges()
-	if !self {
+	if !e.cfg.Self {
 		m2, t2 := e.idxs[1].Merges()
 		m, t = m+m2, t+t2
 	}
@@ -416,9 +421,9 @@ func (e *engine) merges(self bool) (int, time.Duration) {
 }
 
 // updateResident refreshes the monitoring gauge from the stores.
-func (e *engine) updateResident(self bool) {
+func (e *engine) updateResident() {
 	n := int64(e.stores[0].head - e.stores[0].tail)
-	if !self {
+	if !e.cfg.Self {
 		n += int64(e.stores[1].head - e.stores[1].tail)
 	}
 	e.resident.Store(n)
@@ -440,7 +445,7 @@ type migrant struct {
 // (drain barrier).
 func (e *engine) extractLive(slot int, wm uint64, src int, dst []migrant) []migrant {
 	st := e.stores[slot]
-	if e.timed {
+	if e.cfg.Timed {
 		for i := st.tail; i < st.head; i++ {
 			j := i & st.mask
 			if ts := st.times[j]; ts >= wm {
@@ -459,38 +464,20 @@ func (e *engine) extractLive(slot int, wm uint64, src int, dst []migrant) []migr
 
 // resetSlot replaces a stream slot's store and index with empty ones whose
 // eviction watermark starts at wm, banking the discarded index's merge
-// statistics. For self-joins slot 0 is the only real slot and slot 1 is
-// re-aliased to it. Must only be called while the engine's worker is
-// quiescent.
-func (e *engine) resetSlot(slot int, cfg Config, w int, wm uint64) {
+// statistics. Must only be called while the engine's worker is quiescent.
+func (e *engine) resetSlot(slot int, wm uint64) {
 	m, t := e.idxs[slot].Merges()
 	e.baseMerges += m
 	e.baseMergeTime += t
-	st := newStore(w, cfg.Timed)
-	st.wm = wm
-	e.stores[slot] = st
-	e.idxs[slot] = newShardIndex(cfg, w)
-	e.evicts[slot] = nil
-	if e.idxs[slot].Eager() {
-		idx := e.idxs[slot]
-		e.evicts[slot] = func(p kv.Pair) { idx.Remove(p) }
-	}
-	if cfg.Timed {
-		e.liveFns[slot] = func(p kv.Pair) bool {
-			_, ts, ok := st.resolveTimed(p)
-			return ok && ts >= st.wm
-		}
-	} else {
-		e.liveFns[slot] = func(p kv.Pair) bool {
-			seq, ok := st.resolve(p)
-			return ok && seq >= st.wm
-		}
-	}
-	if cfg.Self && slot == 0 {
-		e.stores[1] = e.stores[0]
-		e.idxs[1] = e.idxs[0]
-		e.evicts[1] = e.evicts[0]
-		e.liveFns[1] = e.liveFns[0]
+	e.installSlot(slot, wm)
+}
+
+// rebuildSlot replaces a stream slot's contents with tuples, which must be
+// in sequence order (see adopt). Worker quiescent, as for resetSlot.
+func (e *engine) rebuildSlot(slot int, wm uint64, tuples []migrant) {
+	e.resetSlot(slot, wm)
+	for _, m := range tuples {
+		e.adopt(slot, m)
 	}
 }
 
@@ -500,7 +487,7 @@ func (e *engine) resetSlot(slot int, cfg Config, w int, wm uint64) {
 // timestamp order the timed ring assumes).
 func (e *engine) adopt(slot int, m migrant) {
 	var ref uint32
-	if e.timed {
+	if e.cfg.Timed {
 		ref = e.stores[slot].appendTimed(m.key, m.seq, m.ts)
 	} else {
 		ref = e.stores[slot].append(m.key, m.seq)

@@ -3,7 +3,6 @@ package shard
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"pimtree/internal/join"
@@ -12,11 +11,11 @@ import (
 // This file is the node side of the cluster tier: a Member hosts a slice of
 // the global key domain as a set of local single-writer shard engines, fed
 // not by its own admission logic but by pre-sequenced ops shipped from a
-// remote cluster router (internal/cluster). The router performs ALL global
-// sequencing — per-stream sequence heads, band fan-out, eviction watermarks,
-// timed-mode reordering — exactly as Router does for local shards, so a
-// probe op arriving here already carries its [TE, TL) window and an insert
-// op its global sequence and watermark. The member only has to apply ops in
+// remote cluster router (internal/cluster). The router's Sequencer performs
+// ALL global sequencing — per-stream sequence heads, band range, eviction
+// watermarks, behind its timed-mode reorder buffer — so a probe op arriving
+// here already carries its [TE, TL) window and an insert op its global
+// sequence and watermark. The member only has to apply ops in
 // shipment order and report each probe's matched sequences back, tagged with
 // the router's correlation id. Global exactness then follows from the same
 // argument as the single-machine sharded runtime: ops reach every engine in
@@ -65,49 +64,29 @@ type MemberConfig struct {
 const defaultMemberCapacity = 1 << 12
 
 // Member applies cluster-shipped ops against local sub-shard engines and
-// emits probe results through a callback. It reuses the Router's proven
-// mechanics one level down: per-shard FIFO worker channels (ops are applied
-// in shipment order), a drain barrier for quiescence, an in-flight ring with
-// per-probe fan-out counters, and an order-preserving merge stage that emits
-// each probe's buckets in local shard order — which is key-range order, so
-// the concatenation across nodes at the router remains deterministic.
+// emits probe results through a callback: the same pool of FIFO shard workers
+// and the same FanIn as Router, minus the Sequencer (the ops arrive sequenced)
+// and the WAL lanes. The FanIn emits each probe's buckets in local shard
+// order — which is key-range order, so the concatenation across nodes at the
+// router remains deterministic. Ring backpressure reaches the router through
+// the connection's TCP window.
 //
 // Apply, Quiesce, ExportRange, Import, and Close must all be called from one
 // dispatching goroutine (the member connection's reader). The result
 // callback fires on worker goroutines.
 type Member struct {
-	cfg  MemberConfig
-	ecfg Config // engine-shaping subset passed to newEngine/resetSlot
-	part Partitioner
+	pool
+	FanIn
 
-	engines []*engine
-	chans   []chan []op
-	free    []chan []op
-	pend    []pendingBatch
-	wg      sync.WaitGroup
-	barrier sync.WaitGroup
+	self bool
+	part Partitioner
 
 	// onResult receives each completed probe's matched sequences, bucketed
 	// by local shard in shard order. The bucket slices are recycled ring
 	// storage, valid only during the call — the callback must consume (copy
 	// or encode) them before returning.
 	onResult func(idx uint64, buckets [][]uint64)
-
-	// In-flight probe ring, mirroring Router's: slot i%capN tracks probe
-	// number i (member-local ordinal; the router's Idx is carried per slot).
-	capN     int
-	n        int // probe ops admitted so far (single dispatcher)
-	admitted atomic.Int64
-	rids     []uint64 // router correlation id per slot
-	results  [][][]uint64
-	nbuck    []int32
-	state    []probeState
-	propHead atomic.Int64
-	propLock atomic.Bool
-
-	bpMu      sync.Mutex
-	bpCond    *sync.Cond
-	bpWaiters atomic.Int32
+	rids     []uint64 // router correlation id per ring slot
 
 	applied atomic.Uint64 // ops dispatched to workers
 	evictWM atomic.Uint64 // max insert watermark seen (seq, or minTS timed)
@@ -142,79 +121,18 @@ func NewMember(cfg MemberConfig, onResult func(idx uint64, buckets [][]uint64)) 
 	}
 	k := cfg.Shards
 	m := &Member{
-		cfg: cfg,
-		ecfg: Config{
-			WR: cfg.WR, WS: cfg.WS, Self: cfg.Self,
-			Timed: cfg.Timed, Index: cfg.Index,
-		},
+		self:     cfg.Self,
 		part:     NewRangePartitioner(k),
-		engines:  make([]*engine, k),
-		chans:    make([]chan []op, k),
-		free:     make([]chan []op, k),
-		pend:     make([]pendingBatch, k),
 		onResult: onResult,
-		capN:     cfg.Capacity,
 		rids:     make([]uint64, cfg.Capacity),
-		results:  make([][][]uint64, cfg.Capacity),
-		nbuck:    make([]int32, cfg.Capacity),
-		state:    make([]probeState, cfg.Capacity),
 	}
-	for i := range m.results {
-		m.results[i] = make([][]uint64, k)
-	}
-	m.bpCond = sync.NewCond(&m.bpMu)
-	for i := range m.pend {
-		m.pend[i].first = -1
-	}
-	for s := 0; s < k; s++ {
-		m.engines[s] = newEngine(m.ecfg)
-		m.chans[s] = make(chan []op, shardChanCap)
-		m.free[s] = make(chan []op, freeChanCap)
-		m.wg.Add(1)
-		go m.worker(s)
-	}
+	m.pool.fan, m.batchSize = &m.FanIn, cfg.BatchSize
+	m.Init(m.flushAll, func(slot int, buckets [][]uint64) { m.onResult(m.rids[slot], buckets) })
+	m.Resize(cfg.Capacity, k)
+	m.start(newEngines(Config{
+		WR: cfg.WR, WS: cfg.WS, Self: cfg.Self, Timed: cfg.Timed, Index: cfg.Index,
+	}, k))
 	return m
-}
-
-// clamp keeps a partitioner result inside the local engine array.
-func (m *Member) clamp(s int) int {
-	if s < 0 {
-		return 0
-	}
-	if s >= len(m.engines) {
-		return len(m.engines) - 1
-	}
-	return s
-}
-
-// sid folds a stream id onto its store slot (self-joins use slot 0 only).
-func (m *Member) sid(s uint8) uint8 {
-	if m.cfg.Self {
-		return 0
-	}
-	return s
-}
-
-// admit claims the ring slot for the next probe op, blocking while the ring
-// is full (pending batches are flushed first — the results the merge stage
-// is waiting on may still be buffered here). Backpressure propagates to the
-// router through the connection's TCP window.
-func (m *Member) admit() int {
-	if m.n-int(m.propHead.Load()) >= m.capN {
-		for s := range m.pend {
-			m.flush(s)
-		}
-		m.bpMu.Lock()
-		m.bpWaiters.Add(1)
-		for m.n-int(m.propHead.Load()) >= m.capN {
-			m.bpCond.Wait()
-		}
-		m.bpWaiters.Add(-1)
-		m.bpMu.Unlock()
-	}
-	slot := m.n % m.capN
-	m.state[slot].completed.Store(false)
-	return slot
 }
 
 // Apply dispatches one shipped op batch to the local shards, in order. Every
@@ -222,132 +140,35 @@ func (m *Member) admit() int {
 // the natural batching unit, so no op ever lingers waiting for a horizon.
 // May block on ring backpressure.
 func (m *Member) Apply(ops []Op) {
+	k := len(m.engines)
 	for i := range ops {
 		o := &ops[i]
+		stream := sid(m.self, o.Stream)
 		if o.Insert {
 			if o.TE > m.evictWM.Load() {
 				m.evictWM.Store(o.TE)
 			}
-			owner := m.clamp(m.part.ShardOf(o.Key))
-			m.enqueue(owner, op{
-				kind: opInsert, stream: m.sid(o.Stream),
+			m.enqueue(Clamp(m.part.ShardOf(o.Key), k), op{
+				kind: opInsert, stream: stream,
 				key: o.Key, seq: o.Seq, te: o.TE, ts: o.TS,
-			})
+			}, m.n)
 			continue
 		}
-		slot := m.admit()
-		s1 := m.clamp(m.part.ShardOf(o.Lo))
-		s2 := m.clamp(m.part.ShardOf(o.Hi))
+		idx, slot := m.Admit()
+		s1 := Clamp(m.part.ShardOf(o.Lo), k)
+		s2 := Clamp(m.part.ShardOf(o.Hi), k)
 		m.rids[slot] = o.Idx
-		m.nbuck[slot] = int32(s2 - s1 + 1)
-		m.state[slot].pending.Store(int32(s2 - s1 + 1))
+		m.Open(slot, s2-s1+1)
 		for s := s1; s <= s2; s++ {
 			m.enqueue(s, op{
-				kind: opProbe, stream: m.sid(o.Stream), lo: o.Lo, hi: o.Hi,
-				te: o.TE, tl: o.TL, idx: m.n, bucket: s - s1,
-			})
+				kind: opProbe, stream: stream, lo: o.Lo, hi: o.Hi,
+				te: o.TE, tl: o.TL, idx: idx, bucket: s - s1,
+			}, idx)
 		}
-		m.n++
-		m.admitted.Store(int64(m.n))
+		m.Publish()
 	}
 	m.applied.Add(uint64(len(ops)))
-	for s := range m.pend {
-		m.flush(s)
-	}
-}
-
-// enqueue appends an op to a local shard's pending batch, flushing on size.
-func (m *Member) enqueue(s int, o op) {
-	p := &m.pend[s]
-	if p.first < 0 {
-		p.first = m.n
-		if p.ops == nil {
-			select {
-			case b := <-m.free[s]:
-				p.ops = b[:0]
-			default:
-				p.ops = make([]op, 0, m.cfg.BatchSize)
-			}
-		}
-	}
-	p.ops = append(p.ops, o)
-	if len(p.ops) >= m.cfg.BatchSize {
-		m.flush(s)
-	}
-}
-
-func (m *Member) flush(s int) {
-	p := &m.pend[s]
-	if len(p.ops) == 0 {
-		return
-	}
-	m.chans[s] <- p.ops
-	p.ops = nil
-	p.first = -1
-}
-
-// worker is one local shard's goroutine — Router.worker one level down.
-func (m *Member) worker(s int) {
-	defer m.wg.Done()
-	e := m.engines[s]
-	for batch := range m.chans[s] {
-		if batch == nil {
-			m.barrier.Done()
-			continue
-		}
-		for j := range batch {
-			o := &batch[j]
-			if o.kind == opInsert {
-				e.insert(o)
-				continue
-			}
-			slot := o.idx % m.capN
-			m.results[slot][o.bucket] = e.probe(o, m.results[slot][o.bucket])
-			if m.state[slot].pending.Add(-1) == 0 {
-				m.state[slot].completed.Store(true)
-			}
-		}
-		e.maintain(m.cfg.Self)
-		e.updateResident(m.cfg.Self)
-		select {
-		case m.free[s] <- batch[:0]:
-		default:
-		}
-		m.propagate()
-	}
-}
-
-// propagate emits completed probes at the ring head, in admission order
-// (Router.propagate's try-lock pattern; see there for the memory-model
-// argument). Buckets are handed to onResult in local shard order.
-func (m *Member) propagate() {
-	for {
-		if !m.propLock.CompareAndSwap(false, true) {
-			return
-		}
-		admitted := int(m.admitted.Load())
-		head := int(m.propHead.Load())
-		advanced := false
-		for head < admitted && m.state[head%m.capN].completed.Load() {
-			h := head % m.capN
-			m.onResult(m.rids[h], m.results[h][:m.nbuck[h]])
-			head++
-			advanced = true
-		}
-		if advanced {
-			m.propHead.Store(int64(head))
-		}
-		m.propLock.Store(false)
-		if advanced && m.bpWaiters.Load() > 0 {
-			m.bpMu.Lock()
-			m.bpCond.Broadcast()
-			m.bpMu.Unlock()
-		}
-		admitted = int(m.admitted.Load())
-		if head >= admitted || !m.state[head%m.capN].completed.Load() {
-			return
-		}
-	}
+	m.flushAll()
 }
 
 // Quiesce flushes every pending batch and blocks until all shipped ops have
@@ -355,21 +176,14 @@ func (m *Member) propagate() {
 // drain barrier). On return the engines may be mutated from the dispatching
 // goroutine (export/import).
 func (m *Member) Quiesce() {
-	for s := range m.pend {
-		m.flush(s)
-	}
-	m.barrier.Add(len(m.chans))
-	for _, ch := range m.chans {
-		ch <- nil
-	}
-	m.barrier.Wait()
-	m.propagate()
+	m.drainBarrier()
+	m.Propagate()
 }
 
 // slots returns the store slots a member iterates for handoff: slot 0 only
 // for self-joins (slot 1 is an alias), both otherwise.
 func (m *Member) slots() int {
-	if m.cfg.Self {
+	if m.self {
 		return 1
 	}
 	return 2
@@ -379,15 +193,14 @@ func (m *Member) slots() int {
 // whose key falls in [lo, hi] (inclusive), returning them in per-stream
 // sequence order. Removal matters: after a handoff the range belongs to
 // another node, and a stale copy here would still be hit by band probes and
-// double-report matches. Keepers are rebuilt in place (reset + re-adopt in
-// sequence order, preserving each store ring's monotone-seq invariant).
+// double-report matches. Keepers are rebuilt in place, in sequence order.
 func (m *Member) ExportRange(lo, hi uint32) []WindowTuple {
 	m.Quiesce()
 	var out []WindowTuple
 	for _, e := range m.engines {
 		for slot := 0; slot < m.slots(); slot++ {
-			st := e.stores[slot]
-			live := e.extractLive(slot, st.wm, 0, nil)
+			wm := e.stores[slot].wm
+			live := e.extractLive(slot, wm, 0, nil)
 			keep := live[:0]
 			for _, mg := range live {
 				if mg.key >= lo && mg.key <= hi {
@@ -398,16 +211,9 @@ func (m *Member) ExportRange(lo, hi uint32) []WindowTuple {
 					keep = append(keep, mg)
 				}
 			}
-			w := m.ecfg.WR
-			if slot == 1 {
-				w = m.ecfg.WS
-			}
-			e.resetSlot(slot, m.ecfg, w, st.wm)
-			for _, mg := range keep {
-				e.adopt(slot, mg)
-			}
+			e.rebuildSlot(slot, wm, keep)
 		}
-		e.updateResident(m.cfg.Self)
+		e.updateResident()
 	}
 	return out
 }
@@ -415,8 +221,7 @@ func (m *Member) ExportRange(lo, hi uint32) []WindowTuple {
 // Import quiesces, then adopts handed-off window tuples into their local
 // owner engines. Because imported sequences may be older than tuples already
 // resident (the node was live while the exporter drained), each touched
-// store is rebuilt: existing live tuples and imports are merged, sorted by
-// sequence, and re-adopted, restoring the ring's monotone-seq invariant.
+// store is rebuilt from its live tuples merged with the imports by sequence.
 func (m *Member) Import(tuples []WindowTuple) {
 	if len(tuples) == 0 {
 		return
@@ -426,24 +231,16 @@ func (m *Member) Import(tuples []WindowTuple) {
 	type dest struct{ eng, slot int }
 	byDest := make(map[dest][]migrant)
 	for _, t := range tuples {
-		d := dest{m.clamp(m.part.ShardOf(t.Key)), int(m.sid(t.Stream))}
+		d := dest{Clamp(m.part.ShardOf(t.Key), len(m.engines)), int(sid(m.self, t.Stream))}
 		byDest[d] = append(byDest[d], migrant{key: t.Key, seq: t.Seq, ts: t.TS})
 	}
 	for d, imps := range byDest {
 		e := m.engines[d.eng]
-		st := e.stores[d.slot]
-		merged := e.extractLive(d.slot, st.wm, 0, nil)
-		merged = append(merged, imps...)
+		wm := e.stores[d.slot].wm
+		merged := append(e.extractLive(d.slot, wm, 0, nil), imps...)
 		sort.Slice(merged, func(i, j int) bool { return merged[i].seq < merged[j].seq })
-		w := m.ecfg.WR
-		if d.slot == 1 {
-			w = m.ecfg.WS
-		}
-		e.resetSlot(d.slot, m.ecfg, w, st.wm)
-		for _, mg := range merged {
-			e.adopt(d.slot, mg)
-		}
-		e.updateResident(m.cfg.Self)
+		e.rebuildSlot(d.slot, wm, merged)
+		e.updateResident()
 	}
 }
 
@@ -471,12 +268,6 @@ func (m *Member) Shards() int { return len(m.engines) }
 // Close stops the local workers after applying everything dispatched.
 // The member must not be used afterwards.
 func (m *Member) Close() {
-	for s := range m.pend {
-		m.flush(s)
-	}
-	for _, ch := range m.chans {
-		close(ch)
-	}
-	m.wg.Wait()
-	m.propagate()
+	m.stop()
+	m.Propagate()
 }

@@ -1,0 +1,196 @@
+package shard
+
+import (
+	"sync"
+
+	"pimtree/internal/metrics"
+	"pimtree/internal/wal"
+)
+
+// pendingBatch is one shard's accumulating op buffer.
+type pendingBatch struct {
+	ops   []op
+	first int // arrival index of the oldest buffered op (-1 when empty)
+}
+
+// Per-shard channel capacities: the op channel holds 4 batches (plus one
+// pending in the producer and one in the worker), and the free list holds
+// that set with headroom so steady-state batch recycling is a closed loop —
+// no drops on return, no allocations in enqueue.
+const (
+	shardChanCap = 4
+	freeChanCap  = 8
+)
+
+// pool is the set of single-writer shard engines with the batched FIFO lanes
+// that feed them. One producer goroutine enqueues; each engine is touched
+// only by its own worker — or by the producer while every worker is parked
+// behind drainBarrier. Workers write probe results into fan and volunteer for
+// its ordered propagation after every batch.
+type pool struct {
+	fan       *FanIn
+	batchSize int
+
+	engines []*engine
+	chans   []chan []op
+	free    []chan []op // consumed batch slices on their way back to enqueue
+	pend    []pendingBatch
+	// lanes is parallel to engines, its entries nil unless durability is on:
+	// each worker appends applied inserts to its own lane, so the hot path
+	// never locks; the producer only touches lanes behind drainBarrier.
+	lanes   []*wal.Lane
+	wg      sync.WaitGroup
+	barrier sync.WaitGroup
+
+	// qhw is the per-shard queue-depth high-water mark, observed by the
+	// producer at every batch handoff (single writer) and read live by load
+	// scrapers. start begins fresh marks.
+	qhw []metrics.PaddedCounter
+	// Flush accounting by trigger (producer only).
+	sizeFlushes    int
+	horizonFlushes int
+}
+
+// start installs an engine set and its WAL lanes behind fresh queues and
+// spawns one worker per engine.
+func (p *pool) start(engines []*engine, lanes []*wal.Lane) {
+	k := len(engines)
+	p.engines, p.lanes = engines, lanes
+	p.chans = make([]chan []op, k)
+	p.free = make([]chan []op, k)
+	p.pend = make([]pendingBatch, k)
+	p.qhw = make([]metrics.PaddedCounter, k)
+	for s := 0; s < k; s++ {
+		p.chans[s] = make(chan []op, shardChanCap)
+		p.free[s] = make(chan []op, freeChanCap)
+		p.pend[s].first = -1
+		p.wg.Add(1)
+		go p.worker(s)
+	}
+}
+
+// enqueue appends an op routed at arrival index now to a shard's pending
+// batch, flushing on size. A fresh batch slice is only allocated during
+// warmup (or when a worker briefly held more batches than the free channel's
+// headroom).
+func (p *pool) enqueue(s int, o op, now int) {
+	b := &p.pend[s]
+	if b.first < 0 {
+		b.first = now
+		if b.ops == nil {
+			select {
+			case r := <-p.free[s]:
+				b.ops = r[:0]
+			default:
+				b.ops = make([]op, 0, p.batchSize)
+			}
+		}
+	}
+	b.ops = append(b.ops, o)
+	if len(b.ops) >= p.batchSize {
+		p.sizeFlushes++
+		p.flush(s)
+	}
+}
+
+// flush ships a shard's pending batch to its worker. The depth observed
+// right after the send is the ride-along sample that keeps the high-water
+// mark monotone without touching the worker's consume path.
+func (p *pool) flush(s int) {
+	b := &p.pend[s]
+	if len(b.ops) == 0 {
+		return
+	}
+	p.chans[s] <- b.ops
+	if d := uint64(len(p.chans[s])); d > p.qhw[s].Load() {
+		p.qhw[s].Store(d)
+	}
+	b.ops = nil
+	b.first = -1
+}
+
+// flushAll ships every pending batch.
+func (p *pool) flushAll() {
+	for s := range p.pend {
+		p.flush(s)
+	}
+}
+
+// flushExpired flushes every shard whose oldest buffered op is horizon
+// arrivals old (the batching analogue of window expiry: an op may not linger
+// while the window slides a full length past it).
+func (p *pool) flushExpired(now, horizon int) {
+	for s := range p.pend {
+		if f := p.pend[s].first; f >= 0 && now-f >= horizon {
+			p.horizonFlushes++
+			p.flush(s)
+		}
+	}
+}
+
+// drainBarrier flushes every pending batch, then sends each worker a nil
+// sentinel batch and waits for all of them to acknowledge it. Because shard
+// queues are FIFO, acknowledgement means every previously routed op has been
+// fully applied; the WaitGroup gives the producer a happens-before edge over
+// the workers' engine writes, and the next channel send orders the producer's
+// own engine writes before anything the workers do next.
+func (p *pool) drainBarrier() {
+	p.flushAll()
+	p.barrier.Add(len(p.chans))
+	for _, ch := range p.chans {
+		ch <- nil
+	}
+	p.barrier.Wait()
+}
+
+// stop applies everything enqueued and ends the workers.
+func (p *pool) stop() {
+	p.flushAll()
+	for _, ch := range p.chans {
+		close(ch)
+	}
+	p.wg.Wait()
+}
+
+// worker is one shard's goroutine: apply each batch in FIFO order, run
+// deferred index maintenance, and volunteer for ordered propagation.
+func (p *pool) worker(s int) {
+	defer p.wg.Done()
+	e, lane, fan := p.engines[s], p.lanes[s], p.fan
+	for batch := range p.chans[s] {
+		if batch == nil {
+			// Drain barrier: acknowledge, then block on the next receive
+			// while the producer owns the engines.
+			p.barrier.Done()
+			continue
+		}
+		for j := range batch {
+			o := &batch[j]
+			if o.kind == opInsert {
+				if lane != nil {
+					lane.AppendInsert(o.stream, o.key, o.seq, o.ts)
+				}
+				e.insert(o)
+				continue
+			}
+			slot := o.idx % fan.capN
+			fan.SetBucket(slot, o.bucket, e.probe(o, fan.Bucket(slot, o.bucket)))
+			fan.Done(slot)
+		}
+		e.maintain()
+		e.updateResident()
+		// Return the consumed batch slice for reuse; drop it when the free
+		// channel is full (warmup overshoot).
+		select {
+		case p.free[s] <- batch[:0]:
+		default:
+		}
+		fan.Propagate()
+	}
+}
+
+// FlushCounts reports how many batch flushes were triggered by the size
+// bound and by the flush horizon.
+func (p *pool) FlushCounts() (size, horizon int) {
+	return p.sizeFlushes, p.horizonFlushes
+}

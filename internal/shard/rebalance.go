@@ -149,18 +149,13 @@ func samePartition(old Partitioner, next QuantilePartitioner) bool {
 // and indexes directly on the router goroutine, and the barrier's WaitGroup
 // edges give it the happens-before ordering with both the workers' prior
 // writes and their next batch receive.
-func migrate(src, dst []*engine, cfg Config, newPart Partitioner, wms [2]uint64) (moved int) {
+func migrate(src, dst []*engine, newPart Partitioner, wms [2]uint64) (moved int) {
 	slots := 2
-	if cfg.Self {
+	if dst[0].cfg.Self {
 		slots = 1
 	}
 	inPlace := len(src) == len(dst) && len(src) > 0 && src[0] == dst[0]
-	k := len(dst)
 	for slot := 0; slot < slots; slot++ {
-		w := cfg.WR
-		if slot == 1 {
-			w = cfg.WS
-		}
 		var live []migrant
 		for s, e := range src {
 			live = e.extractLive(slot, wms[slot], s, live)
@@ -170,7 +165,7 @@ func migrate(src, dst []*engine, cfg Config, newPart Partitioner, wms [2]uint64)
 		sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
 		if inPlace {
 			for _, e := range dst {
-				e.resetSlot(slot, cfg, w, wms[slot])
+				e.resetSlot(slot, wms[slot])
 			}
 		} else {
 			for _, e := range dst {
@@ -180,12 +175,7 @@ func migrate(src, dst []*engine, cfg Config, newPart Partitioner, wms [2]uint64)
 			}
 		}
 		for _, m := range live {
-			d := newPart.ShardOf(m.key)
-			if d < 0 {
-				d = 0
-			} else if d >= k {
-				d = k - 1
-			}
+			d := Clamp(newPart.ShardOf(m.key), len(dst))
 			if d != m.src {
 				moved++
 			}
@@ -193,7 +183,7 @@ func migrate(src, dst []*engine, cfg Config, newPart Partitioner, wms [2]uint64)
 		}
 	}
 	for _, e := range dst {
-		e.updateResident(cfg.Self)
+		e.updateResident()
 	}
 	return moved
 }
