@@ -170,7 +170,7 @@ type TunePolicy struct {
 	Streak   int
 	Cooldown int
 	// QueueHigh is the queue-depth pressure threshold in batches
-	// (default 3); ImbalanceHigh is the load-imbalance ratio above which
+	// (default 24, three quarters of a shard lane); ImbalanceHigh is the load-imbalance ratio above which
 	// the controller enables adaptive rebalancing (default 1.4).
 	QueueHigh     uint64
 	ImbalanceHigh float64

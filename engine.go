@@ -95,7 +95,19 @@ var (
 	// execution mode has no live-tunable parameters (the serial and shared
 	// runtimes).
 	ErrNotTunable = errors.New("execution mode has no live-tunable parameters")
+	// ErrWindowTooLarge is wrapped by validation errors rejecting a window
+	// bound (WindowR, WindowS, MaxLive) above 2^31 tuples: index entries
+	// name their tuple by the low 32 bits of its sequence, and liveness is
+	// exact only while a window covers at most half of that space.
+	ErrWindowTooLarge = errors.New("window exceeds 2^31 tuples")
 )
+
+// maxWindow is the largest WindowR, WindowS or MaxLive (see ErrWindowTooLarge).
+const maxWindow = 1 << 31
+
+func errWindowTooLarge(name string, w int) error {
+	return fmt.Errorf("pimtree: %s %d: %w", name, w, ErrWindowTooLarge)
+}
 
 // errNotSorted is the uniform strict-mode disorder rejection shared by every
 // time-based entry point.
@@ -112,6 +124,12 @@ func validateWindows(wr, ws int, self bool) error {
 	if !self && ws <= 0 {
 		return fmt.Errorf("pimtree: WindowS %d must be positive", ws)
 	}
+	if int64(wr) > maxWindow {
+		return errWindowTooLarge("WindowR", wr)
+	}
+	if !self && int64(ws) > maxWindow {
+		return errWindowTooLarge("WindowS", ws)
+	}
 	return nil
 }
 
@@ -123,6 +141,9 @@ func validateTimeWindow(span uint64, maxLive int, needLive bool) error {
 	}
 	if needLive && maxLive <= 0 {
 		return fmt.Errorf("pimtree: MaxLive must be positive")
+	}
+	if int64(maxLive) > maxWindow {
+		return errWindowTooLarge("MaxLive", maxLive)
 	}
 	return nil
 }

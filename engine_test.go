@@ -7,6 +7,7 @@ package pimtree_test
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -176,6 +177,35 @@ func TestUnsupportedBackendNamed(t *testing.T) {
 		WindowR: 256, WindowS: 256, UseBwTree: true, Threads: 2,
 	}); err != nil {
 		t.Fatalf("UseBwTree compatibility: %v", err)
+	}
+}
+
+// TestWindowTooLargeNamed pins the bound the 32-bit index refs put on a
+// window: anything above 2^31 tuples is refused at Open, by name, instead of
+// reaching the shard engines' span guard mid-stream.
+func TestWindowTooLargeNamed(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("a window above 2^31 does not fit an int here")
+	}
+	one := int64(1) // not a constant: 2^31+1 must compile where int is 32 bits
+	big := int(one<<31 + 1)
+	for name, cfg := range map[string]pimtree.Config{
+		"WindowR": {Mode: pimtree.ModeSharded, WindowR: big, WindowS: 4},
+		"WindowS": {Mode: pimtree.ModeSharded, WindowR: 4, WindowS: big},
+		"MaxLive": {Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: big},
+	} {
+		_, err := pimtree.Open(cfg)
+		if !errors.Is(err, pimtree.ErrWindowTooLarge) || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s = 2^31+1: error %v, want one naming the field and wrapping ErrWindowTooLarge", name, err)
+		}
+	}
+	// A self-join ignores WindowS.
+	e, err := pimtree.Open(pimtree.Config{Mode: pimtree.ModeSharded, Shards: 2, WindowR: 4, WindowS: big, Self: true, DiscardMatches: true})
+	if err != nil {
+		t.Fatalf("self-join with an unused oversized WindowS: %v", err)
+	}
+	if _, err := e.Close(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

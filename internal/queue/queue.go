@@ -67,9 +67,24 @@ func (q *Queue[T]) All() iter.Seq[T] {
 
 func (q *Queue[T]) reset() {
 	q.mu.Lock()
-	q.buf = q.buf[:0]
-	q.head = 0
+	q.clear()
 	q.mu.Unlock()
+}
+
+// maxIdleCap is the largest buffer an empty queue keeps for reuse, in items.
+const maxIdleCap = 4096
+
+// clear empties the buffer (mu held). A buffer that a burst grew past
+// maxIdleCap is dropped rather than kept, so one burst does not pin its
+// high-water capacity for the rest of the session; a smaller one is reused,
+// so the steady state does not allocate.
+func (q *Queue[T]) clear() {
+	if cap(q.buf) > maxIdleCap {
+		q.buf = nil
+	} else {
+		q.buf = q.buf[:0]
+	}
+	q.head = 0
 }
 
 // Push appends v if the queue is armed.
@@ -106,8 +121,7 @@ func (q *Queue[T]) Next() (v T, ok bool) {
 	q.head++
 	switch {
 	case q.head == len(q.buf):
-		q.buf = q.buf[:0]
-		q.head = 0
+		q.clear()
 	case q.head >= 1024 && q.head*2 >= len(q.buf):
 		// Compact the consumed prefix: a long-lived session whose consumer
 		// stays slightly behind would otherwise grow the buffer with every

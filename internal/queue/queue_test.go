@@ -78,6 +78,26 @@ func TestQueue(t *testing.T) {
 				t.Fatalf("not reset when drained: head %d len %d", q.head, len(q.buf))
 			}
 		}},
+		{"a drained burst does not pin its buffer", func(t *testing.T, q *Queue[int]) {
+			const n = 100_000
+			q.Arm()
+			for i := 0; i < n; i++ {
+				q.Push(i)
+			}
+			drainN(t, q, 0, n)
+			if cap(q.buf) > maxIdleCap {
+				t.Fatalf("%d items of capacity retained after draining a burst of %d", cap(q.buf), n)
+			}
+			// A buffer that never outgrew the idle bound is kept, so the
+			// steady state does not allocate.
+			for i := 0; i < 100; i++ {
+				q.Push(i)
+			}
+			drainN(t, q, 0, 100)
+			if cap(q.buf) == 0 {
+				t.Fatal("small buffer dropped when drained")
+			}
+		}},
 		{"close ends Next after the backlog", func(t *testing.T, q *Queue[int]) {
 			q.Arm()
 			q.Push(7)

@@ -36,11 +36,21 @@ type op struct {
 	bucket int    // probe: fan-out position within the arrival's result row
 }
 
+// maxSpan bounds the sequence range one probe or merge may compare over. An
+// index ref is the low 32 bits of its tuple's sequence, liveness is the
+// unsigned distance back from the range's upper end (see engine.probe), and
+// that distance is exact while the range is at most half the ref space — the
+// other half is the room a stale entry has to linger before reindex (see
+// engine.add) removes it.
+const maxSpan = 1 << 31
+
 // store holds one stream's tuples resident in one shard: a ring of
 // (key, global seq) slots appended in sequence order and evicted from the
 // tail as the global window watermark passes them. At most W tuples of a
 // stream are globally live, so a shard (which holds a subset) never exceeds
-// the ring capacity.
+// the ring capacity. The ring orders eviction and feeds migration, handoff
+// and WAL snapshots; probes never read it per candidate, because an index
+// entry's ref is its tuple's sequence, not its ring slot.
 //
 // In timed mode each slot also carries the tuple's event timestamp, eviction
 // is driven by a timestamp watermark (minimum live event time) instead of a
@@ -49,9 +59,11 @@ type store struct {
 	keys  []uint32
 	seqs  []uint64
 	times []uint64 // timed mode only (nil for count windows)
+	by    []uint64 // the column eviction compares with the watermark: times when timed, else seqs
 	mask  uint64
 	head  uint64 // append position (monotone)
 	tail  uint64 // evict position (monotone)
+	first uint64 // seq of the first tuple ever appended (valid once head > 0)
 	wm    uint64 // highest eviction watermark applied (seq, or minTS when timed)
 }
 
@@ -62,8 +74,10 @@ func newStore(w int, timed bool) *store {
 		seqs: make([]uint64, cap),
 		mask: cap - 1,
 	}
+	s.by = s.seqs
 	if timed {
 		s.times = make([]uint64, cap)
+		s.by = s.times
 	}
 	return s
 }
@@ -76,13 +90,15 @@ func pow2Ceil(n uint64) uint64 {
 	return c
 }
 
-// evict drops tuples with seq < wm from the tail, reporting each dropped
+// evict drops tuples below the watermark from the tail — seq < wm, or event
+// time < wm in timed mode, where admission order is timestamp order and the
+// tail therefore holds the oldest event time — reporting each dropped
 // (key, ref) pair so eager-delete indexes can remove it.
 func (s *store) evict(wm uint64, onEvict func(p kv.Pair)) {
-	for s.tail < s.head && s.seqs[s.tail&s.mask] < wm {
+	for s.tail < s.head && s.by[s.tail&s.mask] < wm {
 		if onEvict != nil {
 			slot := s.tail & s.mask
-			onEvict(kv.Pair{Key: s.keys[slot], Ref: uint32(slot)})
+			onEvict(kv.Pair{Key: s.keys[slot], Ref: uint32(s.seqs[slot])})
 		}
 		s.tail++
 	}
@@ -91,63 +107,40 @@ func (s *store) evict(wm uint64, onEvict func(p kv.Pair)) {
 	}
 }
 
-// append stores a tuple and returns its ring reference.
-func (s *store) append(key uint32, seq uint64) (ref uint32) {
+// append stores a tuple (ts is kept in timed mode only). Overflow is only
+// possible in timed mode and means the caller's MaxLive bound was wrong:
+// panic rather than corrupt results (mirrors the parallel time window's reuse
+// guard).
+func (s *store) append(key uint32, seq, ts uint64) {
+	if s.head == 0 {
+		s.first = seq
+	}
 	slot := s.head & s.mask
+	if s.times != nil {
+		if s.head-s.tail == uint64(len(s.keys)) {
+			panic("shard: time store overflow — raise MaxLive")
+		}
+		s.times[slot] = ts
+	}
 	s.keys[slot] = key
 	s.seqs[slot] = seq
 	s.head++
-	return uint32(slot)
 }
 
-// evictTime drops tuples with event time below minTS from the tail (timed
-// mode): admission order is timestamp order, so the tail always holds the
-// oldest event time.
-func (s *store) evictTime(minTS uint64, onEvict func(p kv.Pair)) {
-	for s.tail < s.head {
-		slot := s.tail & s.mask
-		if s.times[slot] >= minTS {
-			break
-		}
-		if onEvict != nil {
-			onEvict(kv.Pair{Key: s.keys[slot], Ref: uint32(slot)})
-		}
-		s.tail++
+// span returns how far below hi the resident tuples reach: every stored
+// sequence lies in [hi-span, hi) and — the ring being in sequence order —
+// every evicted one below it. Zero when the store is empty. hi must exceed
+// every stored sequence; a range the 32-bit ref arithmetic cannot cover
+// panics rather than corrupt results.
+func (s *store) span(hi uint64) uint32 {
+	if s.tail == s.head {
+		return 0
 	}
-	if minTS > s.wm {
-		s.wm = minTS
+	n := hi - s.seqs[s.tail&s.mask]
+	if n > maxSpan {
+		panic("shard: live span overflow — a window may cover at most 2^31 sequences")
 	}
-}
-
-// appendTimed stores a timed tuple. Overflow means the caller's MaxLive
-// bound was wrong: panic rather than corrupt results (mirrors the parallel
-// time window's reuse guard).
-func (s *store) appendTimed(key uint32, seq, ts uint64) (ref uint32) {
-	if s.head-s.tail == uint64(len(s.keys)) {
-		panic("shard: time store overflow — raise MaxLive")
-	}
-	slot := s.head & s.mask
-	s.keys[slot] = key
-	s.seqs[slot] = seq
-	s.times[slot] = ts
-	s.head++
-	return uint32(slot)
-}
-
-// resolveTimed maps an index entry back to the slot's current occupant with
-// its event timestamp. A stale entry (slot evicted, possibly reused) fails
-// the key comparison or the caller's timestamp/sequence filters.
-func (s *store) resolveTimed(p kv.Pair) (seq, ts uint64, ok bool) {
-	slot := uint64(p.Ref) & s.mask
-	return s.seqs[slot], s.times[slot], s.keys[slot] == p.Key
-}
-
-// resolve maps an index entry back to the slot's current occupant. A stale
-// entry (slot evicted, possibly reused) fails the key comparison or the
-// caller's [te, tl) filter.
-func (s *store) resolve(p kv.Pair) (seq uint64, ok bool) {
-	slot := uint64(p.Ref) & s.mask
-	return s.seqs[slot], s.keys[slot] == p.Key
+	return uint32(n)
 }
 
 // shardIndex is the per-stream index behaviour a shard engine needs; the
@@ -253,6 +246,17 @@ func newShardIndex(cfg Config, w int) shardIndex {
 	}
 }
 
+// liveRange is one slot's merge filter: an index entry survives a merge iff
+// its sequence lies in [hi-span, hi), compared in the refs' own 32-bit
+// arithmetic. maintain refreshes it from the store before offering a merge;
+// keep is the bound live method, built once so maintenance does not allocate.
+type liveRange struct {
+	hi, span uint32
+	keep     func(kv.Pair) bool
+}
+
+func (r *liveRange) live(p kv.Pair) bool { return r.hi-1-p.Ref < r.span }
+
 // engine is one shard: a single-writer join instance over the shard's key
 // range. All mutation happens on the shard's worker goroutine — or, during a
 // rebalance epoch, on the router goroutine while every worker is quiescent at
@@ -262,17 +266,15 @@ type engine struct {
 	stores [2]*store
 	idxs   [2]shardIndex
 	evicts [2]func(kv.Pair) // Remove hooks for eager indexes (nil otherwise)
-	// Probe state for the zero-allocation hot path: the in-flight op, its
-	// store, and the destination slice live in fields, and pemit is the
-	// single callback built once at construction — probe never materializes
-	// an escaping closure or copies its result out.
+	// Probe state for the zero-allocation hot path: the in-flight probe's
+	// sequence range and the destination slice live in fields, and pemit is
+	// the single callback built once at construction — probe never
+	// materializes an escaping closure or copies its result out.
 	pemit func([]kv.Pair) bool
-	pcur  *op
-	pst   *store
+	plast uint64 // tl-1: the newest sequence the probe may match
+	pspan uint32 // the probe matches sequences in (plast-pspan, plast]
 	pdst  []uint64
-	// liveFns are the per-stream Maintain liveness predicates, also built
-	// once so batch maintenance does not allocate.
-	liveFns [2]func(kv.Pair) bool
+	lives [2]*liveRange // per-stream merge filters
 	// resident is a monitoring gauge: tuples currently stored across both
 	// streams, refreshed by the worker after each batch and read by load
 	// snapshots without synchronization.
@@ -302,25 +304,16 @@ func (e *engine) installSlot(slot int, wm uint64) {
 	if slot == 1 {
 		w = e.cfg.WS
 	}
-	st, idx := newStore(w, e.cfg.Timed), newShardIndex(e.cfg, w)
+	st, idx, live := newStore(w, e.cfg.Timed), newShardIndex(e.cfg, w), &liveRange{}
 	st.wm = wm
 	e.stores[slot], e.idxs[slot], e.evicts[slot] = st, idx, nil
+	live.keep = live.live
+	e.lives[slot] = live
 	if idx.Eager() {
 		e.evicts[slot] = func(p kv.Pair) { idx.Remove(p) }
 	}
-	if e.cfg.Timed {
-		e.liveFns[slot] = func(p kv.Pair) bool {
-			_, ts, ok := st.resolveTimed(p)
-			return ok && ts >= st.wm
-		}
-	} else {
-		e.liveFns[slot] = func(p kv.Pair) bool {
-			seq, ok := st.resolve(p)
-			return ok && seq >= st.wm
-		}
-	}
 	if e.cfg.Self {
-		e.stores[1], e.idxs[1], e.evicts[1], e.liveFns[1] = st, idx, e.evicts[0], e.liveFns[0]
+		e.stores[1], e.idxs[1], e.evicts[1], e.lives[1] = st, idx, e.evicts[0], live
 	}
 }
 
@@ -328,85 +321,92 @@ func (e *engine) installSlot(slot int, wm uint64) {
 // store and index the tuple. In timed mode o.te carries the minimum live
 // event time and o.ts the tuple's timestamp.
 func (e *engine) insert(o *op) {
-	st := e.stores[o.stream]
-	var ref uint32
-	if e.cfg.Timed {
-		st.evictTime(o.te, e.evicts[o.stream])
-		ref = st.appendTimed(o.key, o.seq, o.ts)
-	} else {
-		st.evict(o.te, e.evicts[o.stream])
-		ref = st.append(o.key, o.seq)
+	e.stores[o.stream].evict(o.te, e.evicts[o.stream])
+	e.add(int(o.stream), o.key, o.seq, o.ts)
+}
+
+// add stores one tuple and indexes it under its sequence's low 32 bits.
+// Sequences must arrive in increasing order per slot (the ring assumes it; in
+// timed mode admission order is timestamp order, so it is also the timestamp
+// order the timed ring assumes).
+//
+// The wrap rule lives here. A stale entry of a delta-merge index lingers
+// until the next merge, and once the stream has advanced 2^32 past it its ref
+// would read as live again. So no index outlives 2^31 sequences: when seq is
+// that far past the first sequence its store — installed with it — was given,
+// the slot is reindexed from the store before the tuple goes in. A merge could
+// not do this job: it filters with the same 32-bit compare, and a shard that
+// was cold for the whole gap meets the jump in one step.
+func (e *engine) add(slot int, key uint32, seq, ts uint64) {
+	if st := e.stores[slot]; st.head > 0 && seq-st.first >= maxSpan {
+		e.reindex(slot)
 	}
-	e.idxs[o.stream].Insert(kv.Pair{Key: o.key, Ref: ref})
+	e.stores[slot].append(key, seq, ts)
+	e.idxs[slot].Insert(kv.Pair{Key: key, Ref: uint32(seq)})
 }
 
 // probe applies a probe op against the probed stream's store and returns the
-// matched global sequences, deduplicated. Dedup matters only for the
-// delta-merge indexes: a stale entry whose ring slot was reused by a live
-// tuple of the same key resolves to the same sequence as the fresh entry.
+// matched global sequences, reading nothing but the index entries.
 //
-// Count mode filters by the [te, tl) sequence window captured at admission.
-// Timed mode filters by seq < tl (tuples admitted before the probe) and
-// ts >= te (the probe's minimum live event time); admission order is
-// timestamp order, so seq < tl already implies ts <= the probe's timestamp.
+// After eviction to o.te the store holds exactly the tuples the probe may
+// match: everything older is gone (in timed mode admission order is timestamp
+// order, so seq >= the tail's seq <=> ts >= te), and everything present was
+// routed before the probe, so its seq < tl (a shard's lane is FIFO). With lo
+// the sequence at the store's tail, an entry is therefore live iff its
+// sequence lies in [lo, tl) — age = uint32(tl)-1-ref below tl-lo — and that
+// sequence is tl-1-age. Each tuple has one entry and no two share a ref, so
+// there is nothing to deduplicate.
 func (e *engine) probe(o *op, dst []uint64) []uint64 {
 	st := e.stores[o.stream]
-	if e.cfg.Timed {
-		st.evictTime(o.te, e.evicts[o.stream])
-	} else {
-		st.evict(o.te, e.evicts[o.stream])
+	st.evict(o.te, e.evicts[o.stream])
+	span := st.span(o.tl)
+	if span == 0 {
+		return dst[:0]
 	}
-	e.pcur, e.pst, e.pdst = o, st, dst[:0]
+	e.plast, e.pspan, e.pdst = o.tl-1, span, dst[:0]
 	e.idxs[o.stream].QueryPairs(o.lo, o.hi, e.pemit)
-	dst = e.pdst
-	e.pcur, e.pst, e.pdst = nil, nil, nil
+	dst, e.pdst = e.pdst, nil
 	return dst
 }
 
 // emitPairs consumes one contiguous candidate run of the in-flight probe
-// (see the probe fields on engine), resolving each entry against the store
-// and appending deduplicated live sequences to the destination slice.
+// (see the probe fields on engine), appending the sequence of every live
+// entry to the destination slice.
 func (e *engine) emitPairs(ps []kv.Pair) bool {
-	o, st := e.pcur, e.pst
-	if e.cfg.Timed {
-		for _, p := range ps {
-			s, ts, ok := st.resolveTimed(p)
-			if !ok || s >= o.tl || ts < o.te {
-				continue
-			}
-			e.pdst = appendSeq(e.pdst, s)
-		}
-		return true
-	}
+	last, span, dst := e.plast, e.pspan, e.pdst
 	for _, p := range ps {
-		s, ok := st.resolve(p)
-		if !ok || s < o.te || s >= o.tl {
-			continue
+		if age := uint32(last) - p.Ref; age < span {
+			dst = append(dst, last-uint64(age))
 		}
-		e.pdst = appendSeq(e.pdst, s)
 	}
+	e.pdst = dst
 	return true
 }
 
-// appendSeq appends seq unless already present (the probe dedup: a stale
-// delta-merge entry whose ring slot was reused by a live tuple of the same
-// key resolves to the same sequence as the fresh entry).
-func appendSeq(dst []uint64, seq uint64) []uint64 {
-	for _, s := range dst {
-		if s == seq {
-			return dst
-		}
+// maintain runs deferred index maintenance (delta merges) for both streams,
+// dropping the entries whose tuple has left the store.
+func (e *engine) maintain() {
+	e.maintainSlot(0)
+	if !e.cfg.Self {
+		e.maintainSlot(1)
 	}
-	return append(dst, seq)
 }
 
-// maintain runs deferred index maintenance (delta merges) for both streams,
-// dropping entries that expired or whose slot was recycled.
-func (e *engine) maintain() {
-	e.idxs[0].Maintain(e.liveFns[0])
-	if !e.cfg.Self {
-		e.idxs[1].Maintain(e.liveFns[1])
+func (e *engine) maintainSlot(slot int) {
+	st, r := e.stores[slot], e.lives[slot]
+	var hi uint64 // one past the newest resident sequence; unused when empty
+	if st.tail < st.head {
+		hi = st.seqs[(st.head-1)&st.mask] + 1
 	}
+	r.hi, r.span = uint32(hi), st.span(hi)
+	e.idxs[slot].Maintain(r.keep)
+}
+
+// reindex replaces a slot's index with one holding exactly its resident
+// tuples (see add).
+func (e *engine) reindex(slot int) {
+	wm := e.stores[slot].wm
+	e.rebuildSlot(slot, wm, e.extractLive(slot, wm, 0, nil))
 }
 
 // merges sums merge statistics over both indexes, plus the merges of any
@@ -482,15 +482,5 @@ func (e *engine) rebuildSlot(slot int, wm uint64, tuples []migrant) {
 }
 
 // adopt stores and indexes one migrated tuple. Migrants must be adopted in
-// sequence order per slot (the store ring assumes monotone seqs; in timed
-// mode admission order is timestamp order, so sequence order is also the
-// timestamp order the timed ring assumes).
-func (e *engine) adopt(slot int, m migrant) {
-	var ref uint32
-	if e.cfg.Timed {
-		ref = e.stores[slot].appendTimed(m.key, m.seq, m.ts)
-	} else {
-		ref = e.stores[slot].append(m.key, m.seq)
-	}
-	e.idxs[slot].Insert(kv.Pair{Key: m.key, Ref: ref})
-}
+// sequence order per slot (see add).
+func (e *engine) adopt(slot int, m migrant) { e.add(slot, m.key, m.seq, m.ts) }

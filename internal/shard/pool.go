@@ -13,14 +13,20 @@ type pendingBatch struct {
 	first int // arrival index of the oldest buffered op (-1 when empty)
 }
 
-// Per-shard channel capacities: the op channel holds 4 batches (plus one
-// pending in the producer and one in the worker), and the free list holds
-// that set with headroom so steady-state batch recycling is a closed loop —
-// no drops on return, no allocations in enqueue.
-const (
-	shardChanCap = 4
-	freeChanCap  = 8
-)
+// LaneDepth is how many batches a shard's op channel holds (plus one pending
+// in the producer and one in the worker). It is sized against a merge pause: a
+// delta merge at W = 2^20 stops its worker for about 7 ms, and with lanes 4
+// batches deep the producer parked on the merging shard's lane after 256 ops
+// and the sibling shards idled through the rest. At 32 the producer runs 2 048
+// ops ahead, and every sibling has a lane of work queued when it finally
+// parks. The FanIn ring stays the only backpressure a caller observes.
+const LaneDepth = 32
+
+// freeChanCap sizes the free list to hold a full lane's batches with
+// headroom, so steady-state batch recycling is a closed loop — no drops on
+// return, no allocations in enqueue. Batches are still allocated lazily: a
+// lane that never backs up never owns more than a handful.
+const freeChanCap = LaneDepth + 8
 
 // pool is the set of single-writer shard engines with the batched FIFO lanes
 // that feed them. One producer goroutine enqueues; each engine is touched
@@ -61,7 +67,7 @@ func (p *pool) start(engines []*engine, lanes []*wal.Lane) {
 	p.pend = make([]pendingBatch, k)
 	p.qhw = make([]metrics.PaddedCounter, k)
 	for s := 0; s < k; s++ {
-		p.chans[s] = make(chan []op, shardChanCap)
+		p.chans[s] = make(chan []op, LaneDepth)
 		p.free[s] = make(chan []op, freeChanCap)
 		p.pend[s].first = -1
 		p.wg.Add(1)

@@ -1,6 +1,10 @@
 package tune
 
-import "fmt"
+import (
+	"fmt"
+
+	"pimtree/internal/shard"
+)
 
 // Policy tunes the feedback controller. The zero value selects defaults; the
 // cadence fields are in samples (one Observe call = one sample), which keeps
@@ -21,8 +25,9 @@ type Policy struct {
 
 	// QueueHigh is the queue-depth pressure threshold: a sample whose
 	// deepest shard queue is at or above it (while the high-water mark is
-	// still rising) counts toward the grow streak. The shard channels hold
-	// shardChanCap = 4 batches, so the default of 3 means "nearly full".
+	// still rising) counts toward the grow streak. A shard lane holds
+	// shard.LaneDepth batches, so the default of three quarters of it means
+	// "nearly full".
 	QueueHigh uint64
 	// ImbalanceHigh is the load-imbalance threshold (max/mean over shard
 	// loads) above which the controller enables adaptive rebalancing
@@ -48,7 +53,7 @@ func (p Policy) withDefaults(initialShards int) Policy {
 		p.Cooldown = 8
 	}
 	if p.QueueHigh == 0 {
-		p.QueueHigh = 3
+		p.QueueHigh = shard.LaneDepth * 3 / 4
 	}
 	if p.ImbalanceHigh <= 1 {
 		p.ImbalanceHigh = 1.4

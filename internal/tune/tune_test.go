@@ -1,6 +1,10 @@
 package tune
 
-import "testing"
+import (
+	"testing"
+
+	"pimtree/internal/shard"
+)
 
 func TestResolveRuntime(t *testing.T) {
 	cases := []struct {
@@ -151,7 +155,7 @@ func TestPolicyDefaults(t *testing.T) {
 	if p.Streak != 3 || p.IdleStreak != 12 || p.Cooldown != 8 {
 		t.Fatalf("cadence defaults: %+v", p)
 	}
-	if p.QueueHigh != 3 || p.ImbalanceHigh != 1.4 {
+	if p.QueueHigh != shard.LaneDepth*3/4 || p.ImbalanceHigh != 1.4 {
 		t.Fatalf("threshold defaults: %+v", p)
 	}
 	if p.MinShards != 1 || p.MaxShards != 16 {
