@@ -1,32 +1,11 @@
 package pimtree
 
-import (
-	"sync"
-	"testing"
-)
-
-// runAdaptive collects the adaptive sharded runtime's match multiset.
-func runAdaptive(t *testing.T, arr []Arrival, o ShardedOptions) ([]Match, RunStats) {
-	t.Helper()
-	var mu sync.Mutex
-	var got []Match
-	o.OnMatch = func(m Match) {
-		mu.Lock()
-		got = append(got, m)
-		mu.Unlock()
-	}
-	st, err := RunSharded(arr, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortMatches(got)
-	return got, st
-}
+import "testing"
 
 // TestGoldenAdaptiveSharded pins the PR's acceptance criterion at the public
-// API: RunSharded with Adaptive enabled and rebalance epochs forced
-// mid-stream produces the identical match multiset as the single-threaded
-// Join, across backends, on a step-skew workload that actually exercises
+// API: ModeSharded with Adaptive enabled and rebalance epochs forced
+// mid-stream produces the identical match multiset as ModeSerial, across
+// backends, on a step-skew workload that actually exercises
 // migration.
 func TestGoldenAdaptiveSharded(t *testing.T) {
 	const (
@@ -39,18 +18,16 @@ func TestGoldenAdaptiveSharded(t *testing.T) {
 	diff := CalibrateDiff(func(s int64) KeySource { return StepSkewSource(s, 1.0/16, n/5) }, w, 2)
 
 	for _, backend := range []Backend{PIMTree, IMTree, BPlusTree, BwTree} {
-		opts := JoinOptions{WindowR: w, WindowS: w, Diff: diff, Backend: backend}
-		want := collectSerial(t, arr, opts)
-		sortMatches(want)
+		cfg := Config{WindowR: w, WindowS: w, Diff: diff, Backend: backend}
+		want := collectSerial(t, arr, cfg)
 		if len(want) == 0 {
 			t.Fatalf("%v: serial oracle produced no matches; workload broken", backend)
 		}
-		got, st := runAdaptive(t, arr, ShardedOptions{
-			JoinOptions: opts,
-			Shards:      4,
-			Adaptive:    true,
-			Rebalance:   RebalancePolicy{ForceEvery: 777, SampleSize: 1024},
-		})
+		cfg.Mode = ModeSharded
+		cfg.Shards = 4
+		cfg.Adaptive = true
+		cfg.Rebalance = RebalancePolicy{ForceEvery: 777, SampleSize: 1024}
+		got, st := runCollect(t, arr, cfg)
 		if st.Rebalances == 0 {
 			t.Fatalf("%v: no forced rebalance ran", backend)
 		}
@@ -81,16 +58,14 @@ func TestAdaptiveMonitorPath(t *testing.T) {
 	arr := Interleave(seed, DriftingHotspotSource(seed+1, 1.0/16, n), DriftingHotspotSource(seed+1, 1.0/16, n), 0.5, n)
 	diff := CalibrateDiff(func(s int64) KeySource { return DriftingHotspotSource(s, 1.0/16, n) }, w, 2)
 
-	opts := JoinOptions{WindowR: w, WindowS: w, Diff: diff, Backend: PIMTree}
-	want := collectSerial(t, arr, opts)
-	sortMatches(want)
+	cfg := Config{WindowR: w, WindowS: w, Diff: diff, Backend: PIMTree}
+	want := collectSerial(t, arr, cfg)
 
-	got, _ := runAdaptive(t, arr, ShardedOptions{
-		JoinOptions: opts,
-		Shards:      4,
-		Adaptive:    true,
-		Rebalance:   RebalancePolicy{MaxRatio: 1.2, MinGap: 4096, SampleSize: 1024},
-	})
+	cfg.Mode = ModeSharded
+	cfg.Shards = 4
+	cfg.Adaptive = true
+	cfg.Rebalance = RebalancePolicy{MaxRatio: 1.2, MinGap: 4096, SampleSize: 1024}
+	got, _ := runCollect(t, arr, cfg)
 	if len(got) != len(want) {
 		t.Fatalf("adaptive matches = %d, want %d", len(got), len(want))
 	}

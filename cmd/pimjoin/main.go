@@ -202,42 +202,40 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "pimjoin: n=%d wR=%d wS=%d diff=%d backend=%s dist=%s self=%v parallel=%v\n",
 		*n, *w, *ws, diff, *backend, *dist, *self, *parallel)
 
-	if *parallel {
-		st, err := pimtree.RunParallel(arrivals, pimtree.ParallelOptions{
-			Threads: *threads, TaskSize: *task,
-			WindowR: *w, WindowS: *ws, Self: *self, Diff: diff,
-			Backend:       be,
-			BlockingMerge: *blocking,
-			RecordLatency: true,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "pimjoin:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "  throughput: %.3f Mtps  (%d tuples in %v)\n", st.Mtps, st.Tuples, st.Elapsed.Round(time.Millisecond))
-		fmt.Fprintf(stdout, "  matches:    %d (%.3f per tuple)\n", st.Matches, float64(st.Matches)/float64(st.Tuples))
-		fmt.Fprintf(stdout, "  merges:     %d (%v total)\n", st.Merges, st.MergeTime.Round(time.Microsecond))
-		fmt.Fprintf(stdout, "  latency:    mean %.1f µs, p99 %.1f µs\n", st.MeanMicros, st.P99Micros)
-		return 0
+	cfg := pimtree.Config{
+		Mode:    pimtree.ModeSerial,
+		WindowR: *w, WindowS: *ws, Self: *self, Diff: diff,
+		Backend:        be,
+		DiscardMatches: true,
 	}
-
-	j, err := pimtree.NewJoin(pimtree.JoinOptions{
-		WindowR: *w, WindowS: *ws, Self: *self, Diff: diff, Backend: be,
-	})
+	if *parallel {
+		cfg.Mode = pimtree.ModeShared
+		cfg.Threads = *threads
+		cfg.TaskSize = *task
+		cfg.BlockingMerge = *blocking
+		cfg.RecordLatency = true
+	}
+	e, err := pimtree.Open(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "pimjoin:", err)
 		return 1
 	}
-	start := time.Now()
-	for _, a := range arrivals {
-		j.Push(a.Stream, a.Key)
+	if err := e.PushBatch(arrivals); err != nil {
+		e.Close(context.Background())
+		fmt.Fprintln(stderr, "pimjoin:", err)
+		return 1
 	}
-	elapsed := time.Since(start)
-	merges, mergeTime := j.Merges()
-	fmt.Fprintf(stdout, "  throughput: %.3f Mtps  (%d tuples in %v)\n",
-		float64(*n)/elapsed.Seconds()/1e6, *n, elapsed.Round(time.Millisecond))
-	fmt.Fprintf(stdout, "  matches:    %d (%.3f per tuple)\n", j.Matches(), float64(j.Matches())/float64(*n))
-	fmt.Fprintf(stdout, "  merges:     %d (%v total)\n", merges, mergeTime.Round(time.Microsecond))
+	st, err := e.Close(context.Background())
+	if err != nil {
+		fmt.Fprintln(stderr, "pimjoin:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "  throughput: %.3f Mtps  (%d tuples in %v)\n", st.Mtps, st.Tuples, st.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "  matches:    %d (%.3f per tuple)\n", st.Matches, float64(st.Matches)/float64(st.Tuples))
+	fmt.Fprintf(stdout, "  merges:     %d (%v total)\n", st.Merges, st.MergeTime.Round(time.Microsecond))
+	if *parallel {
+		fmt.Fprintf(stdout, "  latency:    mean %.1f µs, p99 %.1f µs\n", st.MeanMicros, st.P99Micros)
+	}
 	return 0
 }
 

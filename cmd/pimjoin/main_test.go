@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -67,12 +68,16 @@ func TestRunStream(t *testing.T) {
 	arrivals := pimtree.Interleave(3, pimtree.UniformSource(4), pimtree.UniformSource(5), 0.5, 4000)
 	diff := pimtree.DiffForMatchRate(w, 2)
 
-	oracle, err := pimtree.NewJoin(pimtree.JoinOptions{WindowR: w, WindowS: w, Diff: diff})
+	oracle, err := pimtree.Open(pimtree.Config{Mode: pimtree.ModeSerial, WindowR: w, WindowS: w, Diff: diff, DiscardMatches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range arrivals {
-		oracle.Push(a.Stream, a.Key)
+	if err := oracle.PushBatch(arrivals); err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Close(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var in bytes.Buffer
@@ -88,8 +93,8 @@ func TestRunStream(t *testing.T) {
 	if out.Len() == 0 {
 		lines = nil
 	}
-	if uint64(len(lines)) != oracle.Matches() {
-		t.Fatalf("emitted %d match lines, oracle has %d", len(lines), oracle.Matches())
+	if uint64(len(lines)) != want.Matches {
+		t.Fatalf("emitted %d match lines, oracle has %d", len(lines), want.Matches)
 	}
 	if !strings.Contains(errw.String(), "matches=") {
 		t.Fatalf("missing final stats on stderr: %q", errw.String())

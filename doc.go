@@ -29,22 +29,18 @@
 // the same input, regardless of push granularity, thread count, shard
 // count, or scheduling — the engine-conformance test suite pins this.
 //
-// # Compatibility wrappers and other levels
+// # The runtimes and other levels
 //
-// The historical batch drivers are thin wrappers over Engine and remain the
-// convenient form for one-shot runs:
+//   - ModeSerial: the incremental single-threaded band join. Matches are
+//     dispatched before Push returns. Backends cover every index the paper
+//     evaluates (PIM-Tree, IM-Tree, B+-Tree, Bw-Tree, chained index).
 //
-//   - Join (NewJoin): the incremental single-threaded band join. Push
-//     tuples, receive matches synchronously in arrival order. Backends
-//     cover every index the paper evaluates (PIM-Tree, IM-Tree, B+-Tree,
-//     Bw-Tree, chained index).
-//
-//   - RunParallel: the paper's multi-threaded shared-index join — a task
+//   - ModeShared: the paper's multi-threaded shared-index join — a task
 //     queue feeding any number of workers, order-preserving result
 //     propagation, and non-blocking index merges (PIM-Tree or Bw-Tree;
 //     anything else fails with ErrUnsupportedBackend).
 //
-//   - RunSharded: the key-range sharded parallel join. The key domain is
+//   - ModeSharded: the key-range sharded parallel join. The key domain is
 //     split into K contiguous ranges, each owned by an independent
 //     single-writer join instance fed through batched per-shard queues; a
 //     band probe fans out to every shard whose range intersects
@@ -59,16 +55,16 @@
 //     lookups while inserts go to range-partitioned B+-Trees, with periodic
 //     delta merges replacing per-tuple deletes.
 //
-// The time-based variants — TimeJoin (serial), RunParallelTime (shared
-// index), and RunShardedTime (sharded, a wrapper over ModeShardedTime) —
-// realize the paper's Section 2.1 time-window extension and add
-// out-of-order event-time ingestion: setting a LatePolicy (plus a Slack)
-// admits disordered arrivals through a watermark-driven reorder buffer,
-// joining any input whose disorder stays within Slack exactly like its
-// timestamp-sorted equivalent. Tuples later than the slack are dropped
-// (LateDrop), admitted clamped to the watermark (LateEmit), or handed to an
-// OnLate side channel (LateCall); RunStats.LateDropped and
-// RunStats.MaxObservedDisorder report what the stream actually did.
+// The time-based variants — TimeJoin (the serial reference) and
+// ModeShardedTime (the parallel runtime) — realize the paper's Section 2.1
+// time-window extension and add out-of-order event-time ingestion: setting
+// a LatePolicy (plus a Slack) admits disordered arrivals through a
+// watermark-driven reorder buffer, joining any input whose disorder stays
+// within Slack exactly like its timestamp-sorted equivalent. Tuples later
+// than the slack are dropped (LateDrop), admitted clamped to the watermark
+// (LateEmit), or handed to an OnLate side channel (LateCall);
+// RunStats.LateDropped and RunStats.MaxObservedDisorder report what the
+// stream actually did.
 //
 // Workload helpers (UniformSource, GaussianSource, GammaSource,
 // DriftingGaussianSource, StepSkewSource, DriftingHotspotSource,

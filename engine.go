@@ -170,8 +170,8 @@ func validateBackend(m Mode, b Backend) error {
 // Config is the one validated option set behind every execution mode — the
 // union of the windows, band, backend, and index tuning the four runtimes
 // share, plus the per-mode knobs each one reads. Open validates it once;
-// the batch entry points (RunParallel, RunSharded, RunShardedTime, NewJoin)
-// are wrappers that translate their historical option structs into a Config.
+// it is the only way to configure a join in this package apart from the
+// serial time-window reference, TimeJoin.
 type Config struct {
 	// Mode selects the runtime; ModeAuto (the zero value) picks one from
 	// the rest of the configuration (see Mode).
@@ -248,9 +248,8 @@ type Config struct {
 	OnMatch func(Match)
 	// DiscardMatches keeps the engine from materializing individual matches
 	// when neither output side is wanted: matches are only counted,
-	// Matches() yields nothing, and OnMatch must be nil. The batch wrappers
-	// set it when run without a callback, preserving their count-only fast
-	// path.
+	// Matches() yields nothing, and OnMatch must be nil — the count-only
+	// fast path for batch runs that want only statistics.
 	DiscardMatches bool
 
 	// QueueCapacity bounds the in-flight (pushed but not yet propagated)
@@ -604,14 +603,13 @@ func (e *Engine) pushCount(a stream.Arrival) {
 	}
 }
 
-// pushSerial is the serial-mode push core, shared with the Join wrapper: the
-// parallel modes read their runtime's own counters, so only serial mode
-// maintains the engine-side tuple/match accounting.
-func (e *Engine) pushSerial(a stream.Arrival) int {
+// pushSerial is the serial-mode push core: the parallel modes read their
+// runtime's own counters, so only serial mode maintains the engine-side
+// tuple/match accounting.
+func (e *Engine) pushSerial(a stream.Arrival) {
 	n := e.serial.Push(a)
 	e.serialMatches.Add(uint64(n))
 	e.tuples.Add(1)
-	return n
 }
 
 // PushTimed feeds one time-window tuple (ModeShardedTime). With a LatePolicy

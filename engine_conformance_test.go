@@ -44,11 +44,12 @@ func collectMatches(dst *[]matchKey) func(pimtree.Match) {
 	}
 }
 
-// serialOracle plays the arrivals through the serial Join and returns the
+// serialOracle plays the arrivals through a serial engine and returns the
 // match multiset plus the cumulative match count after every arrival.
 func serialOracle(t *testing.T, arr []pimtree.Arrival, w int, diff uint32) (ms []matchKey, cum []uint64) {
 	t.Helper()
-	j, err := pimtree.NewJoin(pimtree.JoinOptions{
+	e, err := pimtree.Open(pimtree.Config{
+		Mode:    pimtree.ModeSerial,
 		WindowR: w, WindowS: w, Diff: diff, Backend: pimtree.PIMTree,
 		OnMatch: collectMatches(&ms),
 	})
@@ -57,8 +58,13 @@ func serialOracle(t *testing.T, arr []pimtree.Arrival, w int, diff uint32) (ms [
 	}
 	cum = make([]uint64, len(arr))
 	for i, a := range arr {
-		j.Push(a.Stream, a.Key)
-		cum[i] = j.Matches()
+		if err := e.Push(a.Stream, a.Key); err != nil {
+			t.Fatal(err)
+		}
+		cum[i] = e.Stats().Matches
+	}
+	if _, err := e.Close(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	sortedMatches(ms)
 	return ms, cum

@@ -20,7 +20,22 @@ import (
 // each row lists the same violation expressed through each entry point; all
 // returned errors must be non-nil and share one text.
 func TestValidationUniform(t *testing.T) {
-	timed := []pimtree.TimedArrival{{Stream: pimtree.R, Key: 1, TS: 5}}
+	timed := []pimtree.Arrival{{Stream: pimtree.R, Key: 1, TS: 9}, {Stream: pimtree.R, Key: 1, TS: 5}}
+	openErr := func(cfg pimtree.Config) error { return errOf2(pimtree.Open(cfg)) }
+	// unordered opens a strict time-window engine and returns the error its
+	// push reports for a timestamp regression.
+	unordered := func(push func(*pimtree.Engine) error) error {
+		e, err := pimtree.Open(pimtree.Config{Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close(context.Background())
+		err = push(e)
+		if !errors.Is(err, pimtree.ErrUnordered) {
+			t.Fatalf("unordered strict input: error %v does not wrap ErrUnordered", err)
+		}
+		return err
+	}
 	rows := []struct {
 		name string
 		errs map[string]error
@@ -28,55 +43,40 @@ func TestValidationUniform(t *testing.T) {
 		{
 			name: "zero WindowR",
 			errs: map[string]error{
-				"NewJoin":     errOf2(pimtree.NewJoin(pimtree.JoinOptions{WindowS: 4})),
-				"RunParallel": errOf(pimtree.RunParallel(nil, pimtree.ParallelOptions{WindowS: 4})),
-				"RunSharded": errOf(pimtree.RunSharded(nil, pimtree.ShardedOptions{
-					JoinOptions: pimtree.JoinOptions{WindowS: 4},
-				})),
-				"Open": errOf2(pimtree.Open(pimtree.Config{Mode: pimtree.ModeSharded, WindowS: 4})),
+				"Open/serial":  openErr(pimtree.Config{Mode: pimtree.ModeSerial, WindowS: 4}),
+				"Open/shared":  openErr(pimtree.Config{Mode: pimtree.ModeShared, WindowS: 4}),
+				"Open/sharded": openErr(pimtree.Config{Mode: pimtree.ModeSharded, WindowS: 4}),
 			},
 		},
 		{
 			name: "zero WindowS",
 			errs: map[string]error{
-				"NewJoin":     errOf2(pimtree.NewJoin(pimtree.JoinOptions{WindowR: 4})),
-				"RunParallel": errOf(pimtree.RunParallel(nil, pimtree.ParallelOptions{WindowR: 4})),
-				"RunSharded": errOf(pimtree.RunSharded(nil, pimtree.ShardedOptions{
-					JoinOptions: pimtree.JoinOptions{WindowR: 4},
-				})),
-				"Open": errOf2(pimtree.Open(pimtree.Config{Mode: pimtree.ModeShared, WindowR: 4})),
+				"Open/serial":  openErr(pimtree.Config{Mode: pimtree.ModeSerial, WindowR: 4}),
+				"Open/shared":  openErr(pimtree.Config{Mode: pimtree.ModeShared, WindowR: 4}),
+				"Open/sharded": openErr(pimtree.Config{Mode: pimtree.ModeSharded, WindowR: 4}),
 			},
 		},
 		{
 			name: "zero Span",
 			errs: map[string]error{
-				"NewTimeJoin":     errOf2(pimtree.NewTimeJoin(pimtree.TimeJoinOptions{})),
-				"RunParallelTime": errOf(pimtree.RunParallelTime(nil, pimtree.ParallelTimeOptions{MaxLive: 8})),
-				"RunShardedTime":  errOf(pimtree.RunShardedTime(nil, pimtree.ShardedTimeOptions{MaxLive: 8})),
-				"Open":            errOf2(pimtree.Open(pimtree.Config{Mode: pimtree.ModeShardedTime, MaxLive: 8})),
+				"NewTimeJoin": errOf2(pimtree.NewTimeJoin(pimtree.TimeJoinOptions{})),
+				"Open":        openErr(pimtree.Config{Mode: pimtree.ModeShardedTime, MaxLive: 8}),
 			},
 		},
 		{
 			name: "zero MaxLive",
 			errs: map[string]error{
-				"RunParallelTime": errOf(pimtree.RunParallelTime(nil, pimtree.ParallelTimeOptions{Span: 10})),
-				"RunShardedTime":  errOf(pimtree.RunShardedTime(nil, pimtree.ShardedTimeOptions{Span: 10})),
-				"Open":            errOf2(pimtree.Open(pimtree.Config{Mode: pimtree.ModeShardedTime, Span: 10})),
+				"Open":      openErr(pimtree.Config{Mode: pimtree.ModeShardedTime, Span: 10}),
+				"Open/auto": openErr(pimtree.Config{Span: 10}),
 			},
 		},
 		{
 			name: "slack without policy",
 			errs: map[string]error{
 				"NewTimeJoin": errOf2(pimtree.NewTimeJoin(pimtree.TimeJoinOptions{Span: 10, Slack: 5})),
-				"RunParallelTime": errOf(pimtree.RunParallelTime(nil, pimtree.ParallelTimeOptions{
-					Span: 10, MaxLive: 8, Slack: 5,
-				})),
-				"RunShardedTime": errOf(pimtree.RunShardedTime(nil, pimtree.ShardedTimeOptions{
-					Span: 10, MaxLive: 8, Slack: 5,
-				})),
-				"Open": errOf2(pimtree.Open(pimtree.Config{
+				"Open": openErr(pimtree.Config{
 					Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8, Slack: 5,
-				})),
+				}),
 			},
 		},
 		{
@@ -85,21 +85,23 @@ func TestValidationUniform(t *testing.T) {
 				"NewTimeJoin": errOf2(pimtree.NewTimeJoin(pimtree.TimeJoinOptions{
 					Span: 10, LatePolicy: pimtree.LateCall,
 				})),
-				"RunShardedTime": errOf(pimtree.RunShardedTime(nil, pimtree.ShardedTimeOptions{
-					Span: 10, MaxLive: 8, LatePolicy: pimtree.LateCall,
-				})),
-				"Open": errOf2(pimtree.Open(pimtree.Config{
+				"Open": openErr(pimtree.Config{
 					Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8, LatePolicy: pimtree.LateCall,
-				})),
+				}),
 			},
 		},
 		{
 			name: "unordered strict input",
 			errs: map[string]error{
-				"RunParallelTime": errOf(pimtree.RunParallelTime(append([]pimtree.TimedArrival{{TS: 9}}, timed...),
-					pimtree.ParallelTimeOptions{Span: 10, MaxLive: 8})),
-				"RunShardedTime": errOf(pimtree.RunShardedTime(append([]pimtree.TimedArrival{{TS: 9}}, timed...),
-					pimtree.ShardedTimeOptions{Span: 10, MaxLive: 8})),
+				"PushBatch": unordered(func(e *pimtree.Engine) error { return e.PushBatch(timed) }),
+				"PushTimed": unordered(func(e *pimtree.Engine) error {
+					for _, a := range timed {
+						if err := e.PushTimed(a.Stream, a.Key, a.TS); err != nil {
+							return err
+						}
+					}
+					return nil
+				}),
 			},
 		},
 	}
@@ -120,63 +122,48 @@ func TestValidationUniform(t *testing.T) {
 	}
 }
 
-func errOf(_ pimtree.RunStats, err error) error { return err }
-func errOf2[T any](_ T, err error) error        { return err }
+func errOf2[T any](_ T, err error) error { return err }
 
 // TestUnsupportedBackendNamed pins satellite #2: every unsupported
 // mode × backend pair fails with an error wrapping ErrUnsupportedBackend —
-// RunParallel no longer silently narrows to PIM-Tree.
+// the shared mode never silently narrows to PIM-Tree.
 func TestUnsupportedBackendNamed(t *testing.T) {
 	cases := []struct {
 		name string
-		err  error
+		cfg  pimtree.Config
 	}{
-		{"RunParallel/IMTree", errOf(pimtree.RunParallel(nil, pimtree.ParallelOptions{
-			WindowR: 4, WindowS: 4, Backend: pimtree.IMTree,
-		}))},
-		{"RunParallel/BPlusTree", errOf(pimtree.RunParallel(nil, pimtree.ParallelOptions{
-			WindowR: 4, WindowS: 4, Backend: pimtree.BPlusTree,
-		}))},
-		{"RunParallel/BChain", errOf(pimtree.RunParallel(nil, pimtree.ParallelOptions{
-			WindowR: 4, WindowS: 4, Backend: pimtree.BChain,
-		}))},
-		{"RunSharded/BChain", errOf(pimtree.RunSharded(nil, pimtree.ShardedOptions{
-			JoinOptions: pimtree.JoinOptions{WindowR: 4, WindowS: 4, Backend: pimtree.BChain},
-		}))},
-		{"RunShardedTime/IBChain", errOf(pimtree.RunShardedTime(nil, pimtree.ShardedTimeOptions{
-			Span: 10, MaxLive: 8, Backend: pimtree.IBChain,
-		}))},
-		{"Open/shared/IMTree", errOf2(pimtree.Open(pimtree.Config{
-			Mode: pimtree.ModeShared, WindowR: 4, WindowS: 4, Backend: pimtree.IMTree,
-		}))},
+		{"shared/IMTree", pimtree.Config{Mode: pimtree.ModeShared, WindowR: 4, WindowS: 4, Backend: pimtree.IMTree}},
+		{"shared/BPlusTree", pimtree.Config{Mode: pimtree.ModeShared, WindowR: 4, WindowS: 4, Backend: pimtree.BPlusTree}},
+		{"shared/BChain", pimtree.Config{Mode: pimtree.ModeShared, WindowR: 4, WindowS: 4, Backend: pimtree.BChain}},
+		{"sharded/BChain", pimtree.Config{Mode: pimtree.ModeSharded, WindowR: 4, WindowS: 4, Backend: pimtree.BChain}},
+		{"sharded-time/IBChain", pimtree.Config{Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8, Backend: pimtree.IBChain}},
 	}
 	for _, c := range cases {
-		if c.err == nil {
+		_, err := pimtree.Open(c.cfg)
+		if err == nil {
 			t.Fatalf("%s: unsupported backend accepted", c.name)
 		}
-		if !errors.Is(c.err, pimtree.ErrUnsupportedBackend) {
-			t.Fatalf("%s: error %v does not wrap ErrUnsupportedBackend", c.name, c.err)
+		if !errors.Is(err, pimtree.ErrUnsupportedBackend) {
+			t.Fatalf("%s: error %v does not wrap ErrUnsupportedBackend", c.name, err)
 		}
 	}
 	// The supported pairs must still open. Threads is pinned because the
 	// Bw-Tree's eager-delete runtime requires windows > 2x the in-flight
 	// bound (threads*task+64), which GOMAXPROCS-many workers could exceed.
 	for _, b := range []pimtree.Backend{pimtree.PIMTree, pimtree.BwTree} {
-		st, err := pimtree.RunParallel(nil, pimtree.ParallelOptions{
-			WindowR: 256, WindowS: 256, Backend: b, Threads: 2,
+		e, err := pimtree.Open(pimtree.Config{
+			Mode: pimtree.ModeShared, WindowR: 256, WindowS: 256, Backend: b, Threads: 2,
 		})
 		if err != nil {
-			t.Fatalf("RunParallel with %s: %v", b, err)
+			t.Fatalf("shared mode with %s: %v", b, err)
+		}
+		st, err := e.Close(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
 		if st.Tuples != 0 {
 			t.Fatalf("empty run reported %d tuples", st.Tuples)
 		}
-	}
-	// The historical UseBwTree flag still selects the Bw-Tree.
-	if _, err := pimtree.RunParallel(nil, pimtree.ParallelOptions{
-		WindowR: 256, WindowS: 256, UseBwTree: true, Threads: 2,
-	}); err != nil {
-		t.Fatalf("UseBwTree compatibility: %v", err)
 	}
 }
 

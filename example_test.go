@@ -92,104 +92,70 @@ func ExampleEngine_Matches() {
 	// stream 1 seq 1 matched opposite seq 1
 }
 
-// ExampleNewJoin demonstrates the incremental band join: push tuples from
-// two streams, receive matches synchronously in arrival order.
-func ExampleNewJoin() {
-	j, _ := pimtree.NewJoin(pimtree.JoinOptions{
-		WindowR: 4,
-		WindowS: 4,
-		Diff:    2, // |R.x - S.x| <= 2
-		Backend: pimtree.PIMTree,
-	})
-	j.PushR(10)
-	j.PushR(20)
-	fmt.Println("S=11 matches:", j.PushS(11)) // pairs with R's 10
-	fmt.Println("S=15 matches:", j.PushS(15)) // pairs with nothing
-	fmt.Println("total:", j.Matches())
-	// Output:
-	// S=11 matches: 1
-	// S=15 matches: 0
-	// total: 1
-}
-
-// ExampleNewJoin_selfJoin shows a self-join: one stream, one window.
-func ExampleNewJoin_selfJoin() {
-	j, _ := pimtree.NewJoin(pimtree.JoinOptions{
+// ExampleOpen_selfJoin shows a self-join: one stream, one window.
+func ExampleOpen_selfJoin() {
+	e, _ := pimtree.Open(pimtree.Config{
+		Mode:    pimtree.ModeSerial,
 		WindowR: 8,
 		Self:    true,
 		Diff:    0, // exact duplicates only
 		Backend: pimtree.BPlusTree,
 	})
-	j.PushR(5)
-	j.PushR(7)
-	fmt.Println(j.PushR(5)) // duplicate of the first tuple
+	e.Push(pimtree.R, 5)
+	e.Push(pimtree.R, 7)
+	e.Push(pimtree.R, 5) // duplicate of the first tuple
+	fmt.Println(e.Stats().Matches)
+	e.Close(context.Background())
 	// Output: 1
 }
 
-// ExampleNewJoin_expiry shows the sliding window dropping old tuples.
-func ExampleNewJoin_expiry() {
-	j, _ := pimtree.NewJoin(pimtree.JoinOptions{
+// ExampleOpen_expiry shows the sliding window dropping old tuples.
+func ExampleOpen_expiry() {
+	e, _ := pimtree.Open(pimtree.Config{
+		Mode:    pimtree.ModeSerial,
 		WindowR: 2, // keeps only the last two R tuples
 		WindowS: 2,
 		Diff:    0,
 		Backend: pimtree.PIMTree,
 	})
-	j.PushR(1)
-	j.PushR(2)
-	j.PushR(3) // evicts key 1 from the R window
-	fmt.Println(j.PushS(1))
-	fmt.Println(j.PushS(3))
+	e.Push(pimtree.R, 1)
+	e.Push(pimtree.R, 2)
+	e.Push(pimtree.R, 3) // evicts key 1 from the R window
+	e.Push(pimtree.S, 1)
+	fmt.Println(e.Stats().Matches)
+	e.Push(pimtree.S, 3)
+	fmt.Println(e.Stats().Matches)
+	e.Close(context.Background())
 	// Output:
 	// 0
 	// 1
 }
 
-// ExampleRunParallel runs the multicore shared-index join over a batch and
-// reports aggregate statistics.
-func ExampleRunParallel() {
-	arrivals := []pimtree.Arrival{
-		{Stream: pimtree.R, Key: 100},
-		{Stream: pimtree.S, Key: 101},
-		{Stream: pimtree.R, Key: 500},
-		{Stream: pimtree.S, Key: 499},
-	}
-	st, _ := pimtree.RunParallel(arrivals, pimtree.ParallelOptions{
+// ExampleOpen_shared runs the paper's multicore shared-index join over a
+// batch and reports aggregate statistics.
+func ExampleOpen_shared() {
+	e, _ := pimtree.Open(pimtree.Config{
+		Mode:    pimtree.ModeShared,
 		Threads: 2,
 		WindowR: 64,
 		WindowS: 64,
 		Diff:    1,
 	})
-	fmt.Println(st.Tuples, "tuples,", st.Matches, "matches")
-	// Output: 4 tuples, 2 matches
-}
-
-// ExampleRunSharded runs the key-range sharded join: tuples are routed to
-// independent single-writer join instances by key range, and matches come
-// back in global arrival order.
-func ExampleRunSharded() {
-	arrivals := []pimtree.Arrival{
+	e.PushBatch([]pimtree.Arrival{
 		{Stream: pimtree.R, Key: 100},
 		{Stream: pimtree.S, Key: 101},
-		{Stream: pimtree.R, Key: 1 << 31},
-		{Stream: pimtree.S, Key: 1<<31 + 1},
-	}
-	st, _ := pimtree.RunSharded(arrivals, pimtree.ShardedOptions{
-		JoinOptions: pimtree.JoinOptions{
-			WindowR: 64,
-			WindowS: 64,
-			Diff:    1,
-			Backend: pimtree.PIMTree,
-		},
-		Shards: 2, // keys below 2^31 in shard 0, the rest in shard 1
+		{Stream: pimtree.R, Key: 500},
+		{Stream: pimtree.S, Key: 499},
 	})
+	st, _ := e.Close(context.Background())
 	fmt.Println(st.Tuples, "tuples,", st.Matches, "matches")
 	// Output: 4 tuples, 2 matches
 }
 
-// ExampleRunSharded_partitioner balances a skewed key distribution across
+// ExampleQuantilePartition balances a skewed key distribution across
 // shards by cutting the domain at sample quantiles instead of equal widths.
 // Any type with Shards() and ShardOf(key) methods plugs in the same way.
-func ExampleRunSharded_partitioner() {
+func ExampleQuantilePartition() {
 	// Nearly all keys fall in a narrow band; equal-width shard ranges
 	// would leave most shards idle.
 	src := pimtree.GaussianSource(7, 0.5, 0.125)
@@ -199,18 +165,18 @@ func ExampleRunSharded_partitioner() {
 	}
 	part := pimtree.QuantilePartition(sample, 4)
 
-	arrivals := pimtree.Interleave(8,
-		pimtree.GaussianSource(9, 0.5, 0.125),
-		pimtree.GaussianSource(10, 0.5, 0.125), 0.5, 10000)
-	st, _ := pimtree.RunSharded(arrivals, pimtree.ShardedOptions{
-		JoinOptions: pimtree.JoinOptions{
-			WindowR: 256,
-			WindowS: 256,
-			Diff:    0, // exact key matches only
-			Backend: pimtree.PIMTree,
-		},
+	e, _ := pimtree.Open(pimtree.Config{
+		Mode:        pimtree.ModeSharded,
+		WindowR:     256,
+		WindowS:     256,
+		Diff:        0, // exact key matches only
+		Backend:     pimtree.PIMTree,
 		Partitioner: part,
 	})
+	e.PushBatch(pimtree.Interleave(8,
+		pimtree.GaussianSource(9, 0.5, 0.125),
+		pimtree.GaussianSource(10, 0.5, 0.125), 0.5, 10000))
+	st, _ := e.Close(context.Background())
 	fmt.Println("shards:", part.Shards(), "tuples:", st.Tuples)
 	// Output: shards: 4 tuples: 10000
 }
@@ -228,22 +194,6 @@ func ExampleNewIndex() {
 	})
 	fmt.Println(keys)
 	// Output: [30 40 50]
-}
-
-// ExampleIndex_SearchBox shows the 2-D extension: Morton-encoded points with
-// box queries.
-func ExampleIndex_SearchBox() {
-	ix, _ := pimtree.NewIndex(1024, pimtree.IndexOptions{})
-	ix.Insert(pimtree.EncodeXY(3, 4), 0)
-	ix.Insert(pimtree.EncodeXY(10, 10), 1)
-	ix.Insert(pimtree.EncodeXY(4, 5), 2)
-	n := 0
-	ix.SearchBox(0, 0, 5, 5, func(x, y uint16, ref uint32) bool {
-		n++
-		return true
-	})
-	fmt.Println(n, "points in box")
-	// Output: 2 points in box
 }
 
 // ExampleNewTimeJoin demonstrates the time-based window extension.
@@ -284,17 +234,12 @@ func ExampleNewTimeJoin_outOfOrder() {
 	// late dropped: 0 max disorder: 15
 }
 
-// ExampleRunShardedTime runs the sharded time-window join over a disordered
-// batch: the router's reorder buffer admits event-time disorder up to Slack,
-// and the run reports what it saw.
-func ExampleRunShardedTime() {
-	arrivals := []pimtree.TimedArrival{
-		{Stream: pimtree.R, Key: 100, TS: 10},
-		{Stream: pimtree.S, Key: 300, TS: 30}, // overtook the tuple below
-		{Stream: pimtree.R, Key: 300, TS: 25}, // 5 late: within slack
-		{Stream: pimtree.S, Key: 101, TS: 40}, // pairs with key 100
-	}
-	st, _ := pimtree.RunShardedTime(arrivals, pimtree.ShardedTimeOptions{
+// ExampleEngine_PushTimed runs the sharded time-window join over disordered
+// input: the router's reorder buffer admits event-time disorder up to Slack,
+// and the session reports what it saw.
+func ExampleEngine_PushTimed() {
+	e, _ := pimtree.Open(pimtree.Config{
+		Mode:       pimtree.ModeShardedTime,
 		Shards:     2,
 		Span:       100,
 		MaxLive:    16,
@@ -302,6 +247,11 @@ func ExampleRunShardedTime() {
 		Slack:      8,
 		LatePolicy: pimtree.LateDrop,
 	})
+	e.PushTimed(pimtree.R, 100, 10)
+	e.PushTimed(pimtree.S, 300, 30) // overtook the tuple below
+	e.PushTimed(pimtree.R, 300, 25) // 5 late: within slack
+	e.PushTimed(pimtree.S, 101, 40) // pairs with key 100
+	st, _ := e.Close(context.Background())
 	fmt.Println(st.Tuples, "tuples,", st.Matches, "matches,",
 		st.LateDropped, "late, max disorder", st.MaxObservedDisorder)
 	// Output: 4 tuples, 2 matches, 0 late, max disorder 5

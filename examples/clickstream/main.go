@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -56,7 +57,8 @@ func main() {
 	var flagged, botPairs uint64
 	isBot := func(seq uint64) bool { return (seq+1)%botEvery == 0 }
 
-	st, err := pimtree.RunParallel(arrivals, pimtree.ParallelOptions{
+	e, err := pimtree.Open(pimtree.Config{
+		Mode:    pimtree.ModeShared,
 		WindowR: windowLen,
 		Self:    true,
 		Diff:    eps,
@@ -67,6 +69,13 @@ func main() {
 			}
 		},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := e.PushBatch(arrivals); err != nil {
+		log.Fatal(err)
+	}
+	st, err := e.Close(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,10 +2,9 @@
 // using the PIM-Tree backend — the smallest end-to-end use of the public
 // API.
 //
-// This example deliberately sticks to the batch compatibility wrappers
-// (NewJoin, RunParallel) as a migration reference; the streaming Engine API
-// (pimtree.Open) behind them is demonstrated by examples/sharded,
-// examples/adaptive, and examples/outoforder.
+// It opens a serial engine session, pushes tuples one at a time, and reads
+// the session statistics on Close. examples/sharded, examples/adaptive, and
+// examples/outoforder show the parallel modes and the pull-side iterator.
 //
 // Run with:
 //
@@ -13,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -30,11 +30,14 @@ func main() {
 	// window of uniform keys (the paper's default workload).
 	diff := pimtree.DiffForMatchRate(windowLen, 2)
 
-	j, err := pimtree.NewJoin(pimtree.JoinOptions{
+	e, err := pimtree.Open(pimtree.Config{
+		Mode:    pimtree.ModeSerial,
 		WindowR: windowLen,
 		WindowS: windowLen,
 		Diff:    diff,
 		Backend: pimtree.PIMTree,
+		// Only the match count is wanted; nothing consumes the matches.
+		DiscardMatches: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -43,16 +46,19 @@ func main() {
 	// Two deterministic uniform streams, interleaved 50/50.
 	arrivals := pimtree.Interleave(1, pimtree.UniformSource(2), pimtree.UniformSource(3), 0.5, tuples)
 
-	start := time.Now()
 	for _, a := range arrivals {
-		j.Push(a.Stream, a.Key)
+		if err := e.Push(a.Stream, a.Key); err != nil {
+			log.Fatal(err)
+		}
 	}
-	elapsed := time.Since(start)
+	st, err := e.Close(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	merges, mergeTime := j.Merges()
 	fmt.Printf("processed %d tuples in %v (%.2f Mtps)\n",
-		tuples, elapsed.Round(time.Millisecond), float64(tuples)/elapsed.Seconds()/1e6)
+		st.Tuples, st.Elapsed.Round(time.Millisecond), st.Mtps)
 	fmt.Printf("matches: %d (%.2f per tuple, target 2.0)\n",
-		j.Matches(), float64(j.Matches())/float64(tuples))
-	fmt.Printf("index merges: %d, total merge time %v\n", merges, mergeTime.Round(time.Millisecond))
+		st.Matches, float64(st.Matches)/float64(st.Tuples))
+	fmt.Printf("index merges: %d, total merge time %v\n", st.Merges, st.MergeTime.Round(time.Millisecond))
 }

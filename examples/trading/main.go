@@ -18,9 +18,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"pimtree"
 )
@@ -42,49 +42,57 @@ func main() {
 
 	arrivals := pimtree.Interleave(7, mkPrices(8), mkPrices(9), quoteShare, tuples)
 
-	// Single-threaded reference run.
-	serial, err := pimtree.NewJoin(pimtree.JoinOptions{
+	cfg := pimtree.Config{
 		WindowR: tradeWindow,
 		WindowS: quoteWindow,
 		Diff:    band,
 		Backend: pimtree.PIMTree,
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
-	t0 := time.Now()
-	for _, a := range arrivals {
-		serial.Push(a.Stream, a.Key)
-	}
-	serialElapsed := time.Since(t0)
+
+	// Single-threaded reference run.
+	serialCfg := cfg
+	serialCfg.Mode = pimtree.ModeSerial
+	serialCfg.DiscardMatches = true
+	serial := run(serialCfg, arrivals)
 
 	// Multicore run over the identical workload.
 	var firstMatches int
-	st, err := pimtree.RunParallel(arrivals, pimtree.ParallelOptions{
-		WindowR: tradeWindow,
-		WindowS: quoteWindow,
-		Diff:    band,
-		OnMatch: func(m pimtree.Match) {
-			if firstMatches < 3 {
-				firstMatches++
-				fmt.Printf("  sample match: stream=%d probe#%d ↔ opposite#%d\n",
-					m.ProbeStream, m.ProbeSeq, m.MatchSeq)
-			}
-		},
-		RecordLatency: true,
-	})
-	if err != nil {
-		log.Fatal(err)
+	parallelCfg := cfg
+	parallelCfg.Mode = pimtree.ModeShared
+	parallelCfg.RecordLatency = true
+	parallelCfg.OnMatch = func(m pimtree.Match) {
+		if firstMatches < 3 {
+			firstMatches++
+			fmt.Printf("  sample match: stream=%d probe#%d ↔ opposite#%d\n",
+				m.ProbeStream, m.ProbeSeq, m.MatchSeq)
+		}
 	}
+	st := run(parallelCfg, arrivals)
 
 	fmt.Printf("trade/quote band join: %d arrivals, windows %d/%d, band=%d\n",
 		tuples, tradeWindow, quoteWindow, band)
-	fmt.Printf("serial:   %.2f Mtps, %d matched pairs\n",
-		float64(tuples)/serialElapsed.Seconds()/1e6, serial.Matches())
+	fmt.Printf("serial:   %.2f Mtps, %d matched pairs\n", serial.Mtps, serial.Matches)
 	fmt.Printf("parallel: %.2f Mtps, %d matched pairs, mean latency %.1f µs (p99 %.1f µs)\n",
 		st.Mtps, st.Matches, st.MeanMicros, st.P99Micros)
-	if st.Matches != serial.Matches() {
-		log.Fatalf("result mismatch: serial %d vs parallel %d", serial.Matches(), st.Matches)
+	if st.Matches != serial.Matches {
+		log.Fatalf("result mismatch: serial %d vs parallel %d", serial.Matches, st.Matches)
 	}
 	fmt.Println("parallel result set identical to the serial reference ✓")
+}
+
+// run joins the whole workload in one engine session and returns its final
+// statistics.
+func run(cfg pimtree.Config, arrivals []pimtree.Arrival) pimtree.RunStats {
+	e, err := pimtree.Open(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := e.PushBatch(arrivals); err != nil {
+		log.Fatal(err)
+	}
+	st, err := e.Close(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	return st
 }

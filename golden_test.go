@@ -37,27 +37,16 @@ func TestGoldenEndToEnd(t *testing.T) {
 	// (derived from the nested-loop oracle on this fixed workload).
 	const wantMatches = uint64(19356)
 	for _, b := range []Backend{PIMTree, IMTree, BPlusTree, BwTree} {
-		j, err := NewJoin(JoinOptions{WindowR: w, WindowS: w, Diff: diff, Backend: b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range arr {
-			j.Push(a.Stream, a.Key)
-		}
-		if j.Matches() != wantMatches {
-			t.Fatalf("%v: matches = %d, want %d", b, j.Matches(), wantMatches)
+		st := runSession(t, arr, Config{Mode: ModeSerial, WindowR: w, WindowS: w, Diff: diff, Backend: b, DiscardMatches: true})
+		if st.Matches != wantMatches {
+			t.Fatalf("%v: matches = %d, want %d", b, st.Matches, wantMatches)
 		}
 	}
 
 	// The parallel driver reproduces the same count at several thread
 	// counts.
 	for _, threads := range []int{1, 2, 4} {
-		st, err := RunParallel(arr, ParallelOptions{
-			Threads: threads, WindowR: w, WindowS: w, Diff: diff,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := runSession(t, arr, Config{Mode: ModeShared, Threads: threads, WindowR: w, WindowS: w, Diff: diff, DiscardMatches: true})
 		if st.Matches != wantMatches {
 			t.Fatalf("parallel threads=%d: matches = %d, want %d", threads, st.Matches, wantMatches)
 		}

@@ -48,6 +48,14 @@ func (b Band) Matches(a, c uint32) bool {
 	return c-a <= b.Diff
 }
 
+// TimedArrival is one tuple arrival with an event timestamp (any uint64
+// unit).
+type TimedArrival struct {
+	Stream uint8
+	Key    uint32
+	TS     uint64
+}
+
 // Stats summarizes one join run.
 type Stats struct {
 	Tuples    int

@@ -303,55 +303,3 @@ func StepCosts(arrivals []stream.Arrival, cfg SerialConfig) *metrics.StepTimer {
 	st.Add(metrics.StepScan, -st.Total(metrics.StepSearch))
 	return st
 }
-
-// IBWJTime runs the single-threaded time-based IBWJ extension: both streams
-// use time-based sliding windows (window.TimeRing) over the given span, with
-// a B+-Tree index per stream (eager deletes driven by time eviction).
-// Timestamps are the arrival ordinals scaled by tickPerArrival.
-func IBWJTime(arrivals []stream.Arrival, span uint64, tickPerArrival uint64, band Band, sink MatchSink) Stats {
-	if tickPerArrival == 0 {
-		tickPerArrival = 1
-	}
-	rings := [2]*window.TimeRing{window.NewTimeRing(span, 1024), window.NewTimeRing(span, 1024)}
-	idxs := [2]*btree.Tree{btree.New(), btree.New()}
-	caps := [2]int{rings[0].Capacity(), rings[1].Capacity()}
-	var matches uint64
-	start := time.Now()
-	for i, a := range arrivals {
-		ts := uint64(i) * tickPerArrival
-		ownID := a.Stream
-		oppID := opposite(a.Stream)
-		own, opp := rings[ownID], rings[oppID]
-		ownIdx, oppIdx := idxs[ownID], idxs[oppID]
-
-		// Advance the opposite window's clock so expired tuples are
-		// evicted (and removed from its index) before the lookup.
-		opp.AdvanceTime(ts, func(p kv.Pair) { oppIdx.Delete(p) })
-
-		lo, hi := band.Range(a.Key)
-		probeSeq := own.Now()
-		oppIdx.Query(lo, hi, func(p kv.Pair) bool {
-			if opp.Live(p.Ref) {
-				matches++
-				if sink != nil {
-					_, seq := opp.Get(p.Ref)
-					sink(a.Stream, probeSeq, seq)
-				}
-			}
-			return true
-		})
-
-		ref, _ := own.Append(a.Key, ts, func(p kv.Pair) { ownIdx.Delete(p) })
-		ownIdx.Insert(kv.Pair{Key: a.Key, Ref: ref})
-		// Ring growth re-homes refs; reindex when it happens.
-		if own.NeedsReindex(caps[ownID]) {
-			caps[ownID] = own.Capacity()
-			ownIdx.Reset()
-			own.Scan(func(key uint32, seq uint64, _ uint64) bool {
-				ownIdx.Insert(kv.Pair{Key: key, Ref: uint32(seq & uint64(own.Capacity()-1))})
-				return true
-			})
-		}
-	}
-	return Stats{Tuples: len(arrivals), Matches: matches, Elapsed: time.Since(start)}
-}

@@ -177,43 +177,6 @@ func TestStepCostsAccounting(t *testing.T) {
 	}
 }
 
-// Brute-force time-window join oracle: tuple i (ts=i) matches opposite
-// tuples j < i with i-j < span.
-func timeOracle(arr []stream.Arrival, span uint64, band Band) uint64 {
-	var matches uint64
-	for i, a := range arr {
-		for j := i - 1; j >= 0 && uint64(i-j) < span; j-- {
-			b := arr[j]
-			if b.Stream != a.Stream && band.Matches(a.Key, b.Key) {
-				matches++
-			}
-		}
-	}
-	return matches
-}
-
-func TestIBWJTimeMatchesOracle(t *testing.T) {
-	arr := twoWayArrivals(2500, 6, 2048)
-	band := Band{Diff: 6}
-	for _, span := range []uint64{50, 333, 1000} {
-		want := timeOracle(arr, span, band)
-		got := IBWJTime(arr, span, 1, band, nil)
-		if got.Matches != want {
-			t.Fatalf("span=%d: matches = %d, oracle = %d", span, got.Matches, want)
-		}
-	}
-}
-
-func TestIBWJTimeSinkOrder(t *testing.T) {
-	arr := twoWayArrivals(1000, 8, 1024)
-	n := 0
-	IBWJTime(arr, 100, 1, Band{Diff: 10}, func(uint8, uint64, uint64) { n++ })
-	want := timeOracle(arr, 100, Band{Diff: 10})
-	if uint64(n) != want {
-		t.Fatalf("sink saw %d results, oracle %d", n, want)
-	}
-}
-
 func TestSerialConfigValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"zero WR":  func() { NLWJ(nil, SerialConfig{WR: 0, WS: 1}) },

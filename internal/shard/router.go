@@ -661,10 +661,10 @@ func Run(arrivals []stream.Arrival, cfg Config) join.Stats {
 }
 
 // RunTimed executes the sharded time-window join over a pre-materialized
-// timed arrival sequence — the sharded counterpart of join.RunSharedTime,
-// except that arrivals may carry event-time disorder up to cfg.Slack (the
-// router's reorder buffer admits them in timestamp order; tuples later than
-// the slack follow cfg.Late). Stats.Tuples counts admitted tuples.
+// timed arrival sequence. Arrivals may carry event-time disorder up to
+// cfg.Slack (the router's reorder buffer admits them in timestamp order;
+// tuples later than the slack follow cfg.Late). Stats.Tuples counts
+// admitted tuples.
 func RunTimed(arrivals []join.TimedArrival, cfg Config) join.Stats {
 	cfg.Timed = true
 	r := NewRouter(cfg, len(arrivals))

@@ -1,7 +1,6 @@
 package pimtree
 
 import (
-	"context"
 	"time"
 
 	"pimtree/internal/join"
@@ -62,112 +61,15 @@ type Match struct {
 	MatchSeq    uint64
 }
 
-// JoinOptions configures an incremental single-threaded band join.
-type JoinOptions struct {
-	WindowR int  // length of stream R's sliding window (required)
-	WindowS int  // length of stream S's window (ignored for self-joins)
-	Self    bool // self-join: one stream, one window
-	Diff    uint32
-	Backend Backend
-	// ChainLength is L for the chain backends (default 2).
-	ChainLength int
-	// Index tunes the two-stage backends.
-	Index IndexOptions
-	// OnMatch, when set, observes every match in arrival order.
-	OnMatch func(Match)
-}
-
-// engineConfig translates the historical option struct into the unified
-// Config (the single validation and construction point).
-func (o JoinOptions) engineConfig() Config {
-	return Config{
-		Mode:           ModeSerial,
-		WindowR:        o.WindowR,
-		WindowS:        o.WindowS,
-		Self:           o.Self,
-		Diff:           o.Diff,
-		Backend:        o.Backend,
-		ChainLength:    o.ChainLength,
-		Index:          o.Index,
-		OnMatch:        o.OnMatch,
-		DiscardMatches: o.OnMatch == nil,
-	}
-}
-
-// Join is an incremental band join: push tuples, get matches — a serial-mode
-// compatibility wrapper over Engine. Not safe for concurrent use; for
-// multicore execution use Open (or RunParallel/RunSharded).
-type Join struct {
-	e *Engine
-}
-
-// NewJoin builds an incremental join operator.
-func NewJoin(o JoinOptions) (*Join, error) {
-	e, err := Open(o.engineConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Join{e: e}, nil
-}
-
-// Push processes one tuple and returns how many matches it produced.
-func (j *Join) Push(s StreamID, key uint32) int {
-	return j.e.pushSerial(stream.Arrival{Stream: uint8(s), Key: key})
-}
-
-// PushR pushes a stream-R tuple.
-func (j *Join) PushR(key uint32) int { return j.Push(R, key) }
-
-// PushS pushes a stream-S tuple.
-func (j *Join) PushS(key uint32) int { return j.Push(S, key) }
-
-// Matches returns the total number of matches produced so far.
-func (j *Join) Matches() uint64 { return j.e.serialMatches.Load() }
-
-// Tuples returns the number of tuples pushed so far.
-func (j *Join) Tuples() uint64 { return j.e.tuples.Load() }
-
-// WindowCount returns the number of live tuples in a stream's window.
-func (j *Join) WindowCount(s StreamID) int { return j.e.serial.WindowCount(uint8(s)) }
-
-// Merges reports how many index merges ran and their cumulative time.
-func (j *Join) Merges() (int, time.Duration) { return j.e.serial.Merges() }
-
-// Arrival is one tuple arrival for the batch drivers and Engine.PushBatch.
-// TS is the event timestamp, read only by the time-window modes.
+// Arrival is one tuple arrival for Engine.PushBatch and the workload
+// generators. TS is the event timestamp, read only by the time-window modes.
 type Arrival struct {
 	Stream StreamID
 	Key    uint32
 	TS     uint64
 }
 
-// ParallelOptions configures the multicore shared-index join (Section 4 of
-// the paper).
-type ParallelOptions struct {
-	Threads  int // worker goroutines (default GOMAXPROCS via 0)
-	TaskSize int // tuples per task (default 8)
-	WindowR  int
-	WindowS  int
-	Self     bool
-	Diff     uint32
-	// Backend selects the shared index. The shared-index runtime supports
-	// PIMTree (the default) and BwTree; anything else fails with an error
-	// wrapping ErrUnsupportedBackend.
-	Backend Backend
-	// UseBwTree is the historical form of Backend: BwTree. It is honored
-	// when Backend is left at its default.
-	UseBwTree bool
-	// BlockingMerge disables the non-blocking two-phase merge.
-	BlockingMerge bool
-	// Index tunes the PIM-Tree (merge ratio defaults to 1 in parallel use).
-	Index IndexOptions
-	// OnMatch observes matches in arrival order (propagation order).
-	OnMatch func(Match)
-	// RecordLatency enables per-tuple latency sampling.
-	RecordLatency bool
-}
-
-// RunStats summarizes a parallel run.
+// RunStats summarizes an engine session (Engine.Stats, Engine.Close).
 type RunStats struct {
 	Tuples     int
 	Matches    uint64
@@ -224,54 +126,6 @@ type ShardLoad struct {
 	Resident int // tuples currently stored by the shard (both streams)
 }
 
-// runBatch is the shared tail of every batch wrapper: push the whole input
-// through an engine sized to it and close.
-func runBatch(cfg Config, arrivals []Arrival) (RunStats, error) {
-	if cfg.QueueCapacity <= 0 {
-		// Size the in-flight ring to the input so the single batch push
-		// never blocks — the memory shape of a dedicated batch run.
-		cfg.QueueCapacity = len(arrivals)
-		if cfg.QueueCapacity == 0 {
-			cfg.QueueCapacity = 1
-		}
-	}
-	e, err := Open(cfg)
-	if err != nil {
-		return RunStats{}, err
-	}
-	if err := e.PushBatch(arrivals); err != nil {
-		// Reject without leaking the session (strict-mode disorder).
-		e.Close(context.Background())
-		return RunStats{}, err
-	}
-	return e.Close(context.Background())
-}
-
-// RunParallel executes the parallel shared-index band join over a batch of
-// arrivals and returns its statistics — a compatibility wrapper over Engine
-// in ModeShared. Matches are propagated to OnMatch in arrival order.
-func RunParallel(arrivals []Arrival, o ParallelOptions) (RunStats, error) {
-	be := o.Backend
-	if be == PIMTree && o.UseBwTree {
-		be = BwTree
-	}
-	return runBatch(Config{
-		Mode:           ModeShared,
-		WindowR:        o.WindowR,
-		WindowS:        o.WindowS,
-		Self:           o.Self,
-		Diff:           o.Diff,
-		Backend:        be,
-		Threads:        o.Threads,
-		TaskSize:       o.TaskSize,
-		BlockingMerge:  o.BlockingMerge,
-		RecordLatency:  o.RecordLatency,
-		Index:          o.Index,
-		OnMatch:        o.OnMatch,
-		DiscardMatches: o.OnMatch == nil,
-	}, arrivals)
-}
-
 // Partitioner maps join keys to shards for the sharded runtime.
 // Implementations must be monotone: each shard owns a contiguous key range
 // and ranges are ordered by shard id, so a band probe's interval
@@ -306,7 +160,7 @@ func QuantilePartition(sample []uint32, shards int) Partitioner {
 }
 
 // RebalancePolicy tunes the adaptive shard rebalancer enabled by
-// ShardedOptions.Adaptive. The zero value selects defaults sized from the
+// Config.Adaptive. The zero value selects defaults sized from the
 // run's windows.
 type RebalancePolicy struct {
 	// MaxRatio is the load-imbalance trigger: a rebalance epoch is
@@ -324,66 +178,4 @@ type RebalancePolicy struct {
 	// many arrivals instead of consulting the load monitor — deterministic,
 	// for tests and demos.
 	ForceEvery int
-}
-
-// ShardedOptions configures the key-range sharded parallel join. The
-// embedded JoinOptions carry the windows, band, backend, and index tuning of
-// the per-shard join instances; OnMatch observes matches in global arrival
-// order. Chained-index backends are not supported in sharded mode.
-//
-// Which of these knobs can change after Open — and how the AutoTune
-// feedback controller drives them — is tabulated in docs/TUNING.md,
-// section "Live reconfiguration and the AutoTune controller".
-type ShardedOptions struct {
-	JoinOptions
-	// Shards is the number of key-range shards, each served by its own
-	// worker goroutine and single-writer index (default GOMAXPROCS).
-	// Ignored when Partitioner is set. On a long-lived Engine this is only
-	// the starting count: Engine.Reconfigure (and the AutoTune controller)
-	// can change it live.
-	Shards int
-	// BatchSize is the number of routed operations a shard accumulates
-	// before its queue is flushed (default 64). Larger batches amortize
-	// queue handoff; smaller batches shorten the ordered-merge delay.
-	// Live-tunable through Engine.Reconfigure.
-	BatchSize int
-	// Partitioner overrides the default equal-width key ranges; use
-	// QuantilePartition for skewed key distributions.
-	Partitioner Partitioner
-	// Adaptive enables online shard rebalancing: per-shard load accounting
-	// feeds a monitor that detects imbalance, and each rebalance epoch
-	// recomputes boundaries from a sample of recently inserted keys and
-	// migrates live window contents between shards. The match multiset is
-	// unaffected — rebalancing only changes which shard does the work. The
-	// initial Partitioner (or the equal-width default) only seeds the first
-	// epoch.
-	Adaptive bool
-	// Rebalance tunes the adaptive layer; ignored unless Adaptive is set.
-	Rebalance RebalancePolicy
-}
-
-// RunSharded executes the key-range sharded parallel band join over a batch
-// of arrivals — a compatibility wrapper over Engine in ModeSharded: tuples
-// are routed to Shards independent single-writer join instances through
-// batched per-shard queues, band probes fan out to every shard whose range
-// intersects [key-Diff, key+Diff], and an order-preserving merge stage
-// re-sequences matches into global arrival order. It produces the identical
-// match multiset as the single-threaded Join on the same input.
-func RunSharded(arrivals []Arrival, o ShardedOptions) (RunStats, error) {
-	return runBatch(Config{
-		Mode:           ModeSharded,
-		WindowR:        o.WindowR,
-		WindowS:        o.WindowS,
-		Self:           o.Self,
-		Diff:           o.Diff,
-		Backend:        o.Backend,
-		Index:          o.Index,
-		Shards:         o.Shards,
-		BatchSize:      o.BatchSize,
-		Partitioner:    o.Partitioner,
-		Adaptive:       o.Adaptive,
-		Rebalance:      o.Rebalance,
-		OnMatch:        o.OnMatch,
-		DiscardMatches: o.OnMatch == nil,
-	}, arrivals)
 }

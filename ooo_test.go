@@ -1,7 +1,10 @@
 package pimtree
 
 import (
+	"context"
 	"testing"
+
+	"pimtree/internal/ooo"
 )
 
 // matchMultiset collects (ProbeStream, ProbeSeq, MatchSeq) triples.
@@ -35,6 +38,46 @@ func timeOracle(t *testing.T, arr []TimedArrival, span uint64, diff uint32, self
 		j.Push(a.Stream, a.Key, a.TS)
 	}
 	return want
+}
+
+// reorderTimed runs a whole arrival slice through the reorder buffer and
+// returns the admitted (timestamp-ordered) sequence plus the late/disorder
+// accounting — the admission order every buffered runtime must reproduce.
+func reorderTimed(arrivals []TimedArrival, slack uint64, p LatePolicy) (out []TimedArrival, lateDropped, maxDisorder uint64) {
+	r := ooo.New(slack, p.oooPolicy(), nil)
+	emit := func(t ooo.Tuple) {
+		out = append(out, TimedArrival{Stream: StreamID(t.Stream), Key: t.Key, TS: t.TS})
+	}
+	for _, a := range arrivals {
+		r.Push(ooo.Tuple{Stream: uint8(a.Stream), Key: a.Key, TS: a.TS}, emit)
+	}
+	r.Flush(emit)
+	return out, r.LateDropped(), r.MaxDisorder()
+}
+
+// runShardedTime pushes the timed arrivals through one ModeShardedTime
+// session on cfg and returns its match multiset and final statistics.
+func runShardedTime(t *testing.T, arr []TimedArrival, cfg Config) (matchMultiset, RunStats) {
+	t.Helper()
+	got := matchMultiset{}
+	cfg.Mode = ModeShardedTime
+	cfg.OnMatch = got.add
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := make([]Arrival, len(arr))
+	for i, a := range arr {
+		in[i] = Arrival{Stream: a.Stream, Key: a.Key, TS: a.TS}
+	}
+	if err := e.PushBatch(in); err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.Close(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, st
 }
 
 func oooWorkload(t *testing.T, self bool) (sorted []TimedArrival, span uint64) {
@@ -94,38 +137,20 @@ func TestOutOfOrderWithinSlackMatchesOracle(t *testing.T) {
 			}
 			sameMultiset(t, "TimeJoin", want, got)
 
-			// Parallel shared-index time join.
-			got = matchMultiset{}
-			st, err := RunParallelTime(shuffled, ParallelTimeOptions{
-				Threads: 4, TaskSize: 8, Span: span, MaxLive: 4096, Diff: diff,
-				Self: self, Slack: slack, LatePolicy: LateDrop, OnMatch: got.add,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.LateDropped != 0 || st.MaxObservedDisorder > slack {
-				t.Fatalf("RunParallelTime late=%d disorder=%d", st.LateDropped, st.MaxObservedDisorder)
-			}
-			sameMultiset(t, "RunParallelTime", want, got)
-
 			// Sharded time runtime.
-			got = matchMultiset{}
-			st, err = RunShardedTime(shuffled, ShardedTimeOptions{
+			got, st := runShardedTime(t, shuffled, Config{
 				Shards: 4, BatchSize: 16, Span: span, MaxLive: 4096, Diff: diff,
-				Self: self, Slack: slack, LatePolicy: LateDrop, OnMatch: got.add,
+				Self: self, Slack: slack, LatePolicy: LateDrop,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if st.LateDropped != 0 || st.MaxObservedDisorder > slack {
-				t.Fatalf("RunShardedTime late=%d disorder=%d", st.LateDropped, st.MaxObservedDisorder)
+				t.Fatalf("sharded-time late=%d disorder=%d", st.LateDropped, st.MaxObservedDisorder)
 			}
-			sameMultiset(t, "RunShardedTime", want, got)
+			sameMultiset(t, "sharded-time", want, got)
 		})
 	}
 }
 
-// Beyond-slack disorder: the three runtimes must agree with the oracle over
+// Beyond-slack disorder: both runtimes must agree with the oracle over
 // the admitted sequence and report identical LateDropped counts.
 func TestOutOfOrderBeyondSlack(t *testing.T) {
 	const diff = 3
@@ -135,7 +160,7 @@ func TestOutOfOrderBeyondSlack(t *testing.T) {
 
 	for _, pol := range []LatePolicy{LateDrop, LateEmit} {
 		t.Run(pol.String(), func(t *testing.T) {
-			admitted, wantLate, maxDis := reorderTimed(shuffled, slack, pol, nil)
+			admitted, wantLate, maxDis := reorderTimed(shuffled, slack, pol)
 			if pol == LateDrop && wantLate == 0 {
 				t.Fatal("workload produced no beyond-slack tuples; test is vacuous")
 			}
@@ -160,31 +185,14 @@ func TestOutOfOrderBeyondSlack(t *testing.T) {
 			}
 			sameMultiset(t, "TimeJoin", want, got)
 
-			got = matchMultiset{}
-			st, err := RunParallelTime(shuffled, ParallelTimeOptions{
-				Threads: 3, Span: span, MaxLive: 4096, Diff: diff,
-				Slack: slack, LatePolicy: pol, OnMatch: got.add,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.LateDropped != wantLate {
-				t.Fatalf("RunParallelTime LateDropped = %d, want %d", st.LateDropped, wantLate)
-			}
-			sameMultiset(t, "RunParallelTime", want, got)
-
-			got = matchMultiset{}
-			st, err = RunShardedTime(shuffled, ShardedTimeOptions{
+			got, st := runShardedTime(t, shuffled, Config{
 				Shards: 3, Span: span, MaxLive: 4096, Diff: diff,
-				Slack: slack, LatePolicy: pol, OnMatch: got.add,
+				Slack: slack, LatePolicy: pol,
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if st.LateDropped != wantLate {
-				t.Fatalf("RunShardedTime LateDropped = %d, want %d", st.LateDropped, wantLate)
+				t.Fatalf("sharded-time LateDropped = %d, want %d", st.LateDropped, wantLate)
 			}
-			sameMultiset(t, "RunShardedTime", want, got)
+			sameMultiset(t, "sharded-time", want, got)
 		})
 	}
 }
@@ -223,7 +231,7 @@ func TestOutOfOrderLateCallback(t *testing.T) {
 	if worst <= slack {
 		t.Fatalf("worst lateness %d not beyond slack", worst)
 	}
-	admitted, _, _ := reorderTimed(shuffled, slack, LateDrop, nil)
+	admitted, _, _ := reorderTimed(shuffled, slack, LateDrop)
 	sameMultiset(t, "LateCall", timeOracle(t, admitted, span, diff, false), got)
 }
 
@@ -236,27 +244,28 @@ func TestOutOfOrderValidation(t *testing.T) {
 	if _, err := NewTimeJoin(TimeJoinOptions{Span: 10, LatePolicy: LateCall}); err == nil {
 		t.Fatal("LateCall without OnLate accepted")
 	}
-	// Strict mode rejects unsorted batches instead of corrupting results.
-	unsorted := []TimedArrival{{Stream: R, Key: 1, TS: 10}, {Stream: S, Key: 2, TS: 5}}
-	if _, err := RunParallelTime(unsorted, ParallelTimeOptions{Span: 10, MaxLive: 8}); err == nil {
-		t.Fatal("RunParallelTime accepted unsorted input in strict mode")
+	// Strict mode rejects unsorted batches instead of corrupting results,
+	// and accepts them once a policy is set.
+	unsorted := []Arrival{{Stream: R, Key: 1, TS: 10}, {Stream: S, Key: 2, TS: 5}}
+	for _, pol := range []LatePolicy{LateNone, LateDrop} {
+		e, err := Open(Config{Mode: ModeShardedTime, Span: 10, MaxLive: 8, LatePolicy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = e.PushBatch(unsorted)
+		e.Close(context.Background())
+		if (err == nil) != (pol != LateNone) {
+			t.Fatalf("%s: PushBatch of unsorted input returned %v", pol, err)
+		}
 	}
-	if _, err := RunShardedTime(unsorted, ShardedTimeOptions{Span: 10, MaxLive: 8}); err == nil {
-		t.Fatal("RunShardedTime accepted unsorted input in strict mode")
-	}
-	// ...and accepts them once a policy is set.
-	if _, err := RunShardedTime(unsorted, ShardedTimeOptions{Span: 10, MaxLive: 8, LatePolicy: LateDrop}); err != nil {
-		t.Fatal(err)
-	}
-	// Sharded validation mirrors RunSharded.
-	if _, err := RunShardedTime(nil, ShardedTimeOptions{MaxLive: 8}); err == nil {
-		t.Fatal("zero span accepted")
-	}
-	if _, err := RunShardedTime(nil, ShardedTimeOptions{Span: 10}); err == nil {
-		t.Fatal("zero MaxLive accepted")
-	}
-	if _, err := RunShardedTime(nil, ShardedTimeOptions{Span: 10, MaxLive: 8, Backend: BChain}); err == nil {
-		t.Fatal("chained backend accepted")
+	for name, cfg := range map[string]Config{
+		"zero span":       {Mode: ModeShardedTime, MaxLive: 8},
+		"zero MaxLive":    {Mode: ModeShardedTime, Span: 10},
+		"chained backend": {Mode: ModeShardedTime, Span: 10, MaxLive: 8, Backend: BChain},
+	} {
+		if _, err := Open(cfg); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 
@@ -278,14 +287,10 @@ func TestShardedTimeBackends(t *testing.T) {
 	shuffled := ShuffleWithinSlack(114, sorted, 64)
 
 	for _, b := range []Backend{PIMTree, IMTree, BPlusTree, BwTree} {
-		got := matchMultiset{}
-		st, err := RunShardedTime(shuffled, ShardedTimeOptions{
+		got, st := runShardedTime(t, shuffled, Config{
 			Shards: 3, Span: span, MaxLive: 2048, Diff: diff, Backend: b,
-			Slack: 64, LatePolicy: LateDrop, OnMatch: got.add,
+			Slack: 64, LatePolicy: LateDrop,
 		})
-		if err != nil {
-			t.Fatalf("%v: %v", b, err)
-		}
 		if st.LateDropped != 0 {
 			t.Fatalf("%v: dropped %d within slack", b, st.LateDropped)
 		}

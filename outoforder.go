@@ -60,8 +60,8 @@ func (p LatePolicy) oooPolicy() ooo.Policy {
 	}
 }
 
-// validateLate checks the out-of-order knobs shared by the three time-based
-// runtimes.
+// validateLate checks the out-of-order knobs shared by the two time-based
+// entry points (TimeJoin and ModeShardedTime).
 func validateLate(p LatePolicy, slack uint64, onLate func(TimedArrival, uint64)) error {
 	switch p {
 	case LateNone:
@@ -80,16 +80,6 @@ func validateLate(p LatePolicy, slack uint64, onLate func(TimedArrival, uint64))
 	return nil
 }
 
-// timedSorted reports whether the arrival sequence is timestamp-ordered.
-func timedSorted(arrivals []TimedArrival) bool {
-	for i := 1; i < len(arrivals); i++ {
-		if arrivals[i].TS < arrivals[i-1].TS {
-			return false
-		}
-	}
-	return true
-}
-
 // oooLateAdapter converts a public OnLate callback to the reorder buffer's.
 func oooLateAdapter(onLate func(TimedArrival, uint64)) func(ooo.Tuple, uint64) {
 	if onLate == nil {
@@ -98,86 +88,4 @@ func oooLateAdapter(onLate func(TimedArrival, uint64)) func(ooo.Tuple, uint64) {
 	return func(t ooo.Tuple, lateness uint64) {
 		onLate(TimedArrival{Stream: StreamID(t.Stream), Key: t.Key, TS: t.TS}, lateness)
 	}
-}
-
-// reorderTimed runs a whole arrival slice through the reorder buffer and
-// returns the admitted (timestamp-ordered) sequence plus the late/disorder
-// accounting — the batch pre-pass behind RunParallelTime's buffered mode.
-func reorderTimed(arrivals []TimedArrival, slack uint64, p LatePolicy, onLate func(TimedArrival, uint64)) (out []TimedArrival, lateDropped, maxDisorder uint64) {
-	r := ooo.New(slack, p.oooPolicy(), oooLateAdapter(onLate))
-	out = make([]TimedArrival, 0, len(arrivals))
-	emit := func(t ooo.Tuple) {
-		out = append(out, TimedArrival{Stream: StreamID(t.Stream), Key: t.Key, TS: t.TS})
-	}
-	for _, a := range arrivals {
-		r.Push(ooo.Tuple{Stream: uint8(a.Stream), Key: a.Key, TS: a.TS}, emit)
-	}
-	r.Flush(emit)
-	return out, r.LateDropped(), r.MaxDisorder()
-}
-
-// ShardedTimeOptions configures the key-range sharded time-window band join
-// — the time-based counterpart of RunSharded, with out-of-order admission at
-// the router.
-type ShardedTimeOptions struct {
-	// Shards is the number of key-range shards (default GOMAXPROCS).
-	// Ignored when Partitioner is set.
-	Shards int
-	// BatchSize is the number of routed operations a shard accumulates
-	// before its queue is flushed (default 64).
-	BatchSize int
-	Span      uint64 // window duration in timestamp units (required)
-	// MaxLive is an upper bound on simultaneously live tuples per window
-	// (required), as in ParallelTimeOptions: it sizes the per-shard stores.
-	MaxLive int
-	Self    bool
-	Diff    uint32
-	// Backend selects the per-shard index (chained backends unsupported,
-	// as in RunSharded).
-	Backend Backend
-	Index   IndexOptions
-	// Slack, LatePolicy, and OnLate configure out-of-order admission: any
-	// policy other than LateNone lets the router accept event-time disorder
-	// up to Slack (see LatePolicy). With LateNone the input must be
-	// timestamp-ordered.
-	Slack      uint64
-	LatePolicy LatePolicy
-	OnLate     func(t TimedArrival, lateness uint64)
-	// OnMatch observes matches in admission order.
-	OnMatch func(Match)
-	// Partitioner overrides the default equal-width key ranges.
-	Partitioner Partitioner
-}
-
-// RunShardedTime executes the key-range sharded time-window band join over a
-// batch of timed arrivals — a compatibility wrapper over Engine in
-// ModeShardedTime: the router reorders event-time disorder within Slack (per
-// LatePolicy), routes each admitted tuple's probe to every shard whose range
-// intersects [key-Diff, key+Diff] and its insert to the key's owner shard,
-// and the order-preserving merge stage re-sequences matches into admission
-// order. For any input with disorder within Slack it produces the identical
-// match multiset as pushing the timestamp-sorted input through the serial
-// TimeJoin.
-func RunShardedTime(arrivals []TimedArrival, o ShardedTimeOptions) (RunStats, error) {
-	in := make([]Arrival, len(arrivals))
-	for i, a := range arrivals {
-		in[i] = Arrival{Stream: a.Stream, Key: a.Key, TS: a.TS}
-	}
-	return runBatch(Config{
-		Mode:           ModeShardedTime,
-		Span:           o.Span,
-		MaxLive:        o.MaxLive,
-		Self:           o.Self,
-		Diff:           o.Diff,
-		Backend:        o.Backend,
-		Index:          o.Index,
-		Shards:         o.Shards,
-		BatchSize:      o.BatchSize,
-		Partitioner:    o.Partitioner,
-		Slack:          o.Slack,
-		LatePolicy:     o.LatePolicy,
-		OnLate:         o.OnLate,
-		OnMatch:        o.OnMatch,
-		DiscardMatches: o.OnMatch == nil,
-	}, in)
 }

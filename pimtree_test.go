@@ -1,6 +1,7 @@
 package pimtree
 
 import (
+	"context"
 	"testing"
 )
 
@@ -67,88 +68,93 @@ func TestIndexValidation(t *testing.T) {
 	}
 }
 
-func TestJoinPushTwoWay(t *testing.T) {
-	j, err := NewJoin(JoinOptions{WindowR: 64, WindowS: 64, Diff: 0, Backend: PIMTree})
+// openSerial opens a serial engine on cfg, closed when the test ends.
+func openSerial(t *testing.T, cfg Config) *Engine {
+	t.Helper()
+	cfg.Mode = ModeSerial
+	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := j.PushR(42); n != 0 {
+	t.Cleanup(func() { e.Close(context.Background()) })
+	return e
+}
+
+// push feeds one tuple to a serial engine and returns how many matches it
+// produced.
+func push(t *testing.T, e *Engine, s StreamID, key uint32) int {
+	t.Helper()
+	before := e.Stats().Matches
+	if err := e.Push(s, key); err != nil {
+		t.Fatal(err)
+	}
+	return int(e.Stats().Matches - before)
+}
+
+func TestJoinPushTwoWay(t *testing.T) {
+	e := openSerial(t, Config{WindowR: 64, WindowS: 64, Diff: 0, Backend: PIMTree})
+	if n := push(t, e, R, 42); n != 0 {
 		t.Fatalf("first tuple matched %d", n)
 	}
-	if n := j.PushS(42); n != 1 {
+	if n := push(t, e, S, 42); n != 1 {
 		t.Fatalf("equal key matched %d, want 1", n)
 	}
-	if n := j.PushS(43); n != 0 {
+	if n := push(t, e, S, 43); n != 0 {
 		t.Fatalf("diff=0 should not match 42 vs 43, got %d", n)
 	}
-	if j.Matches() != 1 || j.Tuples() != 3 {
-		t.Fatalf("Matches=%d Tuples=%d", j.Matches(), j.Tuples())
+	if st := e.Stats(); st.Matches != 1 || st.Tuples != 3 {
+		t.Fatalf("Matches=%d Tuples=%d", st.Matches, st.Tuples)
 	}
-	if j.WindowCount(R) != 1 || j.WindowCount(S) != 2 {
-		t.Fatalf("window counts %d/%d", j.WindowCount(R), j.WindowCount(S))
+	if r, s := e.serial.WindowCount(uint8(R)), e.serial.WindowCount(uint8(S)); r != 1 || s != 2 {
+		t.Fatalf("window counts %d/%d", r, s)
 	}
 }
 
 func TestJoinExpiry(t *testing.T) {
-	j, err := NewJoin(JoinOptions{WindowR: 4, WindowS: 4, Diff: 1000, Backend: BPlusTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.PushR(10)
+	e := openSerial(t, Config{WindowR: 4, WindowS: 4, Diff: 1000, Backend: BPlusTree})
+	push(t, e, R, 10)
 	for i := 0; i < 4; i++ {
-		j.PushR(5000) // slide the R window; key 10 falls out
+		push(t, e, R, 5000) // slide the R window; key 10 falls out
 	}
-	if n := j.PushS(10); n != 0 {
+	if n := push(t, e, S, 10); n != 0 {
 		t.Fatalf("expired tuple still matched (%d)", n)
 	}
-	if n := j.PushS(5000); n != 4 {
+	if n := push(t, e, S, 5000); n != 4 {
 		t.Fatalf("live tuples matched %d, want 4", n)
 	}
 }
 
 func TestJoinAllBackendsAgree(t *testing.T) {
-	mk := func(b Backend) *Join {
-		j, err := NewJoin(JoinOptions{
+	backends := []Backend{PIMTree, IMTree, BPlusTree, BwTree, BChain, IBChain}
+	engines := make([]*Engine, len(backends))
+	for i, b := range backends {
+		engines[i] = openSerial(t, Config{
 			WindowR: 128, WindowS: 128, Diff: 1 << 22, Backend: b,
 			ChainLength: 3, Index: IndexOptions{MergeRatio: 0.5},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
 	}
-	backends := []Backend{PIMTree, IMTree, BPlusTree, BwTree, BChain, IBChain}
-	joins := make([]*Join, len(backends))
-	for i, b := range backends {
-		joins[i] = mk(b)
-	}
-	src := UniformSource(3)
 	arr := Interleave(4, UniformSource(1), UniformSource(2), 0.5, 4000)
-	_ = src
 	for _, a := range arr {
-		want := joins[0].Push(a.Stream, a.Key)
-		for i := 1; i < len(joins); i++ {
-			if got := joins[i].Push(a.Stream, a.Key); got != want {
+		want := push(t, engines[0], a.Stream, a.Key)
+		for i := 1; i < len(engines); i++ {
+			if got := push(t, engines[i], a.Stream, a.Key); got != want {
 				t.Fatalf("%v disagrees with %v: %d vs %d", backends[i], backends[0], got, want)
 			}
 		}
 	}
-	if joins[0].Matches() == 0 {
+	if engines[0].Stats().Matches == 0 {
 		t.Fatal("no matches at all; test vacuous")
 	}
 }
 
 func TestJoinOnMatchOrdering(t *testing.T) {
 	var matches []Match
-	j, err := NewJoin(JoinOptions{
+	e := openSerial(t, Config{
 		WindowR: 32, Self: true, Diff: KeySpace, Backend: PIMTree,
 		OnMatch: func(m Match) { matches = append(matches, m) },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := uint32(0); i < 10; i++ {
-		j.Push(R, i)
+		push(t, e, R, i)
 	}
 	// Tuple i matches all earlier tuples: 0+1+...+9 = 45 matches, probe
 	// sequences non-decreasing.
@@ -163,37 +169,25 @@ func TestJoinOnMatchOrdering(t *testing.T) {
 }
 
 func TestJoinValidation(t *testing.T) {
-	if _, err := NewJoin(JoinOptions{WindowR: 0}); err == nil {
+	if _, err := Open(Config{Mode: ModeSerial, WindowR: 0}); err == nil {
 		t.Fatal("zero WindowR accepted")
 	}
-	if _, err := NewJoin(JoinOptions{WindowR: 4, WindowS: 0}); err == nil {
+	if _, err := Open(Config{Mode: ModeSerial, WindowR: 4, WindowS: 0}); err == nil {
 		t.Fatal("zero WindowS accepted")
 	}
-	if _, err := NewJoin(JoinOptions{WindowR: 4, Self: true}); err != nil {
-		t.Fatalf("self-join without WindowS rejected: %v", err)
-	}
+	openSerial(t, Config{WindowR: 4, Self: true}) // self-join needs no WindowS
 }
 
 func TestRunParallelMatchesSerial(t *testing.T) {
 	arr := Interleave(9, UniformSource(5), UniformSource(6), 0.5, 20000)
 	diff := DiffForMatchRate(512, 2)
 
-	j, err := NewJoin(JoinOptions{WindowR: 512, WindowS: 512, Diff: diff, Backend: PIMTree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range arr {
-		j.Push(a.Stream, a.Key)
-	}
-
-	st, err := RunParallel(arr, ParallelOptions{
-		Threads: 4, TaskSize: 8, WindowR: 512, WindowS: 512, Diff: diff,
+	serial := runSession(t, arr, Config{Mode: ModeSerial, WindowR: 512, WindowS: 512, Diff: diff, Backend: PIMTree, DiscardMatches: true})
+	st := runSession(t, arr, Config{
+		Mode: ModeShared, Threads: 4, TaskSize: 8, WindowR: 512, WindowS: 512, Diff: diff, DiscardMatches: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Matches != j.Matches() {
-		t.Fatalf("parallel matches = %d, serial = %d", st.Matches, j.Matches())
+	if st.Matches != serial.Matches {
+		t.Fatalf("parallel matches = %d, serial = %d", st.Matches, serial.Matches)
 	}
 	if st.Mtps <= 0 {
 		t.Fatal("throughput not measured")
@@ -202,13 +196,10 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 
 func TestRunParallelBwTreeAndLatency(t *testing.T) {
 	arr := Interleave(11, UniformSource(7), UniformSource(8), 0.5, 10000)
-	st, err := RunParallel(arr, ParallelOptions{
-		Threads: 2, WindowR: 1024, WindowS: 1024, Diff: DiffForMatchRate(1024, 2),
-		UseBwTree: true, RecordLatency: true,
+	st := runSession(t, arr, Config{
+		Mode: ModeShared, Threads: 2, WindowR: 1024, WindowS: 1024, Diff: DiffForMatchRate(1024, 2),
+		Backend: BwTree, RecordLatency: true, DiscardMatches: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if st.Matches == 0 {
 		t.Fatal("no matches")
 	}
@@ -218,10 +209,10 @@ func TestRunParallelBwTreeAndLatency(t *testing.T) {
 }
 
 func TestRunParallelValidation(t *testing.T) {
-	if _, err := RunParallel(nil, ParallelOptions{WindowR: 0}); err == nil {
+	if _, err := Open(Config{Mode: ModeShared, WindowR: 0}); err == nil {
 		t.Fatal("zero WindowR accepted")
 	}
-	if _, err := RunParallel(nil, ParallelOptions{WindowR: 5, WindowS: 0}); err == nil {
+	if _, err := Open(Config{Mode: ModeShared, WindowR: 5, WindowS: 0}); err == nil {
 		t.Fatal("zero WindowS accepted")
 	}
 }

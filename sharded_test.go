@@ -1,24 +1,52 @@
 package pimtree
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"testing"
 )
 
-// collectSerial runs the single-threaded Join and returns its match multiset.
-func collectSerial(t *testing.T, arr []Arrival, o JoinOptions) []Match {
+// runSession plays the arrivals through one engine session on cfg and
+// returns its final statistics.
+func runSession(t *testing.T, arr []Arrival, cfg Config) RunStats {
 	t.Helper()
-	var out []Match
-	o.OnMatch = func(m Match) { out = append(out, m) }
-	j, err := NewJoin(o)
+	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range arr {
-		j.Push(a.Stream, a.Key)
+	if err := e.PushBatch(arr); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	st, err := e.Close(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// runCollect is runSession that also returns the sorted match multiset.
+func runCollect(t *testing.T, arr []Arrival, cfg Config) ([]Match, RunStats) {
+	t.Helper()
+	var mu sync.Mutex
+	var got []Match
+	cfg.OnMatch = func(m Match) {
+		mu.Lock()
+		got = append(got, m)
+		mu.Unlock()
+	}
+	st := runSession(t, arr, cfg)
+	sortMatches(got)
+	return got, st
+}
+
+// collectSerial runs a serial engine on cfg's windows, band and backend and
+// returns its sorted match multiset.
+func collectSerial(t *testing.T, arr []Arrival, cfg Config) []Match {
+	t.Helper()
+	cfg.Mode = ModeSerial
+	ms, _ := runCollect(t, arr, cfg)
+	return ms
 }
 
 func sortMatches(ms []Match) {
@@ -35,9 +63,9 @@ func sortMatches(ms []Match) {
 }
 
 // TestGoldenSharded pins the acceptance criterion of the sharded runtime:
-// RunSharded with 4 shards produces the identical match multiset — as
-// (ProbeStream, ProbeSeq, MatchSeq) triples — as the single-threaded Join on
-// the same input.
+// ModeSharded with 4 shards produces the identical match multiset — as
+// (ProbeStream, ProbeSeq, MatchSeq) triples — as ModeSerial on the same
+// input.
 func TestGoldenSharded(t *testing.T) {
 	const (
 		n    = 10000
@@ -47,33 +75,19 @@ func TestGoldenSharded(t *testing.T) {
 	arr := Interleave(seed, UniformSource(seed+1), UniformSource(seed+2), 0.5, n)
 	diff := DiffForMatchRate(w, 2)
 
-	want := collectSerial(t, arr, JoinOptions{WindowR: w, WindowS: w, Diff: diff, Backend: PIMTree})
-	sortMatches(want)
+	cfg := Config{WindowR: w, WindowS: w, Diff: diff, Backend: PIMTree}
+	want := collectSerial(t, arr, cfg)
 	// The golden workload's pinned match count (see TestGoldenEndToEnd).
 	if len(want) != 19356 {
 		t.Fatalf("serial oracle produced %d matches, want 19356", len(want))
 	}
 
-	var mu sync.Mutex
-	var got []Match
-	st, err := RunSharded(arr, ShardedOptions{
-		JoinOptions: JoinOptions{
-			WindowR: w, WindowS: w, Diff: diff, Backend: PIMTree,
-			OnMatch: func(m Match) {
-				mu.Lock()
-				got = append(got, m)
-				mu.Unlock()
-			},
-		},
-		Shards: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Mode = ModeSharded
+	cfg.Shards = 4
+	got, st := runCollect(t, arr, cfg)
 	if st.Matches != uint64(len(want)) {
 		t.Fatalf("sharded matches = %d, want %d", st.Matches, len(want))
 	}
-	sortMatches(got)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("match %d differs: sharded %+v, serial %+v", i, got[i], want[i])
@@ -81,27 +95,19 @@ func TestGoldenSharded(t *testing.T) {
 	}
 }
 
-// TestRunShardedValidation covers the error paths of the public API.
+// TestRunShardedValidation covers the error paths of the sharded mode.
 func TestRunShardedValidation(t *testing.T) {
-	arr := []Arrival{{Stream: R, Key: 1}}
-	if _, err := RunSharded(arr, ShardedOptions{JoinOptions: JoinOptions{WindowS: 4}}); err == nil {
+	if _, err := Open(Config{Mode: ModeSharded, WindowS: 4}); err == nil {
 		t.Fatal("missing WindowR accepted")
 	}
-	if _, err := RunSharded(arr, ShardedOptions{JoinOptions: JoinOptions{WindowR: 4}}); err == nil {
+	if _, err := Open(Config{Mode: ModeSharded, WindowR: 4}); err == nil {
 		t.Fatal("missing WindowS accepted")
 	}
-	if _, err := RunSharded(arr, ShardedOptions{
-		JoinOptions: JoinOptions{WindowR: 4, WindowS: 4, Backend: BChain},
-	}); err == nil {
+	if _, err := Open(Config{Mode: ModeSharded, WindowR: 4, WindowS: 4, Backend: BChain}); err == nil {
 		t.Fatal("chained backend accepted by sharded runtime")
 	}
 	// Self-join needs only one window.
-	if _, err := RunSharded(arr, ShardedOptions{
-		JoinOptions: JoinOptions{WindowR: 4, Self: true},
-		Shards:      2,
-	}); err != nil {
-		t.Fatalf("self-join rejected: %v", err)
-	}
+	runSession(t, []Arrival{{Stream: R, Key: 1}}, Config{Mode: ModeSharded, WindowR: 4, Self: true, Shards: 2})
 }
 
 // TestRunShardedPartitionerHook checks that a custom Partitioner is honored
@@ -121,26 +127,17 @@ func TestRunShardedPartitionerHook(t *testing.T) {
 	}
 	diff := CalibrateDiff(func(s int64) KeySource { return GaussianSource(s, 0.5, 0.125) }, w, 2)
 
-	opts := JoinOptions{WindowR: w, WindowS: w, Diff: diff, Backend: PIMTree}
-	want := collectSerial(t, arr, opts)
-	sortMatches(want)
+	cfg := Config{WindowR: w, WindowS: w, Diff: diff, Backend: PIMTree}
+	want := collectSerial(t, arr, cfg)
 
 	part := QuantilePartition(sample, 4)
 	if part.Shards() != 4 {
 		t.Fatalf("quantile partitioner collapsed to %d shards", part.Shards())
 	}
-	var mu sync.Mutex
-	var got []Match
-	opts.OnMatch = func(m Match) {
-		mu.Lock()
-		got = append(got, m)
-		mu.Unlock()
-	}
-	st, err := RunSharded(arr, ShardedOptions{JoinOptions: opts, Partitioner: part, BatchSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortMatches(got)
+	cfg.Mode = ModeSharded
+	cfg.Partitioner = part
+	cfg.BatchSize = 16
+	got, st := runCollect(t, arr, cfg)
 	if len(got) != len(want) {
 		t.Fatalf("matches = %d, want %d", len(got), len(want))
 	}

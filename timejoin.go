@@ -2,7 +2,6 @@ package pimtree
 
 import (
 	"pimtree/internal/btree"
-	"pimtree/internal/core"
 	"pimtree/internal/join"
 	"pimtree/internal/kv"
 	"pimtree/internal/ooo"
@@ -127,14 +126,7 @@ func (j *TimeJoin) pushOrdered(s StreamID, key uint32, ts uint64) int {
 	// Evict expired tuples of the opposite window before the lookup.
 	oppRing.AdvanceTime(ts, func(p kv.Pair) { oppIdx.Delete(p) })
 
-	lo := key - j.opts.Diff
-	if lo > key {
-		lo = 0
-	}
-	hi := key + j.opts.Diff
-	if hi < key {
-		hi = ^uint32(0)
-	}
+	lo, hi := join.Band{Diff: j.opts.Diff}.Range(key)
 	// The probing tuple's per-stream sequence number is the one Append will
 	// assign below.
 	probeSeq := ownRing.NextSeq()
@@ -228,91 +220,10 @@ func (j *TimeJoin) oppID(s StreamID) int {
 	return 1 - int(s)
 }
 
-// TimedArrival is one tuple with an event timestamp for the batch-parallel
-// time join.
+// TimedArrival is one tuple with an event timestamp, as handed to the
+// OnLate callbacks of the time-based joins.
 type TimedArrival struct {
 	Stream StreamID
 	Key    uint32
 	TS     uint64
-}
-
-// ParallelTimeOptions configures the multicore time-window band join — the
-// time-based variant of the paper's Section 4 algorithm, where timestamps
-// replace the count-window boundary snapshots.
-type ParallelTimeOptions struct {
-	Threads  int
-	TaskSize int
-	Span     uint64 // window duration in timestamp units (required)
-	MaxLive  int    // upper bound on simultaneously live tuples per window (required)
-	Self     bool
-	Diff     uint32
-	Index    IndexOptions // PIM-Tree tuning (merge ratio defaults to 1)
-	OnMatch  func(Match)  // observes matches in admission order
-
-	// Slack, LatePolicy, and OnLate enable out-of-order ingestion: with a
-	// policy other than LateNone the arrivals may carry event-time disorder
-	// up to Slack — a watermark-driven reorder pass admits them in
-	// timestamp order (applying LatePolicy beyond Slack) and the parallel
-	// tasks are cut over the admitted sequence. With LateNone the input
-	// must be timestamp-ordered.
-	Slack      uint64
-	LatePolicy LatePolicy
-	OnLate     func(t TimedArrival, lateness uint64)
-}
-
-// RunParallelTime executes the parallel shared-index time-window join.
-// Arrivals must be timestamp-ordered unless a LatePolicy enables
-// out-of-order ingestion.
-func RunParallelTime(arrivals []TimedArrival, o ParallelTimeOptions) (RunStats, error) {
-	if err := validateTimeWindow(o.Span, o.MaxLive, true); err != nil {
-		return RunStats{}, err
-	}
-	if err := validateLate(o.LatePolicy, o.Slack, o.OnLate); err != nil {
-		return RunStats{}, err
-	}
-	var lateDropped, maxDisorder uint64
-	if o.LatePolicy != LateNone {
-		// Watermark-driven admission: tasks are cut over the reordered
-		// sequence, so workers never observe a regressed timestamp.
-		arrivals, lateDropped, maxDisorder = reorderTimed(arrivals, o.Slack, o.LatePolicy, o.OnLate)
-	} else if !timedSorted(arrivals) {
-		return RunStats{}, errNotSorted()
-	}
-	mergeRatio := o.Index.MergeRatio
-	if mergeRatio == 0 {
-		mergeRatio = 1
-	}
-	cfg := join.SharedTimeConfig{
-		Threads:  o.Threads,
-		TaskSize: o.TaskSize,
-		Span:     o.Span,
-		MaxLive:  o.MaxLive,
-		Self:     o.Self,
-		Band:     join.Band{Diff: o.Diff},
-		PIM: core.PIMTreeConfig{
-			MergeRatio:     mergeRatio,
-			InsertionDepth: o.Index.InsertionDepth,
-		},
-	}
-	if o.OnMatch != nil {
-		cb := o.OnMatch
-		cfg.Sink = func(s uint8, probe, match uint64) {
-			cb(Match{ProbeStream: StreamID(s), ProbeSeq: probe, MatchSeq: match})
-		}
-	}
-	in := make([]join.TimedArrival, len(arrivals))
-	for i, a := range arrivals {
-		in[i] = join.TimedArrival{Stream: uint8(a.Stream), Key: a.Key, TS: a.TS}
-	}
-	st := join.RunSharedTime(in, cfg)
-	return RunStats{
-		Tuples:              st.Tuples,
-		Matches:             st.Matches,
-		Elapsed:             st.Elapsed,
-		Mtps:                st.Mtps(),
-		Merges:              st.Merges,
-		MergeTime:           st.MergeTime,
-		LateDropped:         lateDropped,
-		MaxObservedDisorder: maxDisorder,
-	}, nil
 }

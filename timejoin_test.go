@@ -64,9 +64,9 @@ func TestTimeJoinValidation(t *testing.T) {
 	}
 }
 
-func TestRunParallelTimeMatchesSerial(t *testing.T) {
-	// Build a timed workload and compare the parallel time join against the
-	// incremental serial TimeJoin on identical input.
+func TestShardedTimeMatchesTimeJoin(t *testing.T) {
+	// Build a timed workload and compare the parallel time-window runtime
+	// against the incremental serial TimeJoin on identical input.
 	const n = 8000
 	const span = 500
 	arr := make([]TimedArrival, n)
@@ -89,12 +89,7 @@ func TestRunParallelTimeMatchesSerial(t *testing.T) {
 		serial.Push(a.Stream, a.Key, a.TS)
 	}
 
-	st, err := RunParallelTime(arr, ParallelTimeOptions{
-		Threads: 3, TaskSize: 4, Span: span, MaxLive: 4096, Diff: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st := runShardedTime(t, arr, Config{Shards: 3, BatchSize: 4, Span: span, MaxLive: 4096, Diff: 8})
 	if st.Matches != serial.Matches() {
 		t.Fatalf("parallel time join matches = %d, serial = %d", st.Matches, serial.Matches())
 	}
@@ -103,12 +98,40 @@ func TestRunParallelTimeMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestRunParallelTimeValidation(t *testing.T) {
-	if _, err := RunParallelTime(nil, ParallelTimeOptions{MaxLive: 4}); err == nil {
-		t.Fatal("zero span accepted")
+// The band clamps at both ends of the key domain: a probe at key 0 or
+// ^uint32(0) with Diff > 0 must neither wrap around nor miss its neighbours.
+func TestTimeJoinBandSaturates(t *testing.T) {
+	const top = ^uint32(0)
+	keys := []uint32{0, 1, 2, 5, top, top - 1, top - 2, top - 5, 1 << 31}
+	arr := make([]TimedArrival, 400)
+	for i := range arr {
+		s := R
+		if i%2 == 1 {
+			s = S
+		}
+		arr[i] = TimedArrival{Stream: s, Key: keys[(i*7)%len(keys)], TS: uint64(i)}
 	}
-	if _, err := RunParallelTime(nil, ParallelTimeOptions{Span: 10}); err == nil {
-		t.Fatal("zero MaxLive accepted")
+	for _, diff := range []uint32{1, 2, 1 << 31, top} {
+		want := bruteTimeMatches(arr, 50, diff, false)
+		got := map[Match]int{}
+		j, err := NewTimeJoin(TimeJoinOptions{Span: 50, Diff: diff, OnMatch: func(m Match) { got[m]++ }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range arr {
+			j.Push(a.Stream, a.Key, a.TS)
+		}
+		if len(want) == 0 {
+			t.Fatalf("diff=%d: oracle found no matches; test vacuous", diff)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("diff=%d: %d distinct matches, oracle has %d", diff, len(got), len(want))
+		}
+		for m, c := range want {
+			if got[m] != c {
+				t.Fatalf("diff=%d: match %+v count %d, oracle %d", diff, m, got[m], c)
+			}
+		}
 	}
 }
 

@@ -66,11 +66,7 @@ func TestCSVTraceDrivesJoin(t *testing.T) {
 	}
 	diff := DiffForMatchRate(128, 2)
 	run := func(in []Arrival) uint64 {
-		j, _ := NewJoin(JoinOptions{WindowR: 128, WindowS: 128, Diff: diff, Backend: PIMTree})
-		for _, a := range in {
-			j.Push(a.Stream, a.Key)
-		}
-		return j.Matches()
+		return runSession(t, in, Config{Mode: ModeSerial, WindowR: 128, WindowS: 128, Diff: diff, Backend: PIMTree, DiscardMatches: true}).Matches
 	}
 	if run(arr) != run(replay) {
 		t.Fatal("replayed trace produced different results")

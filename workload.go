@@ -40,7 +40,7 @@ func DriftingGaussianSource(seed int64, r float64, phase1, phase2 int) KeySource
 // StepSkewSource draws keys uniformly from a narrow hot band (width is the
 // band's fraction of the key domain) whose location jumps to a fresh
 // position every period tuples. It is the adversarial workload for static
-// key-range sharding — the case ShardedOptions.Adaptive targets.
+// key-range sharding — the case Config.Adaptive targets.
 func StepSkewSource(seed int64, width float64, period int) KeySource {
 	return stream.NewStepSkew(seed, width, period)
 }
