@@ -74,7 +74,7 @@ func (t *tuner) observe() {
 		Shards:     len(snap),
 		Imbalance:  shardImbalance(snap),
 		Rebalances: e.router.Rebalances(),
-		Tuples:     e.router.Tuples(),
+		Tuples:     e.router.Published(),
 	}
 	for _, l := range snap {
 		if l.QueueDepth > s.QueueDepth {

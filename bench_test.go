@@ -9,9 +9,11 @@
 package pimtree_test
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 
+	"pimtree"
 	"pimtree/internal/bench"
 	"pimtree/internal/core"
 	"pimtree/internal/join"
@@ -465,6 +467,44 @@ func BenchmarkSerialPushW20(b *testing.B) {
 		matches += eng.Push(next())
 	}
 	b.ReportMetric(float64(matches)/float64(b.N), "matches/op")
+}
+
+// BenchmarkShardedPushPerTuple times Engine.Push one tuple per call in
+// ModeSharded with 2 shards at W = 2^16 per stream: the caller for whom a
+// lane is most often empty when the call returns, so the one that pays most
+// for shipping partial batches to idle workers. The windows are full before
+// the timer starts, and a closing Drain keeps the queued work inside it.
+func BenchmarkShardedPushPerTuple(b *testing.B) {
+	const w = 1 << 16
+	e, err := pimtree.Open(pimtree.Config{
+		Mode: pimtree.ModeSharded, Shards: 2, Backend: pimtree.PIMTree,
+		WindowR: w, WindowS: w, Diff: pimtree.DiffForMatchRate(w, 2),
+		DiscardMatches: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close(context.Background())
+	rng := rand.New(rand.NewPCG(1, 2))
+	push := func() {
+		v := rng.Uint64()
+		if err := e.Push(pimtree.StreamID(v&1), uint32(v>>32)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 5*w/2; i++ {
+		push()
+	}
+	if err := e.Drain(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		push()
+	}
+	if err := e.Drain(context.Background()); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // --- Ablations ---

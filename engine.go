@@ -588,6 +588,7 @@ func (e *Engine) Push(s StreamID, key uint32) error {
 		return err
 	}
 	e.pushCount(stream.Arrival{Stream: uint8(s), Key: key})
+	e.flushIdle()
 	e.prodMu.Unlock()
 	return nil
 }
@@ -600,6 +601,15 @@ func (e *Engine) pushCount(a stream.Arrival) {
 		e.shared.Push(a)
 	default:
 		e.router.Push(a)
+	}
+}
+
+// flushIdle ends a producer call in the router modes: every shard whose lane
+// is empty gets its partial batch now instead of once it fills, so at light
+// load a probe's latency is one handoff, not a batch's worth of arrivals.
+func (e *Engine) flushIdle() {
+	if e.router != nil {
+		e.router.FlushIdle()
 	}
 }
 
@@ -633,6 +643,7 @@ func (e *Engine) PushTimed(s StreamID, key uint32, ts uint64) error {
 		return err
 	}
 	e.router.PushTimed(uint8(s), key, ts)
+	e.flushIdle()
 	e.prodMu.Unlock()
 	return nil
 }
@@ -649,6 +660,7 @@ func (e *Engine) PushBatch(batch []Arrival) error {
 		return err
 	}
 	defer e.prodMu.Unlock()
+	defer e.flushIdle()
 	switch e.mode {
 	case ModeShardedTime:
 		if e.cfg.LatePolicy == LateNone {
@@ -729,8 +741,8 @@ func (e *Engine) Stats() RunStats {
 		st.Tuples = e.shared.Tuples()
 		st.Matches = e.shared.Matches()
 	default:
-		st.Tuples = e.router.Tuples()
-		st.Matches = e.router.Matches()
+		st.Tuples = e.router.Published()
+		st.Matches = e.router.MatchCount()
 		st.Rebalances = e.router.Rebalances()
 		st.MigratedTuples = e.router.Migrated()
 		st.Imbalance = shardImbalance(e.router.LoadSnapshot())

@@ -57,8 +57,8 @@ func runAblSharded(cfg Config, out io.Writer) {
 }
 
 // runAblShardBatch sweeps the per-shard batch size at a fixed shard count:
-// batches amortize queue handoff, while the flush horizon bounds how long a
-// cold shard may hold the ordered merge stage back.
+// batches amortize queue handoff on a busy lane. shard.Run routes the whole
+// input without calling FlushIdle, so the sweep measures the size bound alone.
 func runAblShardBatch(cfg Config, out io.Writer) {
 	w := 1 << 14
 	if cfg.Scale == Quick {

@@ -223,6 +223,41 @@ func TestDrainSessionStaysUsable(t *testing.T) {
 	}
 }
 
+// TestServedIdleFlushLatency checks that a subscriber sees a lone matching
+// pair's match without a Drain: the ingest frame is one engine call, and its
+// closing idle-lane flush ships the pair's ops although no batch filled.
+func TestServedIdleFlushLatency(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   pimtree.Config
+		timed bool
+	}{
+		{"sharded", pimtree.Config{Mode: pimtree.ModeSharded, Shards: 2, WindowR: 1024, WindowS: 1024}, false},
+		{"sharded-time", pimtree.Config{Mode: pimtree.ModeShardedTime, Shards: 2, Span: 1 << 10, MaxLive: 1024}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startServer(t, tc.cfg, Options{})
+			c, err := Dial(s.Addr().String(), DialOptions{Subscribe: true, Timed: tc.timed, ReadTimeout: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			pair := []pimtree.Arrival{{Stream: pimtree.R, Key: 7, TS: 1}, {Stream: pimtree.S, Key: 7, TS: 2}}
+			if err := c.PushBatch(pair); err != nil {
+				t.Fatal(err)
+			}
+			ev, err := c.ReadEvent()
+			if err != nil {
+				t.Fatalf("no match event within the read timeout: %v", err)
+			}
+			want := pimtree.Match{ProbeStream: pimtree.S}
+			if ev.Type != FrameMatch || len(ev.Matches) != 1 || ev.Matches[0] != want {
+				t.Fatalf("event %s with matches %v, want one match %+v", frameName(ev.Type), ev.Matches, want)
+			}
+		})
+	}
+}
+
 // rawDial opens a raw protocol connection for hand-built (malformed)
 // frames.
 func rawDial(t *testing.T, addr string) net.Conn {

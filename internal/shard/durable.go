@@ -69,16 +69,11 @@ func (r *Router) walSnapshot() {
 // walState captures the live window at a drain barrier: the sequence heads,
 // the per-slot eviction frontiers, the reorder clock, and every live tuple.
 func (r *Router) walState() *wal.State {
-	st := &wal.State{Timed: r.cfg.Timed, Heads: r.heads, WMs: r.frontiers()}
-	if r.reorder != nil {
-		st.MaxTS = r.reorder.MaxTS()
-		st.Floor = r.reorder.Watermark()
+	st := &wal.State{
+		Timed: r.cfg.Timed, Heads: r.heads, WMs: r.frontiers(),
+		MaxTS: r.reorderMaxTS(), Floor: r.reorderFloor(),
 	}
-	slots := 2
-	if r.cfg.Self {
-		slots = 1
-	}
-	for slot := 0; slot < slots; slot++ {
+	for slot := 0; slot < storeSlots(r.cfg.Self); slot++ {
 		var live []migrant
 		for s, e := range r.engines {
 			live = e.extractLive(slot, st.WMs[slot], s, live)
@@ -107,11 +102,7 @@ func (r *Router) Restore(st *wal.State) {
 	if r.reorder != nil {
 		r.reorder.Seed(st.MaxTS, st.Floor)
 	}
-	slots := 2
-	if r.cfg.Self {
-		slots = 1
-	}
-	for slot := 0; slot < slots; slot++ {
+	for slot := 0; slot < storeSlots(r.cfg.Self); slot++ {
 		for _, e := range r.engines {
 			if st.WMs[slot] > e.stores[slot].wm {
 				e.stores[slot].wm = st.WMs[slot]

@@ -137,8 +137,8 @@ func NewMember(cfg MemberConfig, onResult func(idx uint64, buckets [][]uint64)) 
 
 // Apply dispatches one shipped op batch to the local shards, in order. Every
 // pending local batch is flushed before returning — an incoming Ops frame is
-// the natural batching unit, so no op ever lingers waiting for a horizon.
-// May block on ring backpressure.
+// the natural batching unit, so no op waits for a later frame to fill its
+// batch. May block on ring backpressure.
 func (m *Member) Apply(ops []Op) {
 	k := len(m.engines)
 	for i := range ops {
@@ -151,7 +151,7 @@ func (m *Member) Apply(ops []Op) {
 			m.enqueue(Clamp(m.part.ShardOf(o.Key), k), op{
 				kind: opInsert, stream: stream,
 				key: o.Key, seq: o.Seq, te: o.TE, ts: o.TS,
-			}, m.n)
+			})
 			continue
 		}
 		idx, slot := m.Admit()
@@ -163,7 +163,7 @@ func (m *Member) Apply(ops []Op) {
 			m.enqueue(s, op{
 				kind: opProbe, stream: stream, lo: o.Lo, hi: o.Hi,
 				te: o.TE, tl: o.TL, idx: idx, bucket: s - s1,
-			}, idx)
+			})
 		}
 		m.Publish()
 	}
@@ -180,15 +180,6 @@ func (m *Member) Quiesce() {
 	m.Propagate()
 }
 
-// slots returns the store slots a member iterates for handoff: slot 0 only
-// for self-joins (slot 1 is an alias), both otherwise.
-func (m *Member) slots() int {
-	if m.self {
-		return 1
-	}
-	return 2
-}
-
 // ExportRange quiesces, then extracts and REMOVES every live window tuple
 // whose key falls in [lo, hi] (inclusive), returning them in per-stream
 // sequence order. Removal matters: after a handoff the range belongs to
@@ -198,7 +189,7 @@ func (m *Member) ExportRange(lo, hi uint32) []WindowTuple {
 	m.Quiesce()
 	var out []WindowTuple
 	for _, e := range m.engines {
-		for slot := 0; slot < m.slots(); slot++ {
+		for slot := 0; slot < storeSlots(m.self); slot++ {
 			wm := e.stores[slot].wm
 			live := e.extractLive(slot, wm, 0, nil)
 			keep := live[:0]

@@ -7,12 +7,6 @@ import (
 	"pimtree/internal/wal"
 )
 
-// pendingBatch is one shard's accumulating op buffer.
-type pendingBatch struct {
-	ops   []op
-	first int // arrival index of the oldest buffered op (-1 when empty)
-}
-
 // LaneDepth is how many batches a shard's op channel holds (plus one pending
 // in the producer and one in the worker). It is sized against a merge pause: a
 // delta merge at W = 2^20 stops its worker for about 7 ms, and with lanes 4
@@ -28,6 +22,15 @@ const LaneDepth = 32
 // lane that never backs up never owns more than a handful.
 const freeChanCap = LaneDepth + 8
 
+// spillSlot holds the partial batch FlushIdle leaves behind a busy lane. The
+// producer sends that lane nothing until it takes the batch back, so a worker
+// that finds its lane dry under mu may apply it next.
+type spillSlot struct {
+	mu   sync.Mutex
+	ops  []op
+	held bool // producer only: ops may still be in the slot
+}
+
 // pool is the set of single-writer shard engines with the batched FIFO lanes
 // that feed them. One producer goroutine enqueues; each engine is touched
 // only by its own worker — or by the producer while every worker is parked
@@ -40,7 +43,8 @@ type pool struct {
 	engines []*engine
 	chans   []chan []op
 	free    []chan []op // consumed batch slices on their way back to enqueue
-	pend    []pendingBatch
+	pend    [][]op      // each shard's accumulating batch (nil when empty)
+	spill   []spillSlot
 	// lanes is parallel to engines, its entries nil unless durability is on:
 	// each worker appends applied inserts to its own lane, so the hot path
 	// never locks; the producer only touches lanes behind drainBarrier.
@@ -53,8 +57,8 @@ type pool struct {
 	// scrapers. start begins fresh marks.
 	qhw []metrics.PaddedCounter
 	// Flush accounting by trigger (producer only).
-	sizeFlushes    int
-	horizonFlushes int
+	sizeFlushes int
+	idleFlushes int
 }
 
 // start installs an engine set and its WAL lanes behind fresh queues and
@@ -64,36 +68,31 @@ func (p *pool) start(engines []*engine, lanes []*wal.Lane) {
 	p.engines, p.lanes = engines, lanes
 	p.chans = make([]chan []op, k)
 	p.free = make([]chan []op, k)
-	p.pend = make([]pendingBatch, k)
+	p.pend = make([][]op, k)
+	p.spill = make([]spillSlot, k)
 	p.qhw = make([]metrics.PaddedCounter, k)
 	for s := 0; s < k; s++ {
 		p.chans[s] = make(chan []op, LaneDepth)
 		p.free[s] = make(chan []op, freeChanCap)
-		p.pend[s].first = -1
 		p.wg.Add(1)
 		go p.worker(s)
 	}
 }
 
-// enqueue appends an op routed at arrival index now to a shard's pending
-// batch, flushing on size. A fresh batch slice is only allocated during
-// warmup (or when a worker briefly held more batches than the free channel's
-// headroom).
-func (p *pool) enqueue(s int, o op, now int) {
-	b := &p.pend[s]
-	if b.first < 0 {
-		b.first = now
-		if b.ops == nil {
-			select {
-			case r := <-p.free[s]:
-				b.ops = r[:0]
-			default:
-				b.ops = make([]op, 0, p.batchSize)
-			}
+// enqueue appends an op to a shard's pending batch, flushing on size. A fresh
+// batch slice is only allocated during warmup (or when a worker briefly held
+// more batches than the free channel's headroom).
+func (p *pool) enqueue(s int, o op) {
+	if p.unspill(s); p.pend[s] == nil {
+		select {
+		case r := <-p.free[s]:
+			p.pend[s] = r[:0]
+		default:
+			p.pend[s] = make([]op, 0, p.batchSize)
 		}
 	}
-	b.ops = append(b.ops, o)
-	if len(b.ops) >= p.batchSize {
+	p.pend[s] = append(p.pend[s], o)
+	if len(p.pend[s]) >= p.batchSize {
 		p.sizeFlushes++
 		p.flush(s)
 	}
@@ -103,16 +102,14 @@ func (p *pool) enqueue(s int, o op, now int) {
 // right after the send is the ride-along sample that keeps the high-water
 // mark monotone without touching the worker's consume path.
 func (p *pool) flush(s int) {
-	b := &p.pend[s]
-	if len(b.ops) == 0 {
+	if p.unspill(s); p.pend[s] == nil {
 		return
 	}
-	p.chans[s] <- b.ops
+	p.chans[s] <- p.pend[s]
 	if d := uint64(len(p.chans[s])); d > p.qhw[s].Load() {
 		p.qhw[s].Store(d)
 	}
-	b.ops = nil
-	b.first = -1
+	p.pend[s] = nil
 }
 
 // flushAll ships every pending batch.
@@ -122,16 +119,47 @@ func (p *pool) flushAll() {
 	}
 }
 
-// flushExpired flushes every shard whose oldest buffered op is horizon
-// arrivals old (the batching analogue of window expiry: an op may not linger
-// while the window slides a full length past it).
-func (p *pool) flushExpired(now, horizon int) {
-	for s := range p.pend {
-		if f := p.pend[s].first; f >= 0 && now-f >= horizon {
-			p.horizonFlushes++
+// FlushIdle, called at the end of each producer call, ships every partial
+// batch whose lane is empty: that worker is about to park, so holding the
+// batch only adds latency. A busy lane's batch is spilled, to be refilled by
+// the next call unless the worker runs dry and takes it first.
+func (p *pool) FlushIdle() {
+	for s, b := range p.pend {
+		if b == nil {
+			continue
+		}
+		sp := &p.spill[s]
+		sp.mu.Lock()
+		if len(p.chans[s]) > 0 {
+			sp.ops, sp.held, p.pend[s] = b, true, nil
+		}
+		sp.mu.Unlock()
+		if p.pend[s] != nil {
+			p.idleFlushes++
 			p.flush(s)
 		}
 	}
+}
+
+// unspill takes shard s's spilled batch back, unless its worker took it.
+func (p *pool) unspill(s int) {
+	if sp := &p.spill[s]; sp.held {
+		sp.mu.Lock()
+		p.pend[s], sp.ops, sp.held = sp.ops, nil, false
+		sp.mu.Unlock()
+	}
+}
+
+// takeSpill hands shard s's worker the spilled batch once its lane is dry.
+func (p *pool) takeSpill(s int) (b []op) {
+	if sp := &p.spill[s]; len(p.chans[s]) == 0 {
+		sp.mu.Lock()
+		if len(p.chans[s]) == 0 {
+			b, sp.ops = sp.ops, nil
+		}
+		sp.mu.Unlock()
+	}
+	return b
 }
 
 // drainBarrier flushes every pending batch, then sends each worker a nil
@@ -158,8 +186,8 @@ func (p *pool) stop() {
 	p.wg.Wait()
 }
 
-// worker is one shard's goroutine: apply each batch in FIFO order, run
-// deferred index maintenance, and volunteer for ordered propagation.
+// worker is one shard's goroutine: apply each batch (and a spilled one) in
+// FIFO order, run deferred index maintenance, volunteer for propagation.
 func (p *pool) worker(s int) {
 	defer p.wg.Done()
 	e, lane, fan := p.engines[s], p.lanes[s], p.fan
@@ -170,33 +198,35 @@ func (p *pool) worker(s int) {
 			p.barrier.Done()
 			continue
 		}
-		for j := range batch {
-			o := &batch[j]
-			if o.kind == opInsert {
-				if lane != nil {
-					lane.AppendInsert(o.stream, o.key, o.seq, o.ts)
+		for ; batch != nil; batch = p.takeSpill(s) {
+			for j := range batch {
+				o := &batch[j]
+				if o.kind == opInsert {
+					if lane != nil {
+						lane.AppendInsert(o.stream, o.key, o.seq, o.ts)
+					}
+					e.insert(o)
+					continue
 				}
-				e.insert(o)
-				continue
+				slot := o.idx % fan.capN
+				fan.SetBucket(slot, o.bucket, e.probe(o, fan.Bucket(slot, o.bucket)))
+				fan.Done(slot)
 			}
-			slot := o.idx % fan.capN
-			fan.SetBucket(slot, o.bucket, e.probe(o, fan.Bucket(slot, o.bucket)))
-			fan.Done(slot)
+			e.maintain()
+			e.updateResident()
+			// Return the consumed batch slice for reuse; drop it when the free
+			// channel is full (warmup overshoot).
+			select {
+			case p.free[s] <- batch[:0]:
+			default:
+			}
+			fan.Propagate()
 		}
-		e.maintain()
-		e.updateResident()
-		// Return the consumed batch slice for reuse; drop it when the free
-		// channel is full (warmup overshoot).
-		select {
-		case p.free[s] <- batch[:0]:
-		default:
-		}
-		fan.Propagate()
 	}
 }
 
 // FlushCounts reports how many batch flushes were triggered by the size
-// bound and by the flush horizon.
-func (p *pool) FlushCounts() (size, horizon int) {
-	return p.sizeFlushes, p.horizonFlushes
+// bound and by an idle lane.
+func (p *pool) FlushCounts() (size, idle int) {
+	return p.sizeFlushes, p.idleFlushes
 }

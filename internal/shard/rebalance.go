@@ -150,12 +150,8 @@ func samePartition(old Partitioner, next QuantilePartitioner) bool {
 // edges give it the happens-before ordering with both the workers' prior
 // writes and their next batch receive.
 func migrate(src, dst []*engine, newPart Partitioner, wms [2]uint64) (moved int) {
-	slots := 2
-	if dst[0].cfg.Self {
-		slots = 1
-	}
 	inPlace := len(src) == len(dst) && len(src) > 0 && src[0] == dst[0]
-	for slot := 0; slot < slots; slot++ {
+	for slot := 0; slot < storeSlots(dst[0].cfg.Self); slot++ {
 		var live []migrant
 		for s, e := range src {
 			live = e.extractLive(slot, wms[slot], s, live)

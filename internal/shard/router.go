@@ -43,13 +43,7 @@ import (
 // Config configures a sharded join run.
 type Config struct {
 	Shards    int // shard count (default GOMAXPROCS); ignored when Part is set
-	BatchSize int // routed ops per shard batch before a size flush (default 64)
-	// FlushHorizon bounds batching latency: a shard's pending batch is
-	// flushed once this many arrivals have been routed since its oldest
-	// buffered op, even if the batch is not full. Without it a cold shard
-	// could hold a probe back a full window, stalling the ordered merge
-	// stage behind it. Default: the smaller window length.
-	FlushHorizon int
+	BatchSize int // routed ops per shard batch (default 64); see FlushIdle
 
 	WR, WS int       // window lengths (WS ignored for self-joins)
 	Self   bool      // self-join: one stream, one window per shard
@@ -108,8 +102,10 @@ const defaultRouterCapacity = 1 << 14
 // Router is the front end of the sharded runtime: a Sequencer numbers each
 // arrival, the pool's shard workers apply the routed ops, and the FanIn
 // releases their matches to the sink in global arrival order. Push routes
-// arrivals; Drain quiesces the shards mid-session; Close drains them and
-// returns the run's statistics. Push, Drain, and Close must be called from
+// arrivals into per-shard batches; FlushIdle, called once at the end of a
+// producer call, ships the partial batches whose worker would otherwise go
+// idle; Drain quiesces the shards mid-session; Close drains them and returns
+// the run's statistics. Push, FlushIdle, Drain, and Close must be called from
 // one goroutine; the sink runs concurrently on shard goroutines.
 //
 // Pushing more than the ring capacity ahead of the ordered-propagation
@@ -182,7 +178,7 @@ func NewRouter(cfg Config, capacity int) *Router {
 			panic("shard: adaptive rebalancing is not supported in timed mode")
 		}
 		// MaxLive plays the window-length role everywhere a count window
-		// would be consulted: store/index sizing and the flush horizon.
+		// would be consulted: store and index sizing.
 		cfg.WR, cfg.WS = cfg.MaxLive, cfg.MaxLive
 		span = cfg.Span
 	}
@@ -204,9 +200,6 @@ func NewRouter(cfg Config, capacity int) *Router {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
-	}
-	if cfg.FlushHorizon <= 0 {
-		cfg.FlushHorizon = min(cfg.WR, cfg.WS)
 	}
 	if capacity <= 0 {
 		capacity = defaultRouterCapacity
@@ -330,16 +323,15 @@ func (r *Router) route(s uint8, key uint32, ts uint64) {
 		r.enqueue(d, op{
 			kind: opProbe, stream: probed, lo: lo, hi: hi,
 			te: te, tl: tl, idx: i, bucket: d - s1,
-		}, i)
+		})
 	}
 	owner := Clamp(r.part.ShardOf(key), k)
 	r.stats.insert(owner)
 	r.sample.add(key)
 	r.enqueue(owner, op{
 		kind: opInsert, stream: own, key: key, seq: seq, te: wm, ts: ts,
-	}, i)
+	})
 	r.Publish()
-	r.flushExpired(r.n, r.cfg.FlushHorizon)
 }
 
 // maybeRebalance runs on the router goroutine after each Push: it honors a
@@ -599,15 +591,6 @@ func (r *Router) LoadSnapshot() []ShardLoad {
 	}
 	return out
 }
-
-// Matches returns the number of matches propagated so far. Safe to call
-// from any goroutine; the count trails routing by at most the unflushed
-// batches.
-func (r *Router) Matches() uint64 { return r.MatchCount() }
-
-// Tuples returns the number of arrivals routed so far (in timed mode,
-// admitted by the reorder buffer). Safe from any goroutine.
-func (r *Router) Tuples() int { return r.Published() }
 
 // Close flushes all pending batches, stops the workers, performs the final
 // ordered propagation, and returns the run's statistics (Elapsed is left to

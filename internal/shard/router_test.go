@@ -189,7 +189,7 @@ func TestProbeFanOut(t *testing.T) {
 	part := NewRangePartitioner(k)
 	push := func(diff uint32, key uint32) []int {
 		r := NewRouter(Config{
-			Part: part, BatchSize: 1 << 20, FlushHorizon: 1 << 20,
+			Part: part, BatchSize: 1 << 20,
 			WR: 16, WS: 16, Band: join.Band{Diff: diff}, Index: join.IndexPIMTree,
 		}, 1)
 		r.Push(stream.Arrival{Stream: stream.StreamR, Key: key})
@@ -234,10 +234,10 @@ func TestProbeFanOut(t *testing.T) {
 }
 
 // TestBatchFlushOnSize checks that a shard's queue flushes when the batch
-// fills, independent of the flush horizon.
+// fills, with no idle flush in between.
 func TestBatchFlushOnSize(t *testing.T) {
 	r := NewRouter(Config{
-		Shards: 4, BatchSize: 4, FlushHorizon: 1 << 20,
+		Shards: 4, BatchSize: 4,
 		WR: 1 << 10, WS: 1 << 10, Band: join.Band{Diff: 0}, Index: join.IndexPIMTree,
 	}, 16)
 	// Key 0 lives in shard 0; with Diff 0 each arrival enqueues one probe
@@ -245,8 +245,8 @@ func TestBatchFlushOnSize(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		r.Push(stream.Arrival{Stream: stream.StreamR, Key: 0})
 	}
-	if size, horizon := r.FlushCounts(); size != 1 || horizon != 0 {
-		t.Fatalf("after 4 ops: size flushes = %d, horizon flushes = %d; want 1, 0", size, horizon)
+	if size, idle := r.FlushCounts(); size != 1 || idle != 0 {
+		t.Fatalf("after 4 ops: size flushes = %d, idle flushes = %d; want 1, 0", size, idle)
 	}
 	r.Push(stream.Arrival{Stream: stream.StreamR, Key: 0})
 	if size, _ := r.FlushCounts(); size != 1 {
@@ -255,41 +255,29 @@ func TestBatchFlushOnSize(t *testing.T) {
 	r.Close()
 }
 
-// TestBatchFlushOnWindowExpiry checks that a cold shard's pending ops are
-// flushed once the window slides past them, so matches propagate without
-// waiting for Close or a full batch.
-func TestBatchFlushOnWindowExpiry(t *testing.T) {
-	const w = 8
+// TestIdleLaneFlushesAtCallEnd checks that a producer call's closing
+// FlushIdle ships a partial batch whose lane is empty, so a match propagates
+// without waiting for a full batch, a Drain, or Close.
+func TestIdleLaneFlushesAtCallEnd(t *testing.T) {
 	r := NewRouter(Config{
 		Shards: 4, BatchSize: 1 << 20, // size flushing effectively disabled
-		WR: w, WS: w, Band: join.Band{Diff: 0}, Index: join.IndexPIMTree,
-	}, 64) // FlushHorizon defaults to min(WR, WS) = 8
-	// Arrival 0 inserts R key 0 into shard 0; arrival 1 probes it from S
-	// and matches. Both ops sit in shard 0's queue (4 ops, far below the
-	// batch size).
+		WR: 8, WS: 8, Band: join.Band{Diff: 0}, Index: join.IndexPIMTree,
+	}, 64)
+	// One call pushes a matching pair: R key 0 is inserted into shard 0,
+	// then S key 0 probes it there. All four ops sit in shard 0's batch.
 	r.Push(stream.Arrival{Stream: stream.StreamR, Key: 0})
 	r.Push(stream.Arrival{Stream: stream.StreamS, Key: 0})
-	if _, horizon := r.FlushCounts(); horizon != 0 {
-		t.Fatalf("premature horizon flush: %d", horizon)
+	r.FlushIdle()
+	if n := len(r.pend[0]); n != 0 {
+		t.Fatalf("shard 0 still holds %d pending ops after the call-end flush", n)
 	}
-	// Route the next w arrivals to the top shard; shard 0's ops age past
-	// the horizon and must be flushed even though its batch never fills.
-	top := ^uint32(0)
-	for i := 0; i < w; i++ {
-		r.Push(stream.Arrival{Stream: stream.StreamR, Key: top})
+	if _, idle := r.FlushCounts(); idle < 1 {
+		t.Fatalf("idle flushes = %d, want >= 1", idle)
 	}
-	if _, horizon := r.FlushCounts(); horizon == 0 {
-		t.Fatal("no horizon flush after the window slid past shard 0's pending ops")
-	}
-	if r.pend[0].first >= 0 {
-		t.Fatal("shard 0 still has pending ops after the horizon flush")
-	}
-	// The early match becomes visible without Close: the flushed batch
-	// reaches shard 0's worker and propagates.
 	deadline := time.Now().Add(5 * time.Second)
-	for r.Matches() == 0 {
+	for r.MatchCount() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("match never propagated after horizon flush")
+			t.Fatal("match never propagated after the idle flush")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -77,6 +77,15 @@ func sid(self bool, s uint8) uint8 {
 	return s
 }
 
+// storeSlots is how many store slots hold tuples: slot 0 only for self-joins
+// (slot 1 is an alias), both otherwise.
+func storeSlots(self bool) int {
+	if self {
+		return 1
+	}
+	return 2
+}
+
 // opposite returns the other stream id.
 func opposite(s uint8) uint8 {
 	if s == stream.StreamR {
