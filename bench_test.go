@@ -11,6 +11,7 @@ package pimtree_test
 import (
 	"context"
 	"math/rand/v2"
+	"os"
 	"testing"
 
 	"pimtree"
@@ -504,6 +505,68 @@ func BenchmarkShardedPushPerTuple(b *testing.B) {
 	}
 	if err := e.Drain(context.Background()); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkShardedPushDurable is the durability-off control for the WAL: the
+// same ModeSharded run, 2 shards at W = 2^17 per stream fed 512-tuple
+// PushBatch calls, without and with a WAL at the default fsync and snapshot
+// cadence. One op is one tuple. The windows are full before the timer
+// starts, and a closing Drain keeps the queued work, fsyncs included, inside
+// it. The WAL goes to /dev/shm when that is writable, so that the pair prices
+// the log's code rather than a storage device.
+func BenchmarkShardedPushDurable(b *testing.B) {
+	const w, batch = 1 << 17, 512
+	for _, durable := range []bool{false, true} {
+		name := "wal=off"
+		if durable {
+			name = "wal=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := pimtree.Config{
+				Mode: pimtree.ModeSharded, Shards: 2, Backend: pimtree.PIMTree,
+				WindowR: w, WindowS: w, Diff: pimtree.DiffForMatchRate(w, 2),
+				DiscardMatches: true,
+			}
+			if durable {
+				dir, err := os.MkdirTemp("/dev/shm", "pimtree-bench-wal-")
+				if err != nil {
+					dir = b.TempDir()
+				} else {
+					b.Cleanup(func() { os.RemoveAll(dir) })
+				}
+				cfg.Durability.Dir = dir
+			}
+			e, err := pimtree.Open(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close(context.Background())
+			rng := rand.New(rand.NewPCG(1, 2))
+			buf := make([]pimtree.Arrival, batch)
+			push := func() {
+				for i := range buf {
+					v := rng.Uint64()
+					buf[i] = pimtree.Arrival{Stream: pimtree.StreamID(v & 1), Key: uint32(v >> 32)}
+				}
+				if err := e.PushBatch(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for n := 0; n < 5*w/2; n += batch {
+				push()
+			}
+			if err := e.Drain(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for n := 0; n < b.N; n += batch {
+				push()
+			}
+			if err := e.Drain(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -46,7 +46,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 
 		walDir      = fs.String("wal-dir", "", "durability directory: per-shard WAL + snapshots, recovered at startup (sharded modes; empty disables)")
 		walFsync    = fs.Int("wal-fsync-every", 0, "fsync each shard lane after this many records (0 = default 64; 1 = every record)")
-		walSnapshot = fs.Int("wal-snapshot-every", 0, "compacting-snapshot cadence in routed tuples (0 = default 65536; negative disables)")
+		walSnapshot = fs.Int("wal-snapshot-every", 0, "compacting-snapshot cadence in routed tuples (0 = default: the live-window capacity, at least 65536; negative disables)")
 
 		queue        = fs.Int("queue", 0, "engine in-flight bound (QueueCapacity; 0 = mode default)")
 		subQueue     = fs.Int("sub-queue", 0, "per-subscriber match queue capacity (0 = default 1024)")

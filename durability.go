@@ -29,10 +29,13 @@ type Durability struct {
 	// the strongest contract and the slowest. Drain always syncs every lane
 	// regardless, making it the deterministic durability checkpoint.
 	FsyncEvery int
-	// SnapshotEvery is the compacting-snapshot cadence in routed arrivals
-	// (default 65536; negative disables snapshots, letting segments grow
-	// until Close). Each snapshot rewrites the live window and prunes the
-	// log segments it obsoletes, bounding recovery time and disk usage.
+	// SnapshotEvery is the compacting-snapshot cadence in routed arrivals.
+	// The default (0) is the live-window capacity — WindowR+WindowS, or
+	// 2·MaxLive in ModeShardedTime, one window for a self-join — but at
+	// least 65536. Negative disables snapshots, letting segments grow until
+	// Close. Each snapshot rewrites the live window and prunes the log
+	// segments it obsoletes, bounding recovery time and disk usage; at the
+	// default it writes no more tuples than the log records between two.
 	SnapshotEvery int
 }
 
@@ -53,19 +56,31 @@ func (d Durability) validate(m Mode) error {
 	return nil
 }
 
-// defaultSnapshotEvery is the snapshot cadence when the Config leaves it 0.
-const defaultSnapshotEvery = 1 << 16
+// minSnapshotEvery floors the default snapshot cadence, so that small
+// windows are not rewritten every few thousand arrivals.
+const minSnapshotEvery = 1 << 16
 
-// snapshotCadence normalizes Durability.SnapshotEvery: 0 selects the
-// default, negative disables.
-func snapshotCadence(n int) int {
-	if n == 0 {
-		return defaultSnapshotEvery
-	}
-	if n < 0 {
+// snapshotCadence normalizes a validated Config's Durability.SnapshotEvery:
+// negative disables, positive is taken as given, and 0 selects the default,
+// one snapshot per live-window capacity of arrivals (at least
+// minSnapshotEvery). A snapshot then writes no more tuples than the log
+// records between two of them, and recovery replays at most about one
+// window of log on top of it.
+func snapshotCadence(cc Config) int {
+	switch n := cc.Durability.SnapshotEvery; {
+	case n < 0:
 		return 0
+	case n > 0:
+		return n
 	}
-	return n
+	r, s := cc.WindowR, cc.WindowS
+	if cc.Mode == ModeShardedTime {
+		r, s = cc.MaxLive, cc.MaxLive
+	}
+	if cc.Self {
+		s = 0
+	}
+	return max(minSnapshotEvery, r+s)
 }
 
 // WALStats is a point-in-time snapshot of the durability layer's counters.
@@ -80,7 +95,7 @@ type WALStats struct {
 	ReplayRecords   uint64 // records read during recovery at Open
 	ReplayNanos     uint64 // wall time of recovery at Open
 	Truncations     uint64 // corruption events survived (truncated lanes, rejected snapshots)
-	WriteErrors     uint64 // appends/syncs abandoned after a filesystem error
+	WriteErrors     uint64 // appends, syncs and snapshots abandoned after an error
 }
 
 // WALStats returns the durability layer's counters. Safe from any goroutine.

@@ -504,7 +504,7 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 			e.wlog = wlog
 			wst = st
 			rcfg.WAL = wlog
-			rcfg.SnapshotEvery = snapshotCadence(cc.Durability.SnapshotEvery)
+			rcfg.SnapshotEvery = snapshotCadence(cc)
 		}
 		e.router = shard.NewRouter(rcfg, cc.QueueCapacity)
 		// Replay before anything can push: the workers are parked, so the

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"iter"
+
 	"pimtree/internal/wal"
 )
 
@@ -58,33 +60,48 @@ func (r *Router) walSnapshot() {
 		l.Rotate()
 	}
 	r.metaLane.Rotate()
-	st := r.walState()
-	if err := r.cfg.WAL.WriteSnapshot(st); err == nil {
+	st := wal.State{
+		Heads: r.heads, WMs: r.frontiers(),
+		MaxTS: r.reorderMaxTS(), Floor: r.reorderFloor(),
+	}
+	n, tuples := r.liveWindow(st.WMs)
+	if err := r.cfg.WAL.StreamSnapshot(&st, n, tuples); err == nil {
 		r.cfg.WAL.Prune()
 	}
 	// On error the sealed segments simply survive until a later snapshot
 	// succeeds — recovery is indifferent to which files carry the prefix.
 }
 
-// walState captures the live window at a drain barrier: the sequence heads,
-// the per-slot eviction frontiers, the reorder clock, and every live tuple.
-func (r *Router) walState() *wal.State {
-	st := &wal.State{
-		Timed: r.cfg.Timed, Heads: r.heads, WMs: r.frontiers(),
-		MaxTS: r.reorderMaxTS(), Floor: r.reorderFloor(),
-	}
-	for slot := 0; slot < storeSlots(r.cfg.Self); slot++ {
-		var live []migrant
-		for s, e := range r.engines {
-			live = e.extractLive(slot, st.WMs[slot], s, live)
-		}
-		for _, m := range live {
-			st.Tuples = append(st.Tuples, wal.Tuple{
-				Stream: uint8(slot), Key: m.key, Seq: m.seq, TS: m.ts,
-			})
+// liveWindow counts the live tuples at a drain barrier and returns a
+// sequence that yields them straight from the store columns: slot, then
+// shard, then ring order from each store's frontier wms[slot]. Nothing is
+// copied, so a snapshot costs no memory that grows with the window.
+func (r *Router) liveWindow(wms [2]uint64) (int, iter.Seq[wal.Tuple]) {
+	slots := storeSlots(r.cfg.Self)
+	n := 0
+	for slot := 0; slot < slots; slot++ {
+		for _, e := range r.engines {
+			st := e.stores[slot]
+			n += int(st.head - st.liveFrom(wms[slot]))
 		}
 	}
-	return st
+	return n, func(yield func(wal.Tuple) bool) {
+		for slot := 0; slot < slots; slot++ {
+			for _, e := range r.engines {
+				st := e.stores[slot]
+				for i := st.liveFrom(wms[slot]); i < st.head; i++ {
+					j := i & st.mask
+					t := wal.Tuple{Stream: uint8(slot), Key: st.keys[j], Seq: st.seqs[j]}
+					if st.times != nil {
+						t.TS = st.times[j]
+					}
+					if !yield(t) {
+						return
+					}
+				}
+			}
+		}
+	}
 }
 
 // Restore replays a recovered WAL state into a freshly built router: the

@@ -107,6 +107,17 @@ func (s *store) evict(wm uint64, onEvict func(p kv.Pair)) {
 	}
 }
 
+// liveFrom returns the ring position of the oldest tuple at or above the
+// watermark, or head when there is none. The ring is in eviction order, the
+// order evict relies on, so the live tuples are exactly [liveFrom(wm), head).
+func (s *store) liveFrom(wm uint64) uint64 {
+	i := s.tail
+	for i < s.head && s.by[i&s.mask] < wm {
+		i++
+	}
+	return i
+}
+
 // append stores a tuple (ts is kept in timed mode only). Overflow is only
 // possible in timed mode and means the caller's MaxLive bound was wrong:
 // panic rather than corrupt results (mirrors the parallel time window's reuse
@@ -445,19 +456,13 @@ type migrant struct {
 // (drain barrier).
 func (e *engine) extractLive(slot int, wm uint64, src int, dst []migrant) []migrant {
 	st := e.stores[slot]
-	if e.cfg.Timed {
-		for i := st.tail; i < st.head; i++ {
-			j := i & st.mask
-			if ts := st.times[j]; ts >= wm {
-				dst = append(dst, migrant{key: st.keys[j], seq: st.seqs[j], ts: ts, src: src})
-			}
+	for i := st.liveFrom(wm); i < st.head; i++ {
+		j := i & st.mask
+		m := migrant{key: st.keys[j], seq: st.seqs[j], src: src}
+		if st.times != nil {
+			m.ts = st.times[j]
 		}
-		return dst
-	}
-	for i := st.tail; i < st.head; i++ {
-		if seq := st.seqs[i&st.mask]; seq >= wm {
-			dst = append(dst, migrant{key: st.keys[i&st.mask], seq: seq, src: src})
-		}
+		dst = append(dst, m)
 	}
 	return dst
 }

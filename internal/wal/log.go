@@ -3,7 +3,9 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,10 +90,23 @@ func (g *Log) NewLane() *Lane {
 	return l
 }
 
-// WriteSnapshot writes a compacting snapshot of the live window via a
-// tmp-file rename, making it the new truncation anchor. st.Timed is ignored
-// (the log's own mode is authoritative).
+// WriteSnapshot writes a compacting snapshot of st's live window (see
+// StreamSnapshot).
 func (g *Log) WriteSnapshot(st *State) error {
+	return g.StreamSnapshot(st, len(st.Tuples), slices.Values(st.Tuples))
+}
+
+// StreamSnapshot writes a compacting snapshot via a tmp-file rename, making it
+// the new truncation anchor. The header is st's frontier — Heads, WMs, MaxTS
+// and Floor; st.Tuples is not read, and neither is st.Timed (the log's own
+// mode is authoritative) — and the body is the n tuples yielded by tuples.
+// They are encoded into snapChunk-tuple frames, each written as it fills, so
+// a snapshot never holds more than one frame in memory whatever the window.
+//
+// The header announces n before the first tuple is seen. A sequence that
+// yields any other number is refused: the tmp file is removed, nothing is
+// renamed, and the previous snapshot stays the anchor.
+func (g *Log) StreamSnapshot(st *State, n int, tuples iter.Seq[Tuple]) error {
 	start := time.Now()
 	g.mu.Lock()
 	id := g.nextSnap
@@ -100,43 +115,14 @@ func (g *Log) WriteSnapshot(st *State) error {
 	name := snapName(id)
 	tmp := filepath.Join(g.dir, name+".tmp")
 
-	buf := make([]byte, 0, 3*frameHeader+snapHeaderLen+snapFooterLen+len(st.Tuples)*tupleWire+5*(1+len(st.Tuples)/snapChunk))
-	buf = append(buf, headerReserve[:]...)
-	hs := len(buf)
-	var flags byte
-	if g.opts.Timed {
-		flags |= snapFlagTimed
+	err := g.writeSnapshotFile(tmp, st, n, tuples)
+	if err == nil {
+		err = g.fs.Rename(tmp, filepath.Join(g.dir, name))
+	} else {
+		// Best effort: recovery and Prune delete stray tmp files too.
+		_ = g.fs.Remove(tmp)
 	}
-	buf = append(buf, kindSnapHeader, flags)
-	buf = binary.LittleEndian.AppendUint64(buf, st.Heads[0])
-	buf = binary.LittleEndian.AppendUint64(buf, st.Heads[1])
-	buf = binary.LittleEndian.AppendUint64(buf, st.WMs[0])
-	buf = binary.LittleEndian.AppendUint64(buf, st.WMs[1])
-	buf = binary.LittleEndian.AppendUint64(buf, st.MaxTS)
-	buf = binary.LittleEndian.AppendUint64(buf, st.Floor)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(st.Tuples)))
-	sealFrame(buf, hs)
-	for i := 0; i < len(st.Tuples); i += snapChunk {
-		end := i + snapChunk
-		if end > len(st.Tuples) {
-			end = len(st.Tuples)
-		}
-		buf = append(buf, headerReserve[:]...)
-		cs := len(buf)
-		buf = append(buf, kindSnapTuples)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(end-i))
-		for _, t := range st.Tuples[i:end] {
-			buf = appendTuple(buf, t)
-		}
-		sealFrame(buf, cs)
-	}
-	buf = append(buf, headerReserve[:]...)
-	fs := len(buf)
-	buf = append(buf, kindSnapFooter)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(st.Tuples)))
-	sealFrame(buf, fs)
-
-	if err := g.writeDurable(tmp, filepath.Join(g.dir, name), buf); err != nil {
+	if err != nil {
 		g.stats.WriteErrors.Add(1)
 		return fmt.Errorf("wal: snapshot %s: %w", name, err)
 	}
@@ -148,13 +134,14 @@ func (g *Log) WriteSnapshot(st *State) error {
 	return nil
 }
 
-// writeDurable writes buf to tmp, fsyncs, closes, and renames into place.
-func (g *Log) writeDurable(tmp, final string, buf []byte) error {
-	f, err := g.fs.Create(tmp)
+// writeSnapshotFile creates path, streams the snapshot's frames into it, and
+// fsyncs and closes it.
+func (g *Log) writeSnapshotFile(path string, st *State, n int, tuples iter.Seq[Tuple]) error {
+	f, err := g.fs.Create(path)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
+	if err := g.encodeSnapshot(f, st, n, tuples); err != nil {
 		_ = f.Close()
 		return err
 	}
@@ -163,10 +150,61 @@ func (g *Log) writeDurable(tmp, final string, buf []byte) error {
 		return err
 	}
 	g.stats.Fsyncs.Add(1)
-	if err := f.Close(); err != nil {
-		return err
+	return f.Close()
+}
+
+// encodeSnapshot writes the header frame, the tuples in frames of snapChunk
+// (the last one shorter), and the footer frame. Each tuple frame goes out in
+// one Write as soon as it is sealed; the header rides with the first.
+func (g *Log) encodeSnapshot(f File, st *State, n int, tuples iter.Seq[Tuple]) error {
+	var flags byte
+	if g.opts.Timed {
+		flags |= snapFlagTimed
 	}
-	return g.fs.Rename(tmp, final)
+	buf := make([]byte, 0, 3*frameHeader+snapHeaderLen+5+min(n, snapChunk)*tupleWire+snapFooterLen)
+	buf = append(buf, headerReserve[:]...)
+	hs := len(buf)
+	buf = append(buf, kindSnapHeader, flags)
+	buf = binary.LittleEndian.AppendUint64(buf, st.Heads[0])
+	buf = binary.LittleEndian.AppendUint64(buf, st.Heads[1])
+	buf = binary.LittleEndian.AppendUint64(buf, st.WMs[0])
+	buf = binary.LittleEndian.AppendUint64(buf, st.WMs[1])
+	buf = binary.LittleEndian.AppendUint64(buf, st.MaxTS)
+	buf = binary.LittleEndian.AppendUint64(buf, st.Floor)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	sealFrame(buf, hs)
+
+	count, frame := 0, 0 // tuples encoded; payload offset of the open tuple frame
+	for t := range tuples {
+		if count == n {
+			return fmt.Errorf("tuples run past the %d announced", n)
+		}
+		if count%snapChunk == 0 {
+			buf = append(buf, headerReserve[:]...)
+			frame = len(buf)
+			buf = append(buf, kindSnapTuples, 0, 0, 0, 0) // count patched at seal
+		}
+		buf = appendTuple(buf, t)
+		count++
+		if count%snapChunk == 0 || count == n {
+			binary.LittleEndian.PutUint32(buf[frame+1:], uint32((count-1)%snapChunk+1))
+			sealFrame(buf, frame)
+			if _, err := f.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	if count != n {
+		return fmt.Errorf("%d tuples yielded, %d announced", count, n)
+	}
+	buf = append(buf, headerReserve[:]...)
+	fs := len(buf)
+	buf = append(buf, kindSnapFooter)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
+	sealFrame(buf, fs)
+	_, err := f.Write(buf)
+	return err
 }
 
 // Prune removes files obsoleted by the newest durable snapshot: sealed

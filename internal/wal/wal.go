@@ -99,9 +99,10 @@ type Stats struct {
 	// Truncations counts corruption events survived: lanes truncated at a
 	// bad CRC frame and snapshots rejected as invalid.
 	Truncations atomic.Uint64
-	// WriteErrors counts appends/syncs abandoned after a filesystem error;
-	// the first error disables its lane (the engine keeps running, degraded
-	// to in-memory, rather than corrupting the log or crashing the join).
+	// WriteErrors counts appends/syncs abandoned after a filesystem error,
+	// and snapshots abandoned for any reason; the first error disables its
+	// lane (the engine keeps running, degraded to in-memory, rather than
+	// corrupting the log or crashing the join).
 	WriteErrors atomic.Uint64
 }
 
