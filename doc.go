@@ -16,7 +16,8 @@
 // tuples as they arrive, forever. Matches stream out on two sides — the
 // push side (Config.OnMatch, invoked in arrival order during ordered
 // propagation) and the pull side (Engine.Matches, a range-over-func
-// iterator). Stats returns live snapshots mid-stream; Drain flushes pending
+// iterator, or Engine.MatchBatches, the same stream in runs taken under one
+// lock each). Stats returns live snapshots mid-stream; Drain flushes pending
 // shard batches, reorder buffers, and in-flight rebalance epochs to a
 // deterministic quiescent point; Close tears the session down and returns
 // the final statistics. Both Drain and Close take a context.Context, so a

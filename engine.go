@@ -711,12 +711,24 @@ func (e *Engine) PushBatch(batch []Arrival) error {
 // Breaking out of the loop disarms collection and drops the buffer (an
 // abandoned iterator must not accumulate matches forever); a later Matches
 // call re-arms from that point. It yields nothing when the engine was
-// opened with DiscardMatches.
+// opened with DiscardMatches. Matches is MatchBatches one match at a time.
 func (e *Engine) Matches() iter.Seq[Match] {
 	if e.pull == nil {
 		return func(func(Match) bool) {}
 	}
 	return e.pull.All()
+}
+
+// MatchBatches is Matches in runs: each step yields every match buffered at
+// that moment (up to a few thousand), in propagation order, taken from the
+// pull side under one lock. The yielded slice is reused and valid only until
+// the next step; copy what must outlive it. Arming, blocking, ending and
+// breaking behave as for Matches.
+func (e *Engine) MatchBatches() iter.Seq[[]Match] {
+	if e.pull == nil {
+		return func(func([]Match) bool) {}
+	}
+	return e.pull.Batches()
 }
 
 // Stats returns a live snapshot: tuples admitted by the runtime (in

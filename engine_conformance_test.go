@@ -371,6 +371,53 @@ func TestEngineMatchesIterator(t *testing.T) {
 	}
 }
 
+// TestEngineMatchBatches: the batch iterator yields the pull side's matches
+// in runs — the same multiset as the serial oracle, each run non-empty and
+// capped — and ends after Close.
+func TestEngineMatchBatches(t *testing.T) {
+	const w = 256
+	diff := pimtree.DiffForMatchRate(w, 4)
+	arr := pimtree.Interleave(35, pimtree.UniformSource(36), pimtree.UniformSource(37), 0.5, 20000)
+	want, _ := serialOracle(t, arr, w, diff)
+
+	e, err := pimtree.Open(pimtree.Config{
+		Mode: pimtree.ModeSharded, WindowR: w, WindowS: w, Diff: diff, Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := e.MatchBatches() // arm before pushing
+	if err := e.PushBatch(arr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var got []matchKey
+	runs := 0
+	for b := range seq {
+		if len(b) == 0 || len(b) > 4096 {
+			t.Fatalf("run of %d matches", len(b))
+		}
+		runs++
+		for _, m := range b {
+			got = append(got, matchKey{m.ProbeStream, m.ProbeSeq, m.MatchSeq})
+		}
+	}
+	if len(want) > 4096 && runs < 2 {
+		t.Fatalf("%d matches in %d run(s): the run cap did not apply", len(want), runs)
+	}
+	sortedMatches(got)
+	if len(got) != len(want) {
+		t.Fatalf("pulled %d matches, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("match %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
 // TestEngineMatchesBreakDisarms: breaking out of the pull iterator stops
 // collection (an abandoned iterator must not buffer forever) and a later
 // Matches call re-arms from that point.

@@ -443,9 +443,12 @@ func (fe *Frontend) Mode() pimtree.Mode {
 // EmitsMatches reports true: the frontend always materializes matches.
 func (fe *Frontend) EmitsMatches() bool { return true }
 
-// Matches returns the pull-side match iterator (the serving layer arms it
-// once and is its only consumer).
+// Matches returns the pull-side match iterator, one match at a time.
 func (fe *Frontend) Matches() iter.Seq[pimtree.Match] { return fe.pull.All() }
+
+// MatchBatches returns the pull-side iterator in runs, each slice valid until
+// the next step (the serving layer arms it once and is its only consumer).
+func (fe *Frontend) MatchBatches() iter.Seq[[]pimtree.Match] { return fe.pull.Batches() }
 
 // PushBatch routes a batch of arrivals across the cluster. Single producer
 // goroutine, like the Engine API.

@@ -9,7 +9,7 @@ import (
 )
 
 // Queue is an unbounded FIFO between propagation goroutines (Push) and one
-// consumer (Next). Producers never block on it — bounding it would deadlock
+// consumer (NextBatch). Producers never block on it — bounding it would deadlock
 // a serial engine, whose producer and consumer can share a goroutine — so it
 // only buffers while armed: a consumer that walks away disarms it, which is
 // what keeps an abandoned pull side from growing forever.
@@ -46,20 +46,38 @@ func (q *Queue[T]) Disarm() {
 	q.reset()
 }
 
-// All arms the queue and returns its single-use iterator: it blocks awaiting
-// further items and ends once the queue is closed and drained; breaking out
-// of the loop disarms the queue.
-func (q *Queue[T]) All() iter.Seq[T] {
+// Batches arms the queue and returns its single-use batch iterator: each step
+// yields what NextBatch took, in a slice the iterator reuses, so it is valid
+// only until the next step. It blocks awaiting further items and ends once
+// the queue is closed and drained; breaking out of the loop disarms the
+// queue.
+func (q *Queue[T]) Batches() iter.Seq[[]T] {
 	q.Arm()
-	return func(yield func(T) bool) {
+	return func(yield func([]T) bool) {
+		var buf []T
 		for {
-			v, ok := q.Next()
+			b, ok := q.NextBatch(buf[:0])
 			if !ok {
 				return
 			}
-			if !yield(v) {
+			buf = b
+			if !yield(b) {
 				q.Disarm()
 				return
+			}
+		}
+	}
+}
+
+// All is Batches one item at a time.
+func (q *Queue[T]) All() iter.Seq[T] {
+	batches := q.Batches()
+	return func(yield func(T) bool) {
+		for b := range batches {
+			for _, v := range b {
+				if !yield(v) {
+					return
+				}
 			}
 		}
 	}
@@ -98,7 +116,8 @@ func (q *Queue[T]) Push(v T) {
 	q.mu.Unlock()
 }
 
-// Close wakes the consumer: Next drains what is buffered, then reports false.
+// Close wakes the consumer: NextBatch drains what is buffered, then reports
+// false.
 func (q *Queue[T]) Close() {
 	q.mu.Lock()
 	q.closed = true
@@ -106,19 +125,25 @@ func (q *Queue[T]) Close() {
 	q.mu.Unlock()
 }
 
-// Next blocks for the next item; ok is false once the queue is closed and
-// empty.
-func (q *Queue[T]) Next() (v T, ok bool) {
+// maxBatch bounds how many items one NextBatch call moves, so the consumer's
+// slice stays small however far it has fallen behind.
+const maxBatch = 4096
+
+// NextBatch blocks for at least one item, then appends up to maxBatch of the
+// buffered items to dst under one lock acquisition. ok is false once the
+// queue is closed and empty.
+func (q *Queue[T]) NextBatch(dst []T) (_ []T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for q.head >= len(q.buf) && !q.closed {
 		q.cond.Wait()
 	}
 	if q.head >= len(q.buf) {
-		return v, false
+		return dst, false
 	}
-	v = q.buf[q.head]
-	q.head++
+	n := min(len(q.buf)-q.head, maxBatch)
+	dst = append(dst, q.buf[q.head:q.head+n]...)
+	q.head += n
 	switch {
 	case q.head == len(q.buf):
 		q.clear()
@@ -130,5 +155,5 @@ func (q *Queue[T]) Next() (v T, ok bool) {
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	return v, true
+	return dst, true
 }

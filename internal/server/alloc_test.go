@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -103,21 +102,33 @@ func TestGCStatsExposed(t *testing.T) {
 // per-connection encode buffer: coalescing match frames into an
 // already-grown scratch buffer must not allocate per frame.
 func TestWriterEncodeBufferReuse(t *testing.T) {
-	c := &conn{out: make(chan outItem, 64)}
-	bw := bufio.NewWriterSize(io.Discard, 1<<16)
-	scratch := make([]byte, 0, headerLen+matchCoalesce*recMatch)
+	c := testConn(t, 64)
+	w := newFrameWriter(io.Discard, DefaultMaxFrame)
 	m := pimtree.Match{ProbeStream: pimtree.R, ProbeSeq: 7, MatchSeq: 9}
+	var items []outItem
 
 	writeRun := func() {
-		for i := 0; i < 16; i++ {
-			c.out <- outItem{typ: FrameMatch, m: m}
+		// Four queued chunk items of four matches each: one frame.
+		c.mu.Lock()
+		for i := 0; i < 4; i++ {
+			ch := matchChunks.Get().(*[]pimtree.Match)
+			*ch = append((*ch)[:0], m, m, m, m)
+			c.matches += len(*ch)
+			c.pushLocked(outItem{typ: FrameMatch, chunk: ch})
 		}
-		it := <-c.out
-		if err := c.writeItem(bw, it, &scratch, matchCoalesce); err != nil {
+		c.mu.Unlock()
+		items = c.take(items)
+		if err := c.writeItems(w, items); err != nil {
 			t.Fatal(err)
 		}
-		if len(c.out) != 0 {
-			t.Fatalf("writeItem left %d items queued (coalescing broken)", len(c.out))
+		if len(w.buf) != headerLen+16*recMatch {
+			t.Fatalf("open frame holds %d bytes, want 16 coalesced records", len(w.buf))
+		}
+		if err := w.end(); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.items) != 0 || c.matches != 0 {
+			t.Fatalf("writeItems left %d items, %d matches queued", len(c.items), c.matches)
 		}
 	}
 	writeRun() // warm: first frame may grow nothing, but keep symmetry

@@ -14,30 +14,55 @@ import (
 	"pimtree"
 )
 
-// matchCoalesce bounds how many queued matches the writer folds into one
-// FrameMatch: large enough to amortize framing on a busy stream, small
-// enough to keep frames far below any MaxFrame a client might enforce.
+// matchCoalesce bounds the matches in one fan-out chunk and in one
+// FrameMatch: large enough to amortize the queue handoff and framing on a
+// busy stream, small enough to keep frames far below any MaxFrame a client
+// might enforce.
 const matchCoalesce = 512
 
-// outItem is one unit of outbound work for a connection's writer: a match
-// (coalesced with queued neighbours into one frame) or a control frame.
+// matchChunks recycles the chunks that carry matches from the fan-out to a
+// connection's writer: each subscriber queue gets its own copy, and the
+// writer returns the chunk once its matches are encoded. Pointers to slices
+// are pooled so Put itself does not allocate a box.
+var matchChunks = sync.Pool{New: func() any {
+	ch := make([]pimtree.Match, 0, matchCoalesce)
+	return &ch
+}}
+
+// outItem is one unit of outbound work for a connection's writer: a chunk
+// of matches (folded with queued neighbours into FrameMatch frames), a
+// member session's result groups (folded likewise into FrameResults), or a
+// control frame.
 type outItem struct {
 	typ     byte
-	m       pimtree.Match // valid when typ == FrameMatch
-	payload []byte        // control-frame payload
+	chunk   *[]pimtree.Match // FrameMatch: a pooled chunk, owned by the queue
+	payload []byte           // every other frame type
 }
 
 // conn is one protocol connection. The reader goroutine owns the inbound
 // half (handshake, ingest, drain requests); the writer goroutine owns the
-// outbound half, fed exclusively through the bounded out channel so control
+// outbound half, fed exclusively through the connection's queue so control
 // frames and fan-out matches interleave in enqueue order.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	out         chan outItem
+	// The outbound queue, in enqueue order, guarded by mu. It is bounded
+	// twice over by limit (Options.SubscriberQueue): once in matches, once in
+	// other items. The writer takes everything queued in one step and hands
+	// back each item's share once it is encoded, which wakes room's waiters;
+	// ready (one slot) wakes the writer when the queue turns non-empty.
+	mu      sync.Mutex
+	room    sync.Cond
+	items   []outItem
+	matches int  // matches queued, or taken and not yet encoded
+	others  int  // other items queued, or taken and not yet written
+	limit   int  // the bound on matches and, separately, on other items
+	closed  bool // set under mu by close, so no waiter misses it
+	ready   chan struct{}
+
 	done        chan struct{} // hard close: writer and enqueuers give up
-	closeWrites chan struct{} // graceful close: writer drains out, flushes, exits
+	closeWrites chan struct{} // graceful close: writer writes what is queued, flushes, exits
 	writerDone  chan struct{}
 	readerDone  chan struct{}
 
@@ -52,21 +77,29 @@ type conn struct {
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	return &conn{
+	c := &conn{
 		srv:         s,
 		nc:          nc,
-		out:         make(chan outItem, s.opts.SubscriberQueue),
+		limit:       s.opts.SubscriberQueue,
+		ready:       make(chan struct{}, 1),
 		done:        make(chan struct{}),
 		closeWrites: make(chan struct{}),
 		writerDone:  make(chan struct{}),
 		readerDone:  make(chan struct{}),
 	}
+	c.room.L = &c.mu
+	return c
 }
 
-// close hard-closes the connection: the TCP socket dies (unblocking the
-// reader), the writer gives up, and the registry forgets the connection.
+// close hard-closes the connection: enqueuers give up (waiters included),
+// the TCP socket dies (unblocking the reader), the writer gives up, and the
+// registry forgets the connection.
 func (c *conn) close() {
 	c.closeOnce.Do(func() {
+		c.mu.Lock()
+		c.closed = true
+		c.mu.Unlock()
+		c.room.Broadcast()
 		close(c.done)
 		c.nc.Close()
 		c.srv.removeConn(c)
@@ -79,55 +112,113 @@ func (c *conn) closeGraceful() {
 	c.gracefulOnce.Do(func() { close(c.closeWrites) })
 }
 
-// send enqueues a control frame, blocking until there is queue space. It
-// reports false when the connection closed first.
+// send enqueues a control or results item, waiting while limit of them are
+// queued. It reports false when the connection closed first.
 func (c *conn) send(it outItem) bool {
-	select {
-	case c.out <- it:
-		return true
-	case <-c.done:
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.others >= c.limit && !c.closed {
+		c.room.Wait()
+	}
+	if c.closed {
 		return false
 	}
+	c.others++
+	c.pushLocked(it)
+	return true
 }
 
-// deliver offers one match under the slow-subscriber policy. It reports
-// whether the match entered the queue.
-func (c *conn) deliver(m pimtree.Match, block bool) bool {
-	it := outItem{typ: FrameMatch, m: m}
-	if block {
+// deliver offers one chunk of at most matchCoalesce matches under the
+// slow-subscriber policy. The chunk is taken whole while fewer than limit
+// matches are queued, so the queue overshoots by less than one chunk, and
+// is refused whole otherwise — or, with block, once the writer has made
+// room. The matches are copied: first into the spare room of a chunk at the
+// queue's tail, then into a fresh pooled chunk, so a queue holds about
+// limit/matchCoalesce chunks however short the runs it is fed. It reports
+// whether the matches were queued.
+func (c *conn) deliver(ms []pimtree.Match, block bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for block && c.matches >= c.limit && !c.closed {
+		c.room.Wait()
+	}
+	if c.closed || c.matches >= c.limit {
+		return false
+	}
+	c.matches += len(ms)
+	if n := len(c.items); n > 0 && c.items[n-1].typ == FrameMatch {
+		tail := c.items[n-1].chunk
+		k := min(len(ms), cap(*tail)-len(*tail))
+		*tail = append(*tail, ms[:k]...)
+		ms = ms[k:]
+	}
+	if len(ms) > 0 {
+		ch := matchChunks.Get().(*[]pimtree.Match)
+		*ch = append((*ch)[:0], ms...)
+		c.pushLocked(outItem{typ: FrameMatch, chunk: ch})
+	}
+	return true
+}
+
+// pushLocked appends an item (mu held) and wakes the writer when the queue
+// was empty; a non-empty queue already has a wake-up pending, or the writer
+// will take it before it next waits.
+func (c *conn) pushLocked(it outItem) {
+	if len(c.items) == 0 {
 		select {
-		case c.out <- it:
-			return true
-		case <-c.done:
-			return false
+		case c.ready <- struct{}{}:
+		default:
 		}
 	}
-	select {
-	case c.out <- it:
-		return true
-	case <-c.done:
-		return false
-	default:
-		return false
+	c.items = append(c.items, it)
+}
+
+// take hands the writer everything queued, leaving spare (cleared, so it
+// keeps no payload alive) as the new queue: the two slices alternate and
+// neither reallocates once grown.
+func (c *conn) take(spare []outItem) []outItem {
+	clear(spare)
+	c.mu.Lock()
+	items := c.items
+	c.items = spare[:0]
+	c.mu.Unlock()
+	return items
+}
+
+// release gives back an encoded item's share of the queue bound, waking
+// anyone waiting for room, and recycles its chunk.
+func (c *conn) release(it outItem) {
+	c.mu.Lock()
+	if it.chunk != nil {
+		c.matches -= len(*it.chunk)
+	} else {
+		c.others--
+	}
+	c.mu.Unlock()
+	c.room.Broadcast()
+	if it.chunk != nil {
+		matchChunks.Put(it.chunk)
 	}
 }
 
-// abort fails the connection for a protocol or engine-level error: best
-// effort error frame (bounded — a wedged peer whose queue is full must not
-// pin this goroutine), then, off the caller's goroutine and inside one 2 s
-// budget, a wait for the writer to flush it, a half-close, a linger while the
-// reader discards what the peer pipelined behind the failure, and the hard
-// close. The linger is what lets the peer read the error frame: closing a
-// socket with unread inbound bytes (or having more arrive afterwards) sends
-// a reset, which can overtake or discard the frame on the peer's side.
+// abort fails the connection for a protocol or engine-level error: the error
+// frame is queued even past the bound (one item — waiting for room behind a
+// wedged peer must not pin this goroutine), then, off the caller's goroutine
+// and inside one 2 s budget, a wait for the writer to flush it, a half-close,
+// a linger while the reader discards what the peer pipelined behind the
+// failure, and the hard close. The linger is what lets the peer read the
+// error frame: closing a socket with unread inbound bytes (or having more
+// arrive afterwards) sends a reset, which can overtake or discard the frame
+// on the peer's side.
 func (c *conn) abort(msg string) {
 	c.failed.Store(true)
 	c.srv.protoErrs.Add(1)
-	select {
-	case c.out <- outItem{typ: FrameError, payload: []byte(msg)}:
-	case <-c.done:
-	case <-time.After(time.Second):
+	c.mu.Lock()
+	if !c.closed {
+		c.others++
+		c.pushLocked(outItem{typ: FrameError, payload: []byte(msg)})
 	}
+	c.mu.Unlock()
 	c.closeGraceful()
 	go func() {
 		budget := time.After(2 * time.Second)
@@ -287,138 +378,138 @@ func (c *conn) handshake(br *bufio.Reader) bool {
 	return true
 }
 
-// writer owns the outbound half: it serializes queued items into frames,
-// coalescing runs of matches, and flushes whenever the queue goes idle.
+// writer owns the outbound half: it takes everything queued, encodes it in
+// order, and flushes whenever the queue goes idle. After a graceful close it
+// writes what is still queued, flushes, and exits.
 func (c *conn) writer() {
 	defer c.srv.writerWg.Done()
 	defer close(c.writerDone)
-	bw := bufio.NewWriterSize(c.nc, 1<<16)
-	// Outbound frames obey the same payload bound the server enforces
-	// inbound, so a peer applying a symmetric limit never rejects them.
-	coalesce := min(matchCoalesce, c.srv.opts.MaxFrame/recMatch)
-	if coalesce < 1 {
-		coalesce = 1
-	}
-	scratch := make([]byte, 0, headerLen+coalesce*recMatch)
-	emit := func(it outItem) bool {
-		if err := c.writeItem(bw, it, &scratch, coalesce); err != nil {
-			c.close()
-			return false
-		}
-		if len(c.out) == 0 {
-			if err := bw.Flush(); err != nil {
-				c.close()
-				return false
-			}
-		}
-		return true
-	}
+	w := newFrameWriter(c.nc, c.srv.opts.MaxFrame)
+	var items []outItem
+	closing := false
 	for {
-		select {
-		case it := <-c.out:
-			if !emit(it) {
+		items = c.take(items)
+		if len(items) > 0 {
+			if err := c.writeItems(w, items); err != nil {
+				c.close()
 				return
 			}
+			continue
+		}
+		if err := w.flush(); err != nil {
+			c.close()
+			return
+		}
+		if closing {
+			return
+		}
+		select {
+		case <-c.ready:
 		case <-c.closeWrites:
-			for {
-				select {
-				case it := <-c.out:
-					if !emit(it) {
-						return
-					}
-				default:
-					bw.Flush()
-					return
-				}
-			}
+			closing = true
 		case <-c.done:
 			return
 		}
 	}
 }
 
-// writeItem writes one queued item. A match pulls queued neighbours into
-// the same frame (up to the coalesce bound); a control item that interrupts
-// the run is written right after the match frame, preserving queue order.
-// The match frame is assembled header-and-all in the scratch buffer and
-// written with a single Write: writeFrame's stack header escapes through
-// the io.Writer interface, which would put one allocation on every frame.
-func (c *conn) writeItem(bw *bufio.Writer, it outItem, scratch *[]byte, coalesce int) error {
-	if it.typ == FrameResults {
-		return c.writeResults(bw, it, scratch, coalesce)
-	}
-	if it.typ != FrameMatch {
-		return writeFrame(bw, it.typ, it.payload)
-	}
-	buf := (*scratch)[:0]
-	buf = append(buf, 0, 0, 0, 0, FrameMatch) // length patched below
-	buf = appendMatch(buf, it.m)
-	// tail is held by value: taking nx's address would make every dequeued
-	// item escape to the heap, putting an allocation back on the per-match
-	// path this coalescing exists to keep clean.
-	var tail outItem
-	hasTail := false
-	for len(buf) < headerLen+coalesce*recMatch {
-		select {
-		case nx := <-c.out:
-			if nx.typ == FrameMatch {
-				buf = appendMatch(buf, nx.m)
-				continue
-			}
-			tail = nx
-			hasTail = true
-		default:
+// writeItems encodes taken items in queue order, releasing each one's share
+// of the queue bound as soon as it is encoded.
+func (c *conn) writeItems(w *frameWriter, items []outItem) error {
+	for _, it := range items {
+		if err := w.writeItem(it); err != nil {
+			return err
 		}
-		break
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-headerLen))
-	*scratch = buf
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	if hasTail {
-		return writeFrame(bw, tail.typ, tail.payload)
+		c.release(it)
 	}
 	return nil
 }
 
-// writeResults writes one results item, folding queued result groups into
-// the same frame (the member-session analogue of match coalescing — the
-// groups are self-delimiting, so concatenated payloads remain one valid
-// results payload). A non-result item that interrupts the run is written
-// right after, preserving queue order.
-func (c *conn) writeResults(bw *bufio.Writer, it outItem, scratch *[]byte, coalesce int) error {
-	bound := min(c.srv.opts.MaxFrame, 64<<10)
-	buf := (*scratch)[:0]
-	buf = append(buf, 0, 0, 0, 0, FrameResults) // length patched below
-	buf = append(buf, it.payload...)
-	var tail outItem
-	hasTail := false
-	for len(buf)-headerLen < bound {
-		select {
-		case nx := <-c.out:
-			if nx.typ == FrameResults && len(buf)-headerLen+len(nx.payload) <= c.srv.opts.MaxFrame {
-				buf = append(buf, nx.payload...)
-				continue
-			}
-			tail = nx
-			hasTail = true
-		default:
-		}
-		break
+// frameWriter is a connection writer's encoder. Runs of match chunks fold
+// into FrameMatch frames of up to coalesce records, and runs of result
+// groups into one FrameResults frame (the groups are self-delimiting, so
+// concatenated payloads remain one valid results payload). The open frame is
+// assembled header and all in one reusable buffer and written with a single
+// Write: writeFrame's stack header escapes through the io.Writer interface,
+// which would put one allocation on every frame. Any other item ends the open
+// frame and is written right after it, so queue order is wire order.
+type frameWriter struct {
+	bw       *bufio.Writer
+	buf      []byte // the open frame, header included; empty when none is open
+	coalesce int    // records per match frame
+	maxFrame int
+}
+
+func newFrameWriter(dst io.Writer, maxFrame int) *frameWriter {
+	// Outbound frames obey the same payload bound the server enforces
+	// inbound, so a peer applying a symmetric limit never rejects them.
+	coalesce := max(min(matchCoalesce, maxFrame/recMatch), 1)
+	return &frameWriter{
+		bw:       bufio.NewWriterSize(dst, 1<<16),
+		buf:      make([]byte, 0, headerLen+coalesce*recMatch),
+		coalesce: coalesce,
+		maxFrame: maxFrame,
 	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-headerLen))
-	*scratch = buf
-	if _, err := bw.Write(buf); err != nil {
+}
+
+// writeItem encodes one item into the open frame, or after it.
+func (w *frameWriter) writeItem(it outItem) error {
+	switch it.typ {
+	case FrameMatch:
+		full := headerLen + w.coalesce*recMatch
+		for _, m := range *it.chunk {
+			if len(w.buf) == 0 || w.buf[4] != FrameMatch || len(w.buf) == full {
+				if err := w.open(FrameMatch); err != nil {
+					return err
+				}
+			}
+			w.buf = appendMatch(w.buf, m)
+		}
+		return nil
+	case FrameResults:
+		n := len(w.buf) - headerLen
+		if len(w.buf) == 0 || w.buf[4] != FrameResults ||
+			n >= min(w.maxFrame, 64<<10) || n+len(it.payload) > w.maxFrame {
+			if err := w.open(FrameResults); err != nil {
+				return err
+			}
+		}
+		w.buf = append(w.buf, it.payload...)
+		return nil
+	default:
+		if err := w.end(); err != nil {
+			return err
+		}
+		return writeFrame(w.bw, it.typ, it.payload)
+	}
+}
+
+// open ends the open frame, if any, and starts an empty one of type typ.
+func (w *frameWriter) open(typ byte) error {
+	if err := w.end(); err != nil {
 		return err
 	}
-	if hasTail {
-		// buf is already on the bufio buffer, so the scratch reuse inside a
-		// recursive match/results write is safe. Depth is bounded: the tail
-		// write pulls its own tail at most once more per queued run.
-		return c.writeItem(bw, tail, scratch, coalesce)
-	}
+	w.buf = append(w.buf, 0, 0, 0, 0, typ) // length patched by end
 	return nil
+}
+
+// end patches the open frame's length and writes it out.
+func (w *frameWriter) end() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	binary.BigEndian.PutUint32(w.buf[:4], uint32(len(w.buf)-headerLen))
+	_, err := w.bw.Write(w.buf)
+	w.buf = w.buf[:0]
+	return err
+}
+
+// flush ends the open frame and puts everything written on the wire.
+func (w *frameWriter) flush() error {
+	if err := w.end(); err != nil {
+		return err
+	}
+	return w.bw.Flush()
 }
 
 // isNetErr reports whether err is a transport-level failure (closed or

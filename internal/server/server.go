@@ -22,11 +22,13 @@ import (
 // QueueCapacity backpressure.
 type SlowPolicy int
 
+// The fan-out offers matches to each subscriber in chunks of up to 512, in
+// propagation order; the policies below decide a whole chunk at a time.
 const (
-	// DropNewest (the default) drops the match for that subscriber and
-	// counts it in MatchesDropped: one slow consumer never stalls ingest or
-	// the other subscribers. Matches that are delivered stay in propagation
-	// order.
+	// DropNewest (the default) drops the chunk for that subscriber and
+	// counts its matches in MatchesDropped: one slow consumer never stalls
+	// ingest or the other subscribers. Matches that are delivered stay in
+	// propagation order.
 	DropNewest SlowPolicy = iota
 	// Block makes the fan-out wait for queue space: no match is ever
 	// dropped, but a stalled subscriber stalls match delivery to everyone.
@@ -55,7 +57,12 @@ type Options struct {
 	// and /healthz. Empty disables the admin endpoint.
 	AdminAddr string
 	// SubscriberQueue bounds each subscriber's outbound match queue
-	// (default 1024 matches). See SlowPolicy for what happens when it fills.
+	// (default 1024 matches), counted in matches however they are chunked:
+	// a chunk is accepted while fewer than SubscriberQueue matches are
+	// queued, so the queue overshoots by less than one chunk (512). See
+	// SlowPolicy for what happens when it fills. It separately bounds a
+	// connection's queued control frames (and a cluster member session's
+	// result frames). Queue memory grows with use; none is reserved up front.
 	SubscriberQueue int
 	// Slow is the slow-subscriber policy (default DropNewest).
 	Slow SlowPolicy
@@ -151,9 +158,10 @@ type ingestReq struct {
 type Engine interface {
 	Mode() pimtree.Mode
 	EmitsMatches() bool
-	// Matches returns the pull-side match iterator. The server arms it once
-	// at New and is its only consumer.
-	Matches() iter.Seq[pimtree.Match]
+	// MatchBatches returns the pull-side match iterator in runs, each slice
+	// valid until the next step. The server arms it once at New and is its
+	// only consumer.
+	MatchBatches() iter.Seq[[]pimtree.Match]
 	Stats() pimtree.RunStats
 	// PushBatch is called from a single producer goroutine, as the Engine
 	// API requires.
@@ -253,9 +261,9 @@ func New(e Engine, opts Options) (*Server, error) {
 	// move between arming and the baseline snapshot; matches a previous
 	// owner already produced are excluded from drain targets (the fan-out
 	// will never see them).
-	var matchSeq func(func(pimtree.Match) bool)
+	var batches iter.Seq[[]pimtree.Match]
 	if s.fanout {
-		matchSeq = e.Matches()
+		batches = e.MatchBatches()
 		s.delBase = e.Stats().Matches
 	}
 
@@ -292,7 +300,7 @@ func New(e Engine, opts Options) (*Server, error) {
 
 	go s.ingestLoop()
 	if s.fanout {
-		go s.fanoutLoop(matchSeq)
+		go s.fanoutLoop(batches)
 	} else {
 		close(s.fanoutDone)
 	}
@@ -472,35 +480,49 @@ func (s *Server) waitDelivered(ctx context.Context, target uint64) error {
 	return nil
 }
 
-// fanoutLoop is the single consumer of the engine's pull side: every match
-// is offered to every subscriber's bounded queue under the slow-subscriber
-// policy. It exits when the engine closes (after the buffered remainder is
-// consumed — nothing propagated before Close is ever lost to the queues).
-func (s *Server) fanoutLoop(matches func(func(pimtree.Match) bool)) {
+// fanoutLoop is the single consumer of the engine's pull side: it takes
+// whatever is buffered there in one step and hands it on with fanoutBatch. It
+// exits when the engine closes (after the buffered remainder is consumed —
+// nothing propagated before Close is ever lost to the queues).
+func (s *Server) fanoutLoop(batches iter.Seq[[]pimtree.Match]) {
 	defer close(s.fanoutDone)
-	block := s.opts.Slow == Block
-	for m := range matches {
-		if l := s.subsList.Load(); l != nil {
-			for _, c := range *l {
-				if c.deliver(m, block) {
-					s.matchesDelivered.Add(1)
-				} else {
-					s.matchesDropped.Add(1)
-				}
-			}
-		}
-		s.delivered.Add(1)
-		if s.delWaiters.Load() > 0 {
-			s.delMu.Lock()
-			s.delCond.Broadcast()
-			s.delMu.Unlock()
-		}
+	for b := range batches {
+		s.fanoutBatch(b)
 	}
 	// Late drain waiters must not hang on a closed engine.
 	s.delMu.Lock()
 	s.delivered.Store(^uint64(0))
 	s.delCond.Broadcast()
 	s.delMu.Unlock()
+}
+
+// fanoutBatch offers a run of matches to every subscriber's bounded queue in
+// chunks of at most matchCoalesce, each chunk accepted or refused whole
+// under the slow-subscriber policy. delivered advances by a chunk only once
+// every subscriber has taken or dropped it, so a drain acknowledgement
+// queued after that is ordered after the chunk.
+func (s *Server) fanoutBatch(ms []pimtree.Match) {
+	block := s.opts.Slow == Block
+	for len(ms) > 0 {
+		chunk := ms[:min(len(ms), matchCoalesce)]
+		ms = ms[len(chunk):]
+		n := uint64(len(chunk))
+		if l := s.subsList.Load(); l != nil {
+			for _, c := range *l {
+				if c.deliver(chunk, block) {
+					s.matchesDelivered.Add(n)
+				} else {
+					s.matchesDropped.Add(n)
+				}
+			}
+		}
+		s.delivered.Add(n)
+		if s.delWaiters.Load() > 0 {
+			s.delMu.Lock()
+			s.delCond.Broadcast()
+			s.delMu.Unlock()
+		}
+	}
 }
 
 // addSub registers a connection for match egress.
