@@ -29,7 +29,7 @@ func runRoute(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	fs.SetOutput(stderr)
 	var (
 		addr   = fs.String("addr", "127.0.0.1:9050", "TCP listen address of the binary ingest/egress protocol")
-		admin  = fs.String("admin", "", "HTTP admin listen address serving /stats, /metrics, /cluster (empty disables)")
+		admin  = fs.String("admin", "", "HTTP admin listen address serving /stats, /metrics, /cluster, /debug/pprof/ (empty disables)")
 		nodes  = fs.String("nodes", "", "comma-separated serve-node addresses (required)")
 		nodeID = fs.String("node-id", "", "router identity in /stats and /healthz (default: the listen address)")
 

@@ -24,7 +24,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	fs.SetOutput(stderr)
 	var (
 		addr   = fs.String("addr", "127.0.0.1:9040", "TCP listen address of the binary ingest/egress protocol")
-		admin  = fs.String("admin", "", "HTTP admin listen address serving /stats, /metrics, /healthz (empty disables)")
+		admin  = fs.String("admin", "", "HTTP admin listen address serving /stats, /metrics, /healthz, /tuning, /debug/pprof/ (empty disables)")
 		nodeID = fs.String("node-id", "", "node identity in /stats, /healthz, and cluster sessions (default: the listen address)")
 
 		w        = fs.Int("w", 1<<16, "window length (both streams)")

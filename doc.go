@@ -42,14 +42,17 @@
 //     anything else fails with ErrUnsupportedBackend).
 //
 //   - ModeSharded: the key-range sharded parallel join. The key domain is
-//     split into K contiguous ranges, each owned by an independent
-//     single-writer join instance fed through batched per-shard queues; a
-//     band probe fans out to every shard whose range intersects
-//     [key-Diff, key+Diff], and an order-preserving merge stage
-//     re-sequences matches into global arrival order. The Partitioner hook
-//     (RangePartition, QuantilePartition, or a custom implementation)
-//     controls the shard boundaries; with Adaptive the runtime rebalances
-//     itself online by migrating live window contents between shards.
+//     dealt to K independent single-writer join instances fed through
+//     batched per-shard queues — by default in equal-width stripes at
+//     least 256 bands wide, round-robin, so a hot key band wider than a
+//     few stripes loads every shard. A band probe fans out to the owner of
+//     every stripe [key-Diff, key+Diff] touches, and an order-preserving
+//     merge stage re-sequences matches into global arrival order. The
+//     Partitioner hook (RangePartition, QuantilePartition, or a custom
+//     implementation) replaces the stripes with one contiguous range per
+//     shard — QuantilePartition balances a static skew narrower than one
+//     stripe; with Adaptive the runtime rebalances itself online by
+//     migrating live window contents between shards.
 //
 //   - Index: the PIM-Tree as a standalone concurrent sliding-window index —
 //     a two-stage structure whose immutable component serves lock-free

@@ -214,7 +214,11 @@ type Config struct {
 	RecordLatency bool
 
 	// Shards, BatchSize, and Partitioner shape the sharded modes (defaults:
-	// GOMAXPROCS, 64, equal-width ranges). Adaptive enables online shard
+	// GOMAXPROCS, 64, and stripes at least 256 bands (2·Diff+1 keys) wide
+	// dealt to the shards round-robin, so a hot key band wider than a few
+	// stripes loads every shard; a band too wide to stripe falls back to
+	// equal-width ranges). A QuantilePartition still helps a static skew
+	// narrower than one stripe. Adaptive enables online shard
 	// rebalancing tuned by Rebalance (ModeSharded only; setting it in any
 	// other mode fails validation). In the sharded modes Shards and
 	// BatchSize only set the starting values — both are live-tunable

@@ -1,8 +1,8 @@
 // Sharded: the key-range sharded runtime driven through the streaming
 // Engine API — one long-lived session per run, fed incrementally, with live
 // Stats snapshots mid-stream — side by side with the paper's shared-index
-// runtime on the same workload, plus a skewed workload routed through a
-// quantile partitioner.
+// runtime on the same workload, plus a skewed workload routed through
+// equal-width ranges, the default stripes and a quantile partitioner.
 //
 // Run with:
 //
@@ -54,7 +54,8 @@ func main() {
 	shards := runtime.GOMAXPROCS(0)
 	diff := pimtree.DiffForMatchRate(windowLen, 2)
 
-	// Uniform keys: equal-width shard ranges balance by construction.
+	// Uniform keys over the lower half of the domain: the default stripes
+	// spread them over every shard.
 	arrivals := pimtree.Interleave(1, pimtree.UniformSource(2), pimtree.UniformSource(3), 0.5, tuples)
 
 	fmt.Printf("uniform workload, %d tuples, %d workers:\n", tuples, shards)
@@ -71,9 +72,9 @@ func main() {
 	fmt.Printf("  sharded (key-range): %7.2f Mtps, %d matches\n", sharded.Mtps, sharded.Matches)
 	fmt.Printf("  shared  (PIM-Tree):  %7.2f Mtps, %d matches\n", shared.Mtps, shared.Matches)
 
-	// Skewed keys: equal-width ranges would send almost everything to the
-	// central shards; quantile boundaries from a key sample restore
-	// balance.
+	// Skewed keys: equal-width ranges send almost everything to the central
+	// shards; the default stripes and quantile boundaries from a key sample
+	// both restore balance.
 	src := pimtree.GaussianSource(4, 0.5, 0.125)
 	sample := make([]uint32, 1<<13)
 	for i := range sample {
@@ -91,11 +92,15 @@ func main() {
 		WindowR: windowLen, WindowS: windowLen, Diff: skewDiff,
 		Shards: shards,
 	}
-	equal := drive(base, skewed)
+	eq := base
+	eq.Partitioner = pimtree.RangePartition(shards)
+	equal := drive(eq, skewed)
+	striped := drive(base, skewed)
 	quant := base
 	quant.Partitioner = pimtree.QuantilePartition(sample, shards)
 	quantile := drive(quant, skewed)
 	fmt.Printf("gaussian skew workload:\n")
 	fmt.Printf("  equal-width shards:  %7.2f Mtps, %d matches\n", equal.Mtps, equal.Matches)
+	fmt.Printf("  striped (default):   %7.2f Mtps, %d matches\n", striped.Mtps, striped.Matches)
 	fmt.Printf("  quantile shards:     %7.2f Mtps, %d matches\n", quantile.Mtps, quantile.Matches)
 }

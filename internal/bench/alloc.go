@@ -112,9 +112,12 @@ func measureAlloc(cfg pimtree.Config, w, n, chunk int) (mtps, allocsPerTuple, by
 			done += m
 		}
 	}
-	// Warm past one full eviction cycle so every structural allocation
-	// (index nodes, ring buffers, free-lists, probe scratch) has happened.
-	push(6 * w)
+	// Warm past many eviction cycles so every structural allocation (index
+	// nodes, ring buffers, free-lists, probe scratch) has happened. A shard's
+	// batch free list fills only as deep as its lane has backed up, and
+	// with every shard busy a lane first hits its deepest backlog only
+	// after some 10^5 tuples.
+	push(1 << 18)
 	if err := e.Drain(bg); err != nil {
 		log.Fatal(err)
 	}

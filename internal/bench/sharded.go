@@ -21,7 +21,7 @@ func init() {
 	})
 	register(Experiment{
 		ID:    "abl-shardskew",
-		Title: "ablation: equal-width vs quantile shard boundaries under skew (Mtps)",
+		Title: "ablation: equal-width vs striped vs quantile shard boundaries under skew (Mtps)",
 		Run:   runAblShardSkew,
 	})
 }
@@ -81,10 +81,10 @@ func runAblShardBatch(cfg Config, out io.Writer) {
 	}
 }
 
-// runAblShardSkew compares equal-width shard ranges against quantile
-// boundaries on the Gaussian skew workload of Figure 12b: equal-width
-// sharding routes nearly every tuple to the two central shards, while
-// quantile boundaries restore balance.
+// runAblShardSkew compares equal-width shard ranges, the default stripes and
+// quantile boundaries on the Gaussian skew workload of Figure 12b:
+// equal-width sharding routes nearly every tuple to the two central shards,
+// while stripes dealt round-robin and quantile boundaries restore balance.
 func runAblShardSkew(cfg Config, out io.Writer) {
 	w := 1 << 14
 	if cfg.Scale == Quick {
@@ -93,7 +93,7 @@ func runAblShardSkew(cfg Config, out io.Writer) {
 		w = 1 << 18
 	}
 	k := cfg.threads()
-	header(out, "abl-shardskew", "gaussian skew, equal-width vs quantile shards at w="+wLabel(w))
+	header(out, "abl-shardskew", "gaussian skew, equal-width vs striped vs quantile shards at w="+wLabel(w))
 	row(out, "partitioner", "Mtps")
 	n := cfg.tuplesFor(w)
 	seed := cfg.seed()
@@ -102,10 +102,16 @@ func runAblShardSkew(cfg Config, out io.Writer) {
 	arr := stream.NewInterleaver(seed, gen(seed+1), gen(seed+2), 0.5).Take(n)
 
 	equal := shard.Run(arr, shard.Config{
-		Shards: k, WR: w, WS: w, Band: band,
+		Part: shard.NewRangePartitioner(k), WR: w, WS: w, Band: band,
 		Index: join.IndexPIMTree, PIM: pimSerial(),
 	})
 	row(out, "equal-width", equal.Mtps())
+
+	striped := shard.Run(arr, shard.Config{
+		Shards: k, WR: w, WS: w, Band: band,
+		Index: join.IndexPIMTree, PIM: pimSerial(),
+	})
+	row(out, "striped (default)", striped.Mtps())
 
 	sample := make([]uint32, 1<<13)
 	sgen := gen(seed + 3)

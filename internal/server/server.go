@@ -8,6 +8,7 @@ import (
 	"iter"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -54,7 +55,8 @@ type Options struct {
 	// (required; host:port, port 0 picks an ephemeral port).
 	Addr string
 	// AdminAddr is the HTTP admin listen address serving /stats, /metrics,
-	// and /healthz. Empty disables the admin endpoint.
+	// /healthz, /tuning and the net/http/pprof handlers under /debug/pprof/.
+	// Empty disables the admin endpoint.
 	AdminAddr string
 	// SubscriberQueue bounds each subscriber's outbound match queue
 	// (default 1024 matches), counted in matches however they are chunked:
@@ -84,8 +86,8 @@ type Options struct {
 	Role string
 	// AdminMux, when set, may register extra admin handlers on the mux
 	// before the server starts (the built-in /stats, /metrics, /healthz,
-	// /tuning routes are registered first). Used by the cluster router to
-	// expose its membership endpoints.
+	// /tuning and /debug/pprof/ routes are registered first). Used by the
+	// cluster router to expose its membership endpoints.
 	AdminMux func(mux *http.ServeMux)
 	// ExtraProm, when set, contributes additional metric families to the
 	// /metrics exposition (appended after the built-in families).
@@ -287,6 +289,13 @@ func New(e Engine, opts Options) (*Server, error) {
 		mux.HandleFunc("/stats", s.handleStats)
 		mux.HandleFunc("/metrics", s.handleMetrics)
 		mux.HandleFunc("/tuning", s.handleTuning)
+		// The profiler on the admin port only: this mux, not
+		// http.DefaultServeMux, which nothing here serves.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		if opts.AdminMux != nil {
 			opts.AdminMux(mux)
 		}

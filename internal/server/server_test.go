@@ -766,6 +766,30 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 }
 
+// TestAdminPprof: the profiler is served on the admin port — its index, and
+// a one-second CPU profile of the live server (a gzipped protobuf).
+func TestAdminPprof(t *testing.T) {
+	s := startServer(t, countCfg(pimtree.ModeSharded), Options{AdminAddr: "127.0.0.1:0"})
+	base := "http://" + s.AdminAddr().String() + "/debug/pprof/"
+	for _, c := range []struct{ path, want string }{
+		{"", "goroutine"},
+		{"profile?seconds=1", "\x1f\x8b"},
+	} {
+		resp, err := http.Get(base + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), c.want) {
+			t.Fatalf("GET /debug/pprof/%s: status %d, %d bytes without %q", c.path, resp.StatusCode, len(body), c.want)
+		}
+	}
+}
+
 // TestTuningEndpoint drives the control plane over HTTP: the GET snapshot
 // reflects the live configuration, a POST delta reshapes the running engine
 // without disturbing the match multiset, and bad deltas surface the

@@ -7,6 +7,10 @@ import "sort"
 // any key interval [lo, hi] maps to the contiguous shard interval
 // [ShardOf(lo), ShardOf(hi)]. The router relies on this to fan a band probe
 // out to exactly the shards whose range intersects the probe interval.
+//
+// The router's own default, a striped RangePartitioner, is the one exception:
+// it deals narrow stripes to the shards round-robin, and the router fans out
+// over stripes instead of shards (see piece).
 type Partitioner interface {
 	// Shards returns the number of shards the partitioner routes to.
 	Shards() int
@@ -14,29 +18,65 @@ type Partitioner interface {
 	ShardOf(key uint32) int
 }
 
-// RangePartitioner splits the full uint32 key domain into k equal-width
-// contiguous ranges — the right default for uniform keys.
+// stripeBands is how many band widths (2·Diff+1 keys) a stripe spans at
+// least. A probe straddles a stripe edge only when its band covers one, so at
+// most 1/stripeBands of probes fan out to a second shard; and since a stripe
+// is wider than a band, no probe spans more than two stripes.
+const stripeBands = 256
+
+// RangePartitioner splits the full uint32 key domain into n equal-width
+// stripes and deals them to k shards round-robin: stripe p = key·n >> 32 is
+// owned by shard p mod k. With n = k (NewRangePartitioner) every shard owns
+// one contiguous range — the monotone equal-width split. The router's default
+// (newStripedPartitioner) picks n = k·2^j as large as the band allows, so a
+// hot key band much narrower than the domain still covers stripes of every
+// shard.
 type RangePartitioner struct {
 	k int
+	n int // stripe count, a multiple of k
 }
 
-// NewRangePartitioner returns an equal-width partitioner over k shards.
+// NewRangePartitioner returns an equal-width partitioner over k shards, one
+// contiguous range each.
 func NewRangePartitioner(k int) RangePartitioner {
 	if k <= 0 {
 		panic("shard: partitioner needs at least one shard")
 	}
-	return RangePartitioner{k: k}
+	return RangePartitioner{k: k, n: k}
+}
+
+// newStripedPartitioner returns the router's default over k shards for a band
+// of half-width diff: n = k·2^j stripes with j the largest value for which a
+// stripe is at least stripeBands bands wide. j = 0 (a band too wide for any
+// finer split) and k = 1 (nothing to spread) give NewRangePartitioner(k).
+func newStripedPartitioner(k int, diff uint32) RangePartitioner {
+	p := NewRangePartitioner(k)
+	if k == 1 {
+		return p
+	}
+	minWidth := stripeBands * (2*uint64(diff) + 1)
+	for uint64(2*p.n)*minWidth <= 1<<32 {
+		p.n *= 2
+	}
+	return p
 }
 
 // Shards returns the shard count.
 func (p RangePartitioner) Shards() int { return p.k }
 
-// ShardOf returns floor(key * k / 2^32), which is monotone in key.
+// ShardOf returns the owner of key's stripe. With n = k that is
+// floor(key * k / 2^32), which is monotone in key.
 func (p RangePartitioner) ShardOf(key uint32) int {
-	return int(uint64(key) * uint64(p.k) >> 32)
+	return p.stripe(key) % p.k
 }
 
-// Range returns the inclusive key range [lo, hi] owned by a shard.
+// stripe returns the stripe holding key: floor(key * n / 2^32).
+func (p RangePartitioner) stripe(key uint32) int {
+	return int(uint64(key) * uint64(p.n) >> 32)
+}
+
+// Range returns the inclusive key range [lo, hi] owned by a shard. Only an
+// unstriped partitioner (n = k, from NewRangePartitioner) has one.
 func (p RangePartitioner) Range(shard int) (lo, hi uint32) {
 	lo = rangeStart(shard, p.k)
 	if shard == p.k-1 {
@@ -51,11 +91,24 @@ func rangeStart(shard, k int) uint32 {
 	return uint32((uint64(shard)<<32 + uint64(k) - 1) / uint64(k))
 }
 
+// piece returns the fan-out unit holding key: its stripe under a
+// RangePartitioner, its shard under any other (monotone) partitioner. Pieces
+// ascend with the key, piece p is owned by shard p mod k, and a band probe
+// visits pieces piece(lo)..piece(hi) in order.
+func piece(part Partitioner, key uint32, k int) int {
+	if rp, ok := part.(RangePartitioner); ok {
+		return rp.stripe(key)
+	}
+	return Clamp(part.ShardOf(key), k)
+}
+
 // QuantilePartitioner splits the key domain at observed quantiles of a key
 // sample, so each shard receives a comparable tuple rate even when the key
 // distribution is heavily skewed (the Gaussian and Gamma workloads of
 // Figure 12b concentrate most keys in a narrow band, which would leave
-// equal-width shards idle).
+// equal-width shards idle). The striped default already spreads any hot band
+// wider than a few stripes; quantile boundaries still help when a static skew
+// is narrower than one stripe.
 type QuantilePartitioner struct {
 	// bounds[i] is the first key owned by shard i+1; shard 0 starts at 0.
 	// Strictly increasing.

@@ -3,6 +3,7 @@ package shard
 import (
 	"testing"
 
+	"pimtree/internal/join"
 	"pimtree/internal/stream"
 )
 
@@ -59,6 +60,79 @@ func TestRangePartitionerMonotone(t *testing.T) {
 			t.Fatalf("ShardOf not monotone at key %d: %d after %d", k, s, prev)
 		}
 		prev = s
+	}
+}
+
+// TestStripedPartitioner pins the router's default: n = k·2^j stripes, the
+// plain equal-width split once the band is too wide to stripe, at most two
+// stripes with distinct owners per band, and no probe op reaching one shard
+// twice.
+func TestStripedPartitioner(t *testing.T) {
+	const top = ^uint32(0)
+	for _, k := range []int{1, 2, 3, 4, 8} {
+		// fallback is the smallest Diff that leaves n = k: a stripe must be
+		// stripeBands·(2·Diff+1) keys wide, and k·2 stripes no longer fit.
+		lim := uint64(1<<32) / uint64(2*stripeBands*k)
+		fallback := uint32((lim + 1) / 2)
+		for _, diff := range []uint32{0, 1, 16, 4095, 8192, 1 << 16, fallback - 1, fallback, 1 << 30, top} {
+			p := newStripedPartitioner(k, diff)
+			if p.Shards() != k || p.n%k != 0 {
+				t.Fatalf("k=%d diff=%d: %d shards over %d stripes", k, diff, p.Shards(), p.n)
+			}
+			eq := NewRangePartitioner(k)
+			if k == 1 || diff >= fallback {
+				if p.n != k {
+					t.Fatalf("k=%d diff=%d: %d stripes, want the unstriped %d", k, diff, p.n, k)
+				}
+				for key := uint64(0); key <= uint64(top); key += 1<<32/97 + 1 {
+					if p.ShardOf(uint32(key)) != eq.ShardOf(uint32(key)) {
+						t.Fatalf("k=%d diff=%d: ShardOf(%d) differs from NewRangePartitioner", k, diff, key)
+					}
+				}
+			} else if width := uint64(1<<32) / uint64(p.n); width < stripeBands*(2*uint64(diff)+1) || width >= 2*stripeBands*(2*uint64(diff)+1) {
+				t.Fatalf("k=%d diff=%d: stripe width %d, want the narrowest of at least %d bands", k, diff, width, stripeBands)
+			}
+			if diff == fallback-1 && k > 1 && p.n != 2*k {
+				t.Fatalf("k=%d diff=%d: %d stripes just below the fallback, want %d", k, diff, p.n, 2*k)
+			}
+
+			// Bands centred on every kind of edge: domain ends, stripe
+			// starts and ends, and the keys a band's reach from them.
+			keys := []uint32{0, 1, top, top - 1, diff, top - diff}
+			for _, s := range []int{1, p.n / 2, p.n - 1} {
+				if s <= 0 || s >= p.n {
+					continue
+				}
+				e := rangeStart(s, p.n)
+				keys = append(keys, e, e-1, e+diff/2, e-diff/2-1)
+			}
+			band := join.Band{Diff: diff}
+			r := NewRouter(Config{Shards: k, BatchSize: 1 << 20, WR: 16, WS: 16, Band: band, Index: join.IndexBTree}, len(keys))
+			if r.part != Partitioner(p) {
+				t.Fatalf("k=%d diff=%d: router default %+v, want %+v", k, diff, r.part, p)
+			}
+			for _, key := range keys {
+				lo, hi := band.Range(key)
+				s1, s2 := p.stripe(lo), p.stripe(hi)
+				if p.n > k && (s2-s1 > 1 || s1 != s2 && s1%k == s2%k) {
+					t.Fatalf("k=%d diff=%d key=%d: band spans stripes %d..%d", k, diff, key, s1, s2)
+				}
+				before := append([]int(nil), r.probeRouted...)
+				r.Push(stream.Arrival{Stream: stream.StreamR, Key: key})
+				ops := 0
+				for d := range before {
+					n := r.probeRouted[d] - before[d]
+					if n > 1 {
+						t.Fatalf("k=%d diff=%d key=%d: shard %d got %d probe ops", k, diff, key, d, n)
+					}
+					ops += n
+				}
+				if ops != s2-s1+1 {
+					t.Fatalf("k=%d diff=%d key=%d: %d probe ops, want one per stripe %d..%d", k, diff, key, ops, s1, s2)
+				}
+			}
+			r.Close()
+		}
 	}
 }
 

@@ -1,16 +1,18 @@
 // Package shard implements the key-range sharded parallel join runtime: a
-// Router splits the key domain into K contiguous ranges, each owned by an
-// independent single-writer join engine fed by a batched FIFO of routed
-// commands, and an order-preserving merge stage re-sequences the per-shard
-// match output into global arrival order.
+// Router deals the key domain to K shards — by default in narrow stripes,
+// round-robin, or in K contiguous ranges under an explicit partitioner —
+// each owned by an independent single-writer join engine fed by a batched
+// FIFO of routed commands, and an order-preserving merge stage re-sequences
+// the per-shard match output into global arrival order.
 //
 // Compared to the paper's shared-index runtime (internal/join.RunShared),
 // sharding removes all index-level synchronization: a shard's index is
 // touched only by its own goroutine. The price is routing — every tuple is
-// hashed to its owner shard, and a band probe whose interval
-// [key-Diff, key+Diff] straddles a shard boundary fans out to each shard
-// whose range it intersects (at most two adjacent shards whenever
-// Diff is smaller than the shard width, the common case).
+// sent to its owner shard, and a band probe whose interval
+// [key-Diff, key+Diff] straddles a stripe or range edge fans out to the
+// owner of each piece it touches (at most two shards whenever Diff is
+// smaller than the stripe width, which the default guarantees when it
+// stripes at all).
 //
 // Exactness: ops reach each shard in global arrival order, and probes carry
 // the [te, tl) global-sequence window captured at admission, so the sharded
@@ -53,9 +55,10 @@ type Config struct {
 	IM    core.IMTreeConfig  // IM-Tree knobs
 	PIM   core.PIMTreeConfig // PIM-Tree knobs
 
-	// Part overrides the default equal-width RangePartitioner; use a
-	// QuantilePartitioner for skewed key distributions. Must be monotone
-	// (see Partitioner).
+	// Part overrides the default, a RangePartitioner that deals stripes at
+	// least 256 bands wide to the shards round-robin, so a hot key band
+	// loads every shard; use a QuantilePartitioner for a static skew
+	// narrower than one stripe. Must be monotone (see Partitioner).
 	Part Partitioner
 
 	// Adaptive enables the online rebalancing layer: per-shard load
@@ -196,7 +199,7 @@ func NewRouter(cfg Config, capacity int) *Router {
 		if k <= 0 {
 			k = runtime.GOMAXPROCS(0)
 		}
-		cfg.Part = NewRangePartitioner(k)
+		cfg.Part = newStripedPartitioner(k, cfg.Band.Diff)
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 64
@@ -304,25 +307,28 @@ func (r *Router) PushTimed(s uint8, key uint32, ts uint64) {
 // the probes' seq < tl bound exact.
 func (r *Router) routeTimed(t ooo.Tuple) { r.route(t.Stream, t.Key, t.TS) }
 
-// route sequences one arrival and enqueues its ops: a probe op to every
-// shard whose range intersects the band interval, then an insert op — which
+// route sequences one arrival and enqueues its ops: a probe op to the owner
+// of every piece the band interval touches, then an insert op — which
 // carries the watermark that lets the owner evict everything its stream has
-// globally expired — to the key's owner shard.
+// globally expired — to the key's owner shard. Every owner gets the whole
+// [lo, hi] and answers from its own keys only; no owner is visited twice,
+// because a striped band spans at most two stripes and adjacent stripes have
+// different owners.
 func (r *Router) route(s uint8, key uint32, ts uint64) {
 	i, slot := r.Admit()
 	own, probed, lo, hi, te, tl, seq, wm := r.Next(s, key, ts)
 	k := len(r.engines)
-	s1 := Clamp(r.part.ShardOf(lo), k)
-	s2 := Clamp(r.part.ShardOf(hi), k)
+	p1, p2 := piece(r.part, lo, k), piece(r.part, hi, k)
 	r.probeStream[slot] = s
 	r.probeSeq[slot] = seq
-	r.Open(slot, s2-s1+1)
-	for d := s1; d <= s2; d++ {
+	r.Open(slot, p2-p1+1)
+	for p := p1; p <= p2; p++ {
+		d := p % k
 		r.probeRouted[d]++
 		r.stats.probe(d)
 		r.enqueue(d, op{
 			kind: opProbe, stream: probed, lo: lo, hi: hi,
-			te: te, tl: tl, idx: i, bucket: d - s1,
+			te: te, tl: tl, idx: i, bucket: p - p1,
 		})
 	}
 	owner := Clamp(r.part.ShardOf(key), k)
@@ -401,7 +407,7 @@ type Reshape struct {
 	// the worker set is stopped at the drain barrier, a fresh engine set is
 	// spawned, live window slices migrate into it, and the retired engines
 	// are dropped. The new boundaries are the quantiles of the recent-key
-	// sample when it is thick enough (equal-width ranges otherwise), so under
+	// sample when it is thick enough (the striped default otherwise), so under
 	// heavy skew the effective count can collapse below the request.
 	Shards int
 	// BatchSize swaps the routed-ops-per-batch bound for subsequent epochs.
@@ -475,7 +481,7 @@ func (r *Router) reshard(want int) {
 	if p, ok := boundsFromSample(r.sample.snapshot(), want); ok {
 		part = p
 	} else {
-		part = NewRangePartitioner(want)
+		part = newStripedPartitioner(want, r.cfg.Band.Diff)
 	}
 	k := part.Shards()
 	cfg := r.cfg

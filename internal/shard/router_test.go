@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -104,6 +106,97 @@ func TestShardedMatchesSerial(t *testing.T) {
 		})
 		if !equalTriples(got, want) {
 			t.Fatalf("%v: match multiset differs from serial (%d vs %d)", kind, len(got), len(want))
+		}
+	}
+}
+
+// TestStripedDefaultMatchesSerial checks the default partitioner where it is
+// easiest to get wrong: Diff leaves the stripes just over their minimum width,
+// and keys cluster within two bands of a few stripe edges (and of the domain
+// ends), so about half of all probes straddle an edge. Every backend, count
+// and timed windows, two-stream and self-joins.
+func TestStripedDefaultMatchesSerial(t *testing.T) {
+	const (
+		k    = 3
+		n    = 3000
+		w    = 128
+		span = 300
+	)
+	// The largest Diff for which the default still deals k·2^10 stripes.
+	diff := uint32((uint64(1<<32)/(stripeBands*k<<10) - 1) / 2)
+	band := join.Band{Diff: diff}
+	part := newStripedPartitioner(k, diff)
+	if part.n != k<<10 {
+		t.Fatalf("%d stripes, want %d", part.n, k<<10)
+	}
+	edges := []uint64{0, 1 << 32}
+	for _, s := range []int{1, 2, 3, part.n / 2, part.n - 1} {
+		edges = append(edges, uint64(rangeStart(s, part.n)))
+	}
+	rng := rand.New(rand.NewSource(17))
+	key := func() uint32 {
+		e := int64(edges[rng.Intn(len(edges))]) + rng.Int63n(4*int64(diff)+1) - 2*int64(diff)
+		return uint32(max(0, min(e, 1<<32-1)))
+	}
+	count := func(self bool) []stream.Arrival {
+		arr := make([]stream.Arrival, n)
+		for i := range arr {
+			if !self {
+				arr[i].Stream = uint8(rng.Intn(2))
+			}
+			arr[i].Key = key()
+		}
+		return arr
+	}
+	timed := func(self bool) []join.TimedArrival {
+		arr := make([]join.TimedArrival, n)
+		ts := uint64(0)
+		for i := range arr {
+			ts += 1 + uint64(rng.Intn(4))
+			arr[i] = join.TimedArrival{Key: key(), TS: ts}
+			if !self {
+				arr[i].Stream = uint8(rng.Intn(2))
+			}
+		}
+		return arr
+	}
+	straddles := 0
+	for range n {
+		lo, hi := band.Range(key())
+		if part.stripe(lo) != part.stripe(hi) {
+			straddles++
+		}
+	}
+	if straddles < n/4 {
+		t.Fatalf("%d of %d bands straddle a stripe edge: the workload misses the edges", straddles, n)
+	}
+
+	kinds := []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree, join.IndexBwTree}
+	for _, self := range []bool{false, true} {
+		arr := count(self)
+		ws := w
+		if self {
+			ws = 0
+		}
+		want := serialOracle(arr, w, ws, self, band)
+		tarr := timed(self)
+		twant := timedOracle(tarr, span, band, self)
+		if len(want) == 0 || len(twant) == 0 {
+			t.Fatalf("self=%v: oracle produced %d count and %d timed matches", self, len(want), len(twant))
+		}
+		for _, kind := range kinds {
+			got, _ := shardedRun(t, arr, Config{
+				Shards: k, BatchSize: 8, WR: w, WS: w, Self: self, Band: band, Index: kind,
+			})
+			if !equalTriples(got, want) {
+				t.Fatalf("count %v self=%v: %d matches, want %d (multiset differs)", kind, self, len(got), len(want))
+			}
+			tgot := make(map[timedMatch]int)
+			RunTimed(tarr, Config{
+				Shards: k, BatchSize: 8, Span: span, MaxLive: 2 * span, Self: self,
+				Band: band, Index: kind, Sink: collectTimed(tgot),
+			})
+			diffMultisets(t, fmt.Sprintf("timed %v self=%v", kind, self), twant, tgot)
 		}
 	}
 }

@@ -132,6 +132,13 @@ type ShardLoad struct {
 // [key-Diff, key+Diff] maps to a contiguous run of shards. RangePartition
 // and QuantilePartition construct the two built-in policies; custom
 // implementations plug in the same way.
+//
+// Leaving Config.Partitioner nil selects neither: the default deals stripes
+// at least 256 bands wide to the shards round-robin, so any key band wider
+// than a few stripes — uniform keys over part of the domain, or a hot band —
+// loads every shard. Set a Partitioner only to pin contiguous ranges
+// (RangePartition) or to balance a static skew narrower than one stripe
+// (QuantilePartition).
 type Partitioner interface {
 	// Shards returns the number of shards the partitioner routes to.
 	Shards() int
@@ -140,7 +147,9 @@ type Partitioner interface {
 }
 
 // RangePartition returns a partitioner splitting the uint32 key domain into
-// shards equal-width contiguous ranges — the right default for uniform keys.
+// shards equal-width contiguous ranges — balanced only when keys cover the
+// whole domain evenly. The default partitioner (Config.Partitioner nil)
+// falls back to it when the band is too wide to stripe.
 func RangePartition(shards int) Partitioner {
 	if shards <= 0 {
 		shards = 1

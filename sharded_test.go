@@ -95,6 +95,51 @@ func TestGoldenSharded(t *testing.T) {
 	}
 }
 
+// TestDefaultPartitionerBalancesHotKeys: with no Partitioner set, two shards
+// hold equal shares of the window both when keys stop at KeySpace (the lower
+// half of the domain) and when they fall in a band one eighth of the domain
+// wide that sweeps it, checked once per window length of input.
+func TestDefaultPartitionerBalancesHotKeys(t *testing.T) {
+	const (
+		w    = 4096
+		n    = 16 * w
+		diff = 1 << 13 // 512 stripes over 2 shards
+	)
+	uniform := Interleave(3, UniformSource(4), UniformSource(5), 0.5, n)
+	hot := Interleave(6, UniformSource(7), UniformSource(8), 0.5, n)
+	for i := range hot {
+		// UniformSource keys lie in [0, 2^31); shifted right twice they fill
+		// a band 2^29 wide whose start sweeps the domain once.
+		hot[i].Key = uint32(uint64(i)<<32/n) + hot[i].Key>>2
+	}
+	for _, c := range []struct {
+		name string
+		arr  []Arrival
+	}{{"KeySpace", uniform}, {"hot-band", hot}} {
+		t.Run(c.name, func(t *testing.T) {
+			e, err := Open(Config{
+				Mode: ModeSharded, Shards: 2, WindowR: w, WindowS: w, Diff: diff,
+				DiscardMatches: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close(context.Background())
+			for lo := 0; lo < n; lo += w {
+				if err := e.PushBatch(c.arr[lo : lo+w]); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Drain(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				if imb := e.Stats().Imbalance; lo >= w && imb > 1.1 {
+					t.Fatalf("after %d arrivals: imbalance %.3f, want <= 1.1", lo+w, imb)
+				}
+			}
+		})
+	}
+}
+
 // TestRunShardedValidation covers the error paths of the sharded mode.
 func TestRunShardedValidation(t *testing.T) {
 	if _, err := Open(Config{Mode: ModeSharded, WindowS: 4}); err == nil {

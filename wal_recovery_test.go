@@ -388,6 +388,89 @@ func TestCrashRecoveryAcrossReshard(t *testing.T) {
 	}
 }
 
+// TestRecoveryUnderStripedDefault: a directory written under an explicit
+// contiguous RangePartition recovers under the striped default partitioner,
+// which owns the same keys differently — recovery routes every tuple through
+// the current partitioner — and the second session emits exactly the serial
+// join's matches for its probes.
+func TestRecoveryUnderStripedDefault(t *testing.T) {
+	const (
+		w    = 1024
+		n    = 4 * w
+		diff = 1 << 18 // 16 stripes over 2 shards
+	)
+	ctx := context.Background()
+	// UniformSource keys stay below 2^31: the contiguous split puts them all
+	// on shard 0, the striped one on both.
+	arr := Interleave(5, UniformSource(6), UniformSource(7), 0.5, n)
+	cfg := Config{
+		Mode: ModeSharded, Backend: PIMTree, WindowR: w, WindowS: w, Diff: diff,
+		Shards: 2, BatchSize: 16,
+		Durability: Durability{Dir: crashDir, FsyncEvery: 16, SnapshotEvery: 512},
+	}
+	full := collectSerial(t, arr, Config{WindowR: w, WindowS: w, Diff: diff, Backend: PIMTree})
+	half := n / 2
+	var n1 [2]uint64
+	for _, a := range arr[:half] {
+		n1[a.Stream]++
+	}
+	var want []Match
+	for _, m := range full {
+		if m.ProbeSeq >= n1[m.ProbeStream] {
+			want = append(want, m)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no second-half matches: the workload is broken")
+	}
+
+	fs := wal.NewMemFS()
+	cfgA := cfg
+	cfgA.Partitioner = RangePartition(2)
+	cfgA.DiscardMatches = true
+	a, err := openWithWALFS(cfgA, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.PushBatch(arr[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if loads := a.ShardLoads(); loads[1].Resident != 0 {
+		t.Fatalf("contiguous split left %d tuples on shard 1", loads[1].Resident)
+	}
+	if _, err := a.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := &matchRecorder{}
+	cfgB := cfg
+	cfgB.OnMatch = rec.add
+	b, err := openWithWALFS(cfgB, fs.Crash(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws := b.WALStats(); ws.ReplayRecords == 0 {
+		t.Fatalf("session B recovered nothing: %+v", ws)
+	}
+	for s, l := range b.ShardLoads() {
+		if l.Resident == 0 {
+			t.Fatalf("recovery under the striped default left shard %d empty", s)
+		}
+	}
+	if err := b.PushBatch(arr[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.from(0); !matchesEqual(got, want) {
+		t.Fatalf("session B emitted %d matches, the serial join's second-half probes have %d", len(got), len(want))
+	}
+}
+
 // TestRecoveryAfterDrainWithSlack covers the out-of-order admission path:
 // a bounded-disorder timed stream is pushed, Drain checkpoints it (flushing
 // the reorder buffer and fsyncing every lane), and the process dies with all
