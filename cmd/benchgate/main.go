@@ -16,10 +16,6 @@
 //     and fail on *increase* beyond -max-alloc-regress — compared cell by
 //     cell in absolute terms rather than by geomean, because the healthy
 //     baseline value is exactly zero, which a log-mean cannot represent;
-//   - imbalance columns (abl-tune's resident load-skew ratios) are
-//     lower-is-better and fail on *increase* beyond -max-imb-regress,
-//     compared per cell like allocations — their healthy value hovers near
-//     1.0, where a geomean would hide a single shard going hot;
 //   - everything else (Mtps throughput, offered/s, cap/s rates) is
 //     higher-is-better and fails on *decrease* beyond -max-regress.
 //
@@ -62,7 +58,6 @@ var counterColumns = map[string]bool{
 	"trials":     true,
 	"errors":     true,
 	"gc cycles":  true,
-	"decisions":  true,
 }
 
 // latencySubstrings classify lower-is-better time columns by fragment, so
@@ -75,19 +70,12 @@ var latencySubstrings = []string{"µs", "ms", "latency", "nanos"}
 // fragments so "allocs/op" does not fall through to the rate bucket.
 var allocSubstrings = []string{"alloc", "b/op", "b/tuple"}
 
-// imbalanceSubstrings classify load-skew ratio columns (abl-tune's final
-// resident imbalance). Like allocations they are lower-is-better and gate
-// per cell in absolute terms — the geomean of a ratio whose healthy value
-// hovers near 1.0 would hide a single shard going hot.
-var imbalanceSubstrings = []string{"imbalance"}
-
 // Cell directions.
 const (
 	dirSkip   = 0  // counters: never gated
 	dirHigher = 1  // throughput/rates: fail on decrease
 	dirLower  = -1 // latency: fail on increase
 	dirAlloc  = 2  // allocations: fail on increase, compared per cell
-	dirImb    = 3  // imbalance ratios: fail on increase, compared per cell
 )
 
 // allocSlack is the absolute headroom added to every alloc-cell bound. The
@@ -96,14 +84,6 @@ const (
 // GC counters) a failure; half an object or half a byte per tuple still
 // catches the one-allocation-per-tuple regressions the gate exists for.
 const allocSlack = 0.5
-
-// imbalanceSlack is the absolute headroom added to every imbalance-cell
-// bound: rebalance timing jitters the final resident split by a fraction of
-// one epoch, which near the healthy value of 1.0 would otherwise make a
-// fractional threshold alone flaky. A static-sharding cell regressing from
-// "balanced" to "one shard owns the hot band" moves by whole multiples and
-// still fails.
-const imbalanceSlack = 0.5
 
 // direction classifies a column name.
 func direction(name string) int {
@@ -114,11 +94,6 @@ func direction(name string) int {
 	for _, frag := range allocSubstrings {
 		if strings.Contains(lower, frag) {
 			return dirAlloc
-		}
-	}
-	for _, frag := range imbalanceSubstrings {
-		if strings.Contains(lower, frag) {
-			return dirImb
 		}
 	}
 	for _, frag := range latencySubstrings {
@@ -142,7 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxReg    = fs.Float64("max-regress", 0.25, "maximum tolerated throughput decrease (fraction)")
 		maxLatReg = fs.Float64("max-lat-regress", 0, "maximum tolerated latency increase (fraction); 0 reports latency without gating it")
 		maxAllReg = fs.Float64("max-alloc-regress", 0.25, "maximum tolerated allocation increase (fraction, plus a fixed absolute slack)")
-		maxImbReg = fs.Float64("max-imb-regress", 0.25, "maximum tolerated shard-imbalance increase (fraction, plus a fixed absolute slack)")
 		calibrate = fs.Bool("calibrate", true, "scale by the reports' host calibration ratio")
 		prefix    = fs.String("prefix", "abl-", "gate experiments whose id has this prefix")
 	)
@@ -257,34 +231,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%s %-16s %s geomean %.4f -> %.4f over %d cells (%.0f%% of calibrated baseline%s)\n",
 				status, b.ID, cl.name, gBase, gCur, cells, ratio*100, note)
 		}
-		// Alloc and imbalance cells gate per cell, absolutely and
-		// uncalibrated: allocation counts and load-skew ratios are
-		// properties of the code, not of host speed, and their healthy
-		// baselines (0.00 and ~1.0) sit where geomean arithmetic misleads.
-		absClasses := []struct {
-			name   string
-			dir    int
-			thresh float64
-			slack  float64
-		}{
-			{"alloc", dirAlloc, *maxAllReg, allocSlack},
-			{"imbalance", dirImb, *maxImbReg, imbalanceSlack},
+		// Alloc cells gate per cell, absolutely and uncalibrated: allocation
+		// counts are a property of the code, not of host speed, and their
+		// healthy baseline (0.00) sits where geomean arithmetic misleads.
+		aBad, aCells, aDropped := compareAbs(b.Table, c.Table, dirAlloc, *maxAllReg, allocSlack)
+		present += aCells
+		if len(aDropped) > 0 {
+			fmt.Fprintf(stdout, "FAIL %-16s %d baseline alloc cell(s) missing or unparseable in current report: %s\n",
+				b.ID, len(aDropped), strings.Join(aDropped, ", "))
+			failures++
 		}
-		for _, cl := range absClasses {
-			aBad, aCells, aDropped := compareAbs(b.Table, c.Table, cl.dir, cl.thresh, cl.slack)
-			present += aCells
-			if len(aDropped) > 0 {
-				fmt.Fprintf(stdout, "FAIL %-16s %d baseline %s cell(s) missing or unparseable in current report: %s\n",
-					b.ID, len(aDropped), cl.name, strings.Join(aDropped, ", "))
-				failures++
-			}
-			for _, bad := range aBad {
-				fmt.Fprintf(stdout, "FAIL %-16s %s cell %s\n", b.ID, cl.name, bad)
-				failures++
-			}
-			if aCells > 0 && len(aBad) == 0 {
-				fmt.Fprintf(stdout, "ok   %-16s %s %d cell(s) within threshold (per-cell, uncalibrated)\n", b.ID, cl.name, aCells)
-			}
+		for _, bad := range aBad {
+			fmt.Fprintf(stdout, "FAIL %-16s alloc cell %s\n", b.ID, bad)
+			failures++
+		}
+		if aCells > 0 && len(aBad) == 0 {
+			fmt.Fprintf(stdout, "ok   %-16s alloc %d cell(s) within threshold (per-cell, uncalibrated)\n", b.ID, aCells)
 		}
 		if present == 0 {
 			fmt.Fprintf(stdout, "FAIL %-16s no comparable cells (refresh the baseline?)\n", b.ID)
@@ -332,8 +294,8 @@ func compare(base, cur bench.Table, dir int) (gBase, gCur float64, cells int, dr
 // when it exceeds base*(1+thresh) + slack. It returns descriptions of the
 // failing cells, the shared-cell count, and the sorted keys of baseline
 // cells with no parseable counterpart in the current table. Used for the
-// alloc and imbalance directions, whose healthy values (0.0 and ~1.0) sit
-// where geomean arithmetic misleads.
+// alloc direction, whose healthy value (0.0) sits where geomean arithmetic
+// misleads.
 func compareAbs(base, cur bench.Table, dir int, thresh, slack float64) (bad []string, cells int, dropped []string) {
 	bc := cellMap(base, dir)
 	cc := cellMap(cur, dir)
@@ -372,7 +334,7 @@ func cellMap(t bench.Table, dir int) map[string]float64 {
 				continue
 			}
 			v, err := strconv.ParseFloat(row[j], 64)
-			if err != nil || v < 0 || (v == 0 && dir != dirAlloc && dir != dirImb) {
+			if err != nil || v < 0 || (v == 0 && dir != dirAlloc) {
 				continue
 			}
 			out[row[0]+"|"+t.Columns[j]] = v

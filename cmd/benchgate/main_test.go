@@ -452,79 +452,3 @@ func TestGateToleratesExtraCurrentCells(t *testing.T) {
 		t.Fatalf("grown current report failed (exit %d):\n%s", code, out)
 	}
 }
-
-// tuneReport builds an abl-tune-style report: throughput columns beside
-// per-cell imbalance ratios and a decisions counter.
-func tuneReport(calib, staticMtps, autoMtps, staticImb, autoImb float64) bench.Report {
-	return bench.Report{
-		CalibMtps: calib,
-		Experiments: []bench.ExperimentResult{{
-			Table: bench.Table{
-				ID:      "abl-tune",
-				Columns: []string{"workload", "static", "autotune", "static imbalance", "auto imbalance", "decisions"},
-				Rows: [][]string{{
-					"drift-hotspot",
-					fmt.Sprintf("%.4f", staticMtps),
-					fmt.Sprintf("%.4f", autoMtps),
-					fmt.Sprintf("%.4f", staticImb),
-					fmt.Sprintf("%.4f", autoImb),
-					"3",
-				}},
-			},
-		}},
-	}
-}
-
-// Imbalance ratios gate per cell like allocations: self-comparison passes,
-// the controller's balanced outcome regressing to one-hot-shard fails, and
-// jitter under the absolute slack is tolerated.
-func TestGateImbalanceCells(t *testing.T) {
-	base := tuneReport(1.0, 2.0, 2.2, 4.0, 1.1)
-	if code, out := allocGate(t, base, base); code != 0 || !strings.Contains(out, "imbalance 2 cell(s) within threshold") {
-		t.Fatalf("imbalance self-comparison failed (exit %d):\n%s", code, out)
-	}
-	// AutoTune stops rebalancing: auto imbalance collapses to the static
-	// value — the regression the gate exists to catch.
-	code, out := allocGate(t, base, tuneReport(1.0, 2.0, 2.2, 4.0, 4.0))
-	if code != 1 || !strings.Contains(out, "drift-hotspot|auto imbalance") {
-		t.Fatalf("imbalance regression passed or was not named (exit %d):\n%s", code, out)
-	}
-	// Rebalance-timing jitter below the slack is noise, not a regression.
-	if code, out := allocGate(t, base, tuneReport(1.0, 2.0, 2.2, 4.3, 1.5)); code != 0 {
-		t.Fatalf("sub-slack imbalance jitter failed the gate (exit %d):\n%s", code, out)
-	}
-	// -max-imb-regress tightens the bound; calibration excuses nothing.
-	if code, _ := allocGate(t, base, tuneReport(4.0, 8.0, 8.8, 4.0, 2.5)); code != 1 {
-		t.Fatal("faster-host calibration excused an imbalance regression")
-	}
-}
-
-// The decisions column is an event counter: its drift is not a regression
-// in either direction and it never enters a geomean.
-func TestGateDecisionsCounterSkipped(t *testing.T) {
-	if got := direction("decisions"); got != dirSkip {
-		t.Fatalf("direction(decisions) = %d, want dirSkip", got)
-	}
-	base := tuneReport(1.0, 2.0, 2.2, 4.0, 1.1)
-	cur := tuneReport(1.0, 2.0, 2.2, 4.0, 1.1)
-	cur.Experiments[0].Table.Rows[0][5] = "40"
-	if code, out := allocGate(t, base, cur); code != 0 {
-		t.Fatalf("decisions drift failed the gate (exit %d):\n%s", code, out)
-	}
-}
-
-// Imbalance columns classify into their own direction, away from the
-// throughput geomean whose regression direction they would invert.
-func TestDirectionImbalance(t *testing.T) {
-	for col, want := range map[string]int{
-		"static imbalance": dirImb,
-		"auto imbalance":   dirImb,
-		"Imbalance":        dirImb,
-		"static":           dirHigher,
-		"autotune":         dirHigher,
-	} {
-		if got := direction(col); got != want {
-			t.Errorf("direction(%q) = %d, want %d", col, got, want)
-		}
-	}
-}

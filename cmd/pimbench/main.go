@@ -1,6 +1,6 @@
 // Command pimbench regenerates the paper's evaluation figures plus this
 // repository's own ablations (including the sharded-vs-shared runtime and
-// static-vs-adaptive rebalancing comparisons). Each experiment prints the
+// shard-partitioner comparisons). Each experiment prints the
 // series the corresponding figure plots, as a tab-separated table (see
 // README.md for the experiment list and docs/ARCHITECTURE.md for the
 // paper-to-package mapping).

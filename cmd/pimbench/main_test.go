@@ -15,7 +15,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
-	for _, id := range []string{"fig8a", "abl-sharded", "abl-adaptive"} {
+	for _, id := range []string{"fig8a", "abl-sharded", "abl-shardskew"} {
 		if !strings.Contains(out.String(), id) {
 			t.Fatalf("-list output missing %s:\n%s", id, out.String())
 		}
@@ -45,12 +45,12 @@ func TestRunSingleExperiment(t *testing.T) {
 		t.Skip("experiment run skipped in -short mode")
 	}
 	var out, errOut strings.Builder
-	if code := run([]string{"-exp", "abl-adaptive", "-scale", "quick", "-threads", "2", "-seed", "7"},
+	if code := run([]string{"-exp", "abl-shardskew", "-scale", "quick", "-threads", "2", "-seed", "7"},
 		&out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	s := out.String()
-	if !strings.Contains(s, "# abl-adaptive") || !strings.Contains(s, "step-skew") {
+	if !strings.Contains(s, "# abl-shardskew") || !strings.Contains(s, "quantile") {
 		t.Fatalf("experiment output incomplete:\n%s", s)
 	}
 }
@@ -61,7 +61,7 @@ func TestRunJSONReport(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var out, errOut strings.Builder
-	code := run([]string{"-exp", "abl-adaptive", "-scale", "quick", "-threads", "2", "-json", path},
+	code := run([]string{"-exp", "abl-shardskew", "-scale", "quick", "-threads", "2", "-json", path},
 		&out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
@@ -80,11 +80,11 @@ func TestRunJSONReport(t *testing.T) {
 	if rep.CalibMtps <= 0 {
 		t.Fatal("report missing host calibration")
 	}
-	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "abl-adaptive" {
+	if len(rep.Experiments) != 1 || rep.Experiments[0].ID != "abl-shardskew" {
 		t.Fatalf("experiments = %+v", rep.Experiments)
 	}
 	if len(rep.Experiments[0].Rows) != 3 {
-		t.Fatalf("abl-adaptive rows = %v", rep.Experiments[0].Rows)
+		t.Fatalf("abl-shardskew rows = %v", rep.Experiments[0].Rows)
 	}
 }
 

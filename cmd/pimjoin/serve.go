@@ -38,8 +38,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		task     = fs.Int("task", 8, "task size for shared mode")
 		blocking = fs.Bool("blocking-merge", false, "use blocking merges in shared mode")
 		shards   = fs.Int("shards", 0, "shard count for the sharded modes (0 = GOMAXPROCS)")
-		adaptive = fs.Bool("adaptive", false, "enable adaptive shard rebalancing (sharded mode)")
-		autotune = fs.Bool("autotune", false, "run the feedback controller: shard count and rebalancing adjust live (sharded modes)")
 		span     = fs.Uint64("span", 0, "time-window duration for -mode sharded-time")
 		maxLive  = fs.Int("maxlive", 0, "live-tuple bound per window for -mode sharded-time")
 		slack    = fs.Uint64("slack", 0, "tolerated event-time disorder for -mode sharded-time (enables LateDrop)")
@@ -96,8 +94,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		Threads:       *threads,
 		BlockingMerge: *blocking,
 		Shards:        *shards,
-		Adaptive:      *adaptive,
-		AutoTune:      *autotune,
 		Span:          *span,
 		MaxLive:       *maxLive,
 		Slack:         *slack,
@@ -183,25 +179,14 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	return 0
 }
 
-// statsLine renders one live engine snapshot, including the adaptive
-// layer's per-shard observability in the sharded modes — the same line the
-// -stdin -stats-every path prints.
+// statsLine renders one live engine snapshot, plus the shard imbalance,
+// reshape migrations and live shard count in the sharded modes — the same
+// line the -stdin -stats-every path prints.
 func statsLine(e *pimtree.Engine) string {
 	st := e.Stats()
 	line := fmt.Sprintf("%d tuples, %d matches, %.3f Mtps", st.Tuples, st.Matches, st.Mtps)
-	if loads := e.ShardLoads(); loads != nil {
-		line += fmt.Sprintf(", imbalance %.2f", st.Imbalance)
-		if e.Mode() == pimtree.ModeSharded {
-			line += fmt.Sprintf(", rebalances %d (migrated %d)", st.Rebalances, st.MigratedTuples)
-		}
-		tn := e.Tuning()
-		line += fmt.Sprintf(", shards %d", tn.Shards)
-		if tn.AutoTune {
-			line += fmt.Sprintf(", decisions %d", tn.Decisions)
-			if tn.LastDecision != "" {
-				line += " (" + tn.LastDecision + ")"
-			}
-		}
+	if e.ShardLoads() != nil {
+		line += fmt.Sprintf(", imbalance %.2f, migrated %d, shards %d", st.Imbalance, st.MigratedTuples, e.Tuning().Shards)
 	}
 	return line
 }

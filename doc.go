@@ -18,8 +18,7 @@
 // propagation) and the pull side (Engine.Matches, a range-over-func
 // iterator, or Engine.MatchBatches, the same stream in runs taken under one
 // lock each). Stats returns live snapshots mid-stream; Drain flushes pending
-// shard batches, reorder buffers, and in-flight rebalance epochs to a
-// deterministic quiescent point; Close tears the session down and returns
+// shard batches and reorder buffers to a deterministic quiescent point; Close tears the session down and returns
 // the final statistics. Both Drain and Close take a context.Context, so a
 // stuck or slow shutdown is cancellable. The parallel modes bound their
 // in-flight tuples by Config.QueueCapacity and block Push when the ordered
@@ -51,8 +50,9 @@
 //     Partitioner hook (RangePartition, QuantilePartition, or a custom
 //     implementation) replaces the stripes with one contiguous range per
 //     shard — QuantilePartition balances a static skew narrower than one
-//     stripe; with Adaptive the runtime rebalances itself online by
-//     migrating live window contents between shards.
+//     stripe. Engine.Reconfigure reshapes a running engine to another
+//     shard count, migrating live window contents into a fresh striped
+//     shard set.
 //
 //   - Index: the PIM-Tree as a standalone concurrent sliding-window index —
 //     a two-stage structure whose immutable component serves lock-free
@@ -72,8 +72,8 @@
 //
 // Workload helpers (UniformSource, GaussianSource, GammaSource,
 // DriftingGaussianSource, StepSkewSource, DriftingHotspotSource,
-// Interleave) regenerate the paper's synthetic streams plus the moving
-// hot-band workloads the adaptive runtime targets; DiffForMatchRate and
+// Interleave) regenerate the paper's synthetic streams plus moving hot-band
+// workloads that stress key-range sharding; DiffForMatchRate and
 // CalibrateDiff pick band widths that hit a target match rate, and
 // TimestampArrivals/ShuffleWithinSlack turn any of them into sorted or
 // bounded-disorder event-time workloads.
@@ -86,9 +86,8 @@
 // drain round-trips) plus an HTTP admin endpoint exposing /stats, /metrics
 // (Prometheus text format), and /healthz, surfaced on the command line as
 // `pimjoin serve` with graceful SIGTERM drain. Engine.ShardLoads and the
-// live RunStats fields (Rebalances, MigratedTuples, Imbalance) make the
-// adaptive sharded layer observable mid-stream, both from Stats and from
-// the admin endpoint. The wire-protocol specification, shutdown semantics,
+// live RunStats fields (MigratedTuples, Imbalance) make the sharded layer
+// observable mid-stream, both from Stats and from the admin endpoint. The wire-protocol specification, shutdown semantics,
 // and the metric reference live in docs/OPERATIONS.md; docs/TUNING.md maps
 // workload shape to Mode/Backend/Shards/QueueCapacity/Slack choices.
 //

@@ -16,7 +16,6 @@ import (
 	"pimtree/internal/queue"
 	"pimtree/internal/shard"
 	"pimtree/internal/stream"
-	"pimtree/internal/tune"
 	"pimtree/internal/wal"
 )
 
@@ -37,8 +36,7 @@ const (
 	// result propagation.
 	ModeShared
 	// ModeSharded runs the key-range sharded runtime: single-writer
-	// per-shard indexes behind a routing stage, with optional adaptive
-	// rebalancing.
+	// per-shard indexes behind a routing stage.
 	ModeSharded
 	// ModeShardedTime runs the sharded runtime over time-based windows with
 	// out-of-order admission through a bounded reorder buffer.
@@ -60,21 +58,6 @@ func (m Mode) String() string {
 		return "sharded-time"
 	default:
 		return "unknown"
-	}
-}
-
-// modeFor maps the tune package's runtime identifiers back onto the public
-// modes (internal/tune cannot import this package).
-func modeFor(r tune.Runtime) Mode {
-	switch r {
-	case tune.Serial:
-		return ModeSerial
-	case tune.Shared:
-		return ModeShared
-	case tune.ShardedTime:
-		return ModeShardedTime
-	default:
-		return ModeSharded
 	}
 }
 
@@ -218,25 +201,12 @@ type Config struct {
 	// dealt to the shards round-robin, so a hot key band wider than a few
 	// stripes loads every shard; a band too wide to stripe falls back to
 	// equal-width ranges). A QuantilePartition still helps a static skew
-	// narrower than one stripe. Adaptive enables online shard
-	// rebalancing tuned by Rebalance (ModeSharded only; setting it in any
-	// other mode fails validation). In the sharded modes Shards and
-	// BatchSize only set the starting values — both are live-tunable
-	// afterwards through Engine.Reconfigure.
+	// narrower than one stripe. In the sharded modes Shards and BatchSize
+	// only set the starting values — both are live-tunable afterwards
+	// through Engine.Reconfigure.
 	Shards      int
 	BatchSize   int
 	Partitioner Partitioner
-	Adaptive    bool
-	Rebalance   RebalancePolicy
-
-	// AutoTune starts the feedback controller: a background goroutine that
-	// samples the live load statistics and applies bounded Reconfigure
-	// deltas (grow/shrink shards, enable rebalancing) when sustained
-	// pressure or idleness clears the controller's hysteresis. Sharded
-	// modes only; with ModeAuto it selects ModeSharded like the other
-	// sharded knobs. Tune adjusts the controller (ignored otherwise).
-	AutoTune bool
-	Tune     TunePolicy
 
 	// Slack, LatePolicy, and OnLate configure out-of-order admission for
 	// ModeShardedTime (see LatePolicy). With LateNone, pushes must be
@@ -276,16 +246,22 @@ type Config struct {
 // constructor in this package.
 func (c Config) validate() (Config, error) {
 	if c.Mode == ModeAuto {
-		// The decision table lives in internal/tune so the control plane
-		// (which re-validates merged configs on live reconfiguration) shares
-		// one source of truth with Open.
-		c.Mode = modeFor(tune.ResolveRuntime(tune.Workload{
-			TimeWindow:     c.Span > 0,
-			ChainedBackend: c.Backend == BChain || c.Backend == IBChain,
-			ShardedKnobs:   c.Shards > 0 || c.Partitioner != nil || c.Adaptive || c.AutoTune || c.Durability.enabled(),
-			SharedKnobs:    c.Threads > 0 || c.TaskSize > 0 || c.BlockingMerge || c.RecordLatency,
-			Cores:          runtime.GOMAXPROCS(0),
-		}))
+		// Explicit per-mode knobs select their mode, sharded knobs winning
+		// over shared ones.
+		switch {
+		case c.Span > 0:
+			c.Mode = ModeShardedTime
+		case c.Backend == BChain || c.Backend == IBChain:
+			c.Mode = ModeSerial
+		case c.Shards > 0 || c.Partitioner != nil || c.Durability.enabled():
+			c.Mode = ModeSharded
+		case c.Threads > 0 || c.TaskSize > 0 || c.BlockingMerge || c.RecordLatency:
+			c.Mode = ModeShared
+		case runtime.GOMAXPROCS(0) > 1:
+			c.Mode = ModeSharded
+		default:
+			c.Mode = ModeSerial
+		}
 	}
 	switch c.Mode {
 	case ModeSerial, ModeShared, ModeSharded:
@@ -329,12 +305,6 @@ func (c Config) validate() (Config, error) {
 				c.WindowR, ws, inflight, c.Backend, c.Mode)
 		}
 	}
-	if c.Adaptive && c.Mode != ModeSharded {
-		return c, fmt.Errorf("pimtree: adaptive rebalancing requires %s mode (got %s)", ModeSharded, c.Mode)
-	}
-	if c.AutoTune && c.Mode != ModeSharded && c.Mode != ModeShardedTime {
-		return c, fmt.Errorf("pimtree: auto-tuning requires %s or %s mode (got %s)", ModeSharded, ModeShardedTime, c.Mode)
-	}
 	if err := c.Durability.validate(c.Mode); err != nil {
 		return c, err
 	}
@@ -362,8 +332,8 @@ const (
 // Push, PushTimed, PushBatch, Drain, and Close must be called from one
 // goroutine (the producer). Stats, Matches, Tuning, and Reconfigure are safe
 // from any goroutine: the control plane serializes against the producer on
-// an internal mutex, so an admin endpoint or the auto-tuner can reshape the
-// engine while the producer keeps pushing.
+// an internal mutex, so an admin endpoint can reshape the engine while the
+// producer keeps pushing.
 type Engine struct {
 	cfg  Config
 	mode Mode
@@ -377,8 +347,6 @@ type Engine struct {
 	// (under prodMu) swaps it.
 	tunMu     sync.Mutex
 	reconfigs atomic.Int64 // applied Reconfigure deltas
-	decisions atomic.Int64 // controller decisions applied by the auto-tuner
-	tuner     *tuner       // nil unless Config.AutoTune
 
 	serial *join.Streaming
 	shared *join.Shared
@@ -491,13 +459,6 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 		} else {
 			rcfg.WR = cc.WindowR
 			rcfg.WS = cc.WindowS
-			rcfg.Adaptive = cc.Adaptive
-			rcfg.Rebalance = shard.Policy{
-				MaxRatio:   cc.Rebalance.MaxRatio,
-				MinGap:     cc.Rebalance.MinGap,
-				SampleSize: cc.Rebalance.SampleSize,
-				ForceEvery: cc.Rebalance.ForceEvery,
-			}
 		}
 		var wst *wal.State
 		if cc.Durability.enabled() {
@@ -517,9 +478,6 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 	}
 	e.start = time.Now()
 	e.gcBase = metrics.ReadGC()
-	if cc.AutoTune {
-		e.tuner = startTuner(e, cc.Tune)
-	}
 	return e, nil
 }
 
@@ -739,9 +697,9 @@ func (e *Engine) MatchBatches() iter.Seq[[]Match] {
 // ModeShardedTime this excludes tuples still buffered for reordering or
 // dropped as late, matching the accounting Close finalizes), matches
 // propagated so far (trailing pushes by the in-flight tuples), wall time
-// since Open, and — in the sharded modes — the adaptive layer's progress
-// (Rebalances, MigratedTuples, Imbalance), so the rebalancer is observable
-// mid-stream, not only after Close. The remaining maintenance counters
+// since Open, and — in the sharded modes — reshape migrations and shard
+// imbalance (MigratedTuples, Imbalance), observable mid-stream, not only
+// after Close. The remaining maintenance counters
 // (Merges, late accounting, latency) are finalized by Close; after Close,
 // Stats returns the final statistics. Safe from any goroutine.
 func (e *Engine) Stats() RunStats {
@@ -759,7 +717,6 @@ func (e *Engine) Stats() RunStats {
 	default:
 		st.Tuples = e.router.Published()
 		st.Matches = e.router.MatchCount()
-		st.Rebalances = e.router.Rebalances()
 		st.MigratedTuples = e.router.Migrated()
 		st.Imbalance = shardImbalance(e.router.LoadSnapshot())
 	}
@@ -784,9 +741,8 @@ func (e *Engine) fillGC(st *RunStats) {
 }
 
 // ShardLoads returns each shard's live load snapshot in the sharded modes
-// (nil elsewhere): inserts and probe fan-ins routed since the last rebalance
-// epoch (populated only under adaptive rebalancing), pending queue depth,
-// and resident window size. Safe from any goroutine; the snapshot is weakly
+// (nil elsewhere): pending queue depth with its high-water mark, and
+// resident window size. Safe from any goroutine; the snapshot is weakly
 // consistent across shards.
 func (e *Engine) ShardLoads() []ShardLoad {
 	if e.router == nil {
@@ -795,7 +751,7 @@ func (e *Engine) ShardLoads() []ShardLoad {
 	snap := e.router.LoadSnapshot()
 	out := make([]ShardLoad, len(snap))
 	for i, s := range snap {
-		out[i] = ShardLoad{Inserts: s.Inserts, Probes: s.Probes, QueueDepth: s.QueueDepth, QueueHW: s.QueueHW, Resident: s.Resident}
+		out[i] = ShardLoad(s)
 	}
 	return out
 }
@@ -807,29 +763,18 @@ func (e *Engine) ShardLoads() []ShardLoad {
 func (e *Engine) EmitsMatches() bool { return e.pull != nil }
 
 // shardImbalance folds a shard load snapshot into the single imbalance
-// ratio exposed by RunStats: over routed ops when the adaptive accounting is
-// live, otherwise over resident window tuples (always maintained).
+// ratio exposed by RunStats, over resident window tuples.
 func shardImbalance(snap []shard.ShardLoad) float64 {
-	routed := make([]uint64, len(snap))
 	resident := make([]uint64, len(snap))
-	anyRouted := false
 	for i, s := range snap {
-		routed[i] = s.Inserts + s.Probes
-		if routed[i] > 0 {
-			anyRouted = true
-		}
 		resident[i] = uint64(s.Resident)
-	}
-	if anyRouted {
-		return metrics.Imbalance(routed)
 	}
 	return metrics.Imbalance(resident)
 }
 
 // Drain flushes the session to a deterministic quiescent point and blocks
 // until every pushed tuple's matches have been propagated: pending shard
-// batches are flushed, in-flight rebalance epochs complete, and in
-// ModeShardedTime the reorder buffer is flushed — which advances the
+// batches are flushed, and in ModeShardedTime the reorder buffer is flushed — which advances the
 // watermark past everything buffered, so strictly older tuples pushed
 // afterwards are late. The session stays usable.
 //
@@ -903,12 +848,6 @@ func (e *Engine) Close(ctx context.Context) (RunStats, error) {
 			break
 		}
 	}
-	if e.tuner != nil {
-		// Stop the auto-tuner first: a reconfiguration in flight completes
-		// (the workers are still up), and no new one starts against the
-		// teardown.
-		e.tuner.stop()
-	}
 	done := make(chan struct{})
 	var st join.Stats
 	go func() {
@@ -972,7 +911,6 @@ func (e *Engine) finish(st join.Stats) RunStats {
 		MergeTime:           st.MergeTime,
 		MeanMicros:          st.Latency.MeanMicros,
 		P99Micros:           st.Latency.P99Micros,
-		Rebalances:          st.Rebalances,
 		MigratedTuples:      st.Migrated,
 		LateDropped:         st.LateDropped,
 		MaxObservedDisorder: st.MaxDisorder,

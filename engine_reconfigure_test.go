@@ -1,7 +1,6 @@
 // Reconfigure conformance: forced mid-stream reshapes must keep every
 // backend's match multiset identical to the serial Join in both sharded
-// modes, and the error paths must stay pinned to the same texts as
-// Config.validate. Meant to run under -race.
+// modes, and the error paths must stay pinned. Meant to run under -race.
 package pimtree_test
 
 import (
@@ -177,7 +176,7 @@ func TestEngineShardedTimeReconfigureConformance(t *testing.T) {
 }
 
 // TestEngineReconfigureErrors pins the error paths: non-tunable modes,
-// negative deltas, validation failures (same text as Open), and ErrClosed.
+// negative deltas, and ErrClosed.
 func TestEngineReconfigureErrors(t *testing.T) {
 	const w = 64
 	open := func(t *testing.T, cfg pimtree.Config) *pimtree.Engine {
@@ -212,28 +211,6 @@ func TestEngineReconfigureErrors(t *testing.T) {
 		}
 	})
 
-	t.Run("validation text pinned to Open", func(t *testing.T) {
-		// A rebalance delta on a timed engine must fail with the identical
-		// message Open produces for the same configuration.
-		badCfg := pimtree.Config{
-			Mode: pimtree.ModeShardedTime, Span: 100, MaxLive: 64, Shards: 2,
-			Adaptive: true,
-		}
-		_, openErr := pimtree.Open(badCfg)
-		if openErr == nil {
-			t.Fatal("Open accepted adaptive sharded-time")
-		}
-		e := open(t, pimtree.Config{Mode: pimtree.ModeShardedTime, Span: 100, MaxLive: 64, Shards: 2})
-		defer e.Close(context.Background())
-		recErr := e.Reconfigure(pimtree.Delta{Rebalance: &pimtree.RebalancePolicy{}})
-		if recErr == nil {
-			t.Fatal("Reconfigure accepted a rebalance delta on a timed engine")
-		}
-		if recErr.Error() != openErr.Error() {
-			t.Fatalf("Reconfigure error %q, Open error %q — texts must match", recErr, openErr)
-		}
-	})
-
 	t.Run("zero delta is a no-op", func(t *testing.T) {
 		e := open(t, pimtree.Config{Mode: pimtree.ModeSharded, WindowR: w, WindowS: w, Shards: 2})
 		defer e.Close(context.Background())
@@ -256,7 +233,7 @@ func TestEngineReconfigureErrors(t *testing.T) {
 	})
 }
 
-// Concurrent Reconfigure calls (admin endpoint + auto-tuner racing) must
+// Concurrent Reconfigure calls (several admin clients racing) must
 // serialize against each other and the producer; the run stays exact.
 func TestEngineReconfigureConcurrent(t *testing.T) {
 	const w = 128
@@ -328,49 +305,53 @@ func TestEngineReconfigureConcurrent(t *testing.T) {
 	}
 }
 
-// TestEngineAutoTune: under a sustained hotspot the controller must fire at
-// least one decision (enabling rebalancing on the skew) without breaking the
-// run.
-func TestEngineAutoTune(t *testing.T) {
-	const w = 256
-	diff := pimtree.DiffForMatchRate(w, 2)
+// A reshape deals the default stripes, so it yields exactly the requested
+// shard count even when every key pushed so far is one value.
+func TestReshapeDealsStripes(t *testing.T) {
+	const w, n = 64, 1200
+	const diff = 1
+	arr := make([]pimtree.Arrival, n)
+	for i := range arr {
+		arr[i] = pimtree.Arrival{Stream: pimtree.StreamID(i % 2), Key: 42}
+	}
+	want, _ := serialOracle(t, arr, w, diff)
+
+	var got []matchKey
+	var mu sync.Mutex
 	e, err := pimtree.Open(pimtree.Config{
-		Mode: pimtree.ModeSharded, WindowR: w, WindowS: w, Diff: diff,
-		Shards: 4, AutoTune: true,
-		Tune: pimtree.TunePolicy{Interval: 2 * time.Millisecond, Streak: 2, Cooldown: 2},
-		// Matches are irrelevant here; keep the hot path lean.
-		DiscardMatches: true,
+		Mode: pimtree.ModeSharded, WindowR: w, WindowS: w, Diff: diff, Shards: 2,
+		OnMatch: func(m pimtree.Match) {
+			mu.Lock()
+			got = append(got, matchKey{m.ProbeStream, m.ProbeSeq, m.MatchSeq})
+			mu.Unlock()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Tuning().AutoTune {
-		t.Fatal("Tuning().AutoTune = false on an autotuned engine")
-	}
-	// Hotspot: all keys in a narrow static band, so one shard owns nearly
-	// everything and imbalance stays high until the controller enables
-	// rebalancing.
-	const n = 200000
-	arr := pimtree.Interleave(81,
-		pimtree.StepSkewSource(82, 0.05, n), pimtree.StepSkewSource(83, 0.05, n), 0.5, n)
-	deadline := time.Now().Add(10 * time.Second)
-	fired := false
-	for !fired && time.Now().Before(deadline) {
-		for _, a := range arr {
-			if err := e.Push(a.Stream, a.Key); err != nil {
+	for i, a := range arr {
+		if i == n/2 {
+			if err := e.Reconfigure(pimtree.Delta{Shards: 4}); err != nil {
 				t.Fatal(err)
 			}
+			if s := e.Tuning().Shards; s != 4 {
+				t.Fatalf("Tuning().Shards = %d after reshaping to 4", s)
+			}
 		}
-		fired = e.Tuning().Decisions > 0
+		if err := e.Push(a.Stream, a.Key); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tu := e.Tuning()
 	if _, err := e.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if tu.Decisions == 0 {
-		t.Fatal("auto-tune controller never fired on a sustained hotspot")
+	sortedMatches(got)
+	if len(got) != len(want) {
+		t.Fatalf("match multiset size %d, want %d", len(got), len(want))
 	}
-	if tu.LastDecision == "" {
-		t.Fatal("LastDecision empty after an applied decision")
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("match %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -7,6 +7,7 @@ package pimtree_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -198,20 +199,33 @@ func TestWindowTooLargeNamed(t *testing.T) {
 
 func TestEngineAutoMode(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  pimtree.Config
-		want pimtree.Mode
+		name  string
+		cfg   pimtree.Config
+		cores int // GOMAXPROCS during Open; 0 keeps the host's
+		want  pimtree.Mode
 	}{
-		{"time window", pimtree.Config{Span: 10, MaxLive: 8}, pimtree.ModeShardedTime},
-		{"chained backend", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain}, pimtree.ModeSerial},
-		{"count windows", pimtree.Config{WindowR: 4, WindowS: 4, Shards: 2}, pimtree.ModeSharded},
+		{"time window", pimtree.Config{Span: 10, MaxLive: 8}, 0, pimtree.ModeShardedTime},
+		{"chained backend", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain}, 0, pimtree.ModeSerial},
+		{"count windows", pimtree.Config{WindowR: 4, WindowS: 4, Shards: 2}, 0, pimtree.ModeSharded},
 		// Shared-only knobs steer auto-resolution to the shared runtime:
 		// asking for a thread pool (or latency sampling) must not silently
 		// produce a sharded run.
-		{"shared knobs", pimtree.Config{WindowR: 512, WindowS: 512, Threads: 2, RecordLatency: true}, pimtree.ModeShared},
+		{"shared knobs", pimtree.Config{WindowR: 512, WindowS: 512, Threads: 2, RecordLatency: true}, 0, pimtree.ModeShared},
+		// The decision table's precedence, one row per rule.
+		{"chained forces serial", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain, Shards: 2}, 8, pimtree.ModeSerial},
+		{"sharded knobs win", pimtree.Config{WindowR: 512, WindowS: 512, Shards: 2, Threads: 2}, 1, pimtree.ModeSharded},
+		{"shared knobs multicore", pimtree.Config{WindowR: 512, WindowS: 512, Threads: 2}, 8, pimtree.ModeShared},
+		{"multicore default", pimtree.Config{WindowR: 4, WindowS: 4}, 8, pimtree.ModeSharded},
+		{"single core default", pimtree.Config{WindowR: 4, WindowS: 4}, 1, pimtree.ModeSerial},
 	}
 	for _, c := range cases {
-		e, err := pimtree.Open(c.cfg)
+		open := func() (*pimtree.Engine, error) {
+			if c.cores > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.cores))
+			}
+			return pimtree.Open(c.cfg)
+		}
+		e, err := open()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -221,6 +235,12 @@ func TestEngineAutoMode(t *testing.T) {
 		if _, err := e.Close(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A time window outranks a chained backend, which the sharded-time
+	// runtime then rejects by name.
+	_, err := pimtree.Open(pimtree.Config{Span: 10, MaxLive: 8, Backend: pimtree.BChain})
+	if !errors.Is(err, pimtree.ErrUnsupportedBackend) || !strings.Contains(err.Error(), pimtree.ModeShardedTime.String()) {
+		t.Fatalf("time window with a chained backend: %v, want the %s backend rejection", err, pimtree.ModeShardedTime)
 	}
 }
 

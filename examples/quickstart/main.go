@@ -3,8 +3,8 @@
 // API.
 //
 // It opens a serial engine session, pushes tuples one at a time, and reads
-// the session statistics on Close. examples/sharded, examples/adaptive, and
-// examples/outoforder show the parallel modes and the pull-side iterator.
+// the session statistics on Close. examples/sharded and examples/outoforder
+// show the parallel modes and the pull-side iterator.
 //
 // Run with:
 //

@@ -16,12 +16,11 @@ func TestRegistryComplete(t *testing.T) {
 		"fig13a", "fig13b", "fig13c",
 		"fig14",
 		"abl-cssfanout", "abl-singlelock", "abl-edgescan",
-		"abl-sharded", "abl-shardbatch", "abl-shardskew", "abl-adaptive",
+		"abl-sharded", "abl-shardbatch", "abl-shardskew",
 		"abl-ooo",
 		"abl-engine",
 		"abl-serve",
 		"abl-alloc",
-		"abl-tune",
 		"abl-wal",
 		"model",
 	}

@@ -62,9 +62,9 @@ func TestReportAdd(t *testing.T) {
 // shape already).
 func TestParseTableOnRealOutput(t *testing.T) {
 	var buf strings.Builder
-	e, ok := ByID("abl-adaptive")
+	e, ok := ByID("abl-shardskew")
 	if !ok {
-		t.Fatal("abl-adaptive not registered")
+		t.Fatal("abl-shardskew not registered")
 	}
 	if testing.Short() {
 		t.Skip("experiment run skipped in -short mode")
@@ -74,7 +74,7 @@ func TestParseTableOnRealOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ID != "abl-adaptive" || len(tab.Rows) != 3 {
+	if tab.ID != "abl-shardskew" || len(tab.Rows) != 3 {
 		t.Fatalf("parsed %q with %d rows", tab.ID, len(tab.Rows))
 	}
 	for _, row := range tab.Rows {

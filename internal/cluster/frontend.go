@@ -566,9 +566,9 @@ func (fe *Frontend) imbalance() float64 {
 	return metrics.Imbalance(resident)
 }
 
-// ShardLoads reports one load entry per node: ops routed to it, the
-// outstanding-probe queue depth with its high-water mark, and the node's
-// last-reported resident window size. Safe from any goroutine.
+// ShardLoads reports one load entry per node: the outstanding-probe queue
+// depth with its high-water mark, and the node's last-reported resident
+// window size. Safe from any goroutine.
 func (fe *Frontend) ShardLoads() []pimtree.ShardLoad {
 	fe.setMu.RLock()
 	defer fe.setMu.RUnlock()
@@ -576,8 +576,6 @@ func (fe *Frontend) ShardLoads() []pimtree.ShardLoad {
 	for i, nd := range fe.nodes {
 		depth, hw := nd.outstandingLen()
 		out[i] = pimtree.ShardLoad{
-			Inserts:    nd.inserts.Load(),
-			Probes:     nd.probes.Load(),
 			QueueDepth: depth,
 			QueueHW:    hw,
 			Resident:   int(nd.snapshotStatus().Resident),

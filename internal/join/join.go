@@ -65,10 +65,9 @@ type Stats struct {
 	MergeTime time.Duration
 	Latency   metrics.Summary
 	Chunks    []ChunkStat // per-chunk throughput when requested (Fig 13b)
-	// Rebalances and Migrated are filled by the adaptive sharded runtime:
-	// completed rebalance epochs and window tuples moved across shards.
-	Rebalances int
-	Migrated   int
+	// Migrated is filled by the sharded runtime: window tuples its reshape
+	// epochs moved across shards.
+	Migrated int
 	// LateDropped and MaxDisorder are filled by runtimes with out-of-order
 	// admission (the timed sharded router): late tuples not joined, and the
 	// largest observed event-time lateness.

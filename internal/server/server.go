@@ -570,10 +570,10 @@ func (s *Server) rebuildSubsLocked(c *conn, add bool) {
 
 // Shutdown gracefully drains and tears the server down: stop accepting,
 // stop new ingest but apply everything already queued, close the engine
-// (which flushes reorder buffers, pending shard batches, and rebalance
-// epochs), deliver every remaining match to the subscriber queues, flush
-// and close every connection, and finally stop the admin endpoint (it stays
-// observable throughout the drain). Returns the engine's final statistics.
+// (which flushes reorder buffers and pending shard batches), deliver every
+// remaining match to the subscriber queues, flush and close every
+// connection, and finally stop the admin endpoint (it stays observable
+// throughout the drain). Returns the engine's final statistics.
 //
 // If ctx is done before the drain completes, Shutdown abandons the
 // remaining graceful steps, hard-closes everything, and returns the
@@ -713,8 +713,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // shardJSON mirrors pimtree.ShardLoad with stable JSON names.
 type shardJSON struct {
-	Inserts      uint64 `json:"inserts"`
-	Probes       uint64 `json:"probes"`
 	QueueDepth   int    `json:"queue_depth"`
 	QueueDepthHW uint64 `json:"queue_depth_hw"`
 	Resident     int    `json:"resident"`
@@ -751,7 +749,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	sv := s.Stats()
 	var shards []shardJSON
 	for _, l := range s.eng.ShardLoads() {
-		shards = append(shards, shardJSON{Inserts: l.Inserts, Probes: l.Probes, QueueDepth: l.QueueDepth, QueueDepthHW: l.QueueHW, Resident: l.Resident})
+		shards = append(shards, shardJSON{QueueDepth: l.QueueDepth, QueueDepthHW: l.QueueHW, Resident: l.Resident})
 	}
 	payload := struct {
 		Node struct {
@@ -763,7 +761,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Matches             uint64      `json:"matches"`
 		ElapsedSeconds      float64     `json:"elapsed_seconds"`
 		Mtps                float64     `json:"mtps"`
-		Rebalances          int         `json:"rebalances"`
 		MigratedTuples      int         `json:"migrated_tuples"`
 		LateDropped         uint64      `json:"late_dropped"`
 		MaxObservedDisorder uint64      `json:"max_observed_disorder"`
@@ -794,7 +791,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Matches:             st.Matches,
 		ElapsedSeconds:      st.Elapsed.Seconds(),
 		Mtps:                st.Mtps,
-		Rebalances:          st.Rebalances,
 		MigratedTuples:      st.MigratedTuples,
 		LateDropped:         st.LateDropped,
 		MaxObservedDisorder: st.MaxObservedDisorder,
@@ -844,18 +840,8 @@ type tuningJSON struct {
 	Shards        int    `json:"shards"`
 	BatchSize     int    `json:"batch_size"`
 	QueueCapacity int    `json:"queue_capacity"`
-	Adaptive      bool   `json:"adaptive"`
-	Rebalance     struct {
-		MaxRatio   float64 `json:"max_ratio"`
-		MinGap     int     `json:"min_gap"`
-		SampleSize int     `json:"sample_size"`
-		ForceEvery int     `json:"force_every"`
-	} `json:"rebalance"`
-	AutoTune     bool   `json:"autotune"`
-	Reconfigures int    `json:"reconfigures"`
-	Reshapes     int    `json:"reshapes"`
-	Decisions    int    `json:"decisions"`
-	LastDecision string `json:"last_decision"`
+	Reconfigures  int    `json:"reconfigures"`
+	Reshapes      int    `json:"reshapes"`
 }
 
 // deltaJSON is the POST /tuning request body: the JSON shape of
@@ -864,19 +850,11 @@ type deltaJSON struct {
 	Shards        int `json:"shards"`
 	BatchSize     int `json:"batch_size"`
 	QueueCapacity int `json:"queue_capacity"`
-	Rebalance     *struct {
-		MaxRatio   float64 `json:"max_ratio"`
-		MinGap     int     `json:"min_gap"`
-		SampleSize int     `json:"sample_size"`
-		ForceEvery int     `json:"force_every"`
-	} `json:"rebalance"`
 }
 
 // handleTuning serves the control plane: GET returns the engine's live
 // Tuning snapshot; POST applies a manual Delta through Engine.Reconfigure
-// and returns the post-apply snapshot, so the caller sees what the delta
-// actually resolved to (key skew can hold the shard count below the
-// request).
+// and returns the post-apply snapshot.
 func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -890,14 +868,6 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		d := pimtree.Delta{Shards: body.Shards, BatchSize: body.BatchSize, QueueCapacity: body.QueueCapacity}
-		if body.Rebalance != nil {
-			d.Rebalance = &pimtree.RebalancePolicy{
-				MaxRatio:   body.Rebalance.MaxRatio,
-				MinGap:     body.Rebalance.MinGap,
-				SampleSize: body.Rebalance.SampleSize,
-				ForceEvery: body.Rebalance.ForceEvery,
-			}
-		}
 		if err := s.eng.Reconfigure(d); err != nil {
 			code := http.StatusUnprocessableEntity
 			if errors.Is(err, pimtree.ErrClosed) || errors.Is(err, pimtree.ErrAborted) {
@@ -917,17 +887,9 @@ func (s *Server) handleTuning(w http.ResponseWriter, r *http.Request) {
 		Shards:        t.Shards,
 		BatchSize:     t.BatchSize,
 		QueueCapacity: t.QueueCapacity,
-		Adaptive:      t.Adaptive,
-		AutoTune:      t.AutoTune,
 		Reconfigures:  t.Reconfigures,
 		Reshapes:      t.Reshapes,
-		Decisions:     t.Decisions,
-		LastDecision:  t.LastDecision,
 	}
-	payload.Rebalance.MaxRatio = t.Rebalance.MaxRatio
-	payload.Rebalance.MinGap = t.Rebalance.MinGap
-	payload.Rebalance.SampleSize = t.Rebalance.SampleSize
-	payload.Rebalance.ForceEvery = t.Rebalance.ForceEvery
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -961,8 +923,7 @@ func (s *Server) promFamilies() []metrics.PromFamily {
 		metrics.Counter("pimtree_engine_matches_total", "Matches propagated in arrival order.", float64(st.Matches)),
 		metrics.Gauge("pimtree_engine_uptime_seconds", "Wall time since the engine session opened.", st.Elapsed.Seconds()),
 		metrics.Gauge("pimtree_engine_throughput_mtps", "Session-average throughput in million tuples per second.", st.Mtps),
-		metrics.Counter("pimtree_engine_rebalances_total", "Completed adaptive rebalance epochs.", float64(st.Rebalances)),
-		metrics.Counter("pimtree_engine_migrated_tuples_total", "Window tuples moved between shards by rebalancing.", float64(st.MigratedTuples)),
+		metrics.Counter("pimtree_engine_migrated_tuples_total", "Window tuples moved between shards by reshape epochs.", float64(st.MigratedTuples)),
 		metrics.Counter("pimtree_engine_late_dropped_total", "Tuples later than Slack dropped by the reorder buffer.", float64(st.LateDropped)),
 		metrics.Gauge("pimtree_engine_max_observed_disorder", "Largest observed event-time lateness in timestamp units.", float64(st.MaxObservedDisorder)),
 		metrics.Gauge("pimtree_engine_shard_imbalance", "Load-imbalance ratio max(shard)/mean(shard); 0 when unsharded or idle.", st.Imbalance),
@@ -975,14 +936,11 @@ func (s *Server) promFamilies() []metrics.PromFamily {
 	}
 	tn := s.eng.Tuning()
 	fams = append(fams,
-		metrics.Counter("pimtree_engine_reconfigures_total", "Applied Reconfigure deltas (manual and controller-driven).", float64(tn.Reconfigures)),
+		metrics.Counter("pimtree_engine_reconfigures_total", "Applied Reconfigure deltas.", float64(tn.Reconfigures)),
 		metrics.Counter("pimtree_shard_reshapes_total", "Shard-layer reshape epochs completed.", float64(tn.Reshapes)),
-		metrics.Counter("pimtree_tune_decisions_total", "AutoTune controller decisions applied.", float64(tn.Decisions)),
 		metrics.Gauge("pimtree_tune_shards", "Live shard count (0 outside the sharded modes).", float64(tn.Shards)),
 		metrics.Gauge("pimtree_tune_batch_size", "Currently applied routed-ops-per-batch bound.", float64(tn.BatchSize)),
 		metrics.Gauge("pimtree_tune_queue_capacity", "Currently applied in-flight ring bound.", float64(tn.QueueCapacity)),
-		metrics.Gauge("pimtree_tune_adaptive", "1 while adaptive shard rebalancing is live.", b(tn.Adaptive)),
-		metrics.Gauge("pimtree_tune_autotune", "1 while the AutoTune feedback controller is running.", b(tn.AutoTune)),
 	)
 	if ws, ok := s.walStats(); ok {
 		fams = append(fams,
@@ -998,20 +956,16 @@ func (s *Server) promFamilies() []metrics.PromFamily {
 		)
 	}
 	if loads := s.eng.ShardLoads(); len(loads) > 0 {
-		ins := metrics.PromFamily{Name: "pimtree_shard_inserts_total", Help: "Tuple inserts routed per shard since the last rebalance epoch (adaptive runs only).", Type: "counter"}
-		prb := metrics.PromFamily{Name: "pimtree_shard_probes_total", Help: "Probe fan-ins routed per shard since the last rebalance epoch (adaptive runs only).", Type: "counter"}
 		qd := metrics.PromFamily{Name: "pimtree_shard_queue_depth", Help: "Op batches pending in the shard's queue.", Type: "gauge"}
 		qhw := metrics.PromFamily{Name: "pimtree_shard_queue_depth_high_water", Help: "Deepest queue depth observed on the shard since it was (re)created; reshapes start fresh marks.", Type: "gauge"}
 		res := metrics.PromFamily{Name: "pimtree_shard_resident_tuples", Help: "Tuples currently resident in the shard's windows.", Type: "gauge"}
 		for i, l := range loads {
 			lbl := [][2]string{{"shard", strconv.Itoa(i)}}
-			ins.Samples = append(ins.Samples, metrics.PromSample{Labels: lbl, Value: float64(l.Inserts)})
-			prb.Samples = append(prb.Samples, metrics.PromSample{Labels: lbl, Value: float64(l.Probes)})
 			qd.Samples = append(qd.Samples, metrics.PromSample{Labels: lbl, Value: float64(l.QueueDepth)})
 			qhw.Samples = append(qhw.Samples, metrics.PromSample{Labels: lbl, Value: float64(l.QueueHW)})
 			res.Samples = append(res.Samples, metrics.PromSample{Labels: lbl, Value: float64(l.Resident)})
 		}
-		fams = append(fams, ins, prb, qd, qhw, res)
+		fams = append(fams, qd, qhw, res)
 	}
 	fams = append(fams,
 		metrics.Gauge("pimtree_server_connections", "Open protocol connections.", float64(sv.Connections)),

@@ -672,10 +672,7 @@ var promCommentRe = regexp.MustCompile(`^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]*(
 // TestAdminEndpoints drives /healthz, /stats, and /metrics against a live
 // sharded session and validates the exposition format line by line.
 func TestAdminEndpoints(t *testing.T) {
-	cfg := countCfg(pimtree.ModeSharded)
-	cfg.Adaptive = true
-	cfg.Rebalance = pimtree.RebalancePolicy{ForceEvery: 1000}
-	s := startServer(t, cfg, Options{AdminAddr: "127.0.0.1:0", Slow: Block})
+	s := startServer(t, countCfg(pimtree.ModeSharded), Options{AdminAddr: "127.0.0.1:0", Slow: Block})
 	base := "http://" + s.AdminAddr().String()
 
 	c, err := Dial(s.Addr().String(), DialOptions{Subscribe: true})
@@ -707,14 +704,12 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats struct {
-		Mode       string  `json:"mode"`
-		Tuples     int     `json:"tuples"`
-		Matches    uint64  `json:"matches"`
-		Rebalances int     `json:"rebalances"`
-		Imbalance  float64 `json:"imbalance"`
-		Shards     []struct {
-			Inserts  uint64 `json:"inserts"`
-			Resident int    `json:"resident"`
+		Mode      string  `json:"mode"`
+		Tuples    int     `json:"tuples"`
+		Matches   uint64  `json:"matches"`
+		Imbalance float64 `json:"imbalance"`
+		Shards    []struct {
+			Resident int `json:"resident"`
 		} `json:"shards"`
 		Server struct {
 			IngestTuples     uint64 `json:"ingest_tuples"`
@@ -728,7 +723,7 @@ func TestAdminEndpoints(t *testing.T) {
 	if stats.Mode != "sharded" || stats.Tuples != 5000 || stats.Matches == 0 {
 		t.Fatalf("/stats payload: %+v", stats)
 	}
-	if len(stats.Shards) != 3 || stats.Imbalance == 0 || stats.Rebalances == 0 {
+	if len(stats.Shards) != 3 || stats.Imbalance == 0 {
 		t.Fatalf("/stats shard observability: %+v", stats)
 	}
 	if stats.Server.IngestTuples != 5000 || stats.Server.MatchesDelivered != stats.Matches {
@@ -749,7 +744,6 @@ func TestAdminEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"pimtree_engine_tuples_total 5000",
 		"pimtree_engine_matches_total " + fmt.Sprint(stats.Matches),
-		"pimtree_engine_rebalances_total",
 		"pimtree_engine_shard_imbalance",
 		`pimtree_shard_resident_tuples{shard="2"}`,
 		"pimtree_server_ingest_tuples_total 5000",
@@ -827,7 +821,7 @@ func TestTuningEndpoint(t *testing.T) {
 	if tn.Mode != "sharded" || tn.Shards != 3 || tn.BatchSize <= 0 || tn.QueueCapacity <= 0 {
 		t.Fatalf("GET snapshot: %+v", tn)
 	}
-	if tn.Reconfigures != 0 || tn.Reshapes != 0 || tn.Adaptive || tn.AutoTune {
+	if tn.Reconfigures != 0 || tn.Reshapes != 0 {
 		t.Fatalf("GET snapshot not pristine: %+v", tn)
 	}
 
@@ -840,11 +834,11 @@ func TestTuningEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Manual delta mid-stream: grow the shard set, tighten batching, and
-	// switch on adaptive rebalancing in one epoch.
+	// Manual delta mid-stream: grow the shard set and tighten batching in
+	// one epoch.
 	tn = getJSON(http.Post(base, "application/json",
-		strings.NewReader(`{"shards":5,"batch_size":8,"rebalance":{"force_every":1000}}`)))
-	if tn.Shards != 5 || tn.BatchSize != 8 || !tn.Adaptive || tn.Rebalance.ForceEvery != 1000 {
+		strings.NewReader(`{"shards":5,"batch_size":8}`)))
+	if tn.Shards != 5 || tn.BatchSize != 8 {
 		t.Fatalf("POST snapshot: %+v", tn)
 	}
 	if tn.Reconfigures != 1 || tn.Reshapes != 1 {
@@ -878,9 +872,6 @@ func TestTuningEndpoint(t *testing.T) {
 		"pimtree_shard_reshapes_total 1",
 		"pimtree_tune_shards 5",
 		"pimtree_tune_batch_size 8",
-		"pimtree_tune_adaptive 1",
-		"pimtree_tune_autotune 0",
-		"pimtree_tune_decisions_total 0",
 		`pimtree_shard_queue_depth_high_water{shard="4"}`,
 	} {
 		if !strings.Contains(string(body), want) {

@@ -14,8 +14,8 @@ import (
 //
 // Why nothing else needs logging: insert records carry the global per-stream
 // sequence, so replay is shard-agnostic — recovery routes every recovered
-// tuple through the CURRENT partitioner. Rebalance and reshape epochs
-// therefore move tuples between engines without touching the log, and the
+// tuple through the CURRENT partitioner. Reshape epochs therefore move
+// tuples between engines without touching the log, and the
 // ordered-merge state never persists at all (matches emitted before a crash
 // are not replayed; delivery is at-most-once across a restart).
 
@@ -50,7 +50,7 @@ func (r *Router) maybeWALSnapshot() {
 
 // walSnapshot is one snapshot epoch: drain every shard to the barrier,
 // rotate all lanes (sealing the segments the snapshot will obsolete), write
-// a compacting snapshot of the live window, and prune. Exactly the rebalance
+// a compacting snapshot of the live window, and prune. Exactly the reshape
 // epoch's quiescence argument: no op is in flight at the barrier, the
 // workers are parked at their channel receive, so the router may read engine
 // stores and touch worker lanes; the next batch send publishes everything.

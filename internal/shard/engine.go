@@ -270,8 +270,8 @@ func (r *liveRange) live(p kv.Pair) bool { return r.hi-1-p.Ref < r.span }
 
 // engine is one shard: a single-writer join instance over the shard's key
 // range. All mutation happens on the shard's worker goroutine — or, during a
-// rebalance epoch, on the router goroutine while every worker is quiescent at
-// the drain barrier — so the engine needs no locks of its own.
+// reshape or snapshot epoch, on the router goroutine while every worker is
+// quiescent at the drain barrier — so the engine needs no locks of its own.
 type engine struct {
 	cfg    Config // Timed, Self, WR/WS and the index knobs shape the slots
 	stores [2]*store
@@ -291,8 +291,7 @@ type engine struct {
 	// snapshots without synchronization.
 	resident atomic.Int64
 	// baseMerges/baseMergeTime accumulate merge statistics of indexes that
-	// were discarded by rebalance epochs, so Stats.Merges survives index
-	// rebuilds.
+	// were discarded by rebuilds, so Stats.Merges survives them.
 	baseMerges    int
 	baseMergeTime time.Duration
 }
@@ -421,7 +420,7 @@ func (e *engine) reindex(slot int) {
 }
 
 // merges sums merge statistics over both indexes, plus the merges of any
-// indexes discarded by rebalance epochs.
+// indexes discarded by rebuilds.
 func (e *engine) merges() (int, time.Duration) {
 	m, t := e.idxs[0].Merges()
 	if !e.cfg.Self {
@@ -440,8 +439,8 @@ func (e *engine) updateResident() {
 	e.resident.Store(n)
 }
 
-// migrant is one live tuple in flight between shards during a rebalance or
-// reshape epoch. ts is only meaningful in timed mode.
+// migrant is one live tuple in flight between shards during a reshape epoch
+// or an index rebuild. ts is only meaningful in timed mode.
 type migrant struct {
 	key uint32
 	seq uint64

@@ -234,10 +234,10 @@ func TestShardLivenessSpanGuard(t *testing.T) {
 	e.probe(&op{kind: opProbe, hi: 9, tl: 11 + 1<<31}, nil)
 }
 
-// TestShardLivenessRebalanceWrapped runs forced rebalance epochs — extract,
-// reset, adopt — on a router whose sequence heads cross 2^32 mid-run, against
-// the serial join on the same arrivals.
-func TestShardLivenessRebalanceWrapped(t *testing.T) {
+// TestShardLivenessReshapeWrapped runs grow and shrink reshape epochs —
+// extract, fresh engines, adopt — on a router whose sequence heads cross 2^32
+// mid-run, against the serial join on the same arrivals.
+func TestShardLivenessReshapeWrapped(t *testing.T) {
 	const w, n = 256, 4000
 	band := join.Band{Diff: stream.UniformDiff(w, 2)}
 	arr := stepSkewArrivals(71, n, n/5)
@@ -247,21 +247,25 @@ func TestShardLivenessRebalanceWrapped(t *testing.T) {
 		var got []triple
 		r := NewRouter(Config{
 			Shards: 3, BatchSize: 16, WR: w, WS: w, Band: band, Index: kind,
-			Adaptive: true, Rebalance: Policy{ForceEvery: 512, SampleSize: 1024},
 			// The sink runs under the FanIn's propagation lock: one call at a time.
 			Sink: func(s uint8, p, m uint64) { got = append(got, triple{s, p - base[s], m - base[opposite(s)]}) },
 		}, len(arr))
 		r.heads = base
-		for _, a := range arr {
+		for i, a := range arr {
+			if i > 0 && i%512 == 0 {
+				// Grow to 5 shards and shrink back to 3, alternately.
+				r.Reshape(Reshape{Shards: 3 + (i/512)%2*2})
+			}
 			r.Push(a)
 		}
 		st := r.Close()
 		sortTriples(got)
-		if st.Rebalances == 0 || r.heads[0] <= 1<<32 || r.heads[1] <= 1<<32 {
-			t.Fatalf("%v: %d rebalances, heads %v: the run did not rebalance across the wrap", kind, st.Rebalances, r.heads)
+		if r.Reshapes() == 0 || st.Migrated == 0 || r.heads[0] <= 1<<32 || r.heads[1] <= 1<<32 {
+			t.Fatalf("%v: %d reshapes migrating %d tuples, heads %v: the run did not reshape across the wrap",
+				kind, r.Reshapes(), st.Migrated, r.heads)
 		}
 		if !equalTriples(got, want) {
-			t.Fatalf("%v: multiset differs after %d rebalances (%d vs %d matches)", kind, st.Rebalances, len(got), len(want))
+			t.Fatalf("%v: multiset differs after %d reshapes (%d vs %d matches)", kind, r.Reshapes(), len(got), len(want))
 		}
 	}
 }

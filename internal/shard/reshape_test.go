@@ -201,30 +201,80 @@ func TestReshapeTimedMatchesOracle(t *testing.T) {
 	diffMultisets(t, "timed reshape", want, got)
 }
 
-// Enabling the adaptive layer live on a static run must start producing
-// rebalance epochs, seeded from the always-on key sample.
-func TestReshapeEnablesAdaptiveLive(t *testing.T) {
-	const w = 256
-	const n = 6000
-	band := join.Band{Diff: stream.UniformDiff(w, 2)}
-	arr := stepSkewArrivals(21, n, n) // static skew: quantiles differ from equal-width
-	want := serialOracle(arr, w, w, false, band)
+// stepSkewArrivals builds a two-way workload whose keys live in a narrow hot
+// band that jumps location every period tuples. Both streams use the same
+// generator seed so their hot bands stay (approximately) co-located and the
+// join produces matches.
+func stepSkewArrivals(seed int64, n, period int) []stream.Arrival {
+	return stream.NewInterleaver(seed,
+		stream.NewStepSkew(seed+1, 1.0/16, period),
+		stream.NewStepSkew(seed+1, 1.0/16, period), 0.5).Take(n)
+}
 
-	got, st := reshapeRun(t, arr, Config{
-		Shards: 4, BatchSize: 16, WR: w, WS: w, Band: band, Index: join.IndexPIMTree,
-	}, func(r *Router, i int) {
-		if i == n/4 {
-			if r.cfg.Adaptive {
-				t.Fatal("adaptive layer on before the policy reshape")
+// Repeated grow and shrink epochs migrate the live windows back and forth
+// mid-stream; every backend must keep the serial multiset, on uniform keys
+// and on a hot band that jumps.
+func TestReshapeEpochsMultiset(t *testing.T) {
+	const w = 256
+	const n = 8000
+	band := join.Band{Diff: stream.UniformDiff(w, 2)}
+	workloads := map[string][]stream.Arrival{
+		"uniform":   stream.NewInterleaver(61, stream.NewUniform(62), stream.NewUniform(63), 0.5).Take(n),
+		"step-skew": stepSkewArrivals(71, n, n/5),
+	}
+	for name, arr := range workloads {
+		want := serialOracle(arr, w, w, false, band)
+		if len(want) == 0 {
+			t.Fatalf("%s: oracle produced no matches; workload broken", name)
+		}
+		for _, kind := range allIndexKinds {
+			for _, shards := range []int{2, 4} {
+				got, st := reshapeRun(t, arr, Config{
+					Shards: shards, BatchSize: 16, WR: w, WS: w, Band: band, Index: kind,
+				}, func(r *Router, i int) {
+					if i > 0 && i%1024 == 0 {
+						// Alternate growing to 2k+1 shards and shrinking back.
+						r.Reshape(Reshape{Shards: shards + (i/1024)%2*(shards+1)})
+					}
+				})
+				if st.Migrated == 0 {
+					t.Fatalf("%s/%v/k=%d: reshape epochs migrated nothing", name, kind, shards)
+				}
+				if !equalTriples(got, want) {
+					t.Fatalf("%s/%v/k=%d: multiset differs after reshape epochs (%d vs %d matches)",
+						name, kind, shards, len(got), len(want))
+				}
 			}
-			r.Reshape(Reshape{Policy: &Policy{ForceEvery: 512, SampleSize: 1024}})
+		}
+	}
+}
+
+// A reshape deals the default stripes, so it yields exactly the requested
+// shard count even when every key pushed so far is one value.
+func TestReshapeDealsStripes(t *testing.T) {
+	const w = 64
+	const n = 1200
+	band := join.Band{Diff: 1}
+	arr := make([]stream.Arrival, n)
+	for i := range arr {
+		arr[i] = stream.Arrival{Stream: uint8(i % 2), Key: 42}
+	}
+	want := serialOracle(arr, w, w, false, band)
+	got, _ := reshapeRun(t, arr, Config{
+		Shards: 2, BatchSize: 16, WR: w, WS: w, Band: band, Index: join.IndexPIMTree,
+	}, func(r *Router, i int) {
+		if i == n/2 {
+			r.Reshape(Reshape{Shards: 4})
+			if r.part != Partitioner(newStripedPartitioner(4, band.Diff)) {
+				t.Fatalf("partitioner after reshape = %+v, want the 4-shard stripes", r.part)
+			}
+			if got := r.Shards(); got != 4 {
+				t.Fatalf("Shards() = %d after reshaping to 4", got)
+			}
 		}
 	})
 	if !equalTriples(got, want) {
-		t.Fatalf("live-policy multiset differs (%d vs %d)", len(got), len(want))
-	}
-	if st.Rebalances == 0 {
-		t.Fatal("live-enabled adaptive layer never rebalanced")
+		t.Fatalf("one-key reshape multiset differs (%d vs %d)", len(got), len(want))
 	}
 }
 
@@ -265,8 +315,7 @@ func TestReshapeQueueHighWater(t *testing.T) {
 	}
 }
 
-// Reshape parameter validation: negative values and timed-mode policies are
-// programming errors.
+// Reshape parameter validation: negative values are programming errors.
 func TestReshapeValidation(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -282,8 +331,4 @@ func TestReshapeValidation(t *testing.T) {
 	mustPanic("negative shards", func() { r.Reshape(Reshape{Shards: -1}) })
 	mustPanic("negative batch", func() { r.Reshape(Reshape{BatchSize: -1}) })
 	mustPanic("negative capacity", func() { r.Reshape(Reshape{Capacity: -4}) })
-
-	rt := NewRouter(Config{Timed: true, Span: 100, MaxLive: 64, Shards: 2, Index: join.IndexPIMTree}, 64)
-	defer rt.Close()
-	mustPanic("timed policy", func() { rt.Reshape(Reshape{Policy: &Policy{}}) })
 }

@@ -23,14 +23,15 @@
 // Sequencer (global sequence heads, probe windows, eviction watermarks), pool
 // (the single-writer engines, their batched FIFO lanes and workers), and
 // FanIn (the in-flight completion ring and the ordered merge stage).
-// Router = Sequencer + pool + FanIn, plus the reorder buffer, the rebalance
-// and reshape epochs, and the WAL. Member = pool + FanIn, applying ops a
-// remote Sequencer numbered. cluster.Frontend = Sequencer + FanIn over a node
-// transport in place of the pool.
+// Router = Sequencer + pool + FanIn, plus the reorder buffer, the reshape
+// epochs, and the WAL. Member = pool + FanIn, applying ops a remote Sequencer
+// numbered. cluster.Frontend = Sequencer + FanIn over a node transport in
+// place of the pool.
 package shard
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,22 +62,12 @@ type Config struct {
 	// narrower than one stripe. Must be monotone (see Partitioner).
 	Part Partitioner
 
-	// Adaptive enables the online rebalancing layer: per-shard load
-	// accounting, a monitor goroutine that detects imbalance, and epoch-based
-	// live migration of window contents to boundaries recomputed from a
-	// recent-key sample. The initial partitioner (Part or the equal-width
-	// default) only seeds the first epoch.
-	Adaptive bool
-	// Rebalance tunes the adaptive layer; ignored unless Adaptive is set.
-	Rebalance Policy
-
 	// Timed switches the runtime to time-based windows: arrivals enter via
 	// PushTimed, carry event timestamps, expire by Span instead of window
 	// position, and are admitted through a bounded reorder buffer that
 	// tolerates event-time disorder up to Slack (late tuples follow Late /
 	// OnLate). WR/WS are ignored; MaxLive bounds simultaneously live tuples
-	// per window and sizes the per-shard stores. Adaptive rebalancing is not
-	// supported in timed mode.
+	// per window and sizes the per-shard stores.
 	Timed   bool
 	Span    uint64 // timed: window duration in timestamp units (required)
 	MaxLive int    // timed: upper bound on live tuples per window (required)
@@ -129,23 +120,13 @@ type Router struct {
 	// only) — the observable for fan-out tests and skew diagnostics.
 	probeRouted []int
 
-	// Adaptive rebalancing state. stats only exists while cfg.Adaptive is
-	// set; sample is always allocated (reshape epochs seed quantile
-	// boundaries from it even when the adaptive layer is off); reb only runs
-	// while the adaptive monitor is wanted.
-	stats   *loadStats
-	sample  *keyRing
-	reb     *rebalancer
-	pol     Policy
-	lastReb int          // arrival index of the last rebalance epoch
-	epochs  atomic.Int64 // completed rebalance epochs (read live by Stats scrapers)
-	moved   atomic.Int64 // tuples that changed shards across all epochs
+	moved atomic.Int64 // tuples that changed shards across all reshape epochs
 
 	// snapMu guards the identity of the per-shard slices (engines, chans,
-	// stats, qhw) across reshape epochs: LoadSnapshot readers take the read
-	// side from arbitrary goroutines while reshard swaps the slices under
-	// the write side. The router's own accesses need no lock — Reshape runs
-	// on the producer-serialized path, like every other mutation.
+	// qhw) across reshape epochs: LoadSnapshot readers take the read side
+	// from arbitrary goroutines while reshard swaps the slices under the
+	// write side. The router's own accesses need no lock — Reshape runs on
+	// the producer-serialized path, like every other mutation.
 	snapMu   sync.RWMutex
 	reshapes atomic.Int64 // applied reshape epochs (read live by Tuning scrapers)
 
@@ -176,9 +157,6 @@ func NewRouter(cfg Config, capacity int) *Router {
 		}
 		if cfg.MaxLive <= 0 {
 			panic("shard: MaxLive must be positive in timed mode")
-		}
-		if cfg.Adaptive {
-			panic("shard: adaptive rebalancing is not supported in timed mode")
 		}
 		// MaxLive plays the window-length role everywhere a count window
 		// would be consulted: store and index sizing.
@@ -221,20 +199,6 @@ func NewRouter(cfg Config, capacity int) *Router {
 	}
 	r.Init(r.flushAll, emit)
 	r.resize(capacity, k)
-	if cfg.Adaptive {
-		// Load accounting only exists when something reads it: the
-		// counters are atomic (monitor goroutine) and sit on the routing
-		// hot path, so static runs skip them entirely.
-		r.stats = newLoadStats(k)
-		r.pol = cfg.Rebalance.withDefaults(cfg)
-		if r.pol.ForceEvery <= 0 {
-			r.reb = startRebalancer(r.stats, r.pol)
-		}
-	}
-	// The recent-key sample is always maintained (one ring write per insert):
-	// reshape epochs seed the new partitioner's quantile boundaries from it
-	// even when the run started without the adaptive layer.
-	r.sample = newKeyRing(r.pol.SampleSize)
 	if cfg.Timed {
 		r.reorder = ooo.New(cfg.Slack, cfg.Late, cfg.OnLate)
 	}
@@ -279,9 +243,6 @@ func (r *Router) emitSink(slot int, buckets [][]uint64) {
 // Push routes one arrival. Blocks while the in-flight ring is full.
 func (r *Router) Push(a stream.Arrival) {
 	r.route(a.Stream, a.Key, 0)
-	if r.cfg.Adaptive {
-		r.maybeRebalance()
-	}
 	if r.cfg.WAL != nil {
 		r.maybeWALSnapshot()
 	}
@@ -325,58 +286,16 @@ func (r *Router) route(s uint8, key uint32, ts uint64) {
 	for p := p1; p <= p2; p++ {
 		d := p % k
 		r.probeRouted[d]++
-		r.stats.probe(d)
 		r.enqueue(d, op{
 			kind: opProbe, stream: probed, lo: lo, hi: hi,
 			te: te, tl: tl, idx: i, bucket: p - p1,
 		})
 	}
 	owner := Clamp(r.part.ShardOf(key), k)
-	r.stats.insert(owner)
-	r.sample.add(key)
 	r.enqueue(owner, op{
 		kind: opInsert, stream: own, key: key, seq: seq, te: wm, ts: ts,
 	})
 	r.Publish()
-}
-
-// maybeRebalance runs on the router goroutine after each Push: it honors a
-// deterministic ForceEvery schedule, or picks up the monitor's imbalance
-// request once the minimum epoch gap has passed.
-func (r *Router) maybeRebalance() {
-	if r.pol.ForceEvery > 0 {
-		if r.n-r.lastReb >= r.pol.ForceEvery {
-			r.rebalance()
-		}
-		return
-	}
-	if r.reb.want.Load() && r.n-r.lastReb >= r.pol.MinGap {
-		r.rebalance()
-		r.reb.want.Store(false)
-	}
-}
-
-// rebalance is one epoch of the adaptive layer: recompute boundaries from
-// the recent-key sample, drain every shard to a barrier, migrate live window
-// contents between engines, and install the new partitioner. It runs
-// entirely on the router goroutine; exactness is preserved because no op is
-// in flight during the migration and every probe routed afterwards fans out
-// under the same partitioner that owns the migrated tuples.
-func (r *Router) rebalance() {
-	r.lastReb = r.n
-	part, ok := boundsFromSample(r.sample.snapshot(), len(r.engines))
-	if !ok {
-		return
-	}
-	if samePartition(r.part, part.(QuantilePartitioner)) {
-		r.stats.reset()
-		return
-	}
-	r.drainBarrier()
-	r.moved.Add(int64(migrate(r.engines, r.engines, part, r.frontiers())))
-	r.part = part
-	r.epochs.Add(1)
-	r.stats.reset()
 }
 
 // frontiers returns each store slot's global eviction frontier: head -
@@ -400,15 +319,13 @@ func (r *Router) frontiers() (wms [2]uint64) {
 }
 
 // Reshape describes a live structural or parameter change applied by
-// Router.Reshape at an epoch barrier. Zero (or nil) fields keep the current
-// value.
+// Router.Reshape at an epoch barrier. Zero fields keep the current value.
 type Reshape struct {
 	// Shards is the target shard count. Changing it is a full reshape epoch:
 	// the worker set is stopped at the drain barrier, a fresh engine set is
 	// spawned, live window slices migrate into it, and the retired engines
-	// are dropped. The new boundaries are the quantiles of the recent-key
-	// sample when it is thick enough (the striped default otherwise), so under
-	// heavy skew the effective count can collapse below the request.
+	// are dropped. The new engine set is dealt the default stripes
+	// (newStripedPartitioner), so it has exactly the requested count.
 	Shards int
 	// BatchSize swaps the routed-ops-per-batch bound for subsequent epochs.
 	BatchSize int
@@ -416,27 +333,21 @@ type Reshape struct {
 	// reshape barrier (all routed arrivals are propagated), so the swap is a
 	// plain reallocation.
 	Capacity int
-	// Policy, when non-nil, replaces the adaptive rebalancing policy and
-	// enables the adaptive layer if it was off (count windows only).
-	Policy *Policy
 }
 
 // Reshape applies a live reconfiguration at an epoch barrier: it drains
 // every shard to quiescence, runs the ordered propagation to the frontier
 // (emptying the in-flight ring), and then swaps parameters and — for a shard
-// count change — the engine set itself, migrating live window contents
-// exactly as a rebalance epoch does. The match multiset is unaffected:
-// no op or result is in flight while the structure changes, and every probe
-// routed afterwards fans out under the partitioner that owns the migrated
-// tuples. Producer-serialized, like Push and Drain; the timed reorder buffer
-// is deliberately left untouched (flushing it would advance the watermark
-// and turn merely-buffered tuples late).
+// count change — the engine set itself, migrating live window contents into
+// it. The match multiset is unaffected: no op or result is in flight while
+// the structure changes, and every probe routed afterwards fans out under
+// the partitioner that owns the migrated tuples. Producer-serialized, like
+// Push and Drain; the timed reorder buffer is deliberately left untouched
+// (flushing it would advance the watermark and turn merely-buffered tuples
+// late).
 func (r *Router) Reshape(q Reshape) {
 	if q.Shards < 0 || q.BatchSize < 0 || q.Capacity < 0 {
 		panic("shard: negative Reshape parameter")
-	}
-	if q.Policy != nil && r.cfg.Timed {
-		panic("shard: adaptive rebalancing is not supported in timed mode")
 	}
 	r.drainBarrier()
 	r.Propagate()
@@ -446,24 +357,18 @@ func (r *Router) Reshape(q Reshape) {
 	if q.Capacity > 0 && q.Capacity != r.capN {
 		r.resize(q.Capacity, len(r.engines))
 	}
-	if q.Policy != nil {
-		r.cfg.Adaptive = true
-		r.cfg.Rebalance = *q.Policy
-	}
 	if q.Shards > 0 && q.Shards != len(r.engines) {
 		r.reshard(q.Shards)
-	} else if q.Policy != nil {
-		r.restartAdaptive()
 	}
 	r.reshapes.Add(1)
 }
 
 // reshard is the structural half of a reshape epoch: stop the worker set
 // (parked at the drain barrier, so closing the channels releases them to
-// exit), spawn a fresh engine set sized to the target count, migrate every
-// live window tuple into it, resize the ring rows to the new fan-out width,
-// and restart the workers.
-func (r *Router) reshard(want int) {
+// exit), spawn a fresh engine set of the target count behind the default
+// stripes, migrate every live window tuple into it, resize the ring rows to
+// the new fan-out width, and restart the workers.
+func (r *Router) reshard(k int) {
 	r.stop()
 	// Seal the retiring workers' lanes (they have exited; the sealed
 	// segments stay on disk until a later snapshot covers them).
@@ -477,13 +382,7 @@ func (r *Router) reshard(want int) {
 		r.baseMerges += m
 		r.baseMergeTime += t
 	}
-	var part Partitioner
-	if p, ok := boundsFromSample(r.sample.snapshot(), want); ok {
-		part = p
-	} else {
-		part = newStripedPartitioner(want, r.cfg.Band.Diff)
-	}
-	k := part.Shards()
+	part := newStripedPartitioner(k, r.cfg.Band.Diff)
 	cfg := r.cfg
 	cfg.Part = part
 	cfg.Shards = k
@@ -496,35 +395,42 @@ func (r *Router) reshard(want int) {
 	r.part = part
 	r.start(engines, lanes)
 	r.probeRouted = make([]int, k)
-	// The load accounting is sized per shard: drop it in the same critical
-	// section as the engine swap (a scraper must never pair new engines with
-	// old counters); restartAdaptive below rebuilds it at the new size.
-	r.stats = nil
 	r.snapMu.Unlock()
-	r.restartAdaptive()
 }
 
-// restartAdaptive rebuilds the adaptive layer's accounting and monitor for
-// the current engine set and policy — called after a reshard (the counters
-// are sized per shard) and after a live policy swap. A no-op beyond stopping
-// a stale monitor when the adaptive layer is off.
-func (r *Router) restartAdaptive() {
-	if r.reb != nil {
-		r.reb.stop()
-		r.reb = nil
+// migrate redistributes every live window tuple from the src engines across
+// the fresh dst engines according to the new partitioner and returns how
+// many tuples changed shards. wms holds the per-slot global eviction
+// watermarks — head - window clamped at zero for count windows, the
+// timestamp watermark for timed ones; tuples below the watermark are expired
+// and dropped instead of migrated, and each fresh store starts at its slot's
+// watermark. The caller must hold every src worker quiescent at the drain
+// barrier: migration reads the src stores directly on the router goroutine,
+// and the barrier's WaitGroup edges order it after the workers' writes.
+func migrate(src, dst []*engine, newPart Partitioner, wms [2]uint64) (moved int) {
+	for slot := 0; slot < storeSlots(dst[0].cfg.Self); slot++ {
+		var live []migrant
+		for s, e := range src {
+			live = e.extractLive(slot, wms[slot], s, live)
+		}
+		// Each shard's extract is seq-ordered; the concatenation is not.
+		// The ring stores require monotone seqs, so order globally.
+		sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
+		for _, e := range dst {
+			e.stores[slot].wm = max(e.stores[slot].wm, wms[slot])
+		}
+		for _, m := range live {
+			d := Clamp(newPart.ShardOf(m.key), len(dst))
+			if d != m.src {
+				moved++
+			}
+			dst[d].adopt(slot, m)
+		}
 	}
-	if !r.cfg.Adaptive {
-		return
+	for _, e := range dst {
+		e.updateResident()
 	}
-	r.pol = r.cfg.Rebalance.withDefaults(r.cfg)
-	stats := newLoadStats(len(r.engines))
-	r.snapMu.Lock()
-	r.stats = stats
-	r.snapMu.Unlock()
-	r.lastReb = r.n
-	if r.pol.ForceEvery <= 0 {
-		r.reb = startRebalancer(stats, r.pol)
-	}
+	return moved
 }
 
 // Shards returns the live shard count — reshape epochs can change it. Safe
@@ -565,21 +471,29 @@ func (r *Router) Drain() {
 	}
 }
 
-// Rebalances returns how many rebalance epochs have completed. Safe from
-// any goroutine (the serving layer scrapes it live).
-func (r *Router) Rebalances() int { return int(r.epochs.Load()) }
-
-// Migrated returns how many window tuples changed shards across all epochs.
-// Safe from any goroutine.
+// Migrated returns how many window tuples changed shards across all reshape
+// epochs. Safe from any goroutine.
 func (r *Router) Migrated() int { return int(r.moved.Load()) }
 
-// LoadSnapshot returns each shard's current load accounting: ops routed
-// since the last rebalance epoch (zero unless Adaptive — static runs skip
-// the accounting), pending queue depth with its monotonic high-water mark,
-// and resident window size. Every field is read from an atomic (or a channel
-// length) under the reshape read-lock, so the snapshot is safe from any
-// goroutine while pushes and reshapes are in flight; it is weakly consistent
-// across shards, which is all a load monitor needs.
+// ShardLoad is one shard's load snapshot, exposed for tests, diagnostics,
+// and the bench harness.
+type ShardLoad struct {
+	QueueDepth int // batches pending in the shard's channel
+	// QueueHW is the monotonic high-water mark of QueueDepth, observed at
+	// every batch handoff since the shard engine was (re)created — a reshape
+	// that changes the shard count starts fresh marks, because the shard
+	// identities change. It shows sustained queue pressure that an
+	// instantaneous depth sample would miss.
+	QueueHW  uint64
+	Resident int // tuples currently stored by the shard (both streams)
+}
+
+// LoadSnapshot returns each shard's current load: pending queue depth with
+// its monotonic high-water mark, and resident window size. Every field is
+// read from an atomic (or a channel length) under the reshape read-lock, so
+// the snapshot is safe from any goroutine while pushes and reshapes are in
+// flight; it is weakly consistent across shards, which is all a monitor
+// needs.
 func (r *Router) LoadSnapshot() []ShardLoad {
 	r.snapMu.RLock()
 	defer r.snapMu.RUnlock()
@@ -590,10 +504,6 @@ func (r *Router) LoadSnapshot() []ShardLoad {
 			QueueHW:    r.qhw[s].Load(),
 			Resident:   int(r.engines[s].resident.Load()),
 		}
-		if r.stats != nil {
-			out[s].Inserts = r.stats.inserts[s].Load()
-			out[s].Probes = r.stats.probes[s].Load()
-		}
 	}
 	return out
 }
@@ -602,9 +512,6 @@ func (r *Router) LoadSnapshot() []ShardLoad {
 // ordered propagation, and returns the run's statistics (Elapsed is left to
 // the caller, which owns the clock).
 func (r *Router) Close() join.Stats {
-	if r.reb != nil {
-		r.reb.stop()
-	}
 	if r.reorder != nil {
 		// End-of-stream: route every tuple still held by the reorder buffer.
 		r.reorder.Flush(r.routeTimed)
@@ -620,7 +527,7 @@ func (r *Router) Close() join.Stats {
 		}
 		r.metaLane.Close()
 	}
-	st := join.Stats{Tuples: r.n, Matches: r.MatchCount(), Rebalances: int(r.epochs.Load()), Migrated: int(r.moved.Load())}
+	st := join.Stats{Tuples: r.n, Matches: r.MatchCount(), Migrated: int(r.moved.Load())}
 	if r.reorder != nil {
 		st.LateDropped = r.reorder.LateDropped()
 		st.MaxDisorder = r.reorder.MaxDisorder()

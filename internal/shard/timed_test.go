@@ -290,7 +290,6 @@ func TestTimedRouterValidation(t *testing.T) {
 	}
 	mustPanic("zero span", Config{Timed: true, MaxLive: 8, Shards: 1})
 	mustPanic("zero maxlive", Config{Timed: true, Span: 10, Shards: 1})
-	mustPanic("adaptive timed", Config{Timed: true, Span: 10, MaxLive: 8, Shards: 1, Adaptive: true})
 	// PushTimed on a count router must panic too.
 	r := NewRouter(Config{WR: 8, WS: 8, Shards: 1, Index: join.IndexPIMTree}, 1)
 	defer r.Close()

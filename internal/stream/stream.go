@@ -173,8 +173,8 @@ func (s *ShiftingGaussian) Next() uint32 {
 // to a fresh position every period tuples. It is the adversarial workload for
 // static key-range sharding: at any instant nearly all tuples land in the
 // shards owning the current band, and every step invalidates boundaries
-// learned from earlier traffic — the scenario adaptive rebalancing exists
-// for. width is the band width as a fraction of the unit key interval.
+// learned from earlier traffic. width is the band width as a fraction of the
+// unit key interval.
 type StepSkew struct {
 	rng     *rand.Rand // in-band position
 	jumps   *rand.Rand // band-center sequence

@@ -79,9 +79,8 @@ type RunStats struct {
 	MergeTime  time.Duration
 	MeanMicros float64
 	P99Micros  float64
-	// Rebalances and MigratedTuples report the adaptive sharded runtime's
-	// rebalance epochs and cross-shard window migrations (zero elsewhere).
-	Rebalances     int
+	// MigratedTuples counts the window tuples reshape epochs moved to
+	// another shard (zero outside the sharded modes).
 	MigratedTuples int
 	// LateDropped and MaxObservedDisorder report the out-of-order ingestion
 	// layer of the time-based runtimes: tuples later than Slack that were
@@ -89,11 +88,10 @@ type RunStats struct {
 	// ingestion ran in strict LateNone mode).
 	LateDropped         uint64
 	MaxObservedDisorder uint64
-	// Imbalance is the sharded modes' load-imbalance ratio,
-	// max(shard load)/mean(shard load): 1 is perfectly balanced, the shard
-	// count means all load on one shard, 0 means no load yet (or a
-	// non-sharded mode). Adaptive runs measure it over ops routed since the
-	// last rebalance epoch; static runs over resident window tuples.
+	// Imbalance is the sharded modes' load-imbalance ratio over resident
+	// window tuples, max(shard)/mean(shard): 1 is perfectly balanced, the
+	// shard count means all tuples on one shard, 0 means none yet (or a
+	// non-sharded mode).
 	Imbalance float64
 	// GC pressure since Open, sourced from runtime/metrics and diffed
 	// against the snapshot taken at Open. These are process-wide counters:
@@ -110,14 +108,9 @@ type RunStats struct {
 }
 
 // ShardLoad is one shard's live load snapshot, returned by Engine.ShardLoads
-// in the sharded modes. Inserts and Probes count ops routed since the last
-// rebalance epoch and are populated only when adaptive rebalancing is
-// enabled (static runs skip the accounting); QueueDepth and Resident are
-// always live.
+// in the sharded modes.
 type ShardLoad struct {
-	Inserts    uint64 // tuple inserts routed since the last rebalance epoch
-	Probes     uint64 // probe fan-ins routed since the last rebalance epoch
-	QueueDepth int    // op batches pending in the shard's queue
+	QueueDepth int // op batches pending in the shard's queue
 	// QueueHW is the monotonic high-water mark of QueueDepth since the
 	// shard was (re)created — a reshape that changes the shard count starts
 	// fresh marks. Sustained pressure shows up here even when instantaneous
@@ -166,25 +159,4 @@ func QuantilePartition(sample []uint32, shards int) Partitioner {
 		shards = 1
 	}
 	return shard.NewQuantilePartitioner(sample, shards)
-}
-
-// RebalancePolicy tunes the adaptive shard rebalancer enabled by
-// Config.Adaptive. The zero value selects defaults sized from the
-// run's windows.
-type RebalancePolicy struct {
-	// MaxRatio is the load-imbalance trigger: a rebalance epoch is
-	// requested when max(shard load) / mean(shard load) since the previous
-	// epoch reaches this ratio (default 1.5).
-	MaxRatio float64
-	// MinGap is the minimum number of arrivals between consecutive
-	// rebalance epochs, bounding migration overhead (default 8x the larger
-	// window).
-	MinGap int
-	// SampleSize is the length of the recent-key sample the new shard
-	// boundaries are computed from (default 4096).
-	SampleSize int
-	// ForceEvery, when positive, rebalances unconditionally every that
-	// many arrivals instead of consulting the load monitor — deterministic,
-	// for tests and demos.
-	ForceEvery int
 }

@@ -39,8 +39,8 @@ func DriftingGaussianSource(seed int64, r float64, phase1, phase2 int) KeySource
 
 // StepSkewSource draws keys uniformly from a narrow hot band (width is the
 // band's fraction of the key domain) whose location jumps to a fresh
-// position every period tuples. It is the adversarial workload for static
-// key-range sharding — the case Config.Adaptive targets.
+// position every period tuples. It is the adversarial workload for
+// contiguous key-range sharding.
 func StepSkewSource(seed int64, width float64, period int) KeySource {
 	return stream.NewStepSkew(seed, width, period)
 }
