@@ -197,27 +197,15 @@ func TestWindowTooLargeNamed(t *testing.T) {
 	}
 }
 
-func TestEngineAutoMode(t *testing.T) {
-	cases := []struct {
-		name  string
-		cfg   pimtree.Config
-		cores int // GOMAXPROCS during Open; 0 keeps the host's
-		want  pimtree.Mode
-	}{
-		{"time window", pimtree.Config{Span: 10, MaxLive: 8}, 0, pimtree.ModeShardedTime},
-		{"chained backend", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain}, 0, pimtree.ModeSerial},
-		{"count windows", pimtree.Config{WindowR: 4, WindowS: 4, Shards: 2}, 0, pimtree.ModeSharded},
-		// Shared-only knobs steer auto-resolution to the shared runtime:
-		// asking for a thread pool (or latency sampling) must not silently
-		// produce a sharded run.
-		{"shared knobs", pimtree.Config{WindowR: 512, WindowS: 512, Threads: 2, RecordLatency: true}, 0, pimtree.ModeShared},
-		// The decision table's precedence, one row per rule.
-		{"chained forces serial", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain, Shards: 2}, 8, pimtree.ModeSerial},
-		{"sharded knobs win", pimtree.Config{WindowR: 512, WindowS: 512, Shards: 2, Threads: 2}, 1, pimtree.ModeSharded},
-		{"shared knobs multicore", pimtree.Config{WindowR: 512, WindowS: 512, Threads: 2}, 8, pimtree.ModeShared},
-		{"multicore default", pimtree.Config{WindowR: 4, WindowS: 4}, 8, pimtree.ModeSharded},
-		{"single core default", pimtree.Config{WindowR: 4, WindowS: 4}, 1, pimtree.ModeSerial},
-	}
+type autoModeCase struct {
+	name  string
+	cfg   pimtree.Config
+	cores int // GOMAXPROCS during Open; 0 keeps the host's
+	want  pimtree.Mode
+}
+
+func checkAutoModes(t *testing.T, cases []autoModeCase) {
+	t.Helper()
 	for _, c := range cases {
 		open := func() (*pimtree.Engine, error) {
 			if c.cores > 0 {
@@ -236,6 +224,29 @@ func TestEngineAutoMode(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+func TestEngineAutoMode(t *testing.T) {
+	checkAutoModes(t, []autoModeCase{
+		{"time window", pimtree.Config{Span: 10, MaxLive: 8}, 0, pimtree.ModeShardedTime},
+		{"chained backend", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain}, 0, pimtree.ModeSerial},
+		{"count windows", pimtree.Config{WindowR: 4, WindowS: 4, Shards: 2}, 0, pimtree.ModeSharded},
+		// Shared-only knobs steer auto-resolution to the shared runtime:
+		// asking for a thread pool (or latency sampling) must not silently
+		// produce a sharded run.
+		{"shared knobs", pimtree.Config{WindowR: 512, WindowS: 512, Threads: 2, RecordLatency: true}, 0, pimtree.ModeShared},
+	})
+	// The decision table's precedence, one row per rule, each under a
+	// pinned core count.
+	t.Run("decision_table", func(t *testing.T) {
+		checkAutoModes(t, []autoModeCase{
+			{"chained forces serial", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain, Shards: 2}, 8, pimtree.ModeSerial},
+			{"sharded knobs win", pimtree.Config{WindowR: 512, WindowS: 512, Shards: 2, Threads: 2}, 1, pimtree.ModeSharded},
+			{"shared knobs multicore", pimtree.Config{WindowR: 512, WindowS: 512, Threads: 2}, 8, pimtree.ModeShared},
+			{"multicore default", pimtree.Config{WindowR: 4, WindowS: 4}, 8, pimtree.ModeSharded},
+			{"single core default", pimtree.Config{WindowR: 4, WindowS: 4}, 1, pimtree.ModeSerial},
+		})
+	})
 	// A time window outranks a chained backend, which the sharded-time
 	// runtime then rejects by name.
 	_, err := pimtree.Open(pimtree.Config{Span: 10, MaxLive: 8, Backend: pimtree.BChain})
