@@ -165,8 +165,11 @@ type Config struct {
 	WindowR int
 	WindowS int
 	// Span is the time-window duration in timestamp units; setting it (with
-	// ModeAuto) selects ModeShardedTime. MaxLive bounds simultaneously live
-	// tuples per window and sizes the per-shard stores (required with Span).
+	// ModeAuto) selects ModeShardedTime. MaxLive is the typical number of
+	// simultaneously live tuples per window (required with Span): it stands
+	// in for the window length, setting the per-shard index merge threshold
+	// and the default snapshot cadence. It does not bound the stores, which
+	// grow with what is live, so a burst past it costs only memory.
 	Span    uint64
 	MaxLive int
 

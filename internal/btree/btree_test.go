@@ -522,7 +522,7 @@ func TestMergeHelpers(t *testing.T) {
 	if !kv.IsSorted(m) || len(m) != 6 {
 		t.Fatalf("Merge result %v", m)
 	}
-	f := kv.MergeFiltered(a, b, func(p kv.Pair) bool { return p.Key%2 == 1 })
+	f := kv.MergeFiltered(a, b, func(p kv.Pair) bool { return p.Key%2 == 1 }, len(a)+len(b))
 	for _, p := range f {
 		if p.Key%2 != 1 {
 			t.Fatalf("MergeFiltered kept %v", p)

@@ -165,6 +165,33 @@ func TestPIMTreeBootstrap(t *testing.T) {
 	}
 }
 
+// TestMergeSurvivorsSizesTS: a survivor count sizes the merged TS exactly,
+// and a short one only makes the merge grow its run — both trees, same
+// contents.
+func TestMergeSurvivorsSizesTS(t *testing.T) {
+	const w, keep = 1024, 300
+	live := func(p kv.Pair) bool { return p.Ref < keep }
+	for _, hint := range []int{keep, 10} {
+		pt := NewPIMTree(w, PIMTreeConfig{MergeRatio: 1})
+		im := NewIMTree(w, IMTreeConfig{MergeRatio: 1})
+		for i := uint32(0); i < w; i++ {
+			pt.Insert(pair(i*7919%w, i))
+			im.Insert(pair(i*7919%w, i))
+		}
+		pt.MergeInPlace(live, hint)
+		im.Merge(live, hint)
+		if pt.TSLen() != keep || im.TSLen() != keep {
+			t.Fatalf("hint %d: TS holds %d / %d, want %d", hint, pt.TSLen(), im.TSLen(), keep)
+		}
+		if hint == keep && (pt.Memory().BufferBytes != keep*kv.PairBytes || im.Memory().BufferBytes != keep*kv.PairBytes) {
+			t.Fatalf("exact hint: merge buffers %d / %d B, want %d", pt.Memory().BufferBytes, im.Memory().BufferBytes, keep*kv.PairBytes)
+		}
+		if err := pt.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPIMTreePartitionsAfterMerge(t *testing.T) {
 	w := 4096
 	pt := NewPIMTree(w, PIMTreeConfig{

@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"pimtree/internal/btree"
@@ -107,10 +108,11 @@ func (t *IMTree) NeedsMerge() bool { return t.ti.Len() >= t.threshold }
 
 // Merge combines TI into TS, discarding elements for which live returns
 // false (Section 3.2's expired-tuple elimination), and resets TI. It returns
-// the wall time spent, the paper's Figure 14 measurement.
-func (t *IMTree) Merge(live func(kv.Pair) bool) time.Duration {
+// the wall time spent, the paper's Figure 14 measurement. survivors sizes the
+// new TS as in PIMTree.MergeInPlace.
+func (t *IMTree) Merge(live func(kv.Pair) bool, survivors ...int) time.Duration {
 	start := time.Now()
-	run := kv.MergeFiltered(t.ts.Leaves(), t.ti.SortedSlice(), live)
+	run := kv.MergeFiltered(t.ts.Leaves(), t.ti.SortedSlice(), live, mergeCap(survivors))
 	t.lastBufferCap = cap(run) * kv.PairBytes
 	t.ts = cstree.Build(run, t.cfg.CSTree)
 	t.ti.Reset()
@@ -118,6 +120,15 @@ func (t *IMTree) Merge(live func(kv.Pair) bool) time.Duration {
 	t.merges++
 	t.mergeTime += d
 	return d
+}
+
+// mergeCap is the merged run's capacity: the caller's survivor count when it
+// passed one, else no limit, which kv.MergeFiltered caps at both inputs.
+func mergeCap(survivors []int) int {
+	if len(survivors) > 0 {
+		return survivors[0]
+	}
+	return math.MaxInt
 }
 
 // Query emits every element with lo <= Key <= hi: first the immutable

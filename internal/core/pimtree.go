@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,10 +314,13 @@ func (t *PIMTree) snapshotTI() []kv.Pair {
 
 // MergeInPlace merges TI into TS, discarding non-live elements, and
 // reinitializes the subindexes (the single-threaded / blocking merge). It
-// must not run concurrently with Insert or Query.
-func (t *PIMTree) MergeInPlace(live func(kv.Pair) bool) time.Duration {
+// must not run concurrently with Insert or Query. A caller that knows how
+// many elements live keeps passes that count as survivors, and the new TS is
+// sized to it (see kv.MergeFiltered); otherwise it reserves room for all of
+// TS and TI.
+func (t *PIMTree) MergeInPlace(live func(kv.Pair) bool, survivors ...int) time.Duration {
 	start := time.Now()
-	run := kv.MergeFiltered(t.ts.Leaves(), t.snapshotTI(), live)
+	run := kv.MergeFiltered(t.ts.Leaves(), t.snapshotTI(), live, mergeCap(survivors))
 	t.lastBufferCap = cap(run) * kv.PairBytes
 	t.install(cstree.Build(run, t.cfg.CSTree))
 	d := time.Since(start)
@@ -332,7 +336,7 @@ func (t *PIMTree) MergeInPlace(live func(kv.Pair) bool) time.Duration {
 // inserts run during the build (the join's task barrier does).
 func (t *PIMTree) BuildMerged(live func(kv.Pair) bool) (*PIMTree, time.Duration) {
 	start := time.Now()
-	run := kv.MergeFiltered(t.ts.Leaves(), t.snapshotTI(), live)
+	run := kv.MergeFiltered(t.ts.Leaves(), t.snapshotTI(), live, math.MaxInt)
 	nt := &PIMTree{
 		w:         t.w,
 		threshold: t.threshold,

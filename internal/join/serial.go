@@ -160,7 +160,7 @@ func (x *imIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
 func (x *imIndex) Merges() (int, time.Duration) { return x.t.Merges() }
 func (x *imIndex) Maintain(win *window.Ring) {
 	if x.t.NeedsMerge() {
-		x.t.Merge(func(p kv.Pair) bool { return win.Live(p.Ref) })
+		x.t.Merge(func(p kv.Pair) bool { return win.Live(p.Ref) }, win.Count())
 	}
 }
 
@@ -178,7 +178,7 @@ func (x *pimIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
 func (x *pimIndex) Merges() (int, time.Duration) { return x.t.Merges() }
 func (x *pimIndex) Maintain(win *window.Ring) {
 	if x.t.NeedsMerge() {
-		x.t.MergeInPlace(func(p kv.Pair) bool { return win.Live(p.Ref) })
+		x.t.MergeInPlace(func(p kv.Pair) bool { return win.Live(p.Ref) }, win.Count())
 	}
 }
 

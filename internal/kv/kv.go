@@ -90,11 +90,13 @@ func Merge(a, b []Pair) []Pair {
 }
 
 // MergeFiltered merges two sorted slices, keeping only elements that satisfy
-// live. It allocates the result once with a conservative capacity. This is
-// the expired-tuple elimination pass of the IM-/PIM-Tree merge: the caller
-// passes a liveness predicate over window references.
-func MergeFiltered(a, b []Pair, live func(Pair) bool) []Pair {
-	out := make([]Pair, 0, len(a)+len(b))
+// live. This is the expired-tuple elimination pass of the IM-/PIM-Tree merge:
+// the caller passes a liveness predicate over window references. The result
+// is allocated once with room for survivors elements — the caller's count of
+// those live keeps, capped at len(a)+len(b) — and grows past it only if that
+// count was short, so a wrong count costs memory or copies, never results.
+func MergeFiltered(a, b []Pair, live func(Pair) bool, survivors int) []Pair {
+	out := make([]Pair, 0, min(survivors, len(a)+len(b)))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		var next Pair

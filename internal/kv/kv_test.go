@@ -88,7 +88,7 @@ func TestMergeFilteredDropsOnly(t *testing.T) {
 	a := []Pair{{1, 0}, {2, 0}, {3, 0}}
 	b := []Pair{{2, 1}, {4, 0}}
 	live := func(p Pair) bool { return p.Key != 2 }
-	m := MergeFiltered(a, b, live)
+	m := MergeFiltered(a, b, live, len(a)+len(b))
 	if len(m) != 3 {
 		t.Fatalf("MergeFiltered kept %d, want 3", len(m))
 	}
@@ -106,7 +106,7 @@ func TestMergeFilteredTails(t *testing.T) {
 	// Exercise both tail paths.
 	a := []Pair{{1, 0}, {2, 0}, {9, 0}, {10, 0}}
 	b := []Pair{{5, 0}}
-	m := MergeFiltered(a, b, func(p Pair) bool { return p.Key%2 == 1 })
+	m := MergeFiltered(a, b, func(p Pair) bool { return p.Key%2 == 1 }, 0)
 	want := []Pair{{1, 0}, {5, 0}, {9, 0}}
 	if len(m) != len(want) {
 		t.Fatalf("got %v", m)
@@ -116,7 +116,7 @@ func TestMergeFilteredTails(t *testing.T) {
 			t.Fatalf("got %v, want %v", m, want)
 		}
 	}
-	m2 := MergeFiltered(b, a, func(p Pair) bool { return p.Key%2 == 1 })
+	m2 := MergeFiltered(b, a, func(p Pair) bool { return p.Key%2 == 1 }, len(a)+len(b))
 	if len(m2) != len(want) {
 		t.Fatalf("swapped args: got %v", m2)
 	}

@@ -35,7 +35,7 @@ type ClusterConfig struct {
 	Backend pimtree.Backend // index backend (chain backends are rejected)
 	Shards  int             // local sub-shards per node (0 = node default)
 	WR, WS  int             // count-window lengths (global W)
-	MaxLive int             // timed: live-tuple bound (sizes stores)
+	MaxLive int             // timed: typical live tuples (index merge threshold)
 	Span    uint64          // timed: window duration
 	Batch   int             // member local batch size (0 = default)
 	Ring    int             // member in-flight probe ring bound (0 = default)

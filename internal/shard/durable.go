@@ -73,8 +73,8 @@ func (r *Router) walSnapshot() {
 }
 
 // liveWindow counts the live tuples at a drain barrier and returns a
-// sequence that yields them straight from the store columns: slot, then
-// shard, then ring order from each store's frontier wms[slot]. Nothing is
+// sequence that yields them straight from the store chunks: slot, then
+// shard, then store order from each store's frontier wms[slot]. Nothing is
 // copied, so a snapshot costs no memory that grows with the window.
 func (r *Router) liveWindow(wms [2]uint64) (int, iter.Seq[wal.Tuple]) {
 	slots := storeSlots(r.cfg.Self)
@@ -90,12 +90,8 @@ func (r *Router) liveWindow(wms [2]uint64) (int, iter.Seq[wal.Tuple]) {
 			for _, e := range r.engines {
 				st := e.stores[slot]
 				for i := st.liveFrom(wms[slot]); i < st.head; i++ {
-					j := i & st.mask
-					t := wal.Tuple{Stream: uint8(slot), Key: st.keys[j], Seq: st.seqs[j]}
-					if st.times != nil {
-						t.TS = st.times[j]
-					}
-					if !yield(t) {
+					key, seq, ts := st.at(i)
+					if !yield(wal.Tuple{Stream: uint8(slot), Key: key, Seq: seq, TS: ts}) {
 						return
 					}
 				}
@@ -127,7 +123,7 @@ func (r *Router) Restore(st *wal.State) {
 		}
 	}
 	// st.Tuples is globally seq-sorted, so each slot's subsequence is too —
-	// the order the store rings require.
+	// the order the stores require.
 	for _, t := range st.Tuples {
 		e := r.engines[Clamp(r.part.ShardOf(t.Key), len(r.engines))]
 		e.adopt(int(sid(r.cfg.Self, t.Stream)), migrant{key: t.Key, seq: t.Seq, ts: t.TS})

@@ -13,22 +13,22 @@ import (
 
 // referenceState is what a snapshot epoch must write, built the slow way:
 // every stored tuple tested against its slot's frontier one by one, slot by
-// slot, shard by shard, in ring order. Workers must be quiescent.
+// slot, shard by shard, in store order. Workers must be quiescent.
 func referenceState(r *Router) *wal.State {
 	st := &wal.State{Heads: r.heads, WMs: r.frontiers(), MaxTS: r.reorderMaxTS(), Floor: r.reorderFloor()}
 	for slot := 0; slot < storeSlots(r.cfg.Self); slot++ {
 		for _, e := range r.engines {
 			s := e.stores[slot]
 			for i := s.tail; i < s.head; i++ {
-				j := i & s.mask
-				if s.by[j] < st.WMs[slot] {
+				key, seq, ts := s.at(i)
+				by := seq // the column eviction compares with the frontier
+				if s.timed {
+					by = ts
+				}
+				if by < st.WMs[slot] {
 					continue
 				}
-				t := wal.Tuple{Stream: uint8(slot), Key: s.keys[j], Seq: s.seqs[j]}
-				if s.times != nil {
-					t.TS = s.times[j]
-				}
-				st.Tuples = append(st.Tuples, t)
+				st.Tuples = append(st.Tuples, wal.Tuple{Stream: uint8(slot), Key: key, Seq: seq, TS: ts})
 			}
 		}
 	}

@@ -44,116 +44,6 @@ type op struct {
 // engine.add) removes it.
 const maxSpan = 1 << 31
 
-// store holds one stream's tuples resident in one shard: a ring of
-// (key, global seq) slots appended in sequence order and evicted from the
-// tail as the global window watermark passes them. At most W tuples of a
-// stream are globally live, so a shard (which holds a subset) never exceeds
-// the ring capacity. The ring orders eviction and feeds migration, handoff
-// and WAL snapshots; probes never read it per candidate, because an index
-// entry's ref is its tuple's sequence, not its ring slot.
-//
-// In timed mode each slot also carries the tuple's event timestamp, eviction
-// is driven by a timestamp watermark (minimum live event time) instead of a
-// sequence one, and W is the caller's MaxLive bound.
-type store struct {
-	keys  []uint32
-	seqs  []uint64
-	times []uint64 // timed mode only (nil for count windows)
-	by    []uint64 // the column eviction compares with the watermark: times when timed, else seqs
-	mask  uint64
-	head  uint64 // append position (monotone)
-	tail  uint64 // evict position (monotone)
-	first uint64 // seq of the first tuple ever appended (valid once head > 0)
-	wm    uint64 // highest eviction watermark applied (seq, or minTS when timed)
-}
-
-func newStore(w int, timed bool) *store {
-	cap := pow2Ceil(uint64(w))
-	s := &store{
-		keys: make([]uint32, cap),
-		seqs: make([]uint64, cap),
-		mask: cap - 1,
-	}
-	s.by = s.seqs
-	if timed {
-		s.times = make([]uint64, cap)
-		s.by = s.times
-	}
-	return s
-}
-
-func pow2Ceil(n uint64) uint64 {
-	c := uint64(1)
-	for c < n {
-		c <<= 1
-	}
-	return c
-}
-
-// evict drops tuples below the watermark from the tail — seq < wm, or event
-// time < wm in timed mode, where admission order is timestamp order and the
-// tail therefore holds the oldest event time — reporting each dropped
-// (key, ref) pair so eager-delete indexes can remove it.
-func (s *store) evict(wm uint64, onEvict func(p kv.Pair)) {
-	for s.tail < s.head && s.by[s.tail&s.mask] < wm {
-		if onEvict != nil {
-			slot := s.tail & s.mask
-			onEvict(kv.Pair{Key: s.keys[slot], Ref: uint32(s.seqs[slot])})
-		}
-		s.tail++
-	}
-	if wm > s.wm {
-		s.wm = wm
-	}
-}
-
-// liveFrom returns the ring position of the oldest tuple at or above the
-// watermark, or head when there is none. The ring is in eviction order, the
-// order evict relies on, so the live tuples are exactly [liveFrom(wm), head).
-func (s *store) liveFrom(wm uint64) uint64 {
-	i := s.tail
-	for i < s.head && s.by[i&s.mask] < wm {
-		i++
-	}
-	return i
-}
-
-// append stores a tuple (ts is kept in timed mode only). Overflow is only
-// possible in timed mode and means the caller's MaxLive bound was wrong:
-// panic rather than corrupt results (mirrors the parallel time window's reuse
-// guard).
-func (s *store) append(key uint32, seq, ts uint64) {
-	if s.head == 0 {
-		s.first = seq
-	}
-	slot := s.head & s.mask
-	if s.times != nil {
-		if s.head-s.tail == uint64(len(s.keys)) {
-			panic("shard: time store overflow — raise MaxLive")
-		}
-		s.times[slot] = ts
-	}
-	s.keys[slot] = key
-	s.seqs[slot] = seq
-	s.head++
-}
-
-// span returns how far below hi the resident tuples reach: every stored
-// sequence lies in [hi-span, hi) and — the ring being in sequence order —
-// every evicted one below it. Zero when the store is empty. hi must exceed
-// every stored sequence; a range the 32-bit ref arithmetic cannot cover
-// panics rather than corrupt results.
-func (s *store) span(hi uint64) uint32 {
-	if s.tail == s.head {
-		return 0
-	}
-	n := hi - s.seqs[s.tail&s.mask]
-	if n > maxSpan {
-		panic("shard: live span overflow — a window may cover at most 2^31 sequences")
-	}
-	return uint32(n)
-}
-
 // shardIndex is the per-stream index behaviour a shard engine needs; the
 // same contract as the serial join's index adapters, with liveness expressed
 // against global sequences instead of a local ring.
@@ -165,7 +55,9 @@ type shardIndex interface {
 	// aliasing index-owned storage (valid only during the emit call); the
 	// probe hot loop uses it to scan candidates branch-light.
 	QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool)
-	Maintain(live func(kv.Pair) bool)
+	// Maintain runs a pending delta merge, keeping the entries live accepts;
+	// survivors is how many there are, which sizes the merged run.
+	Maintain(live func(kv.Pair) bool, survivors int)
 	Merges() (int, time.Duration)
 	Eager() bool // whether evictions must call Remove
 }
@@ -182,9 +74,9 @@ func (x *pimShardIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) boo
 }
 func (x *pimShardIndex) Merges() (int, time.Duration) { return x.t.Merges() }
 func (x *pimShardIndex) Eager() bool                  { return false }
-func (x *pimShardIndex) Maintain(live func(kv.Pair) bool) {
+func (x *pimShardIndex) Maintain(live func(kv.Pair) bool, survivors int) {
 	if x.t.NeedsMerge() {
-		x.t.MergeInPlace(live)
+		x.t.MergeInPlace(live, survivors)
 	}
 }
 
@@ -200,9 +92,9 @@ func (x *imShardIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool
 }
 func (x *imShardIndex) Merges() (int, time.Duration) { return x.t.Merges() }
 func (x *imShardIndex) Eager() bool                  { return false }
-func (x *imShardIndex) Maintain(live func(kv.Pair) bool) {
+func (x *imShardIndex) Maintain(live func(kv.Pair) bool, survivors int) {
 	if x.t.NeedsMerge() {
-		x.t.Merge(live)
+		x.t.Merge(live, survivors)
 	}
 }
 
@@ -216,9 +108,9 @@ func (x *btreeShardIndex) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
 func (x *btreeShardIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
 	return x.t.QueryPairs(lo, hi, emit)
 }
-func (x *btreeShardIndex) Maintain(func(kv.Pair) bool)  {}
-func (x *btreeShardIndex) Merges() (int, time.Duration) { return 0, 0 }
-func (x *btreeShardIndex) Eager() bool                  { return true }
+func (x *btreeShardIndex) Maintain(func(kv.Pair) bool, int) {}
+func (x *btreeShardIndex) Merges() (int, time.Duration)     { return 0, 0 }
+func (x *btreeShardIndex) Eager() bool                      { return true }
 
 type bwShardIndex struct{ t *bwtree.Tree }
 
@@ -230,9 +122,9 @@ func (x *bwShardIndex) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
 func (x *bwShardIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
 	return x.t.QueryPairs(lo, hi, emit)
 }
-func (x *bwShardIndex) Maintain(func(kv.Pair) bool)  {}
-func (x *bwShardIndex) Merges() (int, time.Duration) { return 0, 0 }
-func (x *bwShardIndex) Eager() bool                  { return true }
+func (x *bwShardIndex) Maintain(func(kv.Pair) bool, int) {}
+func (x *bwShardIndex) Merges() (int, time.Duration)     { return 0, 0 }
+func (x *bwShardIndex) Eager() bool                      { return true }
 
 // newShardIndex builds the configured index for one stream of one shard.
 // The window length w sizes the delta-merge thresholds exactly as in the
@@ -314,7 +206,7 @@ func (e *engine) installSlot(slot int, wm uint64) {
 	if slot == 1 {
 		w = e.cfg.WS
 	}
-	st, idx, live := newStore(w, e.cfg.Timed), newShardIndex(e.cfg, w), &liveRange{}
+	st, idx, live := newStore(e.cfg.Timed), newShardIndex(e.cfg, w), &liveRange{}
 	st.wm = wm
 	e.stores[slot], e.idxs[slot], e.evicts[slot] = st, idx, nil
 	live.keep = live.live
@@ -336,9 +228,9 @@ func (e *engine) insert(o *op) {
 }
 
 // add stores one tuple and indexes it under its sequence's low 32 bits.
-// Sequences must arrive in increasing order per slot (the ring assumes it; in
+// Sequences must arrive in increasing order per slot (the store assumes it; in
 // timed mode admission order is timestamp order, so it is also the timestamp
-// order the timed ring assumes).
+// order the timed store assumes).
 //
 // The wrap rule lives here. A stale entry of a delta-merge index lingers
 // until the next merge, and once the stream has advanced 2^32 past it its ref
@@ -406,10 +298,11 @@ func (e *engine) maintainSlot(slot int) {
 	st, r := e.stores[slot], e.lives[slot]
 	var hi uint64 // one past the newest resident sequence; unused when empty
 	if st.tail < st.head {
-		hi = st.seqs[(st.head-1)&st.mask] + 1
+		hi = st.seqAt(st.head-1) + 1
 	}
 	r.hi, r.span = uint32(hi), st.span(hi)
-	e.idxs[slot].Maintain(r.keep)
+	// Each resident has exactly one entry, and only residents are live.
+	e.idxs[slot].Maintain(r.keep, int(st.head-st.tail))
 }
 
 // reindex replaces a slot's index with one holding exactly its resident
@@ -456,12 +349,8 @@ type migrant struct {
 func (e *engine) extractLive(slot int, wm uint64, src int, dst []migrant) []migrant {
 	st := e.stores[slot]
 	for i := st.liveFrom(wm); i < st.head; i++ {
-		j := i & st.mask
-		m := migrant{key: st.keys[j], seq: st.seqs[j], src: src}
-		if st.times != nil {
-			m.ts = st.times[j]
-		}
-		dst = append(dst, m)
+		key, seq, ts := st.at(i)
+		dst = append(dst, migrant{key: key, seq: seq, ts: ts, src: src})
 	}
 	return dst
 }

@@ -54,7 +54,7 @@ type MemberConfig struct {
 	Timed  bool // time-based windows (ops carry event timestamps)
 
 	WR, WS  int // count-window lengths (global W; local stores hold subsets)
-	MaxLive int // timed: bound on live tuples per window (sizes stores)
+	MaxLive int // timed: typical live tuples per window (sizes the index merge threshold)
 
 	Index     join.IndexKind // per-shard index backend
 	BatchSize int            // ops per local shard batch (default 64)

@@ -66,11 +66,12 @@ type Config struct {
 	// PushTimed, carry event timestamps, expire by Span instead of window
 	// position, and are admitted through a bounded reorder buffer that
 	// tolerates event-time disorder up to Slack (late tuples follow Late /
-	// OnLate). WR/WS are ignored; MaxLive bounds simultaneously live tuples
-	// per window and sizes the per-shard stores.
+	// OnLate). WR/WS are ignored; MaxLive, the typical number of live tuples
+	// per window, stands in for the window length in the index merge
+	// threshold. It does not bound the stores, which grow with what is live.
 	Timed   bool
 	Span    uint64 // timed: window duration in timestamp units (required)
-	MaxLive int    // timed: upper bound on live tuples per window (required)
+	MaxLive int    // timed: typical live tuples per window (required)
 	Slack   uint64 // timed: tolerated event-time disorder
 	Late    ooo.Policy
 	OnLate  func(t ooo.Tuple, lateness uint64)
@@ -159,7 +160,7 @@ func NewRouter(cfg Config, capacity int) *Router {
 			panic("shard: MaxLive must be positive in timed mode")
 		}
 		// MaxLive plays the window-length role everywhere a count window
-		// would be consulted: store and index sizing.
+		// would be consulted: index sizing.
 		cfg.WR, cfg.WS = cfg.MaxLive, cfg.MaxLive
 		span = cfg.Span
 	}

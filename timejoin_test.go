@@ -98,6 +98,32 @@ func TestShardedTimeMatchesTimeJoin(t *testing.T) {
 	}
 }
 
+// MaxLive is a sizing hint, not a capacity: a burst of 16× MaxLive tuples
+// inside one Span grows the shard stores, and the sharded time join still
+// reproduces the serial TimeJoin exactly.
+func TestShardedTimeOutgrowsMaxLive(t *testing.T) {
+	const maxLive, burst, span = 64, 16 * 64, 200
+	var arr []TimedArrival
+	u := UniformSource(31)
+	ts := uint64(0)
+	for i := 0; i < 3000; i++ {
+		if i < 1000 || i >= 1000+burst {
+			ts++ // the burst shares one timestamp
+		}
+		s := R
+		if i%2 == 1 {
+			s = S
+		}
+		arr = append(arr, TimedArrival{Stream: s, Key: u.Next() % 4096, TS: ts})
+	}
+	want := timeOracle(t, arr, span, 8, false)
+	got, _ := runShardedTime(t, arr, Config{Shards: 2, BatchSize: 8, Span: span, MaxLive: maxLive, Diff: 8})
+	if len(want) < burst {
+		t.Fatalf("oracle has %d distinct matches: the burst barely joins", len(want))
+	}
+	sameMultiset(t, "sharded time join past MaxLive", want, got)
+}
+
 // The band clamps at both ends of the key domain: a probe at key 0 or
 // ^uint32(0) with Diff > 0 must neither wrap around nor miss its neighbours.
 func TestTimeJoinBandSaturates(t *testing.T) {
