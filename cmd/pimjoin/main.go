@@ -1,12 +1,12 @@
 // Command pimjoin runs a sliding-window band join over synthetic streams or
-// live stdin input and prints throughput, match counts, and (for parallel
-// runs) latency — a command-line harness around the public pimtree API.
+// live stdin input and prints throughput and match counts — a command-line
+// harness around the public pimtree API.
 //
 // Batch examples (synthetic workloads, whole-run statistics):
 //
 //	pimjoin -n 1000000 -w 65536 -sigma 2                       # serial PIM-Tree join
 //	pimjoin -n 1000000 -w 65536 -backend btree                 # serial B+-Tree baseline
-//	pimjoin -n 1000000 -w 65536 -parallel -threads 4           # shared-index parallel join
+//	pimjoin -n 1000000 -w 65536 -parallel -threads 4           # key-range sharded parallel join
 //	pimjoin -n 500000 -w 16384 -self -dist gaussian            # skewed self-join
 //
 // Streaming mode (-stdin) turns pimjoin into a long-lived engine session:
@@ -69,15 +69,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		backend  = fs.String("backend", "pim", "index backend: pim | im | btree | bwtree | bchain | ibchain")
 		self     = fs.Bool("self", false, "self-join instead of two-way")
 		dist     = fs.String("dist", "uniform", "key distribution: uniform | gaussian | gamma33 | gamma15")
-		parallel = fs.Bool("parallel", false, "use the multicore shared-index join (batch mode)")
-		threads  = fs.Int("threads", 0, "worker threads for -parallel (0 = GOMAXPROCS)")
-		task     = fs.Int("task", 8, "task size for -parallel")
-		blocking = fs.Bool("blocking-merge", false, "use blocking merges in -parallel")
+		parallel = fs.Bool("parallel", false, "use the multicore key-range sharded join (batch mode)")
+		threads  = fs.Int("threads", 0, "shard count for -parallel and the -stdin sharded modes (0 = GOMAXPROCS)")
 		seed     = fs.Int64("seed", 42, "workload seed")
 		trace    = fs.String("trace", "", "replay a CSV trace (see pimtrace) instead of generating tuples")
 
 		stdinMode  = fs.Bool("stdin", false, "streaming mode: read stream,key[,ts] lines from stdin through a long-lived engine")
-		mode       = fs.String("mode", "auto", "engine mode for -stdin: auto | serial | shared | sharded | sharded-time")
+		mode       = fs.String("mode", "auto", "engine mode for -stdin: auto | serial | sharded | sharded-time")
 		emit       = fs.Bool("emit", false, "streaming mode: write matches to stdout as probeStream,probeSeq,matchSeq lines")
 		statsEvery = fs.Int("stats-every", 0, "streaming mode: print a live Stats snapshot to stderr every N tuples")
 		span       = fs.Uint64("span", 0, "time-window duration for -mode sharded-time")
@@ -132,24 +130,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		cfg := pimtree.Config{
 			Mode:    m,
 			WindowR: *w, WindowS: *ws,
-			Self:          *self,
-			Diff:          uint32(*diffFlag),
-			Backend:       be,
-			Threads:       *threads,
-			BlockingMerge: *blocking,
-			Span:          *span,
-			MaxLive:       *maxLive,
-			Slack:         *slack,
+			Self:    *self,
+			Diff:    uint32(*diffFlag),
+			Backend: be,
+			Shards:  *threads,
+			Span:    *span,
+			MaxLive: *maxLive,
+			Slack:   *slack,
 			// Without -emit nothing consumes individual matches; keep the
 			// runtimes on their count-only fast path.
 			DiscardMatches: !*emit,
-		}
-		// -task has a non-zero default; passing it through unconditionally
-		// would read as a shared-mode knob and steer ModeAuto away from the
-		// documented multicore default (sharded). Only forward it when the
-		// user actually asked for it (or pinned shared mode).
-		if setFlags["task"] || m == pimtree.ModeShared {
-			cfg.TaskSize = *task
 		}
 		if cfg.Diff == 0 {
 			cfg.Diff = pimtree.DiffForMatchRate(*w, *sigma)
@@ -199,9 +189,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		arrivals = pimtree.Interleave(*seed, mkSource(*seed+1), mkSource(*seed+2), 0.5, *n)
 	}
 
-	fmt.Fprintf(stdout, "pimjoin: n=%d wR=%d wS=%d diff=%d backend=%s dist=%s self=%v parallel=%v\n",
-		*n, *w, *ws, diff, *backend, *dist, *self, *parallel)
-
 	cfg := pimtree.Config{
 		Mode:    pimtree.ModeSerial,
 		WindowR: *w, WindowS: *ws, Self: *self, Diff: diff,
@@ -209,12 +196,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		DiscardMatches: true,
 	}
 	if *parallel {
-		cfg.Mode = pimtree.ModeShared
-		cfg.Threads = *threads
-		cfg.TaskSize = *task
-		cfg.BlockingMerge = *blocking
-		cfg.RecordLatency = true
+		cfg.Mode = pimtree.ModeSharded
+		cfg.Shards = *threads
 	}
+	fmt.Fprintf(stdout, "pimjoin: n=%d wR=%d wS=%d diff=%d backend=%s dist=%s self=%v mode=%s\n",
+		*n, *w, *ws, diff, *backend, *dist, *self, cfg.Mode)
 	e, err := pimtree.Open(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "pimjoin:", err)
@@ -233,9 +219,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  throughput: %.3f Mtps  (%d tuples in %v)\n", st.Mtps, st.Tuples, st.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(stdout, "  matches:    %d (%.3f per tuple)\n", st.Matches, float64(st.Matches)/float64(st.Tuples))
 	fmt.Fprintf(stdout, "  merges:     %d (%v total)\n", st.Merges, st.MergeTime.Round(time.Microsecond))
-	if *parallel {
-		fmt.Fprintf(stdout, "  latency:    mean %.1f µs, p99 %.1f µs\n", st.MeanMicros, st.P99Micros)
-	}
 	return 0
 }
 
@@ -358,8 +341,6 @@ func modeByName(name string) (pimtree.Mode, bool) {
 		return pimtree.ModeAuto, true
 	case "serial":
 		return pimtree.ModeSerial, true
-	case "shared":
-		return pimtree.ModeShared, true
 	case "sharded":
 		return pimtree.ModeSharded, true
 	case "sharded-time", "shardedtime", "time":

@@ -32,7 +32,7 @@ func TestBackendByName(t *testing.T) {
 func TestModeByName(t *testing.T) {
 	cases := map[string]pimtree.Mode{
 		"auto": pimtree.ModeAuto, "serial": pimtree.ModeSerial,
-		"shared": pimtree.ModeShared, "sharded": pimtree.ModeSharded,
+		"sharded":      pimtree.ModeSharded,
 		"sharded-time": pimtree.ModeShardedTime, "time": pimtree.ModeShardedTime,
 	}
 	for name, want := range cases {
@@ -41,8 +41,49 @@ func TestModeByName(t *testing.T) {
 			t.Fatalf("modeByName(%q) = %v,%v, want %v", name, got, ok, want)
 		}
 	}
-	if _, ok := modeByName("nope"); ok {
-		t.Fatal("unknown mode accepted")
+	for _, name := range []string{"nope", "shared"} {
+		if _, ok := modeByName(name); ok {
+			t.Fatalf("unknown mode %q accepted", name)
+		}
+	}
+	var out, errw bytes.Buffer
+	if code := run([]string{"-stdin", "-mode", "shared"}, strings.NewReader(""), &out, &errw); code != 2 || !strings.Contains(errw.String(), "unknown mode") {
+		t.Fatalf("-mode shared: exit %d, stderr %q; want 2 and an unknown-mode message", code, errw.String())
+	}
+}
+
+// TestRunBatchParallel runs the batch path serially and with -parallel, which
+// opens the sharded mode, and requires the same match count from both.
+func TestRunBatchParallel(t *testing.T) {
+	matchLine := func(args ...string) (mode, matches string) {
+		t.Helper()
+		var out, errw bytes.Buffer
+		if code := run(append([]string{"-n", "4000", "-w", "256"}, args...), strings.NewReader(""), &out, &errw); code != 0 {
+			t.Fatalf("run(%v) = %d (stderr %q)", args, code, errw.String())
+		}
+		for _, l := range strings.Split(out.String(), "\n") {
+			if i := strings.Index(l, "mode="); i >= 0 {
+				mode = l[i+len("mode="):]
+			}
+			if strings.Contains(l, "matches:") {
+				matches = strings.Fields(l)[1]
+			}
+		}
+		return mode, matches
+	}
+	serialMode, serial := matchLine()
+	parallelMode, parallel := matchLine("-parallel", "-threads", "2")
+	if serialMode != pimtree.ModeSerial.String() || parallelMode != pimtree.ModeSharded.String() {
+		t.Fatalf("modes %q / %q, want %s / %s", serialMode, parallelMode, pimtree.ModeSerial, pimtree.ModeSharded)
+	}
+	if serial == "" || parallel != serial {
+		t.Fatalf("-parallel found %q matches, serial %q", parallel, serial)
+	}
+	for _, gone := range []string{"-task", "-blocking-merge"} {
+		var out, errw bytes.Buffer
+		if code := run([]string{"-parallel", gone}, strings.NewReader(""), &out, &errw); code != 2 {
+			t.Fatalf("%s: exit %d, want 2", gone, code)
+		}
 	}
 }
 

@@ -33,10 +33,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		diffFlag = fs.Uint("diff", 0, "explicit band half-width (overrides -sigma)")
 		backend  = fs.String("backend", "pim", "index backend: pim | im | btree | bwtree | bchain | ibchain")
 		self     = fs.Bool("self", false, "self-join instead of two-way")
-		mode     = fs.String("mode", "auto", "engine mode: auto | serial | shared | sharded | sharded-time")
-		threads  = fs.Int("threads", 0, "worker threads for shared mode (0 = GOMAXPROCS)")
-		task     = fs.Int("task", 8, "task size for shared mode")
-		blocking = fs.Bool("blocking-merge", false, "use blocking merges in shared mode")
+		mode     = fs.String("mode", "auto", "engine mode: auto | serial | sharded | sharded-time")
 		shards   = fs.Int("shards", 0, "shard count for the sharded modes (0 = GOMAXPROCS)")
 		span     = fs.Uint64("span", 0, "time-window duration for -mode sharded-time")
 		maxLive  = fs.Int("maxlive", 0, "live-tuple bound per window for -mode sharded-time")
@@ -83,16 +80,12 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		return 2
 	}
 
-	setFlags := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 	cfg := pimtree.Config{
 		Mode:    m,
 		WindowR: *w, WindowS: *ws,
 		Self:          *self,
 		Diff:          uint32(*diffFlag),
 		Backend:       be,
-		Threads:       *threads,
-		BlockingMerge: *blocking,
 		Shards:        *shards,
 		Span:          *span,
 		MaxLive:       *maxLive,
@@ -105,11 +98,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 			FsyncEvery:    *walFsync,
 			SnapshotEvery: *walSnapshot,
 		}
-	}
-	// Same -task handling as the -stdin mode: an unset default must not
-	// steer ModeAuto toward shared mode.
-	if setFlags["task"] || m == pimtree.ModeShared {
-		cfg.TaskSize = *task
 	}
 	if cfg.Diff == 0 {
 		cfg.Diff = pimtree.DiffForMatchRate(*w, *sigma)

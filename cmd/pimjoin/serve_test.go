@@ -18,6 +18,10 @@ func TestServeFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-backend", "nope"},
 		{"-mode", "nope"},
+		{"-mode", "shared"},
+		{"-threads", "2"},
+		{"-task", "8"},
+		{"-blocking-merge"},
 		{"-sub-policy", "nope"},
 		{"extra-arg"},
 		{"-not-a-flag"},

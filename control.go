@@ -26,8 +26,8 @@ type Delta struct {
 // change at a drain-barrier epoch: no tuple is lost, no match is
 // duplicated, and the producer's next push proceeds under the new
 // configuration. Safe from any goroutine; concurrent calls serialize.
-// Engines in the serial or shared modes return an error wrapping
-// ErrNotTunable; closed engines return ErrClosed.
+// Serial engines return an error wrapping ErrNotTunable; closed engines
+// return ErrClosed.
 func (e *Engine) Reconfigure(d Delta) error {
 	if e.mode != ModeSharded && e.mode != ModeShardedTime {
 		return fmt.Errorf("pimtree: %s %w", e.mode, ErrNotTunable)
@@ -46,20 +46,8 @@ func (e *Engine) Reconfigure(d Delta) error {
 	if d == (Delta{}) {
 		return nil
 	}
-	merged := e.cfg
-	if d.Shards > 0 {
-		merged.Shards = d.Shards
-	}
-	if d.BatchSize > 0 {
-		merged.BatchSize = d.BatchSize
-	}
-	if d.QueueCapacity > 0 {
-		merged.QueueCapacity = d.QueueCapacity
-	}
 	e.router.Reshape(shard.Reshape{Shards: d.Shards, BatchSize: d.BatchSize, Capacity: d.QueueCapacity})
-	e.tunMu.Lock()
-	e.cfg = merged
-	e.tunMu.Unlock()
+	e.applied()
 	e.reconfigs.Add(1)
 	return nil
 }
@@ -72,8 +60,8 @@ type Tuning struct {
 	// Shards is the live shard count — reshape epochs change it. Zero
 	// outside the sharded modes.
 	Shards int
-	// BatchSize and QueueCapacity are the currently applied values
-	// (defaults resolved).
+	// BatchSize and QueueCapacity are the values the router currently runs
+	// (defaults resolved). Zero outside the sharded modes.
 	BatchSize     int
 	QueueCapacity int
 	// Reconfigures counts applied Reconfigure deltas; Reshapes counts the
@@ -84,28 +72,21 @@ type Tuning struct {
 
 // Tuning returns the live-tunable state snapshot. Safe from any goroutine.
 func (e *Engine) Tuning() Tuning {
-	e.tunMu.Lock()
-	cfg := e.cfg
-	e.tunMu.Unlock()
-	t := Tuning{
-		Mode:          e.mode,
-		BatchSize:     cfg.BatchSize,
-		QueueCapacity: cfg.QueueCapacity,
-		Reconfigures:  int(e.reconfigs.Load()),
-	}
-	if t.BatchSize <= 0 {
-		t.BatchSize = 64
-	}
-	if t.QueueCapacity <= 0 {
-		if e.mode == ModeShared {
-			t.QueueCapacity = 8 << 10
-		} else {
-			t.QueueCapacity = 1 << 14
-		}
-	}
+	t := Tuning{Mode: e.mode, Reconfigures: int(e.reconfigs.Load())}
 	if e.router != nil {
+		e.tunMu.Lock()
+		t.BatchSize, t.QueueCapacity = e.cfg.BatchSize, e.cfg.QueueCapacity
+		e.tunMu.Unlock()
 		t.Shards = e.router.Shards()
 		t.Reshapes = e.router.Reshapes()
 	}
 	return t
+}
+
+// applied records the batch size and ring capacity the router runs in the
+// engine's config, for Tuning. Producer-side: at Open and after a reshape.
+func (e *Engine) applied() {
+	e.tunMu.Lock()
+	e.cfg.BatchSize, e.cfg.QueueCapacity = e.router.BatchSize(), e.router.Cap()
+	e.tunMu.Unlock()
 }

@@ -7,10 +7,10 @@
 //
 // The primary entry point is Open: it validates one Config and returns a
 // long-lived streaming *Engine over the selected execution Mode —
-// single-threaded serial (ModeSerial), the paper's parallel shared-index
-// join (ModeShared), the key-range sharded runtime (ModeSharded), or the
-// sharded time-window runtime with out-of-order admission (ModeShardedTime).
-// ModeAuto picks a mode from the rest of the configuration.
+// single-threaded serial (ModeSerial), the key-range sharded runtime
+// (ModeSharded), or the sharded time-window runtime with out-of-order
+// admission (ModeShardedTime). ModeAuto picks a mode from the rest of the
+// configuration.
 //
 // An Engine is a session, not a batch call: Push/PushTimed/PushBatch feed
 // tuples as they arrive, forever. Matches stream out on two sides — the
@@ -20,25 +20,20 @@
 // lock each). Stats returns live snapshots mid-stream; Drain flushes pending
 // shard batches and reorder buffers to a deterministic quiescent point; Close tears the session down and returns
 // the final statistics. Both Drain and Close take a context.Context, so a
-// stuck or slow shutdown is cancellable. The parallel modes bound their
+// stuck or slow shutdown is cancellable. The sharded modes bound their
 // in-flight tuples by Config.QueueCapacity and block Push when the ordered
 // propagation frontier falls that far behind — backpressure, not unbounded
 // queueing.
 //
 // Every mode produces the identical match multiset as the serial join on
-// the same input, regardless of push granularity, thread count, shard
-// count, or scheduling — the engine-conformance test suite pins this.
+// the same input, regardless of push granularity, shard count, or
+// scheduling — the engine-conformance test suite pins this.
 //
 // # The runtimes and other levels
 //
 //   - ModeSerial: the incremental single-threaded band join. Matches are
 //     dispatched before Push returns. Backends cover every index the paper
 //     evaluates (PIM-Tree, IM-Tree, B+-Tree, Bw-Tree, chained index).
-//
-//   - ModeShared: the paper's multi-threaded shared-index join — a task
-//     queue feeding any number of workers, order-preserving result
-//     propagation, and non-blocking index merges (PIM-Tree or Bw-Tree;
-//     anything else fails with ErrUnsupportedBackend).
 //
 //   - ModeSharded: the key-range sharded parallel join. The key domain is
 //     dealt to K independent single-writer join instances fed through
@@ -95,7 +90,9 @@
 // regenerates every figure of the paper's evaluation section plus the
 // repository's own ablations, including the engine-overhead,
 // sharded-vs-shared, and serving-layer wire-overhead comparisons (see
-// docs/ARCHITECTURE.md for the paper-to-package map), cmd/pimjoin runs
+// docs/ARCHITECTURE.md for the paper-to-package map); the paper's
+// multi-threaded shared-index join (Section 4) runs there, behind the
+// figures, and not as an Engine mode, cmd/pimjoin runs
 // ad-hoc joins — batch, stdin-streamed, or network-served through a live
 // Engine — from the command line, and cmd/pimload load-tests a served
 // engine with an open-loop, coordinated-omission-safe arrival schedule,

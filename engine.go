@@ -31,10 +31,6 @@ const (
 	// ModeSerial runs the single-threaded incremental IBWJ (Section 2) —
 	// every backend, synchronous matches, no goroutines.
 	ModeSerial
-	// ModeShared runs the paper's parallel shared-index join (Section 4):
-	// worker threads over shared PIM-Tree or Bw-Tree indexes with ordered
-	// result propagation.
-	ModeShared
 	// ModeSharded runs the key-range sharded runtime: single-writer
 	// per-shard indexes behind a routing stage.
 	ModeSharded
@@ -50,8 +46,6 @@ func (m Mode) String() string {
 		return "auto"
 	case ModeSerial:
 		return "serial"
-	case ModeShared:
-		return "shared"
 	case ModeSharded:
 		return "sharded"
 	case ModeShardedTime:
@@ -75,8 +69,7 @@ var (
 	// pushed to a time-based runtime in strict (LateNone) mode.
 	ErrUnordered = errors.New("arrivals are not timestamp-ordered")
 	// ErrNotTunable is wrapped by Reconfigure errors on engines whose
-	// execution mode has no live-tunable parameters (the serial and shared
-	// runtimes).
+	// execution mode has no live-tunable parameters (the serial runtime).
 	ErrNotTunable = errors.New("execution mode has no live-tunable parameters")
 	// ErrWindowTooLarge is wrapped by validation errors rejecting a window
 	// bound (WindowR, WindowS, MaxLive) above 2^31 tuples: index entries
@@ -138,10 +131,6 @@ func validateBackend(m Mode, b Backend) error {
 	switch m {
 	case ModeSerial:
 		return nil // every backend has a serial adapter
-	case ModeShared:
-		if b == PIMTree || b == BwTree {
-			return nil
-		}
 	case ModeSharded, ModeShardedTime:
 		if b != BChain && b != IBChain {
 			return nil
@@ -151,9 +140,9 @@ func validateBackend(m Mode, b Backend) error {
 }
 
 // Config is the one validated option set behind every execution mode — the
-// union of the windows, band, backend, and index tuning the four runtimes
-// share, plus the per-mode knobs each one reads. Open validates it once;
-// it is the only way to configure a join in this package apart from the
+// union of the windows, band, backend, and index tuning the runtimes share,
+// plus the per-mode knobs each one reads. Open validates it once; it is the
+// only way to configure a join in this package apart from the
 // serial time-window reference, TimeJoin.
 type Config struct {
 	// Mode selects the runtime; ModeAuto (the zero value) picks one from
@@ -176,28 +165,16 @@ type Config struct {
 	Self bool   // self-join: one stream, one window
 	Diff uint32 // band half-width: |R.x - S.x| <= Diff
 
-	// Backend selects the index structure. ModeShared supports PIMTree and
-	// BwTree; the sharded modes support everything but the chained
-	// backends; ModeSerial supports all. An unsupported combination fails
-	// Open with an error wrapping ErrUnsupportedBackend.
+	// Backend selects the index structure. The sharded modes support
+	// everything but the chained backends; ModeSerial supports all. An
+	// unsupported combination fails Open with an error wrapping
+	// ErrUnsupportedBackend.
 	Backend Backend
 	// ChainLength is L for the chain backends (default 2, serial mode only).
 	ChainLength int
-	// Index tunes the two-stage backends. In ModeShared a zero MergeRatio
-	// defaults to 1 (Figure 9a: best under heavy index sharing); everywhere
-	// else — including the sharded modes, whose per-shard indexes are
-	// single-writer — it defaults to the serial 1/16.
+	// Index tunes the two-stage backends. A zero MergeRatio defaults to the
+	// serial 1/16 — the sharded modes' per-shard indexes are single-writer.
 	Index IndexOptions
-
-	// Threads and TaskSize drive ModeShared's worker pool (defaults: 1 and
-	// 8). BlockingMerge disables its non-blocking two-phase merge. With
-	// ModeAuto, setting any of these selects ModeShared. Outside ModeShared
-	// they are ignored, like every per-mode knob outside its mode.
-	Threads       int
-	TaskSize      int
-	BlockingMerge bool
-	// RecordLatency enables per-tuple latency sampling (ModeShared).
-	RecordLatency bool
 
 	// Shards, BatchSize, and Partitioner shape the sharded modes (defaults:
 	// GOMAXPROCS, 64, and stripes at least 256 bands (2·Diff+1 keys) wide
@@ -230,11 +207,10 @@ type Config struct {
 	DiscardMatches bool
 
 	// QueueCapacity bounds the in-flight (pushed but not yet propagated)
-	// tuples of the parallel modes; a Push past it blocks until the ordered
+	// tuples of the sharded modes; a Push past it blocks until the ordered
 	// propagation frontier advances — the session's backpressure. Zero
-	// selects a default (8Ki for ModeShared, 16Ki for the sharded modes).
-	// In the sharded modes it is live-tunable through Engine.Reconfigure;
-	// in ModeShared it is fixed at Open.
+	// selects the default, 16Ki. It is live-tunable through
+	// Engine.Reconfigure.
 	QueueCapacity int
 
 	// Durability makes the sharded window state crash-recoverable through a
@@ -249,8 +225,7 @@ type Config struct {
 // constructor in this package.
 func (c Config) validate() (Config, error) {
 	if c.Mode == ModeAuto {
-		// Explicit per-mode knobs select their mode, sharded knobs winning
-		// over shared ones.
+		// Explicit per-mode knobs select their mode.
 		switch {
 		case c.Span > 0:
 			c.Mode = ModeShardedTime
@@ -258,8 +233,6 @@ func (c Config) validate() (Config, error) {
 			c.Mode = ModeSerial
 		case c.Shards > 0 || c.Partitioner != nil || c.Durability.enabled():
 			c.Mode = ModeSharded
-		case c.Threads > 0 || c.TaskSize > 0 || c.BlockingMerge || c.RecordLatency:
-			c.Mode = ModeShared
 		case runtime.GOMAXPROCS(0) > 1:
 			c.Mode = ModeSharded
 		default:
@@ -267,7 +240,7 @@ func (c Config) validate() (Config, error) {
 		}
 	}
 	switch c.Mode {
-	case ModeSerial, ModeShared, ModeSharded:
+	case ModeSerial, ModeSharded:
 		if err := validateWindows(c.WindowR, c.WindowS, c.Self); err != nil {
 			return c, err
 		}
@@ -295,19 +268,6 @@ func (c Config) validate() (Config, error) {
 	if err := validateBackend(c.Mode, c.Backend); err != nil {
 		return c, err
 	}
-	if c.Mode == ModeShared && c.Backend == BwTree {
-		// The Bw-Tree's eager deletes need windows comfortably larger than
-		// the in-flight bound (StartShared would panic); surface it as a
-		// validation error like every other bad Config.
-		ws := c.WindowS
-		if c.Self {
-			ws = c.WindowR
-		}
-		if inflight, ok := join.SharedWindowCheck(c.Threads, c.TaskSize, c.WindowR, ws); !ok {
-			return c, fmt.Errorf("pimtree: windows (%d,%d) too small for %d in-flight tuples with the %s backend's eager deletes in %s mode",
-				c.WindowR, ws, inflight, c.Backend, c.Mode)
-		}
-	}
 	if err := c.Durability.validate(c.Mode); err != nil {
 		return c, err
 	}
@@ -325,7 +285,7 @@ const (
 	stateClosed
 )
 
-// Engine is a long-lived streaming band-join session over one of the four
+// Engine is a long-lived streaming band-join session over one of the
 // execution runtimes. Open starts it; Push/PushTimed/PushBatch feed it
 // incrementally; matches stream out through OnMatch (push side) and
 // Matches (pull side); Stats snapshots progress mid-stream; Drain flushes
@@ -352,7 +312,6 @@ type Engine struct {
 	reconfigs atomic.Int64 // applied Reconfigure deltas
 
 	serial *join.Streaming
-	shared *join.Shared
 	router *shard.Router
 	wlog   *wal.Log // durability layer; nil unless Config.Durability.Dir
 
@@ -364,11 +323,6 @@ type Engine struct {
 	lastTS        uint64 // strict-mode timestamp guard (producer goroutine)
 	start         time.Time
 	gcBase        metrics.GCSnapshot // GC counters at Open; Stats/Close diff against it
-
-	// sharedBuf is PushBatch's ModeShared conversion buffer, owned by the
-	// producer goroutine and reused across calls so steady-state batch
-	// ingestion does not allocate.
-	sharedBuf []stream.Arrival
 
 	state atomic.Int32
 	bg    chan struct{} // abandoned Drain/Close teardown, awaited by Close
@@ -417,26 +371,6 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 			Sink: sink,
 		}
 		e.serial = join.NewStreaming(scfg)
-	case ModeShared:
-		shcfg := join.SharedConfig{
-			Threads:       cc.Threads,
-			TaskSize:      cc.TaskSize,
-			WR:            cc.WindowR,
-			WS:            cc.WindowS,
-			Self:          cc.Self,
-			Band:          join.Band{Diff: cc.Diff},
-			Index:         cc.Backend.kind(),
-			BlockingMerge: cc.BlockingMerge,
-			PIM: core.PIMTreeConfig{
-				MergeRatio:     parallelMergeRatio(cc.Index.MergeRatio),
-				InsertionDepth: cc.Index.InsertionDepth,
-			},
-			Sink: sink,
-		}
-		if cc.RecordLatency {
-			shcfg.Latency = metrics.NewLatencyRecorder(1<<16, 4)
-		}
-		e.shared = join.StartShared(shcfg, cc.QueueCapacity)
 	case ModeSharded, ModeShardedTime:
 		rcfg := shard.Config{
 			Shards:    defaultShards(cc.Shards),
@@ -475,6 +409,7 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 			rcfg.SnapshotEvery = snapshotCadence(cc)
 		}
 		e.router = shard.NewRouter(rcfg, cc.QueueCapacity)
+		e.applied()
 		// Replay before anything can push: the workers are parked, so the
 		// restored window is published by the first batch send.
 		e.router.Restore(wst)
@@ -482,15 +417,6 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 	e.start = time.Now()
 	e.gcBase = metrics.ReadGC()
 	return e, nil
-}
-
-// parallelMergeRatio applies Figure 9a's finding: under concurrency the
-// merge ratio defaults to 1.
-func parallelMergeRatio(m float64) float64 {
-	if m == 0 {
-		return 1
-	}
-	return m
 }
 
 func defaultShards(n int) int {
@@ -539,7 +465,7 @@ func (e *Engine) lockProducer() error {
 	return nil
 }
 
-// Push feeds one count-window tuple. In the parallel modes it may block on
+// Push feeds one count-window tuple. In the sharded modes it may block on
 // backpressure (QueueCapacity); in ModeSerial its matches are dispatched
 // before it returns.
 func (e *Engine) Push(s StreamID, key uint32) error {
@@ -559,12 +485,9 @@ func (e *Engine) Push(s StreamID, key uint32) error {
 }
 
 func (e *Engine) pushCount(a stream.Arrival) {
-	switch e.mode {
-	case ModeSerial:
+	if e.mode == ModeSerial {
 		e.pushSerial(a)
-	case ModeShared:
-		e.shared.Push(a)
-	default:
+	} else {
 		e.router.Push(a)
 	}
 }
@@ -578,8 +501,8 @@ func (e *Engine) flushIdle() {
 	}
 }
 
-// pushSerial is the serial-mode push core: the parallel modes read their
-// runtime's own counters, so only serial mode maintains the engine-side
+// pushSerial is the serial-mode push core: the sharded modes read the
+// router's own counters, so only serial mode maintains the engine-side
 // tuple/match accounting.
 func (e *Engine) pushSerial(a stream.Arrival) {
 	n := e.serial.Push(a)
@@ -613,9 +536,9 @@ func (e *Engine) PushTimed(s StreamID, key uint32, ts uint64) error {
 	return nil
 }
 
-// PushBatch feeds a batch of tuples, amortizing per-push overhead (one queue
-// handoff in ModeShared). In ModeShardedTime the arrivals' TS fields carry
-// the event timestamps and strict mode validates the whole batch before
+// PushBatch feeds a batch of tuples, amortizing the producer lock and the
+// idle-lane flush over the batch. In ModeShardedTime the arrivals' TS fields
+// carry the event timestamps and strict mode validates the whole batch before
 // admitting any of it.
 func (e *Engine) PushBatch(batch []Arrival) error {
 	if err := e.pushable(); err != nil {
@@ -640,24 +563,6 @@ func (e *Engine) PushBatch(batch []Arrival) error {
 		}
 		for _, a := range batch {
 			e.router.PushTimed(uint8(a.Stream), a.Key, a.TS)
-		}
-	case ModeShared:
-		// Convert in bounded chunks: a full-size intermediate slice would
-		// double the transient arrival memory of large batch runs for no
-		// gain (the ring copy happens either way, and one queue handoff per
-		// chunk amortizes the lock just as well).
-		const chunk = 4096
-		if cap(e.sharedBuf) == 0 {
-			e.sharedBuf = make([]stream.Arrival, 0, chunk)
-		}
-		buf := e.sharedBuf
-		for lo := 0; lo < len(batch); lo += chunk {
-			hi := min(lo+chunk, len(batch))
-			buf = buf[:0]
-			for _, a := range batch[lo:hi] {
-				buf = append(buf, stream.Arrival{Stream: uint8(a.Stream), Key: a.Key})
-			}
-			e.shared.PushBatch(buf)
 		}
 	default:
 		for _, a := range batch {
@@ -703,7 +608,7 @@ func (e *Engine) MatchBatches() iter.Seq[[]Match] {
 // since Open, and — in the sharded modes — reshape migrations and shard
 // imbalance (MigratedTuples, Imbalance), observable mid-stream, not only
 // after Close. The remaining maintenance counters
-// (Merges, late accounting, latency) are finalized by Close; after Close,
+// (Merges, late accounting) are finalized by Close; after Close,
 // Stats returns the final statistics. Safe from any goroutine.
 func (e *Engine) Stats() RunStats {
 	if e.state.Load() == stateClosed {
@@ -714,9 +619,6 @@ func (e *Engine) Stats() RunStats {
 	case ModeSerial:
 		st.Tuples = int(e.tuples.Load())
 		st.Matches = e.serialMatches.Load()
-	case ModeShared:
-		st.Tuples = e.shared.Tuples()
-		st.Matches = e.shared.Matches()
 	default:
 		st.Tuples = e.router.Published()
 		st.Matches = e.router.MatchCount()
@@ -781,55 +683,50 @@ func shardImbalance(snap []shard.ShardLoad) float64 {
 // watermark past everything buffered, so strictly older tuples pushed
 // afterwards are late. The session stays usable.
 //
-// If ctx is done first, Drain returns its error. In ModeShared the session
-// simply keeps running (the drain was only a wait); in the sharded modes the
-// abandoned drain keeps flushing in the background and the engine becomes
-// aborted: further pushes fail with ErrAborted and only Close is permitted.
+// If ctx is done first, Drain returns its error: the abandoned drain keeps
+// flushing in the background and the engine becomes aborted: further pushes
+// fail with ErrAborted and only Close is permitted.
 func (e *Engine) Drain(ctx context.Context) error {
 	if err := e.pushable(); err != nil {
 		return err
 	}
-	switch e.mode {
-	case ModeSerial:
+	if e.mode == ModeSerial {
 		return nil // synchronous: nothing is ever in flight
-	case ModeShared:
-		return e.shared.Drain(ctx)
-	default:
-		if err := e.lockProducer(); err != nil {
-			return err
-		}
-		if ctx.Done() == nil {
-			// Un-cancelable context (e.g. context.Background()): drain
-			// synchronously instead of spawning the watchdog goroutine, so a
-			// push-drain steady state stays allocation-free.
-			e.router.Drain()
-			e.prodMu.Unlock()
-			return nil
-		}
-		done := make(chan struct{})
-		go func() {
-			// The drain goroutine owns the producer mutex until the router is
-			// actually quiescent — an abandoned drain is still a producer-side
-			// operation in flight, and Reconfigure must keep waiting for it.
-			defer close(done)
-			e.router.Drain()
-			e.prodMu.Unlock()
-		}()
+	}
+	if err := e.lockProducer(); err != nil {
+		return err
+	}
+	if ctx.Done() == nil {
+		// Un-cancelable context (e.g. context.Background()): drain
+		// synchronously instead of spawning the watchdog goroutine, so a
+		// push-drain steady state stays allocation-free.
+		e.router.Drain()
+		e.prodMu.Unlock()
+		return nil
+	}
+	done := make(chan struct{})
+	go func() {
+		// The drain goroutine owns the producer mutex until the router is
+		// actually quiescent — an abandoned drain is still a producer-side
+		// operation in flight, and Reconfigure must keep waiting for it.
+		defer close(done)
+		e.router.Drain()
+		e.prodMu.Unlock()
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		// Both can be ready at once and select picks randomly; a drain
+		// that actually completed must not brick the session.
 		select {
 		case <-done:
 			return nil
-		case <-ctx.Done():
-			// Both can be ready at once and select picks randomly; a drain
-			// that actually completed must not brick the session.
-			select {
-			case <-done:
-				return nil
-			default:
-			}
-			e.bg = done
-			e.state.Store(stateAborted)
-			return fmt.Errorf("pimtree: drain abandoned: %w", ctx.Err())
+		default:
 		}
+		e.bg = done
+		e.state.Store(stateAborted)
+		return fmt.Errorf("pimtree: drain abandoned: %w", ctx.Err())
 	}
 }
 
@@ -864,8 +761,7 @@ func (e *Engine) Close(ctx context.Context) (RunStats, error) {
 		// any reconfiguration (or late push) already holding it.
 		e.prodMu.Lock()
 		defer e.prodMu.Unlock()
-		switch e.mode {
-		case ModeSerial:
+		if e.mode == ModeSerial {
 			m, t := e.serial.Merges()
 			st = join.Stats{
 				Tuples:    int(e.tuples.Load()),
@@ -873,9 +769,7 @@ func (e *Engine) Close(ctx context.Context) (RunStats, error) {
 				Merges:    m,
 				MergeTime: t,
 			}
-		case ModeShared:
-			st = e.shared.Close()
-		default:
+		} else {
 			st = e.router.Close()
 		}
 		if e.pull != nil {
@@ -912,8 +806,6 @@ func (e *Engine) finish(st join.Stats) RunStats {
 		Mtps:                metrics.Mtps(st.Tuples, elapsed),
 		Merges:              st.Merges,
 		MergeTime:           st.MergeTime,
-		MeanMicros:          st.Latency.MeanMicros,
-		P99Micros:           st.Latency.P99Micros,
 		MigratedTuples:      st.Migrated,
 		LateDropped:         st.LateDropped,
 		MaxObservedDisorder: st.MaxDisorder,

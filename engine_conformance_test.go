@@ -117,13 +117,6 @@ func engineCombos(short bool) []struct {
 	for _, b := range serialBackends {
 		add("serial/"+b.String(), pimtree.Config{Mode: pimtree.ModeSerial, Backend: b})
 	}
-	// Shared mode: windows must exceed 2x the in-flight bound for the
-	// Bw-Tree's eager deletes (threads*task+64).
-	for _, b := range []pimtree.Backend{pimtree.PIMTree, pimtree.BwTree} {
-		add("shared/"+b.String(), pimtree.Config{
-			Mode: pimtree.ModeShared, Backend: b, Threads: 3, TaskSize: 4,
-		})
-	}
 	shardedBackends := []pimtree.Backend{pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree, pimtree.BwTree}
 	if short {
 		shardedBackends = []pimtree.Backend{pimtree.PIMTree, pimtree.BwTree}
@@ -491,40 +484,38 @@ func TestEngineBackpressure(t *testing.T) {
 	arr := pimtree.Interleave(41, pimtree.UniformSource(42), pimtree.UniformSource(43), 0.5, 2000)
 	want, _ := serialOracle(t, arr, w, diff)
 
-	for _, mode := range []pimtree.Mode{pimtree.ModeShared, pimtree.ModeSharded} {
-		t.Run(mode.String(), func(t *testing.T) {
-			var got []matchKey
-			var mu sync.Mutex
-			e, err := pimtree.Open(pimtree.Config{
-				Mode: mode, WindowR: w, WindowS: w, Diff: diff,
-				Threads: 2, Shards: 2, QueueCapacity: 8,
-				OnMatch: func(m pimtree.Match) {
-					mu.Lock()
-					got = append(got, matchKey{m.ProbeStream, m.ProbeSeq, m.MatchSeq})
-					mu.Unlock()
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.PushBatch(arr); err != nil {
-				t.Fatal(err)
-			}
-			st, err := e.Close(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Matches != uint64(len(want)) {
-				t.Fatalf("Matches = %d, want %d", st.Matches, len(want))
-			}
-			sortedMatches(got)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("match %d = %+v, want %+v", i, got[i], want[i])
-				}
-			}
+	t.Run(pimtree.ModeSharded.String(), func(t *testing.T) {
+		var got []matchKey
+		var mu sync.Mutex
+		e, err := pimtree.Open(pimtree.Config{
+			Mode: pimtree.ModeSharded, WindowR: w, WindowS: w, Diff: diff,
+			Shards: 2, QueueCapacity: 8,
+			OnMatch: func(m pimtree.Match) {
+				mu.Lock()
+				got = append(got, matchKey{m.ProbeStream, m.ProbeSeq, m.MatchSeq})
+				mu.Unlock()
+			},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.PushBatch(arr); err != nil {
+			t.Fatal(err)
+		}
+		st, err := e.Close(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Matches != uint64(len(want)) {
+			t.Fatalf("Matches = %d, want %d", st.Matches, len(want))
+		}
+		sortedMatches(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("match %d = %+v, want %+v", i, got[i], want[i])
+			}
+		}
+	})
 }
 
 // TestEngineDurableCloseReopen is the lifecycle conformance point for the

@@ -45,7 +45,6 @@ func TestValidationUniform(t *testing.T) {
 			name: "zero WindowR",
 			errs: map[string]error{
 				"Open/serial":  openErr(pimtree.Config{Mode: pimtree.ModeSerial, WindowS: 4}),
-				"Open/shared":  openErr(pimtree.Config{Mode: pimtree.ModeShared, WindowS: 4}),
 				"Open/sharded": openErr(pimtree.Config{Mode: pimtree.ModeSharded, WindowS: 4}),
 			},
 		},
@@ -53,7 +52,6 @@ func TestValidationUniform(t *testing.T) {
 			name: "zero WindowS",
 			errs: map[string]error{
 				"Open/serial":  openErr(pimtree.Config{Mode: pimtree.ModeSerial, WindowR: 4}),
-				"Open/shared":  openErr(pimtree.Config{Mode: pimtree.ModeShared, WindowR: 4}),
 				"Open/sharded": openErr(pimtree.Config{Mode: pimtree.ModeSharded, WindowR: 4}),
 			},
 		},
@@ -127,15 +125,12 @@ func errOf2[T any](_ T, err error) error { return err }
 
 // TestUnsupportedBackendNamed pins satellite #2: every unsupported
 // mode × backend pair fails with an error wrapping ErrUnsupportedBackend —
-// the shared mode never silently narrows to PIM-Tree.
+// no mode silently narrows to another backend.
 func TestUnsupportedBackendNamed(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  pimtree.Config
 	}{
-		{"shared/IMTree", pimtree.Config{Mode: pimtree.ModeShared, WindowR: 4, WindowS: 4, Backend: pimtree.IMTree}},
-		{"shared/BPlusTree", pimtree.Config{Mode: pimtree.ModeShared, WindowR: 4, WindowS: 4, Backend: pimtree.BPlusTree}},
-		{"shared/BChain", pimtree.Config{Mode: pimtree.ModeShared, WindowR: 4, WindowS: 4, Backend: pimtree.BChain}},
 		{"sharded/BChain", pimtree.Config{Mode: pimtree.ModeSharded, WindowR: 4, WindowS: 4, Backend: pimtree.BChain}},
 		{"sharded-time/IBChain", pimtree.Config{Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8, Backend: pimtree.IBChain}},
 	}
@@ -148,15 +143,13 @@ func TestUnsupportedBackendNamed(t *testing.T) {
 			t.Fatalf("%s: error %v does not wrap ErrUnsupportedBackend", c.name, err)
 		}
 	}
-	// The supported pairs must still open. Threads is pinned because the
-	// Bw-Tree's eager-delete runtime requires windows > 2x the in-flight
-	// bound (threads*task+64), which GOMAXPROCS-many workers could exceed.
-	for _, b := range []pimtree.Backend{pimtree.PIMTree, pimtree.BwTree} {
+	// The supported pairs must still open.
+	for _, b := range []pimtree.Backend{pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree, pimtree.BwTree} {
 		e, err := pimtree.Open(pimtree.Config{
-			Mode: pimtree.ModeShared, WindowR: 256, WindowS: 256, Backend: b, Threads: 2,
+			Mode: pimtree.ModeSharded, WindowR: 256, WindowS: 256, Backend: b, Shards: 2,
 		})
 		if err != nil {
-			t.Fatalf("shared mode with %s: %v", b, err)
+			t.Fatalf("sharded mode with %s: %v", b, err)
 		}
 		st, err := e.Close(context.Background())
 		if err != nil {
@@ -231,18 +224,13 @@ func TestEngineAutoMode(t *testing.T) {
 		{"time window", pimtree.Config{Span: 10, MaxLive: 8}, 0, pimtree.ModeShardedTime},
 		{"chained backend", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain}, 0, pimtree.ModeSerial},
 		{"count windows", pimtree.Config{WindowR: 4, WindowS: 4, Shards: 2}, 0, pimtree.ModeSharded},
-		// Shared-only knobs steer auto-resolution to the shared runtime:
-		// asking for a thread pool (or latency sampling) must not silently
-		// produce a sharded run.
-		{"shared knobs", pimtree.Config{WindowR: 512, WindowS: 512, Threads: 2, RecordLatency: true}, 0, pimtree.ModeShared},
 	})
 	// The decision table's precedence, one row per rule, each under a
 	// pinned core count.
 	t.Run("decision_table", func(t *testing.T) {
 		checkAutoModes(t, []autoModeCase{
 			{"chained forces serial", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain, Shards: 2}, 8, pimtree.ModeSerial},
-			{"sharded knobs win", pimtree.Config{WindowR: 512, WindowS: 512, Shards: 2, Threads: 2}, 1, pimtree.ModeSharded},
-			{"shared knobs multicore", pimtree.Config{WindowR: 512, WindowS: 512, Threads: 2}, 8, pimtree.ModeShared},
+			{"sharded knobs single core", pimtree.Config{WindowR: 512, WindowS: 512, Shards: 2}, 1, pimtree.ModeSharded},
 			{"multicore default", pimtree.Config{WindowR: 4, WindowS: 4}, 8, pimtree.ModeSharded},
 			{"single core default", pimtree.Config{WindowR: 4, WindowS: 4}, 1, pimtree.ModeSerial},
 		})
@@ -258,20 +246,12 @@ func TestEngineAutoMode(t *testing.T) {
 // TestEngineValidationGuards pins the Open-never-panics contract and the
 // cross-mode knob rejections added alongside it.
 func TestEngineValidationGuards(t *testing.T) {
-	// Bw-Tree windows too small for the in-flight bound: a validation
-	// error, not the runtime's panic.
-	if _, err := pimtree.Open(pimtree.Config{
-		Mode: pimtree.ModeShared, WindowR: 16, WindowS: 16,
-		Backend: pimtree.BwTree, Threads: 8,
-	}); err == nil {
-		t.Fatal("tiny Bw-Tree windows accepted in shared mode")
-	}
 	// Out-of-order knobs act on event time; count modes must reject them
 	// rather than silently ignore a disorder tolerance.
 	for name, cfg := range map[string]pimtree.Config{
 		"slack":  {Mode: pimtree.ModeSharded, WindowR: 8, WindowS: 8, Slack: 100},
 		"policy": {Mode: pimtree.ModeSerial, WindowR: 8, WindowS: 8, LatePolicy: pimtree.LateDrop},
-		"onlate": {Mode: pimtree.ModeShared, WindowR: 256, WindowS: 256, OnLate: func(pimtree.TimedArrival, uint64) {}},
+		"onlate": {Mode: pimtree.ModeSharded, WindowR: 256, WindowS: 256, OnLate: func(pimtree.TimedArrival, uint64) {}},
 	} {
 		if _, err := pimtree.Open(cfg); err == nil {
 			t.Fatalf("count-mode %s knob accepted", name)

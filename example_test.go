@@ -131,12 +131,12 @@ func ExampleOpen_expiry() {
 	// 1
 }
 
-// ExampleOpen_shared runs the paper's multicore shared-index join over a
-// batch and reports aggregate statistics.
-func ExampleOpen_shared() {
+// ExampleOpen_sharded runs the key-range sharded multicore join over a batch
+// and reports aggregate statistics.
+func ExampleOpen_sharded() {
 	e, _ := pimtree.Open(pimtree.Config{
-		Mode:    pimtree.ModeShared,
-		Threads: 2,
+		Mode:    pimtree.ModeSharded,
+		Shards:  2,
 		WindowR: 64,
 		WindowS: 64,
 		Diff:    1,

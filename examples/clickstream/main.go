@@ -10,8 +10,8 @@
 //
 // A small fraction of the stream is generated by a "fraud bot" that reuses
 // nearly identical fingerprints, so flagged pairs cluster on it. The example
-// runs on the multicore shared-index join and reports flagged pairs and the
-// hit rate on the injected bot traffic.
+// runs on the key-range sharded multicore join and reports flagged pairs and
+// the hit rate on the injected bot traffic.
 //
 // Run with:
 //
@@ -58,7 +58,7 @@ func main() {
 	isBot := func(seq uint64) bool { return (seq+1)%botEvery == 0 }
 
 	e, err := pimtree.Open(pimtree.Config{
-		Mode:    pimtree.ModeShared,
+		Mode:    pimtree.ModeSharded,
 		WindowR: windowLen,
 		Self:    true,
 		Diff:    eps,

@@ -1,8 +1,8 @@
 // Sharded: the key-range sharded runtime driven through the streaming
 // Engine API — one long-lived session per run, fed incrementally, with live
-// Stats snapshots mid-stream — side by side with the paper's shared-index
-// runtime on the same workload, plus a skewed workload routed through
-// equal-width ranges, the default stripes and a quantile partitioner.
+// Stats snapshots mid-stream — on a uniform workload, then on a skewed
+// workload routed through equal-width ranges, the default stripes and a
+// quantile partitioner, which must all find the same matches.
 //
 // Run with:
 //
@@ -64,13 +64,7 @@ func main() {
 		WindowR: windowLen, WindowS: windowLen, Diff: diff,
 		Shards: shards,
 	}, arrivals)
-	shared := drive(pimtree.Config{
-		Mode:    pimtree.ModeShared,
-		WindowR: windowLen, WindowS: windowLen, Diff: diff,
-		Threads: shards,
-	}, arrivals)
 	fmt.Printf("  sharded (key-range): %7.2f Mtps, %d matches\n", sharded.Mtps, sharded.Matches)
-	fmt.Printf("  shared  (PIM-Tree):  %7.2f Mtps, %d matches\n", shared.Mtps, shared.Matches)
 
 	// Skewed keys: equal-width ranges send almost everything to the central
 	// shards; the default stripes and quantile boundaries from a key sample
@@ -103,4 +97,7 @@ func main() {
 	fmt.Printf("  equal-width shards:  %7.2f Mtps, %d matches\n", equal.Mtps, equal.Matches)
 	fmt.Printf("  striped (default):   %7.2f Mtps, %d matches\n", striped.Mtps, striped.Matches)
 	fmt.Printf("  quantile shards:     %7.2f Mtps, %d matches\n", quantile.Mtps, quantile.Matches)
+	if equal.Matches != striped.Matches || striped.Matches != quantile.Matches {
+		log.Fatalf("partitioners disagree: %d / %d / %d matches", equal.Matches, striped.Matches, quantile.Matches)
+	}
 }

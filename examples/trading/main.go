@@ -8,7 +8,7 @@
 //	WHERE ABS(t.price - q.price) <= band    [windows: 16K trades, 64K quotes]
 //
 // The example runs the same workload twice — on the single-threaded engine
-// and on the multicore shared-index join — and compares results and
+// and on the key-range sharded multicore join — and compares results and
 // throughput, demonstrating that the parallel operator preserves the result
 // set and its arrival order.
 //
@@ -58,8 +58,7 @@ func main() {
 	// Multicore run over the identical workload.
 	var firstMatches int
 	parallelCfg := cfg
-	parallelCfg.Mode = pimtree.ModeShared
-	parallelCfg.RecordLatency = true
+	parallelCfg.Mode = pimtree.ModeSharded
 	parallelCfg.OnMatch = func(m pimtree.Match) {
 		if firstMatches < 3 {
 			firstMatches++
@@ -72,8 +71,7 @@ func main() {
 	fmt.Printf("trade/quote band join: %d arrivals, windows %d/%d, band=%d\n",
 		tuples, tradeWindow, quoteWindow, band)
 	fmt.Printf("serial:   %.2f Mtps, %d matched pairs\n", serial.Mtps, serial.Matches)
-	fmt.Printf("parallel: %.2f Mtps, %d matched pairs, mean latency %.1f µs (p99 %.1f µs)\n",
-		st.Mtps, st.Matches, st.MeanMicros, st.P99Micros)
+	fmt.Printf("parallel: %.2f Mtps, %d matched pairs\n", st.Mtps, st.Matches)
 	if st.Matches != serial.Matches {
 		log.Fatalf("result mismatch: serial %d vs parallel %d", serial.Matches, st.Matches)
 	}

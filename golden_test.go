@@ -3,7 +3,7 @@ package pimtree
 import "testing"
 
 // TestGoldenEndToEnd pins the complete pipeline — generator, band
-// calibration, serial join, parallel join — to exact expected outputs on a
+// calibration, serial join, sharded join — to exact expected outputs on a
 // fixed seed, guarding against silent semantic drift in any layer. If a
 // deliberate change alters these numbers, re-derive them with the NLWJ
 // oracle before updating.
@@ -43,12 +43,12 @@ func TestGoldenEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The parallel driver reproduces the same count at several thread
+	// The sharded runtime reproduces the same count at several shard
 	// counts.
-	for _, threads := range []int{1, 2, 4} {
-		st := runSession(t, arr, Config{Mode: ModeShared, Threads: threads, WindowR: w, WindowS: w, Diff: diff, DiscardMatches: true})
+	for _, shards := range []int{1, 2, 4} {
+		st := runSession(t, arr, Config{Mode: ModeSharded, Shards: shards, WindowR: w, WindowS: w, Diff: diff, DiscardMatches: true})
 		if st.Matches != wantMatches {
-			t.Fatalf("parallel threads=%d: matches = %d, want %d", threads, st.Matches, wantMatches)
+			t.Fatalf("sharded shards=%d: matches = %d, want %d", shards, st.Matches, wantMatches)
 		}
 	}
 }

@@ -21,8 +21,8 @@ func init() {
 // PushBatch over a ring sized to the input, so nothing blocks), per-tuple
 // Push (the live-ingest shape, one queue handoff per arrival), and mid-size
 // PushBatch chunks (the amortized middle ground).
-// Run for both parallel modes; the serial engine has no queue, so its push
-// path is the baseline itself.
+// Run for the sharded mode; the serial engine has no queue, so its push path
+// is the baseline itself.
 func runAblEngine(cfg Config, out io.Writer) {
 	w := 1 << 14
 	if cfg.Scale == Quick {
@@ -39,17 +39,15 @@ func runAblEngine(cfg Config, out io.Writer) {
 		arr[i] = pimtree.Arrival{Stream: pimtree.StreamID(a.Stream), Key: a.Key}
 	}
 
-	for _, mode := range []pimtree.Mode{pimtree.ModeShared, pimtree.ModeSharded} {
-		base := pimtree.Config{
-			Mode:    mode,
-			WindowR: w, WindowS: w, Diff: diff,
-			Threads: cfg.threads(), Shards: cfg.threads(),
-			DiscardMatches: true,
-		}
-		batch := base
-		batch.QueueCapacity = len(arr)
-		row(out, mode.String(), driveEngine(batch, arr, len(arr)), driveEngine(base, arr, 1), driveEngine(base, arr, 256))
+	base := pimtree.Config{
+		Mode:    pimtree.ModeSharded,
+		WindowR: w, WindowS: w, Diff: diff,
+		Shards:         cfg.threads(),
+		DiscardMatches: true,
 	}
+	batch := base
+	batch.QueueCapacity = len(arr)
+	row(out, base.Mode.String(), driveEngine(batch, arr, len(arr)), driveEngine(base, arr, 1), driveEngine(base, arr, 256))
 }
 
 // driveEngine runs one engine session over the arrivals in chunks of the

@@ -1,7 +1,6 @@
 package join
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -57,12 +56,11 @@ type tupleState struct {
 	_         [64 - 9]byte
 }
 
-// sharedRun is the state shared by all workers of one parallel join session.
+// sharedRun is the state shared by all workers of one parallel join run.
 //
-// The arrival queue is a ring of capN in-flight slots: Push claims the slot
-// of global index i at i%capN once the propagation head has retired its
-// previous tenant (i-capN), so the queue doubles as the session's
-// backpressure bound. All per-tuple bookkeeping arrays are rings of the same
+// The arrival queue is a ring of capN slots indexed by global arrival
+// position i at i%capN. RunShared sizes it to the whole input, so no slot is
+// ever reused. All per-tuple bookkeeping arrays are rings of the same
 // capacity, indexed the same way.
 type sharedRun struct {
 	cfg      SharedConfig
@@ -75,7 +73,7 @@ type sharedRun struct {
 
 	// Task queue (Section 4.1). Admission to the windows happens at task
 	// acquisition under mu, so queue order is arrival order. appended is the
-	// number of arrivals pushed so far; nextAssign trails it.
+	// number of arrivals published so far; nextAssign trails it.
 	mu            sync.Mutex
 	cond          *sync.Cond
 	nextAssign    int
@@ -97,22 +95,12 @@ type sharedRun struct {
 	results   [][]uint64 // matched sequences, only when a sink is set
 
 	// Ordered result propagation (try-lock protocol of Section 4.1).
-	// routed mirrors appended for lock-free readers; propHead is the retire
-	// frontier pushers consult for slot reuse; matchesA mirrors matches for
-	// readers. Readers must never contend on propLock: a propagate pass that
-	// loses its retry CAS to a pure reader would strand a completed head,
-	// because only propagators re-check the head after releasing.
+	// routed mirrors appended for the lock-free propagation pass; propHead
+	// is the retire frontier.
 	routed   atomic.Int64
 	propLock atomic.Bool
 	propHead atomic.Int64
 	matches  uint64 // owned by the propagation lock holder
-	matchesA atomic.Uint64
-	// bpWaiters counts pushers/drainers blocked on the propagation
-	// frontier. Propagation only pays for the mutex + broadcast when one
-	// exists; waiters increment it before (re-)checking the frontier and
-	// propagate loads it after storing the frontier, so with sequentially
-	// consistent atomics one side always sees the other (no lost wakeup).
-	bpWaiters atomic.Int32
 
 	// Eager-delete safety (Bw-Tree): workerTe[t][sid] is the smallest te of
 	// worker t's current task against stream sid's window (maxUint64 when
@@ -144,43 +132,20 @@ const (
 	backlogDen = 4
 )
 
-// defaultSharedCapacity sizes the in-flight ring when the caller does not:
-// deep enough that workers never starve between pushes, shallow enough that
-// a stalled consumer backpressures quickly.
-const defaultSharedCapacity = 1 << 13
-
-// SharedWindowCheck reports whether count windows of length wr/ws can
+// sharedWindowCheck reports whether count windows of length wr/ws can
 // absorb the shared runtime's in-flight tuples under the Bw-Tree's eager
-// deletes, returning the in-flight bound it computed. Zero and negative
-// threads/task resolve to the runtime's defaults. This is the single source
-// of the bound: StartShared panics on its failure, and the public Config
-// validation consults it first to return an error instead.
-func SharedWindowCheck(threads, task, wr, ws int) (inflight int, ok bool) {
-	if threads <= 0 {
-		threads = 1
-	}
-	if task <= 0 {
-		task = 8
-	}
+// deletes, returning the in-flight bound it computed.
+func sharedWindowCheck(threads, task, wr, ws int) (inflight int, ok bool) {
 	inflight = threads*task + 64
 	return inflight, wr > 2*inflight && ws > 2*inflight
 }
 
-// Shared is a long-lived handle on the parallel shared-index join: a
-// start/feed/drain lifecycle over the same worker pool, task queue, and
-// ordered-propagation machinery RunShared batches over. Push, PushBatch,
-// Drain, and Close must be called from one goroutine; Matches and Tuples are
-// safe from any goroutine.
-type Shared struct {
-	r     *sharedRun
-	start time.Time
-}
-
-// StartShared builds the shared-index runtime, starts its workers, and
-// returns the streaming handle. capacity bounds the in-flight (pushed but
-// not yet propagated) tuples: a Push past it blocks until the ordered
-// propagation frontier advances (<= 0 selects a default).
-func StartShared(cfg SharedConfig, capacity int) *Shared {
+// RunShared executes the parallel shared-index window join over the arrival
+// sequence and returns its statistics. The ring is sized to the whole input,
+// which is published before the workers are told the run is closed. Results
+// are propagated in arrival order; the optional sink observes them in that
+// order.
+func RunShared(arrivals []stream.Arrival, cfg SharedConfig) Stats {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
@@ -196,14 +161,12 @@ func StartShared(cfg SharedConfig, capacity int) *Shared {
 	if cfg.WS <= 0 {
 		panic("join: WS must be positive")
 	}
-	inflight, windowsOK := SharedWindowCheck(cfg.Threads, cfg.TaskSize, cfg.WR, cfg.WS)
+	inflight, windowsOK := sharedWindowCheck(cfg.Threads, cfg.TaskSize, cfg.WR, cfg.WS)
 	if cfg.Index == IndexBwTree && !windowsOK {
 		panic(fmt.Sprintf("join: windows (%d,%d) too small for %d in-flight tuples with eager deletes",
 			cfg.WR, cfg.WS, inflight))
 	}
-	if capacity <= 0 {
-		capacity = defaultSharedCapacity
-	}
+	capacity := max(len(arrivals), 1)
 
 	r := &sharedRun{
 		cfg:      cfg,
@@ -260,141 +223,39 @@ func StartShared(cfg SharedConfig, capacity int) *Shared {
 			r.worker(id)
 		}(t)
 	}
-	return &Shared{r: r, start: start}
-}
 
-// Push appends one arrival to the task queue, blocking while the in-flight
-// ring is full (backpressure). It is the single-element case of PushBatch,
-// so both paths share one wait-and-publish protocol.
-func (s *Shared) Push(a stream.Arrival) {
-	var one [1]stream.Arrival
-	one[0] = a
-	s.PushBatch(one[:])
-}
-
-// PushBatch appends a batch of arrivals, amortizing the queue lock over the
-// whole batch; it blocks as needed when the batch exceeds the free ring
-// space.
-func (s *Shared) PushBatch(as []stream.Arrival) {
-	r := s.r
 	r.mu.Lock()
-	i := 0
-	for i < len(as) {
-		if r.appended-int(r.propHead.Load()) >= r.capN {
-			r.bpWaiters.Add(1)
-			for r.appended-int(r.propHead.Load()) >= r.capN {
-				r.cond.Wait()
-			}
-			r.bpWaiters.Add(-1)
-		}
-		free := r.capN - (r.appended - int(r.propHead.Load()))
-		for ; free > 0 && i < len(as); free-- {
-			r.publish(as[i])
-			i++
-		}
-		r.routed.Store(int64(r.appended))
-		r.cond.Broadcast()
-	}
-	r.mu.Unlock()
-}
-
-// publish claims the next ring slot for an arrival. Caller holds mu and has
-// verified the slot's previous tenant was retired by the propagation head.
-func (r *sharedRun) publish(a stream.Arrival) {
-	slot := r.appended % r.capN
-	st := &r.state[slot]
-	st.count = 0
-	st.completed.Store(false)
-	// r.results[slot] is left in place: the retired tenant's slice storage
-	// is recycled by the worker that processes the new tenant (process
-	// truncates it before appending).
-	r.arrivals[slot] = a
-	r.appended++
-}
-
-// Drain blocks until every pushed tuple has been processed and its matches
-// propagated (the streaming analogue of end-of-batch), or until ctx is done.
-// The session stays usable afterwards.
-func (s *Shared) Drain(ctx context.Context) error {
-	r := s.r
-	stop := context.AfterFunc(ctx, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer stop()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.bpWaiters.Add(1)
-	defer r.bpWaiters.Add(-1)
-	for int(r.propHead.Load()) < r.appended {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		r.cond.Wait()
-	}
-	return nil
-}
-
-// Matches returns the number of matches propagated so far. Safe from any
-// goroutine; the count trails pushes by the in-flight tuples.
-func (s *Shared) Matches() uint64 { return s.r.matchesA.Load() }
-
-// Tuples returns the number of arrivals pushed so far.
-func (s *Shared) Tuples() int { return int(s.r.routed.Load()) }
-
-// Close ends the session: workers finish the queued tuples and exit, the
-// final propagation flushes every result, and the run's statistics are
-// returned.
-func (s *Shared) Close() Stats {
-	r := s.r
-	r.mu.Lock()
+	copy(r.arrivals, arrivals)
+	r.appended = len(arrivals)
+	r.routed.Store(int64(r.appended))
 	r.closed = true
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	r.wg.Wait()
 	// Drain any results the last workers could not propagate.
 	r.propagate(time.Now().UnixNano())
-	elapsed := time.Since(s.start)
 
 	st := Stats{
 		Tuples:    r.appended,
 		Matches:   r.matches,
-		Elapsed:   elapsed,
+		Elapsed:   time.Since(start),
 		Merges:    r.merges,
 		MergeTime: r.mergeTime,
 	}
-	if r.cfg.Latency != nil {
-		st.Latency = r.cfg.Latency.Summarize()
+	if cfg.Latency != nil {
+		st.Latency = cfg.Latency.Summarize()
 	}
-	if r.cfg.ChunkTuples > 0 {
+	if cfg.ChunkTuples > 0 {
 		prev := r.startNano
 		for _, nano := range r.chunkNanos {
-			d := time.Duration(nano - prev)
 			st.Chunks = append(st.Chunks, ChunkStat{
-				Tuples: r.cfg.ChunkTuples,
-				Mtps:   metrics.Mtps(r.cfg.ChunkTuples, d),
+				Tuples: cfg.ChunkTuples,
+				Mtps:   metrics.Mtps(cfg.ChunkTuples, time.Duration(nano-prev)),
 			})
 			prev = nano
 		}
 	}
 	return st
-}
-
-// RunShared executes the parallel shared-index window join over the arrival
-// sequence and returns its statistics — the batch driver over the streaming
-// session: the ring is sized to the whole input, so the single PushBatch
-// never blocks and the memory shape matches a dedicated batch run. Results
-// are propagated in arrival order; the optional sink observes them in that
-// order.
-func RunShared(arrivals []stream.Arrival, cfg SharedConfig) Stats {
-	capacity := len(arrivals)
-	if capacity == 0 {
-		capacity = 1
-	}
-	s := StartShared(cfg, capacity)
-	s.PushBatch(arrivals)
-	return s.Close()
 }
 
 // streamID maps an arrival's stream to a window/index slot (self-joins fold
@@ -548,10 +409,7 @@ func (r *sharedRun) worker(id int) {
 			if updates {
 				r.indexUpdate(i)
 			}
-			// Only now is the slot done being read: marking completed any
-			// earlier would let propagate retire it and a backpressured
-			// pusher republish it while indexUpdate still reads the old
-			// tenant's arrival and sequence.
+			// Only now is the slot done being read.
 			r.state[i%r.capN].completed.Store(true)
 		}
 		if updates {
@@ -598,9 +456,7 @@ func (r *sharedRun) queryPairs(sid uint8, lo, hi uint32, emit func([]kv.Pair) bo
 
 // probeScratch is one worker's reusable probe state: the per-tuple probe
 // parameters live in fields and the two emit callbacks are built once per
-// worker, so process never materializes an escaping closure or allocates a
-// result slice in steady state (the matched slice recycles the ring slot's
-// previous storage).
+// worker, so process never materializes an escaping closure.
 type probeScratch struct {
 	r        *sharedRun
 	opp      *window.Concurrent
@@ -677,11 +533,6 @@ func (r *sharedRun) process(ps *probeScratch, i int) {
 	ps.edge = edgeSnap
 	ps.count = 0
 	ps.collect = r.results != nil
-	if ps.collect {
-		// Recycle the retired tenant's slice storage: the propagation
-		// frontier retired it before the producer republished the slot.
-		ps.matched = r.results[slot][:0]
-	}
 
 	// Index part.
 	r.queryPairs(oppID, lo, hi, ps.emitRun)
@@ -697,9 +548,8 @@ func (r *sharedRun) process(ps *probeScratch, i int) {
 		r.results[slot] = ps.matched
 		ps.matched = nil
 	}
-	// completed is NOT set here: it is the retire gate for ring-slot reuse,
-	// and the worker still has to read the slot in indexUpdate. The worker
-	// loop sets it once it is done with the slot.
+	// completed is NOT set here: the worker loop sets it once indexUpdate
+	// is done with the slot.
 }
 
 // indexUpdate implements step 3 (Section 4.1): insert the tuple into its
@@ -761,20 +611,9 @@ func (r *sharedRun) propagate(nowNano int64) {
 			}
 		}
 		if advanced {
-			// The match mirror first: a drainer that observes the advanced
-			// frontier must also observe the matches behind it.
-			r.matchesA.Store(r.matches)
 			r.propHead.Store(int64(head))
 		}
 		r.propLock.Store(false)
-		if advanced && r.bpWaiters.Load() > 0 {
-			// Wake pushers blocked on ring space and drainers waiting for
-			// the frontier. Skipped when none exists — a batch run never
-			// has one — to keep the propagation path off the queue mutex.
-			r.mu.Lock()
-			r.cond.Broadcast()
-			r.mu.Unlock()
-		}
 		routed = int(r.routed.Load())
 		if head >= routed || !r.state[head%r.capN].completed.Load() {
 			return

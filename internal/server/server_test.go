@@ -27,7 +27,6 @@ func countCfg(mode pimtree.Mode) pimtree.Config {
 		Diff:    pimtree.DiffForMatchRate(testWindow, 2),
 		Backend: pimtree.PIMTree,
 		Shards:  3,
-		Threads: 2,
 	}
 }
 
@@ -141,7 +140,6 @@ func TestServedConformance(t *testing.T) {
 		timed bool
 	}{
 		{"serial", countCfg(pimtree.ModeSerial), false},
-		{"shared", countCfg(pimtree.ModeShared), false},
 		{"sharded", countCfg(pimtree.ModeSharded), false},
 		{"sharded-time", timedCfg(), true},
 	}

@@ -442,6 +442,10 @@ func (r *Router) Shards() int {
 	return len(r.engines)
 }
 
+// BatchSize returns the routed-ops-per-batch bound in force. Producer-side,
+// like Reshape, which swaps it.
+func (r *Router) BatchSize() int { return r.batchSize }
+
 // Reshapes returns how many reshape epochs have been applied. Safe from any
 // goroutine.
 func (r *Router) Reshapes() int { return int(r.reshapes.Load()) }

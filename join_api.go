@@ -71,14 +71,12 @@ type Arrival struct {
 
 // RunStats summarizes an engine session (Engine.Stats, Engine.Close).
 type RunStats struct {
-	Tuples     int
-	Matches    uint64
-	Elapsed    time.Duration
-	Mtps       float64
-	Merges     int
-	MergeTime  time.Duration
-	MeanMicros float64
-	P99Micros  float64
+	Tuples    int
+	Matches   uint64
+	Elapsed   time.Duration
+	Mtps      float64
+	Merges    int
+	MergeTime time.Duration
 	// MigratedTuples counts the window tuples reshape epochs moved to
 	// another shard (zero outside the sharded modes).
 	MigratedTuples int

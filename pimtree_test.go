@@ -182,37 +182,25 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	arr := Interleave(9, UniformSource(5), UniformSource(6), 0.5, 20000)
 	diff := DiffForMatchRate(512, 2)
 
-	serial := runSession(t, arr, Config{Mode: ModeSerial, WindowR: 512, WindowS: 512, Diff: diff, Backend: PIMTree, DiscardMatches: true})
-	st := runSession(t, arr, Config{
-		Mode: ModeShared, Threads: 4, TaskSize: 8, WindowR: 512, WindowS: 512, Diff: diff, DiscardMatches: true,
-	})
-	if st.Matches != serial.Matches {
-		t.Fatalf("parallel matches = %d, serial = %d", st.Matches, serial.Matches)
-	}
-	if st.Mtps <= 0 {
-		t.Fatal("throughput not measured")
-	}
-}
-
-func TestRunParallelBwTreeAndLatency(t *testing.T) {
-	arr := Interleave(11, UniformSource(7), UniformSource(8), 0.5, 10000)
-	st := runSession(t, arr, Config{
-		Mode: ModeShared, Threads: 2, WindowR: 1024, WindowS: 1024, Diff: DiffForMatchRate(1024, 2),
-		Backend: BwTree, RecordLatency: true, DiscardMatches: true,
-	})
-	if st.Matches == 0 {
-		t.Fatal("no matches")
-	}
-	if st.MeanMicros <= 0 {
-		t.Fatal("latency not recorded")
+	for _, b := range []Backend{PIMTree, BwTree} {
+		serial := runSession(t, arr, Config{Mode: ModeSerial, WindowR: 512, WindowS: 512, Diff: diff, Backend: b, DiscardMatches: true})
+		st := runSession(t, arr, Config{
+			Mode: ModeSharded, Shards: 4, WindowR: 512, WindowS: 512, Diff: diff, Backend: b, DiscardMatches: true,
+		})
+		if st.Matches != serial.Matches || st.Matches == 0 {
+			t.Fatalf("%s: parallel matches = %d, serial = %d", b, st.Matches, serial.Matches)
+		}
+		if st.Mtps <= 0 {
+			t.Fatalf("%s: throughput not measured", b)
+		}
 	}
 }
 
 func TestRunParallelValidation(t *testing.T) {
-	if _, err := Open(Config{Mode: ModeShared, WindowR: 0}); err == nil {
+	if _, err := Open(Config{Mode: ModeSharded, WindowR: 0}); err == nil {
 		t.Fatal("zero WindowR accepted")
 	}
-	if _, err := Open(Config{Mode: ModeShared, WindowR: 5, WindowS: 0}); err == nil {
+	if _, err := Open(Config{Mode: ModeSharded, WindowR: 5, WindowS: 0}); err == nil {
 		t.Fatal("zero WindowS accepted")
 	}
 }

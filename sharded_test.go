@@ -195,3 +195,46 @@ func TestRunShardedPartitionerHook(t *testing.T) {
 		t.Fatalf("Tuples = %d, want %d", st.Tuples, n)
 	}
 }
+
+// TestEngineTuningReportsApplied pins Tuning to what the router runs: it
+// keeps no defaults of its own, and a serial engine, which has neither a
+// batch nor a queue, reports zero for both even when the Config sets them.
+func TestEngineTuningReportsApplied(t *testing.T) {
+	ser, err := Open(Config{Mode: ModeSerial, WindowR: 64, WindowS: 64, BatchSize: 32, QueueCapacity: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tu := ser.Tuning(); tu.Shards != 0 || tu.BatchSize != 0 || tu.QueueCapacity != 0 {
+		t.Fatalf("serial Tuning = %+v, want 0 shards, batch and capacity", tu)
+	}
+	if _, err := ser.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	e, err := Open(Config{Mode: ModeSharded, WindowR: 64, WindowS: 64, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close(context.Background())
+	check := func(when string) Tuning {
+		t.Helper()
+		tu := e.Tuning()
+		if tu.Shards != e.router.Shards() || tu.BatchSize != e.router.BatchSize() || tu.QueueCapacity != e.router.Cap() {
+			t.Fatalf("%s: Tuning = %+v, router runs %d shards, batch %d, capacity %d",
+				when, tu, e.router.Shards(), e.router.BatchSize(), e.router.Cap())
+		}
+		if tu.BatchSize <= 0 || tu.QueueCapacity <= 0 {
+			t.Fatalf("%s: Tuning = %+v, want resolved defaults", when, tu)
+		}
+		return tu
+	}
+	before := check("open")
+	const capacity = 4096
+	if err := e.Reconfigure(Delta{QueueCapacity: capacity}); err != nil {
+		t.Fatal(err)
+	}
+	after := check("reconfigured")
+	if after.QueueCapacity != capacity || after.BatchSize != before.BatchSize {
+		t.Fatalf("after Reconfigure(QueueCapacity %d): %+v (before %+v)", capacity, after, before)
+	}
+}
