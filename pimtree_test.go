@@ -3,6 +3,10 @@ package pimtree
 import (
 	"context"
 	"testing"
+
+	"pimtree/internal/join"
+	"pimtree/internal/metrics"
+	"pimtree/internal/stream"
 )
 
 func TestIndexBasics(t *testing.T) {
@@ -193,6 +197,32 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 		if st.Mtps <= 0 {
 			t.Fatalf("%s: throughput not measured", b)
 		}
+	}
+}
+
+// TestRunParallelBwTreeAndLatency runs the shared-index parallel join (the
+// runner behind the paper's latency figure) over the Bw-Tree with latency
+// sampling on, and checks it against the serial Engine.
+func TestRunParallelBwTreeAndLatency(t *testing.T) {
+	arr := Interleave(11, UniformSource(7), UniformSource(8), 0.5, 10000)
+	diff := DiffForMatchRate(1024, 2)
+	serial := runSession(t, arr, Config{
+		Mode: ModeSerial, WindowR: 1024, WindowS: 1024, Diff: diff, Backend: BwTree, DiscardMatches: true,
+	})
+
+	in := make([]stream.Arrival, len(arr))
+	for i, a := range arr {
+		in[i] = stream.Arrival{Stream: uint8(a.Stream), Key: a.Key}
+	}
+	st := join.RunShared(in, join.SharedConfig{
+		Threads: 2, WR: 1024, WS: 1024, Band: join.Band{Diff: diff},
+		Index: join.IndexBwTree, Latency: metrics.NewLatencyRecorder(1<<14, 1),
+	})
+	if st.Matches == 0 || st.Matches != serial.Matches {
+		t.Fatalf("parallel matches = %d, serial = %d", st.Matches, serial.Matches)
+	}
+	if st.Latency.MeanMicros <= 0 {
+		t.Fatal("latency not recorded")
 	}
 }
 
