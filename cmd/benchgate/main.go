@@ -3,7 +3,7 @@
 // bench-smoke and pimload-smoke jobs and the committed BENCH_*.json
 // baselines.
 //
-//	benchgate -baseline BENCH_PR2.json -current bench_current.json
+//	benchgate -baseline BENCH_PR4.json -current bench_current.json
 //	benchgate -baseline LOAD_BASE.json -current load.json -prefix load- -max-lat-regress 0.5
 //
 // Gating is direction-aware per cell. Every numeric cell of a gated
@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		basePath  = fs.String("baseline", "", "baseline report (e.g. BENCH_PR2.json)")
+		basePath  = fs.String("baseline", "", "baseline report (e.g. BENCH_PR4.json)")
 		curPath   = fs.String("current", "", "report of the run under test")
 		maxReg    = fs.Float64("max-regress", 0.25, "maximum tolerated throughput decrease (fraction)")
 		maxLatReg = fs.Float64("max-lat-regress", 0, "maximum tolerated latency increase (fraction); 0 reports latency without gating it")

@@ -66,7 +66,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		ws       = fs.Int("ws", 0, "stream-S window length (0 = same as -w)")
 		sigma    = fs.Float64("sigma", 2, "target match rate (sets the band width)")
 		diffFlag = fs.Uint("diff", 0, "explicit band half-width (overrides -sigma)")
-		backend  = fs.String("backend", "pim", "index backend: pim | im | btree | bwtree | bchain | ibchain")
+		backend  = fs.String("backend", "pim", "index backend: pim | im | btree")
 		self     = fs.Bool("self", false, "self-join instead of two-way")
 		dist     = fs.String("dist", "uniform", "key distribution: uniform | gaussian | gamma33 | gamma15")
 		parallel = fs.Bool("parallel", false, "use the multicore key-range sharded join (batch mode)")
@@ -373,12 +373,6 @@ func backendByName(name string) (pimtree.Backend, bool) {
 		return pimtree.IMTree, true
 	case "btree", "b+tree", "bplustree":
 		return pimtree.BPlusTree, true
-	case "bwtree", "bw":
-		return pimtree.BwTree, true
-	case "bchain":
-		return pimtree.BChain, true
-	case "ibchain":
-		return pimtree.IBChain, true
 	default:
 		return pimtree.PIMTree, false
 	}

@@ -15,8 +15,6 @@ func TestBackendByName(t *testing.T) {
 		"pim": pimtree.PIMTree, "pimtree": pimtree.PIMTree,
 		"im": pimtree.IMTree, "imtree": pimtree.IMTree,
 		"btree": pimtree.BPlusTree, "B+Tree": pimtree.BPlusTree, "bplustree": pimtree.BPlusTree,
-		"bwtree": pimtree.BwTree, "BW": pimtree.BwTree,
-		"bchain": pimtree.BChain, "ibchain": pimtree.IBChain,
 	}
 	for name, want := range cases {
 		got, ok := backendByName(name)
@@ -26,6 +24,13 @@ func TestBackendByName(t *testing.T) {
 	}
 	if _, ok := backendByName("nope"); ok {
 		t.Fatal("unknown backend accepted")
+	}
+	// The paper's Bw-Tree and chained indexes run only in pimbench.
+	for _, name := range []string{"bwtree", "bchain"} {
+		var out, errw bytes.Buffer
+		if code := run([]string{"-stdin", "-backend", name}, strings.NewReader(""), &out, &errw); code != 2 || !strings.Contains(errw.String(), "unknown backend") {
+			t.Fatalf("-backend %s: exit %d, stderr %q; want 2 and an unknown-backend message", name, code, errw.String())
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func runRoute(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		ws       = fs.Int("ws", 0, "stream-S window length (0 = same as -w)")
 		sigma    = fs.Float64("sigma", 2, "target match rate (sets the band width)")
 		diffFlag = fs.Uint("diff", 0, "explicit band half-width (overrides -sigma)")
-		backend  = fs.String("backend", "pim", "index backend on the nodes: pim | im | btree | bwtree")
+		backend  = fs.String("backend", "pim", "index backend on the nodes: pim | im | btree")
 		self     = fs.Bool("self", false, "self-join instead of two-way")
 		span     = fs.Uint64("span", 0, "time-window duration (> 0 selects timed mode)")
 		maxLive  = fs.Int("maxlive", 0, "live-tuple bound per window (timed mode)")

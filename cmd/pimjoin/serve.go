@@ -31,7 +31,7 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		ws       = fs.Int("ws", 0, "stream-S window length (0 = same as -w)")
 		sigma    = fs.Float64("sigma", 2, "target match rate (sets the band width)")
 		diffFlag = fs.Uint("diff", 0, "explicit band half-width (overrides -sigma)")
-		backend  = fs.String("backend", "pim", "index backend: pim | im | btree | bwtree | bchain | ibchain")
+		backend  = fs.String("backend", "pim", "index backend: pim | im | btree")
 		self     = fs.Bool("self", false, "self-join instead of two-way")
 		mode     = fs.String("mode", "auto", "engine mode: auto | serial | sharded | sharded-time")
 		shards   = fs.Int("shards", 0, "shard count for the sharded modes (0 = GOMAXPROCS)")

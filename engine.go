@@ -23,13 +23,12 @@ import (
 type Mode int
 
 // The execution modes. ModeAuto picks one from the Config: a time window
-// (Span > 0) selects ModeShardedTime, a chained backend forces ModeSerial,
-// and otherwise multicore hosts get ModeSharded and single-core hosts
-// ModeSerial.
+// (Span > 0) selects ModeShardedTime, and otherwise multicore hosts get
+// ModeSharded and single-core hosts ModeSerial.
 const (
 	ModeAuto Mode = iota
 	// ModeSerial runs the single-threaded incremental IBWJ (Section 2) —
-	// every backend, synchronous matches, no goroutines.
+	// synchronous matches, no goroutines.
 	ModeSerial
 	// ModeSharded runs the key-range sharded runtime: single-writer
 	// per-shard indexes behind a routing stage.
@@ -62,9 +61,6 @@ var (
 	// ErrAborted is returned by operations on an engine whose Drain or Close
 	// was abandoned by a canceled context; only Close is still permitted.
 	ErrAborted = errors.New("pimtree: engine aborted by a canceled Drain or Close")
-	// ErrUnsupportedBackend is wrapped by validation errors rejecting a
-	// backend the selected execution mode cannot run.
-	ErrUnsupportedBackend = errors.New("backend not supported by execution mode")
 	// ErrUnordered is wrapped by errors rejecting timestamp-regressing input
 	// pushed to a time-based runtime in strict (LateNone) mode.
 	ErrUnordered = errors.New("arrivals are not timestamp-ordered")
@@ -124,21 +120,6 @@ func validateTimeWindow(span uint64, maxLive int, needLive bool) error {
 	return nil
 }
 
-// validateBackend is the uniform backend-support validation: every rejection
-// wraps ErrUnsupportedBackend so callers can branch on the condition rather
-// than the message.
-func validateBackend(m Mode, b Backend) error {
-	switch m {
-	case ModeSerial:
-		return nil // every backend has a serial adapter
-	case ModeSharded, ModeShardedTime:
-		if b != BChain && b != IBChain {
-			return nil
-		}
-	}
-	return fmt.Errorf("pimtree: %s mode does not support the %s backend: %w", m, b, ErrUnsupportedBackend)
-}
-
 // Config is the one validated option set behind every execution mode — the
 // union of the windows, band, backend, and index tuning the runtimes share,
 // plus the per-mode knobs each one reads. Open validates it once; it is the
@@ -165,13 +146,9 @@ type Config struct {
 	Self bool   // self-join: one stream, one window
 	Diff uint32 // band half-width: |R.x - S.x| <= Diff
 
-	// Backend selects the index structure. The sharded modes support
-	// everything but the chained backends; ModeSerial supports all. An
-	// unsupported combination fails Open with an error wrapping
-	// ErrUnsupportedBackend.
+	// Backend selects the index structure; every backend runs in every
+	// mode.
 	Backend Backend
-	// ChainLength is L for the chain backends (default 2, serial mode only).
-	ChainLength int
 	// Index tunes the two-stage backends. A zero MergeRatio defaults to the
 	// serial 1/16 — the sharded modes' per-shard indexes are single-writer.
 	Index IndexOptions
@@ -229,8 +206,6 @@ func (c Config) validate() (Config, error) {
 		switch {
 		case c.Span > 0:
 			c.Mode = ModeShardedTime
-		case c.Backend == BChain || c.Backend == IBChain:
-			c.Mode = ModeSerial
 		case c.Shards > 0 || c.Partitioner != nil || c.Durability.enabled():
 			c.Mode = ModeSharded
 		case runtime.GOMAXPROCS(0) > 1:
@@ -265,8 +240,8 @@ func (c Config) validate() (Config, error) {
 	default:
 		return c, fmt.Errorf("pimtree: unknown Mode %d", c.Mode)
 	}
-	if err := validateBackend(c.Mode, c.Backend); err != nil {
-		return c, err
+	if _, ok := c.Backend.kind(); !ok {
+		return c, fmt.Errorf("pimtree: unknown Backend %d", c.Backend)
 	}
 	if err := c.Durability.validate(c.Mode); err != nil {
 		return c, err
@@ -354,37 +329,27 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 		sink = e.dispatch
 	}
 
+	kind, _ := cc.Backend.kind()
+	band := join.Band{Diff: cc.Diff}
+	im := core.IMTreeConfig{MergeRatio: cc.Index.MergeRatio}
+	pim := core.PIMTreeConfig{MergeRatio: cc.Index.MergeRatio, InsertionDepth: cc.Index.InsertionDepth}
 	switch cc.Mode {
 	case ModeSerial:
-		scfg := join.SerialConfig{
-			WR:          cc.WindowR,
-			WS:          cc.WindowS,
-			Self:        cc.Self,
-			Band:        join.Band{Diff: cc.Diff},
-			Index:       cc.Backend.kind(),
-			ChainLength: cc.ChainLength,
-			IM:          core.IMTreeConfig{MergeRatio: cc.Index.MergeRatio},
-			PIM: core.PIMTreeConfig{
-				MergeRatio:     cc.Index.MergeRatio,
-				InsertionDepth: cc.Index.InsertionDepth,
-			},
-			Sink: sink,
-		}
-		e.serial = join.NewStreaming(scfg)
+		e.serial = join.NewStreaming(join.SerialConfig{
+			WR: cc.WindowR, WS: cc.WindowS, Self: cc.Self, Band: band,
+			Index: kind, IM: im, PIM: pim, Sink: sink,
+		})
 	case ModeSharded, ModeShardedTime:
 		rcfg := shard.Config{
 			Shards:    defaultShards(cc.Shards),
 			BatchSize: cc.BatchSize,
 			Self:      cc.Self,
-			Band:      join.Band{Diff: cc.Diff},
-			Index:     cc.Backend.kind(),
-			IM:        core.IMTreeConfig{MergeRatio: cc.Index.MergeRatio},
-			PIM: core.PIMTreeConfig{
-				MergeRatio:     cc.Index.MergeRatio,
-				InsertionDepth: cc.Index.InsertionDepth,
-			},
-			Part: cc.Partitioner,
-			Sink: sink,
+			Band:      band,
+			Index:     kind,
+			IM:        im,
+			PIM:       pim,
+			Part:      cc.Partitioner,
+			Sink:      sink,
 		}
 		if cc.Mode == ModeShardedTime {
 			rcfg.Timed = true

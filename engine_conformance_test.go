@@ -110,18 +110,15 @@ func engineCombos(short bool) []struct {
 			cfg  pimtree.Config
 		}{name, cfg})
 	}
-	serialBackends := []pimtree.Backend{
-		pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree,
-		pimtree.BwTree, pimtree.BChain, pimtree.IBChain,
-	}
-	for _, b := range serialBackends {
+	backends := []pimtree.Backend{pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree}
+	for _, b := range backends {
 		add("serial/"+b.String(), pimtree.Config{Mode: pimtree.ModeSerial, Backend: b})
 	}
-	shardedBackends := []pimtree.Backend{pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree, pimtree.BwTree}
 	if short {
-		shardedBackends = []pimtree.Backend{pimtree.PIMTree, pimtree.BwTree}
+		// One delta-merge and one eager-delete index.
+		backends = []pimtree.Backend{pimtree.PIMTree, pimtree.BPlusTree}
 	}
-	for _, b := range shardedBackends {
+	for _, b := range backends {
 		add("sharded/"+b.String(), pimtree.Config{
 			Mode: pimtree.ModeSharded, Backend: b, Shards: 3, BatchSize: 16,
 		})

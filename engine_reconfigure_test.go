@@ -28,9 +28,9 @@ func TestEngineReconfigureConformance(t *testing.T) {
 	arr := pimtree.Interleave(51, pimtree.UniformSource(52), pimtree.UniformSource(53), 0.5, n)
 	want, _ := serialOracle(t, arr, w, diff)
 
-	backends := []pimtree.Backend{pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree, pimtree.BwTree}
+	backends := []pimtree.Backend{pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree}
 	if testing.Short() {
-		backends = []pimtree.Backend{pimtree.PIMTree, pimtree.BwTree}
+		backends = []pimtree.Backend{pimtree.PIMTree, pimtree.BPlusTree}
 	}
 	grow, shrink := reshapePoints(n)
 	for _, b := range backends {

@@ -123,40 +123,67 @@ func TestValidationUniform(t *testing.T) {
 
 func errOf2[T any](_ T, err error) error { return err }
 
-// TestUnsupportedBackendNamed pins satellite #2: every unsupported
-// mode × backend pair fails with an error wrapping ErrUnsupportedBackend —
-// no mode silently narrows to another backend.
-func TestUnsupportedBackendNamed(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  pimtree.Config
-	}{
-		{"sharded/BChain", pimtree.Config{Mode: pimtree.ModeSharded, WindowR: 4, WindowS: 4, Backend: pimtree.BChain}},
-		{"sharded-time/IBChain", pimtree.Config{Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8, Backend: pimtree.IBChain}},
+// TestBackendModeMatrix opens every Backend in every Mode and joins one
+// workload through it: within a mode the backends agree on a non-zero match
+// count.
+func TestBackendModeMatrix(t *testing.T) {
+	arr := pimtree.Interleave(3, pimtree.UniformSource(1), pimtree.UniformSource(2), 0.5, 2000)
+	for i := range arr {
+		arr[i].TS = uint64(i) * 4
 	}
-	for _, c := range cases {
-		_, err := pimtree.Open(c.cfg)
-		if err == nil {
-			t.Fatalf("%s: unsupported backend accepted", c.name)
+	for _, mode := range []pimtree.Mode{pimtree.ModeAuto, pimtree.ModeSerial, pimtree.ModeSharded, pimtree.ModeShardedTime} {
+		cfg := pimtree.Config{Mode: mode, Diff: 1 << 22, Shards: 2, DiscardMatches: true}
+		switch mode {
+		case pimtree.ModeShardedTime:
+			cfg.Span, cfg.MaxLive = 512, 128
+		case pimtree.ModeSerial:
+			cfg.Shards = 0
+			fallthrough
+		default:
+			cfg.WindowR, cfg.WindowS = 128, 128
 		}
-		if !errors.Is(err, pimtree.ErrUnsupportedBackend) {
-			t.Fatalf("%s: error %v does not wrap ErrUnsupportedBackend", c.name, err)
+		var want uint64
+		for i, b := range []pimtree.Backend{pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree} {
+			cfg.Backend = b
+			e, err := pimtree.Open(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", mode, b, err)
+			}
+			if err := e.PushBatch(arr); err != nil {
+				t.Fatalf("%s/%s: %v", mode, b, err)
+			}
+			st, err := e.Close(context.Background())
+			if err != nil {
+				t.Fatalf("%s/%s: %v", mode, b, err)
+			}
+			if i == 0 {
+				want = st.Matches
+			}
+			if st.Matches == 0 || st.Matches != want {
+				t.Fatalf("%s/%s: %d matches, %s found %d", mode, b, st.Matches, pimtree.PIMTree, want)
+			}
 		}
 	}
-	// The supported pairs must still open.
-	for _, b := range []pimtree.Backend{pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree, pimtree.BwTree} {
-		e, err := pimtree.Open(pimtree.Config{
-			Mode: pimtree.ModeSharded, WindowR: 256, WindowS: 256, Backend: b, Shards: 2,
-		})
-		if err != nil {
-			t.Fatalf("sharded mode with %s: %v", b, err)
-		}
-		st, err := e.Close(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Tuples != 0 {
-			t.Fatalf("empty run reported %d tuples", st.Tuples)
+}
+
+// TestUnknownBackendRejected: a Backend outside the constants fails Open in
+// every mode instead of running some other index.
+func TestUnknownBackendRejected(t *testing.T) {
+	for _, b := range []pimtree.Backend{-1, 3, 99} {
+		for _, cfg := range []pimtree.Config{
+			{Mode: pimtree.ModeSerial, WindowR: 4, WindowS: 4},
+			{Mode: pimtree.ModeSharded, WindowR: 4, WindowS: 4},
+			{Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8},
+		} {
+			cfg.Backend = b
+			e, err := pimtree.Open(cfg)
+			if err == nil {
+				e.Close(context.Background())
+				t.Fatalf("%s: Backend(%d) accepted", cfg.Mode, int(b))
+			}
+			if want := "pimtree: unknown Backend " + strconv.Itoa(int(b)); err.Error() != want {
+				t.Fatalf("%s: error %q, want %q", cfg.Mode, err, want)
+			}
 		}
 	}
 }
@@ -222,25 +249,17 @@ func checkAutoModes(t *testing.T, cases []autoModeCase) {
 func TestEngineAutoMode(t *testing.T) {
 	checkAutoModes(t, []autoModeCase{
 		{"time window", pimtree.Config{Span: 10, MaxLive: 8}, 0, pimtree.ModeShardedTime},
-		{"chained backend", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain}, 0, pimtree.ModeSerial},
 		{"count windows", pimtree.Config{WindowR: 4, WindowS: 4, Shards: 2}, 0, pimtree.ModeSharded},
 	})
 	// The decision table's precedence, one row per rule, each under a
 	// pinned core count.
 	t.Run("decision_table", func(t *testing.T) {
 		checkAutoModes(t, []autoModeCase{
-			{"chained forces serial", pimtree.Config{WindowR: 4, WindowS: 4, Backend: pimtree.BChain, Shards: 2}, 8, pimtree.ModeSerial},
 			{"sharded knobs single core", pimtree.Config{WindowR: 512, WindowS: 512, Shards: 2}, 1, pimtree.ModeSharded},
 			{"multicore default", pimtree.Config{WindowR: 4, WindowS: 4}, 8, pimtree.ModeSharded},
 			{"single core default", pimtree.Config{WindowR: 4, WindowS: 4}, 1, pimtree.ModeSerial},
 		})
 	})
-	// A time window outranks a chained backend, which the sharded-time
-	// runtime then rejects by name.
-	_, err := pimtree.Open(pimtree.Config{Span: 10, MaxLive: 8, Backend: pimtree.BChain})
-	if !errors.Is(err, pimtree.ErrUnsupportedBackend) || !strings.Contains(err.Error(), pimtree.ModeShardedTime.String()) {
-		t.Fatalf("time window with a chained backend: %v, want the %s backend rejection", err, pimtree.ModeShardedTime)
-	}
 }
 
 // TestEngineValidationGuards pins the Open-never-panics contract and the

@@ -36,7 +36,7 @@ func TestGoldenEndToEnd(t *testing.T) {
 	// Serial joins across backends agree on the golden match count
 	// (derived from the nested-loop oracle on this fixed workload).
 	const wantMatches = uint64(19356)
-	for _, b := range []Backend{PIMTree, IMTree, BPlusTree, BwTree} {
+	for _, b := range []Backend{PIMTree, IMTree, BPlusTree} {
 		st := runSession(t, arr, Config{Mode: ModeSerial, WindowR: w, WindowS: w, Diff: diff, Backend: b, DiscardMatches: true})
 		if st.Matches != wantMatches {
 			t.Fatalf("%v: matches = %d, want %d", b, st.Matches, wantMatches)

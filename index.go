@@ -14,8 +14,9 @@ type IndexOptions struct {
 	// MergeRatio is m: the mutable component merges into the immutable one
 	// after m*w inserts. Valid values lie in (0, 1]; zero selects the
 	// default. The paper recommends 1/16 for single-threaded use (the
-	// default here) and 1 under heavy concurrency (the parallel drivers'
-	// default).
+	// default here, and in every Engine mode, whose indexes each have one
+	// writer) and 1 under heavy concurrency (used only by the paper-figure
+	// runs of its shared-index join).
 	MergeRatio float64
 	// InsertionDepth is DI: the depth of the immutable component whose
 	// nodes anchor the insert partitions. Deeper means more, smaller

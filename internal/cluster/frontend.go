@@ -150,9 +150,9 @@ func (c Config) validate() error {
 		return errors.New("cluster: at least one node address is required")
 	}
 	switch c.Backend {
-	case pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree, pimtree.BwTree:
+	case pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree:
 	default:
-		return fmt.Errorf("cluster: backend %s has no member-session adapter", c.Backend)
+		return fmt.Errorf("cluster: unknown backend %d", c.Backend)
 	}
 	if c.Timed {
 		if c.Span == 0 {

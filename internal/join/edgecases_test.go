@@ -61,7 +61,7 @@ func TestZeroDiffEqualityJoin(t *testing.T) {
 	if oracle.Matches == 0 {
 		t.Fatal("equality oracle found nothing; key space too large")
 	}
-	for _, kind := range []IndexKind{IndexBTree, IndexPIMTree, IndexBwTree} {
+	for _, kind := range []IndexKind{IndexBTree, IndexPIMTree} {
 		got := IBWJSerial(arr, SerialConfig{WR: 128, WS: 128, Band: Band{Diff: 0},
 			Index: kind, PIM: smallPIM(), IM: smallIM()})
 		if got.Matches != oracle.Matches {

@@ -3,9 +3,6 @@ package join
 import (
 	"time"
 
-	"pimtree/internal/btree"
-	"pimtree/internal/bwtree"
-	"pimtree/internal/chainindex"
 	"pimtree/internal/core"
 	"pimtree/internal/kv"
 	"pimtree/internal/metrics"
@@ -28,6 +25,21 @@ type SerialConfig struct {
 
 	Sink MatchSink // optional result sink
 }
+
+// newIndex builds the configured index for a window of length w.
+func (c SerialConfig) newIndex(w int) Index {
+	return NewIndex(c.Index, w, c.ChainLength, c.IM, c.PIM)
+}
+
+// liveIn binds a ring's liveness test as an index merge filter. It is a
+// method value, not a closure returned by a helper: a closure built inside
+// an inlined helper is compiled without inlining Ring.Live, which costs a
+// call per merged element.
+func liveIn(r *window.Ring) func(kv.Pair) bool { return ringLive{r}.live }
+
+type ringLive struct{ r *window.Ring }
+
+func (l ringLive) live(p kv.Pair) bool { return l.r.Live(p.Ref) }
 
 func (c SerialConfig) windows() (wr, ws int) {
 	wr = c.WR
@@ -76,142 +88,6 @@ func NLWJ(arrivals []stream.Arrival, cfg SerialConfig) Stats {
 	return Stats{Tuples: len(arrivals), Matches: matches, Elapsed: time.Since(start)}
 }
 
-// serialIndex is the per-stream index behaviour the serial IBWJ loop needs.
-// Remove is a no-op for delta-merge indexes (their disposal is batched in
-// Maintain), mirroring step 2 of Equations 5 and 6.
-type serialIndex interface {
-	Insert(p kv.Pair)
-	Remove(p kv.Pair)
-	Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool)
-	// QueryPairs is the columnar form of Query: in-range elements arrive as
-	// contiguous []kv.Pair runs aliasing index-owned storage, valid only
-	// during the emit call. The hot probe loops use it so the inner band
-	// scan runs branch-light over contiguous memory.
-	QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool)
-	Maintain(win *window.Ring)
-	Merges() (int, time.Duration)
-}
-
-// btreeIndex adapts the classic B+-Tree (Section 2.2.1: eager per-tuple
-// deletes, no maintenance).
-type btreeIndex struct{ t *btree.Tree }
-
-func (x *btreeIndex) Insert(p kv.Pair) { x.t.Insert(p) }
-func (x *btreeIndex) Remove(p kv.Pair) { x.t.Delete(p) }
-func (x *btreeIndex) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
-	return x.t.Query(lo, hi, emit)
-}
-func (x *btreeIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
-	return x.t.QueryPairs(lo, hi, emit)
-}
-func (x *btreeIndex) Maintain(*window.Ring)        {}
-func (x *btreeIndex) Merges() (int, time.Duration) { return 0, 0 }
-
-// bwIndex adapts the Bw-Tree (eager deletes like B+-Tree).
-type bwIndex struct{ t *bwtree.Tree }
-
-func (x *bwIndex) Insert(p kv.Pair) { x.t.Insert(p) }
-func (x *bwIndex) Remove(p kv.Pair) { x.t.Delete(p) }
-func (x *bwIndex) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
-	return x.t.Query(lo, hi, emit)
-}
-func (x *bwIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
-	return x.t.QueryPairs(lo, hi, emit)
-}
-func (x *bwIndex) Maintain(*window.Ring)        {}
-func (x *bwIndex) Merges() (int, time.Duration) { return 0, 0 }
-
-// chainIdx adapts the chained index (coarse disposal in Maintain).
-type chainIdx struct {
-	t   *chainindex.Chain
-	seq uint64
-}
-
-func (x *chainIdx) Insert(p kv.Pair) {
-	x.t.Insert(p, x.seq)
-	x.seq++
-}
-func (x *chainIdx) Remove(kv.Pair) {}
-func (x *chainIdx) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
-	return x.t.Query(lo, hi, emit)
-}
-func (x *chainIdx) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
-	return x.t.QueryPairs(lo, hi, emit)
-}
-func (x *chainIdx) Merges() (int, time.Duration) { return 0, 0 }
-func (x *chainIdx) Maintain(win *window.Ring) {
-	if x.seq > uint64(win.W()) {
-		x.t.Advance(x.seq - uint64(win.W()))
-	}
-}
-
-// imIndex adapts the IM-Tree: expired tuples are filtered by the caller via
-// the window and physically discarded at merge time.
-type imIndex struct{ t *core.IMTree }
-
-func (x *imIndex) Insert(p kv.Pair) { x.t.Insert(p) }
-func (x *imIndex) Remove(kv.Pair)   {}
-func (x *imIndex) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
-	return x.t.Query(lo, hi, emit)
-}
-func (x *imIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
-	return x.t.QueryPairs(lo, hi, emit)
-}
-func (x *imIndex) Merges() (int, time.Duration) { return x.t.Merges() }
-func (x *imIndex) Maintain(win *window.Ring) {
-	if x.t.NeedsMerge() {
-		x.t.Merge(func(p kv.Pair) bool { return win.Live(p.Ref) }, win.Count())
-	}
-}
-
-// pimIndex adapts the PIM-Tree (same disposal policy as IM-Tree).
-type pimIndex struct{ t *core.PIMTree }
-
-func (x *pimIndex) Insert(p kv.Pair) { x.t.Insert(p) }
-func (x *pimIndex) Remove(kv.Pair)   {}
-func (x *pimIndex) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
-	return x.t.Query(lo, hi, emit)
-}
-func (x *pimIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
-	return x.t.QueryPairs(lo, hi, emit)
-}
-func (x *pimIndex) Merges() (int, time.Duration) { return x.t.Merges() }
-func (x *pimIndex) Maintain(win *window.Ring) {
-	if x.t.NeedsMerge() {
-		x.t.MergeInPlace(func(p kv.Pair) bool { return win.Live(p.Ref) }, win.Count())
-	}
-}
-
-// newSerialIndex builds the configured index for a window of length w.
-func newSerialIndex(kind IndexKind, w int, cfg SerialConfig) serialIndex {
-	switch kind {
-	case IndexBTree:
-		return &btreeIndex{t: btree.New()}
-	case IndexBwTree:
-		return &bwIndex{t: bwtree.New(w, bwtree.Config{})}
-	case IndexChainB, IndexChainIB:
-		l := cfg.ChainLength
-		if l == 0 {
-			l = 2
-		}
-		v := chainindex.BChain
-		if kind == IndexChainIB {
-			v = chainindex.IBChain
-		}
-		return &chainIdx{t: chainindex.New(l, w, v)}
-	case IndexIMTree:
-		return &imIndex{t: core.NewIMTree(w, cfg.IM)}
-	case IndexPIMTree:
-		// One goroutine owns a serial index, so the subindex mutexes would
-		// only ever be taken uncontended — once per insert and per probe.
-		pim := cfg.PIM
-		pim.NoLocks = true
-		return &pimIndex{t: core.NewPIMTree(w, pim)}
-	default:
-		panic("join: unknown index kind")
-	}
-}
-
 // IBWJSerial runs the single-threaded index-based window join of Section 2.2
 // over the arrival sequence, using the configured index on both streams. It
 // is the batch driver over the Streaming engine.
@@ -240,10 +116,10 @@ func IBWJSerial(arrivals []stream.Arrival, cfg SerialConfig) Stats {
 func StepCosts(arrivals []stream.Arrival, cfg SerialConfig) *metrics.StepTimer {
 	wr, ws := cfg.windows()
 	rings := [2]*window.Ring{window.NewRing(wr), window.NewRing(ws)}
-	idxs := [2]serialIndex{newSerialIndex(cfg.Index, wr, cfg), newSerialIndex(cfg.Index, ws, cfg)}
+	idxs := [2]Index{cfg.newIndex(wr), cfg.newIndex(ws)}
+	lives := [2]func(kv.Pair) bool{liveIn(rings[0]), liveIn(rings[1])}
 	if cfg.Self {
-		rings[1] = rings[0]
-		idxs[1] = idxs[0]
+		rings[1], idxs[1], lives[1] = rings[0], idxs[0], lives[0]
 	}
 	st := &metrics.StepTimer{}
 	for _, a := range arrivals {
@@ -273,10 +149,9 @@ func StepCosts(arrivals []stream.Arrival, cfg SerialConfig) *metrics.StepTimer {
 
 		// Only eager-delete indexes pay a per-tuple delete; timing the
 		// no-op Remove of delta-merge indexes would charge timer overhead.
-		eagerDelete := cfg.Index == IndexBTree || cfg.Index == IndexBwTree
 		ref, _, expired, hasExpired := own.Append(a.Key)
 		if hasExpired {
-			if eagerDelete {
+			if ownIdx.Eager() {
 				t0 = time.Now()
 				ownIdx.Remove(expired)
 				st.Add(metrics.StepDelete, time.Since(t0))
@@ -290,12 +165,12 @@ func StepCosts(arrivals []stream.Arrival, cfg SerialConfig) *metrics.StepTimer {
 
 		// Only delta-merge indexes have a maintenance step worth timing; a
 		// timed no-op would charge timer overhead to the merge bar.
-		if cfg.Index == IndexIMTree || cfg.Index == IndexPIMTree || cfg.Index == IndexChainB || cfg.Index == IndexChainIB {
-			t0 = time.Now()
-			ownIdx.Maintain(own)
-			st.Add(metrics.StepMerge, time.Since(t0))
+		if ownIdx.Eager() {
+			ownIdx.Maintain(lives[a.Stream], own.Count())
 		} else {
-			ownIdx.Maintain(own)
+			t0 = time.Now()
+			ownIdx.Maintain(lives[a.Stream], own.Count())
+			st.Add(metrics.StepMerge, time.Since(t0))
 		}
 		st.Tick()
 	}

@@ -52,7 +52,7 @@ func sortRecs(rs []matchRec) {
 }
 
 func allIndexKinds() []IndexKind {
-	return []IndexKind{IndexBTree, IndexChainB, IndexChainIB, IndexBwTree, IndexIMTree, IndexPIMTree}
+	return []IndexKind{IndexBTree, IndexChainB, IndexChainIB, IndexIMTree, IndexPIMTree}
 }
 
 func smallPIM() core.PIMTreeConfig {
@@ -84,6 +84,17 @@ func TestIBWJSerialAllIndexesMatchNLWJ(t *testing.T) {
 			t.Fatalf("%v: tuples = %d", kind, got.Tuples)
 		}
 	}
+}
+
+// TestNewIndexBwTreePanics: the Bw-Tree has no single-writer adapter; only
+// RunShared builds it.
+func TestNewIndexBwTreePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewIndex built a Bw-Tree")
+		}
+	}()
+	NewIndex(IndexBwTree, 64, 0, core.IMTreeConfig{}, core.PIMTreeConfig{})
 }
 
 func TestIBWJSerialExactResultSet(t *testing.T) {
@@ -118,7 +129,7 @@ func TestSelfJoinSerial(t *testing.T) {
 	if oracle.Matches == 0 {
 		t.Fatal("self-join oracle produced no matches")
 	}
-	for _, kind := range []IndexKind{IndexBTree, IndexPIMTree, IndexIMTree, IndexBwTree} {
+	for _, kind := range []IndexKind{IndexBTree, IndexPIMTree, IndexIMTree} {
 		cfg := base
 		cfg.Index = kind
 		cfg.IM = smallIM()

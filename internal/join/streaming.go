@@ -16,12 +16,13 @@ import (
 type Streaming struct {
 	cfg   SerialConfig
 	rings [2]*window.Ring
-	idxs  [2]serialIndex
+	idxs  [2]Index
+	lives [2]func(kv.Pair) bool // per-stream merge filters, bound once
 
 	// Probe state for the zero-allocation hot path: the per-push probe
 	// parameters live in struct fields and the index callback is built once
 	// here, so Push never materializes an escaping closure. (A closure
-	// literal passed through the serialIndex interface is conservatively
+	// literal passed through the Index interface is conservatively
 	// heap-allocated on every call; a cached func value is not.)
 	probeEmit   func([]kv.Pair) bool
 	probeOpp    *window.Ring
@@ -35,13 +36,14 @@ func NewStreaming(cfg SerialConfig) *Streaming {
 	wr, ws := cfg.windows()
 	s := &Streaming{cfg: cfg}
 	s.rings[0] = window.NewRing(wr)
-	s.idxs[0] = newSerialIndex(cfg.Index, wr, cfg)
+	s.idxs[0] = cfg.newIndex(wr)
+	s.lives[0] = liveIn(s.rings[0])
 	if cfg.Self {
-		s.rings[1] = s.rings[0]
-		s.idxs[1] = s.idxs[0]
+		s.rings[1], s.idxs[1], s.lives[1] = s.rings[0], s.idxs[0], s.lives[0]
 	} else {
 		s.rings[1] = window.NewRing(ws)
-		s.idxs[1] = newSerialIndex(cfg.Index, ws, cfg)
+		s.idxs[1] = cfg.newIndex(ws)
+		s.lives[1] = liveIn(s.rings[1])
 	}
 	s.probeEmit = s.emitPairs
 	return s
@@ -86,7 +88,7 @@ func (s *Streaming) Push(a stream.Arrival) (matches int) {
 		ownIdx.Remove(expired)
 	}
 	ownIdx.Insert(kv.Pair{Key: a.Key, Ref: ref})
-	ownIdx.Maintain(own)
+	ownIdx.Maintain(s.lives[a.Stream], own.Count())
 	return matches
 }
 

@@ -32,7 +32,7 @@ const joinClusterLen = 35
 type ClusterConfig struct {
 	Timed   bool
 	Self    bool
-	Backend pimtree.Backend // index backend (chain backends are rejected)
+	Backend pimtree.Backend // index backend
 	Shards  int             // local sub-shards per node (0 = node default)
 	WR, WS  int             // count-window lengths (global W)
 	MaxLive int             // timed: typical live tuples (index merge threshold)
@@ -48,8 +48,7 @@ const (
 )
 
 // memberIndexKind maps the wire backend byte to the shard-layer index kind.
-// The chain backends have no shard adapter (they only exist in the serial
-// figures) and are rejected at the join handshake.
+// A byte naming no Backend is rejected at the join handshake.
 func memberIndexKind(b pimtree.Backend) (join.IndexKind, bool) {
 	switch b {
 	case pimtree.PIMTree:
@@ -58,8 +57,6 @@ func memberIndexKind(b pimtree.Backend) (join.IndexKind, bool) {
 		return join.IndexIMTree, true
 	case pimtree.BPlusTree:
 		return join.IndexBTree, true
-	case pimtree.BwTree:
-		return join.IndexBwTree, true
 	}
 	return 0, false
 }

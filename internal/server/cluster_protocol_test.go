@@ -13,7 +13,7 @@ import (
 func TestJoinClusterRoundTrip(t *testing.T) {
 	cases := []ClusterConfig{
 		{Timed: true, Backend: pimtree.PIMTree, Shards: 4, MaxLive: 512, Span: 1 << 20, Batch: 64, Ring: 1 << 12},
-		{Self: true, Backend: pimtree.BwTree, WR: 256, WS: 256},
+		{Self: true, Backend: pimtree.BPlusTree, WR: 256, WS: 256},
 		{Backend: pimtree.IMTree, WR: 1, WS: 7, Shards: 1},
 		{Timed: true, Self: true, Backend: pimtree.BPlusTree, MaxLive: 1, Span: 1},
 	}

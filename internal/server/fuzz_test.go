@@ -53,7 +53,7 @@ func FuzzParseFrame(f *testing.F) {
 		Timed: true, Backend: pimtree.PIMTree, Shards: 4, MaxLive: 512, Span: 1024, Batch: 64, Ring: 1 << 12,
 	})))
 	f.Add(rawFrame(FrameJoinCluster, encodeJoinCluster(ProtocolVersion, ClusterConfig{
-		Self: true, Backend: pimtree.BwTree, WR: 256, WS: 256,
+		Self: true, Backend: pimtree.BPlusTree, WR: 256, WS: 256,
 	})))
 	f.Add(rawFrame(FrameJoinCluster, []byte{1, 0xff, 0}))               // unknown flags, short
 	f.Add(rawFrame(FrameClusterReady, encodeClusterReady(1, "node-a"))) // well-formed ready

@@ -23,7 +23,7 @@ import (
 // validateMemberConfig rejects join configs the member runtime cannot host.
 func validateMemberConfig(cc ClusterConfig) error {
 	if _, ok := memberIndexKind(cc.Backend); !ok {
-		return fmt.Errorf("join-cluster: backend %d has no shard-layer adapter", cc.Backend)
+		return fmt.Errorf("join-cluster: unknown backend %d", cc.Backend)
 	}
 	if cc.Timed {
 		if cc.MaxLive <= 0 {

@@ -4,9 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pimtree/internal/btree"
-	"pimtree/internal/bwtree"
-	"pimtree/internal/core"
 	"pimtree/internal/join"
 	"pimtree/internal/kv"
 )
@@ -44,111 +41,6 @@ type op struct {
 // engine.add) removes it.
 const maxSpan = 1 << 31
 
-// shardIndex is the per-stream index behaviour a shard engine needs; the
-// same contract as the serial join's index adapters, with liveness expressed
-// against global sequences instead of a local ring.
-type shardIndex interface {
-	Insert(p kv.Pair)
-	Remove(p kv.Pair) // eager backends only; no-op for delta-merge indexes
-	Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool)
-	// QueryPairs emits in-range elements as contiguous []kv.Pair runs
-	// aliasing index-owned storage (valid only during the emit call); the
-	// probe hot loop uses it to scan candidates branch-light.
-	QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool)
-	// Maintain runs a pending delta merge, keeping the entries live accepts;
-	// survivors is how many there are, which sizes the merged run.
-	Maintain(live func(kv.Pair) bool, survivors int)
-	Merges() (int, time.Duration)
-	Eager() bool // whether evictions must call Remove
-}
-
-type pimShardIndex struct{ t *core.PIMTree }
-
-func (x *pimShardIndex) Insert(p kv.Pair) { x.t.Insert(p) }
-func (x *pimShardIndex) Remove(kv.Pair)   {}
-func (x *pimShardIndex) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
-	return x.t.Query(lo, hi, emit)
-}
-func (x *pimShardIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
-	return x.t.QueryPairs(lo, hi, emit)
-}
-func (x *pimShardIndex) Merges() (int, time.Duration) { return x.t.Merges() }
-func (x *pimShardIndex) Eager() bool                  { return false }
-func (x *pimShardIndex) Maintain(live func(kv.Pair) bool, survivors int) {
-	if x.t.NeedsMerge() {
-		x.t.MergeInPlace(live, survivors)
-	}
-}
-
-type imShardIndex struct{ t *core.IMTree }
-
-func (x *imShardIndex) Insert(p kv.Pair) { x.t.Insert(p) }
-func (x *imShardIndex) Remove(kv.Pair)   {}
-func (x *imShardIndex) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
-	return x.t.Query(lo, hi, emit)
-}
-func (x *imShardIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
-	return x.t.QueryPairs(lo, hi, emit)
-}
-func (x *imShardIndex) Merges() (int, time.Duration) { return x.t.Merges() }
-func (x *imShardIndex) Eager() bool                  { return false }
-func (x *imShardIndex) Maintain(live func(kv.Pair) bool, survivors int) {
-	if x.t.NeedsMerge() {
-		x.t.Merge(live, survivors)
-	}
-}
-
-type btreeShardIndex struct{ t *btree.Tree }
-
-func (x *btreeShardIndex) Insert(p kv.Pair) { x.t.Insert(p) }
-func (x *btreeShardIndex) Remove(p kv.Pair) { x.t.Delete(p) }
-func (x *btreeShardIndex) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
-	return x.t.Query(lo, hi, emit)
-}
-func (x *btreeShardIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
-	return x.t.QueryPairs(lo, hi, emit)
-}
-func (x *btreeShardIndex) Maintain(func(kv.Pair) bool, int) {}
-func (x *btreeShardIndex) Merges() (int, time.Duration)     { return 0, 0 }
-func (x *btreeShardIndex) Eager() bool                      { return true }
-
-type bwShardIndex struct{ t *bwtree.Tree }
-
-func (x *bwShardIndex) Insert(p kv.Pair) { x.t.Insert(p) }
-func (x *bwShardIndex) Remove(p kv.Pair) { x.t.Delete(p) }
-func (x *bwShardIndex) Query(lo, hi uint32, emit func(kv.Pair) bool) bool {
-	return x.t.Query(lo, hi, emit)
-}
-func (x *bwShardIndex) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) bool {
-	return x.t.QueryPairs(lo, hi, emit)
-}
-func (x *bwShardIndex) Maintain(func(kv.Pair) bool, int) {}
-func (x *bwShardIndex) Merges() (int, time.Duration)     { return 0, 0 }
-func (x *bwShardIndex) Eager() bool                      { return true }
-
-// newShardIndex builds the configured index for one stream of one shard.
-// The window length w sizes the delta-merge thresholds exactly as in the
-// unsharded joins (per-shard indexes hold fewer entries, so merges are
-// correspondingly rarer).
-func newShardIndex(cfg Config, w int) shardIndex {
-	switch cfg.Index {
-	case join.IndexPIMTree:
-		// The engine is single-writer (see engine), so the subindex mutexes
-		// would only ever be taken uncontended.
-		pim := cfg.PIM
-		pim.NoLocks = true
-		return &pimShardIndex{t: core.NewPIMTree(w, pim)}
-	case join.IndexIMTree:
-		return &imShardIndex{t: core.NewIMTree(w, cfg.IM)}
-	case join.IndexBTree:
-		return &btreeShardIndex{t: btree.New()}
-	case join.IndexBwTree:
-		return &bwShardIndex{t: bwtree.New(w, bwtree.Config{})}
-	default:
-		panic("shard: unsupported index kind (PIM-Tree, IM-Tree, B+-Tree, Bw-Tree)")
-	}
-}
-
 // liveRange is one slot's merge filter: an index entry survives a merge iff
 // its sequence lies in [hi-span, hi), compared in the refs' own 32-bit
 // arithmetic. maintain refreshes it from the store before offering a merge;
@@ -167,7 +59,7 @@ func (r *liveRange) live(p kv.Pair) bool { return r.hi-1-p.Ref < r.span }
 type engine struct {
 	cfg    Config // Timed, Self, WR/WS and the index knobs shape the slots
 	stores [2]*store
-	idxs   [2]shardIndex
+	idxs   [2]join.Index
 	evicts [2]func(kv.Pair) // Remove hooks for eager indexes (nil otherwise)
 	// Probe state for the zero-allocation hot path: the in-flight probe's
 	// sequence range and the destination slice live in fields, and pemit is
@@ -206,7 +98,10 @@ func (e *engine) installSlot(slot int, wm uint64) {
 	if slot == 1 {
 		w = e.cfg.WS
 	}
-	st, idx, live := newStore(e.cfg.Timed), newShardIndex(e.cfg, w), &liveRange{}
+	// w sizes the delta-merge thresholds exactly as in the unsharded joins
+	// (per-shard indexes hold fewer entries, so merges are rarer).
+	idx := join.NewIndex(e.cfg.Index, w, 0, e.cfg.IM, e.cfg.PIM)
+	st, live := newStore(e.cfg.Timed), &liveRange{}
 	st.wm = wm
 	e.stores[slot], e.idxs[slot], e.evicts[slot] = st, idx, nil
 	live.keep = live.live

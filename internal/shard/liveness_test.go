@@ -18,7 +18,7 @@ import (
 // each probe by scanning the records, on sequences that start just below
 // 2^32 so the refs wrap mid-run.
 
-var allIndexKinds = []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree, join.IndexBwTree}
+var allIndexKinds = []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree}
 
 type storedTuple struct {
 	key     uint32

@@ -14,7 +14,7 @@ import (
 // gateIndex is a shard index whose Insert waits on a gate and counts what got
 // through — a worker parked mid-batch, as one is for the length of a merge.
 type gateIndex struct {
-	shardIndex
+	join.Index
 	gate    <-chan struct{}
 	applied atomic.Int64
 	target  int64
@@ -23,7 +23,7 @@ type gateIndex struct {
 
 func (g *gateIndex) Insert(p kv.Pair) {
 	<-g.gate
-	g.shardIndex.Insert(p)
+	g.Index.Insert(p)
 	if g.applied.Add(1) == g.target {
 		close(g.reached)
 	}
@@ -42,7 +42,7 @@ func TestPoolSiblingKeepsWorking(t *testing.T) {
 	close(open)
 	var gates [2]*gateIndex
 	for s, gate := range []<-chan struct{}{parked, open} {
-		gates[s] = &gateIndex{shardIndex: engines[s].idxs[0], gate: gate, target: perLane, reached: make(chan struct{})}
+		gates[s] = &gateIndex{Index: engines[s].idxs[0], gate: gate, target: perLane, reached: make(chan struct{})}
 		engines[s].idxs[0] = gates[s]
 	}
 	var fan FanIn
@@ -95,7 +95,7 @@ func TestSaturatedLaneSizeFlushes(t *testing.T) {
 	cfg := Config{WR: 4096, WS: 4096, Self: true, Index: join.IndexBTree}
 	engines := []*engine{newEngine(cfg)}
 	parked := make(chan struct{})
-	gate := &gateIndex{shardIndex: engines[0].idxs[0], gate: parked, target: total, reached: make(chan struct{})}
+	gate := &gateIndex{Index: engines[0].idxs[0], gate: parked, target: total, reached: make(chan struct{})}
 	engines[0].idxs[0] = gate
 	var fan FanIn
 	p := &pool{fan: &fan, batchSize: batch}
@@ -142,7 +142,7 @@ func TestSpilledBatchReachesDryWorker(t *testing.T) {
 	cfg := Config{WR: 4096, WS: 4096, Self: true, Index: join.IndexBTree}
 	engines := []*engine{newEngine(cfg)}
 	parked := make(chan struct{})
-	gate := &gateIndex{shardIndex: engines[0].idxs[0], gate: parked, target: 2*batch + tail, reached: make(chan struct{})}
+	gate := &gateIndex{Index: engines[0].idxs[0], gate: parked, target: 2*batch + tail, reached: make(chan struct{})}
 	engines[0].idxs[0] = gate
 	var fan FanIn
 	p := &pool{fan: &fan, batchSize: batch}
@@ -165,7 +165,7 @@ func TestSpilledBatchReachesDryWorker(t *testing.T) {
 // orderIndex is a shard index that counts inserts arriving out of sequence
 // order (keys carry the sequence), and all inserts.
 type orderIndex struct {
-	shardIndex
+	join.Index
 	last                uint32
 	inserted, reordered atomic.Int64
 }
@@ -176,7 +176,7 @@ func (o *orderIndex) Insert(p kv.Pair) {
 	}
 	o.last = p.Key
 	o.inserted.Add(1)
-	o.shardIndex.Insert(p)
+	o.Index.Insert(p)
 }
 
 // TestSpillKeepsLaneOrder pushes one-to-three-op calls at a hot and a cold
@@ -192,7 +192,7 @@ func TestSpillKeepsLaneOrder(t *testing.T) {
 	engines := []*engine{newEngine(cfg), newEngine(cfg)}
 	idxs := make([]*orderIndex, len(engines))
 	for s, e := range engines {
-		idxs[s] = &orderIndex{shardIndex: e.idxs[0]}
+		idxs[s] = &orderIndex{Index: e.idxs[0]}
 		e.idxs[0] = idxs[s]
 	}
 	var fan FanIn

@@ -47,7 +47,7 @@ func TestReshapeGrowShrinkMatchesSerial(t *testing.T) {
 		t.Fatal("oracle produced no matches; workload broken")
 	}
 
-	backends := []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree, join.IndexBwTree}
+	backends := []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree}
 	for _, kind := range backends {
 		got, st := reshapeRun(t, arr, Config{
 			Shards: 2, BatchSize: 16,

@@ -52,7 +52,9 @@ type Config struct {
 	Self   bool      // self-join: one stream, one window per shard
 	Band   join.Band // band predicate
 
-	Index join.IndexKind     // per-shard index backend (default PIM-Tree)
+	// Index is the per-shard index backend, built by join.NewIndex; the zero
+	// value is join.IndexBTree.
+	Index join.IndexKind
 	IM    core.IMTreeConfig  // IM-Tree knobs
 	PIM   core.PIMTreeConfig // PIM-Tree knobs
 

@@ -99,7 +99,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		}
 	}
 
-	for _, kind := range []join.IndexKind{join.IndexIMTree, join.IndexBTree, join.IndexBwTree} {
+	for _, kind := range []join.IndexKind{join.IndexIMTree, join.IndexBTree} {
 		got, _ := shardedRun(t, arr, Config{
 			Shards: 4, BatchSize: 16,
 			WR: w, WS: w, Band: band, Index: kind,
@@ -171,7 +171,7 @@ func TestStripedDefaultMatchesSerial(t *testing.T) {
 		t.Fatalf("%d of %d bands straddle a stripe edge: the workload misses the edges", straddles, n)
 	}
 
-	kinds := []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree, join.IndexBwTree}
+	kinds := []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree}
 	for _, self := range []bool{false, true} {
 		arr := count(self)
 		ws := w

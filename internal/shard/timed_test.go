@@ -125,7 +125,7 @@ func TestTimedShardedMatchesOracle(t *testing.T) {
 	band := join.Band{Diff: 16}
 	want := timedOracle(arr, span, band, false)
 
-	backends := []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree, join.IndexBwTree}
+	backends := []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree}
 	for _, kind := range backends {
 		for _, shards := range []int{1, 3, 8} {
 			for _, batch := range []int{1, 64} {

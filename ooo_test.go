@@ -259,9 +259,8 @@ func TestOutOfOrderValidation(t *testing.T) {
 		}
 	}
 	for name, cfg := range map[string]Config{
-		"zero span":       {Mode: ModeShardedTime, MaxLive: 8},
-		"zero MaxLive":    {Mode: ModeShardedTime, Span: 10},
-		"chained backend": {Mode: ModeShardedTime, Span: 10, MaxLive: 8, Backend: BChain},
+		"zero span":    {Mode: ModeShardedTime, MaxLive: 8},
+		"zero MaxLive": {Mode: ModeShardedTime, Span: 10},
 	} {
 		if _, err := Open(cfg); err == nil {
 			t.Fatalf("%s accepted", name)
@@ -269,8 +268,8 @@ func TestOutOfOrderValidation(t *testing.T) {
 	}
 }
 
-// The sharded time runtime supports the non-chained backends; each must
-// reproduce the oracle on disordered input.
+// Every backend must reproduce the oracle on disordered input through the
+// sharded time runtime.
 func TestShardedTimeBackends(t *testing.T) {
 	const diff = 2
 	n := 8000
@@ -286,7 +285,7 @@ func TestShardedTimeBackends(t *testing.T) {
 	want := timeOracle(t, sorted, span, diff, false)
 	shuffled := ShuffleWithinSlack(114, sorted, 64)
 
-	for _, b := range []Backend{PIMTree, IMTree, BPlusTree, BwTree} {
+	for _, b := range []Backend{PIMTree, IMTree, BPlusTree} {
 		got, st := runShardedTime(t, shuffled, Config{
 			Shards: 3, Span: span, MaxLive: 2048, Diff: diff, Backend: b,
 			Slack: 64, LatePolicy: LateDrop,

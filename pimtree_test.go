@@ -129,12 +129,12 @@ func TestJoinExpiry(t *testing.T) {
 }
 
 func TestJoinAllBackendsAgree(t *testing.T) {
-	backends := []Backend{PIMTree, IMTree, BPlusTree, BwTree, BChain, IBChain}
+	backends := []Backend{PIMTree, IMTree, BPlusTree}
 	engines := make([]*Engine, len(backends))
 	for i, b := range backends {
 		engines[i] = openSerial(t, Config{
 			WindowR: 128, WindowS: 128, Diff: 1 << 22, Backend: b,
-			ChainLength: 3, Index: IndexOptions{MergeRatio: 0.5},
+			Index: IndexOptions{MergeRatio: 0.5},
 		})
 	}
 	arr := Interleave(4, UniformSource(1), UniformSource(2), 0.5, 4000)
@@ -186,7 +186,7 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	arr := Interleave(9, UniformSource(5), UniformSource(6), 0.5, 20000)
 	diff := DiffForMatchRate(512, 2)
 
-	for _, b := range []Backend{PIMTree, BwTree} {
+	for _, b := range []Backend{PIMTree, BPlusTree} {
 		serial := runSession(t, arr, Config{Mode: ModeSerial, WindowR: 512, WindowS: 512, Diff: diff, Backend: b, DiscardMatches: true})
 		st := runSession(t, arr, Config{
 			Mode: ModeSharded, Shards: 4, WindowR: 512, WindowS: 512, Diff: diff, Backend: b, DiscardMatches: true,
@@ -207,7 +207,7 @@ func TestRunParallelBwTreeAndLatency(t *testing.T) {
 	arr := Interleave(11, UniformSource(7), UniformSource(8), 0.5, 10000)
 	diff := DiffForMatchRate(1024, 2)
 	serial := runSession(t, arr, Config{
-		Mode: ModeSerial, WindowR: 1024, WindowS: 1024, Diff: diff, Backend: BwTree, DiscardMatches: true,
+		Mode: ModeSerial, WindowR: 1024, WindowS: 1024, Diff: diff, Backend: BPlusTree, DiscardMatches: true,
 	})
 
 	in := make([]stream.Arrival, len(arr))
@@ -276,7 +276,7 @@ func TestWorkloadHelpers(t *testing.T) {
 func TestBackendStrings(t *testing.T) {
 	for b, want := range map[Backend]string{
 		PIMTree: "PIM-Tree", IMTree: "IM-Tree", BPlusTree: "B+-Tree",
-		BwTree: "Bw-Tree", BChain: "B-chain", IBChain: "IB-chain",
+		-1: "unknown", 3: "unknown", 99: "unknown",
 	} {
 		if b.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", b, b.String(), want)

@@ -148,9 +148,6 @@ func TestRunShardedValidation(t *testing.T) {
 	if _, err := Open(Config{Mode: ModeSharded, WindowR: 4}); err == nil {
 		t.Fatal("missing WindowS accepted")
 	}
-	if _, err := Open(Config{Mode: ModeSharded, WindowR: 4, WindowS: 4, Backend: BChain}); err == nil {
-		t.Fatal("chained backend accepted by sharded runtime")
-	}
 	// Self-join needs only one window.
 	runSession(t, []Arrival{{Stream: R, Key: 1}}, Config{Mode: ModeSharded, WindowR: 4, Self: true, Shards: 2})
 }

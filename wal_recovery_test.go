@@ -267,8 +267,6 @@ func sweepCases() []recoveryCase {
 		{name: "im-timed", backend: IMTree, timed: true},
 		{name: "btree-count", backend: BPlusTree},
 		{name: "btree-timed", backend: BPlusTree, timed: true},
-		{name: "bwtree-count", backend: BwTree},
-		{name: "bwtree-timed", backend: BwTree, timed: true},
 		{name: "pim-self-count", backend: PIMTree, self: true},
 	}
 }
