@@ -72,8 +72,9 @@ func openAlloc(t testing.TB, cfg pimtree.Config) (*pimtree.Engine, *allocFeeder,
 }
 
 // TestZeroAllocSerialProbe pins the serial runtime: push → band probe →
-// match emission → evict → insert allocates nothing in steady state. The
-// PIM-Tree backend is pinned to a small bound instead of exact zero: its
+// match emission → evict → insert allocates nothing in steady state, pushed
+// one tuple at a time or as a batch (whose TS descents are located ahead).
+// The PIM-Tree backend is pinned to a small bound instead of exact zero: its
 // probe and insert paths are allocation-free, but the amortized TS→TI merge
 // (MergeFiltered run, cstree.Build, subindex install) rebuilds structures by
 // design, and those builds land inside whichever measured run triggers them.
@@ -107,35 +108,65 @@ func TestZeroAllocSerialProbe(t *testing.T) {
 				t.Fatalf("serial push allocates %v objects per 32-tuple run; want <= %v", allocs, tc.bound)
 			}
 		})
+		t.Run(tc.be.String()+"/PushBatch", func(t *testing.T) {
+			e, f, matches := openAlloc(t, pimtree.Config{
+				Mode:    pimtree.ModeSerial,
+				WindowR: allocWindow, WindowS: allocWindow,
+				Backend: tc.be,
+			})
+			before := *matches
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := e.PushBatch(f.fill(32)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if *matches == before {
+				t.Fatal("batch produced no matches; the pin is not exercising the match path")
+			}
+			if !raceEnabled && allocs > tc.bound {
+				t.Fatalf("serial batch push allocates %v objects per 32-tuple batch; want <= %v", allocs, tc.bound)
+			}
+		})
 	}
 }
 
 // TestZeroAllocShardedPush pins the sharded runtime: batch push through the
-// router (enqueue, worker probe, propagate) plus a synchronous drain
-// allocates nothing in steady state.
+// router (enqueue, worker locate and probe, propagate) plus a synchronous
+// drain allocates nothing in steady state. The PIM-Tree row has the serial
+// pin's amortized-merge bound.
 func TestZeroAllocShardedPush(t *testing.T) {
-	e, f, matches := openAlloc(t, pimtree.Config{
-		Mode:    pimtree.ModeSharded,
-		WindowR: allocWindow, WindowS: allocWindow,
-		Backend:       pimtree.BPlusTree,
-		Shards:        4,
-		QueueCapacity: 256, // small ring so the warmup covers a full slot cycle
-	})
-	bg := context.Background()
-	before := *matches
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := e.PushBatch(f.fill(64)); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Drain(bg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if *matches == before {
-		t.Fatal("sharded push produced no matches")
-	}
-	if !raceEnabled && allocs != 0 {
-		t.Fatalf("sharded batch push allocates %v objects per 64-tuple run; want 0", allocs)
+	for _, tc := range []struct {
+		be    pimtree.Backend
+		bound float64 // max allocations per 64-tuple run
+	}{
+		{pimtree.BPlusTree, 0},
+		{pimtree.PIMTree, 32},
+	} {
+		t.Run(tc.be.String(), func(t *testing.T) {
+			e, f, matches := openAlloc(t, pimtree.Config{
+				Mode:    pimtree.ModeSharded,
+				WindowR: allocWindow, WindowS: allocWindow,
+				Backend:       tc.be,
+				Shards:        4,
+				QueueCapacity: 256, // small ring so the warmup covers a full slot cycle
+			})
+			bg := context.Background()
+			before := *matches
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := e.PushBatch(f.fill(64)); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Drain(bg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if *matches == before {
+				t.Fatal("sharded push produced no matches")
+			}
+			if !raceEnabled && allocs > tc.bound {
+				t.Fatalf("sharded batch push allocates %v objects per 64-tuple run; want <= %v", allocs, tc.bound)
+			}
+		})
 	}
 }
 
@@ -181,6 +212,21 @@ func BenchmarkAllocSerialProbe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := f.next()
 		if err := e.Push(a.Stream, a.Key); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAllocSerialBatch(b *testing.B) {
+	e, f, _ := openAlloc(b, pimtree.Config{
+		Mode:    pimtree.ModeSerial,
+		WindowR: allocWindow, WindowS: allocWindow,
+		Backend: pimtree.BPlusTree,
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.PushBatch(f.fill(64)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -87,6 +87,15 @@ func errNotSorted() error {
 	return fmt.Errorf("pimtree: %w; set a LatePolicy (and Slack) to enable out-of-order ingestion", ErrUnordered)
 }
 
+// checkStream rejects a StreamID other than R and S before it can index a
+// stream's window.
+func checkStream(s StreamID) error {
+	if s > S {
+		return fmt.Errorf("pimtree: unknown StreamID %d", s)
+	}
+	return nil
+}
+
 // validateWindows is the uniform count-window validation shared by every
 // count-window constructor.
 func validateWindows(wr, ws int, self bool) error {
@@ -287,8 +296,11 @@ type Engine struct {
 	reconfigs atomic.Int64 // applied Reconfigure deltas
 
 	serial *join.Streaming
-	router *shard.Router
-	wlog   *wal.Log // durability layer; nil unless Config.Durability.Dir
+	// serialBuf carries a ModeSerial PushBatch to the serial join one
+	// locate chunk at a time (producer goroutine only).
+	serialBuf []stream.Arrival
+	router    *shard.Router
+	wlog      *wal.Log // durability layer; nil unless Config.Durability.Dir
 
 	onMatch func(Match)
 	pull    *queue.Queue[Match]
@@ -339,6 +351,7 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 			WR: cc.WindowR, WS: cc.WindowS, Self: cc.Self, Band: band,
 			Index: kind, IM: im, PIM: pim, Sink: sink,
 		})
+		e.serialBuf = make([]stream.Arrival, join.LocateChunk)
 	case ModeSharded, ModeShardedTime:
 		rcfg := shard.Config{
 			Shards:    defaultShards(cc.Shards),
@@ -440,6 +453,9 @@ func (e *Engine) Push(s StreamID, key uint32) error {
 	if e.mode == ModeShardedTime {
 		return fmt.Errorf("pimtree: %s mode requires PushTimed (tuples carry event timestamps)", e.mode)
 	}
+	if err := checkStream(s); err != nil {
+		return err
+	}
 	if err := e.lockProducer(); err != nil {
 		return err
 	}
@@ -475,6 +491,21 @@ func (e *Engine) pushSerial(a stream.Arrival) {
 	e.tuples.Add(1)
 }
 
+// pushSerialBatch is pushSerial over a batch, handed to the serial join's
+// PushBatch one locate chunk at a time.
+func (e *Engine) pushSerialBatch(batch []Arrival) {
+	for len(batch) > 0 {
+		buf := e.serialBuf[:min(len(batch), len(e.serialBuf))]
+		for i := range buf {
+			buf[i] = stream.Arrival{Stream: uint8(batch[i].Stream), Key: batch[i].Key}
+		}
+		n := e.serial.PushBatch(buf)
+		e.serialMatches.Add(uint64(n))
+		e.tuples.Add(uint64(len(buf)))
+		batch = batch[len(buf):]
+	}
+}
+
 // PushTimed feeds one time-window tuple (ModeShardedTime). With a LatePolicy
 // other than LateNone the tuple enters the reorder buffer and joins once the
 // watermark releases it; in strict mode a timestamp regression is rejected
@@ -485,6 +516,9 @@ func (e *Engine) PushTimed(s StreamID, key uint32, ts uint64) error {
 	}
 	if e.mode != ModeShardedTime {
 		return fmt.Errorf("pimtree: PushTimed requires %s mode (%s windows are count-based)", ModeShardedTime, e.mode)
+	}
+	if err := checkStream(s); err != nil {
+		return err
 	}
 	if e.cfg.LatePolicy == LateNone {
 		if ts < e.lastTS {
@@ -504,10 +538,16 @@ func (e *Engine) PushTimed(s StreamID, key uint32, ts uint64) error {
 // PushBatch feeds a batch of tuples, amortizing the producer lock and the
 // idle-lane flush over the batch. In ModeShardedTime the arrivals' TS fields
 // carry the event timestamps and strict mode validates the whole batch before
-// admitting any of it.
+// admitting any of it. So does the StreamID check: a batch holding an unknown
+// StreamID is rejected whole.
 func (e *Engine) PushBatch(batch []Arrival) error {
 	if err := e.pushable(); err != nil {
 		return err
+	}
+	for _, a := range batch {
+		if err := checkStream(a.Stream); err != nil {
+			return err
+		}
 	}
 	if err := e.lockProducer(); err != nil {
 		return err
@@ -529,9 +569,11 @@ func (e *Engine) PushBatch(batch []Arrival) error {
 		for _, a := range batch {
 			e.router.PushTimed(uint8(a.Stream), a.Key, a.TS)
 		}
+	case ModeSerial:
+		e.pushSerialBatch(batch)
 	default:
 		for _, a := range batch {
-			e.pushCount(stream.Arrival{Stream: uint8(a.Stream), Key: a.Key})
+			e.router.Push(stream.Arrival{Stream: uint8(a.Stream), Key: a.Key})
 		}
 	}
 	return nil

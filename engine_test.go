@@ -7,7 +7,10 @@ package pimtree_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -380,5 +383,121 @@ func TestEngineAbortedDrain(t *testing.T) {
 	}
 	if st.Matches == 0 {
 		t.Fatal("no matches after unblocking the sink")
+	}
+}
+
+// An unknown StreamID is rejected by name in every mode and through every
+// push entry point, before it can index a window; a batch holding one is
+// rejected whole; and the engine keeps accepting valid pushes afterwards.
+// (The id used to panic under the producer lock and leave every later push
+// hung.)
+func TestUnknownStreamIDRejected(t *testing.T) {
+	bg := context.Background()
+	for _, cfg := range []pimtree.Config{
+		{Mode: pimtree.ModeSerial, WindowR: 16, WindowS: 16},
+		{Mode: pimtree.ModeSharded, WindowR: 16, WindowS: 16, Shards: 2},
+		{Mode: pimtree.ModeShardedTime, Span: 100, MaxLive: 64, Shards: 2},
+	} {
+		t.Run(cfg.Mode.String(), func(t *testing.T) {
+			e, err := pimtree.Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close(bg)
+			timed := cfg.Mode == pimtree.ModeShardedTime
+			push := func(s pimtree.StreamID, ts uint64) error {
+				if timed {
+					return e.PushTimed(s, 1, ts)
+				}
+				return e.Push(s, 1)
+			}
+			wantErr := func(what string, err error, id int) {
+				t.Helper()
+				if want := "pimtree: unknown StreamID " + strconv.Itoa(id); err == nil || err.Error() != want {
+					t.Fatalf("%s = %v, want %q", what, err, want)
+				}
+			}
+			wantErr("push of stream 2", push(2, 1), 2)
+			batch := []pimtree.Arrival{{Stream: pimtree.R, Key: 1, TS: 1}, {Stream: 7, Key: 1, TS: 2}}
+			wantErr("PushBatch holding stream 7", e.PushBatch(batch), 7)
+			if err := e.Drain(bg); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.Stats().Tuples; n != 0 {
+				t.Fatalf("rejected pushes admitted %d tuples", n)
+			}
+			done := make(chan error, 1)
+			go func() { done <- push(pimtree.S, 3) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("valid push after the rejections: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("valid push after the rejections hung")
+			}
+			if err := e.Drain(bg); err != nil {
+				t.Fatal(err)
+			}
+			if n := e.Stats().Tuples; n != 1 {
+				t.Fatalf("Tuples = %d after one valid push, want 1", n)
+			}
+		})
+	}
+}
+
+// A serial PushBatch reports the matches of a Push loop over the same
+// arrivals, in the same order, for every backend, two-stream and self-join.
+// The windows are small, so the two-stage indexes merge inside most of the
+// batch's locate chunks and the located path meets stale positions.
+func TestSerialPushBatchMatchesPush(t *testing.T) {
+	const w, n = 100, 6000
+	rng := rand.New(rand.NewSource(38))
+	arr := make([]pimtree.Arrival, n)
+	for i := range arr {
+		arr[i] = pimtree.Arrival{Stream: pimtree.StreamID(rng.Intn(2)), Key: uint32(rng.Intn(4 * w))}
+	}
+	for _, be := range []pimtree.Backend{pimtree.PIMTree, pimtree.IMTree, pimtree.BPlusTree} {
+		for _, self := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/self=%v", be, self), func(t *testing.T) {
+				run := func(batched bool) (ms []matchKey, st pimtree.RunStats) {
+					e, err := pimtree.Open(pimtree.Config{
+						Mode: pimtree.ModeSerial, WindowR: w, WindowS: w, Self: self, Diff: 2,
+						Backend: be, OnMatch: collectMatches(&ms),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for rest := arr; len(rest) > 0; {
+						k := 1
+						if batched {
+							k = min(len(rest), 1+rng.Intn(400))
+							err = e.PushBatch(rest[:k])
+						} else {
+							err = e.Push(rest[0].Stream, rest[0].Key)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						rest = rest[k:]
+					}
+					if st, err = e.Close(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					return ms, st
+				}
+				want, _ := run(false)
+				got, st := run(true)
+				if len(want) == 0 {
+					t.Fatal("no matches: the test exercises nothing")
+				}
+				if be != pimtree.BPlusTree && st.Merges < n/w {
+					t.Fatalf("%d merges over %d arrivals: the batches did not straddle merges", st.Merges, n)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("PushBatch reported %d matches, the Push loop %d, or their order differs", len(got), len(want))
+				}
+			})
+		}
 	}
 }

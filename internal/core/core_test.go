@@ -330,6 +330,101 @@ func TestPIMTreeFusedQueryEqualsTSPlusTI(t *testing.T) {
 	}
 }
 
+// The located path against the plain one on the same tree: batches of
+// queries and inserts are located together, then applied in order while
+// merges replace TS mid-batch. While the token is current a located query
+// must emit exactly what QueryPairs does and a located insert must land in
+// the subindex Insert would pick; once a merge has run the token must read
+// stale.
+func TestPIMTreeLocatedMatchesPlain(t *testing.T) {
+	const keySpace = 1 << 14
+	for _, cfg := range []PIMTreeConfig{
+		{MergeRatio: 0.25, InsertionDepth: 1, CSTree: cstree.Config{Fanout: 4, LeafSize: 4}},
+		{MergeRatio: 1, InsertionDepth: 3, CSTree: cstree.Config{Fanout: 2, LeafSize: 2}, NoLocks: true},
+		{NoLocks: true},
+	} {
+		rng := rand.New(rand.NewSource(38))
+		pt := NewPIMTree(512, cfg)
+		type query struct{ lo, hi uint32 }
+		var located, stale int
+		for i := uint32(0); i < 6000; {
+			// A batch: its queries' lo bounds first, then its inserts' keys.
+			var qs []query
+			var ins []uint32
+			for j := rng.Intn(60); j >= 0; j-- {
+				lo := rng.Uint32() % keySpace
+				qs = append(qs, query{lo, lo + rng.Uint32()%(keySpace/4)})
+				ins = append(ins, rng.Uint32()%keySpace)
+			}
+			keys := make([]uint32, 0, len(qs)+len(ins))
+			for _, q := range qs {
+				keys = append(keys, q.lo)
+			}
+			keys = append(keys, ins...)
+			pos, ords := make([]int, len(qs)), make([]int, len(keys))
+			tok := pt.Locate(keys, pos, ords)
+			for j, q := range qs {
+				var want, got []kv.Pair
+				pt.QueryPairs(q.lo, q.hi, func(run []kv.Pair) bool { want = append(want, run...); return true })
+				if pt.Current(tok) {
+					located++
+					pt.QueryPairsAt(q.lo, q.hi, pos[j], ords[j], func(run []kv.Pair) bool { got = append(got, run...); return true })
+					if !slices.Equal(got, want) {
+						t.Fatalf("cfg %+v: located query [%d, %d] emitted %d elements, QueryPairs %d", cfg, q.lo, q.hi, len(got), len(want))
+					}
+				} else {
+					stale++
+				}
+				p := pair(ins[j], i)
+				i++
+				if ord := ords[len(qs)+j]; pt.Current(tok) {
+					if want := pt.route(p.Key); ord != want {
+						t.Fatalf("cfg %+v: key %d located in subindex %d, routes to %d", cfg, p.Key, ord, want)
+					}
+					pt.InsertAt(p, ord)
+				} else {
+					pt.Insert(p)
+				}
+				if pt.NeedsMerge() {
+					oldest := i - uint32(rng.Intn(600))
+					pt.MergeInPlace(func(p kv.Pair) bool { return int32(p.Ref-oldest) >= 0 })
+					if pt.Current(tok) {
+						t.Fatalf("cfg %+v: token still current after a merge", cfg)
+					}
+				}
+			}
+			if err := pt.CheckInvariants(); err != nil {
+				t.Fatalf("cfg %+v: %v", cfg, err)
+			}
+		}
+		if located == 0 || stale == 0 {
+			t.Fatalf("cfg %+v: %d located and %d stale queries; want both paths exercised", cfg, located, stale)
+		}
+	}
+}
+
+// A token names one TS, not a tree's count of merges: a tree built in
+// another's place, even from the same content, does not accept it.
+func TestPIMTreeTokenIsTSIdentity(t *testing.T) {
+	a := NewPIMTree(64, PIMTreeConfig{NoLocks: true})
+	keys, pos, ords := []uint32{7}, make([]int, 1), make([]int, 1)
+	tok := a.Locate(keys, pos, ords)
+	if !a.Current(tok) {
+		t.Fatal("a fresh token is not current on its own tree")
+	}
+	if NewPIMTree(64, PIMTreeConfig{NoLocks: true}).Current(tok) {
+		t.Fatal("a new empty tree accepts another tree's token")
+	}
+	b, _ := a.BuildMerged(alwaysLive)
+	if b.Current(tok) || !a.Current(tok) {
+		t.Fatal("BuildMerged moved the token: the new tree accepts it or the old one stopped")
+	}
+	a.MergeInPlace(alwaysLive)
+	if a.Current(tok) {
+		t.Fatal("token still current after MergeInPlace")
+	}
+}
+
 func TestPIMTreeMergeDiscardsExpired(t *testing.T) {
 	pt := NewPIMTree(100, PIMTreeConfig{MergeRatio: 1})
 	for i := uint32(0); i < 100; i++ {

@@ -182,8 +182,30 @@ func (t *PIMTree) unlock(i int) {
 
 // Insert adds p to its subindex under the subindex lock (Algorithm 1).
 // Safe for concurrent use.
-func (t *PIMTree) Insert(p kv.Pair) {
-	i := t.route(p.Key)
+func (t *PIMTree) Insert(p kv.Pair) { t.InsertAt(p, t.route(p.Key)) }
+
+// TSToken names the TS a Locate ran against. It holds the TS itself, so it
+// stays distinct from every later TS, of this tree or of a new tree built in
+// its place, for as long as anyone holds the positions it vouches for.
+type TSToken struct{ ts *cstree.Tree }
+
+// Locate runs the TS descents of a batch's queries and inserts ahead of
+// them, walking them through TS's directory together (see
+// cstree.LowerBounds). The keys are the queries' lo bounds followed by the
+// inserts' keys, and pos is as long as the queries: pos[j] is a query's
+// lower bound in TS, and ords[j] every key's subindex. The positions hold
+// until the next merge; Current tells.
+func (t *PIMTree) Locate(keys []uint32, pos, ords []int) TSToken {
+	t.ts.LowerBounds(keys, t.effDI, pos, ords)
+	return TSToken{t.ts}
+}
+
+// Current reports whether positions located under tok still hold: TS has
+// not been replaced since.
+func (t *PIMTree) Current(tok TSToken) bool { return tok.ts == t.ts }
+
+// InsertAt is Insert into subindex i, as Locate found it for p.Key.
+func (t *PIMTree) InsertAt(p kv.Pair, i int) {
 	t.lock(i)
 	t.subs[i].bt.Insert(p)
 	t.unlock(i)
@@ -222,6 +244,15 @@ func (t *PIMTree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped 
 		return true
 	}
 	return t.queryTIPairs(start, lo, hi, emit)
+}
+
+// QueryPairsAt is QueryPairs with lo's TS descent already done: pos and ord
+// are what Locate found for lo.
+func (t *PIMTree) QueryPairsAt(lo, hi uint32, pos, ord int, emit func([]kv.Pair) bool) (stopped bool) {
+	if t.ts.QueryPairsFrom(pos, hi, emit) {
+		return true
+	}
+	return t.queryTIPairs(ord, lo, hi, emit)
 }
 
 // queryTI scans TI subindexes for [lo, hi] beginning at subindex start (the

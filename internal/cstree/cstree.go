@@ -248,6 +248,121 @@ func (t *Tree) LowerBoundVia(key uint32, d int) (i, ord int) {
 	return i, ord
 }
 
+// lockstep is how many keys LowerBounds walks through the directory together:
+// their loads at one level are independent, so up to this many misses are in
+// flight at once instead of one.
+const lockstep = 16
+
+// LowerBounds is LowerBoundVia for a batch of keys that also serves a
+// batch's RouteToDepth calls: for every j < len(pos) it sets pos[j], ords[j]
+// = LowerBoundVia(keys[j], d), and for every later j only ords[j] =
+// RouteToDepth(keys[j], d), whose descent stops at depth d. ords must be at
+// least as long as keys. The keys go down in groups of lockstep, one level
+// at a time, and every inner node and full leaf is bisected with a
+// branch-free step, so each step issues the group's loads back to back. A
+// single key gains nothing from that: for it LowerBoundVia's forward scan is
+// the faster search, and stays the single-key path.
+func (t *Tree) LowerBounds(keys []uint32, d int, pos, ords []int) {
+	d = t.clampDepth(d)
+	var node [lockstep]int // each key's node at the level being walked
+	for g := 0; g < len(keys); g += lockstep {
+		ks := keys[g:min(g+lockstep, len(keys))]
+		os := ords[g : g+len(ks)]
+		ps := node[:len(ks)]
+		clear(ps)
+		for lvl := 0; ; lvl++ {
+			if lvl == d {
+				copy(os, ps)
+				// Past len(pos), the keys are done.
+				n := max(0, min(len(ks), len(pos)-g))
+				ks, ps = ks[:n], ps[:n]
+			}
+			if lvl == len(t.counts) || len(ks) == 0 {
+				break
+			}
+			t.routeLevel(lvl, ks, ps)
+		}
+		if len(ks) > 0 {
+			t.leafBounds(ks, ps)
+			copy(pos[g:], ps)
+		}
+	}
+}
+
+// b2i is 1 for true and 0 for false, compiled to a flag set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// routeLevel moves every key of a group from its node at depth lvl to the
+// child routeNode would pick, clamped as in walk.
+func (t *Tree) routeLevel(lvl int, ks []uint32, ps []int) {
+	var base [lockstep]int
+	off, inners := t.offsets[lvl], t.inners
+	for j := range ks {
+		base[j] = off + ps[j]*t.sib
+	}
+	// Bisect for the first slot >= key: the answer stays within
+	// [base, base+n] while n shrinks to 1.
+	n := t.sib
+	for n > 1 {
+		half := n / 2
+		for j, k := range ks {
+			base[j] += b2i(inners[base[j]+half] < k) * half
+		}
+		n -= half
+	}
+	last := t.lastLeaf // the last node at depth lvl+1
+	if lvl+1 < len(t.counts) {
+		last = t.counts[lvl+1] - 1
+	}
+	for j, k := range ks {
+		slot := base[j] - off - ps[j]*t.sib + b2i(inners[base[j]] < k)
+		ps[j] = min(ps[j]*t.fanout+slot, last)
+	}
+	metrics.Load(len(ks) * t.sib * 4)
+}
+
+// leafBounds turns every key's leaf node ordinal into its lower bound. Full
+// leaves are bisected in lockstep; a short last leaf, and a key greater than
+// its leaf's maximum, finish with LowerBoundVia's forward scan.
+func (t *Tree) leafBounds(ks []uint32, ps []int) {
+	leaves, ls := t.leaves, t.leafSize
+	full := len(leaves) / ls // leaf nodes holding leafSize elements
+	var base [lockstep]int
+	if full > 0 {
+		for j := range ks {
+			// A key bound for the short last leaf bisects leaf 0 instead,
+			// keeping the loop free of branches; the scan below redoes it.
+			base[j] = ps[j] * ls * b2i(ps[j] < full)
+		}
+		for n := ls; n > 1; {
+			half := n / 2
+			for j, k := range ks {
+				base[j] += b2i(leaves[base[j]+half].Key < k) * half
+			}
+			n -= half
+		}
+		for j, k := range ks {
+			base[j] += b2i(leaves[base[j]].Key < k)
+		}
+	}
+	for j, k := range ks {
+		i := base[j]
+		if ps[j] >= full {
+			i = ps[j] * ls
+		}
+		for i < len(leaves) && leaves[i].Key < k {
+			i++
+		}
+		ps[j] = i
+	}
+	metrics.Load(len(ks) * kv.PairBytes)
+}
+
 // Query invokes emit for every element with lo <= Key <= hi in order. It
 // returns true when emit asked to stop early, false when the range was
 // exhausted (see btree.Query for why composite indexes need the
@@ -291,15 +406,21 @@ func (t *Tree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped boo
 // pull in, minus its cache-missing probes.
 func (t *Tree) QueryPairsVia(lo, hi uint32, d int, emit func([]kv.Pair) bool) (ord int, stopped bool) {
 	i, ord := t.LowerBoundVia(lo, d)
+	return ord, t.QueryPairsFrom(i, hi, emit)
+}
+
+// QueryPairsFrom is QueryPairs with the descent already done: i is lo's
+// lower bound (from LowerBoundVia or LowerBounds).
+func (t *Tree) QueryPairsFrom(i int, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
 	j := i
 	for j < len(t.leaves) && t.leaves[j].Key <= hi {
 		j++
 	}
 	if i == j {
-		return ord, false
+		return false
 	}
 	metrics.Load((j - i) * kv.PairBytes)
-	return ord, !emit(t.leaves[i:j])
+	return !emit(t.leaves[i:j])
 }
 
 // SubtreeBounds returns, for each node at depth d, the largest key routed to

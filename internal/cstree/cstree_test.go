@@ -1,6 +1,8 @@
 package cstree
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -391,5 +393,150 @@ func TestViaWalksMatchSeparateDescents(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+var (
+	lowerBoundsGeometries = []Config{{Fanout: 32, LeafSize: 32}, {Fanout: 2, LeafSize: 2}, {Fanout: 5, LeafSize: 3}}
+	lowerBoundsSizes      = []int{0, 1, 31, 32, 33, 1000, 4099, 1<<17 + 5}
+)
+
+// lowerBoundsCases are the trees the batched descent is checked on: empty,
+// single-element, around one leaf's edge, ragged right edges and one deep
+// tree, in the default, narrowest and odd geometries, with duplicate keys
+// and stored 0 and MaxUint32 keys.
+func lowerBoundsCases() (trees []*Tree, names []string) {
+	for _, cfg := range lowerBoundsGeometries {
+		for _, n := range lowerBoundsSizes {
+			ps := sortedPairs(n, int64(n)+int64(cfg.Fanout), uint32(n/4+1)) // ~4 duplicates a key
+			if n > 2 {
+				ps[0].Key, ps[n-1].Key = 0, maxKey
+			}
+			trees = append(trees, Build(ps, cfg))
+			names = append(names, fmt.Sprintf("n %d cfg %+v", n, cfg))
+		}
+	}
+	return trees, names
+}
+
+// checkLowerBounds asserts the LowerBounds contract for keys at every depth
+// from the root to past the directory, with positions for all, some or none
+// of the keys.
+func checkLowerBounds(t *testing.T, tr *Tree, name string, keys []uint32) {
+	t.Helper()
+	pos, ords := make([]int, len(keys)), make([]int, len(keys))
+	for d := 0; d <= tr.InnerDepth()+1; d++ {
+		for _, np := range []int{len(keys), len(keys) / 3, 0} {
+			checkLowerBoundsAt(t, tr, name, keys, d, pos[:np], ords)
+		}
+	}
+}
+
+func checkLowerBoundsAt(t *testing.T, tr *Tree, name string, keys []uint32, d int, pos, ords []int) {
+	t.Helper()
+	for j := range pos {
+		pos[j] = -1
+	}
+	tr.LowerBounds(keys, d, pos, ords)
+	for j, k := range keys {
+		i, ord := tr.LowerBoundVia(k, d)
+		if j < len(pos) && pos[j] != i {
+			t.Fatalf("%s: LowerBounds key %d (#%d of %d, %d positioned) at depth %d: position %d, LowerBoundVia %d",
+				name, k, j, len(keys), len(pos), d, pos[j], i)
+		}
+		if ords[j] != ord {
+			t.Fatalf("%s: LowerBounds key %d (#%d of %d, %d positioned) at depth %d: ordinal %d, LowerBoundVia %d",
+				name, k, j, len(keys), len(pos), d, ords[j], ord)
+		}
+	}
+}
+
+func TestLowerBoundsMatchesLowerBoundVia(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	trees, names := lowerBoundsCases()
+	for c, tr := range trees {
+		top := uint32(tr.Len()/4 + 8)
+		// Batch lengths around the lockstep group: empty, partial, exact,
+		// one over, and several groups.
+		for _, m := range []int{0, 1, lockstep - 1, lockstep, lockstep + 1, 5*lockstep + 3} {
+			keys := make([]uint32, m)
+			for j := range keys {
+				switch rng.Intn(6) {
+				case 0:
+					keys[j] = 0
+				case 1:
+					keys[j] = maxKey
+				default:
+					keys[j] = rng.Uint32() % top
+				}
+			}
+			checkLowerBounds(t, tr, names[c], keys)
+		}
+	}
+}
+
+// FuzzLowerBounds cross-checks the batched descent against the per-key one
+// for arbitrary geometry, content and keys.
+func FuzzLowerBounds(f *testing.F) {
+	// Seeds: the table's geometries and sizes up to a few leaves' worth,
+	// with a group and a half of probes.
+	rng := rand.New(rand.NewSource(38))
+	for _, cfg := range lowerBoundsGeometries {
+		for _, n := range lowerBoundsSizes {
+			if n > 1000 {
+				continue
+			}
+			raw, probes := make([]byte, n), make([]byte, lockstep+lockstep/2)
+			rng.Read(raw)
+			rng.Read(probes)
+			f.Add(raw, probes, uint8(cfg.Fanout-2), uint8(cfg.LeafSize-2), uint8(n))
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw, probes []byte, fo, ls, d uint8) {
+		cfg := Config{Fanout: int(fo%40) + 2, LeafSize: int(ls%40) + 2}
+		ps := make([]kv.Pair, len(raw))
+		for i, b := range raw {
+			ps[i] = kv.Pair{Key: uint32(b) << 24, Ref: uint32(i)}
+		}
+		kv.Sort(ps)
+		tr := Build(ps, cfg)
+		keys := make([]uint32, len(probes))
+		for j, b := range probes {
+			keys[j] = uint32(b)<<24 | uint32(b)
+		}
+		pos, ords := make([]int, len(keys)), make([]int, len(keys))
+		depth := int(d) % (tr.InnerDepth() + 2)
+		np := len(keys) - int(d)%(len(keys)+1) // positions for a prefix of the keys
+		checkLowerBoundsAt(t, tr, fmt.Sprintf("cfg %+v", cfg), keys, depth, pos[:np], ords)
+	})
+}
+
+var benchPos int // keeps the per-key benchmark's result alive
+
+// BenchmarkLowerBounds compares the per-key descent with the batched one on
+// uniform keys, per key, at a cache-resident, an L2-sized and a
+// memory-resident tree.
+func BenchmarkLowerBounds(b *testing.B) {
+	for _, n := range []int{1 << 12, 1 << 16, 1 << 20} {
+		ps := sortedPairs(n, 1, math.MaxUint32)
+		tr := Build(ps, Config{})
+		rng := rand.New(rand.NewSource(2))
+		keys := make([]uint32, 1<<16)
+		for i := range keys {
+			keys[i] = rng.Uint32()
+		}
+		const batch, d = 128, 2 // PIM-Tree's chunk and default insertion depth
+		pos, ords := make([]int, batch), make([]int, batch)
+		b.Run(fmt.Sprintf("n=%d/per-key", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchPos, _ = tr.LowerBoundVia(keys[i%len(keys)], d)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/lockstep", n), func(b *testing.B) {
+			for i := 0; i < b.N; i += batch {
+				at := i % len(keys)
+				tr.LowerBounds(keys[at:at+batch], d, pos, ords)
+			}
+		})
 	}
 }

@@ -18,6 +18,7 @@ type Streaming struct {
 	rings [2]*window.Ring
 	idxs  [2]Index
 	lives [2]func(kv.Pair) bool // per-stream merge filters, bound once
+	locs  Locator               // PushBatch's descents, found ahead
 
 	// Probe state for the zero-allocation hot path: the per-push probe
 	// parameters live in struct fields and the index callback is built once
@@ -45,6 +46,7 @@ func NewStreaming(cfg SerialConfig) *Streaming {
 		s.idxs[1] = cfg.newIndex(ws)
 		s.lives[1] = liveIn(s.rings[1])
 	}
+	s.locs = NewLocator(s.idxs[0], cfg.Self)
 	s.probeEmit = s.emitPairs
 	return s
 }
@@ -68,11 +70,44 @@ func (s *Streaming) emitPairs(ps []kv.Pair) bool {
 // number of matches it produced. The configured sink (if any) observes each
 // match before Push returns, preserving arrival order.
 func (s *Streaming) Push(a stream.Arrival) (matches int) {
-	own, ownIdx := s.rings[a.Stream], s.idxs[a.Stream]
-	oppID := opposite(a.Stream)
-	if s.cfg.Self {
-		oppID = a.Stream
+	return s.push(a, Located{}, Located{})
+}
+
+// PushBatch is Push over every arrival in order, with the same matches in
+// the same order. A PIM-Tree's TS descents are found ahead, LocateChunk
+// arrivals at a time: each chunk's probe and insert keys are located
+// together in each index, then the arrivals run with their positions.
+func (s *Streaming) PushBatch(as []stream.Arrival) (matches int) {
+	for len(as) > 0 {
+		chunk := as[:min(len(as), LocateChunk)]
+		as = as[len(chunk):]
+		for _, a := range chunk {
+			lo, _ := s.cfg.Band.Range(a.Key)
+			s.locs.AddProbe(s.probed(a.Stream), lo)
+			s.locs.AddInsert(a.Stream, a.Key)
+		}
+		s.locs.Locate(&s.idxs)
+		for _, a := range chunk {
+			matches += s.push(a, s.locs.Probe(s.probed(a.Stream)), s.locs.Insert(a.Stream))
+		}
+		s.locs.Reset()
 	}
+	return matches
+}
+
+// probed returns the stream an arrival of stream id probes.
+func (s *Streaming) probed(id uint8) uint8 {
+	if s.cfg.Self {
+		return id
+	}
+	return opposite(id)
+}
+
+// push is Push with the probe's and the insert's TS descents located ahead
+// (or the zero Located, to descend here).
+func (s *Streaming) push(a stream.Arrival, probeAt, insertAt Located) (matches int) {
+	own, ownIdx := s.rings[a.Stream], s.idxs[a.Stream]
+	oppID := s.probed(a.Stream)
 	opp, oppIdx := s.rings[oppID], s.idxs[oppID]
 	lo, hi := s.cfg.Band.Range(a.Key)
 
@@ -80,14 +115,14 @@ func (s *Streaming) Push(a stream.Arrival) (matches int) {
 	s.probeStream = a.Stream
 	s.probeSeq = own.Head()
 	s.probeHits = 0
-	oppIdx.QueryPairs(lo, hi, s.probeEmit)
+	probeAt.QueryPairs(oppIdx, lo, hi, s.probeEmit)
 	matches = s.probeHits
 
 	ref, _, expired, hasExpired := own.Append(a.Key)
 	if hasExpired {
 		ownIdx.Remove(expired)
 	}
-	ownIdx.Insert(kv.Pair{Key: a.Key, Ref: ref})
+	insertAt.Insert(ownIdx, kv.Pair{Key: a.Key, Ref: ref})
 	ownIdx.Maintain(s.lives[a.Stream], own.Count())
 	return matches
 }

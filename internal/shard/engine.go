@@ -70,6 +70,7 @@ type engine struct {
 	pspan uint32 // the probe matches sequences in (plast-pspan, plast]
 	pdst  []uint64
 	lives [2]*liveRange // per-stream merge filters
+	locs  join.Locator  // a batch chunk's TS descents (see locate)
 	// resident is a monitoring gauge: tuples currently stored across both
 	// streams, refreshed by the worker after each batch and read by load
 	// snapshots without synchronization.
@@ -86,6 +87,7 @@ func newEngine(cfg Config) *engine {
 	if !cfg.Self {
 		e.installSlot(1, 0)
 	}
+	e.locs = join.NewLocator(e.idxs[0], cfg.Self)
 	e.pemit = e.emitPairs
 	return e
 }
@@ -114,15 +116,35 @@ func (e *engine) installSlot(slot int, wm uint64) {
 	}
 }
 
+// locate finds the TS descents of a chunk of at most join.LocateChunk ops
+// ahead of applying them: each op's key (an insert's key, a probe's lo) is
+// added to its slot's Locator in op order, and insert and probe take them
+// back in the same order. Merges run only in maintain, after the batch, so
+// only a reindex (see add) can leave a position stale; the Located then
+// falls back to the index's own descent. The caller resets e.locs once the
+// chunk is applied.
+func (e *engine) locate(chunk []op) {
+	for j := range chunk {
+		if o := &chunk[j]; o.kind == opInsert {
+			e.locs.AddInsert(o.stream, o.key)
+		} else {
+			e.locs.AddProbe(o.stream, o.lo)
+		}
+	}
+	e.locs.Locate(&e.idxs)
+}
+
 // insert applies an insert op: advance the stream's eviction watermark, then
 // store and index the tuple. In timed mode o.te carries the minimum live
 // event time and o.ts the tuple's timestamp.
 func (e *engine) insert(o *op) {
+	at := e.locs.Insert(o.stream)
 	e.stores[o.stream].evict(o.te, e.evicts[o.stream])
-	e.add(int(o.stream), o.key, o.seq, o.ts)
+	e.add(int(o.stream), o.key, o.seq, o.ts, at)
 }
 
-// add stores one tuple and indexes it under its sequence's low 32 bits.
+// add stores one tuple and indexes it under its sequence's low 32 bits, at
+// its located descent when it still holds.
 // Sequences must arrive in increasing order per slot (the store assumes it; in
 // timed mode admission order is timestamp order, so it is also the timestamp
 // order the timed store assumes).
@@ -134,12 +156,12 @@ func (e *engine) insert(o *op) {
 // the slot is reindexed from the store before the tuple goes in. A merge could
 // not do this job: it filters with the same 32-bit compare, and a shard that
 // was cold for the whole gap meets the jump in one step.
-func (e *engine) add(slot int, key uint32, seq, ts uint64) {
+func (e *engine) add(slot int, key uint32, seq, ts uint64, at join.Located) {
 	if st := e.stores[slot]; st.head > 0 && seq-st.first >= maxSpan {
 		e.reindex(slot)
 	}
 	e.stores[slot].append(key, seq, ts)
-	e.idxs[slot].Insert(kv.Pair{Key: key, Ref: uint32(seq)})
+	at.Insert(e.idxs[slot], kv.Pair{Key: key, Ref: uint32(seq)})
 }
 
 // probe applies a probe op against the probed stream's store and returns the
@@ -154,6 +176,7 @@ func (e *engine) add(slot int, key uint32, seq, ts uint64) {
 // sequence is tl-1-age. Each tuple has one entry and no two share a ref, so
 // there is nothing to deduplicate.
 func (e *engine) probe(o *op, dst []uint64) []uint64 {
+	at := e.locs.Probe(o.stream)
 	st := e.stores[o.stream]
 	st.evict(o.te, e.evicts[o.stream])
 	span := st.span(o.tl)
@@ -161,7 +184,7 @@ func (e *engine) probe(o *op, dst []uint64) []uint64 {
 		return dst[:0]
 	}
 	e.plast, e.pspan, e.pdst = o.tl-1, span, dst[:0]
-	e.idxs[o.stream].QueryPairs(o.lo, o.hi, e.pemit)
+	at.QueryPairs(e.idxs[o.stream], o.lo, o.hi, e.pemit)
 	dst, e.pdst = e.pdst, nil
 	return dst
 }
@@ -271,4 +294,4 @@ func (e *engine) rebuildSlot(slot int, wm uint64, tuples []migrant) {
 
 // adopt stores and indexes one migrated tuple. Migrants must be adopted in
 // sequence order per slot (see add).
-func (e *engine) adopt(slot int, m migrant) { e.add(slot, m.key, m.seq, m.ts) }
+func (e *engine) adopt(slot int, m migrant) { e.add(slot, m.key, m.seq, m.ts, join.Located{}) }

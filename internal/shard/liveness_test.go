@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pimtree/internal/cstree"
 	"pimtree/internal/join"
 	"pimtree/internal/stream"
 )
@@ -309,5 +310,60 @@ func TestShardLivenessHandoffWrapped(t *testing.T) {
 		applyAll(mem, ops[cut:], m.rng)
 		mem.Close()
 		sink.compare(t, expected)
+	}
+}
+
+// TestShardLocatedAcrossReindex applies chunks the way a worker does —
+// locate the chunk, then apply its ops — to an engine whose TS holds several
+// subindexes, and lets one insert in the middle of a chunk jump the stream
+// 2^32 on: add reindexes the slot into a brand-new index, and every position
+// the chunk located in the old index must be turned away by the new one.
+func TestShardLocatedAcrossReindex(t *testing.T) {
+	const base = 1000
+	for _, kind := range allIndexKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			m := newLivenessModel(38, true, false, [2]uint64{base, 0})
+			cfg := m.config(kind)
+			// Narrow nodes give a window-sized TS several subindexes.
+			cfg.PIM.CSTree, cfg.PIM.InsertionDepth = cstree.Config{Fanout: 2, LeafSize: 2}, 2
+			e := newEngine(cfg)
+			var dst []uint64
+			apply := func(chunk []op) {
+				e.locate(chunk)
+				for j := range chunk {
+					if o := &chunk[j]; o.kind == opProbe {
+						dst = m.checkProbe(t, e, *o, dst)
+					} else {
+						e.insert(o)
+						m.store(*o)
+					}
+				}
+				e.locs.Reset()
+			}
+			arrive := func(chunk []op, n int) []op {
+				for i := 0; i < n; i++ {
+					p, ins := m.arrive()
+					chunk = append(chunk, p, ins)
+				}
+				return chunk
+			}
+			for i := 0; i < 20; i++ {
+				apply(arrive(nil, join.LocateChunk/2))
+				e.maintain()
+			}
+			if merges, _ := e.merges(); merges == 0 && !e.idxs[0].Eager() {
+				t.Fatal("no delta merge ran: TS is empty and locating it proves nothing")
+			}
+			chunk := arrive(nil, join.LocateChunk/4)
+			m.heads[0] += 1<<32 - 3
+			apply(arrive(chunk, join.LocateChunk/4))
+			if e.stores[0].first == base {
+				t.Fatal("the jump did not reindex the slot")
+			}
+			for i := 0; i < 4; i++ {
+				apply(arrive(nil, join.LocateChunk/2))
+				e.maintain()
+			}
+		})
 	}
 }

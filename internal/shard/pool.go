@@ -3,6 +3,7 @@ package shard
 import (
 	"sync"
 
+	"pimtree/internal/join"
 	"pimtree/internal/metrics"
 	"pimtree/internal/wal"
 )
@@ -199,18 +200,23 @@ func (p *pool) worker(s int) {
 			continue
 		}
 		for ; batch != nil; batch = p.takeSpill(s) {
-			for j := range batch {
-				o := &batch[j]
-				if o.kind == opInsert {
-					if lane != nil {
-						lane.AppendInsert(o.stream, o.key, o.seq, o.ts)
+			for c := 0; c < len(batch); c += join.LocateChunk {
+				chunk := batch[c:min(c+join.LocateChunk, len(batch))]
+				e.locate(chunk)
+				for j := range chunk {
+					o := &chunk[j]
+					if o.kind == opInsert {
+						if lane != nil {
+							lane.AppendInsert(o.stream, o.key, o.seq, o.ts)
+						}
+						e.insert(o)
+						continue
 					}
-					e.insert(o)
-					continue
+					slot := o.idx % fan.capN
+					fan.SetBucket(slot, o.bucket, e.probe(o, fan.Bucket(slot, o.bucket)))
+					fan.Done(slot)
 				}
-				slot := o.idx % fan.capN
-				fan.SetBucket(slot, o.bucket, e.probe(o, fan.Bucket(slot, o.bucket)))
-				fan.Done(slot)
+				e.locs.Reset()
 			}
 			e.maintain()
 			e.updateResident()
