@@ -20,6 +20,7 @@ import (
 	"pimtree/internal/join"
 	"pimtree/internal/kv"
 	"pimtree/internal/metrics"
+	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
@@ -60,7 +61,7 @@ func BenchmarkFig08a_NLWJRoundRobin(b *testing.B) {
 	w := 1 << 10
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.RunRR(arr[:b.N], join.RRConfig{Cores: 2, WR: w, WS: w, Band: band(w)}))
+	report(b, paper.RunRR(arr[:b.N], paper.RRConfig{Cores: 2, WR: w, WS: w, Band: band(w)}))
 }
 
 func BenchmarkFig08a_IBWJSingleBTree(b *testing.B) {
@@ -74,7 +75,7 @@ func BenchmarkFig08a_IBWJSingleBTree(b *testing.B) {
 func BenchmarkFig08a_IBWJRoundRobin(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.RunRR(arr[:b.N], join.RRConfig{
+	report(b, paper.RunRR(arr[:b.N], paper.RRConfig{
 		Cores: 2, WR: benchWindow, WS: benchWindow, Band: band(benchWindow), Indexed: true,
 	}))
 }
@@ -82,7 +83,7 @@ func BenchmarkFig08a_IBWJRoundRobin(b *testing.B) {
 func BenchmarkFig08a_IBWJSharedBwTree(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 		Band: band(benchWindow), Index: join.IndexBwTree,
 	}))
@@ -131,7 +132,7 @@ func BenchmarkFig08d_PIMParallelDI(b *testing.B) {
 		b.Run(diName(di), func(b *testing.B) {
 			arr := benchArrivals(tuples(b))
 			b.ResetTimer()
-			report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+			report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 				Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 				Band:  band(benchWindow),
 				Index: join.IndexPIMTree,
@@ -148,7 +149,7 @@ func BenchmarkFig09a_ParallelMergeRatio(b *testing.B) {
 		b.Run(ratioName(m), func(b *testing.B) {
 			arr := benchArrivals(tuples(b))
 			b.ResetTimer()
-			report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+			report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 				Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 				Band:  band(benchWindow),
 				Index: join.IndexPIMTree,
@@ -247,7 +248,7 @@ func BenchmarkFig10c_TaskSize(b *testing.B) {
 		b.Run(taskName(task), func(b *testing.B) {
 			arr := benchArrivals(tuples(b))
 			b.ResetTimer()
-			report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+			report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 				Threads: 2, TaskSize: task, WR: benchWindow, WS: benchWindow,
 				Band: band(benchWindow), Index: join.IndexPIMTree,
 				PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
@@ -267,7 +268,7 @@ func BenchmarkFig10d_Latency(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	rec := metrics.NewLatencyRecorder(1<<15, 8)
 	b.ResetTimer()
-	st := join.RunShared(arr[:b.N], join.SharedConfig{
+	st := paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 		Band: band(benchWindow), Index: join.IndexPIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2}, Latency: rec,
@@ -298,7 +299,7 @@ func BenchmarkFig11a_MemoryFootprint(b *testing.B) {
 func BenchmarkFig11b_AsymmetricRates(b *testing.B) {
 	arr := stream.NewInterleaver(1, stream.NewUniform(2), stream.NewUniform(3), 0.2).Take(tuples(b))
 	b.ResetTimer()
-	report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 		Band: band(benchWindow), Index: join.IndexPIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
@@ -308,7 +309,7 @@ func BenchmarkFig11b_AsymmetricRates(b *testing.B) {
 func BenchmarkFig11c_AsymmetricWindows(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow / 4, WS: benchWindow * 2,
 		Band: band(benchWindow), Index: join.IndexPIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
@@ -320,7 +321,7 @@ func BenchmarkFig11d_MemoryBandwidth(b *testing.B) {
 	metrics.Tracing = true
 	metrics.ResetTraffic()
 	b.ResetTimer()
-	st := join.RunShared(arr[:b.N], join.SharedConfig{
+	st := paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 		Band: band(benchWindow), Index: join.IndexPIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
@@ -339,7 +340,7 @@ func BenchmarkFig12a_Scalability(b *testing.B) {
 		b.Run(threadName(threads), func(b *testing.B) {
 			arr := benchArrivals(tuples(b))
 			b.ResetTimer()
-			report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+			report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 				Band: band(benchWindow), Index: join.IndexPIMTree,
 				PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
@@ -355,7 +356,7 @@ func BenchmarkFig12b_SkewedDistributions(b *testing.B) {
 	diff := stream.CalibrateDiff(mk, benchWindow, 2)
 	arr := stream.NewInterleaver(1, mk(2), mk(3), 0.5).Take(tuples(b))
 	b.ResetTimer()
-	report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 		Band: join.Band{Diff: diff}, Index: join.IndexPIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
@@ -365,7 +366,7 @@ func BenchmarkFig12b_SkewedDistributions(b *testing.B) {
 func BenchmarkFig12c_SelfJoin(b *testing.B) {
 	arr := benchSelf(tuples(b))
 	b.ResetTimer()
-	report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, Self: true,
 		Band: band(benchWindow), Index: join.IndexPIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
@@ -393,7 +394,7 @@ func BenchmarkFig13b_DriftThroughput(b *testing.B) {
 		return stream.NewGaussian(s, 0.5, 0.125)
 	}, benchWindow, 2)
 	b.ResetTimer()
-	report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, Self: true,
 		Band: join.Band{Diff: diff}, Index: join.IndexPIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
@@ -409,7 +410,7 @@ func BenchmarkFig13c_BlockingVsNonblockingMerge(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			arr := benchArrivals(tuples(b))
 			b.ResetTimer()
-			report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+			report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 				Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 				Band: band(benchWindow), Index: join.IndexPIMTree,
 				PIM:           core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
@@ -585,17 +586,18 @@ func BenchmarkAblationCSSFanout(b *testing.B) {
 func BenchmarkAblationSingleLock(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 		Band: band(benchWindow), Index: join.IndexPIMTree,
-		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2, SingleLock: true},
+		PIM:        core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
+		SingleLock: true,
 	}))
 }
 
 func BenchmarkAblationEdgeScan(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.RunShared(arr[:b.N], join.SharedConfig{
+	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 64, WR: benchWindow, WS: benchWindow,
 		Band: band(benchWindow), Index: join.IndexPIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},

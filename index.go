@@ -33,7 +33,7 @@ type IndexOptions struct {
 // with external synchronization (no concurrent Insert), which is what the
 // join drivers' merge barriers provide.
 type Index struct {
-	pt *core.PIMTree
+	pt *core.SharedPIMTree
 }
 
 // NewIndex creates an index sized for a window of windowLen tuples.
@@ -53,7 +53,7 @@ func NewIndex(windowLen int, opt IndexOptions) (*Index, error) {
 		MergeRatio:     opt.MergeRatio,
 		InsertionDepth: opt.InsertionDepth,
 	}
-	return &Index{pt: core.NewPIMTree(windowLen, cfg)}, nil
+	return &Index{pt: core.NewSharedPIMTree(windowLen, cfg, false)}, nil
 }
 
 // Insert adds an entry. Safe for concurrent use.

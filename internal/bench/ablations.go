@@ -6,6 +6,7 @@ import (
 	"pimtree/internal/cstree"
 	"pimtree/internal/join"
 	"pimtree/internal/metrics"
+	"pimtree/internal/paper"
 )
 
 func init() {
@@ -65,15 +66,13 @@ func runAblSingleLock(cfg Config, out io.Writer) {
 	band := bandFor(w, 2)
 	arr := twoWay(n, cfg.seed())
 	for threads := 1; threads <= 2*cfg.threads(); threads++ {
-		fine := join.RunShared(arr, join.SharedConfig{
+		fine := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
 			Index: join.IndexPIMTree, PIM: pimParallel(),
 		}).Mtps()
-		coarse := pimParallel()
-		coarse.SingleLock = true
-		single := join.RunShared(arr, join.SharedConfig{
+		single := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-			Index: join.IndexPIMTree, PIM: coarse,
+			Index: join.IndexPIMTree, PIM: pimParallel(), SingleLock: true,
 		}).Mtps()
 		row(out, threads, fine, single)
 	}
@@ -96,7 +95,7 @@ func runAblEdgeScan(cfg Config, out io.Writer) {
 	arr := twoWay(n, cfg.seed())
 	for _, task := range []int{1, 2, 4, 8, 16, 32, 64} {
 		rec := metrics.NewLatencyRecorder(1<<16, 4)
-		st := join.RunShared(arr, join.SharedConfig{
+		st := paper.RunShared(arr, paper.SharedConfig{
 			Threads: cfg.threads(), TaskSize: task, WR: w, WS: w, Band: band,
 			Index: join.IndexPIMTree, PIM: pimParallel(), Latency: rec,
 		})

@@ -6,6 +6,7 @@ import (
 
 	"pimtree/internal/join"
 	"pimtree/internal/metrics"
+	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
@@ -83,7 +84,7 @@ func runFig10b(cfg Config, out io.Writer) {
 		bt := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
 		im := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexIMTree, IM: imSerial()}).Mtps()
 		pim := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pimSerial()}).Mtps()
-		pimMT := join.RunShared(arr, join.SharedConfig{
+		pimMT := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
 			Index: join.IndexPIMTree, PIM: pimParallel(),
 		}).Mtps()
@@ -118,7 +119,7 @@ func runFig10c(cfg Config, out io.Writer) {
 			n := cfg.tuplesFor(w)
 			band := bandFor(w, 2)
 			arr := twoWay(n, cfg.seed())
-			st := join.RunShared(arr, join.SharedConfig{
+			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: task, WR: w, WS: w, Band: band,
 				Index: join.IndexPIMTree, PIM: pimParallel(),
 			})
@@ -144,7 +145,7 @@ func runFig10d(cfg Config, out io.Writer) {
 			band := bandFor(w, 2)
 			arr := twoWay(n, cfg.seed())
 			rec := metrics.NewLatencyRecorder(1<<16, 4)
-			st := join.RunShared(arr, join.SharedConfig{
+			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: task, WR: w, WS: w, Band: band,
 				Index: join.IndexPIMTree, PIM: pimParallel(), Latency: rec,
 			})

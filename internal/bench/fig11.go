@@ -8,6 +8,7 @@ import (
 	"pimtree/internal/join"
 	"pimtree/internal/kv"
 	"pimtree/internal/metrics"
+	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
@@ -91,7 +92,7 @@ func runFig11b(cfg Config, out io.Writer) {
 			band := bandFor(w, 2)
 			arr := interleaveSeeded(cfg.seed(), func(s int64) stream.KeyGen { return stream.NewUniform(s) },
 				float64(pct)/100, n)
-			st := join.RunShared(arr, join.SharedConfig{
+			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
 				Index: join.IndexPIMTree, PIM: pimParallel(),
 			})
@@ -128,7 +129,7 @@ func runFig11c(cfg Config, out io.Writer) {
 			n := cfg.tuplesFor(wmax)
 			band := bandFor(wmax, 2)
 			arr := twoWay(n, cfg.seed())
-			st := join.RunShared(arr, join.SharedConfig{
+			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: wr, WS: ws, Band: band,
 				Index: join.IndexPIMTree, PIM: pimParallel(),
 			})
@@ -154,7 +155,7 @@ func runFig11d(cfg Config, out io.Writer) {
 	for threads := 1; threads <= maxThreads; threads++ {
 		metrics.Tracing = true
 		metrics.ResetTraffic()
-		st := join.RunShared(arr, join.SharedConfig{
+		st := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
 			Index: join.IndexPIMTree, PIM: pimParallel(),
 		})

@@ -5,6 +5,7 @@ import (
 
 	"pimtree/internal/core"
 	"pimtree/internal/join"
+	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
@@ -40,10 +41,9 @@ func runFig12a(cfg Config, out io.Writer) {
 	arrTwo := twoWay(n, cfg.seed())
 	arrSelf := selfStream(n, cfg.seed())
 
-	// The no-CC baseline: single-threaded serial driver with all PIM-Tree
-	// locking disabled (Figure 12a's reference lines).
+	// The no-CC baseline: the single-threaded serial driver, whose PIM-Tree
+	// takes no locks (Figure 12a's reference lines).
 	noCC := pimParallel()
-	noCC.NoLocks = true
 	twoNoCC := join.IBWJSerial(arrTwo, join.SerialConfig{
 		WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: noCC,
 	}).Mtps()
@@ -53,11 +53,11 @@ func runFig12a(cfg Config, out io.Writer) {
 
 	maxThreads := 2 * cfg.threads()
 	for threads := 1; threads <= maxThreads; threads++ {
-		two := join.RunShared(arrTwo, join.SharedConfig{
+		two := paper.RunShared(arrTwo, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
 			Index: join.IndexPIMTree, PIM: pimParallel(),
 		}).Mtps()
-		self := join.RunShared(arrSelf, join.SharedConfig{
+		self := paper.RunShared(arrSelf, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, Self: true, Band: band,
 			Index: join.IndexPIMTree, PIM: pimParallel(),
 		}).Mtps()
@@ -84,7 +84,7 @@ func runFig12b(cfg Config, out io.Writer) {
 		for _, d := range dists {
 			diff := stream.CalibrateDiff(d.mk, w, 2)
 			arr := interleaveSeeded(cfg.seed(), d.mk, 0.5, n)
-			st := join.RunShared(arr, join.SharedConfig{
+			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: join.Band{Diff: diff},
 				Index: join.IndexPIMTree, PIM: pimParallel(),
 			})
@@ -109,24 +109,18 @@ func runFig12c(cfg Config, out io.Writer) {
 			WR: w, Self: true, Band: band, Index: join.IndexPIMTree, PIM: pimSerial(),
 		}).Mtps()
 		bwMT := -1.0
-		if canRunSharedBw(w, threads) {
-			bwMT = join.RunShared(arr, join.SharedConfig{
+		if _, ok := paper.BwWindowsFit(threads, 8, w, w); ok {
+			bwMT = paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, Self: true, Band: band,
 				Index: join.IndexBwTree,
 			}).Mtps()
 		}
-		pimMT := join.RunShared(arr, join.SharedConfig{
+		pimMT := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, Self: true, Band: band,
 			Index: join.IndexPIMTree, PIM: pimParallel(),
 		}).Mtps()
 		row(out, wLabel(w), bt, pim1, bwMT, pimMT)
 	}
-}
-
-// canRunSharedBw mirrors the shared driver's eager-delete window guard.
-func canRunSharedBw(w, threads int) bool {
-	inflight := threads*8 + 64
-	return w > 2*inflight
 }
 
 // pimParallelConfig re-export for experiments needing tweaks.

@@ -7,6 +7,7 @@ import (
 	"pimtree/internal/core"
 	"pimtree/internal/join"
 	"pimtree/internal/kv"
+	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
@@ -46,7 +47,7 @@ func runFig13a(cfg Config, out io.Writer) {
 	p1, p2 := w, 3*w
 	for _, r := range driftRates() {
 		pc := core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 4}
-		pt := core.NewPIMTree(w, pc)
+		pt := core.NewSharedPIMTree(w, pc, false)
 		gen := stream.NewShiftingGaussian(cfg.seed(), r, p1, p2)
 		win := newRefWindow(w)
 
@@ -148,7 +149,7 @@ func (r *refWindow) live(p kv.Pair) bool {
 	return s < r.seq && r.seq-s <= uint64(r.w)
 }
 
-func maintain(pt *core.PIMTree, win *refWindow) {
+func maintain(pt *core.SharedPIMTree, win *refWindow) {
 	if pt.NeedsMerge() {
 		pt.MergeInPlace(win.live)
 	}
@@ -176,7 +177,7 @@ func runFig13b(cfg Config, out io.Writer) {
 		diff := stream.CalibrateDiff(func(s int64) stream.KeyGen {
 			return stream.NewGaussian(s, 0.5, 0.125)
 		}, w, 2)
-		st := join.RunShared(arr, join.SharedConfig{
+		st := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, Self: true,
 			Band: join.Band{Diff: diff}, Index: join.IndexPIMTree,
 			PIM: pimParallelWithDI(3), ChunkTuples: chunk,
@@ -200,16 +201,16 @@ func runFig13c(cfg Config, out io.Writer) {
 		bt := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
 		pim1 := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pimSerial()}).Mtps()
 		bwMT := -1.0
-		if canRunSharedBw(w, threads) {
-			bwMT = join.RunShared(arr, join.SharedConfig{
+		if _, ok := paper.BwWindowsFit(threads, 8, w, w); ok {
+			bwMT = paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band, Index: join.IndexBwTree,
 			}).Mtps()
 		}
-		pimMT := join.RunShared(arr, join.SharedConfig{
+		pimMT := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
 			Index: join.IndexPIMTree, PIM: pimParallel(),
 		}).Mtps()
-		pimBlk := join.RunShared(arr, join.SharedConfig{
+		pimBlk := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
 			Index: join.IndexPIMTree, PIM: pimParallel(), BlockingMerge: true,
 		}).Mtps()

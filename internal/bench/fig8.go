@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"pimtree/internal/join"
+	"pimtree/internal/paper"
 )
 
 func init() {
@@ -50,11 +51,11 @@ func runFig8a(cfg Config, out io.Writer) {
 		nlwj1, nlwjRR := -1.0, -1.0
 		if w <= nlwjCap {
 			nlwj1 = join.NLWJ(arr[:nlwjN], join.SerialConfig{WR: w, WS: w, Band: band}).Mtps()
-			nlwjRR = join.RunRR(arr[:nlwjN], join.RRConfig{Cores: threads, WR: w, WS: w, Band: band}).Mtps()
+			nlwjRR = paper.RunRR(arr[:nlwjN], paper.RRConfig{Cores: threads, WR: w, WS: w, Band: band}).Mtps()
 		}
 		ibwj1 := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
-		ibwjRR := join.RunRR(arr, join.RRConfig{Cores: threads, WR: w, WS: w, Band: band, Indexed: true}).Mtps()
-		bwMT := join.RunShared(arr, join.SharedConfig{
+		ibwjRR := paper.RunRR(arr, paper.RRConfig{Cores: threads, WR: w, WS: w, Band: band, Indexed: true}).Mtps()
+		bwMT := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band, Index: join.IndexBwTree,
 		}).Mtps()
 		row(out, wLabel(w), nlwj1, nlwjRR, ibwj1, ibwjRR, bwMT)
@@ -117,7 +118,7 @@ func runFig8d(cfg Config, out io.Writer) {
 		for di := 1; di <= 4; di++ {
 			pc := pimParallel()
 			pc.InsertionDepth = di
-			st := join.RunShared(arr, join.SharedConfig{
+			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
 				Index: join.IndexPIMTree, PIM: pc,
 			})

@@ -5,6 +5,7 @@ import (
 
 	"pimtree/internal/join"
 	"pimtree/internal/metrics"
+	"pimtree/internal/paper"
 )
 
 func init() {
@@ -80,7 +81,7 @@ func runFig9a(cfg Config, out io.Writer) {
 			arr := twoWay(n, cfg.seed())
 			pc := pimParallel()
 			pc.MergeRatio = m
-			st := join.RunShared(arr, join.SharedConfig{
+			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
 				Index: join.IndexPIMTree, PIM: pc,
 			})

@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"pimtree/internal/join"
+	"pimtree/internal/paper"
 	"pimtree/internal/shard"
 	"pimtree/internal/stream"
 )
@@ -48,7 +49,7 @@ func runAblSharded(cfg Config, out io.Writer) {
 			Shards: k, WR: w, WS: w, Band: band,
 			Index: join.IndexPIMTree, PIM: pimSerial(),
 		}).Mtps()
-		shared := join.RunShared(arr, join.SharedConfig{
+		shared := paper.RunShared(arr, paper.SharedConfig{
 			Threads: k, TaskSize: 8, WR: w, WS: w, Band: band,
 			Index: join.IndexPIMTree, PIM: pimParallel(),
 		}).Mtps()

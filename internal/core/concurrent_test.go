@@ -16,7 +16,7 @@ import (
 // barrier guarantees.
 func TestBuildMergedWithConcurrentSearches(t *testing.T) {
 	w := 1 << 13
-	pt := NewPIMTree(w, PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2})
+	pt := NewSharedPIMTree(w, PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2}, false)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < w; i++ {
 		pt.Insert(pair(rng.Uint32()%1000000, uint32(i)))
@@ -45,21 +45,25 @@ func TestBuildMergedWithConcurrentSearches(t *testing.T) {
 			}
 		}(g)
 	}
-	var merged *PIMTree
+	var merged *SharedPIMTree
 	for i := 0; i < 5; i++ {
 		merged, _ = pt.BuildMerged(alwaysLive)
 	}
 	stop.Store(true)
 	wg.Wait()
-	if merged.TSLen() != 2*w {
-		t.Fatalf("merged TS = %d, want %d", merged.TSLen(), 2*w)
+	if merged.t.TSLen() != 2*w {
+		t.Fatalf("merged TS = %d, want %d", merged.t.TSLen(), 2*w)
 	}
-	if err := merged.CheckInvariants(); err != nil {
+	if err := merged.settled().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	// The merged tree must lock and count per subindex of its own TS.
+	if n := merged.Subindexes(); len(merged.locks) != n || len(merged.InsertCounts()) != n {
+		t.Fatalf("merged tree has %d locks and %d counts for %d subindexes", len(merged.locks), len(merged.InsertCounts()), n)
+	}
 	// The source tree must be untouched.
-	if pt.TILen() != w || pt.TSLen() != w {
-		t.Fatalf("source mutated: TI=%d TS=%d", pt.TILen(), pt.TSLen())
+	if src := pt.settled(); src.TILen() != w || src.TSLen() != w {
+		t.Fatalf("source mutated: TI=%d TS=%d", src.TILen(), src.TSLen())
 	}
 }
 
@@ -68,10 +72,10 @@ func TestBuildMergedWithConcurrentSearches(t *testing.T) {
 // the lock-handoff path (Algorithm 2 lines 27–33).
 func TestConcurrentQueryDuringHandoffChains(t *testing.T) {
 	w := 1 << 12
-	pt := NewPIMTree(w, PIMTreeConfig{
+	pt := NewSharedPIMTree(w, PIMTreeConfig{
 		MergeRatio:     1,
 		InsertionDepth: 3,
-	})
+	}, false)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < w; i++ {
 		pt.Insert(pair(rng.Uint32(), uint32(i)))
@@ -101,19 +105,19 @@ func TestConcurrentQueryDuringHandoffChains(t *testing.T) {
 				lo := rng.Uint32() % (1 << 28)
 				prev := kv.Pair{}
 				first := true
-				pt.QueryTI(lo, ^uint32(0), func(p kv.Pair) bool {
+				lockedScan(pt, pt.t.route(lo), lo, ^uint32(0), func(p kv.Pair) bool {
 					if !first && p.Less(prev) {
 						t.Errorf("TI scan went backwards: %v after %v", p, prev)
 						return false
 					}
 					prev, first = p, false
 					return true
-				})
+				}, (*PIMTree).scanSub)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if err := pt.CheckInvariants(); err != nil {
+	if err := pt.settled().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

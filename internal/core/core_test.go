@@ -217,10 +217,9 @@ func TestPIMTreePartitionsAfterMerge(t *testing.T) {
 	if err := pt.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	counts := pt.InsertCounts()
 	nonZero := 0
-	for _, c := range counts {
-		if c > 0 {
+	for _, sub := range pt.subs {
+		if sub.Len() > 0 {
 			nonZero++
 		}
 	}
@@ -275,14 +274,14 @@ func TestPIMTreeQueryMatchesReferenceAcrossMerges(t *testing.T) {
 
 // Query and QueryPairs take lo's subindex from the TS descent instead of
 // routing lo again; after random inserts and merges they must still emit
-// exactly what the TS-only and TI-only entry points emit together.
+// exactly what a TS scan and a routed TI scan emit together.
 func TestPIMTreeFusedQueryEqualsTSPlusTI(t *testing.T) {
 	const keySpace = 1 << 14
 	for _, cfg := range []PIMTreeConfig{
 		{MergeRatio: 0.25, InsertionDepth: 1, CSTree: cstree.Config{Fanout: 4, LeafSize: 4}},
-		{MergeRatio: 0.5, InsertionDepth: 2, CSTree: cstree.Config{Fanout: 3, LeafSize: 5}, NoLocks: true},
-		{MergeRatio: 1, InsertionDepth: 3, CSTree: cstree.Config{Fanout: 2, LeafSize: 2}, NoLocks: true},
-		{NoLocks: true}, // default geometry: TS fits one leaf run for a while
+		{MergeRatio: 0.5, InsertionDepth: 2, CSTree: cstree.Config{Fanout: 3, LeafSize: 5}},
+		{MergeRatio: 1, InsertionDepth: 3, CSTree: cstree.Config{Fanout: 2, LeafSize: 2}},
+		{}, // default geometry: TS fits one leaf run for a while
 	} {
 		rng := rand.New(rand.NewSource(int64(cfg.InsertionDepth) + 40))
 		pt := NewPIMTree(512, cfg)
@@ -309,8 +308,8 @@ func TestPIMTreeFusedQueryEqualsTSPlusTI(t *testing.T) {
 			collect := func(dst *[]kv.Pair) func(kv.Pair) bool {
 				return func(p kv.Pair) bool { *dst = append(*dst, p); return true }
 			}
-			pt.QueryTS(lo, hi, collect(&want))
-			pt.QueryTI(lo, hi, collect(&want))
+			pt.ts.Query(lo, hi, collect(&want))
+			pt.queryTI(pt.route(lo), lo, hi, collect(&want))
 			pt.Query(lo, hi, collect(&got))
 			pt.QueryPairs(lo, hi, func(run []kv.Pair) bool {
 				gotPairs = append(gotPairs, run...)
@@ -340,8 +339,8 @@ func TestPIMTreeLocatedMatchesPlain(t *testing.T) {
 	const keySpace = 1 << 14
 	for _, cfg := range []PIMTreeConfig{
 		{MergeRatio: 0.25, InsertionDepth: 1, CSTree: cstree.Config{Fanout: 4, LeafSize: 4}},
-		{MergeRatio: 1, InsertionDepth: 3, CSTree: cstree.Config{Fanout: 2, LeafSize: 2}, NoLocks: true},
-		{NoLocks: true},
+		{MergeRatio: 1, InsertionDepth: 3, CSTree: cstree.Config{Fanout: 2, LeafSize: 2}},
+		{},
 	} {
 		rng := rand.New(rand.NewSource(38))
 		pt := NewPIMTree(512, cfg)
@@ -406,13 +405,13 @@ func TestPIMTreeLocatedMatchesPlain(t *testing.T) {
 // A token names one TS, not a tree's count of merges: a tree built in
 // another's place, even from the same content, does not accept it.
 func TestPIMTreeTokenIsTSIdentity(t *testing.T) {
-	a := NewPIMTree(64, PIMTreeConfig{NoLocks: true})
+	a := NewPIMTree(64, PIMTreeConfig{})
 	keys, pos, ords := []uint32{7}, make([]int, 1), make([]int, 1)
 	tok := a.Locate(keys, pos, ords)
 	if !a.Current(tok) {
 		t.Fatal("a fresh token is not current on its own tree")
 	}
-	if NewPIMTree(64, PIMTreeConfig{NoLocks: true}).Current(tok) {
+	if NewPIMTree(64, PIMTreeConfig{}).Current(tok) {
 		t.Fatal("a new empty tree accepts another tree's token")
 	}
 	b, _ := a.BuildMerged(alwaysLive)
@@ -500,7 +499,7 @@ func TestPIMTreeDeepDIMoreSubindexes(t *testing.T) {
 
 func TestPIMTreeConcurrentInsertQuery(t *testing.T) {
 	w := 1 << 13
-	pt := NewPIMTree(w, PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2})
+	pt := NewSharedPIMTree(w, PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2}, false)
 	// Prime and merge so multiple partitions exist.
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < w; i++ {
@@ -538,16 +537,16 @@ func TestPIMTreeConcurrentInsertQuery(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := pt.TILen(); got != writers*3000 {
+	if got := pt.settled().TILen(); got != writers*3000 {
 		t.Fatalf("TILen = %d, want %d", got, writers*3000)
 	}
-	if err := pt.CheckInvariants(); err != nil {
+	if err := pt.settled().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPIMTreeSingleLockAblation(t *testing.T) {
-	pt := NewPIMTree(1024, PIMTreeConfig{MergeRatio: 1, SingleLock: true})
+	pt := NewSharedPIMTree(1024, PIMTreeConfig{MergeRatio: 1}, true)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -560,8 +559,8 @@ func TestPIMTreeSingleLockAblation(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if pt.TILen() != 4000 {
-		t.Fatalf("TILen = %d, want 4000", pt.TILen())
+	if pt.Len() != 4000 {
+		t.Fatalf("Len = %d, want 4000", pt.Len())
 	}
 	n := 0
 	pt.Query(0, 20000, func(kv.Pair) bool { n++; return true })
@@ -586,7 +585,7 @@ func TestPIMTreeQueryEarlyStop(t *testing.T) {
 }
 
 func TestPIMTreeInsertCountsReset(t *testing.T) {
-	pt := NewPIMTree(128, PIMTreeConfig{MergeRatio: 1})
+	pt := NewSharedPIMTree(128, PIMTreeConfig{MergeRatio: 1}, false)
 	for i := uint32(0); i < 50; i++ {
 		pt.Insert(pair(i, i))
 	}

@@ -155,17 +155,6 @@ func (t *IMTree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped b
 	return t.ti.QueryPairs(lo, hi, emit)
 }
 
-// QueryTS searches only the immutable component (used by instrumented
-// step-cost experiments).
-func (t *IMTree) QueryTS(lo, hi uint32, emit func(kv.Pair) bool) {
-	t.ts.Query(lo, hi, emit)
-}
-
-// QueryTI searches only the mutable component.
-func (t *IMTree) QueryTI(lo, hi uint32, emit func(kv.Pair) bool) {
-	t.ti.Query(lo, hi, emit)
-}
-
 // Merges returns the number of merges performed and their cumulative time.
 func (t *IMTree) Merges() (int, time.Duration) { return t.merges, t.mergeTime }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pimtree/internal/btree"
@@ -29,47 +27,28 @@ type PIMTreeConfig struct {
 	BTreeOrder int
 	// CSTree configures the immutable component.
 	CSTree cstree.Config
-	// SingleLock, when true, guards all subindexes with one mutex instead
-	// of per-subindex mutexes. It exists only for the lock-granularity
-	// ablation bench; the paper's design is per-subindex locking.
-	SingleLock bool
-	// NoLocks disables all locking. Only valid for strictly single-threaded
-	// use; it is the "without concurrency control" baseline of Figure 12a.
-	NoLocks bool
 }
 
-// subindex is one Bi: an independent B+-Tree guarded by its own mutex
-// (Section 3.3.3). The pad keeps neighbouring locks off one cache line.
-type subindex struct {
-	mu sync.Mutex
-	bt *btree.Tree
-	_  [40]byte
-}
-
-// PIMTree is the Partitioned In-memory Merge-Tree of Section 3.3. TS
-// traversal is lock-free (immutable); each TI subindex is protected by its
-// own mutex; cross-subindex leaf scans hand locks over in ascending order
-// (Algorithm 2).
+// PIMTree is the Partitioned In-memory Merge-Tree of Section 3.3 for one
+// writer: the "without concurrency control" tree of Figure 12a, which every
+// shard and the serial join own outright. TI is one B+-Tree per TS node at
+// the insertion depth; a range scan walks them in key order. SharedPIMTree
+// adds the paper's locks for concurrent writers.
 type PIMTree struct {
-	w         int
 	threshold int
 	di        int
 	cfg       PIMTreeConfig
 	order     int
 
 	ts     *cstree.Tree
-	subs   []*subindex
-	bounds []uint32 // bounds[i]: largest key routed to subindex i
-	effDI  int      // clamped insertion depth used for routing
-
-	tiLen        atomic.Int64
-	insertCounts []atomic.Int64 // per-subindex inserts since last reset (Fig 13a)
+	subs   []*btree.Tree // subs[i] is the subindex Bi
+	bounds []uint32      // bounds[i]: largest key routed to subindex i
+	effDI  int           // clamped insertion depth used for routing
+	tiLen  int
 
 	merges        int
 	mergeTime     time.Duration
 	lastBufferCap int
-
-	globalMu sync.Mutex // used only when cfg.SingleLock is set
 }
 
 // NewPIMTree returns an empty PIM-Tree for a window of length w.
@@ -94,7 +73,6 @@ func NewPIMTree(w int, cfg PIMTreeConfig) *PIMTree {
 		order = btree.DefaultOrder
 	}
 	t := &PIMTree{
-		w:         w,
 		threshold: threshold,
 		di:        di,
 		cfg:       cfg,
@@ -120,17 +98,13 @@ func (t *PIMTree) install(ts *cstree.Tree) {
 	if n < 1 {
 		n = 1
 	}
-	t.subs = make([]*subindex, n)
+	t.subs = make([]*btree.Tree, n)
 	for i := range t.subs {
-		t.subs[i] = &subindex{bt: btree.NewOrder(t.order)}
+		t.subs[i] = btree.NewOrder(t.order)
 	}
 	t.bounds = ts.SubtreeBounds(t.effDI)
-	t.insertCounts = make([]atomic.Int64, n)
-	t.tiLen.Store(0)
+	t.tiLen = 0
 }
-
-// W returns the window length the tree was sized for.
-func (t *PIMTree) W() int { return t.w }
 
 // Subindexes returns the current number of TI partitions.
 func (t *PIMTree) Subindexes() int { return len(t.subs) }
@@ -139,10 +113,10 @@ func (t *PIMTree) Subindexes() int { return len(t.subs) }
 func (t *PIMTree) EffectiveDI() int { return t.effDI }
 
 // Len returns TI+TS element count (including expired-but-unmerged elements).
-func (t *PIMTree) Len() int { return int(t.tiLen.Load()) + t.ts.Len() }
+func (t *PIMTree) Len() int { return t.tiLen + t.ts.Len() }
 
 // TILen returns the mutable component size.
-func (t *PIMTree) TILen() int { return int(t.tiLen.Load()) }
+func (t *PIMTree) TILen() int { return t.tiLen }
 
 // TSLen returns the immutable component size.
 func (t *PIMTree) TSLen() int { return t.ts.Len() }
@@ -159,29 +133,7 @@ func (t *PIMTree) route(key uint32) int {
 	return t.ts.RouteToDepth(key, t.effDI)
 }
 
-// lock/unlock indirect through the ablation and no-CC switches.
-func (t *PIMTree) lock(i int) {
-	switch {
-	case t.cfg.NoLocks:
-	case t.cfg.SingleLock:
-		t.globalMu.Lock()
-	default:
-		t.subs[i].mu.Lock()
-	}
-}
-
-func (t *PIMTree) unlock(i int) {
-	switch {
-	case t.cfg.NoLocks:
-	case t.cfg.SingleLock:
-		t.globalMu.Unlock()
-	default:
-		t.subs[i].mu.Unlock()
-	}
-}
-
-// Insert adds p to its subindex under the subindex lock (Algorithm 1).
-// Safe for concurrent use.
+// Insert adds p to the subindex its key routes to (Algorithm 1).
 func (t *PIMTree) Insert(p kv.Pair) { t.InsertAt(p, t.route(p.Key)) }
 
 // TSToken names the TS a Locate ran against. It holds the TS itself, so it
@@ -206,20 +158,16 @@ func (t *PIMTree) Current(tok TSToken) bool { return tok.ts == t.ts }
 
 // InsertAt is Insert into subindex i, as Locate found it for p.Key.
 func (t *PIMTree) InsertAt(p kv.Pair, i int) {
-	t.lock(i)
-	t.subs[i].bt.Insert(p)
-	t.unlock(i)
-	t.tiLen.Add(1)
-	t.insertCounts[i].Add(1)
+	t.subs[i].Insert(p)
+	t.tiLen++
 }
 
 // NeedsMerge reports whether TI has reached the merge threshold.
-func (t *PIMTree) NeedsMerge() bool { return t.tiLen.Load() >= int64(t.threshold) }
+func (t *PIMTree) NeedsMerge() bool { return t.tiLen >= t.threshold }
 
-// Query emits every element with lo <= Key <= hi: the immutable component
-// lock-free, then the matching TI subindexes under handed-over locks
-// (Algorithm 2). Safe for concurrent use with Insert. Results may include
-// expired tuples; callers filter against the window.
+// Query emits every element with lo <= Key <= hi: the immutable component,
+// then the matching TI subindexes in key order. Results may include expired
+// tuples; callers filter against the window.
 //
 // TS's directory is descended once: the walk that finds lo's lower bound
 // also passes the depth-DI node whose ordinal is lo's subindex, so the TI
@@ -234,10 +182,8 @@ func (t *PIMTree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
 
 // QueryPairs is the columnar form of Query: contiguous in-range runs from
 // the immutable component's leaf array, then per-leaf runs from the TI
-// subindexes under the same lock-handoff protocol as queryTI. Slices alias
-// index-owned storage and are only valid during the emit call (for TI, only
-// while the emitting subindex's lock is held — emit must consume, not
-// retain). Returns true when emit asked to stop early.
+// subindexes. Slices alias index-owned storage and are only valid during the
+// emit call. Returns true when emit asked to stop early.
 func (t *PIMTree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
 	start, stopped := t.ts.QueryPairsVia(lo, hi, t.effDI, emit)
 	if stopped {
@@ -256,86 +202,59 @@ func (t *PIMTree) QueryPairsAt(lo, hi uint32, pos, ord int, emit func([]kv.Pair)
 }
 
 // queryTI scans TI subindexes for [lo, hi] beginning at subindex start (the
-// one lo routes to), moving from a subindex to its successor with lock
-// handoff when the scan crosses the partition boundary (Algorithm 2 lines
-// 16–39). The per-subindex scans are range-bounded B+-tree walks
-// (QueryFrom/Query), so an emit refusal and range exhaustion are
-// distinguished by the return value alone — no bounds-checking closure is
-// allocated. Returns true when emit asked to stop early.
+// one lo routes to) and moving on to each successor while the range extends
+// past the current partition (Algorithm 2 lines 16–39, without the locks).
+// Returns true when emit asked to stop early.
 func (t *PIMTree) queryTI(start int, lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	i := start
-	t.lock(i)
-	for {
-		if i == start {
-			stopped = t.subs[i].bt.QueryFrom(kv.Pair{Key: lo}, hi, emit)
-		} else {
-			// Successor subindexes are scanned from their first element.
-			stopped = t.subs[i].bt.Query(0, hi, emit)
-		}
-		// Stop when the caller asked to, the range cannot extend past this
-		// partition's bound, or this is the last partition; otherwise hand
-		// the lock to the successor (acquire-then-release, Algorithm 2 lines
-		// 28–30). Range exhaustion inside a subindex need not be signalled
-		// separately: an exhausted [lo, hi] implies hi <= bounds[i] ends the
-		// walk here anyway, and an exhausted subindex just hands over.
-		if stopped || i >= len(t.subs)-1 || hi <= t.bounds[i] {
-			t.unlock(i)
+	for i := start; ; i++ {
+		if stopped, more := t.scanSub(i, start, lo, hi, emit); !more {
 			return stopped
 		}
-		if t.cfg.SingleLock || t.cfg.NoLocks {
-			i++
-			continue
-		}
-		t.subs[i+1].mu.Lock()
-		t.subs[i].mu.Unlock()
-		i++
 	}
 }
 
-// queryTIPairs is the columnar queryTI: identical traversal and locking,
-// with per-leaf contiguous emission.
+// queryTIPairs is the columnar queryTI.
 func (t *PIMTree) queryTIPairs(start int, lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
-	i := start
-	t.lock(i)
-	for {
-		if i == start {
-			stopped = t.subs[i].bt.QueryFromPairs(kv.Pair{Key: lo}, hi, emit)
-		} else {
-			stopped = t.subs[i].bt.QueryPairs(0, hi, emit)
-		}
-		if stopped || i >= len(t.subs)-1 || hi <= t.bounds[i] {
-			t.unlock(i)
+	for i := start; ; i++ {
+		if stopped, more := t.scanSubPairs(i, start, lo, hi, emit); !more {
 			return stopped
 		}
-		if t.cfg.SingleLock || t.cfg.NoLocks {
-			i++
-			continue
-		}
-		t.subs[i+1].mu.Lock()
-		t.subs[i].mu.Unlock()
-		i++
 	}
 }
 
-// QueryTS searches only the immutable component.
-func (t *PIMTree) QueryTS(lo, hi uint32, emit func(kv.Pair) bool) {
-	t.ts.Query(lo, hi, emit)
+// scanSub emits subindex i's part of [lo, hi]: from lo in the scan's first
+// subindex, from the first element in a successor. The per-subindex scans
+// are range-bounded B+-tree walks, so an emit refusal and range exhaustion
+// are told apart by the return value alone and no bounds-checking closure
+// is allocated. more reports that the scan goes on into subindex i+1: emit
+// did not stop it, this is not the last partition, and hi lies past the
+// partition's bound (an exhausted range implies hi <= bounds[i]).
+func (t *PIMTree) scanSub(i, start int, lo, hi uint32, emit func(kv.Pair) bool) (stopped, more bool) {
+	if i == start {
+		stopped = t.subs[i].QueryFrom(kv.Pair{Key: lo}, hi, emit)
+	} else {
+		stopped = t.subs[i].Query(0, hi, emit)
+	}
+	return stopped, !stopped && i < len(t.subs)-1 && hi > t.bounds[i]
 }
 
-// QueryTI searches only the mutable component. With no TS scan to share a
-// descent with, it routes lo on its own.
-func (t *PIMTree) QueryTI(lo, hi uint32, emit func(kv.Pair) bool) {
-	t.queryTI(t.route(lo), lo, hi, emit)
+// scanSubPairs is the columnar scanSub, with per-leaf contiguous emission.
+func (t *PIMTree) scanSubPairs(i, start int, lo, hi uint32, emit func([]kv.Pair) bool) (stopped, more bool) {
+	if i == start {
+		stopped = t.subs[i].QueryFromPairs(kv.Pair{Key: lo}, hi, emit)
+	} else {
+		stopped = t.subs[i].QueryPairs(0, hi, emit)
+	}
+	return stopped, !stopped && i < len(t.subs)-1 && hi > t.bounds[i]
 }
 
 // snapshotTI concatenates all subindexes' sorted contents. Because subindex
 // ranges are disjoint and ordered, concatenation yields a sorted run without
-// a k-way merge. Callers must ensure no concurrent updates (the merge
-// protocols do).
+// a k-way merge.
 func (t *PIMTree) snapshotTI() []kv.Pair {
-	out := make([]kv.Pair, 0, t.tiLen.Load())
+	out := make([]kv.Pair, 0, t.tiLen)
 	for _, s := range t.subs {
-		s.bt.Scan(func(p kv.Pair) bool {
+		s.Scan(func(p kv.Pair) bool {
 			out = append(out, p)
 			return true
 		})
@@ -344,11 +263,10 @@ func (t *PIMTree) snapshotTI() []kv.Pair {
 }
 
 // MergeInPlace merges TI into TS, discarding non-live elements, and
-// reinitializes the subindexes (the single-threaded / blocking merge). It
-// must not run concurrently with Insert or Query. A caller that knows how
-// many elements live keeps passes that count as survivors, and the new TS is
-// sized to it (see kv.MergeFiltered); otherwise it reserves room for all of
-// TS and TI.
+// reinitializes the subindexes (the single-threaded / blocking merge). A
+// caller that knows how many elements live keeps passes that count as
+// survivors, and the new TS is sized to it (see kv.MergeFiltered); otherwise
+// it reserves room for all of TS and TI.
 func (t *PIMTree) MergeInPlace(live func(kv.Pair) bool, survivors ...int) time.Duration {
 	start := time.Now()
 	run := kv.MergeFiltered(t.ts.Leaves(), t.snapshotTI(), live, mergeCap(survivors))
@@ -363,13 +281,11 @@ func (t *PIMTree) MergeInPlace(live func(kv.Pair) bool, survivors ...int) time.D
 // BuildMerged constructs a brand-new PIM-Tree containing the merged, filtered
 // content, leaving the receiver untouched. This is phase 1 of the
 // non-blocking merge (Section 4.2): the old tree keeps serving lock-free
-// searches while the new one is built. The caller must guarantee that no
-// inserts run during the build (the join's task barrier does).
+// searches while the new one is built.
 func (t *PIMTree) BuildMerged(live func(kv.Pair) bool) (*PIMTree, time.Duration) {
 	start := time.Now()
 	run := kv.MergeFiltered(t.ts.Leaves(), t.snapshotTI(), live, math.MaxInt)
 	nt := &PIMTree{
-		w:         t.w,
 		threshold: t.threshold,
 		di:        t.di,
 		cfg:       t.cfg,
@@ -385,29 +301,12 @@ func (t *PIMTree) BuildMerged(live func(kv.Pair) bool) (*PIMTree, time.Duration)
 // Merges returns the number of merges performed and their cumulative time.
 func (t *PIMTree) Merges() (int, time.Duration) { return t.merges, t.mergeTime }
 
-// InsertCounts returns per-subindex insert counters accumulated since the
-// last install/reset — the data behind Figure 13a.
-func (t *PIMTree) InsertCounts() []int64 {
-	out := make([]int64, len(t.insertCounts))
-	for i := range out {
-		out[i] = t.insertCounts[i].Load()
-	}
-	return out
-}
-
-// ResetInsertCounts zeroes the per-subindex counters.
-func (t *PIMTree) ResetInsertCounts() {
-	for i := range t.insertCounts {
-		t.insertCounts[i].Store(0)
-	}
-}
-
 // Memory reports the PIM-Tree footprint for Figure 11a.
 func (t *PIMTree) Memory() MemoryStats {
 	tsm := t.ts.Memory()
 	ti := 0
 	for _, s := range t.subs {
-		m := s.bt.Memory()
+		m := s.Memory()
 		ti += m.LeafBytes + m.InnerBytes
 	}
 	return MemoryStats{
@@ -425,7 +324,7 @@ func (t *PIMTree) CheckInvariants() error {
 	total := 0
 	for i, s := range t.subs {
 		var err error
-		s.bt.Scan(func(p kv.Pair) bool {
+		s.Scan(func(p kv.Pair) bool {
 			total++
 			if got := t.route(p.Key); got != i {
 				err = fmt.Errorf("core: element %v in subindex %d routes to %d", p, i, got)
@@ -440,12 +339,12 @@ func (t *PIMTree) CheckInvariants() error {
 		if err != nil {
 			return err
 		}
-		if err := s.bt.CheckInvariants(); err != nil {
+		if err := s.CheckInvariants(); err != nil {
 			return err
 		}
 	}
-	if total != int(t.tiLen.Load()) {
-		return fmt.Errorf("core: tiLen %d but %d elements in subindexes", t.tiLen.Load(), total)
+	if total != t.tiLen {
+		return fmt.Errorf("core: tiLen %d but %d elements in subindexes", t.tiLen, total)
 	}
 	return nil
 }

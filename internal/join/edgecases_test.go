@@ -1,9 +1,11 @@
-package join
+package join_test
 
 import (
 	"testing"
 
 	"pimtree/internal/core"
+	"pimtree/internal/join"
+	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
@@ -11,30 +13,30 @@ import (
 // windows, empty inputs, extreme predicates, and configuration boundaries.
 
 func TestEmptyArrivals(t *testing.T) {
-	cfg := SerialConfig{WR: 8, WS: 8, Band: Band{Diff: 1}}
-	if st := NLWJ(nil, cfg); st.Tuples != 0 || st.Matches != 0 {
+	cfg := join.SerialConfig{WR: 8, WS: 8, Band: join.Band{Diff: 1}}
+	if st := join.NLWJ(nil, cfg); st.Tuples != 0 || st.Matches != 0 {
 		t.Fatal("NLWJ on empty input")
 	}
-	cfg.Index = IndexPIMTree
-	if st := IBWJSerial(nil, cfg); st.Tuples != 0 || st.Matches != 0 {
+	cfg.Index = join.IndexPIMTree
+	if st := join.IBWJSerial(nil, cfg); st.Tuples != 0 || st.Matches != 0 {
 		t.Fatal("IBWJ on empty input")
 	}
-	if st := RunRR(nil, RRConfig{Cores: 2, WR: 8, WS: 8}); st.Tuples != 0 {
+	if st := paper.RunRR(nil, paper.RRConfig{Cores: 2, WR: 8, WS: 8}); st.Tuples != 0 {
 		t.Fatal("RR on empty input")
 	}
-	if st := RunShared(nil, SharedConfig{Threads: 2, WR: 64, WS: 64, Index: IndexPIMTree}); st.Tuples != 0 {
+	if st := paper.RunShared(nil, paper.SharedConfig{Threads: 2, WR: 64, WS: 64, Index: join.IndexPIMTree}); st.Tuples != 0 {
 		t.Fatal("shared on empty input")
 	}
 }
 
 func TestSingleTuple(t *testing.T) {
 	arr := []stream.Arrival{{Stream: stream.StreamR, Key: 42}}
-	st := IBWJSerial(arr, SerialConfig{WR: 4, WS: 4, Band: Band{Diff: 100}, Index: IndexBTree})
+	st := join.IBWJSerial(arr, join.SerialConfig{WR: 4, WS: 4, Band: join.Band{Diff: 100}, Index: join.IndexBTree})
 	if st.Matches != 0 || st.Tuples != 1 {
 		t.Fatalf("single tuple: %+v", st)
 	}
-	st = RunShared(arr, SharedConfig{Threads: 4, TaskSize: 8, WR: 64, WS: 64,
-		Band: Band{Diff: 100}, Index: IndexPIMTree})
+	st = paper.RunShared(arr, paper.SharedConfig{Threads: 4, TaskSize: 8, WR: 64, WS: 64,
+		Band: join.Band{Diff: 100}, Index: join.IndexPIMTree})
 	if st.Matches != 0 || st.Tuples != 1 {
 		t.Fatalf("single tuple shared: %+v", st)
 	}
@@ -42,13 +44,13 @@ func TestSingleTuple(t *testing.T) {
 
 func TestWindowOfOne(t *testing.T) {
 	arr := twoWayArrivals(500, 31, 64)
-	oracle := NLWJ(arr, SerialConfig{WR: 1, WS: 1, Band: Band{Diff: 2}})
-	got := IBWJSerial(arr, SerialConfig{WR: 1, WS: 1, Band: Band{Diff: 2}, Index: IndexBTree})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 1, WS: 1, Band: join.Band{Diff: 2}})
+	got := join.IBWJSerial(arr, join.SerialConfig{WR: 1, WS: 1, Band: join.Band{Diff: 2}, Index: join.IndexBTree})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("w=1: %d vs oracle %d", got.Matches, oracle.Matches)
 	}
-	gotPIM := IBWJSerial(arr, SerialConfig{WR: 1, WS: 1, Band: Band{Diff: 2},
-		Index: IndexPIMTree, PIM: smallPIM()})
+	gotPIM := join.IBWJSerial(arr, join.SerialConfig{WR: 1, WS: 1, Band: join.Band{Diff: 2},
+		Index: join.IndexPIMTree, PIM: smallPIM()})
 	if gotPIM.Matches != oracle.Matches {
 		t.Fatalf("w=1 PIM: %d vs oracle %d", gotPIM.Matches, oracle.Matches)
 	}
@@ -57,12 +59,12 @@ func TestWindowOfOne(t *testing.T) {
 func TestZeroDiffEqualityJoin(t *testing.T) {
 	// diff=0 degenerates the band join to an equi-join.
 	arr := twoWayArrivals(3000, 32, 64) // tiny key space: plenty of equal keys
-	oracle := NLWJ(arr, SerialConfig{WR: 128, WS: 128, Band: Band{Diff: 0}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 0}})
 	if oracle.Matches == 0 {
 		t.Fatal("equality oracle found nothing; key space too large")
 	}
-	for _, kind := range []IndexKind{IndexBTree, IndexPIMTree} {
-		got := IBWJSerial(arr, SerialConfig{WR: 128, WS: 128, Band: Band{Diff: 0},
+	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexPIMTree} {
+		got := join.IBWJSerial(arr, join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 0},
 			Index: kind, PIM: smallPIM(), IM: smallIM()})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("%v diff=0: %d vs %d", kind, got.Matches, oracle.Matches)
@@ -74,9 +76,9 @@ func TestFullDomainDiff(t *testing.T) {
 	// diff covering the whole domain: every live pair matches (cross join).
 	arr := twoWayArrivals(400, 33, 1<<30)
 	w := 32
-	oracle := NLWJ(arr, SerialConfig{WR: w, WS: w, Band: Band{Diff: ^uint32(0)}})
-	got := IBWJSerial(arr, SerialConfig{WR: w, WS: w, Band: Band{Diff: ^uint32(0)},
-		Index: IndexPIMTree, PIM: smallPIM()})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: w, WS: w, Band: join.Band{Diff: ^uint32(0)}})
+	got := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: join.Band{Diff: ^uint32(0)},
+		Index: join.IndexPIMTree, PIM: smallPIM()})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("cross join: %d vs %d", got.Matches, oracle.Matches)
 	}
@@ -84,12 +86,12 @@ func TestFullDomainDiff(t *testing.T) {
 
 func TestMoreThreadsThanTuples(t *testing.T) {
 	arr := twoWayArrivals(10, 34, 1024)
-	st := RunShared(arr, SharedConfig{Threads: 8, TaskSize: 4, WR: 512, WS: 512,
-		Band: Band{Diff: 1000}, Index: IndexPIMTree, PIM: smallPIM()})
+	st := paper.RunShared(arr, paper.SharedConfig{Threads: 8, TaskSize: 4, WR: 512, WS: 512,
+		Band: join.Band{Diff: 1000}, Index: join.IndexPIMTree, PIM: smallPIM()})
 	if st.Tuples != 10 {
 		t.Fatalf("tuples = %d", st.Tuples)
 	}
-	oracle := NLWJ(arr, SerialConfig{WR: 512, WS: 512, Band: Band{Diff: 1000}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 1000}})
 	if st.Matches != oracle.Matches {
 		t.Fatalf("matches %d vs %d", st.Matches, oracle.Matches)
 	}
@@ -97,8 +99,8 @@ func TestMoreThreadsThanTuples(t *testing.T) {
 
 func TestTaskSizeLargerThanInput(t *testing.T) {
 	arr := twoWayArrivals(5, 35, 1024)
-	st := RunShared(arr, SharedConfig{Threads: 2, TaskSize: 100, WR: 512, WS: 512,
-		Band: Band{Diff: 1 << 28}, Index: IndexPIMTree, PIM: smallPIM()})
+	st := paper.RunShared(arr, paper.SharedConfig{Threads: 2, TaskSize: 100, WR: 512, WS: 512,
+		Band: join.Band{Diff: 1 << 28}, Index: join.IndexPIMTree, PIM: smallPIM()})
 	if st.Tuples != 5 {
 		t.Fatalf("tuples = %d", st.Tuples)
 	}
@@ -110,13 +112,13 @@ func TestOneSidedInput(t *testing.T) {
 	for i := range arr {
 		arr[i] = stream.Arrival{Stream: stream.StreamR, Key: uint32(i % 50)}
 	}
-	st := IBWJSerial(arr, SerialConfig{WR: 64, WS: 64, Band: Band{Diff: 1 << 30},
-		Index: IndexPIMTree, PIM: smallPIM()})
+	st := join.IBWJSerial(arr, join.SerialConfig{WR: 64, WS: 64, Band: join.Band{Diff: 1 << 30},
+		Index: join.IndexPIMTree, PIM: smallPIM()})
 	if st.Matches != 0 {
 		t.Fatalf("one-sided join matched %d", st.Matches)
 	}
-	stP := RunShared(arr, SharedConfig{Threads: 2, TaskSize: 8, WR: 512, WS: 512,
-		Band: Band{Diff: 1 << 30}, Index: IndexPIMTree, PIM: smallPIM()})
+	stP := paper.RunShared(arr, paper.SharedConfig{Threads: 2, TaskSize: 8, WR: 512, WS: 512,
+		Band: join.Band{Diff: 1 << 30}, Index: join.IndexPIMTree, PIM: smallPIM()})
 	if stP.Matches != 0 {
 		t.Fatalf("one-sided parallel join matched %d", stP.Matches)
 	}
@@ -124,11 +126,11 @@ func TestOneSidedInput(t *testing.T) {
 
 func TestExtremeMergeRatios(t *testing.T) {
 	arr := twoWayArrivals(3000, 36, 4096)
-	oracle := NLWJ(arr, SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 8}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}})
 	for _, m := range []float64{1.0 / 256, 1} {
 		pc := core.PIMTreeConfig{MergeRatio: m, InsertionDepth: 2}
-		got := IBWJSerial(arr, SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 8},
-			Index: IndexPIMTree, PIM: pc})
+		got := join.IBWJSerial(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8},
+			Index: join.IndexPIMTree, PIM: pc})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("m=%f: %d vs %d", m, got.Matches, oracle.Matches)
 		}
@@ -137,11 +139,11 @@ func TestExtremeMergeRatios(t *testing.T) {
 
 func TestExtremeInsertionDepths(t *testing.T) {
 	arr := twoWayArrivals(3000, 37, 4096)
-	oracle := NLWJ(arr, SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 8}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}})
 	for _, di := range []int{1, 8} { // 8 clamps to the feasible maximum
 		pc := core.PIMTreeConfig{MergeRatio: 0.5, InsertionDepth: di}
-		got := IBWJSerial(arr, SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 8},
-			Index: IndexPIMTree, PIM: pc})
+		got := join.IBWJSerial(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8},
+			Index: join.IndexPIMTree, PIM: pc})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("di=%d: %d vs %d", di, got.Matches, oracle.Matches)
 		}
@@ -150,8 +152,8 @@ func TestExtremeInsertionDepths(t *testing.T) {
 
 func TestRRSingleCoreEqualsSerial(t *testing.T) {
 	arr := twoWayArrivals(2000, 38, 2048)
-	oracle := NLWJ(arr, SerialConfig{WR: 128, WS: 128, Band: Band{Diff: 16}})
-	got := RunRR(arr, RRConfig{Cores: 1, WR: 128, WS: 128, Band: Band{Diff: 16}, Indexed: true})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 16}})
+	got := paper.RunRR(arr, paper.RRConfig{Cores: 1, WR: 128, WS: 128, Band: join.Band{Diff: 16}, Indexed: true})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("1-core RR: %d vs %d", got.Matches, oracle.Matches)
 	}
@@ -159,8 +161,8 @@ func TestRRSingleCoreEqualsSerial(t *testing.T) {
 
 func TestRRMoreCoresThanWindow(t *testing.T) {
 	arr := twoWayArrivals(2000, 39, 2048)
-	oracle := NLWJ(arr, SerialConfig{WR: 4, WS: 4, Band: Band{Diff: 1 << 24}})
-	got := RunRR(arr, RRConfig{Cores: 8, WR: 4, WS: 4, Band: Band{Diff: 1 << 24}, Indexed: true, Batch: 16})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 4, WS: 4, Band: join.Band{Diff: 1 << 24}})
+	got := paper.RunRR(arr, paper.RRConfig{Cores: 8, WR: 4, WS: 4, Band: join.Band{Diff: 1 << 24}, Indexed: true, Batch: 16})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("tiny-window RR: %d vs %d", got.Matches, oracle.Matches)
 	}
@@ -168,8 +170,8 @@ func TestRRMoreCoresThanWindow(t *testing.T) {
 
 func TestSharedStatsAccounting(t *testing.T) {
 	arr := twoWayArrivals(6000, 40, 4096)
-	st := RunShared(arr, SharedConfig{Threads: 2, TaskSize: 8, WR: 256, WS: 256,
-		Band: Band{Diff: 8}, Index: IndexPIMTree, PIM: smallPIM()})
+	st := paper.RunShared(arr, paper.SharedConfig{Threads: 2, TaskSize: 8, WR: 256, WS: 256,
+		Band: join.Band{Diff: 8}, Index: join.IndexPIMTree, PIM: smallPIM()})
 	if st.Tuples != 6000 {
 		t.Fatalf("tuples = %d", st.Tuples)
 	}
@@ -183,8 +185,8 @@ func TestSharedStatsAccounting(t *testing.T) {
 
 func TestSharedChunkThroughput(t *testing.T) {
 	arr := twoWayArrivals(8000, 41, 4096)
-	st := RunShared(arr, SharedConfig{Threads: 2, TaskSize: 8, WR: 512, WS: 512,
-		Band: Band{Diff: 8}, Index: IndexPIMTree, PIM: smallPIM(), ChunkTuples: 1000})
+	st := paper.RunShared(arr, paper.SharedConfig{Threads: 2, TaskSize: 8, WR: 512, WS: 512,
+		Band: join.Band{Diff: 8}, Index: join.IndexPIMTree, PIM: smallPIM(), ChunkTuples: 1000})
 	if len(st.Chunks) < 7 {
 		t.Fatalf("chunks = %d, want >= 7", len(st.Chunks))
 	}
@@ -196,7 +198,7 @@ func TestSharedChunkThroughput(t *testing.T) {
 }
 
 func TestStreamingEngineIntrospection(t *testing.T) {
-	eng := NewStreaming(SerialConfig{WR: 16, WS: 16, Band: Band{Diff: 5}, Index: IndexBTree})
+	eng := join.NewStreaming(join.SerialConfig{WR: 16, WS: 16, Band: join.Band{Diff: 5}, Index: join.IndexBTree})
 	eng.Push(stream.Arrival{Stream: stream.StreamR, Key: 10})
 	eng.Push(stream.Arrival{Stream: stream.StreamS, Key: 11})
 	if eng.Seq(stream.StreamR) != 1 || eng.Seq(stream.StreamS) != 1 {
@@ -219,7 +221,7 @@ func TestStreamingEngineIntrospection(t *testing.T) {
 // that holds some key.
 func TestStreamingKeyOfResidency(t *testing.T) {
 	const w = 3 // ring capacity pow2Ceil(2w+2) = 8
-	eng := NewStreaming(SerialConfig{WR: w, WS: w, Band: Band{Diff: 1}, Index: IndexPIMTree})
+	eng := join.NewStreaming(join.SerialConfig{WR: w, WS: w, Band: join.Band{Diff: 1}, Index: join.IndexPIMTree})
 	if _, ok := eng.KeyOf(stream.StreamR, 0); ok {
 		t.Fatal("KeyOf on an empty window reported ok")
 	}

@@ -94,8 +94,8 @@ func (x pimIndex) Maintain(live func(kv.Pair) bool, survivors int) {
 // tuples; w sizes the delta-merge thresholds and the chain's disposal.
 // chainLength is L for the chained kinds (0 selects 2); im and pim configure
 // the two-stage indexes. The Bw-Tree has no adapter — its latch freedom buys
-// nothing under one writer, so only RunShared builds it — and NewIndex panics
-// on it as on any unknown kind.
+// nothing under one writer, so only paper.RunShared builds it — and NewIndex
+// panics on it as on any unknown kind.
 func NewIndex(kind IndexKind, w, chainLength int, im core.IMTreeConfig, pim core.PIMTreeConfig) Index {
 	switch kind {
 	case IndexBTree:
@@ -112,9 +112,6 @@ func NewIndex(kind IndexKind, w, chainLength int, im core.IMTreeConfig, pim core
 	case IndexIMTree:
 		return imIndex{core.NewIMTree(w, im)}
 	case IndexPIMTree:
-		// One goroutine owns the index, so the subindex mutexes would only
-		// ever be taken uncontended — once per insert and per probe.
-		pim.NoLocks = true
 		return pimIndex{core.NewPIMTree(w, pim)}
 	default:
 		panic("join: no single-writer index for " + kind.String())

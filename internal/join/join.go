@@ -1,17 +1,12 @@
-// Package join implements every join algorithm the paper evaluates:
-//
-//   - single-threaded nested-loop window join (NLWJ) and index-based window
-//     join (IBWJ) over B+-Tree, chained index, Bw-Tree, IM-Tree, and
-//     PIM-Tree (Section 2),
-//   - multithreaded NLWJ and IBWJ based on round-robin window partitioning
-//     in the shape of the low-latency handshake join (Section 2.2.3),
-//   - the paper's contribution: the parallel IBWJ over shared indexes with
-//     a task queue, edge tuples, order-preserving result propagation, and
-//     non-blocking two-phase merging (Section 4).
-//
-// All drivers consume a pre-generated arrival sequence (deterministic per
-// seed) and report throughput, match counts, and optional latency summaries,
-// which is what the figure-regeneration harness consumes.
+// Package join implements the single-threaded window joins of Section 2:
+// the nested-loop window join (NLWJ, the correctness oracle) and the
+// index-based window join (IBWJ) over the B+-Tree, the chained indexes, the
+// IM-Tree and the PIM-Tree, as a batch driver (IBWJSerial, StepCosts) and as
+// the incremental Streaming operator the Engine's serial mode runs. It also
+// holds what the single-writer engines share: the band predicate, the run
+// statistics, the per-stream index adapters (Index, NewIndex) and the
+// batched TS descent (Locator). The paper's multithreaded joins, over shared
+// indexes and round-robin partitions, are in internal/paper.
 package join
 
 import (
@@ -64,7 +59,7 @@ type Stats struct {
 	Merges    int
 	MergeTime time.Duration
 	Latency   metrics.Summary
-	Chunks    []ChunkStat // per-chunk throughput when requested (Fig 13b)
+	Chunks    []ChunkStat // per-chunk throughput of the shared join (Fig 13b)
 	// Migrated is filled by the sharded runtime: window tuples its reshape
 	// epochs moved across shards.
 	Migrated int
@@ -73,6 +68,12 @@ type Stats struct {
 	// largest observed event-time lateness.
 	LateDropped uint64
 	MaxDisorder uint64
+}
+
+// ChunkStat is the throughput of one propagated chunk (Figure 13b).
+type ChunkStat struct {
+	Tuples int
+	Mtps   float64
 }
 
 // Mtps returns the throughput in million tuples per second.

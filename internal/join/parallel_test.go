@@ -1,24 +1,29 @@
-package join
+package join_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 
+	"pimtree/internal/join"
 	"pimtree/internal/metrics"
+	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
+// The shared-index and round-robin joins are in internal/paper, which imports
+// this package; their tests check them against the NLWJ oracle from here.
+
 func TestRunRRMatchesOracle(t *testing.T) {
 	arr := twoWayArrivals(8000, 10, 4096)
-	oracle := NLWJ(arr, SerialConfig{WR: 300, WS: 300, Band: Band{Diff: 8}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 300, WS: 300, Band: join.Band{Diff: 8}})
 	if oracle.Matches == 0 {
 		t.Fatal("oracle empty")
 	}
 	for _, cores := range []int{1, 2, 4} {
 		for _, indexed := range []bool{false, true} {
-			got := RunRR(arr, RRConfig{
-				Cores: cores, WR: 300, WS: 300, Band: Band{Diff: 8},
+			got := paper.RunRR(arr, paper.RRConfig{
+				Cores: cores, WR: 300, WS: 300, Band: join.Band{Diff: 8},
 				Indexed: indexed, Batch: 128,
 			})
 			if got.Matches != oracle.Matches {
@@ -31,8 +36,8 @@ func TestRunRRMatchesOracle(t *testing.T) {
 
 func TestRunRRAsymmetricWindows(t *testing.T) {
 	arr := twoWayArrivals(6000, 11, 4096)
-	oracle := NLWJ(arr, SerialConfig{WR: 128, WS: 512, Band: Band{Diff: 10}})
-	got := RunRR(arr, RRConfig{Cores: 3, WR: 128, WS: 512, Band: Band{Diff: 10}, Indexed: true, Batch: 64})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 128, WS: 512, Band: join.Band{Diff: 10}})
+	got := paper.RunRR(arr, paper.RRConfig{Cores: 3, WR: 128, WS: 512, Band: join.Band{Diff: 10}, Indexed: true, Batch: 64})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("matches = %d, oracle = %d", got.Matches, oracle.Matches)
 	}
@@ -40,15 +45,15 @@ func TestRunRRAsymmetricWindows(t *testing.T) {
 
 func TestRunSharedPIMMatchesOracle(t *testing.T) {
 	arr := twoWayArrivals(8000, 12, 4096)
-	oracle := NLWJ(arr, SerialConfig{WR: 512, WS: 512, Band: Band{Diff: 8}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
 	if oracle.Matches == 0 {
 		t.Fatal("oracle empty")
 	}
 	for _, threads := range []int{1, 2, 4} {
 		for _, taskSize := range []int{1, 4, 8} {
-			got := RunShared(arr, SharedConfig{
+			got := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: taskSize, WR: 512, WS: 512,
-				Band: Band{Diff: 8}, Index: IndexPIMTree, PIM: smallPIM(),
+				Band: join.Band{Diff: 8}, Index: join.IndexPIMTree, PIM: smallPIM(),
 			})
 			if got.Matches != oracle.Matches {
 				t.Fatalf("threads=%d task=%d: matches = %d, oracle = %d",
@@ -61,11 +66,11 @@ func TestRunSharedPIMMatchesOracle(t *testing.T) {
 func TestRunSharedPIMExactResultSet(t *testing.T) {
 	arr := twoWayArrivals(4000, 13, 2048)
 	var nl, sh []matchRec
-	NLWJ(arr, SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 6}, Sink: collectSink(&nl)})
+	join.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 6}, Sink: collectSink(&nl)})
 	var mu sync.Mutex
-	got := RunShared(arr, SharedConfig{
-		Threads: 4, TaskSize: 4, WR: 256, WS: 256, Band: Band{Diff: 6},
-		Index: IndexPIMTree, PIM: smallPIM(),
+	got := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 4, TaskSize: 4, WR: 256, WS: 256, Band: join.Band{Diff: 6},
+		Index: join.IndexPIMTree, PIM: smallPIM(),
 		Sink: func(s uint8, p, m uint64) {
 			mu.Lock()
 			sh = append(sh, matchRec{s, p, m})
@@ -98,9 +103,9 @@ func TestRunSharedOrderPreserved(t *testing.T) {
 		seq    uint64
 	}
 	var seen []probe
-	RunShared(arr, SharedConfig{
-		Threads: 4, TaskSize: 3, WR: 256, WS: 256, Band: Band{Diff: 20},
-		Index: IndexPIMTree, PIM: smallPIM(),
+	paper.RunShared(arr, paper.SharedConfig{
+		Threads: 4, TaskSize: 3, WR: 256, WS: 256, Band: join.Band{Diff: 20},
+		Index: join.IndexPIMTree, PIM: smallPIM(),
 		Sink: func(s uint8, p, m uint64) {
 			if n := len(seen); n == 0 || seen[n-1].stream != s || seen[n-1].seq != p {
 				seen = append(seen, probe{s, p})
@@ -133,14 +138,14 @@ func TestRunSharedOrderPreserved(t *testing.T) {
 
 func TestRunSharedSelfJoin(t *testing.T) {
 	arr := stream.NewSelfStream(capped{stream.NewUniform(15), 2048}).Take(6000)
-	oracle := NLWJ(arr, SerialConfig{WR: 512, Self: true, Band: Band{Diff: 6}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, Self: true, Band: join.Band{Diff: 6}})
 	if oracle.Matches == 0 {
 		t.Fatal("oracle empty")
 	}
 	for _, threads := range []int{1, 3} {
-		got := RunShared(arr, SharedConfig{
+		got := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: 512, Self: true,
-			Band: Band{Diff: 6}, Index: IndexPIMTree, PIM: smallPIM(),
+			Band: join.Band{Diff: 6}, Index: join.IndexPIMTree, PIM: smallPIM(),
 		})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("threads=%d: matches = %d, oracle = %d", threads, got.Matches, oracle.Matches)
@@ -150,11 +155,11 @@ func TestRunSharedSelfJoin(t *testing.T) {
 
 func TestRunSharedBwTree(t *testing.T) {
 	arr := twoWayArrivals(8000, 16, 4096)
-	oracle := NLWJ(arr, SerialConfig{WR: 512, WS: 512, Band: Band{Diff: 8}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
 	for _, threads := range []int{1, 4} {
-		got := RunShared(arr, SharedConfig{
+		got := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: 512, WS: 512,
-			Band: Band{Diff: 8}, Index: IndexBwTree,
+			Band: join.Band{Diff: 8}, Index: join.IndexBwTree,
 		})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("bw threads=%d: matches = %d, oracle = %d", threads, got.Matches, oracle.Matches)
@@ -164,10 +169,10 @@ func TestRunSharedBwTree(t *testing.T) {
 
 func TestRunSharedBlockingMerge(t *testing.T) {
 	arr := twoWayArrivals(8000, 17, 4096)
-	oracle := NLWJ(arr, SerialConfig{WR: 512, WS: 512, Band: Band{Diff: 8}})
-	got := RunShared(arr, SharedConfig{
-		Threads: 3, TaskSize: 8, WR: 512, WS: 512, Band: Band{Diff: 8},
-		Index: IndexPIMTree, PIM: smallPIM(), BlockingMerge: true,
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
+	got := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 3, TaskSize: 8, WR: 512, WS: 512, Band: join.Band{Diff: 8},
+		Index: join.IndexPIMTree, PIM: smallPIM(), BlockingMerge: true,
 	})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("blocking merge: matches = %d, oracle = %d", got.Matches, oracle.Matches)
@@ -179,14 +184,14 @@ func TestRunSharedBlockingMerge(t *testing.T) {
 
 func TestRunSharedNonblockingMergeHappens(t *testing.T) {
 	arr := twoWayArrivals(10000, 18, 4096)
-	got := RunShared(arr, SharedConfig{
-		Threads: 4, TaskSize: 4, WR: 256, WS: 256, Band: Band{Diff: 4},
-		Index: IndexPIMTree, PIM: smallPIM(),
+	got := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 4, TaskSize: 4, WR: 256, WS: 256, Band: join.Band{Diff: 4},
+		Index: join.IndexPIMTree, PIM: smallPIM(),
 	})
 	if got.Merges == 0 {
 		t.Fatal("nonblocking merge never triggered")
 	}
-	oracle := NLWJ(arr, SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 4}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 4}})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("matches = %d, oracle = %d", got.Matches, oracle.Matches)
 	}
@@ -194,10 +199,10 @@ func TestRunSharedNonblockingMergeHappens(t *testing.T) {
 
 func TestRunSharedAsymmetricWindows(t *testing.T) {
 	arr := twoWayArrivals(6000, 19, 4096)
-	oracle := NLWJ(arr, SerialConfig{WR: 128, WS: 1024, Band: Band{Diff: 8}})
-	got := RunShared(arr, SharedConfig{
-		Threads: 2, TaskSize: 8, WR: 128, WS: 1024, Band: Band{Diff: 8},
-		Index: IndexPIMTree, PIM: smallPIM(),
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 128, WS: 1024, Band: join.Band{Diff: 8}})
+	got := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 2, TaskSize: 8, WR: 128, WS: 1024, Band: join.Band{Diff: 8},
+		Index: join.IndexPIMTree, PIM: smallPIM(),
 	})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("matches = %d, oracle = %d", got.Matches, oracle.Matches)
@@ -207,10 +212,10 @@ func TestRunSharedAsymmetricWindows(t *testing.T) {
 func TestRunSharedAsymmetricRates(t *testing.T) {
 	gen := stream.NewInterleaver(20, capped{stream.NewUniform(21), 4096}, capped{stream.NewUniform(22), 4096}, 0.15)
 	arr := gen.Take(8000)
-	oracle := NLWJ(arr, SerialConfig{WR: 512, WS: 512, Band: Band{Diff: 8}})
-	got := RunShared(arr, SharedConfig{
-		Threads: 3, TaskSize: 8, WR: 512, WS: 512, Band: Band{Diff: 8},
-		Index: IndexPIMTree, PIM: smallPIM(),
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
+	got := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 3, TaskSize: 8, WR: 512, WS: 512, Band: join.Band{Diff: 8},
+		Index: join.IndexPIMTree, PIM: smallPIM(),
 	})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("matches = %d, oracle = %d", got.Matches, oracle.Matches)
@@ -220,9 +225,9 @@ func TestRunSharedAsymmetricRates(t *testing.T) {
 func TestRunSharedLatencyRecorded(t *testing.T) {
 	arr := twoWayArrivals(4000, 23, 4096)
 	rec := metrics.NewLatencyRecorder(1<<14, 1)
-	st := RunShared(arr, SharedConfig{
-		Threads: 2, TaskSize: 8, WR: 512, WS: 512, Band: Band{Diff: 8},
-		Index: IndexPIMTree, PIM: smallPIM(), Latency: rec,
+	st := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 2, TaskSize: 8, WR: 512, WS: 512, Band: join.Band{Diff: 8},
+		Index: join.IndexPIMTree, PIM: smallPIM(), Latency: rec,
 	})
 	if st.Latency.Count == 0 {
 		t.Fatal("no latency samples recorded")
@@ -241,8 +246,8 @@ func TestRunSharedTinyWindowBwPanics(t *testing.T) {
 			t.Fatal("expected panic for window smaller than in-flight bound")
 		}
 	}()
-	RunShared(make([]stream.Arrival, 10), SharedConfig{
-		Threads: 8, TaskSize: 64, WR: 64, WS: 64, Index: IndexBwTree,
+	paper.RunShared(make([]stream.Arrival, 10), paper.SharedConfig{
+		Threads: 8, TaskSize: 64, WR: 64, WS: 64, Index: join.IndexBwTree,
 	})
 }
 
@@ -250,10 +255,10 @@ func TestRunSharedDistributionShift(t *testing.T) {
 	// Drifting keys must not break correctness (Figure 13's scenario).
 	g := stream.NewShiftingGaussian(24, 1.0, 1000, 3000)
 	arr := stream.NewSelfStream(g).Take(6000)
-	oracle := NLWJ(arr, SerialConfig{WR: 512, Self: true, Band: Band{Diff: 1 << 20}})
-	got := RunShared(arr, SharedConfig{
-		Threads: 4, TaskSize: 8, WR: 512, Self: true, Band: Band{Diff: 1 << 20},
-		Index: IndexPIMTree, PIM: smallPIM(),
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, Self: true, Band: join.Band{Diff: 1 << 20}})
+	got := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 4, TaskSize: 8, WR: 512, Self: true, Band: join.Band{Diff: 1 << 20},
+		Index: join.IndexPIMTree, PIM: smallPIM(),
 	})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("matches = %d, oracle = %d", got.Matches, oracle.Matches)
@@ -269,9 +274,9 @@ func BenchmarkSharedPIM(b *testing.B) {
 			}
 			arr := twoWayArrivals(n, 1, 1<<24)
 			b.ResetTimer()
-			RunShared(arr, SharedConfig{
+			paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: 1 << 14, WS: 1 << 14,
-				Band: Band{Diff: 1 << 10}, Index: IndexPIMTree,
+				Band: join.Band{Diff: 1 << 10}, Index: join.IndexPIMTree,
 			})
 		})
 	}

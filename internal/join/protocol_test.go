@@ -1,9 +1,11 @@
-package join
+package join_test
 
 import (
 	"sync"
 	"testing"
 
+	"pimtree/internal/join"
+	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
@@ -13,11 +15,11 @@ import (
 func TestRunSharedBwExactResultSet(t *testing.T) {
 	arr := twoWayArrivals(6000, 50, 2048)
 	var nl, sh []matchRec
-	NLWJ(arr, SerialConfig{WR: 512, WS: 512, Band: Band{Diff: 6}, Sink: collectSink(&nl)})
+	join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 6}, Sink: collectSink(&nl)})
 	var mu sync.Mutex
-	st := RunShared(arr, SharedConfig{
-		Threads: 4, TaskSize: 4, WR: 512, WS: 512, Band: Band{Diff: 6},
-		Index: IndexBwTree,
+	st := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 4, TaskSize: 4, WR: 512, WS: 512, Band: join.Band{Diff: 6},
+		Index: join.IndexBwTree,
 		Sink: func(s uint8, p, m uint64) {
 			mu.Lock()
 			sh = append(sh, matchRec{s, p, m})
@@ -43,12 +45,12 @@ func TestRunSharedBwExactResultSet(t *testing.T) {
 // barriers, backlog guard, and pending-update replay.
 func TestRunSharedManyMergesUnderLoad(t *testing.T) {
 	arr := twoWayArrivals(20000, 51, 4096)
-	oracle := NLWJ(arr, SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 8}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}})
 	pc := smallPIM()
 	pc.MergeRatio = 1.0 / 16 // merge every 16 inserts per stream at w=256
-	st := RunShared(arr, SharedConfig{
-		Threads: 4, TaskSize: 2, WR: 256, WS: 256, Band: Band{Diff: 8},
-		Index: IndexPIMTree, PIM: pc,
+	st := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 4, TaskSize: 2, WR: 256, WS: 256, Band: join.Band{Diff: 8},
+		Index: join.IndexPIMTree, PIM: pc,
 	})
 	if st.Merges < 50 {
 		t.Fatalf("expected a merge storm, got %d merges", st.Merges)
@@ -61,12 +63,12 @@ func TestRunSharedManyMergesUnderLoad(t *testing.T) {
 // TestRunSharedBlockingMergeStorm is the blocking-merge counterpart.
 func TestRunSharedBlockingMergeStorm(t *testing.T) {
 	arr := twoWayArrivals(15000, 52, 4096)
-	oracle := NLWJ(arr, SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 8}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}})
 	pc := smallPIM()
 	pc.MergeRatio = 1.0 / 16
-	st := RunShared(arr, SharedConfig{
-		Threads: 3, TaskSize: 2, WR: 256, WS: 256, Band: Band{Diff: 8},
-		Index: IndexPIMTree, PIM: pc, BlockingMerge: true,
+	st := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 3, TaskSize: 2, WR: 256, WS: 256, Band: join.Band{Diff: 8},
+		Index: join.IndexPIMTree, PIM: pc, BlockingMerge: true,
 	})
 	if st.Merges < 30 {
 		t.Fatalf("expected many blocking merges, got %d", st.Merges)
@@ -80,12 +82,12 @@ func TestRunSharedBlockingMergeStorm(t *testing.T) {
 // of the merge protocol (both pim slots point at one tree).
 func TestRunSharedSelfJoinMergeStorm(t *testing.T) {
 	arr := stream.NewSelfStream(capped{stream.NewUniform(53), 2048}).Take(15000)
-	oracle := NLWJ(arr, SerialConfig{WR: 256, Self: true, Band: Band{Diff: 5}})
+	oracle := join.NLWJ(arr, join.SerialConfig{WR: 256, Self: true, Band: join.Band{Diff: 5}})
 	pc := smallPIM()
 	pc.MergeRatio = 1.0 / 8
-	st := RunShared(arr, SharedConfig{
-		Threads: 4, TaskSize: 2, WR: 256, Self: true, Band: Band{Diff: 5},
-		Index: IndexPIMTree, PIM: pc,
+	st := paper.RunShared(arr, paper.SharedConfig{
+		Threads: 4, TaskSize: 2, WR: 256, Self: true, Band: join.Band{Diff: 5},
+		Index: join.IndexPIMTree, PIM: pc,
 	})
 	if st.Merges < 20 {
 		t.Fatalf("expected many merges, got %d", st.Merges)
@@ -102,9 +104,9 @@ func TestRunSharedDeterministicMatchTotals(t *testing.T) {
 	arr := twoWayArrivals(8000, 54, 4096)
 	var first uint64
 	for rep := 0; rep < 4; rep++ {
-		st := RunShared(arr, SharedConfig{
-			Threads: 4, TaskSize: 3, WR: 512, WS: 512, Band: Band{Diff: 8},
-			Index: IndexPIMTree, PIM: smallPIM(),
+		st := paper.RunShared(arr, paper.SharedConfig{
+			Threads: 4, TaskSize: 3, WR: 512, WS: 512, Band: join.Band{Diff: 8},
+			Index: join.IndexPIMTree, PIM: smallPIM(),
 		})
 		if rep == 0 {
 			first = st.Matches

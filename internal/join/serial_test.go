@@ -1,4 +1,4 @@
-package join
+package join_test
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 
 	"pimtree/internal/core"
 	"pimtree/internal/cstree"
+	"pimtree/internal/join"
 	"pimtree/internal/stream"
 )
 
@@ -32,7 +33,7 @@ type matchRec struct {
 	matchSeq uint64
 }
 
-func collectSink(recs *[]matchRec) MatchSink {
+func collectSink(recs *[]matchRec) join.MatchSink {
 	return func(s uint8, p, m uint64) {
 		*recs = append(*recs, matchRec{s, p, m})
 	}
@@ -51,8 +52,8 @@ func sortRecs(rs []matchRec) {
 	})
 }
 
-func allIndexKinds() []IndexKind {
-	return []IndexKind{IndexBTree, IndexChainB, IndexChainIB, IndexIMTree, IndexPIMTree}
+func allIndexKinds() []join.IndexKind {
+	return []join.IndexKind{join.IndexBTree, join.IndexChainB, join.IndexChainIB, join.IndexIMTree, join.IndexPIMTree}
 }
 
 func smallPIM() core.PIMTreeConfig {
@@ -65,8 +66,8 @@ func smallIM() core.IMTreeConfig {
 
 func TestIBWJSerialAllIndexesMatchNLWJ(t *testing.T) {
 	arr := twoWayArrivals(6000, 1, 4096)
-	base := SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 8}}
-	oracle := NLWJ(arr, base)
+	base := join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}}
+	oracle := join.NLWJ(arr, base)
 	if oracle.Matches == 0 {
 		t.Fatal("oracle produced no matches; workload broken")
 	}
@@ -76,7 +77,7 @@ func TestIBWJSerialAllIndexesMatchNLWJ(t *testing.T) {
 		cfg.ChainLength = 3
 		cfg.IM = smallIM()
 		cfg.PIM = smallPIM()
-		got := IBWJSerial(arr, cfg)
+		got := join.IBWJSerial(arr, cfg)
 		if got.Matches != oracle.Matches {
 			t.Fatalf("%v: matches = %d, oracle = %d", kind, got.Matches, oracle.Matches)
 		}
@@ -87,26 +88,26 @@ func TestIBWJSerialAllIndexesMatchNLWJ(t *testing.T) {
 }
 
 // TestNewIndexBwTreePanics: the Bw-Tree has no single-writer adapter; only
-// RunShared builds it.
+// paper.RunShared builds it.
 func TestNewIndexBwTreePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NewIndex built a Bw-Tree")
 		}
 	}()
-	NewIndex(IndexBwTree, 64, 0, core.IMTreeConfig{}, core.PIMTreeConfig{})
+	join.NewIndex(join.IndexBwTree, 64, 0, core.IMTreeConfig{}, core.PIMTreeConfig{})
 }
 
 func TestIBWJSerialExactResultSet(t *testing.T) {
 	arr := twoWayArrivals(3000, 2, 2048)
 	var nl, ib []matchRec
-	cfgNL := SerialConfig{WR: 128, WS: 128, Band: Band{Diff: 6}, Sink: collectSink(&nl)}
-	NLWJ(arr, cfgNL)
-	for _, kind := range []IndexKind{IndexBTree, IndexPIMTree, IndexIMTree} {
+	cfgNL := join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 6}, Sink: collectSink(&nl)}
+	join.NLWJ(arr, cfgNL)
+	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexPIMTree, join.IndexIMTree} {
 		ib = ib[:0]
-		cfg := SerialConfig{WR: 128, WS: 128, Band: Band{Diff: 6}, Sink: collectSink(&ib),
+		cfg := join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 6}, Sink: collectSink(&ib),
 			Index: kind, IM: smallIM(), PIM: smallPIM()}
-		IBWJSerial(arr, cfg)
+		join.IBWJSerial(arr, cfg)
 		if len(ib) != len(nl) {
 			t.Fatalf("%v: %d results, oracle %d", kind, len(ib), len(nl))
 		}
@@ -124,17 +125,17 @@ func TestIBWJSerialExactResultSet(t *testing.T) {
 
 func TestSelfJoinSerial(t *testing.T) {
 	arr := stream.NewSelfStream(capped{stream.NewUniform(7), 2048}).Take(5000)
-	base := SerialConfig{WR: 256, Self: true, Band: Band{Diff: 5}}
-	oracle := NLWJ(arr, base)
+	base := join.SerialConfig{WR: 256, Self: true, Band: join.Band{Diff: 5}}
+	oracle := join.NLWJ(arr, base)
 	if oracle.Matches == 0 {
 		t.Fatal("self-join oracle produced no matches")
 	}
-	for _, kind := range []IndexKind{IndexBTree, IndexPIMTree, IndexIMTree} {
+	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexPIMTree, join.IndexIMTree} {
 		cfg := base
 		cfg.Index = kind
 		cfg.IM = smallIM()
 		cfg.PIM = smallPIM()
-		got := IBWJSerial(arr, cfg)
+		got := join.IBWJSerial(arr, cfg)
 		if got.Matches != oracle.Matches {
 			t.Fatalf("%v self-join: matches = %d, oracle = %d", kind, got.Matches, oracle.Matches)
 		}
@@ -144,12 +145,12 @@ func TestSelfJoinSerial(t *testing.T) {
 func TestAsymmetricWindowsSerial(t *testing.T) {
 	arr := twoWayArrivals(6000, 3, 4096)
 	for _, ws := range []int{64, 256, 1024} {
-		base := SerialConfig{WR: 256, WS: ws, Band: Band{Diff: 8}}
-		oracle := NLWJ(arr, base)
+		base := join.SerialConfig{WR: 256, WS: ws, Band: join.Band{Diff: 8}}
+		oracle := join.NLWJ(arr, base)
 		cfg := base
-		cfg.Index = IndexPIMTree
+		cfg.Index = join.IndexPIMTree
 		cfg.PIM = smallPIM()
-		got := IBWJSerial(arr, cfg)
+		got := join.IBWJSerial(arr, cfg)
 		if got.Matches != oracle.Matches {
 			t.Fatalf("ws=%d: matches = %d, oracle = %d", ws, got.Matches, oracle.Matches)
 		}
@@ -158,8 +159,8 @@ func TestAsymmetricWindowsSerial(t *testing.T) {
 
 func TestSerialMergesHappen(t *testing.T) {
 	arr := twoWayArrivals(4000, 4, 4096)
-	cfg := SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 4}, Index: IndexPIMTree, PIM: smallPIM()}
-	st := IBWJSerial(arr, cfg)
+	cfg := join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 4}, Index: join.IndexPIMTree, PIM: smallPIM()}
+	st := join.IBWJSerial(arr, cfg)
 	if st.Merges == 0 {
 		t.Fatal("PIM-Tree never merged over 4000 tuples at m=0.5, w=256")
 	}
@@ -170,19 +171,19 @@ func TestSerialMergesHappen(t *testing.T) {
 
 func TestStepCostsAccounting(t *testing.T) {
 	arr := twoWayArrivals(3000, 5, 4096)
-	for _, kind := range []IndexKind{IndexBTree, IndexIMTree, IndexPIMTree} {
-		cfg := SerialConfig{WR: 256, WS: 256, Band: Band{Diff: 8}, Index: kind, IM: smallIM(), PIM: smallPIM()}
-		st := StepCosts(arr, cfg)
+	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexIMTree, join.IndexPIMTree} {
+		cfg := join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}, Index: kind, IM: smallIM(), PIM: smallPIM()}
+		st := join.StepCosts(arr, cfg)
 		if st.Tuples() != uint64(len(arr)) {
 			t.Fatalf("%v: ticks = %d", kind, st.Tuples())
 		}
 		if st.PerTuple(0) < 0 {
 			t.Fatalf("%v: negative search cost", kind)
 		}
-		if kind == IndexBTree && st.Total(4) != 0 {
+		if kind == join.IndexBTree && st.Total(4) != 0 {
 			t.Fatalf("B+-Tree should have zero merge cost, got %v", st.Total(4))
 		}
-		if kind != IndexBTree && st.Total(3) != 0 {
+		if kind != join.IndexBTree && st.Total(3) != 0 {
 			t.Fatalf("%v should have zero delete cost, got %v", kind, st.Total(3))
 		}
 	}
@@ -190,9 +191,9 @@ func TestStepCostsAccounting(t *testing.T) {
 
 func TestSerialConfigValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero WR":  func() { NLWJ(nil, SerialConfig{WR: 0, WS: 1}) },
-		"zero WS":  func() { NLWJ(nil, SerialConfig{WR: 1, WS: 0}) },
-		"bad kind": func() { IBWJSerial(nil, SerialConfig{WR: 1, WS: 1, Index: IndexKind(99)}) },
+		"zero WR":  func() { join.NLWJ(nil, join.SerialConfig{WR: 0, WS: 1}) },
+		"zero WS":  func() { join.NLWJ(nil, join.SerialConfig{WR: 1, WS: 0}) },
+		"bad kind": func() { join.IBWJSerial(nil, join.SerialConfig{WR: 1, WS: 1, Index: join.IndexKind(99)}) },
 	} {
 		func() {
 			defer func() {
@@ -206,13 +207,13 @@ func TestSerialConfigValidation(t *testing.T) {
 }
 
 func BenchmarkSerialIBWJ(b *testing.B) {
-	for _, kind := range []IndexKind{IndexBTree, IndexIMTree, IndexPIMTree} {
+	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexIMTree, join.IndexPIMTree} {
 		b.Run(fmt.Sprint(kind), func(b *testing.B) {
 			arr := twoWayArrivals(b.N+1, 1, 1<<20)
-			cfg := SerialConfig{WR: 1 << 14, WS: 1 << 14, Band: Band{Diff: 32},
+			cfg := join.SerialConfig{WR: 1 << 14, WS: 1 << 14, Band: join.Band{Diff: 32},
 				Index: kind, IM: core.IMTreeConfig{MergeRatio: 0.125}, PIM: core.PIMTreeConfig{MergeRatio: 0.125}}
 			b.ResetTimer()
-			IBWJSerial(arr[:b.N], cfg)
+			join.IBWJSerial(arr[:b.N], cfg)
 		})
 	}
 }

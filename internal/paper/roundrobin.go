@@ -1,4 +1,4 @@
-package join
+package paper
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pimtree/internal/btree"
+	"pimtree/internal/join"
 	"pimtree/internal/kv"
 	"pimtree/internal/stream"
 )
@@ -17,11 +18,11 @@ import (
 // (context-insensitive partitioning), while exactly one core — assigned
 // round-robin — stores and indexes it.
 type RRConfig struct {
-	Cores   int  // P join-cores (default 1)
-	WR, WS  int  // window lengths
-	Band    Band // band predicate
-	Indexed bool // true: IBWJ with per-core B+-Trees; false: NLWJ scans
-	Batch   int  // tuples per propagation round (fast-forwarding batch)
+	Cores   int       // P join-cores (default 1)
+	WR, WS  int       // window lengths
+	Band    join.Band // band predicate
+	Indexed bool      // true: IBWJ with per-core B+-Trees; false: NLWJ scans
+	Batch   int       // tuples per propagation round (fast-forwarding batch)
 }
 
 // rrCore is one join-core: a private partition of each stream's window plus
@@ -68,7 +69,7 @@ func (c *rrCore) expire(s uint8, oldestLive uint64) {
 // store takes ownership of a tuple (this core is its round-robin assignee).
 func (c *rrCore) store(s uint8, key uint32, seq uint64) {
 	if c.size[s] == len(c.keys[s]) {
-		panic(fmt.Sprintf("join: rr partition overflow (stream %d, cap %d)", s, len(c.keys[s])))
+		panic(fmt.Sprintf("paper: rr partition overflow (stream %d, cap %d)", s, len(c.keys[s])))
 	}
 	h := c.head[s]
 	c.keys[s][h] = key
@@ -83,7 +84,7 @@ func (c *rrCore) store(s uint8, key uint32, seq uint64) {
 // search counts band matches for key against the local partition of stream
 // s, accepting only tuples inside the probe's window: sequence numbers in
 // [before-w, before).
-func (c *rrCore) search(s uint8, band Band, key uint32, before, w uint64) uint64 {
+func (c *rrCore) search(s uint8, band join.Band, key uint32, before, w uint64) uint64 {
 	var n uint64
 	inWindow := func(seq uint64) bool {
 		return seq < before && before-seq <= w
@@ -114,13 +115,13 @@ func (c *rrCore) search(s uint8, band Band, key uint32, before, w uint64) uint64
 // core searches its partitions for every tuple and applies updates for the
 // tuples it owns, and a barrier closes the round before results propagate in
 // arrival order (preserving the output-order guarantee the paper requires).
-func RunRR(arrivals []stream.Arrival, cfg RRConfig) Stats {
+func RunRR(arrivals []stream.Arrival, cfg RRConfig) join.Stats {
 	cores := cfg.Cores
 	if cores <= 0 {
 		cores = 1
 	}
 	if cfg.WR <= 0 || cfg.WS <= 0 {
-		panic("join: window lengths must be positive")
+		panic("paper: window lengths must be positive")
 	}
 	batch := cfg.Batch
 	if batch <= 0 {
@@ -159,7 +160,7 @@ func RunRR(arrivals []stream.Arrival, cfg RRConfig) Stats {
 		// bound — the tl snapshot of Section 4.1 in serialized form).
 		for i, a := range round {
 			tupleSeqs[i] = seqs[a.Stream]
-			oppBounds[i] = seqs[opposite(a.Stream)]
+			oppBounds[i] = seqs[1-a.Stream]
 			seqs[a.Stream]++
 		}
 		// Broadcast the round to every core (the handshake chain's
@@ -171,7 +172,7 @@ func RunRR(arrivals []stream.Arrival, cfg RRConfig) Stats {
 				c := rcs[ci]
 				mine := partial[ci]
 				for i, a := range round {
-					opp := opposite(a.Stream)
+					opp := 1 - a.Stream
 					mine[i] = c.search(opp, cfg.Band, a.Key, oppBounds[i], wlen[opp])
 					// Round-robin ownership by global arrival position.
 					if (base+i)%cores == ci {
@@ -191,5 +192,5 @@ func RunRR(arrivals []stream.Arrival, cfg RRConfig) Stats {
 			}
 		}
 	}
-	return Stats{Tuples: len(arrivals), Matches: matches, Elapsed: time.Since(start)}
+	return join.Stats{Tuples: len(arrivals), Matches: matches, Elapsed: time.Since(start)}
 }

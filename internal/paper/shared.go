@@ -1,4 +1,9 @@
-package join
+// Package paper holds the runtimes only the paper's figures run: the
+// parallel IBWJ over shared indexes (Section 4), with its concurrent window
+// and the Bw-Tree baseline, and the round-robin partitioned joins of Section
+// 2.2.3. The service's single-writer engines (internal/join's serial IBWJ,
+// internal/shard) link none of it.
+package paper
 
 import (
 	"fmt"
@@ -8,10 +13,10 @@ import (
 
 	"pimtree/internal/bwtree"
 	"pimtree/internal/core"
+	"pimtree/internal/join"
 	"pimtree/internal/kv"
 	"pimtree/internal/metrics"
 	"pimtree/internal/stream"
-	"pimtree/internal/window"
 )
 
 // SharedConfig configures the parallel IBWJ over shared indexes (Section 4):
@@ -19,33 +24,30 @@ import (
 // queue, search and update shared per-stream indexes, and propagate results
 // in arrival order.
 type SharedConfig struct {
-	Threads  int  // worker goroutines (default 1)
-	TaskSize int  // tuples per task acquisition (default 8, Figure 10c/d)
-	WR, WS   int  // window lengths
-	Band     Band // band predicate
-	Self     bool // self-join: one stream, one window, one index
+	Threads  int       // worker goroutines (default 1)
+	TaskSize int       // tuples per task acquisition (default 8, Figure 10c/d)
+	WR, WS   int       // window lengths
+	Band     join.Band // band predicate
+	Self     bool      // self-join: one stream, one window, one index
 
-	Index IndexKind          // IndexPIMTree or IndexBwTree
+	Index join.IndexKind     // join.IndexPIMTree or join.IndexBwTree
 	PIM   core.PIMTreeConfig // PIM-Tree knobs (merge ratio, DI, ...)
+	// SingleLock guards each PIM-Tree's subindexes with one mutex instead of
+	// one each: the lock-granularity ablation.
+	SingleLock bool
 
 	// BlockingMerge switches the PIM-Tree maintenance from the two-phase
 	// non-blocking merge of Section 4.2 to a stop-the-world merge
 	// (the "blocking merge" series of Figure 13c).
 	BlockingMerge bool
 
-	Sink    MatchSink                // optional ordered result sink
+	Sink    join.MatchSink           // optional ordered result sink
 	Latency *metrics.LatencyRecorder // optional latency sampling (Fig 10d)
 
 	// ChunkTuples, when positive, records a timestamp every time that many
 	// tuples have been propagated, yielding the throughput-over-time series
 	// of Figure 13b in Stats.Chunks.
 	ChunkTuples int
-}
-
-// ChunkStat is the throughput of one propagated chunk (Figure 13b).
-type ChunkStat struct {
-	Tuples int
-	Mtps   float64
 }
 
 // tupleState is the per-tuple completion record, padded to a cache line so
@@ -66,9 +68,9 @@ type sharedRun struct {
 	cfg      SharedConfig
 	capN     int
 	arrivals []stream.Arrival
-	wins     [2]*window.Concurrent
+	wins     [2]*Window
 	wlen     [2]uint64
-	pim      [2]atomic.Pointer[core.PIMTree]
+	pim      [2]atomic.Pointer[core.SharedPIMTree]
 	bw       [2]*bwtree.Tree
 
 	// Task queue (Section 4.1). Admission to the windows happens at task
@@ -132,10 +134,10 @@ const (
 	backlogDen = 4
 )
 
-// sharedWindowCheck reports whether count windows of length wr/ws can
-// absorb the shared runtime's in-flight tuples under the Bw-Tree's eager
-// deletes, returning the in-flight bound it computed.
-func sharedWindowCheck(threads, task, wr, ws int) (inflight int, ok bool) {
+// BwWindowsFit reports whether count windows of length wr/ws can absorb the
+// shared runtime's in-flight tuples under the Bw-Tree's eager deletes,
+// returning the in-flight bound it computed.
+func BwWindowsFit(threads, task, wr, ws int) (inflight int, ok bool) {
 	inflight = threads*task + 64
 	return inflight, wr > 2*inflight && ws > 2*inflight
 }
@@ -145,7 +147,7 @@ func sharedWindowCheck(threads, task, wr, ws int) (inflight int, ok bool) {
 // which is published before the workers are told the run is closed. Results
 // are propagated in arrival order; the optional sink observes them in that
 // order.
-func RunShared(arrivals []stream.Arrival, cfg SharedConfig) Stats {
+func RunShared(arrivals []stream.Arrival, cfg SharedConfig) join.Stats {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
@@ -153,17 +155,17 @@ func RunShared(arrivals []stream.Arrival, cfg SharedConfig) Stats {
 		cfg.TaskSize = 8
 	}
 	if cfg.WR <= 0 {
-		panic("join: WR must be positive")
+		panic("paper: WR must be positive")
 	}
 	if cfg.Self {
 		cfg.WS = cfg.WR
 	}
 	if cfg.WS <= 0 {
-		panic("join: WS must be positive")
+		panic("paper: WS must be positive")
 	}
-	inflight, windowsOK := sharedWindowCheck(cfg.Threads, cfg.TaskSize, cfg.WR, cfg.WS)
-	if cfg.Index == IndexBwTree && !windowsOK {
-		panic(fmt.Sprintf("join: windows (%d,%d) too small for %d in-flight tuples with eager deletes",
+	inflight, windowsOK := BwWindowsFit(cfg.Threads, cfg.TaskSize, cfg.WR, cfg.WS)
+	if cfg.Index == join.IndexBwTree && !windowsOK {
+		panic(fmt.Sprintf("paper: windows (%d,%d) too small for %d in-flight tuples with eager deletes",
 			cfg.WR, cfg.WS, inflight))
 	}
 	capacity := max(len(arrivals), 1)
@@ -189,21 +191,21 @@ func RunShared(arrivals []stream.Arrival, cfg SharedConfig) Stats {
 	if cfg.Latency != nil {
 		r.admitNano = make([]int64, capacity)
 	}
-	r.wins[0] = window.NewConcurrent(cfg.WR, inflight)
+	r.wins[0] = NewWindow(cfg.WR, inflight)
 	if cfg.Self {
 		r.wins[1] = r.wins[0]
 	} else {
-		r.wins[1] = window.NewConcurrent(cfg.WS, inflight)
+		r.wins[1] = NewWindow(cfg.WS, inflight)
 	}
 	switch cfg.Index {
-	case IndexPIMTree:
-		r.pim[0].Store(core.NewPIMTree(cfg.WR, cfg.PIM))
+	case join.IndexPIMTree:
+		r.pim[0].Store(core.NewSharedPIMTree(cfg.WR, cfg.PIM, cfg.SingleLock))
 		if cfg.Self {
 			r.pim[1].Store(r.pim[0].Load())
 		} else {
-			r.pim[1].Store(core.NewPIMTree(cfg.WS, cfg.PIM))
+			r.pim[1].Store(core.NewSharedPIMTree(cfg.WS, cfg.PIM, cfg.SingleLock))
 		}
-	case IndexBwTree:
+	case join.IndexBwTree:
 		r.bw[0] = bwtree.New(cfg.WR, bwtree.Config{})
 		if cfg.Self {
 			r.bw[1] = r.bw[0]
@@ -211,7 +213,7 @@ func RunShared(arrivals []stream.Arrival, cfg SharedConfig) Stats {
 			r.bw[1] = bwtree.New(cfg.WS, bwtree.Config{})
 		}
 	default:
-		panic("join: shared join supports PIM-Tree and Bw-Tree indexes")
+		panic("paper: shared join supports PIM-Tree and Bw-Tree indexes")
 	}
 
 	start := time.Now()
@@ -235,7 +237,7 @@ func RunShared(arrivals []stream.Arrival, cfg SharedConfig) Stats {
 	// Drain any results the last workers could not propagate.
 	r.propagate(time.Now().UnixNano())
 
-	st := Stats{
+	st := join.Stats{
 		Tuples:    r.appended,
 		Matches:   r.matches,
 		Elapsed:   time.Since(start),
@@ -248,7 +250,7 @@ func RunShared(arrivals []stream.Arrival, cfg SharedConfig) Stats {
 	if cfg.ChunkTuples > 0 {
 		prev := r.startNano
 		for _, nano := range r.chunkNanos {
-			st.Chunks = append(st.Chunks, ChunkStat{
+			st.Chunks = append(st.Chunks, join.ChunkStat{
 				Tuples: cfg.ChunkTuples,
 				Mtps:   metrics.Mtps(cfg.ChunkTuples, time.Duration(nano-prev)),
 			})
@@ -271,7 +273,7 @@ func (r *sharedRun) oppositeID(s uint8) uint8 {
 	if r.cfg.Self {
 		return 0
 	}
-	return opposite(s)
+	return 1 - s
 }
 
 // backlogExceeded reports whether a window's unindexed region has outgrown
@@ -354,7 +356,7 @@ func (r *sharedRun) acquire(worker int) (lo, hi int, updates bool, admitNano int
 func (r *sharedRun) finishTask(worker int) (bounds [2]uint64) {
 	r.mu.Lock()
 	r.workerTe[worker] = [2]uint64{^uint64(0), ^uint64(0)}
-	if r.cfg.Index == IndexBwTree {
+	if r.cfg.Index == join.IndexBwTree {
 		for sid := 0; sid < 2; sid++ {
 			head := r.wins[sid].Head()
 			if head <= r.wlen[sid] {
@@ -422,7 +424,7 @@ func (r *sharedRun) worker(id int) {
 			}
 		}
 		bounds := r.finishTask(id)
-		if r.cfg.Index == IndexBwTree {
+		if r.cfg.Index == join.IndexBwTree {
 			for sid := 0; sid < 2; sid++ {
 				if r.cfg.Self && sid == 1 {
 					break
@@ -435,19 +437,10 @@ func (r *sharedRun) worker(id int) {
 	}
 }
 
-// query runs a range search on the shared index of stream slot sid.
-func (r *sharedRun) query(sid uint8, lo, hi uint32, emit func(kv.Pair) bool) {
-	if r.cfg.Index == IndexPIMTree {
-		r.pim[sid].Load().Query(lo, hi, emit)
-		return
-	}
-	r.bw[sid].Query(lo, hi, emit)
-}
-
 // queryPairs is the columnar query: candidates arrive as contiguous
 // []kv.Pair runs aliasing index-owned storage, valid during emit only.
 func (r *sharedRun) queryPairs(sid uint8, lo, hi uint32, emit func([]kv.Pair) bool) {
-	if r.cfg.Index == IndexPIMTree {
+	if r.cfg.Index == join.IndexPIMTree {
 		r.pim[sid].Load().QueryPairs(lo, hi, emit)
 		return
 	}
@@ -459,7 +452,7 @@ func (r *sharedRun) queryPairs(sid uint8, lo, hi uint32, emit func([]kv.Pair) bo
 // worker, so process never materializes an escaping closure.
 type probeScratch struct {
 	r        *sharedRun
-	opp      *window.Concurrent
+	opp      *Window
 	lo, hi   uint32
 	te, tl   uint64
 	edge     uint64
@@ -563,7 +556,7 @@ func (r *sharedRun) indexUpdate(i int) {
 	own := r.wins[sid]
 	seq := r.tupleSeq[slot]
 	p := kv.Pair{Key: a.Key, Ref: own.RefOf(seq)}
-	if r.cfg.Index == IndexPIMTree {
+	if r.cfg.Index == join.IndexPIMTree {
 		r.pim[sid].Load().Insert(p)
 	} else {
 		r.bw[sid].Insert(p)
@@ -624,7 +617,7 @@ func (r *sharedRun) propagate(nowNano int64) {
 // maybeMerge volunteers this worker as the merging thread when a PIM-Tree
 // needs maintenance (Section 4.2).
 func (r *sharedRun) maybeMerge() {
-	if r.cfg.Index != IndexPIMTree {
+	if r.cfg.Index != join.IndexPIMTree {
 		return
 	}
 	for sid := 0; sid < 2; sid++ {
@@ -719,7 +712,7 @@ func (r *sharedRun) nonblockingMerge(sid int) {
 		win := r.wins[wi]
 		for seq := pending[wi].lo; seq < pending[wi].hi; seq++ {
 			p := kv.Pair{Key: win.KeyAt(seq), Ref: win.RefOf(seq)}
-			if r.cfg.Index == IndexPIMTree {
+			if r.cfg.Index == join.IndexPIMTree {
 				r.pim[wi].Load().Insert(p)
 			}
 			win.MarkIndexed(seq)

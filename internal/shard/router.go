@@ -5,7 +5,7 @@
 // FIFO of routed commands, and an order-preserving merge stage re-sequences
 // the per-shard match output into global arrival order.
 //
-// Compared to the paper's shared-index runtime (internal/join.RunShared),
+// Compared to the paper's shared-index runtime (internal/paper.RunShared),
 // sharding removes all index-level synchronization: a shard's index is
 // touched only by its own goroutine. The price is routing — every tuple is
 // sent to its owner shard, and a band probe whose interval
@@ -550,7 +550,7 @@ func (r *Router) Close() join.Stats {
 }
 
 // Run executes the sharded join over a pre-materialized arrival sequence and
-// returns its statistics — the sharded counterpart of join.RunShared. The
+// returns its statistics — the sharded counterpart of paper.RunShared. The
 // ring is sized to the whole input, so no push ever blocks.
 func Run(arrivals []stream.Arrival, cfg Config) join.Stats {
 	r := NewRouter(cfg, len(arrivals))

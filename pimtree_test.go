@@ -6,6 +6,7 @@ import (
 
 	"pimtree/internal/join"
 	"pimtree/internal/metrics"
+	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
@@ -214,7 +215,7 @@ func TestRunParallelBwTreeAndLatency(t *testing.T) {
 	for i, a := range arr {
 		in[i] = stream.Arrival{Stream: uint8(a.Stream), Key: a.Key}
 	}
-	st := join.RunShared(in, join.SharedConfig{
+	st := paper.RunShared(in, paper.SharedConfig{
 		Threads: 2, WR: 1024, WS: 1024, Band: join.Band{Diff: diff},
 		Index: join.IndexBwTree, Latency: metrics.NewLatencyRecorder(1<<14, 1),
 	})

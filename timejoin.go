@@ -87,7 +87,13 @@ func NewTimeJoin(o TimeJoinOptions) (*TimeJoin, error) {
 // advancing watermark releases, so the returned matches may belong to
 // earlier arrivals and a tuple's own matches may surface in later calls (or
 // in Flush).
+//
+// A StreamID other than R and S panics with "pimtree: unknown StreamID <n>"
+// at the call, before the tuple reaches the reorder buffer.
 func (j *TimeJoin) Push(s StreamID, key uint32, ts uint64) int {
+	if err := checkStream(s); err != nil {
+		panic(err)
+	}
 	if j.reorder == nil {
 		return j.pushOrdered(s, key, ts)
 	}

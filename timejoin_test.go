@@ -1,6 +1,9 @@
 package pimtree
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestTimeJoinBasics(t *testing.T) {
 	j, err := NewTimeJoin(TimeJoinOptions{Span: 100, Diff: 0})
@@ -282,6 +285,38 @@ func TestTimeJoinGrowthMatchMultisetSelf(t *testing.T) {
 	for m, c := range want {
 		if got[m] != c {
 			t.Fatalf("match %+v count %d, oracle %d", m, got[m], c)
+		}
+	}
+}
+
+// An unknown StreamID panics inside the Push that carries it, with the id
+// named, in both modes. In buffered mode the tuple must not reach the reorder
+// buffer: a later Push whose watermark would release it goes through.
+func TestTimeJoinUnknownStreamPanicsAtCall(t *testing.T) {
+	for _, o := range []TimeJoinOptions{
+		{Span: 100, Diff: 5},
+		{Span: 100, Diff: 5, LatePolicy: LateDrop, Slack: 10},
+	} {
+		j, err := NewTimeJoin(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Push(R, 7, 1)
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != "pimtree: unknown StreamID 2" {
+					t.Fatalf("policy %v: Push(StreamID(2)) panicked with %q", o.LatePolicy, got)
+				}
+			}()
+			j.Push(StreamID(2), 7, 2)
+		}()
+		if j.Pending() > 1 {
+			t.Fatalf("policy %v: %d tuples pending, the rejected one was buffered", o.LatePolicy, j.Pending())
+		}
+		j.Push(S, 7, 50)
+		j.Flush()
+		if j.Matches() != 1 || j.Tuples() != 2 {
+			t.Fatalf("policy %v: Matches=%d Tuples=%d after the rejected push, want 1 and 2", o.LatePolicy, j.Matches(), j.Tuples())
 		}
 	}
 }
