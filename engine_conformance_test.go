@@ -1,5 +1,5 @@
 // Engine conformance suite: every Mode × backend combination must produce
-// the exact match multiset of the serial Join on the same input, no matter
+// the exact match multiset of the serial join on the same input, no matter
 // how the input is pushed — one tuple at a time, in random batch sizes, or
 // with a mid-stream Drain — and with Stats polled concurrently (the suite is
 // meant to run under -race).
@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"pimtree"
+	"pimtree/internal/join"
+	"pimtree/internal/stream"
 )
 
 // matchKey is a comparable flattening of a Match for multiset comparison.
@@ -44,27 +46,23 @@ func collectMatches(dst *[]matchKey) func(pimtree.Match) {
 	}
 }
 
-// serialOracle plays the arrivals through a serial engine and returns the
-// match multiset plus the cumulative match count after every arrival.
+// serialOracle plays the arrivals one at a time through join.Streaming
+// itself — no Engine, so no runtime, batching or located descent under test
+// — and returns the match multiset plus the cumulative match count after
+// every arrival.
 func serialOracle(t *testing.T, arr []pimtree.Arrival, w int, diff uint32) (ms []matchKey, cum []uint64) {
 	t.Helper()
-	e, err := pimtree.Open(pimtree.Config{
-		Mode:    pimtree.ModeSerial,
-		WindowR: w, WindowS: w, Diff: diff, Backend: pimtree.PIMTree,
-		OnMatch: collectMatches(&ms),
+	j := join.NewStreaming(join.SerialConfig{
+		WR: w, WS: w, Band: join.Band{Diff: diff}, Index: join.IndexPIMTree,
+		Sink: func(s uint8, probe, match uint64) {
+			ms = append(ms, matchKey{pimtree.StreamID(s), probe, match})
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cum = make([]uint64, len(arr))
+	var total uint64
 	for i, a := range arr {
-		if err := e.Push(a.Stream, a.Key); err != nil {
-			t.Fatal(err)
-		}
-		cum[i] = e.Stats().Matches
-	}
-	if _, err := e.Close(context.Background()); err != nil {
-		t.Fatal(err)
+		total += uint64(j.Push(stream.Arrival{Stream: uint8(a.Stream), Key: a.Key}))
+		cum[i] = total
 	}
 	sortedMatches(ms)
 	return ms, cum

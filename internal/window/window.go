@@ -57,9 +57,6 @@ func NewRing(w int) *Ring {
 	}
 }
 
-// W returns the window length.
-func (r *Ring) W() int { return int(r.w) }
-
 // Head returns the next sequence number to be assigned.
 func (r *Ring) Head() uint64 { return r.head }
 
@@ -109,11 +106,6 @@ func (r *Ring) Get(ref uint32) (key uint32, seq uint64) {
 // expired tuples are filtered from search results (Section 3.2). Never-
 // written slots are not live.
 func (r *Ring) Live(ref uint32) bool { return r.age(ref) < r.count() }
-
-// LiveSeq reports whether sequence number seq is inside the window.
-func (r *Ring) LiveSeq(seq uint64) bool {
-	return seq < r.head && r.head-seq <= r.w
-}
 
 // Resolve returns the occupant of ref only if it is live.
 func (r *Ring) Resolve(ref uint32) (key uint32, seq uint64, live bool) {

@@ -10,9 +10,6 @@ import (
 
 func TestRingBasics(t *testing.T) {
 	r := NewRing(4)
-	if r.W() != 4 {
-		t.Fatalf("W = %d, want 4", r.W())
-	}
 	for i := uint32(0); i < 4; i++ {
 		_, seq, _, hasExp := r.Append(i * 10)
 		if seq != uint64(i) {
@@ -48,9 +45,10 @@ func TestRingLiveness(t *testing.T) {
 		seqs = append(seqs, seq)
 	}
 	for i := 0; i < 100; i++ {
+		// A tuple is live iff its ref still resolves, live, to it.
 		wantLive := i >= 92
-		if got := r.LiveSeq(seqs[i]); got != wantLive {
-			t.Fatalf("LiveSeq(%d) = %v, want %v", i, got, wantLive)
+		if _, seq, live := r.Resolve(refs[i]); (live && seq == seqs[i]) != wantLive {
+			t.Fatalf("tuple %d: Resolve(%d) = (seq %d, live %v), want it live %v", i, refs[i], seq, live, wantLive)
 		}
 	}
 	// Refs of live tuples resolve; refs of long-dead tuples either resolve
@@ -300,8 +298,8 @@ func checkRingAgainstShadow(t *testing.T, r *Ring, s *ringShadow, held []heldEnt
 		if _, seq := r.Get(e.ref); seq != e.seq {
 			t.Fatalf("head %d: held ref %d (seq %d) now resolves to seq %d", s.head, e.ref, e.seq, seq)
 		}
-		if got, want := r.Live(e.ref), r.LiveSeq(e.seq); got != want {
-			t.Fatalf("head %d: Live(%d) = %v, LiveSeq(%d) = %v", s.head, e.ref, got, e.seq, want)
+		if got, want := r.Live(e.ref), s.head-e.seq <= s.w; got != want {
+			t.Fatalf("head %d: Live(%d) = %v, but seq %d is live = %v", s.head, e.ref, got, e.seq, want)
 		}
 	}
 }

@@ -47,6 +47,7 @@ type TimeJoin struct {
 	idxs    [2]*btree.Tree
 	caps    [2]int
 	reorder *ooo.Reorderer // nil in strict (LateNone) mode
+	clock   uint64         // strict mode: the latest timestamp pushed
 	matches uint64
 	tuples  uint64
 }
@@ -80,13 +81,14 @@ func NewTimeJoin(o TimeJoinOptions) (*TimeJoin, error) {
 // Push processes one tuple with timestamp ts and returns the number of
 // matches produced by this call.
 //
-// In strict mode (LateNone) ts must be non-decreasing per stream (the
-// opposite stream's clock is advanced too, so expiry is symmetric) and the
-// tuple joins immediately. In buffered mode the tuple enters the reorder
-// buffer; the call joins — in timestamp order — every buffered tuple the
-// advancing watermark releases, so the returned matches may belong to
-// earlier arrivals and a tuple's own matches may surface in later calls (or
-// in Flush).
+// In strict mode (LateNone) ts must be non-decreasing across all Push calls
+// (one clock for both streams, which also expires the opposite window) and
+// the tuple joins immediately; a regression panics at the call, before the
+// probe, with the Engine's error for it, which wraps ErrUnordered. In
+// buffered mode the tuple enters the reorder buffer; the call joins — in
+// timestamp order — every buffered tuple the advancing watermark releases,
+// so the returned matches may belong to earlier arrivals and a tuple's own
+// matches may surface in later calls (or in Flush).
 //
 // A StreamID other than R and S panics with "pimtree: unknown StreamID <n>"
 // at the call, before the tuple reaches the reorder buffer.
@@ -95,6 +97,10 @@ func (j *TimeJoin) Push(s StreamID, key uint32, ts uint64) int {
 		panic(err)
 	}
 	if j.reorder == nil {
+		if ts < j.clock {
+			panic(errNotSorted())
+		}
+		j.clock = ts
 		return j.pushOrdered(s, key, ts)
 	}
 	before := j.matches

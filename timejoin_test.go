@@ -1,6 +1,7 @@
 package pimtree
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -318,5 +319,44 @@ func TestTimeJoinUnknownStreamPanicsAtCall(t *testing.T) {
 		if j.Matches() != 1 || j.Tuples() != 2 {
 			t.Fatalf("policy %v: Matches=%d Tuples=%d after the rejected push, want 1 and 2", o.LatePolicy, j.Matches(), j.Tuples())
 		}
+	}
+}
+
+// A strict-mode Push whose timestamp regresses below the join's clock panics
+// at the call with the Engine's disorder error, before its probe: OnMatch
+// sees no match of the rejected tuple, so it and Matches() still agree. The
+// clock is one for both streams, so a regression across streams is rejected
+// like one within a stream.
+func TestTimeJoinRegressPanicsBeforeProbe(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		s    StreamID
+	}{{"same-stream", R}, {"cross-stream", S}} {
+		t.Run(tc.name, func(t *testing.T) {
+			seen := 0
+			j, err := NewTimeJoin(TimeJoinOptions{Span: 100, Diff: 5, OnMatch: func(Match) { seen++ }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Push(S, 10, 10)
+			j.Push(R, 10, 20)
+			func() {
+				defer func() {
+					r := recover()
+					err, ok := r.(error)
+					if !ok || !errors.Is(err, ErrUnordered) || err.Error() != errNotSorted().Error() {
+						t.Fatalf("Push at ts 15 after 20 panicked with %v, want %q", r, errNotSorted())
+					}
+				}()
+				j.Push(tc.s, 11, 15)
+			}()
+			if seen != 1 || j.Matches() != 1 || j.Tuples() != 2 {
+				t.Fatalf("OnMatch saw %d matches, Matches() = %d, Tuples() = %d; want 1, 1, 2", seen, j.Matches(), j.Tuples())
+			}
+			// The clock stays at 20: the session goes on from there.
+			if n := j.Push(S, 12, 20); n != 1 {
+				t.Fatalf("Push at the clock matched %d, want 1", n)
+			}
+		})
 	}
 }
