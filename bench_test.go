@@ -187,7 +187,7 @@ func BenchmarkFig09c_IMSerialMergeRatio(b *testing.B) {
 	b.ResetTimer()
 	report(b, join.IBWJSerial(arr[:b.N], join.SerialConfig{
 		WR: benchWindow, WS: benchWindow, Band: band(benchWindow),
-		Index: join.IndexIMTree, IM: core.IMTreeConfig{MergeRatio: 1.0 / 8},
+		Index: join.IndexIMTree, PIM: core.PIMTreeConfig{MergeRatio: 1.0 / 8},
 	}))
 }
 
@@ -210,7 +210,6 @@ func BenchmarkFig10a_SerialIndexes(b *testing.B) {
 			report(b, join.IBWJSerial(arr[:b.N], join.SerialConfig{
 				WR: benchWindow, WS: benchWindow, Band: band(benchWindow),
 				Index: kind,
-				IM:    core.IMTreeConfig{MergeRatio: 1.0 / 16},
 				PIM:   core.PIMTreeConfig{MergeRatio: 1.0 / 16, InsertionDepth: 2},
 			}))
 		})

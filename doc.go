@@ -33,8 +33,10 @@
 //
 //   - ModeSerial: the incremental single-threaded band join. Matches are
 //     dispatched before Push returns. Every Backend (PIM-Tree, IM-Tree,
-//     B+-Tree) runs in every mode; the paper's Bw-Tree and chained indexes
-//     run only behind its figures (cmd/pimbench).
+//     B+-Tree) runs in every mode; the IM-Tree is the PIM-Tree at
+//     insertion depth 0, one unpartitioned mutable stage. The paper's
+//     Bw-Tree and chained indexes run only behind its figures
+//     (cmd/pimbench).
 //
 //   - ModeSharded: the key-range sharded parallel join. The key domain is
 //     dealt to K independent single-writer join instances fed through

@@ -160,6 +160,7 @@ type Config struct {
 	Backend Backend
 	// Index tunes the two-stage backends. A zero MergeRatio defaults to the
 	// serial 1/16 — the sharded modes' per-shard indexes are single-writer.
+	// Open rejects the values NewIndex rejects.
 	Index IndexOptions
 
 	// Shards, BatchSize, and Partitioner shape the sharded modes (defaults:
@@ -252,6 +253,9 @@ func (c Config) validate() (Config, error) {
 	if _, ok := c.Backend.kind(); !ok {
 		return c, fmt.Errorf("pimtree: unknown Backend %d", c.Backend)
 	}
+	if err := c.Index.validate(); err != nil {
+		return c, err
+	}
 	if err := c.Durability.validate(c.Mode); err != nil {
 		return c, err
 	}
@@ -343,13 +347,12 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 
 	kind, _ := cc.Backend.kind()
 	band := join.Band{Diff: cc.Diff}
-	im := core.IMTreeConfig{MergeRatio: cc.Index.MergeRatio}
 	pim := core.PIMTreeConfig{MergeRatio: cc.Index.MergeRatio, InsertionDepth: cc.Index.InsertionDepth}
 	switch cc.Mode {
 	case ModeSerial:
 		e.serial = join.NewStreaming(join.SerialConfig{
 			WR: cc.WindowR, WS: cc.WindowS, Self: cc.Self, Band: band,
-			Index: kind, IM: im, PIM: pim, Sink: sink,
+			Index: kind, PIM: pim, Sink: sink,
 		})
 		e.serialBuf = make([]stream.Arrival, join.LocateChunk)
 	case ModeSharded, ModeShardedTime:
@@ -359,7 +362,6 @@ func openWithWALFS(cfg Config, wfs wal.FS) (*Engine, error) {
 			Self:      cc.Self,
 			Band:      band,
 			Index:     kind,
-			IM:        im,
 			PIM:       pim,
 			Part:      cc.Partitioner,
 			Sink:      sink,

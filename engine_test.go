@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -39,6 +40,16 @@ func TestValidationUniform(t *testing.T) {
 			t.Fatalf("unordered strict input: error %v does not wrap ErrUnordered", err)
 		}
 		return err
+	}
+	// indexOpts is NewIndex's verdict on opt beside Open's in every mode:
+	// the two constructors share one IndexOptions check.
+	indexOpts := func(opt pimtree.IndexOptions) map[string]error {
+		return map[string]error{
+			"NewIndex":          errOf2(pimtree.NewIndex(64, opt)),
+			"Open/serial":       openErr(pimtree.Config{Mode: pimtree.ModeSerial, WindowR: 4, WindowS: 4, Index: opt}),
+			"Open/sharded":      openErr(pimtree.Config{Mode: pimtree.ModeSharded, WindowR: 4, WindowS: 4, Index: opt}),
+			"Open/sharded-time": openErr(pimtree.Config{Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8, Index: opt}),
+		}
 	}
 	rows := []struct {
 		name string
@@ -92,6 +103,10 @@ func TestValidationUniform(t *testing.T) {
 				}),
 			},
 		},
+		{name: "negative MergeRatio", errs: indexOpts(pimtree.IndexOptions{MergeRatio: -0.5})},
+		{name: "NaN MergeRatio", errs: indexOpts(pimtree.IndexOptions{MergeRatio: math.NaN()})},
+		{name: "MergeRatio above 1", errs: indexOpts(pimtree.IndexOptions{MergeRatio: 1.5})},
+		{name: "negative InsertionDepth", errs: indexOpts(pimtree.IndexOptions{InsertionDepth: -1})},
 		{
 			name: "unordered strict input",
 			errs: map[string]error{

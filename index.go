@@ -8,8 +8,8 @@ import (
 	"pimtree/internal/kv"
 )
 
-// IndexOptions tunes a standalone PIM-Tree index. Zero values select the
-// paper's defaults.
+// IndexOptions tunes a standalone PIM-Tree index and the Engine's two-stage
+// backends (Config.Index). Zero values select the paper's defaults.
 type IndexOptions struct {
 	// MergeRatio is m: the mutable component merges into the immutable one
 	// after m*w inserts. Valid values lie in (0, 1]; zero selects the
@@ -20,8 +20,22 @@ type IndexOptions struct {
 	MergeRatio float64
 	// InsertionDepth is DI: the depth of the immutable component whose
 	// nodes anchor the insert partitions. Deeper means more, smaller
-	// partitions (more concurrency, higher routing cost). Default 2.
+	// partitions (more concurrency, higher routing cost). Default 2. The
+	// Engine's IMTree backend, the PIM-Tree at depth 0, ignores it.
 	InsertionDepth int
+}
+
+// validate is the IndexOptions check shared by NewIndex and Open.
+func (o IndexOptions) validate() error {
+	// Zero means "use the default"; everything else must land in (0, 1]
+	// (the negated form also rejects NaN).
+	if o.MergeRatio != 0 && !(o.MergeRatio > 0 && o.MergeRatio <= 1) {
+		return fmt.Errorf("pimtree: merge ratio %f outside (0, 1] (zero selects the default)", o.MergeRatio)
+	}
+	if o.InsertionDepth < 0 {
+		return fmt.Errorf("pimtree: insertion depth %d must be >= 0", o.InsertionDepth)
+	}
+	return nil
 }
 
 // Index is a concurrent sliding-window index: a PIM-Tree plus the
@@ -41,13 +55,8 @@ func NewIndex(windowLen int, opt IndexOptions) (*Index, error) {
 	if windowLen <= 0 {
 		return nil, fmt.Errorf("pimtree: window length %d must be positive", windowLen)
 	}
-	// Zero means "use the default"; everything else must land in (0, 1]
-	// (the negated form also rejects NaN).
-	if opt.MergeRatio != 0 && !(opt.MergeRatio > 0 && opt.MergeRatio <= 1) {
-		return nil, fmt.Errorf("pimtree: merge ratio %f outside (0, 1] (zero selects the default)", opt.MergeRatio)
-	}
-	if opt.InsertionDepth < 0 {
-		return nil, fmt.Errorf("pimtree: insertion depth %d must be >= 0", opt.InsertionDepth)
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	cfg := core.PIMTreeConfig{
 		MergeRatio:     opt.MergeRatio,

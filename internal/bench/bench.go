@@ -154,19 +154,16 @@ func bandFor(w int, sigmaS float64) join.Band {
 	return join.Band{Diff: stream.UniformDiff(w, sigmaS)}
 }
 
-// pimConfig returns the PIM-Tree settings used across experiments: merge
-// ratio 1 for parallel runs (Figure 9a's finding) and 1/16 for
-// single-threaded runs (Figure 9d).
+// pimParallel and pimSerial return the two-stage index settings used across
+// experiments: merge ratio 1 for parallel runs (Figure 9a's finding) and
+// 1/16 for single-threaded runs (Figure 9d). The IM-Tree rows use pimSerial
+// too; the IM-Tree ignores the insertion depth.
 func pimParallel() core.PIMTreeConfig {
 	return core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2}
 }
 
 func pimSerial() core.PIMTreeConfig {
 	return core.PIMTreeConfig{MergeRatio: 1.0 / 16, InsertionDepth: 2}
-}
-
-func imSerial() core.IMTreeConfig {
-	return core.IMTreeConfig{MergeRatio: 1.0 / 16}
 }
 
 // header prints a figure header line.

@@ -41,7 +41,7 @@ func runFig10a(cfg Config, out io.Writer) {
 		band := bandFor(w, 2)
 		arr := twoWay(n, cfg.seed())
 		bt := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
-		im := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexIMTree, IM: imSerial()}).Mtps()
+		im := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexIMTree, PIM: pimSerial()}).Mtps()
 		pim := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pimSerial()}).Mtps()
 		row(out, wLabel(w), bt, im, pim)
 	}
@@ -82,7 +82,7 @@ func runFig10b(cfg Config, out io.Writer) {
 		}
 		arr := twoWay(n, cfg.seed())
 		bt := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
-		im := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexIMTree, IM: imSerial()}).Mtps()
+		im := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexIMTree, PIM: pimSerial()}).Mtps()
 		pim := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pimSerial()}).Mtps()
 		pimMT := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,

@@ -109,7 +109,7 @@ func runFig9b(cfg Config, out io.Writer) {
 		arr := twoWay(n, cfg.seed())
 		for _, kind := range []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree} {
 			st := join.StepCosts(arr, join.SerialConfig{
-				WR: w, WS: w, Band: band, Index: kind, IM: imSerial(), PIM: pimSerial(),
+				WR: w, WS: w, Band: band, Index: kind, PIM: pimSerial(),
 			})
 			// The scan column is measured by subtracting the repeated
 			// descent time; scheduler noise can push it below zero on
@@ -151,10 +151,7 @@ func runSerialMergeSweep(cfg Config, out io.Writer, kind join.IndexKind) {
 			n := cfg.tuplesFor(w)
 			band := bandFor(w, 2)
 			arr := twoWay(n, cfg.seed())
-			sc := join.SerialConfig{WR: w, WS: w, Band: band, Index: kind}
-			sc.IM = imSerial()
-			sc.IM.MergeRatio = m
-			sc.PIM = pimSerial()
+			sc := join.SerialConfig{WR: w, WS: w, Band: band, Index: kind, PIM: pimSerial()}
 			sc.PIM.MergeRatio = m
 			cells = append(cells, join.IBWJSerial(arr, sc).Mtps())
 		}

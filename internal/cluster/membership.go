@@ -149,7 +149,7 @@ func (fe *Frontend) rebalanceEpoch(newList []*node) error {
 // move hands the inclusive key range [lo, hi] from src to dst: request the
 // export, collect the window batches, ship them to dst, and wait for the
 // import acknowledgement. Both sessions are quiescent, so the exported
-// slice is exact and ordered by global sequence.
+// slice is exact, though not in sequence order (see Member.ExportRange).
 func (fe *Frontend) move(src, dst *node, lo, hi uint32) error {
 	if err := src.mc.RequestExport(lo, hi); err != nil {
 		fe.nodeDown(src, fmt.Errorf("export request: %w", err))

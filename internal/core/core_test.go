@@ -18,7 +18,7 @@ func alwaysLive(kv.Pair) bool { return true }
 // --- IM-Tree ---
 
 func TestIMTreeInsertQuery(t *testing.T) {
-	im := NewIMTree(1024, IMTreeConfig{MergeRatio: 0.25})
+	im := NewIMTree(1024, PIMTreeConfig{MergeRatio: 0.25})
 	for i := uint32(0); i < 200; i++ {
 		im.Insert(pair(i*5, i))
 	}
@@ -39,7 +39,7 @@ func TestIMTreeInsertQuery(t *testing.T) {
 }
 
 func TestIMTreeMergeMovesTItoTS(t *testing.T) {
-	im := NewIMTree(1000, IMTreeConfig{MergeRatio: 0.1})
+	im := NewIMTree(1000, PIMTreeConfig{MergeRatio: 0.1})
 	if im.MergeThreshold() != 100 {
 		t.Fatalf("threshold = %d, want 100", im.MergeThreshold())
 	}
@@ -49,7 +49,7 @@ func TestIMTreeMergeMovesTItoTS(t *testing.T) {
 	if !im.NeedsMerge() {
 		t.Fatal("NeedsMerge should be true at threshold")
 	}
-	im.Merge(alwaysLive)
+	im.MergeInPlace(alwaysLive)
 	if im.TILen() != 0 {
 		t.Fatalf("TI len = %d after merge, want 0", im.TILen())
 	}
@@ -68,11 +68,11 @@ func TestIMTreeMergeMovesTItoTS(t *testing.T) {
 }
 
 func TestIMTreeMergeDiscardsExpired(t *testing.T) {
-	im := NewIMTree(100, IMTreeConfig{MergeRatio: 1})
+	im := NewIMTree(100, PIMTreeConfig{MergeRatio: 1})
 	for i := uint32(0); i < 100; i++ {
 		im.Insert(pair(i, i))
 	}
-	im.Merge(func(p kv.Pair) bool { return p.Ref >= 50 })
+	im.MergeInPlace(func(p kv.Pair) bool { return p.Ref >= 50 })
 	if im.TSLen() != 50 {
 		t.Fatalf("TS len = %d after filtered merge, want 50", im.TSLen())
 	}
@@ -85,7 +85,7 @@ func TestIMTreeMergeDiscardsExpired(t *testing.T) {
 }
 
 func TestIMTreeRepeatedMergesPreserveContent(t *testing.T) {
-	im := NewIMTree(512, IMTreeConfig{MergeRatio: 0.125})
+	im := NewIMTree(512, PIMTreeConfig{MergeRatio: 0.125})
 	live := map[kv.Pair]bool{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
@@ -93,7 +93,7 @@ func TestIMTreeRepeatedMergesPreserveContent(t *testing.T) {
 		im.Insert(p)
 		live[p] = true
 		if im.NeedsMerge() {
-			im.Merge(alwaysLive)
+			im.MergeInPlace(alwaysLive)
 		}
 	}
 	if im.Len() != len(live) {
@@ -113,11 +113,11 @@ func TestIMTreeRepeatedMergesPreserveContent(t *testing.T) {
 }
 
 func TestIMTreeMemory(t *testing.T) {
-	im := NewIMTree(1000, IMTreeConfig{MergeRatio: 0.5})
+	im := NewIMTree(1000, PIMTreeConfig{MergeRatio: 0.5})
 	for i := uint32(0); i < 600; i++ {
 		im.Insert(pair(i, i))
 		if im.NeedsMerge() {
-			im.Merge(alwaysLive)
+			im.MergeInPlace(alwaysLive)
 		}
 	}
 	m := im.Memory()
@@ -128,8 +128,8 @@ func TestIMTreeMemory(t *testing.T) {
 
 func TestIMTreeInvalidConfig(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewIMTree(0, IMTreeConfig{}) },
-		func() { NewIMTree(10, IMTreeConfig{MergeRatio: -1}) },
+		func() { NewIMTree(0, PIMTreeConfig{}) },
+		func() { NewIMTree(10, PIMTreeConfig{MergeRatio: -1}) },
 	} {
 		func() {
 			defer func() {
@@ -173,13 +173,13 @@ func TestMergeSurvivorsSizesTS(t *testing.T) {
 	live := func(p kv.Pair) bool { return p.Ref < keep }
 	for _, hint := range []int{keep, 10} {
 		pt := NewPIMTree(w, PIMTreeConfig{MergeRatio: 1})
-		im := NewIMTree(w, IMTreeConfig{MergeRatio: 1})
+		im := NewIMTree(w, PIMTreeConfig{MergeRatio: 1})
 		for i := uint32(0); i < w; i++ {
 			pt.Insert(pair(i*7919%w, i))
 			im.Insert(pair(i*7919%w, i))
 		}
 		pt.MergeInPlace(live, hint)
-		im.Merge(live, hint)
+		im.MergeInPlace(live, hint)
 		if pt.TSLen() != keep || im.TSLen() != keep {
 			t.Fatalf("hint %d: TS holds %d / %d, want %d", hint, pt.TSLen(), im.TSLen(), keep)
 		}
@@ -605,8 +605,11 @@ func TestPIMTreeInsertCountsReset(t *testing.T) {
 }
 
 // Property: IM-Tree and PIM-Tree agree with each other and with a sorted
-// reference under random inserts, merges, and range queries.
+// reference under random inserts, merges, and range queries. Both get the
+// same config, InsertionDepth included: the IM-Tree keeps one subindex at
+// depth 0 where the PIM-Tree splits TI.
 func TestQuickTwoStageAgreement(t *testing.T) {
+	split := false
 	f := func(keys []uint16, loRaw, hiRaw uint16, mRaw uint8) bool {
 		if len(keys) == 0 {
 			return true
@@ -617,8 +620,9 @@ func TestQuickTwoStageAgreement(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		w := 256
-		im := NewIMTree(w, IMTreeConfig{MergeRatio: m, CSTree: cstree.Config{Fanout: 4, LeafSize: 4}})
-		pt := NewPIMTree(w, PIMTreeConfig{MergeRatio: m, InsertionDepth: 2, CSTree: cstree.Config{Fanout: 4, LeafSize: 4}})
+		cfg := PIMTreeConfig{MergeRatio: m, InsertionDepth: 2, CSTree: cstree.Config{Fanout: 4, LeafSize: 4}}
+		im := NewIMTree(w, cfg)
+		pt := NewPIMTree(w, cfg)
 		ref := []kv.Pair{}
 		for i, k := range keys {
 			p := pair(uint32(k%3000), uint32(i))
@@ -626,7 +630,7 @@ func TestQuickTwoStageAgreement(t *testing.T) {
 			pt.Insert(p)
 			ref = append(ref, p)
 			if im.NeedsMerge() {
-				im.Merge(alwaysLive)
+				im.MergeInPlace(alwaysLive)
 			}
 			if pt.NeedsMerge() {
 				pt.MergeInPlace(alwaysLive)
@@ -641,10 +645,14 @@ func TestQuickTwoStageAgreement(t *testing.T) {
 		gotIM, gotPT := 0, 0
 		im.Query(lo, hi, func(kv.Pair) bool { gotIM++; return true })
 		pt.Query(lo, hi, func(kv.Pair) bool { gotPT++; return true })
-		return gotIM == want && gotPT == want
+		split = split || pt.Subindexes() > 1
+		return gotIM == want && gotPT == want && im.Subindexes() == 1 && im.EffectiveDI() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+	if !split {
+		t.Fatal("no input split the PIM-Tree's TI, so the IM-Tree's single subindex was never contrasted")
 	}
 }
 

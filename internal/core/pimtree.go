@@ -1,3 +1,16 @@
+// Package core implements the paper's contribution: the In-memory Merge-Tree
+// (IM-Tree, Section 3.2) and its partitioned, concurrency-ready extension,
+// the Partitioned In-memory Merge-Tree (PIM-Tree, Section 3.3 and
+// Appendix A). One type, PIMTree, is both: the IM-Tree is the PIM-Tree at
+// insertion depth 0, whose TI is a single B+-Tree under TS's root.
+//
+// Both are two-stage indexes: a mutable, insert-efficient component TI
+// (classic B+-Tree) absorbs arrivals; an immutable, search-efficient
+// component TS (CSS-style immutable B+-Tree) holds the bulk. When TI reaches
+// m*w elements (m = merge ratio), the components merge: expired tuples are
+// discarded, survivors and TI's content become the sorted leaf run of a new
+// TS, and TI restarts empty — the coarse-grained tuple disposal that replaces
+// per-tuple deletes (Equations 5 and 6).
 package core
 
 import (
@@ -10,18 +23,23 @@ import (
 	"pimtree/internal/kv"
 )
 
+// DefaultMergeRatio is the paper's empirically good single-threaded merge
+// ratio for large windows (Figure 9c/d: 1/16 for w = 2^23).
+const DefaultMergeRatio = 1.0 / 16
+
 // DefaultInsertionDepth is DI in the paper; Figure 8c/d find 2 a good
 // default for single-threaded use and >= 2 necessary for parallel use.
 const DefaultInsertionDepth = 2
 
-// PIMTreeConfig configures a PIM-Tree.
+// PIMTreeConfig configures a PIM-Tree or an IM-Tree.
 type PIMTreeConfig struct {
-	// MergeRatio is m; zero selects DefaultMergeRatio. The paper sets m=1
-	// for multithreaded runs (Figure 9a).
+	// MergeRatio is m: TI merges into TS when it holds m*w elements. Zero
+	// selects DefaultMergeRatio; values above 1 are clamped to 1. The paper
+	// sets m=1 for multithreaded runs (Figure 9a).
 	MergeRatio float64
 	// InsertionDepth is DI, the TS depth whose nodes anchor the subindexes
 	// (root = depth 0). Clamped to the feasible range at every merge.
-	// Zero selects DefaultInsertionDepth.
+	// Zero selects DefaultInsertionDepth. NewIMTree ignores it.
 	InsertionDepth int
 	// BTreeOrder is the node capacity of the subindex B+-Trees.
 	BTreeOrder int
@@ -29,11 +47,26 @@ type PIMTreeConfig struct {
 	CSTree cstree.Config
 }
 
+func (c PIMTreeConfig) ratio() float64 {
+	m := c.MergeRatio
+	if m == 0 {
+		m = DefaultMergeRatio
+	}
+	if m < 0 {
+		panic(fmt.Sprintf("core: merge ratio %f must be positive", m))
+	}
+	if m > 1 {
+		m = 1
+	}
+	return m
+}
+
 // PIMTree is the Partitioned In-memory Merge-Tree of Section 3.3 for one
 // writer: the "without concurrency control" tree of Figure 12a, which every
 // shard and the serial join own outright. TI is one B+-Tree per TS node at
-// the insertion depth; a range scan walks them in key order. SharedPIMTree
-// adds the paper's locks for concurrent writers.
+// the insertion depth (one in all at depth 0, the IM-Tree); a range scan
+// walks them in key order. SharedPIMTree adds the paper's locks for
+// concurrent writers.
 type PIMTree struct {
 	threshold int
 	di        int
@@ -53,20 +86,28 @@ type PIMTree struct {
 
 // NewPIMTree returns an empty PIM-Tree for a window of length w.
 func NewPIMTree(w int, cfg PIMTreeConfig) *PIMTree {
-	if w <= 0 {
-		panic(fmt.Sprintf("core: window %d must be positive", w))
-	}
-	m := IMTreeConfig{MergeRatio: cfg.MergeRatio}.ratio()
-	threshold := int(m * float64(w))
-	if threshold < 1 {
-		threshold = 1
-	}
 	di := cfg.InsertionDepth
 	if di == 0 {
 		di = DefaultInsertionDepth
 	}
 	if di < 0 {
 		panic(fmt.Sprintf("core: insertion depth %d must be >= 0", di))
+	}
+	return newPIMTree(w, cfg, di)
+}
+
+// NewIMTree returns an empty IM-Tree (Section 3.2) for a window of length w:
+// the PIM-Tree at insertion depth 0, with one TI B+-Tree under TS's root.
+// cfg.InsertionDepth is ignored.
+func NewIMTree(w int, cfg PIMTreeConfig) *PIMTree { return newPIMTree(w, cfg, 0) }
+
+func newPIMTree(w int, cfg PIMTreeConfig, di int) *PIMTree {
+	if w <= 0 {
+		panic(fmt.Sprintf("core: window %d must be positive", w))
+	}
+	threshold := int(cfg.ratio() * float64(w))
+	if threshold < 1 {
+		threshold = 1
 	}
 	order := cfg.BTreeOrder
 	if order == 0 {
@@ -278,6 +319,15 @@ func (t *PIMTree) MergeInPlace(live func(kv.Pair) bool, survivors ...int) time.D
 	return d
 }
 
+// mergeCap is the merged run's capacity: the caller's survivor count when it
+// passed one, else no limit, which kv.MergeFiltered caps at both inputs.
+func mergeCap(survivors []int) int {
+	if len(survivors) > 0 {
+		return survivors[0]
+	}
+	return math.MaxInt
+}
+
 // BuildMerged constructs a brand-new PIM-Tree containing the merged, filtered
 // content, leaving the receiver untouched. This is phase 1 of the
 // non-blocking merge (Section 4.2): the old tree keeps serving lock-free
@@ -301,7 +351,15 @@ func (t *PIMTree) BuildMerged(live func(kv.Pair) bool) (*PIMTree, time.Duration)
 // Merges returns the number of merges performed and their cumulative time.
 func (t *PIMTree) Merges() (int, time.Duration) { return t.merges, t.mergeTime }
 
-// Memory reports the PIM-Tree footprint for Figure 11a.
+// MemoryStats describes component footprints for Figure 11a.
+type MemoryStats struct {
+	TSLeafBytes  int
+	TSInnerBytes int
+	TIBytes      int
+	BufferBytes  int // merge buffer (the extra space of Figure 11a)
+}
+
+// Memory reports the tree's footprint for Figure 11a.
 func (t *PIMTree) Memory() MemoryStats {
 	tsm := t.ts.Memory()
 	ti := 0

@@ -65,7 +65,7 @@ func TestZeroDiffEqualityJoin(t *testing.T) {
 	}
 	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexPIMTree} {
 		got := join.IBWJSerial(arr, join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 0},
-			Index: kind, PIM: smallPIM(), IM: smallIM()})
+			Index: kind, PIM: smallPIM()})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("%v diff=0: %d vs %d", kind, got.Matches, oracle.Matches)
 		}

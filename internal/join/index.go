@@ -67,19 +67,9 @@ func (x *chainIdx) Maintain(func(kv.Pair) bool, int) {
 	}
 }
 
-// imIndex adapts the IM-Tree: expired tuples are filtered by the caller via
-// its window and physically discarded at merge time.
-type imIndex struct{ *core.IMTree }
-
-func (x imIndex) Remove(kv.Pair) {}
-func (x imIndex) Eager() bool    { return false }
-func (x imIndex) Maintain(live func(kv.Pair) bool, survivors int) {
-	if x.NeedsMerge() {
-		x.Merge(live, survivors)
-	}
-}
-
-// pimIndex adapts the PIM-Tree (same disposal policy as IM-Tree).
+// pimIndex adapts the two-stage trees, PIM-Tree and IM-Tree alike: expired
+// tuples are filtered by the caller via its window and physically discarded
+// at merge time.
 type pimIndex struct{ *core.PIMTree }
 
 func (x pimIndex) Remove(kv.Pair) {}
@@ -92,11 +82,12 @@ func (x pimIndex) Maintain(live func(kv.Pair) bool, survivors int) {
 
 // NewIndex builds a single-writer index of the given kind for a window of w
 // tuples; w sizes the delta-merge thresholds and the chain's disposal.
-// chainLength is L for the chained kinds (0 selects 2); im and pim configure
-// the two-stage indexes. The Bw-Tree has no adapter — its latch freedom buys
-// nothing under one writer, so only paper.RunShared builds it — and NewIndex
-// panics on it as on any unknown kind.
-func NewIndex(kind IndexKind, w, chainLength int, im core.IMTreeConfig, pim core.PIMTreeConfig) Index {
+// chainLength is L for the chained kinds (0 selects 2); pim configures the
+// two-stage indexes, and the IM-Tree, the PIM-Tree at insertion depth 0,
+// ignores its InsertionDepth. The Bw-Tree has no adapter — its latch freedom
+// buys nothing under one writer, so only paper.RunShared builds it — and
+// NewIndex panics on it as on any unknown kind.
+func NewIndex(kind IndexKind, w, chainLength int, pim core.PIMTreeConfig) Index {
 	switch kind {
 	case IndexBTree:
 		return btreeIndex{btree.New()}
@@ -110,7 +101,7 @@ func NewIndex(kind IndexKind, w, chainLength int, im core.IMTreeConfig, pim core
 		}
 		return &chainIdx{Chain: chainindex.New(chainLength, w, v), w: uint64(w)}
 	case IndexIMTree:
-		return imIndex{core.NewIMTree(w, im)}
+		return pimIndex{core.NewIMTree(w, pim)}
 	case IndexPIMTree:
 		return pimIndex{core.NewPIMTree(w, pim)}
 	default:

@@ -19,8 +19,8 @@ type SerialConfig struct {
 	Index IndexKind // IBWJ index choice
 	// ChainLength is L for the chained-index kinds (default 2).
 	ChainLength int
-	// IM and PIM configure the two-stage indexes.
-	IM  core.IMTreeConfig
+	// PIM configures the two-stage indexes, PIM-Tree and IM-Tree; the
+	// IM-Tree ignores InsertionDepth (it is the PIM-Tree at depth 0).
 	PIM core.PIMTreeConfig
 
 	Sink MatchSink // optional result sink
@@ -28,7 +28,7 @@ type SerialConfig struct {
 
 // newIndex builds the configured index for a window of length w.
 func (c SerialConfig) newIndex(w int) Index {
-	return NewIndex(c.Index, w, c.ChainLength, c.IM, c.PIM)
+	return NewIndex(c.Index, w, c.ChainLength, c.PIM)
 }
 
 // liveIn binds a ring's liveness test as an index merge filter. It is a

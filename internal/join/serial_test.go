@@ -60,10 +60,6 @@ func smallPIM() core.PIMTreeConfig {
 	return core.PIMTreeConfig{MergeRatio: 0.5, InsertionDepth: 2, CSTree: cstree.Config{Fanout: 8, LeafSize: 8}}
 }
 
-func smallIM() core.IMTreeConfig {
-	return core.IMTreeConfig{MergeRatio: 0.5, CSTree: cstree.Config{Fanout: 8, LeafSize: 8}}
-}
-
 func TestIBWJSerialAllIndexesMatchNLWJ(t *testing.T) {
 	arr := twoWayArrivals(6000, 1, 4096)
 	base := join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}}
@@ -75,7 +71,6 @@ func TestIBWJSerialAllIndexesMatchNLWJ(t *testing.T) {
 		cfg := base
 		cfg.Index = kind
 		cfg.ChainLength = 3
-		cfg.IM = smallIM()
 		cfg.PIM = smallPIM()
 		got := join.IBWJSerial(arr, cfg)
 		if got.Matches != oracle.Matches {
@@ -95,7 +90,7 @@ func TestNewIndexBwTreePanics(t *testing.T) {
 			t.Fatal("NewIndex built a Bw-Tree")
 		}
 	}()
-	join.NewIndex(join.IndexBwTree, 64, 0, core.IMTreeConfig{}, core.PIMTreeConfig{})
+	join.NewIndex(join.IndexBwTree, 64, 0, core.PIMTreeConfig{})
 }
 
 func TestIBWJSerialExactResultSet(t *testing.T) {
@@ -106,7 +101,7 @@ func TestIBWJSerialExactResultSet(t *testing.T) {
 	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexPIMTree, join.IndexIMTree} {
 		ib = ib[:0]
 		cfg := join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 6}, Sink: collectSink(&ib),
-			Index: kind, IM: smallIM(), PIM: smallPIM()}
+			Index: kind, PIM: smallPIM()}
 		join.IBWJSerial(arr, cfg)
 		if len(ib) != len(nl) {
 			t.Fatalf("%v: %d results, oracle %d", kind, len(ib), len(nl))
@@ -133,7 +128,6 @@ func TestSelfJoinSerial(t *testing.T) {
 	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexPIMTree, join.IndexIMTree} {
 		cfg := base
 		cfg.Index = kind
-		cfg.IM = smallIM()
 		cfg.PIM = smallPIM()
 		got := join.IBWJSerial(arr, cfg)
 		if got.Matches != oracle.Matches {
@@ -172,7 +166,7 @@ func TestSerialMergesHappen(t *testing.T) {
 func TestStepCostsAccounting(t *testing.T) {
 	arr := twoWayArrivals(3000, 5, 4096)
 	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexIMTree, join.IndexPIMTree} {
-		cfg := join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}, Index: kind, IM: smallIM(), PIM: smallPIM()}
+		cfg := join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}, Index: kind, PIM: smallPIM()}
 		st := join.StepCosts(arr, cfg)
 		if st.Tuples() != uint64(len(arr)) {
 			t.Fatalf("%v: ticks = %d", kind, st.Tuples())
@@ -211,7 +205,7 @@ func BenchmarkSerialIBWJ(b *testing.B) {
 		b.Run(fmt.Sprint(kind), func(b *testing.B) {
 			arr := twoWayArrivals(b.N+1, 1, 1<<20)
 			cfg := join.SerialConfig{WR: 1 << 14, WS: 1 << 14, Band: join.Band{Diff: 32},
-				Index: kind, IM: core.IMTreeConfig{MergeRatio: 0.125}, PIM: core.PIMTreeConfig{MergeRatio: 0.125}}
+				Index: kind, PIM: core.PIMTreeConfig{MergeRatio: 0.125}}
 			b.ResetTimer()
 			join.IBWJSerial(arr[:b.N], cfg)
 		})

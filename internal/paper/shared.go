@@ -104,12 +104,13 @@ type sharedRun struct {
 	propHead atomic.Int64
 	matches  uint64 // owned by the propagation lock holder
 
-	// Eager-delete safety (Bw-Tree): workerTe[t][sid] is the smallest te of
-	// worker t's current task against stream sid's window (maxUint64 when
-	// idle), written under mu. delCursor[sid] is the next sequence of
-	// stream sid awaiting deletion from its index; workers claim sequences
-	// up to the minimum published te so that no in-flight probe loses a
-	// window tuple to a concurrent delete.
+	// Probe safety: workerTe[t][sid] is the smallest te of worker t's
+	// current task against stream sid's window (maxUint64 when idle),
+	// written under mu; assignment waits rather than overwrite a slot at or
+	// past it (lapping). delCursor[sid] is the next sequence of stream sid
+	// awaiting deletion from its Bw-Tree; workers claim sequences up to the
+	// minimum published te so that no in-flight probe loses a window tuple
+	// to a concurrent eager delete.
 	workerTe  [][2]uint64
 	delCursor [2]atomic.Uint64
 
@@ -287,6 +288,20 @@ func (r *sharedRun) backlogExceeded() bool {
 	return false
 }
 
+// lapping reports whether one more task could overwrite a window slot that
+// an active task still reads (seq >= its published te): a worker descheduled
+// mid-task must not be lapped by a whole ring. Called under mu.
+func (r *sharedRun) lapping() bool {
+	for _, te := range r.workerTe {
+		for sid, win := range r.wins {
+			if te[sid] != ^uint64(0) && win.Head()+uint64(r.cfg.TaskSize) >= te[sid]+uint64(win.Capacity()) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // acquire implements task acquisition (Section 4.1): take the next TaskSize
 // tuples from the queue, admit them into their windows (recording the tl
 // snapshot per tuple), publish the task's window boundaries for
@@ -297,7 +312,7 @@ func (r *sharedRun) acquire(worker int) (lo, hi int, updates bool, admitNano int
 	r.mu.Lock()
 	for {
 		if r.nextAssign < r.appended {
-			if r.assignBlocked || (!r.indexUpdates && r.backlogExceeded()) {
+			if r.assignBlocked || (!r.indexUpdates && r.backlogExceeded()) || r.lapping() {
 				r.cond.Wait()
 				continue
 			}
@@ -373,9 +388,9 @@ func (r *sharedRun) finishTask(worker int) (bounds [2]uint64) {
 		}
 	}
 	r.activeTasks--
-	if r.activeTasks == 0 {
-		r.cond.Broadcast()
-	}
+	// Wakes a merge barrier once the last task drains, and assigners that
+	// lapping held back.
+	r.cond.Broadcast()
 	r.mu.Unlock()
 	return bounds
 }

@@ -17,7 +17,8 @@ import (
 // seq < head are visible. Slot reuse is safe because capacity >= 4w+slack
 // while no index retains an entry older than 2w+slack arrivals (B+-Tree and
 // Bw-Tree delete at age w; IM-/PIM-Tree prune at the first merge after
-// expiry, age < (1+m)w <= 2w).
+// expiry, age < (1+m)w <= 2w) and RunShared never admits into a slot an
+// active task's probes still read.
 type Window struct {
 	slots []slot
 	mask  uint64

@@ -102,7 +102,7 @@ func (e *engine) installSlot(slot int, wm uint64) {
 	}
 	// w sizes the delta-merge thresholds exactly as in the unsharded joins
 	// (per-shard indexes hold fewer entries, so merges are rarer).
-	idx := join.NewIndex(e.cfg.Index, w, 0, e.cfg.IM, e.cfg.PIM)
+	idx := join.NewIndex(e.cfg.Index, w, 0, e.cfg.PIM)
 	st, live := newStore(e.cfg.Timed), &liveRange{}
 	st.wm = wm
 	e.stores[slot], e.idxs[slot], e.evicts[slot] = st, idx, nil

@@ -181,10 +181,11 @@ func (m *Member) Quiesce() {
 }
 
 // ExportRange quiesces, then extracts and REMOVES every live window tuple
-// whose key falls in [lo, hi] (inclusive), returning them in per-stream
-// sequence order. Removal matters: after a handoff the range belongs to
-// another node, and a stale copy here would still be hit by band probes and
-// double-report matches. Keepers are rebuilt in place, in sequence order.
+// whose key falls in [lo, hi] (inclusive), grouped by sub-shard and stream:
+// in sequence order only within a group, so Import sorts. Removal matters:
+// after a handoff the range belongs to another node, and a stale copy here
+// would still be hit by band probes and double-report matches. Keepers are
+// rebuilt in place, in sequence order.
 func (m *Member) ExportRange(lo, hi uint32) []WindowTuple {
 	m.Quiesce()
 	var out []WindowTuple

@@ -55,8 +55,7 @@ type Config struct {
 	// Index is the per-shard index backend, built by join.NewIndex; the zero
 	// value is join.IndexBTree.
 	Index join.IndexKind
-	IM    core.IMTreeConfig  // IM-Tree knobs
-	PIM   core.PIMTreeConfig // PIM-Tree knobs
+	PIM   core.PIMTreeConfig // PIM-Tree and IM-Tree knobs
 
 	// Part overrides the default, a RangePartitioner that deals stripes at
 	// least 256 bands wide to the shards round-robin, so a hot key band

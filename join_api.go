@@ -27,7 +27,7 @@ type Backend int
 // Engine's single-writer runtimes.)
 const (
 	PIMTree Backend = iota
-	IMTree
+	IMTree          // the PIM-Tree at insertion depth 0 (Section 3.2)
 	BPlusTree
 )
 
@@ -139,8 +139,9 @@ type Partitioner interface {
 
 // RangePartition returns a partitioner splitting the uint32 key domain into
 // shards equal-width contiguous ranges — balanced only when keys cover the
-// whole domain evenly. The default partitioner (Config.Partitioner nil)
-// falls back to it when the band is too wide to stripe.
+// whole domain evenly. UniformSource's keys do not: they lie below
+// KeySpace = 2^31, so the upper half of the shards gets none of them. The default partitioner (Config.Partitioner nil) falls back to it
+// when the band is too wide to stripe, with the same trap.
 func RangePartition(shards int) Partitioner {
 	if shards <= 0 {
 		shards = 1

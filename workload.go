@@ -16,7 +16,10 @@ type KeySource interface {
 // a drifting Gaussian inside the domain at the paper's fastest drift rate.
 const KeySpace = stream.KeySpace
 
-// UniformSource draws keys uniformly from [0, KeySpace).
+// UniformSource draws keys uniformly from [0, KeySpace). KeySpace is 2^31,
+// half the domain RangePartition splits into equal ranges, so under it these
+// keys leave the upper half of the shards empty; the default partitioner's
+// stripes spread them.
 func UniformSource(seed int64) KeySource { return stream.NewUniform(seed) }
 
 // GaussianSource draws keys from N(mu, sigma) over the unit interval scaled
