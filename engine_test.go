@@ -26,7 +26,16 @@ import (
 // returned errors must be non-nil and share one text.
 func TestValidationUniform(t *testing.T) {
 	timed := []pimtree.Arrival{{Stream: pimtree.R, Key: 1, TS: 9}, {Stream: pimtree.R, Key: 1, TS: 5}}
-	openErr := func(cfg pimtree.Config) error { return errOf2(pimtree.Open(cfg)) }
+	// openErr is Open's verdict on cfg. An engine it wrongly opens is closed,
+	// so its workers do not outlive the row, and the row still fails on the
+	// nil error.
+	openErr := func(cfg pimtree.Config) error {
+		e, err := pimtree.Open(cfg)
+		if err == nil {
+			e.Close(context.Background())
+		}
+		return err
+	}
 	// unordered opens a strict time-window engine and returns the error its
 	// push reports for a timestamp regression.
 	unordered := func(push func(*pimtree.Engine) error) error {

@@ -223,7 +223,7 @@ type Frontend struct {
 
 	sheds         atomic.Uint64 // ops shed around down nodes
 	handoffs      atomic.Uint64 // completed export/import moves
-	handoffTuples atomic.Uint64 // window tuples moved between nodes
+	handoffTuples atomic.Uint64 // live window tuples moved between nodes
 
 	start    time.Time
 	pingStop chan struct{}

@@ -8,6 +8,7 @@ import (
 	"pimtree"
 	"pimtree/internal/server"
 	"pimtree/internal/shard"
+	"pimtree/internal/wal"
 )
 
 // Membership changes run on the producer-serialized path (prodMu), at a
@@ -155,7 +156,7 @@ func (fe *Frontend) move(src, dst *node, lo, hi uint32) error {
 		fe.nodeDown(src, fmt.Errorf("export request: %w", err))
 		return fmt.Errorf("cluster: export [%d, %d] from %s: %w", lo, hi, src.id, err)
 	}
-	var tuples []shard.WindowTuple
+	var tuples []wal.Tuple
 collect:
 	for {
 		ev, ok := src.awaitCtrl()

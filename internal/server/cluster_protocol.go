@@ -14,6 +14,7 @@ import (
 	"pimtree"
 	"pimtree/internal/join"
 	"pimtree/internal/shard"
+	"pimtree/internal/wal"
 )
 
 // Cluster record widths.
@@ -227,7 +228,7 @@ func decodeResults(payload []byte, fn func(idx uint64, seqs []uint64) error) err
 }
 
 // appendWindowTuple appends one 21-byte window-tuple record.
-func appendWindowTuple(dst []byte, t shard.WindowTuple) []byte {
+func appendWindowTuple(dst []byte, t wal.Tuple) []byte {
 	dst = append(dst, t.Stream)
 	dst = binary.BigEndian.AppendUint32(dst, t.Key)
 	dst = binary.BigEndian.AppendUint64(dst, t.Seq)
@@ -235,7 +236,7 @@ func appendWindowTuple(dst []byte, t shard.WindowTuple) []byte {
 }
 
 // decodeWindowTuples decodes a window payload, appending into dst.
-func decodeWindowTuples(dst []shard.WindowTuple, payload []byte) ([]shard.WindowTuple, error) {
+func decodeWindowTuples(dst []wal.Tuple, payload []byte) ([]wal.Tuple, error) {
 	if len(payload)%recWindow != 0 {
 		return nil, fmt.Errorf("window payload %d bytes is not a multiple of the %d-byte record", len(payload), recWindow)
 	}
@@ -244,7 +245,7 @@ func decodeWindowTuples(dst []shard.WindowTuple, payload []byte) ([]shard.Window
 		if s != uint8(pimtree.R) && s != uint8(pimtree.S) {
 			return nil, fmt.Errorf("window record %d: invalid stream id %d", off/recWindow, s)
 		}
-		dst = append(dst, shard.WindowTuple{
+		dst = append(dst, wal.Tuple{
 			Stream: s,
 			Key:    binary.BigEndian.Uint32(payload[off+1 : off+5]),
 			Seq:    binary.BigEndian.Uint64(payload[off+5 : off+13]),

@@ -6,6 +6,7 @@ import (
 
 	"pimtree"
 	"pimtree/internal/shard"
+	"pimtree/internal/wal"
 )
 
 // TestJoinClusterRoundTrip pins the join-frame codec: every field survives,
@@ -122,7 +123,7 @@ func TestResultsRoundTrip(t *testing.T) {
 
 // TestWindowStatusExportCountRoundTrip pins the remaining cluster codecs.
 func TestWindowStatusExportCountRoundTrip(t *testing.T) {
-	ws := []shard.WindowTuple{
+	ws := []wal.Tuple{
 		{Stream: uint8(pimtree.R), Key: 9, Seq: 4, TS: 17},
 		{Stream: uint8(pimtree.S), Key: ^uint32(0), Seq: ^uint64(0), TS: 0},
 	}

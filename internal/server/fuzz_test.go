@@ -8,6 +8,7 @@ import (
 
 	"pimtree"
 	"pimtree/internal/shard"
+	"pimtree/internal/wal"
 )
 
 // FuzzParseFrame feeds arbitrary byte streams through the frame reader and
@@ -69,8 +70,8 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add(rawFrame(FramePing, nil))
 	f.Add(rawFrame(FrameExport, encodeExport(100, 2000)))
 	f.Add(rawFrame(FrameWindow, appendWindowTuple(appendWindowTuple(nil,
-		shard.WindowTuple{Stream: uint8(pimtree.R), Key: 9, Seq: 4, TS: 17}),
-		shard.WindowTuple{Stream: uint8(pimtree.S), Key: 2, Seq: 6, TS: 18})))
+		wal.Tuple{Stream: uint8(pimtree.R), Key: 9, Seq: 4, TS: 17}),
+		wal.Tuple{Stream: uint8(pimtree.S), Key: 2, Seq: 6, TS: 18})))
 	f.Add(rawFrame(FrameWindow, []byte{9})) // invalid stream, ragged
 	f.Add(rawFrame(FrameExportDone, encodeCount(2)))
 	f.Add(rawFrame(FrameImportDone, encodeCount(2)))

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"pimtree/internal/shard"
+	"pimtree/internal/wal"
 )
 
 // Member session: the node side of the cluster tier. A router opens a
@@ -87,7 +88,7 @@ func (c *conn) memberSession(br *bufio.Reader, hello []byte) {
 	var (
 		rbuf []byte
 		ops  []shard.Op
-		imp  []shard.WindowTuple
+		imp  []wal.Tuple
 	)
 	for {
 		typ, payload, err := readFrameInto(br, c.srv.opts.MaxFrame, &rbuf)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pimtree/internal/shard"
+	"pimtree/internal/wal"
 )
 
 // MemberClient is the router side of a member session (internal/cluster's
@@ -150,7 +151,7 @@ func (m *MemberClient) RequestExport(lo, hi uint32) error {
 
 // SendWindow ships handed-off window tuples (import direction), splitting
 // frames at the payload bound.
-func (m *MemberClient) SendWindow(tuples []shard.WindowTuple) error {
+func (m *MemberClient) SendWindow(tuples []wal.Tuple) error {
 	perFrame := max(m.maxFrame/recWindow, 1)
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
@@ -171,7 +172,7 @@ func (m *MemberClient) SendWindow(tuples []shard.WindowTuple) error {
 	return nil
 }
 
-// SendImportDone ends an import exchange; the member adopts the tuples and
+// SendImportDone ends an import exchange; the member loads the tuples and
 // answers FrameImported.
 func (m *MemberClient) SendImportDone(n uint64) error {
 	return m.send(FrameImportDone, encodeCount(n))
@@ -189,11 +190,11 @@ type NodeEvent struct {
 	// Type is FrameResults, FrameNodeStatus, FrameWindow, FrameExportDone,
 	// FrameImported, or FrameError.
 	Type    byte
-	Results []ProbeResult       // FrameResults
-	Status  NodeStatus          // FrameNodeStatus
-	Window  []shard.WindowTuple // FrameWindow
-	Count   uint64              // FrameExportDone / FrameImported
-	Err     string              // FrameError
+	Results []ProbeResult // FrameResults
+	Status  NodeStatus    // FrameNodeStatus
+	Window  []wal.Tuple   // FrameWindow
+	Count   uint64        // FrameExportDone / FrameImported
+	Err     string        // FrameError
 }
 
 // ReadNodeEvent reads and decodes the next node-to-router frame. io.EOF

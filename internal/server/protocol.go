@@ -104,7 +104,7 @@ const (
 	// FrameExportDone ends an export (node→router): [tuple count u64].
 	FrameExportDone = byte(0x18)
 	// FrameImportDone ends an import (router→node, after FrameWindow
-	// batches): [tuple count u64]. The member adopts the tuples and answers
+	// batches): [tuple count u64]. The member loads the tuples and answers
 	// FrameImported.
 	FrameImportDone = byte(0x19)
 	// FrameImported acknowledges an applied import (node→router):

@@ -102,11 +102,11 @@ func (r *Router) liveWindow(wms [2]uint64) (int, iter.Seq[wal.Tuple]) {
 
 // Restore replays a recovered WAL state into a freshly built router: the
 // sequence heads resume the global numbering, the reorder buffer is seeded
-// with the recovered clock, each store's eviction watermark is raised to the
-// recovered frontier, and every live tuple is adopted into its owner engine
-// under the current partitioner. Must be called before the first push; the
-// workers are parked at their channel receive, so the engine mutations are
-// published by the first batch send (the same argument as migration).
+// with the recovered clock, and every engine slot is loaded at the recovered
+// frontier with the live tuples the current partitioner assigns it. Must be
+// called before the first push; the workers are parked at their channel
+// receive, so the engine mutations are published by the first batch send
+// (the same argument as migration).
 func (r *Router) Restore(st *wal.State) {
 	if st == nil {
 		return
@@ -115,20 +115,7 @@ func (r *Router) Restore(st *wal.State) {
 	if r.reorder != nil {
 		r.reorder.Seed(st.MaxTS, st.Floor)
 	}
-	for slot := 0; slot < storeSlots(r.cfg.Self); slot++ {
-		for _, e := range r.engines {
-			if st.WMs[slot] > e.stores[slot].wm {
-				e.stores[slot].wm = st.WMs[slot]
-			}
-		}
-	}
 	// st.Tuples is globally seq-sorted, so each slot's subsequence is too —
-	// the order the stores require.
-	for _, t := range st.Tuples {
-		e := r.engines[Clamp(r.part.ShardOf(t.Key), len(r.engines))]
-		e.adopt(int(sid(r.cfg.Self, t.Stream)), migrant{key: t.Key, seq: t.Seq, ts: t.TS})
-	}
-	for _, e := range r.engines {
-		e.updateResident()
-	}
+	// the order deal requires.
+	deal(r.engines, r.part, r.cfg.Self, st.WMs, st.Tuples)
 }

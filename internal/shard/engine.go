@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"pimtree/internal/join"
 	"pimtree/internal/kv"
+	"pimtree/internal/wal"
 )
 
 // opKind discriminates the two commands a shard processes.
@@ -76,7 +79,7 @@ type engine struct {
 	// snapshots without synchronization.
 	resident atomic.Int64
 	// baseMerges/baseMergeTime accumulate merge statistics of indexes that
-	// were discarded by rebuilds, so Stats.Merges survives them.
+	// were discarded by refills (see load), so Stats.Merges survives them.
 	baseMerges    int
 	baseMergeTime time.Duration
 }
@@ -227,11 +230,11 @@ func (e *engine) maintainSlot(slot int) {
 // tuples (see add).
 func (e *engine) reindex(slot int) {
 	wm := e.stores[slot].wm
-	e.rebuildSlot(slot, wm, e.extractLive(slot, wm, 0, nil))
+	e.load(slot, wm, e.live(slot, wm, nil))
 }
 
 // merges sums merge statistics over both indexes, plus the merges of any
-// indexes discarded by rebuilds.
+// indexes discarded by refills.
 func (e *engine) merges() (int, time.Duration) {
 	m, t := e.idxs[0].Merges()
 	if !e.cfg.Self {
@@ -250,48 +253,74 @@ func (e *engine) updateResident() {
 	e.resident.Store(n)
 }
 
-// migrant is one live tuple in flight between shards during a reshape epoch
-// or an index rebuild. ts is only meaningful in timed mode.
-type migrant struct {
-	key uint32
-	seq uint64
-	ts  uint64 // event timestamp (timed mode only)
-	src int    // source shard (for migration accounting)
-}
-
-// extractLive appends stream slot's live tuples to dst in sequence order,
-// tagging each with the source shard id. Liveness is seq >= wm for count
+// live appends stream slot's tuples live at wm to dst in sequence order,
+// each tagged with the slot as its stream. Liveness is seq >= wm for count
 // windows and event time >= wm for timed ones (wm is then the timestamp
-// watermark). Must only be called while the engine's worker is quiescent
-// (drain barrier).
-func (e *engine) extractLive(slot int, wm uint64, src int, dst []migrant) []migrant {
+// watermark). The worker must be quiescent (drain barrier).
+func (e *engine) live(slot int, wm uint64, dst []wal.Tuple) []wal.Tuple {
 	st := e.stores[slot]
 	for i := st.liveFrom(wm); i < st.head; i++ {
 		key, seq, ts := st.at(i)
-		dst = append(dst, migrant{key: key, seq: seq, ts: ts, src: src})
+		dst = append(dst, wal.Tuple{Stream: uint8(slot), Key: key, Seq: seq, TS: ts})
 	}
 	return dst
 }
 
-// resetSlot replaces a stream slot's store and index with empty ones whose
-// eviction watermark starts at wm, banking the discarded index's merge
-// statistics. Must only be called while the engine's worker is quiescent.
-func (e *engine) resetSlot(slot int, wm uint64) {
+// load refills a stream slot, the one way a slot is filled from existing
+// tuples: bank the discarded index's merge statistics, install an empty
+// store and index whose eviction watermark starts at wm, add tuples, which
+// must be in sequence order, and refresh the resident gauge. The worker must
+// be quiescent, or be the caller (reindex).
+func (e *engine) load(slot int, wm uint64, tuples []wal.Tuple) {
 	m, t := e.idxs[slot].Merges()
 	e.baseMerges += m
 	e.baseMergeTime += t
 	e.installSlot(slot, wm)
+	for _, tp := range tuples {
+		e.add(slot, tp.Key, tp.Seq, tp.TS, join.Located{})
+	}
+	e.updateResident()
 }
 
-// rebuildSlot replaces a stream slot's contents with tuples, which must be
-// in sequence order (see adopt). Worker quiescent, as for resetSlot.
-func (e *engine) rebuildSlot(slot int, wm uint64, tuples []migrant) {
-	e.resetSlot(slot, wm)
-	for _, m := range tuples {
-		e.adopt(slot, m)
+// gather returns every tuple of engines live at wms, plus extra, in the
+// order deal needs: by stream slot, then by sequence. The engines must be
+// quiescent.
+func gather(engines []*engine, self bool, wms [2]uint64, extra []wal.Tuple) []wal.Tuple {
+	var window []wal.Tuple
+	for slot := 0; slot < storeSlots(self); slot++ {
+		for _, e := range engines {
+			window = e.live(slot, wms[slot], window)
+		}
+	}
+	window = append(window, extra...)
+	slices.SortFunc(window, func(a, b wal.Tuple) int {
+		return cmp.Or(cmp.Compare(sid(self, a.Stream), sid(self, b.Stream)), cmp.Compare(a.Seq, b.Seq))
+	})
+	return window
+}
+
+// deal loads every stream slot of engines at wms[slot] with the tuples of
+// window that part assigns it. window must be in sequence order per slot
+// (see gather). The engines must be quiescent.
+func deal(engines []*engine, part Partitioner, self bool, wms [2]uint64, window []wal.Tuple) {
+	k := len(engines)
+	parts := make([][]wal.Tuple, storeSlots(self)*k)
+	for _, t := range window {
+		b := int(sid(self, t.Stream))*k + Clamp(part.ShardOf(t.Key), k)
+		parts[b] = append(parts[b], t)
+	}
+	for b, tuples := range parts {
+		engines[b%k].load(b/k, wms[b/k], tuples)
 	}
 }
 
-// adopt stores and indexes one migrated tuple. Migrants must be adopted in
-// sequence order per slot (see add).
-func (e *engine) adopt(slot int, m migrant) { e.add(slot, m.key, m.seq, m.ts, join.Located{}) }
+// storeFrontiers returns, per store slot, the highest eviction watermark any
+// of engines' stores has applied. The engines must be quiescent.
+func storeFrontiers(engines []*engine) (wms [2]uint64) {
+	for slot := range wms {
+		for _, e := range engines {
+			wms[slot] = max(wms[slot], e.stores[slot].wm)
+		}
+	}
+	return wms
+}

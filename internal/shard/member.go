@@ -2,10 +2,10 @@ package shard
 
 import (
 	"runtime"
-	"sort"
 	"sync/atomic"
 
 	"pimtree/internal/join"
+	"pimtree/internal/wal"
 )
 
 // This file is the node side of the cluster tier: a Member hosts a slice of
@@ -33,15 +33,6 @@ type Op struct {
 	TE, TL uint64 // insert: TE = eviction watermark; probe: [TE, TL) window
 	TS     uint64 // timed-mode insert: event timestamp
 	Idx    uint64 // probe: router correlation id, echoed with the result
-}
-
-// WindowTuple is one live window tuple in flight between nodes during a
-// membership-change handoff (the cross-node analogue of migrant).
-type WindowTuple struct {
-	Stream uint8
-	Key    uint32
-	Seq    uint64
-	TS     uint64 // timed mode only
 }
 
 // MemberConfig shapes a node-side member runtime. It is decoded from the
@@ -171,69 +162,64 @@ func (m *Member) Apply(ops []Op) {
 	m.flushAll()
 }
 
-// Quiesce flushes every pending batch and blocks until all shipped ops have
+// Quiesce flushes every pending batch, blocks until all shipped ops have
 // been applied and every probe result emitted (the cluster analogue of the
-// drain barrier). On return the engines may be mutated from the dispatching
-// goroutine (export/import).
+// drain barrier), and then evicts every store to the member's frontier: per
+// stream, the highest watermark any sub-shard has applied. Watermarks only
+// rise, so no later op can match below it, but a sub-shard that saw no op
+// for a while still holds tuples past their window. On return the engines
+// may be mutated from the dispatching goroutine (export/import).
 func (m *Member) Quiesce() {
 	m.drainBarrier()
 	m.Propagate()
-}
-
-// ExportRange quiesces, then extracts and REMOVES every live window tuple
-// whose key falls in [lo, hi] (inclusive), grouped by sub-shard and stream:
-// in sequence order only within a group, so Import sorts. Removal matters:
-// after a handoff the range belongs to another node, and a stale copy here
-// would still be hit by band probes and double-report matches. Keepers are
-// rebuilt in place, in sequence order.
-func (m *Member) ExportRange(lo, hi uint32) []WindowTuple {
-	m.Quiesce()
-	var out []WindowTuple
+	wms := storeFrontiers(m.engines)
 	for _, e := range m.engines {
 		for slot := 0; slot < storeSlots(m.self); slot++ {
-			wm := e.stores[slot].wm
-			live := e.extractLive(slot, wm, 0, nil)
-			keep := live[:0]
-			for _, mg := range live {
-				if mg.key >= lo && mg.key <= hi {
-					out = append(out, WindowTuple{
-						Stream: uint8(slot), Key: mg.key, Seq: mg.seq, TS: mg.ts,
-					})
-				} else {
-					keep = append(keep, mg)
-				}
-			}
-			e.rebuildSlot(slot, wm, keep)
+			e.stores[slot].evict(wms[slot], e.evicts[slot])
 		}
 		e.updateResident()
+	}
+}
+
+// ExportRange quiesces, then extracts and REMOVES every window tuple live at
+// the member's frontier (see Quiesce) whose key falls in [lo, hi]
+// (inclusive), grouped by sub-shard and stream: in sequence order only
+// within a group, so Import sorts. Removal matters: after a handoff the
+// range belongs to another node, and a stale copy here would still be hit
+// by band probes and double-report matches. Keepers are reloaded in place.
+func (m *Member) ExportRange(lo, hi uint32) []wal.Tuple {
+	m.Quiesce()
+	wms := storeFrontiers(m.engines)
+	var out []wal.Tuple
+	for _, e := range m.engines {
+		for slot := 0; slot < storeSlots(m.self); slot++ {
+			live := e.live(slot, wms[slot], nil)
+			keep := live[:0]
+			for _, t := range live {
+				if t.Key >= lo && t.Key <= hi {
+					out = append(out, t)
+				} else {
+					keep = append(keep, t)
+				}
+			}
+			e.load(slot, wms[slot], keep)
+		}
 	}
 	return out
 }
 
-// Import quiesces, then adopts handed-off window tuples into their local
-// owner engines. Because imported sequences may be older than tuples already
-// resident (the node was live while the exporter drained), each touched
-// store is rebuilt from its live tuples merged with the imports by sequence.
-func (m *Member) Import(tuples []WindowTuple) {
+// Import quiesces, then merges handed-off window tuples into the local
+// engines. Imported sequences may be older than tuples already resident
+// (the node was live while the exporter drained), so every engine is
+// reloaded at the member's frontier from its live tuples and the imports,
+// merged by sequence.
+func (m *Member) Import(tuples []wal.Tuple) {
 	if len(tuples) == 0 {
 		return
 	}
 	m.Quiesce()
-	// Bucket imports by (engine, slot).
-	type dest struct{ eng, slot int }
-	byDest := make(map[dest][]migrant)
-	for _, t := range tuples {
-		d := dest{Clamp(m.part.ShardOf(t.Key), len(m.engines)), int(sid(m.self, t.Stream))}
-		byDest[d] = append(byDest[d], migrant{key: t.Key, seq: t.Seq, ts: t.TS})
-	}
-	for d, imps := range byDest {
-		e := m.engines[d.eng]
-		wm := e.stores[d.slot].wm
-		merged := append(e.extractLive(d.slot, wm, 0, nil), imps...)
-		sort.Slice(merged, func(i, j int) bool { return merged[i].seq < merged[j].seq })
-		e.rebuildSlot(d.slot, wm, merged)
-		e.updateResident()
-	}
+	wms := storeFrontiers(m.engines)
+	deal(m.engines, m.part, m.self, wms, gather(m.engines, m.self, wms, tuples))
 }
 
 // Resident reports tuples currently stored across all local shards (both

@@ -330,3 +330,35 @@ func TestMemberExportWithoutImportDrops(t *testing.T) {
 		}
 	}
 }
+
+// TestMemberExportSkipsExpired pins the handoff frontier. A sub-shard that
+// saw no op since its tuples left the window still holds them, under a
+// watermark that lags. The export must filter at the member's frontier, the
+// highest watermark any sub-shard applied, and hand off none of them.
+func TestMemberExportSkipsExpired(t *testing.T) {
+	const w, n = 4, 100
+	m := NewMember(MemberConfig{Shards: 2, WR: w, WS: w, Index: join.IndexBTree}, newResultSink().onResult)
+	defer m.Close()
+	var ops []Op
+	for seq := uint64(0); seq < n; seq++ {
+		key := uint32(1) // sub-shard 0
+		if seq < w {
+			key = ^uint32(0) // sub-shard 1, which then goes cold
+		}
+		var te uint64
+		if seq+1 > w {
+			te = seq + 1 - w
+		}
+		ops = append(ops, Op{Insert: true, Key: key, Seq: seq, TE: te})
+	}
+	m.Apply(ops)
+	if out := m.ExportRange(1<<31, ^uint32(0)); len(out) != 0 {
+		t.Fatalf("exported %d tuples that expired at the frontier %d: %+v", len(out), n-w, out)
+	}
+	if got := m.Resident(); got != w {
+		t.Fatalf("resident %d after the export, want the %d live tuples", got, w)
+	}
+	if out := m.ExportRange(0, 1<<31-1); len(out) != w || out[0].Seq != n-w {
+		t.Fatalf("export of the live half returned %+v, want seqs %d..%d", out, n-w, n-1)
+	}
+}

@@ -31,7 +31,6 @@ package shard
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -305,12 +304,11 @@ func (r *Router) route(s uint8, key uint32, ts uint64) {
 // timestamp watermark any store has applied (released timestamps are
 // monotone, so that is the global frontier). Workers must be quiescent.
 func (r *Router) frontiers() (wms [2]uint64) {
+	if r.cfg.Timed {
+		return storeFrontiers(r.engines)
+	}
 	for slot := range wms {
-		if r.cfg.Timed {
-			for _, e := range r.engines {
-				wms[slot] = max(wms[slot], e.stores[slot].wm)
-			}
-		} else if r.heads[slot] > r.wlen[slot] {
+		if r.heads[slot] > r.wlen[slot] {
 			wms[slot] = r.heads[slot] - r.wlen[slot]
 		}
 	}
@@ -368,8 +366,10 @@ func (r *Router) Reshape(q Reshape) {
 // reshard is the structural half of a reshape epoch: stop the worker set
 // (parked at the drain barrier, so closing the channels releases them to
 // exit), spawn a fresh engine set of the target count behind the default
-// stripes, migrate every live window tuple into it, resize the ring rows to
-// the new fan-out width, and restart the workers.
+// stripes, deal it every tuple live at the global frontiers (expired ones
+// are dropped, not moved), resize the ring rows to the new fan-out width,
+// and restart the workers. The retired stores are read on the router
+// goroutine, ordered after the workers' writes by their exit.
 func (r *Router) reshard(k int) {
 	r.stop()
 	// Seal the retiring workers' lanes (they have exited; the sealed
@@ -389,7 +389,15 @@ func (r *Router) reshard(k int) {
 	cfg.Part = part
 	cfg.Shards = k
 	engines, lanes := newEngines(cfg, k)
-	r.moved.Add(int64(migrate(r.engines, engines, part, r.frontiers())))
+	wms := r.frontiers()
+	window, moved := gather(r.engines, cfg.Self, wms, nil), 0
+	for _, t := range window {
+		if Clamp(r.part.ShardOf(t.Key), len(r.engines)) != Clamp(part.ShardOf(t.Key), k) {
+			moved++
+		}
+	}
+	r.moved.Add(int64(moved))
+	deal(engines, part, cfg.Self, wms, window)
 	r.Resize(r.capN, k)
 
 	r.snapMu.Lock()
@@ -398,41 +406,6 @@ func (r *Router) reshard(k int) {
 	r.start(engines, lanes)
 	r.probeRouted = make([]int, k)
 	r.snapMu.Unlock()
-}
-
-// migrate redistributes every live window tuple from the src engines across
-// the fresh dst engines according to the new partitioner and returns how
-// many tuples changed shards. wms holds the per-slot global eviction
-// watermarks — head - window clamped at zero for count windows, the
-// timestamp watermark for timed ones; tuples below the watermark are expired
-// and dropped instead of migrated, and each fresh store starts at its slot's
-// watermark. The caller must hold every src worker quiescent at the drain
-// barrier: migration reads the src stores directly on the router goroutine,
-// and the barrier's WaitGroup edges order it after the workers' writes.
-func migrate(src, dst []*engine, newPart Partitioner, wms [2]uint64) (moved int) {
-	for slot := 0; slot < storeSlots(dst[0].cfg.Self); slot++ {
-		var live []migrant
-		for s, e := range src {
-			live = e.extractLive(slot, wms[slot], s, live)
-		}
-		// Each shard's extract is seq-ordered; the concatenation is not.
-		// The ring stores require monotone seqs, so order globally.
-		sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
-		for _, e := range dst {
-			e.stores[slot].wm = max(e.stores[slot].wm, wms[slot])
-		}
-		for _, m := range live {
-			d := Clamp(newPart.ShardOf(m.key), len(dst))
-			if d != m.src {
-				moved++
-			}
-			dst[d].adopt(slot, m)
-		}
-	}
-	for _, e := range dst {
-		e.updateResident()
-	}
-	return moved
 }
 
 // Shards returns the live shard count — reshape epochs can change it. Safe

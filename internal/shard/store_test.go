@@ -59,7 +59,7 @@ type storeHarness struct {
 	rng     *rand.Rand
 	s       *store
 	m       storeModel
-	e       *engine // hosts s as slot 0, for extractLive
+	e       *engine // hosts s as slot 0, for live
 	seq, ts uint64  // the last appended tuple's
 	evicted []kv.Pair
 
@@ -170,7 +170,7 @@ func (h *storeHarness) check() {
 	h.maxRing = max(h.maxRing, len(s.ring))
 }
 
-// checkAll compares every resident, liveFrom, extractLive and span with the
+// checkAll compares every resident, liveFrom, live and span with the
 // model.
 func (h *storeHarness) checkAll() {
 	h.t.Helper()
@@ -189,14 +189,14 @@ func (h *storeHarness) checkAll() {
 	if got := s.liveFrom(wm); got != s.tail+uint64(from) {
 		h.t.Fatalf("liveFrom(%d) = position %d, want %d", wm, got-s.tail, from)
 	}
-	out := h.e.extractLive(0, wm, 7, nil)
+	out := h.e.live(0, wm, nil)
 	if len(out) != len(live)-from {
-		h.t.Fatalf("extractLive(%d) returned %d tuples, want %d", wm, len(out), len(live)-from)
+		h.t.Fatalf("live(%d) returned %d tuples, want %d", wm, len(out), len(live)-from)
 	}
-	for i, mg := range out {
+	for i, t := range out {
 		want := live[from+i]
-		if mg.key != want.key || mg.seq != want.seq || mg.ts != want.ts || mg.src != 7 {
-			h.t.Fatalf("extractLive #%d is %+v, want %+v from shard 7", i, mg, want)
+		if t.Key != want.key || t.Seq != want.seq || t.TS != want.ts {
+			h.t.Fatalf("live #%d is %+v, want %+v", i, t, want)
 		}
 	}
 	if len(live) > 0 {

@@ -37,10 +37,10 @@ package wal
 
 import "sync/atomic"
 
-// Tuple is one window tuple as carried by insert records and snapshot
-// chunks — the same 21-byte wire layout as the cluster handoff codec
-// ([stream u8][key u32][seq u64][ts u64]). Stream is the store slot
-// (self-joins fold onto 0); TS is zero for count windows.
+// Tuple is one window tuple as carried by insert records, snapshot chunks
+// and every shard refill — the same 21-byte wire layout as the cluster
+// handoff codec ([stream u8][key u32][seq u64][ts u64]). Stream is the store
+// slot (self-joins fold onto 0); TS is zero for count windows.
 type Tuple struct {
 	Stream uint8
 	Key    uint32
