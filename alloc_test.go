@@ -9,6 +9,7 @@ package pimtree_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"pimtree"
@@ -268,4 +269,51 @@ func BenchmarkAllocMatchFanout(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestSerialWindowHeap pins ModeSerial's window memory at W = 2^20. Under
+// the lazily pruned indexes (PIM-Tree, IM-Tree) the window stores no keys,
+// so opening the engine grows the live heap by less than 1 MiB. Under the
+// B+-Tree, whose eager deletes read each expired key back from the window,
+// each stream keeps a 4-byte key in each of pow2Ceil(2W+2) = 2^22 slots.
+func TestSerialWindowHeap(t *testing.T) {
+	const w = 1 << 20
+	for _, tc := range []struct {
+		be       pimtree.Backend
+		min, max uint64 // bounds on the live-heap growth, in bytes
+	}{
+		{pimtree.PIMTree, 0, 1 << 20},
+		{pimtree.IMTree, 0, 1 << 20},
+		{pimtree.BPlusTree, 2*4<<22 - 1<<20, 2*4<<22 + 1<<20},
+	} {
+		t.Run(tc.be.String(), func(t *testing.T) {
+			before := liveHeap()
+			e, err := pimtree.Open(pimtree.Config{
+				Mode:    pimtree.ModeSerial,
+				WindowR: w, WindowS: w,
+				Backend:        tc.be,
+				DiscardMatches: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := liveHeap()
+			if _, err := e.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			grew := after - min(after, before)
+			t.Logf("Open grew the live heap by %d B", grew)
+			if grew < tc.min || grew >= tc.max {
+				t.Fatalf("want growth within [%d, %d) B", tc.min, tc.max)
+			}
+		})
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -198,48 +198,48 @@ func TestSharedChunkThroughput(t *testing.T) {
 }
 
 func TestStreamingEngineIntrospection(t *testing.T) {
-	eng := join.NewStreaming(join.SerialConfig{WR: 16, WS: 16, Band: join.Band{Diff: 5}, Index: join.IndexBTree})
+	var got [][2]uint64
+	sink := func(_ uint8, probeSeq, matchSeq uint64) { got = append(got, [2]uint64{probeSeq, matchSeq}) }
+	eng := join.NewStreaming(join.SerialConfig{WR: 16, WS: 16, Band: join.Band{Diff: 5}, Index: join.IndexBTree, Sink: sink})
 	eng.Push(stream.Arrival{Stream: stream.StreamR, Key: 10})
 	eng.Push(stream.Arrival{Stream: stream.StreamS, Key: 11})
-	if eng.Seq(stream.StreamR) != 1 || eng.Seq(stream.StreamS) != 1 {
-		t.Fatal("sequence counters wrong")
+	if len(got) != 1 || got[0] != [2]uint64{0, 0} {
+		t.Fatalf("matches (probe seq, match seq) = %v, want [[0 0]]", got)
 	}
-	if key, ok := eng.KeyOf(stream.StreamR, 0); !ok || key != 10 {
-		t.Fatalf("KeyOf = %d,%v", key, ok)
-	}
-	if _, ok := eng.KeyOf(stream.StreamR, 99); ok {
-		t.Fatal("KeyOf of unpushed sequence reported ok")
-	}
-	if eng.WindowCount(stream.StreamR) != 1 {
+	if eng.WindowCount(stream.StreamR) != 1 || eng.WindowCount(stream.StreamS) != 1 {
 		t.Fatal("window count wrong")
 	}
 }
 
-// KeyOf answers from ring position alone: a sequence at or past the head was
-// never pushed, and one whose slot has since been rewritten (more than the
-// ring's capacity of arrivals ago) is gone, even though both name a slot
-// that holds some key.
-func TestStreamingKeyOfResidency(t *testing.T) {
-	const w = 3 // ring capacity pow2Ceil(2w+2) = 8
-	eng := join.NewStreaming(join.SerialConfig{WR: w, WS: w, Band: join.Band{Diff: 1}, Index: join.IndexPIMTree})
-	if _, ok := eng.KeyOf(stream.StreamR, 0); ok {
-		t.Fatal("KeyOf on an empty window reported ok")
-	}
-	const n = 29 // > 3 wraps
-	for i := 0; i < n; i++ {
-		eng.Push(stream.Arrival{Stream: stream.StreamR, Key: uint32(100 + i)})
-	}
-	for seq := uint64(0); seq < n+20; seq++ {
-		key, ok := eng.KeyOf(stream.StreamR, seq)
-		resident := seq < n && n-seq <= 8
-		if ok != resident || ok && key != uint32(100+seq) {
-			t.Fatalf("KeyOf(%d) = (%d, %v) at head %d, want resident %v", seq, key, ok, n, resident)
+// A tuple is resident, and so matchable, exactly while it is among the last
+// w of its stream: the window's Live decides it from ring position alone,
+// whether the ring is keyless (PIM-Tree, IM-Tree) or keyed (B+-Tree). Each
+// probe from S names one R key, and must match that tuple only while it is
+// live: never before it was pushed, and never once w later R tuples
+// followed it, though a lazily pruned index may still hold its entry.
+func TestStreamingLiveResidency(t *testing.T) {
+	const w, n = 3, 29
+	for _, kind := range []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree} {
+		var got []uint64
+		sink := func(_ uint8, _, matchSeq uint64) { got = append(got, matchSeq) }
+		eng := join.NewStreaming(join.SerialConfig{WR: w, WS: w, Band: join.Band{Diff: 1}, Index: kind, Sink: sink})
+		keyOf := func(seq uint64) uint32 { return uint32(100 + 10*seq) }
+		if eng.Push(stream.Arrival{Stream: stream.StreamS, Key: keyOf(0)}) != 0 || eng.WindowCount(stream.StreamR) != 0 {
+			t.Fatalf("%v: probe of an empty window matched", kind)
 		}
-	}
-	if _, ok := eng.KeyOf(stream.StreamR, ^uint64(0)); ok {
-		t.Fatal("KeyOf(MaxUint64) reported ok")
-	}
-	if _, ok := eng.KeyOf(stream.StreamS, 0); ok {
-		t.Fatal("KeyOf on the never-pushed stream reported ok")
+		for seq := uint64(0); seq < n; seq++ {
+			eng.Push(stream.Arrival{Stream: stream.StreamR, Key: keyOf(seq)})
+		}
+		if eng.WindowCount(stream.StreamR) != w {
+			t.Fatalf("%v: WindowCount = %d, want %d", kind, eng.WindowCount(stream.StreamR), w)
+		}
+		for seq := uint64(0); seq < n+2; seq++ {
+			got = got[:0]
+			eng.Push(stream.Arrival{Stream: stream.StreamS, Key: keyOf(seq)})
+			resident := seq < n && n-seq <= w
+			if resident != (len(got) == 1) || len(got) > 1 || resident && got[0] != seq {
+				t.Fatalf("%v: probe of R seq %d matched %v at head %d, want resident %v", kind, seq, got, n, resident)
+			}
+		}
 	}
 }

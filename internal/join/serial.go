@@ -31,6 +31,15 @@ func (c SerialConfig) newIndex(w int) Index {
 	return NewIndex(c.Index, w, c.ChainLength, c.PIM)
 }
 
+// newRing builds the window of length w for idx: keyed only for an eager
+// index, the one reader of Append's expired pair.
+func newRing(w int, idx Index) *window.Ring {
+	if idx.Eager() {
+		return window.NewRing(w)
+	}
+	return window.NewKeylessRing(w)
+}
+
 // liveIn binds a ring's liveness test as an index merge filter. It is a
 // method value, not a closure returned by a helper: a closure built inside
 // an inlined helper is compiled without inlining Ring.Live, which costs a
@@ -115,8 +124,8 @@ func IBWJSerial(arrivals []stream.Arrival, cfg SerialConfig) Stats {
 // from the matching-range walk.
 func StepCosts(arrivals []stream.Arrival, cfg SerialConfig) *metrics.StepTimer {
 	wr, ws := cfg.windows()
-	rings := [2]*window.Ring{window.NewRing(wr), window.NewRing(ws)}
 	idxs := [2]Index{cfg.newIndex(wr), cfg.newIndex(ws)}
+	rings := [2]*window.Ring{newRing(wr, idxs[0]), newRing(ws, idxs[1])}
 	lives := [2]func(kv.Pair) bool{liveIn(rings[0]), liveIn(rings[1])}
 	if cfg.Self {
 		rings[1], idxs[1], lives[1] = rings[0], idxs[0], lives[0]

@@ -36,14 +36,14 @@ type Streaming struct {
 func NewStreaming(cfg SerialConfig) *Streaming {
 	wr, ws := cfg.windows()
 	s := &Streaming{cfg: cfg}
-	s.rings[0] = window.NewRing(wr)
 	s.idxs[0] = cfg.newIndex(wr)
+	s.rings[0] = newRing(wr, s.idxs[0])
 	s.lives[0] = liveIn(s.rings[0])
 	if cfg.Self {
 		s.rings[1], s.idxs[1], s.lives[1] = s.rings[0], s.idxs[0], s.lives[0]
 	} else {
-		s.rings[1] = window.NewRing(ws)
 		s.idxs[1] = cfg.newIndex(ws)
+		s.rings[1] = newRing(ws, s.idxs[1])
 		s.lives[1] = liveIn(s.rings[1])
 	}
 	s.locs = NewLocator(s.idxs[0], cfg.Self)
@@ -125,31 +125,6 @@ func (s *Streaming) push(a stream.Arrival, probeAt, insertAt Located) (matches i
 	insertAt.Insert(ownIdx, kv.Pair{Key: a.Key, Ref: ref})
 	ownIdx.Maintain(s.lives[a.Stream], own.Count())
 	return matches
-}
-
-// Seq returns the next sequence number of the given stream's window (the
-// sequence the next pushed tuple of that stream will take).
-func (s *Streaming) Seq(streamID uint8) uint64 {
-	if s.cfg.Self {
-		streamID = 0
-	}
-	return s.rings[streamID].Head()
-}
-
-// KeyOf resolves a sequence number of a stream's window to its key, if the
-// tuple is still resident.
-func (s *Streaming) KeyOf(streamID uint8, seq uint64) (uint32, bool) {
-	if s.cfg.Self {
-		streamID = 0
-	}
-	r := s.rings[streamID]
-	if seq >= r.Head() {
-		return 0, false
-	}
-	// The slot's occupant is the newest sequence congruent to seq; it is seq
-	// itself unless the ring has since wrapped past it.
-	key, gotSeq := r.Get(uint32(seq & uint64(r.Capacity()-1)))
-	return key, gotSeq == seq
 }
 
 // Merges reports merge statistics accumulated by the indexes.

@@ -236,7 +236,7 @@ func TestShardLivenessSpanGuard(t *testing.T) {
 }
 
 // TestShardLivenessReshapeWrapped runs grow and shrink reshape epochs —
-// extract, fresh engines, adopt — on a router whose sequence heads cross 2^32
+// extract, fresh engines, load — on a router whose sequence heads cross 2^32
 // mid-run, against the serial join on the same arrivals.
 func TestShardLivenessReshapeWrapped(t *testing.T) {
 	const w, n = 256, 4000

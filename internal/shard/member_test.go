@@ -253,9 +253,9 @@ func TestMemberExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("resident %d + exported %d != before %d", m.Resident(), len(out), before)
 	}
 	// The export must contain every tuple the oracle still considers live in
-	// the range. (It may also carry a few globally-dead stragglers: a shard's
-	// local watermark lags the global frontier until its next op, and probes
-	// filter liveness by [TE, TL) anyway, so stale extras are harmless.)
+	// the range, and no other: Quiesce evicted every store to the member's
+	// frontier (here every op went to this member, so it is the oracle's),
+	// and the export runs at that frontier.
 	got := make(map[[2]uint64]bool, len(out))
 	for _, wt := range out {
 		got[[2]uint64{uint64(wt.Stream), wt.Seq}] = true

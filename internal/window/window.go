@@ -14,7 +14,11 @@
 // Window references (the 4-byte Ref stored in every index element) are ring
 // positions: Ref = seq mod capacity. Capacity exceeds the window length by
 // enough slack that a slot is never reused while any index may still hold a
-// stale reference to it; see NewRing for the exact invariant.
+// stale reference to it; see NewRing for the exact invariant. A Ring comes in
+// two forms. The keyed one (NewRing) stores each tuple's key and reports the
+// expired one to an eagerly deleting index. The keyless one (NewKeylessRing)
+// stores nothing: the indexes that prune lazily at merge time ask the window
+// only for liveness and sequence numbers.
 package window
 
 import (
@@ -26,36 +30,59 @@ import (
 )
 
 // Ring is the single-threaded count-based sliding window used by all
-// single-threaded join variants and by the per-core private windows of the
-// round-robin joins.
+// single-threaded join variants.
 //
-// Only keys are stored. Ref = seq mod capacity and appends are consecutive,
-// so the slot at ref was last written age(ref) arrivals before the newest
-// tuple; its sequence number and its liveness follow from (ref, head) alone.
+// A keyed ring stores keys only, and a keyless one (keys == nil) nothing.
+// Ref = seq mod capacity and appends are consecutive, so the slot at ref was
+// last written age(ref) arrivals before the newest tuple; its sequence
+// number and its liveness follow from (ref, head) alone.
 type Ring struct {
-	keys []uint32
+	keys []uint32 // nil in the keyless form
 	mask uint64
 	w    uint64
 	head uint64 // next sequence number to assign
 }
 
-// NewRing returns a window of length w. The ring capacity is the next power
-// of two of at least 2w+2 so that references stay valid for the full
-// lifetime of delta-merge index entries (which may keep an expired tuple for
-// up to m*w more arrivals, m <= 1, before a merge prunes it): every index
-// drops an entry before its tuple is 2w arrivals old, so the occupant of a
-// slot an entry names is always the tuple the entry was inserted for.
+// maxCap is the largest ring capacity: refs are 32-bit, and 2^32 slots
+// cover every window up to 2^31 (the largest an engine accepts) under the
+// 2w invariant of NewRing.
+const maxCap = 1 << 32
+
+// NewRing returns a keyed window of length w. The ring capacity is the next
+// power of two of at least 2w+2, capped at 2^32, so that references stay
+// valid for the full lifetime of delta-merge index entries (which may keep
+// an expired tuple for up to m*w more arrivals, m <= 1, before a merge
+// prunes it): every index drops an entry before its tuple is 2w arrivals
+// old, so the occupant of a slot an entry names is always the tuple the
+// entry was inserted for.
 func NewRing(w int) *Ring {
-	if w <= 0 {
-		panic(fmt.Sprintf("window: length %d must be positive", w))
-	}
-	capacity := pow2Ceil(2*uint64(w) + 2)
+	checkLength(w)
+	capacity := keyedCap(uint64(w))
 	return &Ring{
 		keys: make([]uint32, capacity),
 		mask: capacity - 1,
 		w:    uint64(w),
 	}
 }
+
+// NewKeylessRing returns a window of length w that stores no keys, for an
+// index that prunes lazily (Eager false): Append reports no expired pair and
+// Resolve reports key 0. Its capacity is 2^32, so ref = uint32(seq) and a
+// reference cannot alias for 2^32 arrivals, whatever w is.
+func NewKeylessRing(w int) *Ring {
+	checkLength(w)
+	return &Ring{mask: maxCap - 1, w: uint64(w)}
+}
+
+func checkLength(w int) {
+	if w <= 0 {
+		panic(fmt.Sprintf("window: length %d must be positive", w))
+	}
+}
+
+// keyedCap is the capacity of a keyed ring of length w: pow2Ceil(2w+2),
+// capped at 2^32. The cap is exact while w <= 2^31, because 2w <= 2^32.
+func keyedCap(w uint64) uint64 { return min(pow2Ceil(2*w+2), maxCap) }
 
 // Head returns the next sequence number to be assigned.
 func (r *Ring) Head() uint64 { return r.head }
@@ -72,18 +99,20 @@ func (r *Ring) count() uint64 {
 func (r *Ring) Count() int { return int(r.count()) }
 
 // Append inserts a tuple, slides the window, and reports the element that
-// just expired (the tuple w arrivals ago), if any. The returned ref is the
-// ring position to store in indexes.
+// just expired (the tuple w arrivals ago), if any; a keyless ring reports
+// none. The returned ref is the ring position to store in indexes.
 func (r *Ring) Append(key uint32) (ref uint32, seq uint64, expired kv.Pair, hasExpired bool) {
 	seq = r.head
 	ref = uint32(seq & r.mask)
-	if seq >= r.w {
-		old := seq - r.w
-		expired = kv.Pair{Key: r.keys[old&r.mask], Ref: uint32(old & r.mask)}
-		hasExpired = true
+	if r.keys != nil {
+		if seq >= r.w {
+			old := (seq - r.w) & r.mask
+			expired = kv.Pair{Key: r.keys[old], Ref: uint32(old)}
+			hasExpired = true
+		}
+		r.keys[ref] = key
+		metrics.Store(4)
 	}
-	r.keys[ref] = key
-	metrics.Store(4)
 	r.head = seq + 1
 	return ref, seq, expired, hasExpired
 }
@@ -94,27 +123,26 @@ func (r *Ring) Append(key uint32) (ref uint32, seq uint64, expired kv.Pair, hasE
 // every slot of an empty ring, where head-1 wraps).
 func (r *Ring) age(ref uint32) uint64 { return (r.head - 1 - uint64(ref)) & r.mask }
 
-// Get resolves a ring reference to its current occupant. A slot that was
-// never written reports key 0 and a sequence number >= Head().
-func (r *Ring) Get(ref uint32) (key uint32, seq uint64) {
-	metrics.Load(4)
-	return r.keys[ref], r.head - 1 - r.age(ref)
-}
-
 // Live reports whether the tuple currently stored at ref is inside the
 // window. Index entries whose tuple slid out fail this check, which is how
 // expired tuples are filtered from search results (Section 3.2). Never-
 // written slots are not live.
 func (r *Ring) Live(ref uint32) bool { return r.age(ref) < r.count() }
 
-// Resolve returns the occupant of ref only if it is live.
+// Resolve returns the occupant of ref and whether it is live. A slot that
+// was never written reports a sequence number >= Head(); a keyless ring
+// reports key 0.
 func (r *Ring) Resolve(ref uint32) (key uint32, seq uint64, live bool) {
 	age := r.age(ref)
-	metrics.Load(4)
-	return r.keys[ref], r.head - 1 - age, age < r.count()
+	if r.keys != nil {
+		metrics.Load(4)
+		key = r.keys[ref]
+	}
+	return key, r.head - 1 - age, age < r.count()
 }
 
-// Scan invokes emit for every live tuple in arrival order.
+// Scan invokes emit for every live tuple in arrival order. Only a keyed
+// ring can be scanned.
 func (r *Ring) Scan(emit func(key uint32, seq uint64) bool) {
 	lo := uint64(0)
 	if r.head > r.w {
@@ -127,9 +155,6 @@ func (r *Ring) Scan(emit func(key uint32, seq uint64) bool) {
 		}
 	}
 }
-
-// Capacity returns the ring capacity (for memory accounting).
-func (r *Ring) Capacity() int { return len(r.keys) }
 
 // pow2Ceil returns the smallest power of two >= n (minimum 2).
 func pow2Ceil(n uint64) uint64 {

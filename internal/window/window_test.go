@@ -266,12 +266,13 @@ func (s *ringShadow) live(ref uint32) bool {
 	return s.issued[ref] && s.seqs[ref] < s.head && s.head-s.seqs[ref] <= s.w
 }
 
-// checkRingAgainstShadow compares every slot of r with the shadow, and every
-// index entry in held with the slot it names: the occupant must still be the
+// checkRingAgainstShadow compares every slot of the keyed ring r with the
+// shadow, and every index entry in held with the slot it names in r and in
+// the keyless ring k (fed the same arrivals): the occupant must still be the
 // tuple the entry was inserted for (no reuse under a held reference).
-func checkRingAgainstShadow(t *testing.T, r *Ring, s *ringShadow, held []heldEntry) {
+func checkRingAgainstShadow(t *testing.T, r, k *Ring, s *ringShadow, held []heldEntry) {
 	t.Helper()
-	for ref := uint32(0); int(ref) < r.Capacity(); ref++ {
+	for ref := uint32(0); int(ref) < len(r.keys); ref++ {
 		want := s.live(ref)
 		if got := r.Live(ref); got != want {
 			t.Fatalf("head %d: Live(%d) = %v, shadow says %v", s.head, ref, got, want)
@@ -279,10 +280,6 @@ func checkRingAgainstShadow(t *testing.T, r *Ring, s *ringShadow, held []heldEnt
 		key, seq, live := r.Resolve(ref)
 		if live != want {
 			t.Fatalf("head %d: Resolve(%d) live = %v, shadow says %v", s.head, ref, live, want)
-		}
-		gkey, gseq := r.Get(ref)
-		if gkey != key || gseq != seq {
-			t.Fatalf("head %d: Get(%d) = (%d, %d), Resolve = (%d, %d)", s.head, ref, gkey, gseq, key, seq)
 		}
 		if !s.issued[ref] {
 			if seq < r.Head() {
@@ -295,11 +292,16 @@ func checkRingAgainstShadow(t *testing.T, r *Ring, s *ringShadow, held []heldEnt
 		}
 	}
 	for _, e := range held {
-		if _, seq := r.Get(e.ref); seq != e.seq {
-			t.Fatalf("head %d: held ref %d (seq %d) now resolves to seq %d", s.head, e.ref, e.seq, seq)
+		want := s.head-e.seq <= s.w
+		if _, seq, live := r.Resolve(e.ref); seq != e.seq || live != want {
+			t.Fatalf("head %d: held ref %d (seq %d) resolves to (seq %d, live %v), want live %v", s.head, e.ref, e.seq, seq, live, want)
 		}
-		if got, want := r.Live(e.ref), s.head-e.seq <= s.w; got != want {
+		if got := r.Live(e.ref); got != want {
 			t.Fatalf("head %d: Live(%d) = %v, but seq %d is live = %v", s.head, e.ref, got, e.seq, want)
+		}
+		kref := uint32(e.seq)
+		if _, seq, live := k.Resolve(kref); seq != e.seq || live != want || k.Live(kref) != want {
+			t.Fatalf("head %d: keyless ref %d (seq %d) resolves to (seq %d, live %v), want live %v", s.head, kref, e.seq, seq, live, want)
 		}
 	}
 }
@@ -311,14 +313,15 @@ type heldEntry struct {
 	seq uint64
 }
 
-// Property: over random append / merge schedules, the positional Live,
-// Resolve and Get agree with stored sequences for every slot, and no ref an
-// index still holds (age < (1+m)w, pruned by Live at each merge) is reused.
+// Property: over random append / merge schedules, the positional Live and
+// Resolve agree with stored sequences for every slot, and no ref an index
+// still holds (age < (1+m)w, pruned by Live at each merge) is reused, in the
+// keyed ring or in a keyless one fed the same arrivals.
 func TestRingPositionalMatchesStoredSeqs(t *testing.T) {
 	for _, w := range []int{1, 3, 1000, 1 << 12} {
 		for _, m := range []float64{1.0 / 16, 0.5, 1} {
-			r := NewRing(w)
-			n := r.Capacity()
+			r, k := NewRing(w), NewKeylessRing(w)
+			n := len(r.keys)
 			s := &ringShadow{keys: make([]uint32, n), seqs: make([]uint64, n), issued: make([]bool, n), w: uint64(w)}
 			rng := rand.New(rand.NewSource(int64(w)*31 + int64(m*16)))
 			threshold := int(m * float64(w))
@@ -327,7 +330,7 @@ func TestRingPositionalMatchesStoredSeqs(t *testing.T) {
 			}
 			var held []heldEntry
 			sinceMerge := 0
-			checkRingAgainstShadow(t, r, s, held) // head == 0: nothing is live
+			checkRingAgainstShadow(t, r, k, s, held) // head == 0: nothing is live
 			// Full sweeps are O(cap); space them so large windows stay fast
 			// while windows of 1 and 3 are swept after every append.
 			every := n / 16
@@ -338,12 +341,15 @@ func TestRingPositionalMatchesStoredSeqs(t *testing.T) {
 					t.Fatalf("Append seq = %d, want %d", seq, s.head)
 				}
 				s.append(ref, key)
+				if kref, kseq, _, kexp := k.Append(key); kref != uint32(seq) || kseq != seq || kexp {
+					t.Fatalf("keyless Append = (ref %d, seq %d, expired %v), want (%d, %d, false)", kref, kseq, kexp, uint32(seq), seq)
+				}
 				held = append(held, heldEntry{ref, seq})
 				sinceMerge++
 				// The engines merge at the threshold; merging early is also
 				// legal (it only drops more), merging late is not.
 				if merge := sinceMerge >= threshold || rng.Intn(4*threshold) == 0; merge {
-					checkRingAgainstShadow(t, r, s, held)
+					checkRingAgainstShadow(t, r, k, s, held)
 					kept := held[:0]
 					for _, e := range held {
 						if r.Live(e.ref) {
@@ -352,13 +358,91 @@ func TestRingPositionalMatchesStoredSeqs(t *testing.T) {
 					}
 					held, sinceMerge = kept, 0
 				} else if every == 0 || i%every == 0 || i < 2*w+4 && rng.Intn(w) == 0 {
-					checkRingAgainstShadow(t, r, s, held)
+					checkRingAgainstShadow(t, r, k, s, held)
 				}
 				if max := (1 + m) * float64(w); float64(len(held)) > max {
 					t.Fatalf("w %d m %v: index holds %d entries, bound %v", w, m, len(held), max)
 				}
 			}
-			checkRingAgainstShadow(t, r, s, held)
+			checkRingAgainstShadow(t, r, k, s, held)
 		}
+	}
+}
+
+// keyedCap is pow2Ceil(2w+2) up to the 2^32 slots that 32-bit refs can name;
+// every window up to 2^31 keeps the 2w slack the invariant needs. The helper
+// is tested alone: a keyed ring at w = 2^31 would allocate 16 GiB.
+func TestKeyedCap(t *testing.T) {
+	cases := map[uint64]uint64{1: 4, 3: 8, 4: 16, 1 << 20: 1 << 22, 1<<30 - 1: 1 << 31, 1 << 30: 1 << 32, 1<<31 - 1: 1 << 32, 1 << 31: 1 << 32}
+	for w, want := range cases {
+		if got := keyedCap(w); got != want {
+			t.Fatalf("keyedCap(%d) = %d, want %d", w, got, want)
+		}
+	}
+	for w := uint64(1); w <= 1<<31; w = w*3 + 1 {
+		if c := keyedCap(w); c < 2*w || c > 1<<32 {
+			t.Fatalf("keyedCap(%d) = %d, want within [2w, 2^32]", w, c)
+		}
+	}
+}
+
+// A keyless ring's ref is uint32(seq), so refs wrap every 2^32 arrivals.
+// Seeded a few arrivals below a multiple of 2^32, with every earlier
+// sequence taken as written, the ring must keep Live and Resolve exact
+// across the wrap: the ref of each of the last 2w sequences (the ones an
+// index may still hold) resolves to that sequence and is live only for the
+// last w, and a ref the current lap has not reached is not live.
+func TestKeylessRingAcrossWrap(t *testing.T) {
+	for _, lap := range []uint64{1, 2, 7} {
+		for _, w := range []int{1, 3, 8} {
+			r := NewKeylessRing(w)
+			head0 := lap<<32 - 5
+			r.head = head0
+			var shadow []uint64 // sequences in arrival order, history first
+			for s := head0 - 2*uint64(w); s < head0; s++ {
+				shadow = append(shadow, s)
+			}
+			for i := 0; i < 2*w+10; i++ {
+				ref, seq, _, hasExpired := r.Append(uint32(i))
+				if seq != r.Head()-1 || ref != uint32(seq) || hasExpired {
+					t.Fatalf("lap %d w %d: Append = (ref %d, seq %d, expired %v) at head %d", lap, w, ref, seq, hasExpired, r.Head())
+				}
+				shadow = append(shadow, seq)
+				head := r.Head()
+				if r.Count() != w {
+					t.Fatalf("lap %d w %d: Count = %d", lap, w, r.Count())
+				}
+				for _, s := range shadow[len(shadow)-2*w:] {
+					want := head-s <= uint64(w)
+					key, got, live := r.Resolve(uint32(s))
+					if got != s || live != want || r.Live(uint32(s)) != want || key != 0 {
+						t.Fatalf("lap %d w %d head %d: Resolve(%d) = (%d, %d, %v), want (0, %d, %v)", lap, w, head, uint32(s), key, got, live, s, want)
+					}
+				}
+				for d := uint64(0); d < 4; d++ {
+					ref := uint32(head + d)
+					if _, got, live := r.Resolve(ref); live || r.Live(ref) || got != head+d-1<<32 {
+						t.Fatalf("lap %d w %d head %d: unreached ref %d = (seq %d, live %v)", lap, w, head, ref, got, live)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A fresh keyless ring has 2^32 never-written slots; none is live, and each
+// resolves to a sequence at or past the head.
+func TestKeylessRingNeverWritten(t *testing.T) {
+	r := NewKeylessRing(4)
+	for i := 0; i <= 2; i++ {
+		for _, ref := range []uint32{uint32(r.Head()), 3, 1 << 31, 1<<32 - 1} {
+			if uint64(ref) < r.Head() {
+				continue
+			}
+			if _, seq, live := r.Resolve(ref); live || r.Live(ref) || seq < r.Head() {
+				t.Fatalf("head %d: never-written ref %d = (seq %d, live %v)", r.Head(), ref, seq, live)
+			}
+		}
+		r.Append(uint32(i))
 	}
 }
