@@ -75,7 +75,14 @@ func (ix *Index) Insert(key, ref uint32) {
 // callers filter via their window, as the join drivers do. Returning false
 // from visit stops the scan. Safe for concurrent use with Insert.
 func (ix *Index) Search(lo, hi uint32, visit func(key, ref uint32) bool) {
-	ix.pt.Query(lo, hi, func(p kv.Pair) bool { return visit(p.Key, p.Ref) })
+	ix.pt.QueryPairs(lo, hi, func(run []kv.Pair) bool {
+		for _, p := range run {
+			if !visit(p.Key, p.Ref) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // NeedsMaintenance reports whether the mutable component has reached the

@@ -68,9 +68,6 @@ func NewOrder(order int) *Tree {
 // Len returns the number of stored elements.
 func (t *Tree) Len() int { return t.length }
 
-// Order returns the maximum number of elements per node.
-func (t *Tree) Order() int { return t.order }
-
 // Height returns the number of levels (a lone leaf has height 1). This is Hb
 // in the paper's cost model.
 func (t *Tree) Height() int {
@@ -316,39 +313,14 @@ func (t *Tree) mergeInners(n *node, i int) {
 	n.children = append(n.children[:i+1], n.children[i+2:]...)
 }
 
-// Query invokes emit for every element with lo <= Key <= hi in (Key, Ref)
-// order. It returns true when emit asked to stop early and false when the
-// key range was exhausted — the distinction lets composite indexes chain
-// component queries without a wrapping closure (range exhaustion in one
-// component must not stop the next, but an emit refusal must).
-func (t *Tree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	n := t.descend(kv.Pair{Key: lo})
-	i := kv.LowerBound(n.pairs, lo)
-	for {
-		for ; i < len(n.pairs); i++ {
-			p := n.pairs[i]
-			metrics.Load(kv.PairBytes)
-			if p.Key > hi {
-				return false
-			}
-			if !emit(p) {
-				return true
-			}
-		}
-		if n.next == nil {
-			return false
-		}
-		n = n.next
-		i = 0
-	}
-}
-
-// QueryPairs is the columnar form of Query: instead of one callback per
-// element it emits each leaf's in-range run as one contiguous []kv.Pair
-// slice, so callers iterate cache-resident memory with no per-element
-// indirect call. The slices alias tree-owned storage and are only valid
-// until the next mutation; emit must not retain them. Returns true when
-// emit asked to stop, false when the range was exhausted.
+// QueryPairs emits the elements with lo <= Key <= hi in (Key, Ref) order,
+// one contiguous []kv.Pair run per leaf, so callers iterate cache-resident
+// memory with no per-element indirect call. The runs alias tree-owned
+// storage and are only valid until the next mutation; emit must not retain
+// them. It returns true when emit refused a run and false when the range was
+// exhausted — the distinction lets composite indexes chain component queries
+// without a wrapping closure (range exhaustion in one component must not
+// stop the next, but a refusal must).
 func (t *Tree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
 	n := t.descend(kv.Pair{Key: lo})
 	i := kv.LowerBound(n.pairs, lo)
@@ -356,67 +328,11 @@ func (t *Tree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped boo
 		j := len(n.pairs)
 		if j > 0 && n.pairs[j-1].Key > hi {
 			j = i + kv.UpperBound(n.pairs[i:], hi)
-			if i < j {
-				metrics.Load((j - i) * kv.PairBytes)
-				emit(n.pairs[i:j])
-			}
-			return false
-		}
-		if i < j {
-			metrics.Load((j - i) * kv.PairBytes)
-			if !emit(n.pairs[i:j]) {
-				return true
-			}
-		}
-		if n.next == nil {
-			return false
-		}
-		n = n.next
-		i = 0
-	}
-}
-
-// QueryFrom walks elements >= start in order until one exceeds hi or emit
-// refuses, returning true in the emit-refusal case only. It is the
-// range-bounded form of ScanFrom that PIM-Tree's template-interval scan
-// uses to cross subindex boundaries without allocating a bounds-checking
-// closure per subindex.
-func (t *Tree) QueryFrom(start kv.Pair, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	n := t.descend(start)
-	i := lowerBoundPair(n.pairs, start)
-	for {
-		for ; i < len(n.pairs); i++ {
-			p := n.pairs[i]
-			metrics.Load(kv.PairBytes)
-			if p.Key > hi {
+			if i == j {
 				return false
 			}
-			if !emit(p) {
-				return true
-			}
-		}
-		if n.next == nil {
-			return false
-		}
-		n = n.next
-		i = 0
-	}
-}
-
-// QueryFromPairs is the columnar form of QueryFrom (per-leaf contiguous
-// slices, same aliasing caveat as QueryPairs).
-func (t *Tree) QueryFromPairs(start kv.Pair, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
-	n := t.descend(start)
-	i := lowerBoundPair(n.pairs, start)
-	for {
-		j := len(n.pairs)
-		if j > 0 && n.pairs[j-1].Key > hi {
-			j = i + kv.UpperBound(n.pairs[i:], hi)
-			if i < j {
-				metrics.Load((j - i) * kv.PairBytes)
-				emit(n.pairs[i:j])
-			}
-			return false
+			metrics.Load((j - i) * kv.PairBytes)
+			return !emit(n.pairs[i:j])
 		}
 		if i < j {
 			metrics.Load((j - i) * kv.PairBytes)
@@ -471,47 +387,14 @@ func (t *Tree) Max() (kv.Pair, bool) {
 	return n.pairs[len(n.pairs)-1], true
 }
 
-// Scan walks every element in order; emit returning false stops early.
-func (t *Tree) Scan(emit func(kv.Pair) bool) {
-	for n := t.first; n != nil; n = n.next {
-		for _, p := range n.pairs {
-			if !emit(p) {
-				return
-			}
-		}
-	}
-}
-
-// ScanFrom walks elements >= start in order. It returns true when emit asked
-// to stop, false when the tree was exhausted — the signal PIM-Tree uses to
-// hand the scan over to the successor subindex (the paper's flagged tail
-// leaf, Section 3.3.3).
-func (t *Tree) ScanFrom(start kv.Pair, emit func(kv.Pair) bool) (stopped bool) {
-	n := t.descend(start)
-	i := lowerBoundPair(n.pairs, start)
-	for {
-		for ; i < len(n.pairs); i++ {
-			metrics.Load(kv.PairBytes)
-			if !emit(n.pairs[i]) {
-				return true
-			}
-		}
-		if n.next == nil {
-			return false
-		}
-		n = n.next
-		i = 0
-	}
-}
-
-// SortedSlice returns all elements in order in a newly allocated slice. The
-// merge step of IM-/PIM-Tree uses it to turn TI into a sorted run.
+// SortedSlice returns all elements in order in a newly allocated slice, one
+// leaf run at a time. The IB-chain uses it to turn an archived subindex into
+// the sorted run of an immutable tree.
 func (t *Tree) SortedSlice() []kv.Pair {
 	out := make([]kv.Pair, 0, t.length)
-	t.Scan(func(p kv.Pair) bool {
-		out = append(out, p)
-		return true
-	})
+	for n := t.first; n != nil; n = n.next {
+		out = append(out, n.pairs...)
+	}
 	return out
 }
 

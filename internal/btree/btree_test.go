@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,14 +12,26 @@ import (
 
 func pair(k, r uint32) kv.Pair { return kv.Pair{Key: k, Ref: r} }
 
-func collect(t *Tree) []kv.Pair {
+// query collects QueryPairs(lo, hi) and fails t on an empty run or a range
+// reported as refused.
+func query(t testing.TB, tr *Tree, lo, hi uint32) []kv.Pair {
+	t.Helper()
 	var out []kv.Pair
-	t.Scan(func(p kv.Pair) bool {
-		out = append(out, p)
+	stopped := tr.QueryPairs(lo, hi, func(run []kv.Pair) bool {
+		if len(run) == 0 {
+			t.Fatalf("QueryPairs(%d,%d) emitted an empty run", lo, hi)
+		}
+		out = append(out, run...)
 		return true
 	})
+	if stopped {
+		t.Fatalf("QueryPairs(%d,%d) reported a refusal no run made", lo, hi)
+	}
 	return out
 }
+
+// collect returns every element in order.
+func collect(t testing.TB, tr *Tree) []kv.Pair { return query(t, tr, 0, math.MaxUint32) }
 
 func TestEmptyTree(t *testing.T) {
 	tr := New()
@@ -34,10 +47,8 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Max(); ok {
 		t.Fatal("Max on empty tree reported ok")
 	}
-	n := 0
-	tr.Query(0, ^uint32(0), func(kv.Pair) bool { n++; return true })
-	if n != 0 {
-		t.Fatalf("Query on empty tree emitted %d elements", n)
+	if got := collect(t, tr); len(got) != 0 {
+		t.Fatalf("QueryPairs on empty tree emitted %d elements", len(got))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -89,13 +100,9 @@ func TestDuplicateKeysDistinctRefs(t *testing.T) {
 	if tr.Len() != dups {
 		t.Fatalf("Len = %d, want %d", tr.Len(), dups)
 	}
-	var got []kv.Pair
-	tr.Query(42, 42, func(p kv.Pair) bool {
-		got = append(got, p)
-		return true
-	})
+	got := query(t, tr, 42, 42)
 	if len(got) != dups {
-		t.Fatalf("Query returned %d duplicates, want %d", len(got), dups)
+		t.Fatalf("QueryPairs returned %d duplicates, want %d", len(got), dups)
 	}
 	for i := 1; i < len(got); i++ {
 		if !got[i-1].Less(got[i]) {
@@ -114,7 +121,7 @@ func TestSortedOrderAfterRandomInserts(t *testing.T) {
 		want = append(want, p)
 	}
 	kv.Sort(want)
-	got := collect(tr)
+	got := collect(t, tr)
 	if len(got) != len(want) {
 		t.Fatalf("got %d elements, want %d", len(got), len(want))
 	}
@@ -209,47 +216,73 @@ func TestQueryRange(t *testing.T) {
 		{1000, 2000, 0},
 	}
 	for _, tc := range tests {
-		n := 0
-		tr.Query(tc.lo, tc.hi, func(p kv.Pair) bool {
+		got := query(t, tr, tc.lo, tc.hi)
+		for _, p := range got {
 			if p.Key < tc.lo || p.Key > tc.hi {
-				t.Fatalf("Query(%d,%d) emitted out-of-range key %d", tc.lo, tc.hi, p.Key)
+				t.Fatalf("QueryPairs(%d,%d) emitted out-of-range key %d", tc.lo, tc.hi, p.Key)
 			}
-			n++
-			return true
-		})
-		if n != tc.want {
-			t.Fatalf("Query(%d,%d) emitted %d, want %d", tc.lo, tc.hi, n, tc.want)
+		}
+		if len(got) != tc.want {
+			t.Fatalf("QueryPairs(%d,%d) emitted %d, want %d", tc.lo, tc.hi, len(got), tc.want)
 		}
 	}
 }
 
 func TestQueryEarlyStop(t *testing.T) {
-	tr := New()
+	tr := NewOrder(4) // leaves of 2..4 elements: a range spans many runs
 	for i := uint32(0); i < 100; i++ {
 		tr.Insert(pair(i, i))
 	}
-	n := 0
-	tr.Query(0, 99, func(kv.Pair) bool {
-		n++
-		return n < 10
+	n, calls, refused := 0, 0, false
+	stopped := tr.QueryPairs(0, 99, func(run []kv.Pair) bool {
+		if refused {
+			t.Fatal("emit called after it refused a run")
+		}
+		calls++
+		n += len(run)
+		refused = n >= 10
+		return !refused
 	})
-	if n != 10 {
-		t.Fatalf("early stop emitted %d, want 10", n)
+	if !stopped {
+		t.Fatal("QueryPairs did not report the refusal")
+	}
+	if n < 10 || n > 13 || calls < 3 {
+		t.Fatalf("early stop emitted %d elements in %d runs, want 10..13 in at least 3", n, calls)
 	}
 }
 
-func TestScanFromReportsExhaustion(t *testing.T) {
-	tr := New()
+// TestQueryPairsReportsRefusal tells a refusal from an exhausted range, for
+// a refused run in the middle of the range and for the range's final run,
+// which ends inside a leaf.
+func TestQueryPairsReportsRefusal(t *testing.T) {
+	tr := New() // sequential inserts leave leaves of 16 elements
 	for i := uint32(0); i < 100; i++ {
 		tr.Insert(pair(i, 0))
 	}
-	stopped := tr.ScanFrom(pair(50, 0), func(p kv.Pair) bool { return p.Key < 60 })
-	if !stopped {
-		t.Fatal("ScanFrom should report stopped when emit returns false")
+	refuse := func([]kv.Pair) bool { return false }
+	accept := func([]kv.Pair) bool { return true }
+	for _, tc := range []struct {
+		lo, hi uint32
+		emit   func([]kv.Pair) bool
+		want   bool
+	}{
+		{2, 5, refuse, true},    // one run, ending inside its leaf
+		{50, 99, refuse, true},  // first of several runs
+		{0, 0, refuse, true},    // a one-element final run
+		{50, 59, accept, false}, // range ends inside a leaf
+		{50, 200, accept, false},
+		{200, 300, refuse, false}, // nothing in range: no run to refuse
+	} {
+		if got := tr.QueryPairs(tc.lo, tc.hi, tc.emit); got != tc.want {
+			t.Errorf("QueryPairs(%d,%d) stopped = %v, want %v", tc.lo, tc.hi, got, tc.want)
+		}
 	}
-	stopped = tr.ScanFrom(pair(50, 0), func(kv.Pair) bool { return true })
-	if stopped {
-		t.Fatal("ScanFrom should report exhaustion when scanning off the end")
+	last := 0
+	if !tr.QueryPairs(50, 99, func(run []kv.Pair) bool {
+		last = int(run[len(run)-1].Key)
+		return last < 97
+	}) || last < 97 {
+		t.Fatalf("refusing the run holding key 97 gave last key %d or no stop", last)
 	}
 }
 
@@ -374,7 +407,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 			want = append(want, p)
 		}
 		kv.Sort(want)
-		got := collect(tr)
+		got := collect(t, tr)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("order %d: element %d = %v, want %v", order, i, got[i], want[i])
@@ -401,7 +434,7 @@ func TestQuickInsertScanSorted(t *testing.T) {
 			tr.Insert(p)
 			seen[p] = true
 		}
-		got := collect(tr)
+		got := collect(t, tr)
 		if len(got) != len(seen) {
 			return false
 		}
@@ -420,7 +453,7 @@ func TestQuickInsertScanSorted(t *testing.T) {
 	}
 }
 
-// Property: Query(lo,hi) matches filtering the reference set.
+// Property: QueryPairs(lo,hi) matches filtering the reference set.
 func TestQuickQueryMatchesReference(t *testing.T) {
 	f := func(keys []uint32, lo, hi uint32) bool {
 		lo %= 2000
@@ -442,11 +475,7 @@ func TestQuickQueryMatchesReference(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		got := []kv.Pair{}
-		tr.Query(lo, hi, func(p kv.Pair) bool {
-			got = append(got, p)
-			return true
-		})
+		got := query(t, tr, lo, hi)
 		if len(got) != len(want) {
 			return false
 		}
@@ -469,7 +498,7 @@ func TestQuickInsertDeleteRoundTrip(t *testing.T) {
 		for _, k := range base {
 			tr.Insert(pair(uint32(k), uint32(k)))
 		}
-		before := collect(tr)
+		before := collect(t, tr)
 		inserted := []kv.Pair{}
 		for _, k := range extra {
 			p := pair(uint32(k), uint32(k)+1<<20)
@@ -482,7 +511,7 @@ func TestQuickInsertDeleteRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		after := collect(tr)
+		after := collect(t, tr)
 		if len(before) != len(after) {
 			return false
 		}
@@ -562,7 +591,7 @@ func BenchmarkQueryNarrow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := uint32(i) % (1 << 17)
-		tr.Query(lo, lo+4, func(kv.Pair) bool { return true })
+		tr.QueryPairs(lo, lo+4, func([]kv.Pair) bool { return true })
 	}
 }
 

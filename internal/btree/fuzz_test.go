@@ -9,7 +9,9 @@ import (
 // FuzzOpSequence drives the tree with an arbitrary operation tape and checks
 // it against a map reference plus the structural invariants. Each input byte
 // pair encodes one operation: the low two bits of the first byte select
-// insert/insert/delete/query and the remaining bits form the key/ref.
+// insert/insert/delete/query and the remaining bits form the key/ref. A
+// query checks QueryPairs' runs and that refusing the first run stops it. A
+// query checks QueryPairs' runs and that refusing the first run stops it.
 func FuzzOpSequence(f *testing.F) {
 	f.Add([]byte{0x04, 0x10, 0x08, 0x10, 0x02, 0x10})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
@@ -42,10 +44,14 @@ func FuzzOpSequence(f *testing.F) {
 						want++
 					}
 				}
-				got := 0
-				tr.Query(lo, hi, func(kv.Pair) bool { got++; return true })
-				if got != want {
-					t.Fatalf("Query(%d,%d) = %d, want %d", lo, hi, got, want)
+				got := query(t, tr, lo, hi)
+				if len(got) != want || !kv.IsSorted(got) {
+					t.Fatalf("QueryPairs(%d,%d) = %v, want %d sorted elements", lo, hi, got, want)
+				}
+				// Refusing the first run stops the walk, whichever leaf
+				// the range ends in.
+				if stopped := tr.QueryPairs(lo, hi, func([]kv.Pair) bool { return false }); stopped != (want > 0) {
+					t.Fatalf("QueryPairs(%d,%d) refusing its first run: stopped = %v, want %v", lo, hi, stopped, want > 0)
 				}
 			}
 		}

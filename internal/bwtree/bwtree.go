@@ -240,36 +240,12 @@ func (t *Tree) Contains(p kv.Pair) bool {
 	return i < len(pairs) && pairs[i] == p
 }
 
-// Query emits every element with lo <= Key <= hi in order, traversing leaves
-// through side pointers. Each leaf is read from a single consistent chain
-// snapshot. It returns true when emit asked to stop early, false when the
-// range was exhausted.
-func (t *Tree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	pid, head := t.findLeaf(lo)
-	for {
-		pairs, base := materialize(head)
-		metrics.Load(len(pairs) * kv.PairBytes)
-		for _, p := range pairs[kv.LowerBound(pairs, lo):] {
-			if p.Key > hi {
-				return false
-			}
-			if !emit(p) {
-				return true
-			}
-		}
-		if base.high > uint64(hi) || base.side == 0 {
-			return false
-		}
-		pid = base.side
-		head = t.mapping[pid].Load()
-	}
-}
-
-// QueryPairs is the columnar form of Query: each leaf's in-range run is
-// emitted as one contiguous []kv.Pair from that leaf's consistent snapshot
-// (consolidated pages emit their base array directly; pages with pending
-// deltas emit the materialized copy). Slices are only valid during the emit
-// call. Returns true when emit asked to stop, false otherwise.
+// QueryPairs emits the elements with lo <= Key <= hi in order, traversing
+// leaves through side pointers: each leaf's in-range run is one contiguous
+// []kv.Pair from that leaf's consistent chain snapshot (consolidated pages
+// emit their base array directly; pages with pending deltas emit the
+// materialized copy). Runs are only valid during the emit call. It returns
+// true when emit refused a run, false when the range was exhausted.
 func (t *Tree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
 	pid, head := t.findLeaf(lo)
 	for {
@@ -533,28 +509,6 @@ func (t *Tree) growRoot(leftPID uint64, sep uint32, rightPID uint64) {
 		high:     unboundedHigh,
 	})
 	t.root.Store(newRoot)
-}
-
-// Scan walks all elements in order (test helper; takes per-leaf snapshots).
-func (t *Tree) Scan(emit func(kv.Pair) bool) {
-	pid := t.root.Load()
-	for {
-		n := baseOf(t.mapping[pid].Load())
-		if n.kind == kLeaf {
-			break
-		}
-		pid = n.children[0]
-	}
-	for pid != 0 {
-		head := t.mapping[pid].Load()
-		pairs, base := materialize(head)
-		for _, p := range pairs {
-			if !emit(p) {
-				return
-			}
-		}
-		pid = base.side
-	}
 }
 
 // CheckInvariants validates ordering, key bounds, and reachability. Intended

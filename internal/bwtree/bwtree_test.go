@@ -1,6 +1,7 @@
 package bwtree
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,6 +12,40 @@ import (
 
 func pair(k, r uint32) kv.Pair { return kv.Pair{Key: k, Ref: r} }
 
+// query collects QueryPairs(lo, hi), reporting an empty run or a refusal no
+// run made with t.Errorf, so concurrent readers can call it too.
+func query(t testing.TB, tr *Tree, lo, hi uint32) []kv.Pair {
+	var out []kv.Pair
+	if tr.QueryPairs(lo, hi, func(run []kv.Pair) bool {
+		if len(run) == 0 {
+			t.Errorf("QueryPairs(%d,%d) emitted an empty run", lo, hi)
+		}
+		out = append(out, run...)
+		return true
+	}) {
+		t.Errorf("QueryPairs(%d,%d) reported a refusal no run made", lo, hi)
+	}
+	return out
+}
+
+// collect returns every element in order, walking the leaf side links.
+func collect(t testing.TB, tr *Tree) []kv.Pair { return query(t, tr, 0, math.MaxUint32) }
+
+// checkRange reports, with t.Errorf, an element of got outside [lo, hi] or
+// out of order.
+func checkRange(t testing.TB, got []kv.Pair, lo, hi uint32) {
+	for i, p := range got {
+		if p.Key < lo || p.Key > hi {
+			t.Errorf("result %v outside [%d,%d]", p, lo, hi)
+			return
+		}
+		if i > 0 && p.Less(got[i-1]) {
+			t.Errorf("unsorted results: %v then %v", got[i-1], p)
+			return
+		}
+	}
+}
+
 func TestEmptyTree(t *testing.T) {
 	tr := New(0, Config{})
 	if tr.Len() != 0 {
@@ -19,10 +54,8 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Height() != 1 {
 		t.Fatalf("Height = %d, want 1", tr.Height())
 	}
-	n := 0
-	tr.Query(0, ^uint32(0), func(kv.Pair) bool { n++; return true })
-	if n != 0 {
-		t.Fatalf("Query on empty emitted %d", n)
+	if got := collect(t, tr); len(got) != 0 {
+		t.Fatalf("QueryPairs on empty emitted %d", len(got))
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -109,18 +142,20 @@ func TestQueryRange(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		got := []kv.Pair{}
-		tr.Query(lo, hi, func(p kv.Pair) bool {
-			got = append(got, p)
-			return true
-		})
+		got := query(t, tr, lo, hi)
 		if len(got) != len(want) {
-			t.Fatalf("Query(%d,%d) = %d elems, want %d", lo, hi, len(got), len(want))
+			t.Fatalf("QueryPairs(%d,%d) = %d elems, want %d", lo, hi, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("Query(%d,%d)[%d] = %v, want %v", lo, hi, i, got[i], want[i])
+				t.Fatalf("QueryPairs(%d,%d)[%d] = %v, want %v", lo, hi, i, got[i], want[i])
 			}
+		}
+		calls := 0
+		stopped := tr.QueryPairs(lo, hi, func([]kv.Pair) bool { calls++; return false })
+		if stopped != (len(want) > 0) || calls > 1 {
+			t.Fatalf("QueryPairs(%d,%d) refusing its first run: stopped %v after %d calls, want %v",
+				lo, hi, stopped, calls, len(want) > 0)
 		}
 	}
 }
@@ -132,10 +167,8 @@ func TestDuplicateKeyRunsSurviveSplits(t *testing.T) {
 	for r := uint32(0); r < 100; r++ {
 		tr.Insert(pair(42, r))
 	}
-	n := 0
-	tr.Query(42, 42, func(kv.Pair) bool { n++; return true })
-	if n != 100 {
-		t.Fatalf("Query found %d duplicates, want 100", n)
+	if n := len(query(t, tr, 42, 42)); n != 100 {
+		t.Fatalf("QueryPairs found %d duplicates, want 100", n)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -148,19 +181,14 @@ func TestScanOrder(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		tr.Insert(pair(rng.Uint32()%10000, uint32(i)))
 	}
-	var prev kv.Pair
-	first := true
-	n := 0
-	tr.Scan(func(p kv.Pair) bool {
-		if !first && !prev.Less(p) {
-			t.Fatalf("Scan out of order: %v then %v", prev, p)
+	got := collect(t, tr)
+	for i := 1; i < len(got); i++ {
+		if !got[i-1].Less(got[i]) {
+			t.Fatalf("full range out of order: %v then %v", got[i-1], got[i])
 		}
-		prev, first = p, false
-		n++
-		return true
-	})
-	if n != 3000 {
-		t.Fatalf("Scan visited %d, want 3000", n)
+	}
+	if len(got) != 3000 {
+		t.Fatalf("full range visited %d, want 3000", len(got))
 	}
 }
 
@@ -236,13 +264,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 				}
 				if i%5 == 4 {
 					lo := rng.Uint32() % 20000
-					tr.Query(lo, lo+100, func(q kv.Pair) bool {
-						if q.Key < lo || q.Key > lo+100 {
-							t.Errorf("out-of-range result %v", q)
-							return false
-						}
-						return true
-					})
+					checkRange(t, query(t, tr, lo, lo+100), lo, lo+100)
 				}
 			}
 		}(g)
@@ -277,20 +299,7 @@ func TestConcurrentReadersSeeSortedRanges(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(50 + r)))
 			for i := 0; i < 300; i++ {
 				lo := rng.Uint32() % 8192
-				var prev kv.Pair
-				first := true
-				tr.Query(lo, lo+500, func(p kv.Pair) bool {
-					if p.Key < lo || p.Key > lo+500 {
-						t.Errorf("result %v outside [%d,%d]", p, lo, lo+500)
-						return false
-					}
-					if !first && p.Less(prev) {
-						t.Errorf("unsorted results: %v then %v", prev, p)
-						return false
-					}
-					prev, first = p, false
-					return true
-				})
+				checkRange(t, query(t, tr, lo, lo+500), lo, lo+500)
 			}
 		}(r)
 	}
@@ -345,8 +354,7 @@ func TestQuickMatchesReference(t *testing.T) {
 		if tr.Len() != len(ref) {
 			return false
 		}
-		got := []kv.Pair{}
-		tr.Scan(func(p kv.Pair) bool { got = append(got, p); return true })
+		got := collect(t, tr)
 		if len(got) != len(ref) {
 			return false
 		}

@@ -34,20 +34,7 @@ func TestScanDuringSplitStorm(t *testing.T) {
 			for i := 0; i < 400; i++ {
 				lo := rng.Uint32() % 100000
 				hi := lo + 5000
-				var prev kv.Pair
-				first := true
-				tr.Query(lo, hi, func(p kv.Pair) bool {
-					if p.Key < lo || p.Key > hi {
-						t.Errorf("result %v outside [%d,%d]", p, lo, hi)
-						return false
-					}
-					if !first && p.Less(prev) {
-						t.Errorf("scan regressed: %v after %v", prev, p)
-						return false
-					}
-					prev, first = p, false
-					return true
-				})
+				checkRange(t, query(t, tr, lo, hi), lo, hi)
 			}
 		}(g)
 	}
@@ -71,19 +58,14 @@ func TestSideLinkChainCoversEverything(t *testing.T) {
 	for i := uint32(0); i < n; i++ {
 		tr.Insert(kv.Pair{Key: i * 7 % 65536, Ref: i})
 	}
-	seen := 0
-	var prev kv.Pair
-	first := true
-	tr.Scan(func(p kv.Pair) bool {
-		if !first && !prev.Less(p) {
-			t.Fatalf("chain order violation: %v then %v", prev, p)
+	got := collect(t, tr)
+	for i := 1; i < len(got); i++ {
+		if !got[i-1].Less(got[i]) {
+			t.Fatalf("chain order violation: %v then %v", got[i-1], got[i])
 		}
-		prev, first = p, false
-		seen++
-		return true
-	})
-	if seen != n {
-		t.Fatalf("side-link chain visited %d, want %d", seen, n)
+	}
+	if len(got) != n {
+		t.Fatalf("side-link chain visited %d, want %d", len(got), n)
 	}
 }
 
@@ -118,9 +100,7 @@ func TestDeleteStormWithConcurrentScans(t *testing.T) {
 		rng := rand.New(rand.NewSource(8))
 		for i := 0; i < 3000; i++ {
 			lo := rng.Uint32() % 50000
-			tr.Query(lo, lo+1000, func(p kv.Pair) bool {
-				return p.Key >= lo && p.Key <= lo+1000
-			})
+			checkRange(t, query(t, tr, lo, lo+1000), lo, lo+1000)
 		}
 		stop.Store(true)
 	}()

@@ -141,33 +141,16 @@ func (c *Chain) Advance(oldestLive uint64) {
 	}
 }
 
-// Query emits every stored element with lo <= Key <= hi, searching the active
-// subindex and all archived subindexes (the chain-length-proportional lookup
-// cost of Equation 3). Results may include expired tuples; callers filter via
-// the window, as in IM-/PIM-Tree searches.
-// Returns true when emit asked to stop early. Each subindex reports
-// emit-refusal itself (range exhaustion in one archive must not stop the
-// others — they cover the same key space over different time intervals), so
-// the chain walk needs no wrapping closure and is allocation-free.
-func (c *Chain) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	for i := range c.archive {
-		if c.archive[i].bt != nil {
-			stopped = c.archive[i].bt.Query(lo, hi, emit)
-		} else {
-			stopped = c.archive[i].cs.Query(lo, hi, emit)
-		}
-		if stopped {
-			return true
-		}
-	}
-	return c.active.Query(lo, hi, emit)
-}
-
-// QueryPairs is the columnar form of Query: each subindex emits its
-// in-range elements as contiguous []kv.Pair runs (per B+-tree leaf, or one
-// run per cache-sensitive archive). Slices alias subindex-owned storage and
-// are only valid during the emit call. Returns true when emit asked to stop
-// early.
+// QueryPairs emits every stored element with lo <= Key <= hi, searching
+// every archived subindex and then the active one (the
+// chain-length-proportional lookup cost of Equation 3). Each subindex emits
+// contiguous []kv.Pair runs (per B+-tree leaf, or one run per immutable
+// archive) that alias its storage and are only valid during the emit call.
+// Results may include expired tuples; callers filter via the window, as in
+// IM-/PIM-Tree searches. It returns true when emit refused a run: each
+// subindex reports a refusal itself (range exhaustion in one archive must
+// not stop the others — they cover the same key space over different time
+// intervals), so the chain walk needs no wrapping closure.
 func (c *Chain) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
 	for i := range c.archive {
 		if c.archive[i].bt != nil {

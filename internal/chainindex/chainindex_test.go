@@ -10,6 +10,23 @@ import (
 
 func pair(k, r uint32) kv.Pair { return kv.Pair{Key: k, Ref: r} }
 
+// query collects QueryPairs(lo, hi), failing t on an empty run or a refusal
+// no run made.
+func query(t *testing.T, c *Chain, lo, hi uint32) []kv.Pair {
+	t.Helper()
+	var out []kv.Pair
+	if c.QueryPairs(lo, hi, func(run []kv.Pair) bool {
+		if len(run) == 0 {
+			t.Fatalf("QueryPairs(%d,%d) emitted an empty run", lo, hi)
+		}
+		out = append(out, run...)
+		return true
+	}) {
+		t.Fatalf("QueryPairs(%d,%d) reported a refusal no run made", lo, hi)
+	}
+	return out
+}
+
 func TestVariantString(t *testing.T) {
 	if BChain.String() != "B-chain" || IBChain.String() != "IB-chain" {
 		t.Fatal("variant names wrong")
@@ -83,11 +100,7 @@ func TestQueryAcrossSubindexes(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			c.Insert(pair(uint32(i%50), uint32(i)), uint64(i))
 		}
-		var got []kv.Pair
-		c.Query(5, 15, func(p kv.Pair) bool {
-			got = append(got, p)
-			return true
-		})
+		got := query(t, c, 5, 15)
 		want := 0
 		for i := 0; i < 30; i++ {
 			k := uint32(i % 50)
@@ -96,7 +109,7 @@ func TestQueryAcrossSubindexes(t *testing.T) {
 			}
 		}
 		if len(got) != want {
-			t.Fatalf("%v: Query returned %d, want %d", v, len(got), want)
+			t.Fatalf("%v: QueryPairs returned %d, want %d", v, len(got), want)
 		}
 		for _, p := range got {
 			if p.Key < 5 || p.Key > 15 {
@@ -106,15 +119,45 @@ func TestQueryAcrossSubindexes(t *testing.T) {
 	}
 }
 
+// TestQueryEarlyStop refuses the second subindex's run: the walk stops
+// there, before the active subindex.
 func TestQueryEarlyStop(t *testing.T) {
-	c := New(3, 20, IBChain)
-	for i := 0; i < 30; i++ {
-		c.Insert(pair(uint32(i), uint32(i)), uint64(i))
+	for _, v := range []Variant{BChain, IBChain} {
+		c := New(3, 20, v) // capacity 10: two archives and the active subindex
+		for i := 0; i < 30; i++ {
+			c.Insert(pair(uint32(i), uint32(i)), uint64(i))
+		}
+		n, calls := 0, 0
+		stopped := c.QueryPairs(0, 100, func(run []kv.Pair) bool {
+			calls++
+			n += len(run)
+			return n < 15
+		})
+		if !stopped || calls != 2 || n != 20 {
+			t.Fatalf("%v: early stop: stopped %v after %d runs of %d elements, want stopped after 2 of 20",
+				v, stopped, calls, n)
+		}
 	}
-	n := 0
-	c.Query(0, 100, func(kv.Pair) bool { n++; return n < 4 })
-	if n != 4 {
-		t.Fatalf("early stop emitted %d, want 4", n)
+}
+
+// TestRefusedRunStopsChain refuses the first run, from the oldest archive,
+// of a range that ends inside every subindex's leaf: emit is never called
+// again and the refusal is reported.
+func TestRefusedRunStopsChain(t *testing.T) {
+	for _, v := range []Variant{BChain, IBChain} {
+		c := New(5, 40, v) // capacity 10: four archives and the active subindex
+		for i := 0; i < 50; i++ {
+			c.Insert(pair(uint32(i%10*10), uint32(i)), uint64(i))
+		}
+		if c.ChainedCount() != 4 {
+			t.Fatalf("%v: ChainedCount = %d, want 4", v, c.ChainedCount())
+		}
+		calls := 0
+		stopped := c.QueryPairs(0, 25, func([]kv.Pair) bool { calls++; return false })
+		if !stopped || calls != 1 {
+			t.Fatalf("%v: refusing the first run: stopped %v after %d emit calls, want stopped after 1",
+				v, stopped, calls)
+		}
 	}
 }
 
@@ -142,9 +185,7 @@ func TestQuickChainMatchesReference(t *testing.T) {
 					want++
 				}
 			}
-			got := 0
-			c.Query(lo, hi, func(kv.Pair) bool { got++; return true })
-			if got != want {
+			if got := query(t, c, lo, hi); len(got) != want {
 				return false
 			}
 		}

@@ -35,13 +35,7 @@ func TestBuildMergedWithConcurrentSearches(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(50 + g)))
 			for !stop.Load() {
 				lo := rng.Uint32() % 1000000
-				pt.Query(lo, lo+10000, func(p kv.Pair) bool {
-					if p.Key < lo || p.Key > lo+10000 {
-						t.Errorf("out-of-range result %v", p)
-						return false
-					}
-					return true
-				})
+				checkRange(t, query(t, pt, lo, lo+10000), lo, lo+10000)
 			}
 		}(g)
 	}
@@ -105,14 +99,16 @@ func TestConcurrentQueryDuringHandoffChains(t *testing.T) {
 				lo := rng.Uint32() % (1 << 28)
 				prev := kv.Pair{}
 				first := true
-				lockedScan(pt, pt.t.route(lo), lo, ^uint32(0), func(p kv.Pair) bool {
-					if !first && p.Less(prev) {
-						t.Errorf("TI scan went backwards: %v after %v", p, prev)
-						return false
+				pt.lockedScan(pt.t.route(lo), lo, ^uint32(0), func(run []kv.Pair) bool {
+					for _, p := range run {
+						if !first && p.Less(prev) {
+							t.Errorf("TI scan went backwards: %v after %v", p, prev)
+							return false
+						}
+						prev, first = p, false
 					}
-					prev, first = p, false
 					return true
-				}, (*PIMTree).scanSub)
+				})
 			}
 		}(g)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pimtree/internal/cstree"
 	"pimtree/internal/kv"
@@ -15,6 +16,37 @@ func pair(k, r uint32) kv.Pair { return kv.Pair{Key: k, Ref: r} }
 
 func alwaysLive(kv.Pair) bool { return true }
 
+// runQuerier is the run walk query drives: PIMTree's and SharedPIMTree's.
+type runQuerier interface {
+	QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool)
+}
+
+// query collects QueryPairs(lo, hi), reporting an empty run or a refusal no
+// run made with t.Errorf, so concurrent readers can call it too.
+func query(t testing.TB, q runQuerier, lo, hi uint32) []kv.Pair {
+	var out []kv.Pair
+	if q.QueryPairs(lo, hi, func(run []kv.Pair) bool {
+		if len(run) == 0 {
+			t.Errorf("QueryPairs(%d,%d) emitted an empty run", lo, hi)
+		}
+		out = append(out, run...)
+		return true
+	}) {
+		t.Errorf("QueryPairs(%d,%d) reported a refusal no run made", lo, hi)
+	}
+	return out
+}
+
+// checkRange reports, with t.Errorf, an element of got outside [lo, hi].
+func checkRange(t testing.TB, got []kv.Pair, lo, hi uint32) {
+	for _, p := range got {
+		if p.Key < lo || p.Key > hi {
+			t.Errorf("out-of-range result %v for [%d,%d]", p, lo, hi)
+			return
+		}
+	}
+}
+
 // --- IM-Tree ---
 
 func TestIMTreeInsertQuery(t *testing.T) {
@@ -22,11 +54,7 @@ func TestIMTreeInsertQuery(t *testing.T) {
 	for i := uint32(0); i < 200; i++ {
 		im.Insert(pair(i*5, i))
 	}
-	var got []kv.Pair
-	im.Query(100, 200, func(p kv.Pair) bool {
-		got = append(got, p)
-		return true
-	})
+	got := query(t, im, 100, 200)
 	want := 0
 	for i := uint32(0); i < 200; i++ {
 		if i*5 >= 100 && i*5 <= 200 {
@@ -34,7 +62,7 @@ func TestIMTreeInsertQuery(t *testing.T) {
 		}
 	}
 	if len(got) != want {
-		t.Fatalf("Query returned %d, want %d", len(got), want)
+		t.Fatalf("QueryPairs returned %d, want %d", len(got), want)
 	}
 }
 
@@ -57,9 +85,7 @@ func TestIMTreeMergeMovesTItoTS(t *testing.T) {
 		t.Fatalf("TS len = %d after merge, want 100", im.TSLen())
 	}
 	// Content still queryable.
-	n := 0
-	im.Query(0, 99, func(kv.Pair) bool { n++; return true })
-	if n != 100 {
+	if n := len(query(t, im, 0, 99)); n != 100 {
 		t.Fatalf("post-merge query found %d, want 100", n)
 	}
 	if merges, d := im.Merges(); merges != 1 || d <= 0 {
@@ -76,12 +102,11 @@ func TestIMTreeMergeDiscardsExpired(t *testing.T) {
 	if im.TSLen() != 50 {
 		t.Fatalf("TS len = %d after filtered merge, want 50", im.TSLen())
 	}
-	im.Query(0, 1000, func(p kv.Pair) bool {
+	for _, p := range query(t, im, 0, 1000) {
 		if p.Ref < 50 {
 			t.Fatalf("expired element %v survived merge", p)
 		}
-		return true
-	})
+	}
 }
 
 func TestIMTreeRepeatedMergesPreserveContent(t *testing.T) {
@@ -99,16 +124,14 @@ func TestIMTreeRepeatedMergesPreserveContent(t *testing.T) {
 	if im.Len() != len(live) {
 		t.Fatalf("Len = %d, want %d", im.Len(), len(live))
 	}
-	got := 0
-	im.Query(0, ^uint32(0), func(p kv.Pair) bool {
+	got := query(t, im, 0, ^uint32(0))
+	for _, p := range got {
 		if !live[p] {
 			t.Fatalf("unknown element %v", p)
 		}
-		got++
-		return true
-	})
-	if got != len(live) {
-		t.Fatalf("query found %d, want %d", got, len(live))
+	}
+	if len(got) != len(live) {
+		t.Fatalf("query found %d, want %d", len(got), len(live))
 	}
 }
 
@@ -155,9 +178,7 @@ func TestPIMTreeBootstrap(t *testing.T) {
 	if pt.TILen() != 100 {
 		t.Fatalf("TILen = %d, want 100", pt.TILen())
 	}
-	n := 0
-	pt.Query(0, 2000, func(kv.Pair) bool { n++; return true })
-	if n != 100 {
+	if n := len(query(t, pt, 0, 2000)); n != 100 {
 		t.Fatalf("query found %d, want 100", n)
 	}
 	if err := pt.CheckInvariants(); err != nil {
@@ -257,24 +278,23 @@ func TestPIMTreeQueryMatchesReferenceAcrossMerges(t *testing.T) {
 				wantN++
 			}
 		}
-		gotN := 0
-		pt.Query(lo, hi, func(p kv.Pair) bool {
+		got := query(t, pt, lo, hi)
+		for _, p := range got {
 			if want[p] == 0 {
-				t.Fatalf("Query(%d,%d) unexpected element %v", lo, hi, p)
+				t.Fatalf("QueryPairs(%d,%d) unexpected element %v", lo, hi, p)
 			}
 			want[p]--
-			gotN++
-			return true
-		})
-		if gotN != wantN {
-			t.Fatalf("Query(%d,%d) = %d elems, want %d", lo, hi, gotN, wantN)
+		}
+		if len(got) != wantN {
+			t.Fatalf("QueryPairs(%d,%d) = %d elems, want %d", lo, hi, len(got), wantN)
 		}
 	}
 }
 
-// Query and QueryPairs take lo's subindex from the TS descent instead of
-// routing lo again; after random inserts and merges they must still emit
-// exactly what a TS scan and a routed TI scan emit together.
+// QueryPairs takes lo's subindex from the TS descent instead of routing lo
+// again, and stops its TI walk at a partition bound; after random inserts
+// and merges it, and the per-element Query over it, must still emit exactly
+// what TS's run and every subindex's own range hold together.
 func TestPIMTreeFusedQueryEqualsTSPlusTI(t *testing.T) {
 	const keySpace = 1 << 14
 	for _, cfg := range []PIMTreeConfig{
@@ -304,17 +324,14 @@ func TestPIMTreeFusedQueryEqualsTSPlusTI(t *testing.T) {
 			case 2:
 				lo, hi = 0, ^uint32(0)
 			}
-			var want, got, gotPairs []kv.Pair
-			collect := func(dst *[]kv.Pair) func(kv.Pair) bool {
-				return func(p kv.Pair) bool { *dst = append(*dst, p); return true }
+			var want, got []kv.Pair
+			appendRun := func(run []kv.Pair) bool { want = append(want, run...); return true }
+			pt.ts.QueryPairs(lo, hi, appendRun)
+			for _, sub := range pt.subs {
+				sub.QueryPairs(lo, hi, appendRun)
 			}
-			pt.ts.Query(lo, hi, collect(&want))
-			pt.queryTI(pt.route(lo), lo, hi, collect(&want))
-			pt.Query(lo, hi, collect(&got))
-			pt.QueryPairs(lo, hi, func(run []kv.Pair) bool {
-				gotPairs = append(gotPairs, run...)
-				return true
-			})
+			pt.Query(lo, hi, func(p kv.Pair) bool { got = append(got, p); return true })
+			gotPairs := query(t, pt, lo, hi)
 			for _, ps := range [][]kv.Pair{want, got, gotPairs} {
 				kv.Sort(ps)
 			}
@@ -526,13 +543,7 @@ func TestPIMTreeConcurrentInsertQuery(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(200 + g)))
 			for i := 0; i < 2000; i++ {
 				lo := rng.Uint32() % 1000000
-				pt.Query(lo, lo+5000, func(p kv.Pair) bool {
-					if p.Key < lo || p.Key > lo+5000 {
-						t.Errorf("out-of-range result %v for [%d,%d]", p, lo, lo+5000)
-						return false
-					}
-					return true
-				})
+				checkRange(t, query(t, pt, lo, lo+5000), lo, lo+5000)
 			}
 		}(g)
 	}
@@ -562,9 +573,7 @@ func TestPIMTreeSingleLockAblation(t *testing.T) {
 	if pt.Len() != 4000 {
 		t.Fatalf("Len = %d, want 4000", pt.Len())
 	}
-	n := 0
-	pt.Query(0, 20000, func(kv.Pair) bool { n++; return true })
-	if n != 4000 {
+	if n := len(query(t, pt, 0, 20000)); n != 4000 {
 		t.Fatalf("query found %d, want 4000", n)
 	}
 }
@@ -577,10 +586,62 @@ func TestPIMTreeQueryEarlyStop(t *testing.T) {
 			pt.MergeInPlace(alwaysLive)
 		}
 	}
-	n := 0
+	n, calls, refused := 0, 0, false
+	stopped := pt.QueryPairs(0, 511, func(run []kv.Pair) bool {
+		if refused {
+			t.Fatal("emit called after it refused a run")
+		}
+		calls++
+		n += len(run)
+		refused = n >= 7
+		return !refused
+	})
+	if !stopped || calls == 0 {
+		t.Fatalf("early stop: stopped %v after %d runs", stopped, calls)
+	}
+	// The per-element adapter stops at exactly the refusing element.
+	n = 0
 	pt.Query(0, 511, func(kv.Pair) bool { n++; return n < 7 })
 	if n != 7 {
 		t.Fatalf("early stop emitted %d, want 7", n)
+	}
+}
+
+// TestPIMTreeReportsRefusalInTI accepts TS's run and refuses the first TI
+// run, for ranges that end inside a TI leaf: every form of the two-stage
+// tree must report the refusal and call emit no more.
+func TestPIMTreeReportsRefusalInTI(t *testing.T) {
+	const w = 1024
+	cfg := PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2, CSTree: cstree.Config{Fanout: 4, LeafSize: 4}}
+	// Even keys go to TS, odd ones stay in TI.
+	fill := func(insert func(kv.Pair), merge func(func(kv.Pair) bool, ...int) time.Duration) {
+		for i := uint32(0); i < 512; i++ {
+			insert(pair(2*i, i))
+		}
+		merge(alwaysLive)
+		for i := uint32(0); i < 256; i++ {
+			insert(pair(2*i+1, 512+i))
+		}
+	}
+	pt, im, sh := NewPIMTree(w, cfg), NewIMTree(w, cfg), NewSharedPIMTree(w, cfg, false)
+	fill(pt.Insert, pt.MergeInPlace)
+	fill(im.Insert, im.MergeInPlace)
+	fill(sh.Insert, sh.MergeInPlace)
+	if pt.Subindexes() < 2 || im.Subindexes() != 1 {
+		t.Fatalf("PIM-Tree has %d subindexes, IM-Tree %d: want several and one", pt.Subindexes(), im.Subindexes())
+	}
+	for name, q := range map[string]runQuerier{"PIMTree": pt, "IMTree": im, "SharedPIMTree": sh} {
+		for lo := uint32(0); lo < 500; lo += 7 {
+			calls := 0
+			stopped := q.QueryPairs(lo, lo+6, func([]kv.Pair) bool {
+				calls++
+				return calls < 2 // the TS run, then the first TI run
+			})
+			if !stopped || calls != 2 {
+				t.Fatalf("%s: [%d, %d] refusing the first TI run: stopped %v after %d emit calls, want stopped after 2",
+					name, lo, lo+6, stopped, calls)
+			}
+		}
 	}
 }
 
@@ -642,9 +703,7 @@ func TestQuickTwoStageAgreement(t *testing.T) {
 				want++
 			}
 		}
-		gotIM, gotPT := 0, 0
-		im.Query(lo, hi, func(kv.Pair) bool { gotIM++; return true })
-		pt.Query(lo, hi, func(kv.Pair) bool { gotPT++; return true })
+		gotIM, gotPT := len(query(t, im, lo, hi)), len(query(t, pt, lo, hi))
 		split = split || pt.Subindexes() > 1
 		return gotIM == want && gotPT == want && im.Subindexes() == 1 && im.EffectiveDI() == 0
 	}
@@ -681,6 +740,6 @@ func BenchmarkPIMTreeQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := rng.Uint32()
-		pt.Query(lo, lo+1000, func(kv.Pair) bool { return true })
+		pt.QueryPairs(lo, lo+1000, func([]kv.Pair) bool { return true })
 	}
 }

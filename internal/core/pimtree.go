@@ -206,31 +206,35 @@ func (t *PIMTree) InsertAt(p kv.Pair, i int) {
 // NeedsMerge reports whether TI has reached the merge threshold.
 func (t *PIMTree) NeedsMerge() bool { return t.tiLen >= t.threshold }
 
-// Query emits every element with lo <= Key <= hi: the immutable component,
-// then the matching TI subindexes in key order. Results may include expired
-// tuples; callers filter against the window.
+// QueryPairs emits every element with lo <= Key <= hi: the in-range run of
+// the immutable component's leaf array, then per-leaf runs from the TI
+// subindexes in key order. Results may include expired tuples; callers
+// filter against the window. Runs alias index-owned storage and are only
+// valid during the emit call. It returns true when emit refused a run.
 //
 // TS's directory is descended once: the walk that finds lo's lower bound
 // also passes the depth-DI node whose ordinal is lo's subindex, so the TI
 // scan starts there instead of routing lo a second time.
-func (t *PIMTree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	start, stopped := t.ts.QueryVia(lo, hi, t.effDI, emit)
-	if stopped {
-		return true
-	}
-	return t.queryTI(start, lo, hi, emit)
-}
-
-// QueryPairs is the columnar form of Query: contiguous in-range runs from
-// the immutable component's leaf array, then per-leaf runs from the TI
-// subindexes. Slices alias index-owned storage and are only valid during the
-// emit call. Returns true when emit asked to stop early.
 func (t *PIMTree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
 	start, stopped := t.ts.QueryPairsVia(lo, hi, t.effDI, emit)
 	if stopped {
 		return true
 	}
 	return t.queryTIPairs(start, lo, hi, emit)
+}
+
+// Query is QueryPairs one element at a time: the one per-element adapter
+// left over the run walk. It is kept because the end-to-end benchmark's
+// core.replay layer (e2ebench/layers.go) times its probes through it.
+func (t *PIMTree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
+	return t.QueryPairs(lo, hi, func(run []kv.Pair) bool {
+		for _, p := range run {
+			if !emit(p) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // QueryPairsAt is QueryPairs with lo's TS descent already done: pos and ord
@@ -242,61 +246,39 @@ func (t *PIMTree) QueryPairsAt(lo, hi uint32, pos, ord int, emit func([]kv.Pair)
 	return t.queryTIPairs(ord, lo, hi, emit)
 }
 
-// queryTI scans TI subindexes for [lo, hi] beginning at subindex start (the
-// one lo routes to) and moving on to each successor while the range extends
-// past the current partition (Algorithm 2 lines 16–39, without the locks).
-// Returns true when emit asked to stop early.
-func (t *PIMTree) queryTI(start int, lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	for i := start; ; i++ {
-		if stopped, more := t.scanSub(i, start, lo, hi, emit); !more {
-			return stopped
-		}
-	}
-}
-
-// queryTIPairs is the columnar queryTI.
+// queryTIPairs scans TI subindexes for [lo, hi] beginning at subindex start
+// (the one lo routes to) and moving on to each successor while the range
+// extends past the current partition (Algorithm 2 lines 16–39, without the
+// locks). It returns true when emit refused a run.
 func (t *PIMTree) queryTIPairs(start int, lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
 	for i := start; ; i++ {
-		if stopped, more := t.scanSubPairs(i, start, lo, hi, emit); !more {
+		if stopped, more := t.scanSubPairs(i, lo, hi, emit); !more {
 			return stopped
 		}
 	}
 }
 
-// scanSub emits subindex i's part of [lo, hi]: from lo in the scan's first
-// subindex, from the first element in a successor. The per-subindex scans
-// are range-bounded B+-tree walks, so an emit refusal and range exhaustion
-// are told apart by the return value alone and no bounds-checking closure
-// is allocated. more reports that the scan goes on into subindex i+1: emit
-// did not stop it, this is not the last partition, and hi lies past the
+// scanSubPairs emits subindex i's part of [lo, hi] in per-leaf runs. Every
+// key in a successor of lo's subindex routes past lo, so the same lo bound
+// starts each subindex's walk at its first element. The per-subindex scans
+// are range-bounded B+-tree walks, so a refusal and range exhaustion are
+// told apart by the return value alone and no bounds-checking closure is
+// allocated. more reports that the scan goes on into subindex i+1: emit did
+// not stop it, this is not the last partition, and hi lies past the
 // partition's bound (an exhausted range implies hi <= bounds[i]).
-func (t *PIMTree) scanSub(i, start int, lo, hi uint32, emit func(kv.Pair) bool) (stopped, more bool) {
-	if i == start {
-		stopped = t.subs[i].QueryFrom(kv.Pair{Key: lo}, hi, emit)
-	} else {
-		stopped = t.subs[i].Query(0, hi, emit)
-	}
+func (t *PIMTree) scanSubPairs(i int, lo, hi uint32, emit func([]kv.Pair) bool) (stopped, more bool) {
+	stopped = t.subs[i].QueryPairs(lo, hi, emit)
 	return stopped, !stopped && i < len(t.subs)-1 && hi > t.bounds[i]
 }
 
-// scanSubPairs is the columnar scanSub, with per-leaf contiguous emission.
-func (t *PIMTree) scanSubPairs(i, start int, lo, hi uint32, emit func([]kv.Pair) bool) (stopped, more bool) {
-	if i == start {
-		stopped = t.subs[i].QueryFromPairs(kv.Pair{Key: lo}, hi, emit)
-	} else {
-		stopped = t.subs[i].QueryPairs(0, hi, emit)
-	}
-	return stopped, !stopped && i < len(t.subs)-1 && hi > t.bounds[i]
-}
-
-// snapshotTI concatenates all subindexes' sorted contents. Because subindex
-// ranges are disjoint and ordered, concatenation yields a sorted run without
-// a k-way merge.
+// snapshotTI concatenates all subindexes' sorted contents, a leaf run at a
+// time. Because subindex ranges are disjoint and ordered, concatenation
+// yields a sorted run without a k-way merge.
 func (t *PIMTree) snapshotTI() []kv.Pair {
 	out := make([]kv.Pair, 0, t.tiLen)
 	for _, s := range t.subs {
-		s.Scan(func(p kv.Pair) bool {
-			out = append(out, p)
+		s.QueryPairs(0, math.MaxUint32, func(run []kv.Pair) bool {
+			out = append(out, run...)
 			return true
 		})
 	}
@@ -382,15 +364,17 @@ func (t *PIMTree) CheckInvariants() error {
 	total := 0
 	for i, s := range t.subs {
 		var err error
-		s.Scan(func(p kv.Pair) bool {
-			total++
-			if got := t.route(p.Key); got != i {
-				err = fmt.Errorf("core: element %v in subindex %d routes to %d", p, i, got)
-				return false
-			}
-			if p.Key > t.bounds[i] {
-				err = fmt.Errorf("core: element %v exceeds bound %d of subindex %d", p, t.bounds[i], i)
-				return false
+		s.QueryPairs(0, math.MaxUint32, func(run []kv.Pair) bool {
+			total += len(run)
+			for _, p := range run {
+				if got := t.route(p.Key); got != i {
+					err = fmt.Errorf("core: element %v in subindex %d routes to %d", p, i, got)
+					return false
+				}
+				if p.Key > t.bounds[i] {
+					err = fmt.Errorf("core: element %v exceeds bound %d of subindex %d", p, t.bounds[i], i)
+					return false
+				}
 			}
 			return true
 		})

@@ -13,8 +13,8 @@ import (
 // scan that runs on into the next subindex takes that subindex's lock before
 // it releases its own (Algorithm 2). It wraps a single-writer PIMTree and
 // adds only the locks, an atomic TI count, and the per-subindex insert
-// counts behind Figure 13a. Insert, Query and QueryPairs are safe for
-// concurrent use; a merge needs the caller to hold inserts off.
+// counts behind Figure 13a. Insert and QueryPairs are safe for concurrent
+// use; a merge needs the caller to hold inserts off.
 type SharedPIMTree struct {
 	t      *PIMTree
 	single bool       // one lock for all of TI: the lock-granularity ablation
@@ -71,29 +71,21 @@ func (s *SharedPIMTree) Insert(p kv.Pair) {
 	s.counts[i].Add(1)
 }
 
-// Query is PIMTree.Query with TI scanned under the locks.
-func (s *SharedPIMTree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	start, stopped := s.t.ts.QueryVia(lo, hi, s.t.effDI, emit)
-	return stopped || lockedScan(s, start, lo, hi, emit, (*PIMTree).scanSub)
-}
-
 // QueryPairs is PIMTree.QueryPairs with TI scanned under the locks. A TI run
 // is valid only while its subindex's lock is held: emit must consume it, not
 // retain it.
 func (s *SharedPIMTree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
 	start, stopped := s.t.ts.QueryPairsVia(lo, hi, s.t.effDI, emit)
-	return stopped || lockedScan(s, start, lo, hi, emit, (*PIMTree).scanSubPairs)
+	return stopped || s.lockedScan(start, lo, hi, emit)
 }
 
-// lockedScan is PIMTree.queryTI under the locks, with scan the per-subindex
-// step: a scan that runs on into the next subindex takes its lock before it
-// releases the current one (Algorithm 2 lines 28–30); the single lock just
-// stays held.
-func lockedScan[E any](s *SharedPIMTree, start int, lo, hi uint32, emit E,
-	scan func(*PIMTree, int, int, uint32, uint32, E) (stopped, more bool)) bool {
+// lockedScan is PIMTree.queryTIPairs under the locks: a scan that runs on
+// into the next subindex takes its lock before it releases the current one
+// (Algorithm 2 lines 28–30); the single lock just stays held.
+func (s *SharedPIMTree) lockedScan(start int, lo, hi uint32, emit func([]kv.Pair) bool) bool {
 	s.mu(start).Lock()
 	for i := start; ; i++ {
-		stopped, more := scan(s.t, i, start, lo, hi, emit)
+		stopped, more := s.t.scanSubPairs(i, lo, hi, emit)
 		if !more {
 			s.mu(i).Unlock()
 			return stopped
@@ -124,7 +116,7 @@ func (s *SharedPIMTree) settled() *PIMTree {
 	return s.t
 }
 
-// MergeInPlace is PIMTree.MergeInPlace. No Insert or Query may run
+// MergeInPlace is PIMTree.MergeInPlace. No Insert or QueryPairs may run
 // concurrently with it.
 func (s *SharedPIMTree) MergeInPlace(live func(kv.Pair) bool, survivors ...int) time.Duration {
 	d := s.settled().MergeInPlace(live, survivors...)

@@ -150,9 +150,6 @@ func (t *Tree) buildInners() {
 // considers expired; the tree itself has no notion of liveness).
 func (t *Tree) Len() int { return len(t.leaves) }
 
-// Fanout returns fib.
-func (t *Tree) Fanout() int { return t.fanout }
-
 // LeafSize returns lib.
 func (t *Tree) LeafSize() int { return t.leafSize }
 
@@ -363,37 +360,12 @@ func (t *Tree) leafBounds(ks []uint32, ps []int) {
 	metrics.Load(len(ks) * kv.PairBytes)
 }
 
-// Query invokes emit for every element with lo <= Key <= hi in order. It
-// returns true when emit asked to stop early, false when the range was
-// exhausted (see btree.Query for why composite indexes need the
-// distinction).
-func (t *Tree) Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool) {
-	_, stopped = t.QueryVia(lo, hi, 0, emit)
-	return stopped
-}
-
-// QueryVia is Query that also reports RouteToDepth(lo, d) from the same
-// descent (see LowerBoundVia).
-func (t *Tree) QueryVia(lo, hi uint32, d int, emit func(kv.Pair) bool) (ord int, stopped bool) {
-	i, ord := t.LowerBoundVia(lo, d)
-	for ; i < len(t.leaves); i++ {
-		p := t.leaves[i]
-		metrics.Load(kv.PairBytes)
-		if p.Key > hi {
-			return ord, false
-		}
-		if !emit(p) {
-			return ord, true
-		}
-	}
-	return ord, false
-}
-
-// QueryPairs is the columnar form of Query: the leaf array is one
+// QueryPairs emits the elements with lo <= Key <= hi: the leaf array is one
 // contiguous sorted slice, so the whole in-range run is emitted as a single
-// []kv.Pair. The slice aliases tree-owned storage and is only valid until
-// the next Reset/Build; emit must not retain it. Returns true when emit
-// asked to stop, false otherwise.
+// []kv.Pair. The slice aliases tree-owned storage; emit must not retain it.
+// It returns true when emit refused the run, false when the range was
+// exhausted (see btree.QueryPairs for why composite indexes need the
+// distinction).
 func (t *Tree) QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool) {
 	_, stopped = t.QueryPairsVia(lo, hi, 0, emit)
 	return stopped

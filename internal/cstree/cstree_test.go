@@ -21,6 +21,23 @@ func sortedPairs(n int, seed int64, keySpace uint32) []kv.Pair {
 	return ps
 }
 
+// query collects QueryPairs(lo, hi), failing t unless the range comes as at
+// most one non-empty run and is reported exhausted.
+func query(t *testing.T, tr *Tree, lo, hi uint32) []kv.Pair {
+	t.Helper()
+	var out []kv.Pair
+	calls := 0
+	stopped := tr.QueryPairs(lo, hi, func(run []kv.Pair) bool {
+		calls++
+		out = append(out, run...)
+		return true
+	})
+	if stopped || calls > 1 || (calls == 1 && len(out) == 0) {
+		t.Fatalf("QueryPairs(%d,%d): stopped %v after %d runs of %d elements", lo, hi, stopped, calls, len(out))
+	}
+	return out
+}
+
 func TestBuildEmpty(t *testing.T) {
 	tr := Build(nil, Config{})
 	if tr.Len() != 0 {
@@ -32,10 +49,8 @@ func TestBuildEmpty(t *testing.T) {
 	if lb := tr.LowerBound(5); lb != 0 {
 		t.Fatalf("LowerBound on empty = %d, want 0", lb)
 	}
-	n := 0
-	tr.Query(0, ^uint32(0), func(kv.Pair) bool { n++; return true })
-	if n != 0 {
-		t.Fatalf("Query on empty emitted %d", n)
+	if got := query(t, tr, 0, math.MaxUint32); len(got) != 0 {
+		t.Fatalf("QueryPairs on empty emitted %d", len(got))
 	}
 }
 
@@ -95,17 +110,13 @@ func TestQueryMatchesReference(t *testing.T) {
 				want = append(want, p)
 			}
 		}
-		got := []kv.Pair{}
-		tr.Query(lo, hi, func(p kv.Pair) bool {
-			got = append(got, p)
-			return true
-		})
+		got := query(t, tr, lo, hi)
 		if len(got) != len(want) {
-			t.Fatalf("Query(%d,%d) returned %d, want %d", lo, hi, len(got), len(want))
+			t.Fatalf("QueryPairs(%d,%d) returned %d, want %d", lo, hi, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("Query(%d,%d)[%d] = %v, want %v", lo, hi, i, got[i], want[i])
+				t.Fatalf("QueryPairs(%d,%d)[%d] = %v, want %v", lo, hi, i, got[i], want[i])
 			}
 		}
 	}
@@ -114,10 +125,15 @@ func TestQueryMatchesReference(t *testing.T) {
 func TestQueryEarlyStop(t *testing.T) {
 	ps := sortedPairs(1000, 3, 100)
 	tr := Build(ps, Config{})
-	n := 0
-	tr.Query(0, ^uint32(0), func(kv.Pair) bool { n++; return n < 5 })
-	if n != 5 {
-		t.Fatalf("early stop emitted %d, want 5", n)
+	calls := 0
+	if !tr.QueryPairs(0, math.MaxUint32, func([]kv.Pair) bool { calls++; return false }) || calls != 1 {
+		t.Fatalf("refusing the run: %d calls or no stop reported", calls)
+	}
+	if tr.QueryPairs(0, math.MaxUint32, func([]kv.Pair) bool { return true }) {
+		t.Fatal("an exhausted range reported a refusal")
+	}
+	if tr.QueryPairs(200, 300, func([]kv.Pair) bool { return false }) {
+		t.Fatal("an empty range, which has no run to refuse, reported a refusal")
 	}
 }
 
@@ -373,22 +389,9 @@ func TestViaWalksMatchSeparateDescents(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("n %d cfg %+v: QueryPairsVia(%d, %d) emitted %v, want %v", n, cfg, lo, hi, got, want)
 				}
-
-				got = got[:0]
-				ord, stopped = tr.QueryVia(lo, hi, d, func(p kv.Pair) bool {
-					got = append(got, p)
-					return true
-				})
-				if ord != wantOrd || stopped || !slices.Equal(got, want) {
-					t.Fatalf("n %d cfg %+v: QueryVia(%d, %d, %d) = ord %d stopped %v %v, want ord %d %v",
-						n, cfg, lo, hi, d, ord, stopped, got, wantOrd, want)
-				}
 				if len(want) > 0 {
 					if ord, stopped := tr.QueryPairsVia(lo, hi, d, func([]kv.Pair) bool { return false }); !stopped || ord != wantOrd {
 						t.Fatalf("QueryPairsVia refusal: ord %d stopped %v, want ord %d stopped", ord, stopped, wantOrd)
-					}
-					if ord, stopped := tr.QueryVia(lo, hi, d, func(kv.Pair) bool { return false }); !stopped || ord != wantOrd {
-						t.Fatalf("QueryVia refusal: ord %d stopped %v, want ord %d stopped", ord, stopped, wantOrd)
 					}
 				}
 			}

@@ -18,11 +18,11 @@ import (
 type Index interface {
 	Insert(p kv.Pair)
 	Remove(p kv.Pair)
-	Query(lo, hi uint32, emit func(kv.Pair) bool) (stopped bool)
-	// QueryPairs is the columnar form of Query: in-range elements arrive as
-	// contiguous []kv.Pair runs aliasing index-owned storage, valid only
-	// during the emit call. The hot probe loops use it so the inner band
-	// scan runs branch-light over contiguous memory.
+	// QueryPairs emits the entries with lo <= key <= hi as contiguous
+	// []kv.Pair runs aliasing index-owned storage, valid only during the
+	// emit call, so the probe loops run branch-light over contiguous
+	// memory. It reports whether emit refused a run; a refused run is the
+	// last one emitted.
 	QueryPairs(lo, hi uint32, emit func([]kv.Pair) bool) (stopped bool)
 	// Maintain runs a pending delta merge, keeping the entries live accepts;
 	// survivors is how many there are, which sizes the merged run. Callers
@@ -34,8 +34,8 @@ type Index interface {
 	Eager() bool
 }
 
-// The adapters embed their tree, so Query, QueryPairs and (where the
-// signatures agree) Insert and Merges are the tree's own methods.
+// The adapters embed their tree, so QueryPairs and (where the signatures
+// agree) Insert and Merges are the tree's own methods.
 
 // btreeIndex adapts the classic B+-Tree (Section 2.2.1: eager per-tuple
 // deletes, no maintenance).

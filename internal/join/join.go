@@ -5,8 +5,10 @@
 // the incremental Streaming operator the Engine's serial mode runs. It also
 // holds what the single-writer engines share: the band predicate, the run
 // statistics, the per-stream index adapters (Index, NewIndex) and the
-// batched TS descent (Locator). The paper's multithreaded joins, over shared
-// indexes and round-robin partitions, are in internal/paper.
+// batched TS descent (Locator). Every index walks a probe's key range one
+// way, in contiguous runs (Index.QueryPairs), and a run the probe refuses
+// ends the walk. The paper's multithreaded joins, over shared indexes and
+// round-robin partitions, are in internal/paper.
 package join
 
 import (

@@ -120,8 +120,8 @@ func IBWJSerial(arrivals []stream.Arrival, cfg SerialConfig) Stats {
 
 // StepCosts runs a single-threaded IBWJ while attributing wall time to the
 // five per-tuple steps of Figure 9b. The search/scan split is measured by
-// timing the index descent to the range start (a zero-width probe) apart
-// from the matching-range walk.
+// timing the index descent to the range's first run (which emit refuses)
+// apart from the matching-range walk.
 func StepCosts(arrivals []stream.Arrival, cfg SerialConfig) *metrics.StepTimer {
 	wr, ws := cfg.windows()
 	idxs := [2]Index{cfg.newIndex(wr), cfg.newIndex(ws)}
@@ -131,29 +131,36 @@ func StepCosts(arrivals []stream.Arrival, cfg SerialConfig) *metrics.StepTimer {
 		rings[1], idxs[1], lives[1] = rings[0], idxs[0], lives[0]
 	}
 	st := &metrics.StepTimer{}
+	// resolve is bound once: a closure built per tuple would put a heap
+	// allocation inside the timed scan step.
+	var opp *window.Ring
+	resolve := func(run []kv.Pair) bool {
+		for _, p := range run {
+			opp.Resolve(p.Ref)
+		}
+		return true
+	}
 	for _, a := range arrivals {
 		own, ownIdx := rings[a.Stream], idxs[a.Stream]
 		oppID := opposite(a.Stream)
 		if cfg.Self {
 			oppID = a.Stream
 		}
-		opp, oppIdx := rings[oppID], idxs[oppID]
+		opp = rings[oppID]
+		oppIdx := idxs[oppID]
 		lo, hi := cfg.Band.Range(a.Key)
 
-		// Search: descend to the first matching position without walking
-		// the range (emit stops immediately).
+		// Search: descend to the first run of the range without walking
+		// it (emit refuses that run, which stops the query).
 		t0 := time.Now()
-		oppIdx.Query(lo, hi, func(kv.Pair) bool { return false })
+		oppIdx.QueryPairs(lo, hi, func([]kv.Pair) bool { return false })
 		st.Add(metrics.StepSearch, time.Since(t0))
 
 		// Scan: full range walk with window filtering. Each walk pays the
 		// descent again; the aggregate descent time is subtracted from the
 		// scan accumulator after the loop.
 		t0 = time.Now()
-		oppIdx.Query(lo, hi, func(p kv.Pair) bool {
-			opp.Resolve(p.Ref)
-			return true
-		})
+		oppIdx.QueryPairs(lo, hi, resolve)
 		st.Add(metrics.StepScan, time.Since(t0))
 
 		// Only eager-delete indexes pay a per-tuple delete; timing the

@@ -91,9 +91,11 @@ func (c *rrCore) search(s uint8, band join.Band, key uint32, before, w uint64) u
 	}
 	if c.idx[s] != nil {
 		lo, hi := band.Range(key)
-		c.idx[s].Query(lo, hi, func(p kv.Pair) bool {
-			if inWindow(c.seqs[s][p.Ref]) {
-				n++
+		c.idx[s].QueryPairs(lo, hi, func(run []kv.Pair) bool {
+			for _, p := range run {
+				if inWindow(c.seqs[s][p.Ref]) {
+					n++
+				}
 			}
 			return true
 		})

@@ -452,8 +452,9 @@ func (r *sharedRun) worker(id int) {
 	}
 }
 
-// queryPairs is the columnar query: candidates arrive as contiguous
-// []kv.Pair runs aliasing index-owned storage, valid during emit only.
+// queryPairs walks stream sid's index over [lo, hi]: candidates arrive as
+// contiguous []kv.Pair runs aliasing index-owned storage, valid during emit
+// only.
 func (r *sharedRun) queryPairs(sid uint8, lo, hi uint32, emit func([]kv.Pair) bool) {
 	if r.cfg.Index == join.IndexPIMTree {
 		r.pim[sid].Load().QueryPairs(lo, hi, emit)

@@ -143,12 +143,14 @@ func (j *TimeJoin) pushOrdered(s StreamID, key uint32, ts uint64) int {
 	// assign below.
 	probeSeq := ownRing.NextSeq()
 	matches := 0
-	oppIdx.Query(lo, hi, func(p kv.Pair) bool {
-		if oppRing.Live(p.Ref) {
-			matches++
-			if j.opts.OnMatch != nil {
-				_, seq := oppRing.Get(p.Ref)
-				j.opts.OnMatch(Match{ProbeStream: s, ProbeSeq: probeSeq, MatchSeq: seq})
+	oppIdx.QueryPairs(lo, hi, func(run []kv.Pair) bool {
+		for _, p := range run {
+			if oppRing.Live(p.Ref) {
+				matches++
+				if j.opts.OnMatch != nil {
+					_, seq := oppRing.Get(p.Ref)
+					j.opts.OnMatch(Match{ProbeStream: s, ProbeSeq: probeSeq, MatchSeq: seq})
+				}
 			}
 		}
 		return true
