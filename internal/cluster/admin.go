@@ -182,8 +182,8 @@ func (fe *Frontend) PromFamilies() []metrics.PromFamily {
 		metrics.Gauge("pimtree_cluster_nodes_alive", "Member nodes currently healthy.", float64(alive)),
 		metrics.Counter("pimtree_cluster_epoch", "Membership epochs installed (joins and leaves).", float64(cs.Epoch)),
 		metrics.Counter("pimtree_cluster_sheds_total", "Ops shed around down nodes (shed policy, plus force-completed probes on node death).", float64(cs.Sheds)),
-		metrics.Counter("pimtree_cluster_handoffs_total", "Completed key-range window handoffs between nodes.", float64(cs.Handoffs)),
-		metrics.Counter("pimtree_cluster_handoff_tuples_total", "Live window tuples moved between nodes by handoffs.", float64(cs.HandoffTuples)),
+		metrics.Counter("pimtree_cluster_handoffs_total", "Completed imports of window tuples into a gaining node.", float64(cs.Handoffs)),
+		metrics.Counter("pimtree_cluster_handoff_tuples_total", "Live window tuples delivered to their new owners by handoffs.", float64(cs.HandoffTuples)),
 	}
 	if cs.FrontierKnown {
 		fams = append(fams, metrics.Gauge("pimtree_cluster_frontier", "Global eviction frontier: the minimum watermark any live node has applied.", float64(cs.Frontier)))

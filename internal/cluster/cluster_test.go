@@ -321,6 +321,69 @@ func TestClusterMembershipConformance(t *testing.T) {
 	})
 }
 
+// TestClusterMembershipDownDestination pins the handoff to a down node:
+// tuples whose new owner is down are dropped, never left behind on their old
+// owner. With three nodes A, B, C, ten R tuples at keys 2^31+i live on B; C
+// dies, and adding D gives [2^31, 3·2^30) to C. An S probe at 2^31-1 then
+// reaches B and the down C, and must match none of them: B no longer owns
+// the keys, and a stale copy there would keep answering.
+func TestClusterMembershipDownDestination(t *testing.T) {
+	srvs := []*server.Server{startNode(t), startNode(t), startNode(t)}
+	cfg := countClusterCfg([]string{srvs[0].Addr().String(), srvs[1].Addr().String(), srvs[2].Addr().String()})
+	cfg.Diff, cfg.Degrade = 16, Shed
+	fe, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := fe.Matches()
+	var got []pimtree.Match
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for m := range seq {
+			got = append(got, m)
+		}
+	}()
+	rs := make([]pimtree.Arrival, 10)
+	for i := range rs {
+		rs[i] = pimtree.Arrival{Stream: pimtree.R, Key: 1<<31 + uint32(i)}
+	}
+	if err := fe.PushBatch(rs); err != nil {
+		t.Fatal(err)
+	}
+	if err := fe.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	srvs[2].Shutdown(ctx)
+	cancel()
+	deadline := time.Now().Add(10 * time.Second)
+	for fe.nodes[2].alive.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("frontend never noticed the node death")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := fe.AddNode(startNode(t).Addr().String()); err != nil {
+		t.Fatalf("join with a down node in the map: %v", err)
+	}
+	if lo, _ := fe.part.Range(2); lo != 1<<31 || fe.nodes[2].alive.Load() {
+		t.Fatalf("the new map gives [%d, ...) to node 2 (alive %v), want 2^31 to the down node", lo, fe.nodes[2].alive.Load())
+	}
+
+	if err := fe.PushBatch([]pimtree.Arrival{{Stream: pimtree.S, Key: 1<<31 - 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fe.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if len(got) != 0 {
+		t.Fatalf("the probe matched %d tuples whose owner is down, e.g. %+v", len(got), got[0])
+	}
+}
+
 // TestClusterRemoveLastNodeRefused pins the guard that a cluster never
 // shrinks to zero members.
 func TestClusterRemoveLastNodeRefused(t *testing.T) {

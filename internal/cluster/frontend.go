@@ -222,8 +222,8 @@ type Frontend struct {
 	failed atomic.Bool
 
 	sheds         atomic.Uint64 // ops shed around down nodes
-	handoffs      atomic.Uint64 // completed export/import moves
-	handoffTuples atomic.Uint64 // live window tuples moved between nodes
+	handoffs      atomic.Uint64 // completed imports into a gaining node
+	handoffTuples atomic.Uint64 // live window tuples those imports delivered
 
 	start    time.Time
 	pingStop chan struct{}
@@ -263,7 +263,7 @@ func New(cfg Config) (*Frontend, error) {
 	}
 	fe.Init(fe.flushAll, fe.emitPull)
 	fe.Resize(cfg.Capacity, len(cfg.Nodes))
-	for pos, addr := range cfg.Nodes {
+	for _, addr := range cfg.Nodes {
 		nd, err := fe.dialNode(addr)
 		if err != nil {
 			for _, d := range fe.nodes {
@@ -272,7 +272,6 @@ func New(cfg Config) (*Frontend, error) {
 			}
 			return nil, err
 		}
-		nd.pos = pos
 		fe.nodes = append(fe.nodes, nd)
 	}
 	fe.part = shard.NewRangePartitioner(len(fe.nodes))

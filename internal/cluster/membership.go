@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pimtree"
 	"pimtree/internal/server"
@@ -18,14 +19,12 @@ import (
 // Reshape): tuples still buffered for reordering route under the new map
 // when their watermark releases them.
 //
-// The handoff itself is interval arithmetic over RangePartitioner: node i
-// owns the i-th equal-width key slice, so re-partitioning from k to k'
-// nodes moves exactly the pairwise intersections old(i) ∩ new(j), i ≠ j —
-// at most k + k' non-empty moves, each an export (extract-and-remove, in
-// global sequence order) from the old owner and an import (merge-by-
-// sequence) into the new one over the 0x16–0x1a control frames.
+// The handoff itself is Router.reshard's gather → deal, across nodes (see
+// rebalanceEpoch): every member keeps what the new map assigns to its
+// position and hands back the rest over the 0x16–0x18 control frames, and
+// the router deals what came back to the new owners.
 
-// AddNode dials addr, hands it the key-range slices the new partition map
+// AddNode dials addr, hands it the window tuples the new partition map
 // assigns to it, and installs the new membership epoch. Safe from admin
 // goroutines; ingest is paused for the duration (the producer path blocks
 // on prodMu).
@@ -103,104 +102,108 @@ func (fe *Frontend) RemoveNode(ref string) error {
 	return err
 }
 
-// rebalanceEpoch moves every window slice whose owner changes between the
-// current map and newList, then installs the new epoch. Moves whose
-// endpoint died mid-handoff are counted as lost (their tuples are shed) and
-// reported, but the epoch still installs — the map and the surviving
-// storage must agree, and every completed move is only correct under the
-// new map. Caller holds prodMu at full quiesce.
+// rebalanceEpoch is the reshape epoch across nodes: it gathers the window
+// slices whose owner changes between the current map and newList and deals
+// them to their new owners, then installs the new epoch.
+//
+//   - Phase 1 reassigns every live old node to its position in newList (a
+//     leaving node to none) and collects the tuples each hands back.
+//   - Phase 2 buckets them by the new map and reassigns each live gaining
+//     node with its bucket.
+//
+// A bucket whose owner is down is dropped and logged, as the window of an
+// already-down node is. Exchanges whose node died mid-handoff are counted as
+// lost (their tuples are shed) and reported, but the epoch still installs —
+// the map and the surviving storage must agree, and every completed exchange
+// is only correct under the new map. Caller holds prodMu at full quiesce.
 func (fe *Frontend) rebalanceEpoch(newList []*node) error {
-	oldList, oldPart := fe.nodes, fe.part
-	newPart := shard.NewRangePartitioner(len(newList))
+	k := len(newList)
 	var errs []error
-	for i, src := range oldList {
-		if !src.alive.Load() {
-			continue // a dead source's window is already lost
+	var moving []wal.Tuple
+	for _, nd := range fe.nodes {
+		if !nd.alive.Load() {
+			continue // a dead node's window is already lost
 		}
-		slo, shi := oldPart.Range(i)
-		for j, dst := range newList {
-			if dst == src || !dst.alive.Load() {
-				continue
-			}
-			dlo, dhi := newPart.Range(j)
-			lo, hi := max(slo, dlo), min(shi, dhi)
-			if lo > hi {
-				continue
-			}
-			if err := fe.move(src, dst, lo, hi); err != nil {
-				errs = append(errs, err)
-			}
+		pos := slices.Index(newList, nd)
+		if pos < 0 {
+			pos = k // leaving: keep nothing
 		}
+		out, err := fe.reassign(nd, pos, k, nil)
+		if err != nil {
+			errs = append(errs, err)
+		}
+		moving = append(moving, out...)
+	}
+	newPart := shard.NewRangePartitioner(k)
+	buckets := make([][]wal.Tuple, k)
+	for _, t := range moving {
+		pos := newPart.ShardOf(t.Key)
+		buckets[pos] = append(buckets[pos], t)
+	}
+	for pos, nd := range newList {
+		bucket := buckets[pos]
+		if len(bucket) == 0 {
+			continue
+		}
+		if !nd.alive.Load() {
+			fe.cfg.Logf("cluster: %d window tuples for down node %s dropped", len(bucket), nd.id)
+			continue
+		}
+		back, err := fe.reassign(nd, pos, k, bucket)
+		if err == nil && len(back) > 0 {
+			err = fmt.Errorf("cluster: node %s handed back %d tuples of its own range; lost", nd.id, len(back))
+		}
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		fe.handoffs.Add(1)
+		fe.handoffTuples.Add(uint64(len(bucket)))
+		fe.cfg.Logf("cluster: moved %d window tuples to %s", len(bucket), nd.id)
 	}
 	fe.setMu.Lock()
 	fe.nodes = newList
 	fe.part = newPart
-	for pos, nd := range newList {
-		nd.pos = pos
-	}
 	// The ring is quiesced: resize its bucket rows to the new maximum
 	// fan-out width.
-	fe.Resize(fe.Cap(), len(newList))
+	fe.Resize(fe.Cap(), k)
 	fe.setMu.Unlock()
 	fe.epoch.Add(1)
-	fe.cfg.Logf("cluster: membership epoch %d: %d nodes", fe.epoch.Load(), len(newList))
+	fe.cfg.Logf("cluster: membership epoch %d: %d nodes", fe.epoch.Load(), k)
 	return errors.Join(errs...)
 }
 
-// move hands the inclusive key range [lo, hi] from src to dst: request the
-// export, collect the window batches, ship them to dst, and wait for the
-// import acknowledgement. Both sessions are quiescent, so the exported
-// slice is exact, though not in sequence order (see Member.ExportRange).
-func (fe *Frontend) move(src, dst *node, lo, hi uint32) error {
-	if err := src.mc.RequestExport(lo, hi); err != nil {
-		fe.nodeDown(src, fmt.Errorf("export request: %w", err))
-		return fmt.Errorf("cluster: export [%d, %d] from %s: %w", lo, hi, src.id, err)
+// reassign runs one reassign exchange with nd: ship imports and nd's
+// position in a map of nodes, then collect the window batches nd hands back
+// until its count. A node that fails the exchange is declared down, and
+// everything it held or was sent is lost.
+func (fe *Frontend) reassign(nd *node, pos, nodes int, imports []wal.Tuple) ([]wal.Tuple, error) {
+	if err := nd.mc.Reassign(pos, nodes, imports); err != nil {
+		fe.nodeDown(nd, fmt.Errorf("reassign: %w", err))
+		return nil, fmt.Errorf("cluster: reassign %s: %w; %d imported tuples lost", nd.id, err, len(imports))
 	}
-	var tuples []wal.Tuple
-collect:
+	var out []wal.Tuple
 	for {
-		ev, ok := src.awaitCtrl()
-		if !ok {
-			return fmt.Errorf("cluster: node %s died exporting [%d, %d]; window slice lost", src.id, lo, hi)
+		var ev server.NodeEvent
+		select {
+		case ev = <-nd.ctrl:
+		case <-nd.downc:
+			return nil, fmt.Errorf("cluster: node %s died during reassign; its window slice and %d imported tuples lost", nd.id, len(imports))
 		}
+		var err error
 		switch ev.Type {
 		case server.FrameWindow:
-			tuples = append(tuples, ev.Window...)
-		case server.FrameExportDone:
-			if ev.Count != uint64(len(tuples)) {
-				err := fmt.Errorf("cluster: node %s export count %d != %d tuples received", src.id, ev.Count, len(tuples))
-				fe.nodeDown(src, err)
-				return err
+			out = append(out, ev.Window...)
+			continue
+		case server.FrameReassigned:
+			if ev.Count == uint64(len(out)) {
+				return out, nil
 			}
-			break collect
+			err = fmt.Errorf("cluster: node %s reassign count %d != %d tuples received", nd.id, ev.Count, len(out))
 		default:
-			err := fmt.Errorf("cluster: node %s sent unexpected %#x during export", src.id, ev.Type)
-			fe.nodeDown(src, err)
-			return err
+			err = fmt.Errorf("cluster: node %s sent unexpected %#x during reassign", nd.id, ev.Type)
 		}
+		fe.nodeDown(nd, err)
+		return nil, err
 	}
-	if len(tuples) == 0 {
-		return nil
-	}
-	if err := dst.mc.SendWindow(tuples); err != nil {
-		fe.nodeDown(dst, fmt.Errorf("window import: %w", err))
-		return fmt.Errorf("cluster: import into %s: %w; %d tuples lost", dst.id, err, len(tuples))
-	}
-	if err := dst.mc.SendImportDone(uint64(len(tuples))); err != nil {
-		fe.nodeDown(dst, fmt.Errorf("import-done: %w", err))
-		return fmt.Errorf("cluster: import into %s: %w; %d tuples lost", dst.id, err, len(tuples))
-	}
-	ev, ok := dst.awaitCtrl()
-	if !ok {
-		return fmt.Errorf("cluster: node %s died importing [%d, %d]; %d tuples lost", dst.id, lo, hi, len(tuples))
-	}
-	if ev.Type != server.FrameImported || ev.Count != uint64(len(tuples)) {
-		err := fmt.Errorf("cluster: node %s import ack mismatch (type %#x count %d, want %d)", dst.id, ev.Type, ev.Count, len(tuples))
-		fe.nodeDown(dst, err)
-		return err
-	}
-	fe.handoffs.Add(1)
-	fe.handoffTuples.Add(uint64(len(tuples)))
-	fe.cfg.Logf("cluster: moved %d window tuples [%d, %d] %s -> %s", len(tuples), lo, hi, src.id, dst.id)
-	return nil
 }

@@ -29,7 +29,6 @@ type node struct {
 	fe   *Frontend
 	addr string
 	id   string
-	pos  int // index in fe.nodes for the current membership epoch
 	mc   *server.MemberClient
 
 	pend []shard.Op // producer-goroutine only
@@ -45,7 +44,7 @@ type node struct {
 	downOnce sync.Once
 	downc    chan struct{} // closed once the node is declared down
 
-	// ctrl carries export/import control events from the reader to the
+	// ctrl carries reassign control events from the reader to the
 	// membership goroutine during a handoff (never used outside one).
 	ctrl       chan server.NodeEvent
 	readerDone chan struct{}
@@ -163,7 +162,7 @@ func (n *node) reader() {
 			n.status = ev.Status
 			n.statusAt = time.Now()
 			n.stMu.Unlock()
-		case server.FrameWindow, server.FrameExportDone, server.FrameImported:
+		case server.FrameWindow, server.FrameReassigned:
 			// Handoff control: hand to the membership goroutine. The downc
 			// escape keeps the reader live if the node floods control frames
 			// nobody asked for — the prober's staleness check will then
@@ -177,17 +176,6 @@ func (n *node) reader() {
 			n.fe.nodeDown(n, fmt.Errorf("node error: %s", ev.Err))
 			return
 		}
-	}
-}
-
-// awaitCtrl waits for the next handoff control event, reporting false if
-// the node died first.
-func (n *node) awaitCtrl() (server.NodeEvent, bool) {
-	select {
-	case ev := <-n.ctrl:
-		return ev, true
-	case <-n.downc:
-		return server.NodeEvent{}, false
 	}
 }
 

@@ -282,23 +282,48 @@ func decodeNodeStatus(payload []byte) (NodeStatus, error) {
 	}, nil
 }
 
-// encodeExport encodes a FrameExport payload (inclusive key range).
-func encodeExport(lo, hi uint32) []byte {
-	dst := make([]byte, 0, 8)
-	dst = binary.BigEndian.AppendUint32(dst, lo)
-	return binary.BigEndian.AppendUint32(dst, hi)
+// encodeReassign encodes a FrameReassign payload.
+func encodeReassign(pos, nodes int, imports uint64) []byte {
+	dst := make([]byte, 0, 16)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(pos))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(nodes))
+	return binary.BigEndian.AppendUint64(dst, imports)
 }
 
-// decodeExport decodes a FrameExport payload.
-func decodeExport(payload []byte) (lo, hi uint32, err error) {
-	if len(payload) != 8 {
-		return 0, 0, fmt.Errorf("export payload must be 8 bytes, got %d", len(payload))
+// decodeReassign decodes a FrameReassign payload. A map of no nodes is
+// rejected: it gives no position an owner.
+func decodeReassign(payload []byte) (pos, nodes int, imports uint64, err error) {
+	if len(payload) != 16 {
+		return 0, 0, 0, fmt.Errorf("reassign payload must be 16 bytes, got %d", len(payload))
 	}
-	return binary.BigEndian.Uint32(payload[0:4]), binary.BigEndian.Uint32(payload[4:8]), nil
+	pos = int(binary.BigEndian.Uint32(payload[0:4]))
+	nodes = int(binary.BigEndian.Uint32(payload[4:8]))
+	if nodes == 0 {
+		return 0, 0, 0, fmt.Errorf("reassign: a map of 0 nodes")
+	}
+	return pos, nodes, binary.BigEndian.Uint64(payload[8:16]), nil
 }
 
-// encodeCount encodes the shared [count u64] payload of FrameExportDone,
-// FrameImportDone, and FrameImported.
+// sendHandoff writes one half of a reassign exchange through send: tuples as
+// FrameWindow batches of at most maxFrame bytes, then the closing frame typ
+// (FrameReassign or FrameReassigned) with payload end. Every payload is
+// freshly allocated, so send may retain it. It stops at the first error.
+func sendHandoff(send func(typ byte, payload []byte) error, maxFrame int, tuples []wal.Tuple, typ byte, end []byte) error {
+	perFrame := max(maxFrame/recWindow, 1)
+	for lo := 0; lo < len(tuples); lo += perFrame {
+		hi := min(lo+perFrame, len(tuples))
+		enc := make([]byte, 0, (hi-lo)*recWindow)
+		for _, t := range tuples[lo:hi] {
+			enc = appendWindowTuple(enc, t)
+		}
+		if err := send(FrameWindow, enc); err != nil {
+			return err
+		}
+	}
+	return send(typ, end)
+}
+
+// encodeCount encodes a [count u64] payload (FrameReassigned).
 func encodeCount(n uint64) []byte {
 	return binary.BigEndian.AppendUint64(make([]byte, 0, 8), n)
 }

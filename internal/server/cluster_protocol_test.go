@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"pimtree"
 	"pimtree/internal/shard"
@@ -121,7 +123,8 @@ func TestResultsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWindowStatusExportCountRoundTrip pins the remaining cluster codecs.
+// TestWindowStatusExportCountRoundTrip pins the remaining cluster codecs:
+// window, node status, reassign and count.
 func TestWindowStatusExportCountRoundTrip(t *testing.T) {
 	ws := []wal.Tuple{
 		{Stream: uint8(pimtree.R), Key: 9, Seq: 4, TS: 17},
@@ -150,12 +153,21 @@ func TestWindowStatusExportCountRoundTrip(t *testing.T) {
 		t.Fatal("short status payload accepted")
 	}
 
-	lo, hi, err := decodeExport(encodeExport(100, 2000))
-	if err != nil || lo != 100 || hi != 2000 {
-		t.Fatalf("export round-trip (%d, %d), %v", lo, hi, err)
+	pos, nodes, n, err := decodeReassign(encodeReassign(3, 4, 1<<40))
+	if err != nil || pos != 3 || nodes != 4 || n != 1<<40 {
+		t.Fatalf("reassign round-trip (%d, %d, %d), %v", pos, nodes, n, err)
 	}
-	if _, _, err := decodeExport([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short export payload accepted")
+	if _, _, _, err := decodeReassign([]byte{1, 2, 3}); err == nil {
+		t.Fatal("short reassign payload accepted")
+	}
+	// The retired export frame had this type byte and an 8-byte [lo][hi]
+	// payload: a router from an older build fails the handoff instead of
+	// being misread.
+	if _, _, _, err := decodeReassign(encodeCount(100<<32 | 2000)); err == nil {
+		t.Fatal("8-byte (export-shaped) reassign payload accepted")
+	}
+	if _, _, _, err := decodeReassign(encodeReassign(0, 0, 0)); err == nil {
+		t.Fatal("reassign over a map of 0 nodes accepted")
 	}
 
 	if n, err := decodeCount(encodeCount(1 << 40)); err != nil || n != 1<<40 {
@@ -163,5 +175,64 @@ func TestWindowStatusExportCountRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeCount(nil); err == nil {
 		t.Fatal("empty count payload accepted")
+	}
+}
+
+// TestMemberSessionRejectsBadHandoff pins the node side of the reassign
+// exchange on a real member session: a reassign whose import count differs
+// from the window tuples sent before it, and the frame types retired with the
+// export/import exchange (0x19 import-done, 0x1a imported), each end the
+// session with an error frame naming the fault, so a router and a node from
+// different builds fail the handoff instead of misreading it.
+func TestMemberSessionRejectsBadHandoff(t *testing.T) {
+	srv := startServer(t, countCfg(pimtree.ModeSharded), Options{})
+	window := appendWindowTuple(appendWindowTuple(nil,
+		wal.Tuple{Stream: uint8(pimtree.R), Key: 9, Seq: 0}),
+		wal.Tuple{Stream: uint8(pimtree.S), Key: 7, Seq: 0})
+	type frame struct {
+		typ     byte
+		payload []byte
+	}
+	cases := []struct {
+		name   string
+		frames []frame
+		want   string
+	}{
+		{"count-mismatch", []frame{{FrameWindow, window}, {FrameReassign, encodeReassign(0, 1, 3)}},
+			"reassign import count 3 does not match 2 received window tuples"},
+		{"export-shaped", []frame{{FrameReassign, encodeCount(7)}}, "reassign payload must be 16 bytes, got 8"},
+		{"import-done", []frame{{0x19, encodeCount(0)}}, "unexpected 0x19 frame on a member session"},
+		{"imported", []frame{{0x1a, encodeCount(0)}}, "unexpected 0x1a frame on a member session"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mc, err := DialMember(context.Background(), srv.Addr().String(), ClusterConfig{
+				Backend: pimtree.BPlusTree, Shards: 2, WR: 8, WS: 8,
+			}, MemberDialOptions{Timeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mc.Close()
+			for _, f := range tc.frames {
+				if err := mc.send(f.typ, f.payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for {
+				ev, err := mc.ReadNodeEvent()
+				if err != nil {
+					t.Fatalf("session ended without an error frame: %v", err)
+				}
+				if ev.Type == FrameError {
+					if ev.Err != tc.want {
+						t.Fatalf("error frame %q, want %q", ev.Err, tc.want)
+					}
+					return
+				}
+				if ev.Type == FrameReassigned {
+					t.Fatalf("node completed the reassign (count %d)", ev.Count)
+				}
+			}
+		})
 	}
 }

@@ -48,7 +48,7 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add([]byte{0, 0})                         // truncated header
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x02}) // hostile length prefix
 
-	// Cluster-tier frames (0x10–0x1a): a well-formed seed per type, plus
+	// Cluster-tier frames (0x10–0x18): a well-formed seed per type, plus
 	// truncated/ragged variants of the structured payloads.
 	f.Add(rawFrame(FrameJoinCluster, encodeJoinCluster(ProtocolVersion, ClusterConfig{
 		Timed: true, Backend: pimtree.PIMTree, Shards: 4, MaxLive: 512, Span: 1024, Batch: 64, Ring: 1 << 12,
@@ -68,14 +68,14 @@ func FuzzParseFrame(f *testing.F) {
 	f.Add(rawFrame(FrameResults, []byte{0, 0, 0, 0, 0, 0, 0, 9, 0xff, 0xff, 0xff, 0xff})) // hostile seq count
 	f.Add(rawFrame(FrameNodeStatus, encodeNodeStatus(NodeStatus{Applied: 7, EvictWM: 3, Resident: 11})))
 	f.Add(rawFrame(FramePing, nil))
-	f.Add(rawFrame(FrameExport, encodeExport(100, 2000)))
+	f.Add(rawFrame(FrameReassign, encodeReassign(1, 3, 2)))
 	f.Add(rawFrame(FrameWindow, appendWindowTuple(appendWindowTuple(nil,
 		wal.Tuple{Stream: uint8(pimtree.R), Key: 9, Seq: 4, TS: 17}),
 		wal.Tuple{Stream: uint8(pimtree.S), Key: 2, Seq: 6, TS: 18})))
 	f.Add(rawFrame(FrameWindow, []byte{9})) // invalid stream, ragged
-	f.Add(rawFrame(FrameExportDone, encodeCount(2)))
-	f.Add(rawFrame(FrameImportDone, encodeCount(2)))
-	f.Add(rawFrame(FrameImported, encodeCount(2)))
+	f.Add(rawFrame(FrameReassigned, encodeCount(2)))
+	f.Add(rawFrame(FrameReassign, encodeCount(2)))          // the retired export shape
+	f.Add(rawFrame(FrameReassign, encodeReassign(0, 0, 0))) // a map of no nodes
 
 	const maxFrame = 4096
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -178,13 +178,13 @@ func FuzzParseFrame(f *testing.F) {
 						t.Fatalf("node-status round-trip: %x != %x", got, payload)
 					}
 				}
-			case FrameExport:
-				if lo, hi, err := decodeExport(payload); err == nil {
-					if got := encodeExport(lo, hi); !bytes.Equal(got, payload) {
-						t.Fatalf("export round-trip: %x != %x", got, payload)
+			case FrameReassign:
+				if pos, nodes, n, err := decodeReassign(payload); err == nil {
+					if got := encodeReassign(pos, nodes, n); !bytes.Equal(got, payload) {
+						t.Fatalf("reassign round-trip: %x != %x", got, payload)
 					}
 				}
-			case FrameExportDone, FrameImportDone, FrameImported:
+			case FrameReassigned:
 				if n, err := decodeCount(payload); err == nil {
 					if got := encodeCount(n); !bytes.Equal(got, payload) {
 						t.Fatalf("count round-trip: %x != %x", got, payload)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"net"
 
 	"pimtree/internal/shard"
 	"pimtree/internal/wal"
@@ -14,8 +15,8 @@ import (
 // connection then stops being a client session and becomes a member session
 // — a shard.Member runtime fed by shipped ops, living exactly as long as the
 // connection. Member state is deliberately per-connection: losing the router
-// connection IS leaving the cluster (the router re-imports the member's key
-// range elsewhere), so there is nothing to reconcile on reconnect.
+// connection IS leaving the cluster (the router re-spreads the member's key
+// range), so there is nothing to reconcile on reconnect.
 //
 // The member's engine shape comes entirely from the join frame, never from
 // node-local flags, and is independent of the node's own Engine: a node can
@@ -42,11 +43,11 @@ func validateMemberConfig(cc ClusterConfig) error {
 }
 
 // memberSession runs a member connection's inbound loop: apply shipped ops,
-// answer pings with status, service export/import exchanges during
+// answer pings with status, service the reassign exchanges of
 // membership-change handoffs. Probe results flow back through the
 // connection's writer (the out queue), so result frames and control replies
-// interleave in enqueue order; a result enqueued before an export began is
-// on the wire before the export's window frames.
+// interleave in enqueue order; a result enqueued before a reassign began is
+// on the wire before the reassign's window frames.
 func (c *conn) memberSession(br *bufio.Reader, hello []byte) {
 	version, cc, err := decodeJoinCluster(hello)
 	if err != nil {
@@ -123,27 +124,6 @@ func (c *conn) memberSession(br *bufio.Reader, hello []byte) {
 			if !c.send(outItem{typ: FrameNodeStatus, payload: encodeNodeStatus(st)}) {
 				return
 			}
-		case FrameExport:
-			lo, hi, derr := decodeExport(payload)
-			if derr != nil {
-				c.abort(derr.Error())
-				return
-			}
-			tuples := member.ExportRange(lo, hi)
-			perFrame := max(c.srv.opts.MaxFrame/recWindow, 1)
-			for i := 0; i < len(tuples); i += perFrame {
-				j := min(i+perFrame, len(tuples))
-				enc := make([]byte, 0, (j-i)*recWindow)
-				for _, t := range tuples[i:j] {
-					enc = appendWindowTuple(enc, t)
-				}
-				if !c.send(outItem{typ: FrameWindow, payload: enc}) {
-					return
-				}
-			}
-			if !c.send(outItem{typ: FrameExportDone, payload: encodeCount(uint64(len(tuples)))}) {
-				return
-			}
 		case FrameWindow:
 			var derr error
 			imp, derr = decodeWindowTuples(imp, payload)
@@ -151,19 +131,25 @@ func (c *conn) memberSession(br *bufio.Reader, hello []byte) {
 				c.abort(derr.Error())
 				return
 			}
-		case FrameImportDone:
-			n, derr := decodeCount(payload)
+		case FrameReassign:
+			pos, nodes, n, derr := decodeReassign(payload)
 			if derr != nil {
 				c.abort(derr.Error())
 				return
 			}
 			if uint64(len(imp)) != n {
-				c.abort(fmt.Sprintf("import-done count %d does not match %d received window tuples", n, len(imp)))
+				c.abort(fmt.Sprintf("reassign import count %d does not match %d received window tuples", n, len(imp)))
 				return
 			}
-			member.Import(imp)
+			out := member.Reassign(pos, nodes, imp)
 			imp = imp[:0]
-			if !c.send(outItem{typ: FrameImported, payload: encodeCount(n)}) {
+			send := func(typ byte, payload []byte) error {
+				if !c.send(outItem{typ: typ, payload: payload}) {
+					return net.ErrClosed
+				}
+				return nil
+			}
+			if sendHandoff(send, c.srv.opts.MaxFrame, out, FrameReassigned, encodeCount(uint64(len(out)))) != nil {
 				return
 			}
 		default:

@@ -15,8 +15,8 @@ import (
 // MemberClient is the router side of a member session (internal/cluster's
 // node transport): it opens the connection with FrameJoinCluster, ships op
 // batches, and surfaces the node's result/status/handoff frames through
-// ReadNodeEvent. Writes (SendOps, Ping, export/import requests) must come
-// from goroutines serialized by the embedded write lock — they may interleave
+// ReadNodeEvent. Writes (SendOps, Ping, Reassign) are serialized by the
+// embedded write lock, so they may come from any goroutines and interleave
 // freely; ReadNodeEvent must be called from one goroutine.
 type MemberClient struct {
 	nc   net.Conn
@@ -142,40 +142,12 @@ func (m *MemberClient) SendOps(ops []shard.Op) error {
 // Ping requests a FrameNodeStatus heartbeat.
 func (m *MemberClient) Ping() error { return m.send(FramePing, nil) }
 
-// RequestExport asks the member to extract-and-remove its live tuples in
-// the inclusive key range; the reply is FrameWindow batches then
-// FrameExportDone via ReadNodeEvent.
-func (m *MemberClient) RequestExport(lo, hi uint32) error {
-	return m.send(FrameExport, encodeExport(lo, hi))
-}
-
-// SendWindow ships handed-off window tuples (import direction), splitting
-// frames at the payload bound.
-func (m *MemberClient) SendWindow(tuples []wal.Tuple) error {
-	perFrame := max(m.maxFrame/recWindow, 1)
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	if m.writeTimeout > 0 {
-		m.nc.SetWriteDeadline(time.Now().Add(m.writeTimeout))
-	}
-	for lo := 0; lo < len(tuples); lo += perFrame {
-		hi := min(lo+perFrame, len(tuples))
-		buf := m.wbuf[:0]
-		for _, t := range tuples[lo:hi] {
-			buf = appendWindowTuple(buf, t)
-		}
-		m.wbuf = buf
-		if err := writeFrame(m.nc, FrameWindow, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SendImportDone ends an import exchange; the member loads the tuples and
-// answers FrameImported.
-func (m *MemberClient) SendImportDone(n uint64) error {
-	return m.send(FrameImportDone, encodeCount(n))
+// Reassign sends the router's half of a reassign exchange: the imports as
+// window batches, then the member's position in a map of nodes. The reply,
+// window batches of what the member hands back then FrameReassigned, arrives
+// through ReadNodeEvent.
+func (m *MemberClient) Reassign(pos, nodes int, imports []wal.Tuple) error {
+	return sendHandoff(m.send, m.maxFrame, imports, FrameReassign, encodeReassign(pos, nodes, uint64(len(imports))))
 }
 
 // ProbeResult is one decoded result group: the router's correlation id and
@@ -187,13 +159,13 @@ type ProbeResult struct {
 
 // NodeEvent is one node-to-router frame surfaced by ReadNodeEvent.
 type NodeEvent struct {
-	// Type is FrameResults, FrameNodeStatus, FrameWindow, FrameExportDone,
-	// FrameImported, or FrameError.
+	// Type is FrameResults, FrameNodeStatus, FrameWindow, FrameReassigned,
+	// or FrameError.
 	Type    byte
 	Results []ProbeResult // FrameResults
 	Status  NodeStatus    // FrameNodeStatus
 	Window  []wal.Tuple   // FrameWindow
-	Count   uint64        // FrameExportDone / FrameImported
+	Count   uint64        // FrameReassigned
 	Err     string        // FrameError
 }
 
@@ -226,12 +198,12 @@ func (m *MemberClient) ReadNodeEvent() (NodeEvent, error) {
 			return NodeEvent{}, err
 		}
 		return NodeEvent{Type: FrameWindow, Window: w}, nil
-	case FrameExportDone, FrameImported:
+	case FrameReassigned:
 		n, err := decodeCount(payload)
 		if err != nil {
 			return NodeEvent{}, err
 		}
-		return NodeEvent{Type: typ, Count: n}, nil
+		return NodeEvent{Type: FrameReassigned, Count: n}, nil
 	case FrameError:
 		return NodeEvent{Type: FrameError, Err: string(payload)}, nil
 	default:

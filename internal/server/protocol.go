@@ -63,12 +63,12 @@ const (
 	FrameError = byte(0x06)
 )
 
-// Cluster control frames (0x10–0x1a) carry the router↔node leg of the
+// Cluster control frames (0x10–0x18) carry the router↔node leg of the
 // distributed tier (internal/cluster): a cluster router opens a member
 // session on a serve node with FrameJoinCluster instead of FrameHello, ships
 // pre-sequenced ops, and receives correlated probe results plus status
 // heartbeats. Membership-change window handoffs ride the same connection as
-// an export/import exchange. These frames are additive — a v1 client/server
+// reassign exchanges. These frames are additive — a v1 client/server
 // pair that never speaks them is unaffected — and are specified normatively
 // in docs/OPERATIONS.md alongside the client-visible frames.
 const (
@@ -93,23 +93,19 @@ const (
 	FrameNodeStatus = byte(0x14)
 	// FramePing requests a FrameNodeStatus (router→node, empty payload).
 	FramePing = byte(0x15)
-	// FrameExport asks the member to extract-and-remove its live window
-	// tuples in an inclusive key range (router→node): [lo u32][hi u32].
-	// The member answers with FrameWindow batches then FrameExportDone.
-	FrameExport = byte(0x16)
+	// FrameReassign ends the router's half of a reassign exchange
+	// (router→node, after the FrameWindow batches of the imports):
+	// [pos u32][nodes u32][import count u64]. The member keeps the tuples the
+	// equal-width map over nodes assigns to pos (none when pos >= nodes) and
+	// answers with FrameWindow batches of the rest, then FrameReassigned.
+	FrameReassign = byte(0x16)
 	// FrameWindow carries live window tuples during a handoff (both
 	// directions): a sequence of 21-byte records [stream u8][key u32]
 	// [seq u64][ts u64].
 	FrameWindow = byte(0x17)
-	// FrameExportDone ends an export (node→router): [tuple count u64].
-	FrameExportDone = byte(0x18)
-	// FrameImportDone ends an import (router→node, after FrameWindow
-	// batches): [tuple count u64]. The member loads the tuples and answers
-	// FrameImported.
-	FrameImportDone = byte(0x19)
-	// FrameImported acknowledges an applied import (node→router):
-	// [tuple count u64].
-	FrameImported = byte(0x1a)
+	// FrameReassigned ends the member's half of a reassign exchange
+	// (node→router): [export count u64].
+	FrameReassigned = byte(0x18)
 )
 
 // Hello flags.
@@ -165,16 +161,12 @@ func frameName(typ byte) string {
 		return "node-status"
 	case FramePing:
 		return "ping"
-	case FrameExport:
-		return "export"
+	case FrameReassign:
+		return "reassign"
 	case FrameWindow:
 		return "window"
-	case FrameExportDone:
-		return "export-done"
-	case FrameImportDone:
-		return "import-done"
-	case FrameImported:
-		return "imported"
+	case FrameReassigned:
+		return "reassigned"
 	default:
 		return fmt.Sprintf("0x%02x", typ)
 	}

@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"iter"
-
-	"pimtree/internal/wal"
-)
+import "pimtree/internal/wal"
 
 // This file is the router side of the durability layer (internal/wal): the
 // snapshot barrier, the recovered-state replay, and the reorder-clock
@@ -70,34 +66,6 @@ func (r *Router) walSnapshot() {
 	}
 	// On error the sealed segments simply survive until a later snapshot
 	// succeeds — recovery is indifferent to which files carry the prefix.
-}
-
-// liveWindow counts the live tuples at a drain barrier and returns a
-// sequence that yields them straight from the store chunks: slot, then
-// shard, then store order from each store's frontier wms[slot]. Nothing is
-// copied, so a snapshot costs no memory that grows with the window.
-func (r *Router) liveWindow(wms [2]uint64) (int, iter.Seq[wal.Tuple]) {
-	slots := storeSlots(r.cfg.Self)
-	n := 0
-	for slot := 0; slot < slots; slot++ {
-		for _, e := range r.engines {
-			st := e.stores[slot]
-			n += int(st.head - st.liveFrom(wms[slot]))
-		}
-	}
-	return n, func(yield func(wal.Tuple) bool) {
-		for slot := 0; slot < slots; slot++ {
-			for _, e := range r.engines {
-				st := e.stores[slot]
-				for i := st.liveFrom(wms[slot]); i < st.head; i++ {
-					key, seq, ts := st.at(i)
-					if !yield(wal.Tuple{Stream: uint8(slot), Key: key, Seq: seq, TS: ts}) {
-						return
-					}
-				}
-			}
-		}
-	}
 }
 
 // Restore replays a recovered WAL state into a freshly built router: the

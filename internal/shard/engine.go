@@ -2,6 +2,7 @@ package shard
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -230,7 +231,8 @@ func (e *engine) maintainSlot(slot int) {
 // tuples (see add).
 func (e *engine) reindex(slot int) {
 	wm := e.stores[slot].wm
-	e.load(slot, wm, e.live(slot, wm, nil))
+	_, walk := e.live(slot, wm)
+	e.load(slot, wm, slices.Collect(walk))
 }
 
 // merges sums merge statistics over both indexes, plus the merges of any
@@ -253,17 +255,24 @@ func (e *engine) updateResident() {
 	e.resident.Store(n)
 }
 
-// live appends stream slot's tuples live at wm to dst in sequence order,
-// each tagged with the slot as its stream. Liveness is seq >= wm for count
-// windows and event time >= wm for timed ones (wm is then the timestamp
-// watermark). The worker must be quiescent (drain barrier).
-func (e *engine) live(slot int, wm uint64, dst []wal.Tuple) []wal.Tuple {
+// live counts stream slot's tuples live at wm and returns a sequence that
+// yields them in sequence order, straight from the store chunks, each tagged
+// with the slot as its stream. Liveness is seq >= wm for count windows and
+// event time >= wm for timed ones (wm is then the timestamp watermark). This
+// is the one walk of a store's live tuples: reindex, gather and the WAL
+// snapshot all read through it. The worker must be quiescent (drain
+// barrier) until the sequence is consumed.
+func (e *engine) live(slot int, wm uint64) (int, iter.Seq[wal.Tuple]) {
 	st := e.stores[slot]
-	for i := st.liveFrom(wm); i < st.head; i++ {
-		key, seq, ts := st.at(i)
-		dst = append(dst, wal.Tuple{Stream: uint8(slot), Key: key, Seq: seq, TS: ts})
+	from := st.liveFrom(wm)
+	return int(st.head - from), func(yield func(wal.Tuple) bool) {
+		for i := from; i < st.head; i++ {
+			key, seq, ts := st.at(i)
+			if !yield(wal.Tuple{Stream: uint8(slot), Key: key, Seq: seq, TS: ts}) {
+				return
+			}
+		}
 	}
-	return dst
 }
 
 // load refills a stream slot, the one way a slot is filled from existing
@@ -282,17 +291,38 @@ func (e *engine) load(slot int, wm uint64, tuples []wal.Tuple) {
 	e.updateResident()
 }
 
-// gather returns every tuple of engines live at wms, plus extra, in the
-// order deal needs: by stream slot, then by sequence. The engines must be
+// liveWindow counts the tuples of the pool's engines live at wms and returns
+// a sequence that yields them (see engine.live): slot, then shard, then
+// sequence order from each store's frontier wms[slot]. Nothing is copied, so
+// a snapshot costs no memory that grows with the window. The workers must be
 // quiescent.
-func gather(engines []*engine, self bool, wms [2]uint64, extra []wal.Tuple) []wal.Tuple {
-	var window []wal.Tuple
-	for slot := 0; slot < storeSlots(self); slot++ {
-		for _, e := range engines {
-			window = e.live(slot, wms[slot], window)
+func (p *pool) liveWindow(wms [2]uint64) (int, iter.Seq[wal.Tuple]) {
+	n, walks := 0, []iter.Seq[wal.Tuple](nil)
+	for slot := 0; slot < storeSlots(p.engines[0].cfg.Self); slot++ {
+		for _, e := range p.engines {
+			m, walk := e.live(slot, wms[slot])
+			n, walks = n+m, append(walks, walk)
 		}
 	}
+	return n, func(yield func(wal.Tuple) bool) {
+		for _, walk := range walks {
+			for t := range walk {
+				if !yield(t) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// gather returns every tuple of the pool's engines live at wms, plus extra,
+// in the order deal needs: by stream slot, then by sequence. The workers must
+// be quiescent.
+func (p *pool) gather(wms [2]uint64, extra []wal.Tuple) []wal.Tuple {
+	n, live := p.liveWindow(wms)
+	window := slices.AppendSeq(make([]wal.Tuple, 0, n+len(extra)), live)
 	window = append(window, extra...)
+	self := p.engines[0].cfg.Self
 	slices.SortFunc(window, func(a, b wal.Tuple) int {
 		return cmp.Or(cmp.Compare(sid(self, a.Stream), sid(self, b.Stream)), cmp.Compare(a.Seq, b.Seq))
 	})

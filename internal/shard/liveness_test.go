@@ -272,8 +272,8 @@ func TestShardLivenessReshapeWrapped(t *testing.T) {
 }
 
 // TestShardLivenessHandoffWrapped is the cluster handoff with wrapped refs: a
-// Member applies pre-sequenced ops, exports a key range and imports it back
-// after the heads crossed 2^32, and keeps answering exactly.
+// Member applies pre-sequenced ops, hands off part of its key range and
+// takes it back after the heads crossed 2^32, and keeps answering exactly.
 func TestShardLivenessHandoffWrapped(t *testing.T) {
 	const arrivals = 3000
 	for _, kind := range []join.IndexKind{join.IndexPIMTree, join.IndexBTree} {
@@ -297,7 +297,9 @@ func TestShardLivenessHandoffWrapped(t *testing.T) {
 		cut := len(ops) * 2 / 3
 		applyAll(mem, ops[:cut], m.rng)
 		before := mem.Resident()
-		out := mem.ExportRange(64, 191)
+		// A map of 2^26 nodes gives each a 64-key slice: the member keeps
+		// [0, 64) and hands off the rest of the model's keys.
+		out := mem.Reassign(0, 1<<26, nil)
 		if len(out) == 0 || mem.Resident()+len(out) != before {
 			t.Fatalf("%v: exported %d of %d resident, %d left", kind, len(out), before, mem.Resident())
 		}
@@ -306,7 +308,9 @@ func TestShardLivenessHandoffWrapped(t *testing.T) {
 				t.Fatalf("%v: exported seq %d below 2^32: the handoff was not across the wrap", kind, wt.Seq)
 			}
 		}
-		mem.Import(out)
+		if back := mem.Reassign(0, 1, out); len(back) != 0 {
+			t.Fatalf("%v: sole node handed back %d tuples", kind, len(back))
+		}
 		applyAll(mem, ops[cut:], m.rng)
 		mem.Close()
 		sink.compare(t, expected)

@@ -62,9 +62,9 @@ const defaultMemberCapacity = 1 << 12
 // router remains deterministic. Ring backpressure reaches the router through
 // the connection's TCP window.
 //
-// Apply, Quiesce, ExportRange, Import, and Close must all be called from one
-// dispatching goroutine (the member connection's reader). The result
-// callback fires on worker goroutines.
+// Apply, Reassign, and Close must all be called from one dispatching
+// goroutine (the member connection's reader). The result callback fires on
+// worker goroutines.
 type Member struct {
 	pool
 	FanIn
@@ -162,14 +162,15 @@ func (m *Member) Apply(ops []Op) {
 	m.flushAll()
 }
 
-// Quiesce flushes every pending batch, blocks until all shipped ops have
+// quiesce flushes every pending batch, blocks until all shipped ops have
 // been applied and every probe result emitted (the cluster analogue of the
 // drain barrier), and then evicts every store to the member's frontier: per
 // stream, the highest watermark any sub-shard has applied. Watermarks only
 // rise, so no later op can match below it, but a sub-shard that saw no op
 // for a while still holds tuples past their window. On return the engines
-// may be mutated from the dispatching goroutine (export/import).
-func (m *Member) Quiesce() {
+// may be mutated from the dispatching goroutine (see Reassign). It returns
+// the frontier.
+func (m *Member) quiesce() [2]uint64 {
 	m.drainBarrier()
 	m.Propagate()
 	wms := storeFrontiers(m.engines)
@@ -179,47 +180,32 @@ func (m *Member) Quiesce() {
 		}
 		e.updateResident()
 	}
+	return wms
 }
 
-// ExportRange quiesces, then extracts and REMOVES every window tuple live at
-// the member's frontier (see Quiesce) whose key falls in [lo, hi]
-// (inclusive), grouped by sub-shard and stream: in sequence order only
-// within a group, so Import sorts. Removal matters: after a handoff the
-// range belongs to another node, and a stale copy here would still be hit
-// by band probes and double-report matches. Keepers are reloaded in place.
-func (m *Member) ExportRange(lo, hi uint32) []wal.Tuple {
-	m.Quiesce()
-	wms := storeFrontiers(m.engines)
-	var out []wal.Tuple
-	for _, e := range m.engines {
-		for slot := 0; slot < storeSlots(m.self); slot++ {
-			live := e.live(slot, wms[slot], nil)
-			keep := live[:0]
-			for _, t := range live {
-				if t.Key >= lo && t.Key <= hi {
-					out = append(out, t)
-				} else {
-					keep = append(keep, t)
-				}
-			}
-			e.load(slot, wms[slot], keep)
+// Reassign is this member's part of a membership epoch, the reshape epoch
+// across nodes: it quiesces, gathers every tuple live at the member's
+// frontier (see quiesce) plus imports, keeps the tuples that the equal-width
+// map over nodes assigns to position pos, and returns the rest. A position
+// at or past nodes keeps nothing, which is how a leaving node is told.
+// Removal matters: a returned tuple belongs to another node, and a stale
+// copy here would still be hit by band probes and double-report matches.
+// The returned tuples are in sequence order per stream.
+func (m *Member) Reassign(pos, nodes int, imports []wal.Tuple) []wal.Tuple {
+	wms := m.quiesce()
+	window, part := m.gather(wms, imports), NewRangePartitioner(nodes)
+	keep, exports := window[:0], []wal.Tuple(nil)
+	for _, t := range window {
+		if pos < nodes && part.ShardOf(t.Key) == pos {
+			keep = append(keep, t)
+		} else {
+			exports = append(exports, t)
 		}
 	}
-	return out
-}
-
-// Import quiesces, then merges handed-off window tuples into the local
-// engines. Imported sequences may be older than tuples already resident
-// (the node was live while the exporter drained), so every engine is
-// reloaded at the member's frontier from its live tuples and the imports,
-// merged by sequence.
-func (m *Member) Import(tuples []wal.Tuple) {
-	if len(tuples) == 0 {
-		return
+	if len(exports)+len(imports) > 0 { // otherwise every slot already holds keep
+		deal(m.engines, m.part, m.self, wms, keep)
 	}
-	m.Quiesce()
-	wms := storeFrontiers(m.engines)
-	deal(m.engines, m.part, m.self, wms, gather(m.engines, m.self, wms, tuples))
+	return exports
 }
 
 // Resident reports tuples currently stored across all local shards (both

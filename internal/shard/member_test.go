@@ -155,7 +155,7 @@ func applyAll(m *Member, ops []Op, rng *rand.Rand) {
 		m.Apply(ops[:n])
 		ops = ops[n:]
 	}
-	m.Quiesce()
+	m.quiesce()
 }
 
 // TestMemberCountOracle pins the member runtime against the brute-force
@@ -220,10 +220,11 @@ func TestMemberTimedOracle(t *testing.T) {
 	}
 }
 
-// TestMemberExportImportRoundTrip pins the handoff legs: ExportRange removes
-// exactly the requested key range (no double-reporting from stale copies),
-// Import merges tuples back restoring the monotone-seq store invariant, and
-// the continued op stream still matches the oracle exactly.
+// TestMemberExportImportRoundTrip pins both legs of Reassign: a member told
+// it keeps the first of 4 positions hands back exactly the other positions'
+// key range (no double-reporting from stale copies), a Reassign with imports
+// merges the tuples back restoring the monotone-seq store invariant, and the
+// continued op stream still matches the oracle exactly.
 func TestMemberExportImportRoundTrip(t *testing.T) {
 	const wr, ws = 96, 96
 	rng := rand.New(rand.NewSource(99))
@@ -242,8 +243,8 @@ func TestMemberExportImportRoundTrip(t *testing.T) {
 	applyAll(m, orc.ops[:firstOps], rng)
 
 	before := m.Resident()
-	const cutLo, cutHi = uint32(1 << 30), uint32(3 << 30)
-	out := m.ExportRange(cutLo, cutHi)
+	const cutLo, cutHi = uint32(1 << 30), ^uint32(0)
+	out := m.Reassign(0, 4, nil)
 	for _, wt := range out {
 		if wt.Key < cutLo || wt.Key > cutHi {
 			t.Fatalf("exported key %#x outside [%#x, %#x]", wt.Key, cutLo, cutHi)
@@ -253,7 +254,7 @@ func TestMemberExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("resident %d + exported %d != before %d", m.Resident(), len(out), before)
 	}
 	// The export must contain every tuple the oracle still considers live in
-	// the range, and no other: Quiesce evicted every store to the member's
+	// the range, and no other: quiesce evicted every store to the member's
 	// frontier (here every op went to this member, so it is the oracle's),
 	// and the export runs at that frontier.
 	got := make(map[[2]uint64]bool, len(out))
@@ -280,9 +281,12 @@ func TestMemberExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("exported %d tuples, oracle has %d live in range", len(out), wantLive)
 	}
 
-	// Round-trip: import the same tuples back, then continue the stream. The
-	// merged stores must behave exactly as if the handoff never happened.
-	m.Import(out)
+	// Round-trip: import the same tuples back under a one-node map, then
+	// continue the stream. The merged stores must behave exactly as if the
+	// handoff never happened.
+	if back := m.Reassign(0, 1, out); len(back) != 0 {
+		t.Fatalf("sole node handed back %d tuples", len(back))
+	}
 	if m.Resident() != before {
 		t.Fatalf("resident %d after re-import, want %d", m.Resident(), before)
 	}
@@ -291,8 +295,9 @@ func TestMemberExportImportRoundTrip(t *testing.T) {
 	sink.compare(t, orc.expected)
 }
 
-// TestMemberExportWithoutImportDrops pins the removal half alone: after an
-// export, probes must no longer see the departed tuples.
+// TestMemberExportWithoutImportDrops pins the removal half alone: after a
+// Reassign to a position past the map (a leaving node), probes must no longer
+// see the departed tuples.
 func TestMemberExportWithoutImportDrops(t *testing.T) {
 	const w = 64
 	rng := rand.New(rand.NewSource(5))
@@ -305,7 +310,7 @@ func TestMemberExportWithoutImportDrops(t *testing.T) {
 	m := NewMember(MemberConfig{Shards: 2, WR: w, WS: w, Index: join.IndexBTree}, sink.onResult)
 	applyAll(m, orc.ops, rng)
 
-	out := m.ExportRange(0, ^uint32(0))
+	out := m.Reassign(1, 1, nil)
 	if m.Resident() != 0 {
 		t.Fatalf("resident %d after full-domain export", m.Resident())
 	}
@@ -333,7 +338,7 @@ func TestMemberExportWithoutImportDrops(t *testing.T) {
 
 // TestMemberExportSkipsExpired pins the handoff frontier. A sub-shard that
 // saw no op since its tuples left the window still holds them, under a
-// watermark that lags. The export must filter at the member's frontier, the
+// watermark that lags. Reassign must filter at the member's frontier, the
 // highest watermark any sub-shard applied, and hand off none of them.
 func TestMemberExportSkipsExpired(t *testing.T) {
 	const w, n = 4, 100
@@ -352,13 +357,13 @@ func TestMemberExportSkipsExpired(t *testing.T) {
 		ops = append(ops, Op{Insert: true, Key: key, Seq: seq, TE: te})
 	}
 	m.Apply(ops)
-	if out := m.ExportRange(1<<31, ^uint32(0)); len(out) != 0 {
+	if out := m.Reassign(0, 2, nil); len(out) != 0 { // hands off [2^31, 2^32)
 		t.Fatalf("exported %d tuples that expired at the frontier %d: %+v", len(out), n-w, out)
 	}
 	if got := m.Resident(); got != w {
 		t.Fatalf("resident %d after the export, want the %d live tuples", got, w)
 	}
-	if out := m.ExportRange(0, 1<<31-1); len(out) != w || out[0].Seq != n-w {
+	if out := m.Reassign(2, 2, nil); len(out) != w || out[0].Seq != n-w {
 		t.Fatalf("export of the live half returned %+v, want seqs %d..%d", out, n-w, n-1)
 	}
 }

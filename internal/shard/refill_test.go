@@ -88,8 +88,8 @@ func TestRefillKeepsMergeTotals(t *testing.T) {
 		if n0 == 0 {
 			t.Fatal("no merge ran")
 		}
-		m.Import(m.ExportRange(1<<30, 3<<30))
+		m.Reassign(0, 1, m.Reassign(0, 4, nil))
 		n1, d1 := engineMerges(m.engines)
-		same(t, "ExportRange + Import", n0, n1, d0, d1)
+		same(t, "Reassign out + Reassign in", n0, n1, d0, d1)
 	})
 }

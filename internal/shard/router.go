@@ -390,7 +390,7 @@ func (r *Router) reshard(k int) {
 	cfg.Shards = k
 	engines, lanes := newEngines(cfg, k)
 	wms := r.frontiers()
-	window, moved := gather(r.engines, cfg.Self, wms, nil), 0
+	window, moved := r.gather(wms, nil), 0
 	for _, t := range window {
 		if Clamp(r.part.ShardOf(t.Key), len(r.engines)) != Clamp(part.ShardOf(t.Key), k) {
 			moved++

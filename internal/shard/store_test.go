@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -189,9 +190,10 @@ func (h *storeHarness) checkAll() {
 	if got := s.liveFrom(wm); got != s.tail+uint64(from) {
 		h.t.Fatalf("liveFrom(%d) = position %d, want %d", wm, got-s.tail, from)
 	}
-	out := h.e.live(0, wm, nil)
-	if len(out) != len(live)-from {
-		h.t.Fatalf("live(%d) returned %d tuples, want %d", wm, len(out), len(live)-from)
+	n, walk := h.e.live(0, wm)
+	out := slices.Collect(walk)
+	if len(out) != len(live)-from || n != len(out) {
+		h.t.Fatalf("live(%d) counted %d and yielded %d tuples, want %d", wm, n, len(out), len(live)-from)
 	}
 	for i, t := range out {
 		want := live[from+i]
