@@ -1,26 +1,46 @@
 package shard
 
 import (
-	"bytes"
+	"cmp"
+	"math"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"pimtree/internal/join"
+	"pimtree/internal/kv"
 	"pimtree/internal/stream"
 	"pimtree/internal/wal"
 )
 
 // referenceState is what a snapshot epoch must write, built the slow way:
 // every stored tuple tested against its slot's frontier one by one, slot by
-// slot, shard by shard, in store order. Workers must be quiescent.
-func referenceState(r *Router) *wal.State {
+// slot, shard by shard, in store order. A keyless store's key is looked up
+// by ref among every entry of the slot's index, stale ones included: no two
+// entries of an index share a ref. Workers must be quiescent.
+func referenceState(t *testing.T, r *Router) *wal.State {
+	t.Helper()
 	st := &wal.State{Heads: r.heads, WMs: r.frontiers(), MaxTS: r.reorderMaxTS(), Floor: r.reorderFloor()}
 	for slot := 0; slot < storeSlots(r.cfg.Self); slot++ {
 		for _, e := range r.engines {
-			s := e.stores[slot]
+			s, keys := e.stores[slot], map[uint32]uint32{}
+			e.idxs[slot].QueryPairs(0, math.MaxUint32, func(ps []kv.Pair) bool {
+				for _, p := range ps {
+					keys[p.Ref] = p.Key
+				}
+				return true
+			})
 			for i := s.tail; i < s.head; i++ {
 				key, seq, ts := s.at(i)
+				if !s.keyed {
+					k, ok := keys[uint32(seq)]
+					if !ok {
+						t.Fatalf("slot %d: resident seq %d has no index entry", slot, seq)
+					}
+					key = k
+				}
 				by := seq // the column eviction compares with the frontier
 				if s.timed {
 					by = ts
@@ -32,6 +52,36 @@ func referenceState(r *Router) *wal.State {
 			}
 		}
 	}
+	return st
+}
+
+// snapshotContent reads a snapshot file back the way recovery does, alone in
+// a fresh directory of a log opened with opts, with its tuples sorted by
+// stream and sequence: a snapshot's tuple order is not part of its contract.
+func snapshotContent(t *testing.T, opts wal.Options, data []byte) *wal.State {
+	t.Helper()
+	fs := wal.NewMemFS()
+	opts.Dir, opts.FS = "/wal", fs
+	if err := fs.MkdirAll(opts.Dir); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create(opts.Dir + "/snap-000000000001.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := wal.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(st.Tuples, func(a, b wal.Tuple) int {
+		return cmp.Or(cmp.Compare(a.Stream, b.Stream), cmp.Compare(a.Seq, b.Seq))
+	})
 	return st
 }
 
@@ -55,11 +105,12 @@ func newestSnapshot(t *testing.T, fs *wal.MemFS) []byte {
 }
 
 // TestWALSnapshotMatchesReference: a snapshot epoch streams the live window
-// straight from the store columns, and the file it writes is byte-identical
-// to WriteSnapshot of the reference state — in count, timed and self-join
-// shape. Each run ends with arrivals that touch shard 0 only, so shard 1
-// still stores tuples the global frontier has passed, which the snapshot
-// must leave out.
+// straight from each slot's extract (see engine.live), and the file it
+// writes holds what WriteSnapshot of the reference state holds — the same
+// size, and the same state when each is read back alone, tuples compared
+// as a sorted multiset — in count, timed and self-join shape. Each run ends
+// with arrivals that touch shard 0 only, so shard 1 still stores tuples the
+// global frontier has passed, which the snapshot must leave out.
 func TestWALSnapshotMatchesReference(t *testing.T) {
 	const w, n = 512, 4000
 	// Keys are doubled to span both shards' halves of the key domain.
@@ -72,7 +123,7 @@ func TestWALSnapshotMatchesReference(t *testing.T) {
 	}{
 		{
 			name: "count",
-			cfg:  Config{WR: w, WS: w / 2},
+			cfg:  Config{WR: w, WS: w / 2, Index: join.IndexPIMTree},
 			opts: wal.Options{WR: w, WS: w / 2},
 			run: func(r *Router) {
 				for _, a := range stream.NewInterleaver(1, stream.NewUniform(2), stream.NewUniform(3), 0.5).Take(n) {
@@ -102,7 +153,7 @@ func TestWALSnapshotMatchesReference(t *testing.T) {
 		},
 		{
 			name: "self",
-			cfg:  Config{WR: w, Self: true},
+			cfg:  Config{WR: w, Self: true, Index: join.IndexPIMTree},
 			opts: wal.Options{WR: w, WS: w, Self: true},
 			run: func(r *Router) {
 				for _, a := range stream.NewSelfStream(stream.NewUniform(9)).Take(n) {
@@ -131,7 +182,7 @@ func TestWALSnapshotMatchesReference(t *testing.T) {
 			r.walSnapshot()
 			got := newestSnapshot(t, fs)
 
-			ref := referenceState(r)
+			ref := referenceState(t, r)
 			stored := 0
 			for slot := 0; slot < storeSlots(r.cfg.Self); slot++ {
 				for _, e := range r.engines {
@@ -150,8 +201,18 @@ func TestWALSnapshotMatchesReference(t *testing.T) {
 			if err := refLog.WriteSnapshot(ref); err != nil {
 				t.Fatal(err)
 			}
-			if want := newestSnapshot(t, refFS); !bytes.Equal(got, want) {
-				t.Fatalf("router snapshot is %d bytes and differs from the reference's %d", len(got), len(want))
+			want := newestSnapshot(t, refFS)
+			if len(got) != len(want) {
+				t.Fatalf("router snapshot is %d bytes, the reference's %d", len(got), len(want))
+			}
+			gotSt, wantSt := snapshotContent(t, c.opts, got), snapshotContent(t, c.opts, want)
+			if wantSt.Heads != ref.Heads || len(wantSt.Tuples) != len(ref.Tuples) {
+				t.Fatalf("the reference snapshot reads back heads %v and %d tuples, want %v and %d",
+					wantSt.Heads, len(wantSt.Tuples), ref.Heads, len(ref.Tuples))
+			}
+			if !reflect.DeepEqual(gotSt, wantSt) {
+				t.Fatalf("router snapshot reads back as heads %v, wms %v and %d tuples, differing from the reference's %v, %v and %d",
+					gotSt.Heads, gotSt.WMs, len(gotSt.Tuples), wantSt.Heads, wantSt.WMs, len(wantSt.Tuples))
 			}
 		})
 	}
@@ -159,31 +220,35 @@ func TestWALSnapshotMatchesReference(t *testing.T) {
 
 // TestWALSnapshotAllocation pins the snapshot epoch's memory: with 2^16 live
 // tuples over two shards on the operating system's filesystem, one epoch
-// allocates under 1 MiB — at most one encoded chunk, nothing per tuple.
+// allocates under 1 MiB — at most one encoded chunk, nothing per tuple —
+// whether it reads keyed stores (B+-Tree) or keyless stores' indexes
+// (PIM-Tree).
 func TestWALSnapshotAllocation(t *testing.T) {
 	const w = 1 << 15
-	log, _, err := wal.Open(wal.Options{Dir: t.TempDir(), WR: w, WS: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRouter(Config{Shards: 2, WR: w, WS: w, Band: join.Band{Diff: 2 * stream.UniformDiff(w, 2)}, WAL: log}, 0)
-	defer r.Close()
-	for _, a := range stream.NewInterleaver(1, stream.NewUniform(2), stream.NewUniform(3), 0.5).Take(4 * w) {
-		a.Key <<= 1 // over the whole domain, so both shards hold half the window
-		r.Push(a)
-	}
-	r.Drain()
-	if n, _ := r.liveWindow(r.frontiers()); n != 2*w {
-		t.Fatalf("%d live tuples, want full windows of %d", n, 2*w)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	r.walSnapshot()
-	runtime.ReadMemStats(&after)
-	if s := log.Stats().Snapshot(); s.Snapshots != 1 || s.WriteErrors != 0 {
-		t.Fatalf("snapshots=%d write errors=%d, want 1 and 0", s.Snapshots, s.WriteErrors)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("one snapshot epoch allocated %d bytes, want < 1 MiB", got)
+	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexPIMTree} {
+		log, _, err := wal.Open(wal.Options{Dir: t.TempDir(), WR: w, WS: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewRouter(Config{Shards: 2, WR: w, WS: w, Band: join.Band{Diff: 2 * stream.UniformDiff(w, 2)}, Index: kind, WAL: log}, 0)
+		for _, a := range stream.NewInterleaver(1, stream.NewUniform(2), stream.NewUniform(3), 0.5).Take(4 * w) {
+			a.Key <<= 1 // over the whole domain, so both shards hold half the window
+			r.Push(a)
+		}
+		r.Drain()
+		if n, _ := r.liveWindow(r.frontiers()); n != 2*w {
+			t.Fatalf("%v: %d live tuples, want full windows of %d", kind, n, 2*w)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.walSnapshot()
+		runtime.ReadMemStats(&after)
+		r.Close()
+		if s := log.Stats().Snapshot(); s.Snapshots != 1 || s.WriteErrors != 0 {
+			t.Fatalf("%v: snapshots=%d write errors=%d, want 1 and 0", kind, s.Snapshots, s.WriteErrors)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%v: one snapshot epoch allocated %d bytes, want < 1 MiB", kind, got)
+		}
 	}
 }

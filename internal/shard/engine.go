@@ -3,6 +3,7 @@ package shard
 import (
 	"cmp"
 	"iter"
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -107,7 +108,7 @@ func (e *engine) installSlot(slot int, wm uint64) {
 	// w sizes the delta-merge thresholds exactly as in the unsharded joins
 	// (per-shard indexes hold fewer entries, so merges are rarer).
 	idx := join.NewIndex(e.cfg.Index, w, 0, e.cfg.PIM)
-	st, live := newStore(e.cfg.Timed), &liveRange{}
+	st, live := newStore(idx.Eager() || e.cfg.Timed, e.cfg.Timed), &liveRange{}
 	st.wm = wm
 	e.stores[slot], e.idxs[slot], e.evicts[slot] = st, idx, nil
 	live.keep = live.live
@@ -157,9 +158,9 @@ func (e *engine) insert(o *op) {
 // until the next merge, and once the stream has advanced 2^32 past it its ref
 // would read as live again. So no index outlives 2^31 sequences: when seq is
 // that far past the first sequence its store — installed with it — was given,
-// the slot is reindexed from the store before the tuple goes in. A merge could
-// not do this job: it filters with the same 32-bit compare, and a shard that
-// was cold for the whole gap meets the jump in one step.
+// the slot is reindexed with its residents before the tuple goes in. A merge
+// could not do this job: it filters with the same 32-bit compare, and a shard
+// that was cold for the whole gap meets the jump in one step.
 func (e *engine) add(slot int, key uint32, seq, ts uint64, at join.Located) {
 	if st := e.stores[slot]; st.head > 0 && seq-st.first >= maxSpan {
 		e.reindex(slot)
@@ -228,11 +229,11 @@ func (e *engine) maintainSlot(slot int) {
 }
 
 // reindex replaces a slot's index with one holding exactly its resident
-// tuples (see add).
+// tuples (see add), put back in the sequence order load needs.
 func (e *engine) reindex(slot int) {
 	wm := e.stores[slot].wm
 	_, walk := e.live(slot, wm)
-	e.load(slot, wm, slices.Collect(walk))
+	e.load(slot, wm, slices.SortedFunc(walk, func(a, b wal.Tuple) int { return cmp.Compare(a.Seq, b.Seq) }))
 }
 
 // merges sums merge statistics over both indexes, plus the merges of any
@@ -256,22 +257,52 @@ func (e *engine) updateResident() {
 }
 
 // live counts stream slot's tuples live at wm and returns a sequence that
-// yields them in sequence order, straight from the store chunks, each tagged
-// with the slot as its stream. Liveness is seq >= wm for count windows and
-// event time >= wm for timed ones (wm is then the timestamp watermark). This
-// is the one walk of a store's live tuples: reindex, gather and the WAL
-// snapshot all read through it. The worker must be quiescent (drain
-// barrier) until the sequence is consumed.
+// yields them, each tagged with the slot as its stream, copying nothing.
+// Liveness is seq >= wm for count windows and event time >= wm for timed ones
+// (wm is then the timestamp watermark). This is the one walk of a slot's live
+// tuples: reindex, gather and the WAL snapshot all read through it. The
+// worker must be quiescent (drain barrier) until the sequence is consumed.
+//
+// The count is the store's: the tuples at positions [liveFrom(wm), head). A
+// keyed store yields them from its own columns, in sequence order. A keyless
+// one has no keys to yield, so the walk reads the slot's index instead —
+// every entry, TS and TI alike, in the index's order (key order for the
+// two-stage trees) — and keeps an entry iff its ref lies in the live range,
+// the compare maintainSlot filters merges with, rebuilding its sequence from
+// the range's top. The range starts at the oldest live resident, not at wm:
+// a store whose own watermark is above wm has evicted tuples that its index
+// may still hold. Each resident has exactly one entry, so exactly the counted
+// tuples come out.
 func (e *engine) live(slot int, wm uint64) (int, iter.Seq[wal.Tuple]) {
 	st := e.stores[slot]
 	from := st.liveFrom(wm)
-	return int(st.head - from), func(yield func(wal.Tuple) bool) {
-		for i := from; i < st.head; i++ {
-			key, seq, ts := st.at(i)
-			if !yield(wal.Tuple{Stream: uint8(slot), Key: key, Seq: seq, TS: ts}) {
-				return
+	n := int(st.head - from)
+	if st.keyed {
+		return n, func(yield func(wal.Tuple) bool) {
+			for i := from; i < st.head; i++ {
+				key, seq, ts := st.at(i)
+				if !yield(wal.Tuple{Stream: uint8(slot), Key: key, Seq: seq, TS: ts}) {
+					return
+				}
 			}
 		}
+	}
+	if n == 0 {
+		return 0, func(func(wal.Tuple) bool) {}
+	}
+	last := st.seqAt(st.head - 1)
+	span, idx := uint32(last+1-st.seqAt(from)), e.idxs[slot]
+	return n, func(yield func(wal.Tuple) bool) {
+		idx.QueryPairs(0, math.MaxUint32, func(ps []kv.Pair) bool {
+			for _, p := range ps {
+				if age := uint32(last) - p.Ref; age < span {
+					if !yield(wal.Tuple{Stream: uint8(slot), Key: p.Key, Seq: last - uint64(age)}) {
+						return false
+					}
+				}
+			}
+			return true
+		})
 	}
 }
 
@@ -292,10 +323,10 @@ func (e *engine) load(slot int, wm uint64, tuples []wal.Tuple) {
 }
 
 // liveWindow counts the tuples of the pool's engines live at wms and returns
-// a sequence that yields them (see engine.live): slot, then shard, then
-// sequence order from each store's frontier wms[slot]. Nothing is copied, so
-// a snapshot costs no memory that grows with the window. The workers must be
-// quiescent.
+// a sequence that yields them (see engine.live): slot, then shard, then each
+// slot's extract in its own order, from the frontier wms[slot]. Nothing is
+// copied, so a snapshot costs no memory that grows with the window. The
+// workers must be quiescent.
 func (p *pool) liveWindow(wms [2]uint64) (int, iter.Seq[wal.Tuple]) {
 	n, walks := 0, []iter.Seq[wal.Tuple](nil)
 	for slot := 0; slot < storeSlots(p.engines[0].cfg.Self); slot++ {
@@ -331,7 +362,10 @@ func (p *pool) gather(wms [2]uint64, extra []wal.Tuple) []wal.Tuple {
 
 // deal loads every stream slot of engines at wms[slot] with the tuples of
 // window that part assigns it. window must be in sequence order per slot
-// (see gather). The engines must be quiescent.
+// (see gather). A slot whose store already holds exactly its share at that
+// watermark keeps its store and index, so a Member.Reassign rebuilds only the
+// slots that an export left or an import reached. The engines must be
+// quiescent.
 func deal(engines []*engine, part Partitioner, self bool, wms [2]uint64, window []wal.Tuple) {
 	k := len(engines)
 	parts := make([][]wal.Tuple, storeSlots(self)*k)
@@ -340,7 +374,9 @@ func deal(engines []*engine, part Partitioner, self bool, wms [2]uint64, window 
 		parts[b] = append(parts[b], t)
 	}
 	for b, tuples := range parts {
-		engines[b%k].load(b/k, wms[b/k], tuples)
+		if e, slot := engines[b%k], b/k; !e.stores[slot].holds(wms[slot], tuples) {
+			e.load(slot, wms[slot], tuples)
+		}
 	}
 }
 

@@ -190,7 +190,9 @@ func (m *Member) quiesce() [2]uint64 {
 // at or past nodes keeps nothing, which is how a leaving node is told.
 // Removal matters: a returned tuple belongs to another node, and a stale
 // copy here would still be hit by band probes and double-report matches.
-// The returned tuples are in sequence order per stream.
+// The returned tuples are in sequence order per stream. The sub-shard map is
+// the same before and after, so only the slots that lose an export or gain
+// an import differ from what they hold, and deal reloads only those.
 func (m *Member) Reassign(pos, nodes int, imports []wal.Tuple) []wal.Tuple {
 	wms := m.quiesce()
 	window, part := m.gather(wms, imports), NewRangePartitioner(nodes)
@@ -202,9 +204,7 @@ func (m *Member) Reassign(pos, nodes int, imports []wal.Tuple) []wal.Tuple {
 			exports = append(exports, t)
 		}
 	}
-	if len(exports)+len(imports) > 0 { // otherwise every slot already holds keep
-		deal(m.engines, m.part, m.self, wms, keep)
-	}
+	deal(m.engines, m.part, m.self, wms, keep)
 	return exports
 }
 

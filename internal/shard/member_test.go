@@ -367,3 +367,65 @@ func TestMemberExportSkipsExpired(t *testing.T) {
 		t.Fatalf("export of the live half returned %+v, want seqs %d..%d", out, n-w, n-1)
 	}
 }
+
+// TestMemberReassignKeepsUntouchedSlots: a Reassign rebuilds only the slots
+// that an export leaves or an import reaches. A 2-sub-shard member told it
+// keeps the upper half of the key domain hands back all of sub-shard 0, and
+// taking that back reaches sub-shard 0 only. Sub-shard 1 keeps its indexes
+// and its merge totals through both, and the continued stream still matches
+// the oracle.
+func TestMemberReassignKeepsUntouchedSlots(t *testing.T) {
+	const w = 192
+	rng := rand.New(rand.NewSource(5))
+	orc := newMemberOracle(join.Band{Diff: 1 << 26}, w, w, false, false, 0)
+	for i := 0; i < 6000; i++ {
+		orc.push(uint8(rng.Intn(2)), rng.Uint32(), 0)
+	}
+	cut := len(orc.ops) / 2
+	sink := newResultSink()
+	m := NewMember(MemberConfig{Shards: 2, WR: w, WS: w, Index: join.IndexPIMTree}, sink.onResult)
+	applyAll(m, orc.ops[:cut], rng)
+
+	e0, e1 := m.engines[0], m.engines[1]
+	idxs0, idxs1 := e0.idxs, e1.idxs
+	n1, d1 := e1.merges()
+	if n1 == 0 {
+		t.Fatal("no merge ran in sub-shard 1: its totals prove nothing")
+	}
+	untouched := func(what string) {
+		t.Helper()
+		if e1.idxs != idxs1 {
+			t.Fatalf("%s: sub-shard 1 was reloaded", what)
+		}
+		if n, d := e1.merges(); n != n1 || d != d1 {
+			t.Fatalf("%s: sub-shard 1's merge total %d (%v) became %d (%v)", what, n1, d1, n, d)
+		}
+	}
+
+	before := m.Resident()
+	out := m.Reassign(1, 2, nil)
+	if len(out) == 0 || m.Resident()+len(out) != before {
+		t.Fatalf("exported %d of %d resident, %d left", len(out), before, m.Resident())
+	}
+	for _, wt := range out {
+		if wt.Key >= 1<<31 {
+			t.Fatalf("exported key %#x from the kept half", wt.Key)
+		}
+	}
+	if e0.idxs[0] == idxs0[0] || e0.idxs[1] == idxs0[1] {
+		t.Fatal("sub-shard 0 handed its tuples back but kept an index")
+	}
+	untouched("Reassign(1, 2, nil)")
+
+	if back := m.Reassign(0, 1, out); len(back) != 0 {
+		t.Fatalf("sole node handed back %d tuples", len(back))
+	}
+	if m.Resident() != before {
+		t.Fatalf("resident %d after re-import, want %d", m.Resident(), before)
+	}
+	untouched("Reassign(0, 1, out)")
+
+	applyAll(m, orc.ops[cut:], rng)
+	m.Close()
+	sink.compare(t, orc.expected)
+}

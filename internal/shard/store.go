@@ -4,11 +4,12 @@ import (
 	"math"
 
 	"pimtree/internal/kv"
+	"pimtree/internal/wal"
 )
 
-// A store keeps its slots in fixed chunks of chunkSlots. A chunk's pairs are
-// exactly 32 KiB, the largest small-object size class, so a chunk costs what
-// its slots hold and no more.
+// A store keeps its slots in fixed chunks of chunkSlots, one array per column.
+// A chunk's refs and its keys are 16 KiB each and its times 32 KiB, every one
+// a small-object size class, so a chunk costs what its slots hold and no more.
 const (
 	chunkShift = 12
 	chunkSlots = 1 << chunkShift
@@ -22,24 +23,32 @@ const (
 // fit the 32-bit ref arithmetic (see maxSpan).
 const spanOverflow = "shard: live span overflow — a window may cover at most 2^31 sequences"
 
-// chunk is chunkSlots consecutive store slots. A slot is the tuple's index
-// entry — its key and its ref, the low 32 bits of its sequence — plus, in
-// timed stores, its event timestamp. base restores a slot's full sequence: it
+// chunk is chunkSlots consecutive store slots. A slot is the tuple's ref, the
+// low 32 bits of its sequence; in keyed stores also its key, and in timed
+// stores also its event timestamp. base restores a slot's full sequence: it
 // is at or below every resident's sequence, and within 2^32 of each.
 type chunk struct {
 	base  uint64
-	pairs *[chunkSlots]kv.Pair
+	refs  *[chunkSlots]uint32
+	keys  *[chunkSlots]uint32 // keyed stores only
 	times *[chunkSlots]uint64 // timed stores only
 }
 
 // seq returns the full sequence of slot j.
-func (c *chunk) seq(j uint64) uint64 { return c.base + uint64(c.pairs[j].Ref-uint32(c.base)) }
+func (c *chunk) seq(j uint64) uint64 { return c.base + uint64(c.refs[j]-uint32(c.base)) }
 
 // store holds one stream's tuples resident in one shard, appended in sequence
 // order and evicted from the tail as the global window watermark passes them.
-// It orders eviction and feeds migration, handoff and WAL snapshots; probes
-// never read it per candidate, because an index entry's ref is its tuple's
-// sequence, not its slot.
+// It orders eviction, counts the live tuples and bounds their sequences;
+// probes never read it per candidate, because an index entry's ref is its
+// tuple's sequence, not its slot.
+//
+// A store comes in two forms. A keyed one keeps each tuple's key beside its
+// ref: an eager index (the B+-Tree) removes each evicted entry by key, and a
+// timed store keeps the keys beside the event times, which no index holds. A
+// keyless one keeps refs only — 4 bytes a tuple — since a lazily pruned index
+// already holds every resident's (key, ref) entry, and engine.live reads the
+// keys from there.
 //
 // Slots are addressed by monotone positions [tail, head). Position i lives in
 // chunk i>>chunkShift, which sits at ring[(i>>chunkShift)&mask]: the ring holds
@@ -55,6 +64,7 @@ type store struct {
 	mask  uint64
 	free  [maxFree]chunk // emptied chunks kept for reuse; nfree are valid
 	nfree int
+	keyed bool
 	timed bool
 	head  uint64 // append position (monotone)
 	tail  uint64 // evict position (monotone)
@@ -62,7 +72,8 @@ type store struct {
 	wm    uint64 // highest eviction watermark applied (seq, or minTS when timed)
 }
 
-func newStore(timed bool) *store { return &store{timed: timed} }
+// newStore returns an empty store; a timed one must be keyed.
+func newStore(keyed, timed bool) *store { return &store{keyed: keyed, timed: timed} }
 
 // slot returns the chunk holding position i and i's slot in it.
 func (s *store) slot(i uint64) (*chunk, uint64) {
@@ -81,8 +92,9 @@ func (c *chunk) expired(j, wm uint64) bool {
 // evict drops tuples below the watermark from the tail — seq < wm, or event
 // time < wm in timed mode, where admission order is timestamp order and the
 // tail therefore holds the oldest event time — reporting each dropped
-// (key, ref) pair so eager-delete indexes can remove it. Each chunk the tail
-// leaves, and the last one when the store empties, is released.
+// (key, ref) pair so eager-delete indexes can remove it; onEvict must be nil
+// unless the store is keyed. Each chunk the tail leaves, and the last one when
+// the store empties, is released.
 func (s *store) evict(wm uint64, onEvict func(p kv.Pair)) {
 	for s.tail < s.head {
 		c, j := s.slot(s.tail)
@@ -90,7 +102,7 @@ func (s *store) evict(wm uint64, onEvict func(p kv.Pair)) {
 			break
 		}
 		if onEvict != nil {
-			onEvict(c.pairs[j])
+			onEvict(kv.Pair{Key: c.keys[j], Ref: c.refs[j]})
 		}
 		s.tail++
 		if s.tail&chunkMask == 0 || s.tail == s.head {
@@ -126,8 +138,8 @@ func (s *store) liveFrom(wm uint64) uint64 {
 	return i
 }
 
-// append stores a tuple (ts is kept in timed mode only). Sequences must
-// arrive in increasing order.
+// append stores a tuple (key is kept by keyed stores only, ts by timed ones).
+// Sequences must arrive in increasing order.
 func (s *store) append(key uint32, seq, ts uint64) {
 	if s.head == 0 {
 		s.first = seq
@@ -139,7 +151,10 @@ func (s *store) append(key uint32, seq, ts uint64) {
 	if seq-c.base > math.MaxUint32 {
 		s.rebase(c, seq)
 	}
-	c.pairs[j] = kv.Pair{Key: key, Ref: uint32(seq)}
+	c.refs[j] = uint32(seq)
+	if c.keys != nil {
+		c.keys[j] = key
+	}
 	if c.times != nil {
 		c.times[j] = ts
 	}
@@ -163,7 +178,10 @@ func (s *store) open(seq uint64) {
 		s.nfree--
 		c, s.free[s.nfree] = s.free[s.nfree], chunk{}
 	} else {
-		c.pairs = new([chunkSlots]kv.Pair)
+		c.refs = new([chunkSlots]uint32)
+		if s.keyed {
+			c.keys = new([chunkSlots]uint32)
+		}
 		if s.timed {
 			c.times = new([chunkSlots]uint64)
 		}
@@ -202,14 +220,32 @@ func (s *store) seqAt(i uint64) uint64 {
 	return c.seq(j)
 }
 
-// at returns the tuple stored at position i, which must be resident; ts is
-// zero unless the store is timed.
+// at returns the tuple stored at position i, which must be resident; key is
+// zero unless the store is keyed, ts zero unless it is timed.
 func (s *store) at(i uint64) (key uint32, seq, ts uint64) {
 	c, j := s.slot(i)
+	if c.keys != nil {
+		key = c.keys[j]
+	}
 	if c.times != nil {
 		ts = c.times[j]
 	}
-	return c.pairs[j].Key, c.seq(j), ts
+	return key, c.seq(j), ts
+}
+
+// holds reports whether the store's watermark is wm and its residents are
+// exactly tuples, in order. A sequence names one tuple of its stream, so
+// comparing sequences is enough.
+func (s *store) holds(wm uint64, tuples []wal.Tuple) bool {
+	if s.wm != wm || s.head-s.tail != uint64(len(tuples)) {
+		return false
+	}
+	for i, t := range tuples {
+		if s.seqAt(s.tail+uint64(i)) != t.Seq {
+			return false
+		}
+	}
+	return true
 }
 
 // span returns how far below hi the resident tuples reach: every stored

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pimtree/internal/kv"
 )
@@ -17,6 +18,10 @@ type storeModel struct {
 	timed bool
 	live  []storedTuple
 }
+
+// storeForms are the store shapes an engine builds: keyless under a lazily
+// pruned index, keyed under an eager one, and keyed and timed.
+var storeForms = []struct{ keyed, timed bool }{{false, false}, {true, false}, {true, true}}
 
 // by is the value eviction compares with the watermark.
 func (m *storeModel) by(t storedTuple) uint64 {
@@ -39,18 +44,30 @@ func (m *storeModel) liveFrom(wm uint64) int {
 // chunks its free list keeps.
 func chunkFootprint(s *store) (held, free int) {
 	for _, c := range s.ring {
-		if c.pairs != nil {
-			held += chunkSlots * slotBytes(s)
+		if c.refs != nil {
+			held += int(unsafe.Sizeof(*c.refs))
+		}
+		if c.keys != nil {
+			held += int(unsafe.Sizeof(*c.keys))
+		}
+		if c.times != nil {
+			held += int(unsafe.Sizeof(*c.times))
 		}
 	}
 	return held, s.nfree
 }
 
+// slotBytes is what one slot of s's form should cost: a ref, a key if keyed
+// and an event time if timed.
 func slotBytes(s *store) int {
-	if s.timed {
-		return kv.PairBytes + 8
+	n := 4
+	if s.keyed {
+		n += 4
 	}
-	return kv.PairBytes
+	if s.timed {
+		n += 8
+	}
+	return n
 }
 
 // storeHarness drives one store and its model through the same operations
@@ -67,9 +84,9 @@ type storeHarness struct {
 	coldJumps, rebaseJumps, empties, maxRing int
 }
 
-func newStoreHarness(t *testing.T, timed bool, seed int64) *storeHarness {
+func newStoreHarness(t *testing.T, keyed, timed bool, seed int64) *storeHarness {
 	h := &storeHarness{
-		t: t, rng: rand.New(rand.NewSource(seed)), s: newStore(timed),
+		t: t, rng: rand.New(rand.NewSource(seed)), s: newStore(keyed, timed),
 		m: storeModel{timed: timed}, e: &engine{},
 		// The sequences cross 2^32 within the first two chunks.
 		seq: 1<<32 - 5000, ts: 1 << 40,
@@ -106,6 +123,9 @@ func (h *storeHarness) append(jumps bool) {
 	}
 	t := storedTuple{h.rng.Uint32(), h.seq, h.ts}
 	h.s.append(t.key, t.seq, t.ts)
+	if !h.s.keyed {
+		t.key = 0 // what a keyless store reports
+	}
 	if !h.m.timed {
 		t.ts = 0 // what a count store reports
 	}
@@ -124,15 +144,20 @@ func (h *storeHarness) evict(n int) {
 
 func (h *storeHarness) evictTo(wm uint64) {
 	h.t.Helper()
-	h.evicted = h.evicted[:0]
-	h.s.evict(wm, func(p kv.Pair) { h.evicted = append(h.evicted, p) })
 	n := h.m.liveFrom(wm)
-	if len(h.evicted) != n {
-		h.t.Fatalf("evict(%d) dropped %d tuples, want %d", wm, len(h.evicted), n)
-	}
-	for i, p := range h.evicted {
-		if want := (kv.Pair{Key: h.m.live[i].key, Ref: uint32(h.m.live[i].seq)}); p != want {
-			h.t.Fatalf("evict(%d) reported %v as its #%d, want %v", wm, p, i, want)
+	if !h.s.keyed {
+		// A keyless store has no pairs to report, and takes no hook.
+		h.s.evict(wm, nil)
+	} else {
+		h.evicted = h.evicted[:0]
+		h.s.evict(wm, func(p kv.Pair) { h.evicted = append(h.evicted, p) })
+		if len(h.evicted) != n {
+			h.t.Fatalf("evict(%d) dropped %d tuples, want %d", wm, len(h.evicted), n)
+		}
+		for i, p := range h.evicted {
+			if want := (kv.Pair{Key: h.m.live[i].key, Ref: uint32(h.m.live[i].seq)}); p != want {
+				h.t.Fatalf("evict(%d) reported %v as its #%d, want %v", wm, p, i, want)
+			}
 		}
 	}
 	h.m.live = h.m.live[n:]
@@ -172,7 +197,8 @@ func (h *storeHarness) check() {
 }
 
 // checkAll compares every resident, liveFrom, live and span with the
-// model.
+// model. A keyless store's live walk reads its index, which the harness does
+// not build; TestEngineLiveFromIndex checks that walk.
 func (h *storeHarness) checkAll() {
 	h.t.Helper()
 	s, live := h.s, h.m.live
@@ -190,15 +216,17 @@ func (h *storeHarness) checkAll() {
 	if got := s.liveFrom(wm); got != s.tail+uint64(from) {
 		h.t.Fatalf("liveFrom(%d) = position %d, want %d", wm, got-s.tail, from)
 	}
-	n, walk := h.e.live(0, wm)
-	out := slices.Collect(walk)
-	if len(out) != len(live)-from || n != len(out) {
-		h.t.Fatalf("live(%d) counted %d and yielded %d tuples, want %d", wm, n, len(out), len(live)-from)
-	}
-	for i, t := range out {
-		want := live[from+i]
-		if t.Key != want.key || t.Seq != want.seq || t.TS != want.ts {
-			h.t.Fatalf("live #%d is %+v, want %+v", i, t, want)
+	if s.keyed {
+		n, walk := h.e.live(0, wm)
+		out := slices.Collect(walk)
+		if len(out) != len(live)-from || n != len(out) {
+			h.t.Fatalf("live(%d) counted %d and yielded %d tuples, want %d", wm, n, len(out), len(live)-from)
+		}
+		for i, t := range out {
+			want := live[from+i]
+			if t.Key != want.key || t.Seq != want.seq || t.TS != want.ts {
+				h.t.Fatalf("live #%d is %+v, want %+v", i, t, want)
+			}
 		}
 	}
 	if len(live) > 0 {
@@ -211,53 +239,62 @@ func (h *storeHarness) checkAll() {
 	}
 }
 
-// TestStoreModel drives count and timed stores through rounds that fill and
-// drain them, against the plain model. Dense rounds grow a store to up to six
-// chunks, so its pointer ring doubles; sparse rounds add sequence jumps past
-// 2^31 and 2^32. Every round ends empty or nearly so, and refills.
+// TestStoreModel drives keyless, keyed and timed stores through rounds that
+// fill and drain them, against the plain model. Dense rounds grow a store to
+// up to six chunks, so its pointer ring doubles; sparse rounds add sequence
+// jumps past 2^31 and 2^32. Every round ends empty or nearly so, and refills.
 func TestStoreModel(t *testing.T) {
 	for _, timed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("timed=%v", timed), func(t *testing.T) {
-			h := newStoreHarness(t, timed, 3)
-			for round := 0; round < 12; round++ {
-				// A dense round fills to a target; a sparse one, whose jumps
-				// keep emptying the store, runs a fixed number of operations.
-				jumps := round%2 == 1
-				target, budget := 1+h.rng.Intn(6*chunkSlots), math.MaxInt
-				if jumps {
-					target, budget = math.MaxInt, 3*chunkSlots
+			for _, f := range storeForms {
+				if f.timed == timed {
+					t.Run(fmt.Sprintf("keyed=%v", f.keyed), func(t *testing.T) { driveStoreModel(t, f.keyed, f.timed) })
 				}
-				for ops := 0; len(h.m.live) < target && ops < budget; ops++ {
-					if h.rng.Intn(3) == 0 {
-						h.evict(h.rng.Intn(3))
-					} else {
-						h.append(jumps)
-					}
-					if ops%1009 == 0 {
-						h.checkAll()
-					}
-				}
-				floor := 0
-				if round%4 == 3 {
-					floor = h.rng.Intn(16)
-				}
-				for ops := 0; len(h.m.live) > floor; ops++ {
-					if h.rng.Intn(3) == 0 {
-						h.append(jumps)
-					} else {
-						h.evict(min(h.rng.Intn(200), len(h.m.live)-floor))
-					}
-					if ops%61 == 0 {
-						h.checkAll()
-					}
-				}
-				h.checkAll()
-			}
-			if h.coldJumps == 0 || h.rebaseJumps == 0 || h.empties < 4 || h.maxRing < 8 || h.s.head < 1<<16 {
-				t.Fatalf("%d cold jumps, %d jumps over residents, %d empties, ring up to %d, %d appends: the run missed a case",
-					h.coldJumps, h.rebaseJumps, h.empties, h.maxRing, h.s.head)
 			}
 		})
+	}
+}
+
+// driveStoreModel is one TestStoreModel run over a store of the given form.
+func driveStoreModel(t *testing.T, keyed, timed bool) {
+	h := newStoreHarness(t, keyed, timed, 3)
+	for round := 0; round < 12; round++ {
+		// A dense round fills to a target; a sparse one, whose jumps
+		// keep emptying the store, runs a fixed number of operations.
+		jumps := round%2 == 1
+		target, budget := 1+h.rng.Intn(6*chunkSlots), math.MaxInt
+		if jumps {
+			target, budget = math.MaxInt, 3*chunkSlots
+		}
+		for ops := 0; len(h.m.live) < target && ops < budget; ops++ {
+			if h.rng.Intn(3) == 0 {
+				h.evict(h.rng.Intn(3))
+			} else {
+				h.append(jumps)
+			}
+			if ops%1009 == 0 {
+				h.checkAll()
+			}
+		}
+		floor := 0
+		if round%4 == 3 {
+			floor = h.rng.Intn(16)
+		}
+		for ops := 0; len(h.m.live) > floor; ops++ {
+			if h.rng.Intn(3) == 0 {
+				h.append(jumps)
+			} else {
+				h.evict(min(h.rng.Intn(200), len(h.m.live)-floor))
+			}
+			if ops%61 == 0 {
+				h.checkAll()
+			}
+		}
+		h.checkAll()
+	}
+	if h.coldJumps == 0 || h.rebaseJumps == 0 || h.empties < 4 || h.maxRing < 8 || h.s.head < 1<<16 {
+		t.Fatalf("%d cold jumps, %d jumps over residents, %d empties, ring up to %d, %d appends: the run missed a case",
+			h.coldJumps, h.rebaseJumps, h.empties, h.maxRing, h.s.head)
 	}
 }
 
@@ -274,8 +311,8 @@ func TestStoreSpanGuard(t *testing.T) {
 		}()
 		f()
 	}
-	for _, timed := range []bool{false, true} {
-		s := newStore(timed)
+	for _, f := range storeForms {
+		s := newStore(f.keyed, f.timed)
 		s.append(1, 10, 1)
 		s.append(2, 10+1<<31-1, 2)
 		if got := s.span(10 + 1<<31); got != 1<<31 {
@@ -287,7 +324,7 @@ func TestStoreSpanGuard(t *testing.T) {
 
 		// Across a chunk edge each chunk keeps its own base, and span still
 		// sees the whole range.
-		s = newStore(timed)
+		s = newStore(f.keyed, f.timed)
 		for i := uint64(0); i < chunkSlots; i++ {
 			s.append(uint32(i), i, i)
 		}
@@ -302,9 +339,9 @@ func TestStoreSpanGuard(t *testing.T) {
 // TestStoreSteadyStateAllocs: a store sliding a fixed window across chunk
 // edges reuses its freed chunks and allocates nothing.
 func TestStoreSteadyStateAllocs(t *testing.T) {
-	for _, timed := range []bool{false, true} {
+	for _, f := range storeForms {
 		const live = 3*chunkSlots + 123
-		s := newStore(timed)
+		s := newStore(f.keyed, f.timed)
 		seq := uint64(1<<32 - 2*chunkSlots)
 		step := func() {
 			s.evict(seq-live+1, nil) // seq doubles as the event time
@@ -315,10 +352,10 @@ func TestStoreSteadyStateAllocs(t *testing.T) {
 			step()
 		}
 		if allocs := testing.AllocsPerRun(4*chunkSlots, step); allocs != 0 {
-			t.Fatalf("timed=%v: append+evict allocates %.2f times per call in steady state", timed, allocs)
+			t.Fatalf("%+v: append+evict allocates %.2f times per call in steady state", f, allocs)
 		}
 		if got := s.head - s.tail; got != live {
-			t.Fatalf("timed=%v: %d residents, want %d", timed, got, live)
+			t.Fatalf("%+v: %d residents, want %d", f, got, live)
 		}
 	}
 }

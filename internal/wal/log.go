@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"iter"
@@ -483,7 +484,9 @@ func (g *Log) recover() (*State, error) {
 		}
 		st.Tuples = kept
 	}
-	sort.Slice(st.Tuples, func(i, j int) bool { return st.Tuples[i].Seq < st.Tuples[j].Seq })
+	// A snapshot's tuples come in whatever order its writer walked them (a
+	// shard's index yields key order), so this is a full sort.
+	slices.SortFunc(st.Tuples, func(a, b Tuple) int { return cmp.Compare(a.Seq, b.Seq) })
 	g.stats.ReplayNanos.Add(uint64(time.Since(start)))
 	return st, nil
 }
