@@ -52,14 +52,10 @@
 //     shard count, migrating live window contents into a fresh striped
 //     shard set.
 //
-//   - Index: the PIM-Tree as a standalone concurrent sliding-window index —
-//     a two-stage structure whose immutable component serves lock-free
-//     lookups while inserts go to range-partitioned B+-Trees, with periodic
-//     delta merges replacing per-tuple deletes.
-//
-// The time-based variants — TimeJoin (the serial reference) and
-// ModeShardedTime (the parallel runtime) — realize the paper's Section 2.1
-// time-window extension and add out-of-order event-time ingestion: setting
+// The time-based variants — TimeJoin (the strict serial reference, whose
+// timestamps must not decrease) and ModeShardedTime (the runtime, at any
+// Shards, 1 included) — realize the paper's Section 2.1 time-window
+// extension. ModeShardedTime adds out-of-order event-time ingestion: setting
 // a LatePolicy (plus a Slack) admits disordered arrivals through a
 // watermark-driven reorder buffer, joining any input whose disorder stays
 // within Slack exactly like its timestamp-sorted equivalent. Tuples later

@@ -160,7 +160,8 @@ type Config struct {
 	Backend Backend
 	// Index tunes the two-stage backends. A zero MergeRatio defaults to the
 	// serial 1/16 — the sharded modes' per-shard indexes are single-writer.
-	// Open rejects the values NewIndex rejects.
+	// Open rejects a MergeRatio outside (0, 1] and a negative
+	// InsertionDepth.
 	Index IndexOptions
 
 	// Shards, BatchSize, and Partitioner shape the sharded modes (defaults:

@@ -50,11 +50,10 @@ func TestValidationUniform(t *testing.T) {
 		}
 		return err
 	}
-	// indexOpts is NewIndex's verdict on opt beside Open's in every mode:
-	// the two constructors share one IndexOptions check.
+	// indexOpts is Open's verdict on opt in every mode: the modes share one
+	// IndexOptions check.
 	indexOpts := func(opt pimtree.IndexOptions) map[string]error {
 		return map[string]error{
-			"NewIndex":          errOf2(pimtree.NewIndex(64, opt)),
 			"Open/serial":       openErr(pimtree.Config{Mode: pimtree.ModeSerial, WindowR: 4, WindowS: 4, Index: opt}),
 			"Open/sharded":      openErr(pimtree.Config{Mode: pimtree.ModeSharded, WindowR: 4, WindowS: 4, Index: opt}),
 			"Open/sharded-time": openErr(pimtree.Config{Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8, Index: opt}),
@@ -95,7 +94,6 @@ func TestValidationUniform(t *testing.T) {
 		{
 			name: "slack without policy",
 			errs: map[string]error{
-				"NewTimeJoin": errOf2(pimtree.NewTimeJoin(pimtree.TimeJoinOptions{Span: 10, Slack: 5})),
 				"Open": openErr(pimtree.Config{
 					Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8, Slack: 5,
 				}),
@@ -104,9 +102,6 @@ func TestValidationUniform(t *testing.T) {
 		{
 			name: "LateCall without OnLate",
 			errs: map[string]error{
-				"NewTimeJoin": errOf2(pimtree.NewTimeJoin(pimtree.TimeJoinOptions{
-					Span: 10, LatePolicy: pimtree.LateCall,
-				})),
 				"Open": openErr(pimtree.Config{
 					Mode: pimtree.ModeShardedTime, Span: 10, MaxLive: 8, LatePolicy: pimtree.LateCall,
 				}),

@@ -181,21 +181,6 @@ func ExampleQuantilePartition() {
 	// Output: shards: 4 tuples: 10000
 }
 
-// ExampleNewIndex uses the PIM-Tree directly as a sliding-window index.
-func ExampleNewIndex() {
-	ix, _ := pimtree.NewIndex(1024, pimtree.IndexOptions{MergeRatio: 0.5})
-	for i := uint32(0); i < 10; i++ {
-		ix.Insert(i*10, i) // key, window reference
-	}
-	var keys []uint32
-	ix.Search(25, 55, func(key, ref uint32) bool {
-		keys = append(keys, key)
-		return true
-	})
-	fmt.Println(keys)
-	// Output: [30 40 50]
-}
-
 // ExampleNewTimeJoin demonstrates the time-based window extension.
 func ExampleNewTimeJoin() {
 	j, _ := pimtree.NewTimeJoin(pimtree.TimeJoinOptions{
@@ -208,30 +193,6 @@ func ExampleNewTimeJoin() {
 	// Output:
 	// 1
 	// 0
-}
-
-// ExampleNewTimeJoin_outOfOrder enables buffered out-of-order ingestion: a
-// LatePolicy plus a Slack lets event times arrive disordered. Tuples are
-// joined in timestamp order as the watermark (largest observed timestamp
-// minus Slack) releases them; Flush drains the buffer at end-of-stream, and
-// tuples later than the slack follow the policy.
-func ExampleNewTimeJoin_outOfOrder() {
-	j, _ := pimtree.NewTimeJoin(pimtree.TimeJoinOptions{
-		Span:       100,
-		Diff:       0,
-		Slack:      20, // tolerate up to 20 units of disorder
-		LatePolicy: pimtree.LateDrop,
-	})
-	j.Push(pimtree.R, 7, 50)
-	j.Push(pimtree.S, 7, 60) // arrives before the R tuple below...
-	j.Push(pimtree.R, 9, 45) // ...but only 15 late: admitted in ts order
-	j.Push(pimtree.S, 9, 47) // watermark is 40; 47 is admissible too
-	flushed := j.Flush()     // drain the reorder buffer
-	fmt.Println("matches:", j.Matches(), "of which at flush:", flushed)
-	fmt.Println("late dropped:", j.LateDropped(), "max disorder:", j.MaxObservedDisorder())
-	// Output:
-	// matches: 2 of which at flush: 2
-	// late dropped: 0 max disorder: 15
 }
 
 // ExampleEngine_PushTimed runs the sharded time-window join over disordered

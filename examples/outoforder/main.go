@@ -1,11 +1,11 @@
 // Out-of-order ingestion: event-time streams never arrive perfectly sorted
 // — network jitter, retries, and multi-source fan-in all disorder them. This
 // demo builds a timestamp-sorted workload, applies a bounded-disorder
-// shuffle, and shows the time-capable layers joining the shuffled stream
-// with exactly the match count of the sorted original, as long as the
-// configured Slack covers the disorder: the serial TimeJoin in buffered
-// mode, and the sharded-time engine driven through the streaming Engine API
-// (PushTimed + pull-side Matches). It then tightens the slack below the
+// shuffle, and shows the sharded-time engine joining the shuffled stream
+// with exactly the match count of the strict TimeJoin over the sorted
+// original, as long as the configured Slack covers the disorder: at one
+// shard, and at the default shard count driven through the streaming Engine
+// API (PushTimed + pull-side Matches). It then tightens the slack below the
 // actual disorder and shows the late-tuple policy taking over.
 //
 // Run with:
@@ -46,22 +46,31 @@ func main() {
 	}
 	fmt.Printf("sorted oracle:       %d matches over %d tuples\n", oracle.Matches(), tuples)
 
-	// 1. Serial TimeJoin in buffered mode over the shuffled stream.
-	j, err := pimtree.NewTimeJoin(pimtree.TimeJoinOptions{
-		Span: span, Diff: diff, Slack: slack, LatePolicy: pimtree.LateDrop,
+	// 1. The sharded-time engine at one shard: disorder is admitted at the
+	// router and the join runs on a single worker.
+	one, err := pimtree.Open(pimtree.Config{
+		Mode: pimtree.ModeShardedTime, Shards: 1,
+		Span: span, MaxLive: maxLive, Diff: diff,
+		Slack: slack, LatePolicy: pimtree.LateDrop,
+		DiscardMatches: true, // count only; no match materialization
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, a := range shuffled {
-		j.Push(a.Stream, a.Key, a.TS)
+		if err := one.PushTimed(a.Stream, a.Key, a.TS); err != nil {
+			log.Fatal(err)
+		}
 	}
-	j.Flush()
-	fmt.Printf("TimeJoin (ooo):      %d matches, %d late, max disorder %d\n",
-		j.Matches(), j.LateDropped(), j.MaxObservedDisorder())
+	ost, err := one.Close(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("Engine, 1 shard:     %d matches, %d late, max disorder %d\n",
+		ost.Matches, ost.LateDropped, ost.MaxObservedDisorder)
 
-	// 2. The sharded-time engine: disorder is admitted at the router, and
-	// matches stream out through the pull side while tuples stream in.
+	// 2. The sharded-time engine at the default shard count: matches stream
+	// out through the pull side while tuples stream in.
 	e, err := pimtree.Open(pimtree.Config{
 		Mode: pimtree.ModeShardedTime,
 		Span: span, MaxLive: maxLive, Diff: diff,
@@ -88,13 +97,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Engine sharded-time: %d matches, %d late (%.2f Mtps, pull side saw %d)\n",
+	fmt.Printf("Engine, default:     %d matches, %d late (%.2f Mtps, pull side saw %d)\n",
 		st.Matches, st.LateDropped, st.Mtps, <-pulled)
 
-	if j.Matches() != oracle.Matches() || st.Matches != oracle.Matches() {
-		log.Fatal("runtimes disagreed with the sorted oracle")
+	if ost.Matches != oracle.Matches() || st.Matches != oracle.Matches() {
+		log.Fatal("an engine disagreed with the sorted oracle")
 	}
-	fmt.Println("both runtimes reproduced the sorted oracle exactly")
+	fmt.Println("both engines reproduced the sorted oracle exactly")
 
 	// Tighten the slack below the actual disorder: late tuples appear and
 	// follow the policy — here the side-channel callback.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -52,7 +53,7 @@ func TestBuildMergedWithConcurrentSearches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The merged tree must lock and count per subindex of its own TS.
-	if n := merged.Subindexes(); len(merged.locks) != n || len(merged.InsertCounts()) != n {
+	if n := len(merged.t.subs); len(merged.locks) != n || len(merged.InsertCounts()) != n {
 		t.Fatalf("merged tree has %d locks and %d counts for %d subindexes", len(merged.locks), len(merged.InsertCounts()), n)
 	}
 	// The source tree must be untouched.
@@ -75,8 +76,8 @@ func TestConcurrentQueryDuringHandoffChains(t *testing.T) {
 		pt.Insert(pair(rng.Uint32(), uint32(i)))
 	}
 	pt.MergeInPlace(alwaysLive)
-	if pt.Subindexes() < 4 {
-		t.Skipf("need several subindexes, got %d", pt.Subindexes())
+	if n := len(pt.t.subs); n < 4 {
+		t.Skipf("need several subindexes, got %d", n)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -144,5 +145,72 @@ func TestMergeUnderRepeatedCycles(t *testing.T) {
 	}
 	if merges, _ := pt.Merges(); merges < 40 {
 		t.Fatalf("expected many merges, got %d", merges)
+	}
+}
+
+// Insert and QueryPairs are safe for concurrent use. Writers insert disjoint
+// refs while readers scan ranges wide enough to cross subindex boundaries,
+// so each scan hands subindex locks over while writers hold them; no scan
+// may emit a key outside its range, and afterwards every inserted (key, ref)
+// is found exactly once.
+func TestSharedPIMTreeConcurrentInsertSearch(t *testing.T) {
+	const w, g, perWriter = 1 << 12, 4, 2000
+	pt := NewSharedPIMTree(w, PIMTreeConfig{InsertionDepth: 2}, false)
+	key := func(ref uint32) uint32 { return ref * 2654435761 } // spread over the domain
+	for ref := uint32(0); ref < w; ref++ {
+		pt.Insert(pair(key(ref), ref))
+	}
+	pt.MergeInPlace(alwaysLive)
+	if n := len(pt.t.subs); n < 2 {
+		t.Fatalf("%d subindexes after priming; the scans would never hand over", n)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < g; i++ {
+		wg.Add(2)
+		go func(first uint32) {
+			defer wg.Done()
+			for ref := first; ref < first+perWriter; ref++ {
+				pt.Insert(pair(key(ref), ref))
+			}
+		}(w + uint32(i)*perWriter)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < 300; n++ {
+				lo := rng.Uint32()
+				hi := lo + rng.Uint32()>>2
+				if hi < lo {
+					hi = math.MaxUint32
+				}
+				pt.QueryPairs(lo, hi, func(run []kv.Pair) bool {
+					for _, p := range run {
+						if p.Key < lo || p.Key > hi {
+							t.Errorf("QueryPairs(%d, %d) emitted key %d (ref %d)", lo, hi, p.Key, p.Ref)
+							return false
+						}
+					}
+					return true
+				})
+			}
+		}(int64(i))
+	}
+	wg.Wait()
+	seen := make(map[uint32]int)
+	pt.QueryPairs(0, math.MaxUint32, func(run []kv.Pair) bool {
+		for _, p := range run {
+			if p.Key != key(p.Ref) {
+				t.Fatalf("ref %d found under key %d, inserted under %d", p.Ref, p.Key, key(p.Ref))
+			}
+			seen[p.Ref]++
+		}
+		return true
+	})
+	for ref := uint32(0); ref < w+g*perWriter; ref++ {
+		if seen[ref] != 1 {
+			t.Fatalf("ref %d found %d times, want once", ref, seen[ref])
+		}
+	}
+	if len(seen) != w+g*perWriter {
+		t.Fatalf("%d refs found, want %d", len(seen), w+g*perWriter)
 	}
 }

@@ -570,8 +570,8 @@ func TestPIMTreeSingleLockAblation(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if pt.Len() != 4000 {
-		t.Fatalf("Len = %d, want 4000", pt.Len())
+	if n := pt.settled().Len(); n != 4000 {
+		t.Fatalf("Len = %d, want 4000", n)
 	}
 	if n := len(query(t, pt, 0, 20000)); n != 4000 {
 		t.Fatalf("query found %d, want 4000", n)

@@ -100,15 +100,6 @@ func (s *SharedPIMTree) lockedScan(start int, lo, hi uint32, emit func([]kv.Pair
 // NeedsMerge reports whether TI has reached the merge threshold.
 func (s *SharedPIMTree) NeedsMerge() bool { return s.tiLen.Load() >= int64(s.t.threshold) }
 
-// Len returns TI+TS element count (including expired-but-unmerged elements).
-func (s *SharedPIMTree) Len() int { return int(s.tiLen.Load()) + s.t.ts.Len() }
-
-// Subindexes returns the current number of TI partitions.
-func (s *SharedPIMTree) Subindexes() int { return len(s.t.subs) }
-
-// Memory reports the footprint, as PIMTree.Memory.
-func (s *SharedPIMTree) Memory() MemoryStats { return s.t.Memory() }
-
 // settled returns the wrapped tree with its TI count brought up to date.
 // Callers hold inserts off.
 func (s *SharedPIMTree) settled() *PIMTree {

@@ -60,7 +60,7 @@ type Reorderer struct {
 	// smaller timestamp into the release order.
 	floor uint64
 
-	arrivals    uint64
+	arrivals    uint64 // pushes so far: the heap's tie-break between equal timestamps
 	lateDropped uint64
 	maxDisorder uint64
 }
@@ -185,9 +185,6 @@ func (r *Reorderer) drain(wm uint64, emit func(Tuple)) {
 
 // Pending returns the number of buffered (not yet released) tuples.
 func (r *Reorderer) Pending() int { return len(r.heaps[0]) + len(r.heaps[1]) }
-
-// Arrivals returns the number of tuples pushed so far.
-func (r *Reorderer) Arrivals() uint64 { return r.arrivals }
 
 // LateDropped returns the number of late tuples not admitted to the output
 // (Drop discards plus Call hand-offs).

@@ -13,11 +13,14 @@ import (
 //
 // Tuples carry logical timestamps (any monotonically non-decreasing uint64,
 // e.g. nanoseconds). A tuple is live while now - ts < span. Because the
-// population of a time window is unbounded, the ring grows on demand; refs
-// remain stable because growth re-homes tuples by sequence number.
+// population of a time window is unbounded, the ring grows on demand. A
+// reference names a tuple by sequence, not by slot: it is the low 32 bits of
+// the sequence number, the slot is seq & mask, and the sequence is rebuilt
+// from head. Growth therefore only copies, and every reference an index
+// holds stays valid across it, for as long as fewer than 2^32 tuples are
+// live.
 type TimeRing struct {
 	keys  []uint32
-	seqs  []uint64
 	times []uint64
 	mask  uint64
 	span  uint64
@@ -38,27 +41,21 @@ func NewTimeRing(span uint64, initialCap int) *TimeRing {
 	capacity := pow2Ceil(uint64(initialCap))
 	return &TimeRing{
 		keys:  make([]uint32, capacity),
-		seqs:  make([]uint64, capacity),
 		times: make([]uint64, capacity),
 		mask:  capacity - 1,
 		span:  span,
 	}
 }
 
-// Span returns the window duration in timestamp units.
-func (r *TimeRing) Span() uint64 { return r.span }
-
 // Count returns the number of live tuples.
 func (r *TimeRing) Count() int { return int(r.head - r.tail) }
-
-// Now returns the largest timestamp observed.
-func (r *TimeRing) Now() uint64 { return r.now }
 
 // NextSeq returns the sequence number the next Append will assign.
 func (r *TimeRing) NextSeq() uint64 { return r.head }
 
 // Append inserts a tuple with timestamp ts (must be >= every prior ts) and
 // invokes onExpire for every tuple that the advancing time front evicts.
+// The returned ref is uint32(seq).
 func (r *TimeRing) Append(key uint32, ts uint64, onExpire func(kv.Pair)) (ref uint32, seq uint64) {
 	if ts < r.now {
 		panic(fmt.Sprintf("window: timestamp %d regressed below %d", ts, r.now))
@@ -69,12 +66,10 @@ func (r *TimeRing) Append(key uint32, ts uint64, onExpire func(kv.Pair)) (ref ui
 		r.grow()
 	}
 	seq = r.head
-	ref = uint32(seq & r.mask)
-	r.keys[ref] = key
-	r.seqs[ref] = seq
-	r.times[ref] = ts
+	r.keys[seq&r.mask] = key
+	r.times[seq&r.mask] = ts
 	r.head = seq + 1
-	return ref, seq
+	return uint32(seq), seq
 }
 
 // AdvanceTime moves the time front without inserting (e.g. on a heartbeat),
@@ -87,61 +82,47 @@ func (r *TimeRing) AdvanceTime(ts uint64, onExpire func(kv.Pair)) {
 	r.evict(onExpire)
 }
 
+// evict drops the tuples the time front has passed, so that every sequence
+// in [tail, head) is inside the window.
 func (r *TimeRing) evict(onExpire func(kv.Pair)) {
 	for r.tail < r.head {
-		ref := uint32(r.tail & r.mask)
-		if r.now-r.times[ref] < r.span {
+		slot := r.tail & r.mask
+		if r.now-r.times[slot] < r.span {
 			break
 		}
 		if onExpire != nil {
-			onExpire(kv.Pair{Key: r.keys[ref], Ref: ref})
+			onExpire(kv.Pair{Key: r.keys[slot], Ref: uint32(r.tail)})
 		}
 		r.tail++
 	}
 }
 
-// grow doubles the ring, re-homing live tuples so that ref = seq & newMask.
+// grow doubles the ring, copying each live tuple to slot seq & newMask.
 func (r *TimeRing) grow() {
 	newCap := uint64(len(r.keys)) * 2
 	keys := make([]uint32, newCap)
-	seqs := make([]uint64, newCap)
 	times := make([]uint64, newCap)
 	for s := r.tail; s < r.head; s++ {
-		oldRef := s & r.mask
-		newRef := s & (newCap - 1)
-		keys[newRef] = r.keys[oldRef]
-		seqs[newRef] = r.seqs[oldRef]
-		times[newRef] = r.times[oldRef]
+		keys[s&(newCap-1)] = r.keys[s&r.mask]
+		times[s&(newCap-1)] = r.times[s&r.mask]
 	}
-	r.keys, r.seqs, r.times = keys, seqs, times
+	r.keys, r.times = keys, times
 	r.mask = newCap - 1
 }
 
-// Get resolves a ring reference.
+// seq rebuilds the sequence number ref names: the one in (head-2^32, head]
+// whose low 32 bits are ref. Where head is below 2^32 and ref is not, the
+// subtraction wraps to a sequence at or above head, which no live tuple has.
+func (r *TimeRing) seq(ref uint32) uint64 { return r.head - uint64(uint32(r.head)-ref) }
+
+// Get resolves a ring reference to its tuple's key and sequence number.
 func (r *TimeRing) Get(ref uint32) (key uint32, seq uint64) {
-	return r.keys[ref], r.seqs[ref]
+	seq = r.seq(ref)
+	return r.keys[seq&r.mask], seq
 }
 
-// Live reports whether the tuple currently at ref is inside the window.
+// Live reports whether the tuple ref names is inside the window.
 func (r *TimeRing) Live(ref uint32) bool {
-	seq := r.seqs[ref]
-	return seq >= r.tail && seq < r.head && r.now-r.times[ref] < r.span
+	seq := r.seq(ref)
+	return seq >= r.tail && seq < r.head
 }
-
-// Scan invokes emit for every live tuple in arrival order.
-func (r *TimeRing) Scan(emit func(key uint32, seq uint64, ts uint64) bool) {
-	for s := r.tail; s < r.head; s++ {
-		ref := s & r.mask
-		if !emit(r.keys[ref], s, r.times[ref]) {
-			return
-		}
-	}
-}
-
-// Note: growth invalidates the ref = seq & mask mapping for indexes built
-// before the growth. The time-based IBWJ driver therefore reindexes on
-// growth; NeedsReindex exposes the capacity so callers can detect it.
-func (r *TimeRing) NeedsReindex(prevCap int) bool { return len(r.keys) != prevCap }
-
-// Capacity returns the current ring capacity.
-func (r *TimeRing) Capacity() int { return len(r.keys) }

@@ -18,7 +18,8 @@
 // two forms. The keyed one (NewRing) stores each tuple's key and reports the
 // expired one to an eagerly deleting index. The keyless one (NewKeylessRing)
 // stores nothing: the indexes that prune lazily at merge time ask the window
-// only for liveness and sequence numbers.
+// only for liveness and sequence numbers. A TimeRing's reference is
+// uint32(seq) whatever its capacity, so it survives the ring's growth.
 package window
 
 import (

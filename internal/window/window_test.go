@@ -202,27 +202,53 @@ func TestTimeRingAdvanceTime(t *testing.T) {
 
 func TestTimeRingGrowth(t *testing.T) {
 	r := NewTimeRing(1<<40, 16)
-	prevCap := r.Capacity()
 	for i := 0; i < 1000; i++ {
 		r.Append(uint32(i), uint64(i), nil)
 	}
 	if r.Count() != 1000 {
 		t.Fatalf("Count = %d, want 1000", r.Count())
 	}
-	if !r.NeedsReindex(prevCap) {
+	if len(r.keys) == 16 {
 		t.Fatal("ring should have grown")
 	}
-	// All tuples remain addressable in order after growth.
-	i := 0
-	r.Scan(func(key uint32, seq uint64, ts uint64) bool {
-		if key != uint32(i) || seq != uint64(i) || ts != uint64(i) {
-			t.Fatalf("tuple %d = (%d,%d,%d)", i, key, seq, ts)
+	// All tuples remain addressable by their refs after growth.
+	for i := 0; i < 1000; i++ {
+		key, seq := r.Get(uint32(i))
+		if key != uint32(i) || seq != uint64(i) || !r.Live(uint32(i)) {
+			t.Fatalf("tuple %d = (%d,%d), live %v", i, key, seq, r.Live(uint32(i)))
 		}
-		i++
-		return true
-	})
-	if i != 1000 {
-		t.Fatalf("scanned %d, want 1000", i)
+	}
+}
+
+// A reference taken after the ring has wrapped, and so naming a slot other
+// than its sequence, still resolves to the same tuple after several
+// doublings; an expired tuple's reference stays dead.
+func TestTimeRingRefsSurviveGrowth(t *testing.T) {
+	r := NewTimeRing(8, 16)
+	var old uint32
+	for i := 0; i < 30; i++ {
+		old, _ = r.Append(uint32(1000+i), uint64(i), nil)
+	}
+	last, _ := r.Append(1030, 30, nil) // seq 30; the ring holds ts 23..30
+	expired := old - 7                 // seq 22: ts 22 left the window at ts 30
+	for i := 0; i < 200; i++ {
+		r.Append(uint32(2000+i), 30, nil) // same timestamp: the ring must grow
+	}
+	if len(r.keys) < 128 {
+		t.Fatalf("ring holds %d slots after 208 live tuples, want several doublings", len(r.keys))
+	}
+	for _, c := range []struct {
+		ref uint32
+		key uint32
+		seq uint64
+	}{{old, 1029, 29}, {last, 1030, 30}} {
+		key, seq := r.Get(c.ref)
+		if key != c.key || seq != c.seq || !r.Live(c.ref) {
+			t.Fatalf("ref %d resolves to (%d,%d), live %v; want (%d,%d), live", c.ref, key, seq, r.Live(c.ref), c.key, c.seq)
+		}
+	}
+	if r.Live(expired) {
+		t.Fatalf("expired ref %d reported live", expired)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"pimtree/internal/ooo"
 )
 
-// LatePolicy selects how the time-based joins treat tuples that arrive later
+// LatePolicy selects how ModeShardedTime treats tuples that arrive later
 // than Slack allows — their event time is already below the watermark
 // (largest observed timestamp minus Slack), so admitting them as-is would
 // regress the join's clock. Any policy other than LateNone switches the
@@ -20,7 +20,7 @@ type LatePolicy uint8
 const (
 	// LateNone keeps the strict contract: the caller guarantees
 	// timestamp-ordered input and no reorder buffering happens. This is the
-	// zero value and the pre-existing behavior of the time-based APIs.
+	// zero value, and the only contract TimeJoin has.
 	LateNone LatePolicy = iota
 	// LateDrop discards tuples later than Slack (counted by LateDropped).
 	LateDrop
@@ -60,8 +60,7 @@ func (p LatePolicy) oooPolicy() ooo.Policy {
 	}
 }
 
-// validateLate checks the out-of-order knobs shared by the two time-based
-// entry points (TimeJoin and ModeShardedTime).
+// validateLate checks Config's out-of-order knobs.
 func validateLate(p LatePolicy, slack uint64, onLate func(TimedArrival, uint64)) error {
 	switch p {
 	case LateNone:

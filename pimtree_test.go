@@ -10,65 +10,12 @@ import (
 	"pimtree/internal/stream"
 )
 
-func TestIndexBasics(t *testing.T) {
-	ix, err := NewIndex(1024, IndexOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 500; i++ {
-		ix.Insert(i*3, i)
-	}
-	if ix.Len() != 500 {
-		t.Fatalf("Len = %d, want 500", ix.Len())
-	}
-	n := 0
-	ix.Search(30, 60, func(key, ref uint32) bool {
-		if key < 30 || key > 60 {
-			t.Fatalf("out-of-range key %d", key)
-		}
-		n++
-		return true
-	})
-	if n != 11 {
-		t.Fatalf("Search found %d, want 11", n)
-	}
-}
-
-func TestIndexMaintain(t *testing.T) {
-	ix, err := NewIndex(100, IndexOptions{MergeRatio: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint32(0); i < 100; i++ {
-		ix.Insert(i, i)
-	}
-	if !ix.NeedsMaintenance() {
-		t.Fatal("index should need maintenance at threshold")
-	}
-	d := ix.Maintain(func(ref uint32) bool { return ref >= 50 })
-	if d <= 0 {
-		t.Fatal("maintenance duration not measured")
-	}
-	if ix.Len() != 50 {
-		t.Fatalf("Len = %d after filtered merge, want 50", ix.Len())
-	}
-	if ix.Subindexes() < 1 {
-		t.Fatal("no subindexes after merge")
-	}
-	m := ix.Memory()
-	if m.ImmutableLeafBytes <= 0 {
-		t.Fatalf("memory stats missing: %+v", m)
-	}
-}
-
+// Open rejects out-of-range Config.Index values in the sharded mode too.
 func TestIndexValidation(t *testing.T) {
-	if _, err := NewIndex(0, IndexOptions{}); err == nil {
-		t.Fatal("zero window accepted")
-	}
-	if _, err := NewIndex(10, IndexOptions{MergeRatio: 2}); err == nil {
+	if _, err := Open(Config{Mode: ModeSharded, WindowR: 10, WindowS: 10, Index: IndexOptions{MergeRatio: 2}}); err == nil {
 		t.Fatal("merge ratio > 1 accepted")
 	}
-	if _, err := NewIndex(10, IndexOptions{InsertionDepth: -1}); err == nil {
+	if _, err := Open(Config{Mode: ModeSharded, WindowR: 10, WindowS: 10, Index: IndexOptions{InsertionDepth: -1}}); err == nil {
 		t.Fatal("negative DI accepted")
 	}
 }

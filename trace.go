@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -71,15 +72,25 @@ func ReadArrivalsCSV(r io.Reader) ([]Arrival, error) {
 }
 
 // WriteArrivalsCSV writes arrivals in the format ReadArrivalsCSV parses, so
-// synthetic workloads can be captured and replayed byte-identically.
+// synthetic workloads can be captured and replayed byte-identically. A trace
+// in which any arrival has a non-zero TS is written as `stream,key,ts` on
+// every line (the form pimjoin's timed -stdin mode requires); any other as
+// `stream,key`.
 func WriteArrivalsCSV(w io.Writer, arrivals []Arrival) error {
+	timed := slices.ContainsFunc(arrivals, func(a Arrival) bool { return a.TS != 0 })
 	bw := bufio.NewWriter(w)
 	for _, a := range arrivals {
 		tag := "R"
 		if a.Stream == S {
 			tag = "S"
 		}
-		if _, err := fmt.Fprintf(bw, "%s,%d\n", tag, a.Key); err != nil {
+		var err error
+		if timed {
+			_, err = fmt.Fprintf(bw, "%s,%d,%d\n", tag, a.Key, a.TS)
+		} else {
+			_, err = fmt.Fprintf(bw, "%s,%d\n", tag, a.Key)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -34,23 +34,40 @@ func TestReadArrivalsCSVErrors(t *testing.T) {
 	}
 }
 
+// A trace round-trips through the CSV form: a count trace as `stream,key`
+// lines, a timed one with its timestamps as a third field.
 func TestCSVRoundTrip(t *testing.T) {
-	orig := Interleave(5, UniformSource(1), UniformSource(2), 0.5, 500)
-	var buf bytes.Buffer
-	if err := WriteArrivalsCSV(&buf, orig); err != nil {
-		t.Fatal(err)
+	count := Interleave(5, UniformSource(1), UniformSource(2), 0.5, 500)
+	timed := make([]Arrival, len(count))
+	for i, a := range TimestampArrivals(6, count, 4) {
+		timed[i] = Arrival{Stream: a.Stream, Key: a.Key, TS: a.TS}
 	}
-	back, err := ReadArrivalsCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(orig) {
-		t.Fatalf("round trip length %d vs %d", len(back), len(orig))
-	}
-	for i := range orig {
-		if back[i] != orig[i] {
-			t.Fatalf("arrival %d changed: %+v vs %+v", i, back[i], orig[i])
-		}
+	for _, c := range []struct {
+		name   string
+		orig   []Arrival
+		fields int
+	}{{"count", count, 2}, {"timed", timed, 3}} {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteArrivalsCSV(&buf, c.orig); err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(buf.String(), ","); n != (c.fields-1)*len(c.orig) {
+				t.Fatalf("%d commas over %d lines, want %d fields a line", n, len(c.orig), c.fields)
+			}
+			back, err := ReadArrivalsCSV(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(back) != len(c.orig) {
+				t.Fatalf("round trip length %d vs %d", len(back), len(c.orig))
+			}
+			for i := range c.orig {
+				if back[i] != c.orig[i] {
+					t.Fatalf("arrival %d changed: %+v vs %+v", i, back[i], c.orig[i])
+				}
+			}
+		})
 	}
 }
 
