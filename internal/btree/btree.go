@@ -398,15 +398,6 @@ func (t *Tree) SortedSlice() []kv.Pair {
 	return out
 }
 
-// Reset empties the tree in O(1), dropping all nodes.
-func (t *Tree) Reset() {
-	leaf := &node{leaf: true}
-	t.root = leaf
-	t.first = leaf
-	t.length = 0
-	t.freeLeaves = nil
-}
-
 // MemoryStats describes the heap footprint of the tree, for Figure 11a.
 type MemoryStats struct {
 	LeafBytes  int

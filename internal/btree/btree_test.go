@@ -319,21 +319,6 @@ func TestHeightGrowsLogarithmically(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tr := New()
-	for i := uint32(0); i < 100; i++ {
-		tr.Insert(pair(i, i))
-	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("Reset left Len=%d Height=%d", tr.Len(), tr.Height())
-	}
-	tr.Insert(pair(1, 1))
-	if !tr.Contains(pair(1, 1)) {
-		t.Fatal("tree unusable after Reset")
-	}
-}
-
 func TestSortedSlice(t *testing.T) {
 	tr := New()
 	rng := rand.New(rand.NewSource(5))

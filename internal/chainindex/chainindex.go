@@ -114,7 +114,11 @@ func (c *Chain) Insert(p kv.Pair, seq uint64) {
 func (c *Chain) archiveActive() {
 	a := archived{lastSeq: c.activeTop}
 	if c.variant == IBChain {
-		a.cs = cstree.Build(c.active.SortedSlice(), c.csConfig)
+		sorted := c.active.SortedSlice()
+		if !kv.IsSorted(sorted) {
+			panic("chainindex: archived subindex not sorted")
+		}
+		a.cs = cstree.Build(sorted, c.csConfig)
 		c.active = btree.New()
 	} else {
 		a.bt = c.active

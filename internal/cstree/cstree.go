@@ -68,14 +68,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Build constructs an immutable tree over sorted. The slice is retained (not
-// copied); callers hand over ownership, which is how the merge step avoids a
-// second copy of the merged run. Build panics if sorted is out of order.
+// Build constructs an immutable tree over sorted, which must be in (Key, Ref)
+// order. The slice is retained (not copied); callers hand over ownership,
+// which is how the merge step avoids a second copy of the merged run. Build
+// does not read sorted through to check its order: the merge's own pass
+// checks it (kv.MergeFiltered), and every other caller checks its input
+// before handing it over.
 func Build(sorted []kv.Pair, cfg Config) *Tree {
 	cfg = cfg.withDefaults()
-	if !kv.IsSorted(sorted) {
-		panic("cstree: Build input not sorted")
-	}
 	t := &Tree{
 		leaves:   sorted,
 		fanout:   cfg.Fanout,

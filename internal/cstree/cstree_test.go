@@ -68,15 +68,6 @@ func TestBuildSingleLeaf(t *testing.T) {
 	}
 }
 
-func TestBuildUnsortedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Build with unsorted input did not panic")
-		}
-	}()
-	Build([]kv.Pair{{Key: 2}, {Key: 1}}, Config{})
-}
-
 func TestLowerBoundExhaustive(t *testing.T) {
 	for _, cfg := range []Config{
 		{Fanout: 2, LeafSize: 2},

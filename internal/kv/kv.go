@@ -95,8 +95,14 @@ func Merge(a, b []Pair) []Pair {
 // is allocated once with room for survivors elements — the caller's count of
 // those live keeps, capped at len(a)+len(b) — and grows past it only if that
 // count was short, so a wrong count costs memory or copies, never results.
+//
+// The pass checks the order it merges in, and panics if a or b is not in
+// (Key, Ref) order: merging preserves each input's order, so the merged
+// sequence is sorted iff both inputs are. The result is therefore sorted
+// without a second read, which is what cstree.Build needs of it.
 func MergeFiltered(a, b []Pair, live func(Pair) bool, survivors int) []Pair {
 	out := make([]Pair, 0, min(survivors, len(a)+len(b)))
+	var last Pair // no pair is below the zero pair
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		var next Pair
@@ -107,22 +113,37 @@ func MergeFiltered(a, b []Pair, live func(Pair) bool, survivors int) []Pair {
 			next = b[j]
 			j++
 		}
+		if next.Less(last) {
+			panic(unsorted)
+		}
+		last = next
 		if live(next) {
 			out = append(out, next)
 		}
 	}
 	for ; i < len(a); i++ {
+		if a[i].Less(last) {
+			panic(unsorted)
+		}
+		last = a[i]
 		if live(a[i]) {
 			out = append(out, a[i])
 		}
 	}
 	for ; j < len(b); j++ {
+		if b[j].Less(last) {
+			panic(unsorted)
+		}
+		last = b[j]
 		if live(b[j]) {
 			out = append(out, b[j])
 		}
 	}
 	return out
 }
+
+// unsorted is MergeFiltered's panic on an input out of (Key, Ref) order.
+const unsorted = "kv: MergeFiltered input not sorted"
 
 // Filter returns the elements of sorted ps that satisfy live, preserving
 // order, in a new slice.

@@ -122,6 +122,36 @@ func TestMergeFilteredTails(t *testing.T) {
 	}
 }
 
+// TestMergeFilteredUnsortedPanics: the merge checks the order of both inputs
+// in its own pass — in the interleaved part and in either tail, and also where
+// the filter drops the elements out of order — so that a merged run handed to
+// cstree.Build needs no second read.
+func TestMergeFilteredUnsortedPanics(t *testing.T) {
+	all := func(Pair) bool { return true }
+	cases := []struct {
+		name string
+		a, b []Pair
+		live func(Pair) bool
+	}{
+		{"a, interleaved", []Pair{{2, 0}, {1, 0}, {9, 0}}, []Pair{{3, 0}}, all},
+		{"b, interleaved", []Pair{{5, 0}}, []Pair{{1, 0}, {3, 0}, {2, 0}, {6, 0}}, all},
+		{"a's tail", []Pair{{1, 0}, {7, 0}, {6, 0}}, []Pair{{2, 0}}, all},
+		{"b's tail", []Pair{{1, 0}}, []Pair{{3, 0}, {3, 2}, {3, 1}}, all},
+		{"b alone", nil, []Pair{{2, 0}, {1, 0}}, all},
+		{"dropped by the filter", []Pair{{4, 0}, {3, 0}}, nil, func(Pair) bool { return false }},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r != unsorted {
+					t.Fatalf("%s: recovered %v, want %q", c.name, r, unsorted)
+				}
+			}()
+			MergeFiltered(c.a, c.b, c.live, len(c.a)+len(c.b))
+		}()
+	}
+}
+
 func TestFilter(t *testing.T) {
 	ps := []Pair{{1, 0}, {2, 0}, {3, 0}, {4, 0}}
 	f := Filter(ps, func(p Pair) bool { return p.Key > 2 })

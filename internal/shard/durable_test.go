@@ -32,8 +32,9 @@ func referenceState(t *testing.T, r *Router) *wal.State {
 				}
 				return true
 			})
-			for i := s.tail; i < s.head; i++ {
-				key, seq, ts := s.at(i)
+			for c := s.begin(); c.pos < s.head; s.next(&c) {
+				key, ts := s.at(c.pos)
+				seq := c.seq
 				if !s.keyed {
 					k, ok := keys[uint32(seq)]
 					if !ok {

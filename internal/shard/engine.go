@@ -219,10 +219,7 @@ func (e *engine) maintain() {
 
 func (e *engine) maintainSlot(slot int) {
 	st, r := e.stores[slot], e.lives[slot]
-	var hi uint64 // one past the newest resident sequence; unused when empty
-	if st.tail < st.head {
-		hi = st.seqAt(st.head-1) + 1
-	}
+	hi := st.newest + 1 // one past the newest resident sequence; unused when empty
 	r.hi, r.span = uint32(hi), st.span(hi)
 	// Each resident has exactly one entry, and only residents are live.
 	e.idxs[slot].Maintain(r.keep, int(st.head-st.tail))
@@ -264,24 +261,24 @@ func (e *engine) updateResident() {
 // worker must be quiescent (drain barrier) until the sequence is consumed.
 //
 // The count is the store's: the tuples at positions [liveFrom(wm), head). A
-// keyed store yields them from its own columns, in sequence order. A keyless
-// one has no keys to yield, so the walk reads the slot's index instead —
-// every entry, TS and TI alike, in the index's order (key order for the
-// two-stage trees) — and keeps an entry iff its ref lies in the live range,
-// the compare maintainSlot filters merges with, rebuilding its sequence from
-// the range's top. The range starts at the oldest live resident, not at wm:
-// a store whose own watermark is above wm has evicted tuples that its index
-// may still hold. Each resident has exactly one entry, so exactly the counted
-// tuples come out.
+// keyed store yields them from its own columns by walking on from there, in
+// sequence order. A keyless one has no keys to yield, so the walk reads the
+// slot's index instead — every entry, TS and TI alike, in the index's order
+// (key order for the two-stage trees) — and keeps an entry iff its ref lies
+// in the live range, the compare maintainSlot filters merges with, rebuilding
+// its sequence from the range's top. The range starts at the oldest live
+// resident, not at wm: a store whose own watermark is above wm has evicted
+// tuples that its index may still hold. Each resident has exactly one entry,
+// so exactly the counted tuples come out.
 func (e *engine) live(slot int, wm uint64) (int, iter.Seq[wal.Tuple]) {
 	st := e.stores[slot]
 	from := st.liveFrom(wm)
-	n := int(st.head - from)
+	n := int(st.head - from.pos)
 	if st.keyed {
 		return n, func(yield func(wal.Tuple) bool) {
-			for i := from; i < st.head; i++ {
-				key, seq, ts := st.at(i)
-				if !yield(wal.Tuple{Stream: uint8(slot), Key: key, Seq: seq, TS: ts}) {
+			for c := from; c.pos < st.head; st.next(&c) {
+				key, ts := st.at(c.pos)
+				if !yield(wal.Tuple{Stream: uint8(slot), Key: key, Seq: c.seq, TS: ts}) {
 					return
 				}
 			}
@@ -290,8 +287,8 @@ func (e *engine) live(slot int, wm uint64) (int, iter.Seq[wal.Tuple]) {
 	if n == 0 {
 		return 0, func(func(wal.Tuple) bool) {}
 	}
-	last := st.seqAt(st.head - 1)
-	span, idx := uint32(last+1-st.seqAt(from)), e.idxs[slot]
+	last := st.newest
+	span, idx := uint32(last+1-from.seq), e.idxs[slot]
 	return n, func(yield func(wal.Tuple) bool) {
 		idx.QueryPairs(0, math.MaxUint32, func(ps []kv.Pair) bool {
 			for _, p := range ps {

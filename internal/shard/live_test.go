@@ -154,31 +154,49 @@ func TestEngineLiveFromIndex(t *testing.T) {
 	}
 }
 
-// TestShardStoreFootprint pins what a resident tuple costs a shard store: 4 B
-// under the PIM-Tree and the IM-Tree, whose stores keep no keys, 8 B under
-// the B+-Tree, which removes each evicted entry by key, and 16 B in a timed
-// store — plus, per stream per shard, at most 2 partly filled chunks in the
-// ring and 2 spare ones on the free list.
+// TestShardStoreFootprint pins what a resident tuple costs a shard store: a
+// 1-byte gap under the PIM-Tree and the IM-Tree, whose stores keep no keys,
+// 5 B under the B+-Tree, which removes each evicted entry by key, and 13 B in
+// a timed store — plus, per stream per shard, at most 2 partly filled chunks
+// in the ring and 2 spare ones on the free list, and 8 B per escaped gap (4 B
+// in a FIFO at most half full). Under uniform keys nothing escapes. The cold
+// row routes all but one arrival in 1024 to one stripe, so the other shard
+// holds a handful of residents far apart in sequence: there each resident
+// escapes but the oldest, and the store costs at most 9 B a resident plus the
+// one chunk of gaps its few positions share.
 func TestShardStoreFootprint(t *testing.T) {
 	const w = 1 << 16
 	cases := []struct {
 		name    string
+		w       int // tuples per stream in the window
 		cfg     Config
 		perSlot int
+		cold    bool
 	}{
-		{"PIM-Tree", Config{WR: w, WS: w, Index: join.IndexPIMTree}, 4},
-		{"IM-Tree", Config{WR: w, WS: w, Index: join.IndexIMTree}, 4},
-		{"B+-Tree", Config{WR: w, WS: w, Index: join.IndexBTree}, 8},
-		{"timed", Config{Timed: true, Span: 2 * w, MaxLive: 2 * w, Slack: 16, Index: join.IndexPIMTree}, 16},
+		{"PIM-Tree", w, Config{WR: w, WS: w, Index: join.IndexPIMTree}, 1, false},
+		{"IM-Tree", w, Config{WR: w, WS: w, Index: join.IndexIMTree}, 1, false},
+		{"B+-Tree", w, Config{WR: w, WS: w, Index: join.IndexBTree}, 5, false},
+		// A wider window, so that the 4 chunks of slack are a small part of
+		// the budget.
+		{"timed", 4 * w, Config{Timed: true, Span: 8 * w, MaxLive: 8 * w, Slack: 16, Index: join.IndexPIMTree}, 13, false},
+		{"cold shard", w / 2, Config{WR: w / 2, WS: w / 2, Index: join.IndexPIMTree}, 1, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
-			cfg.Shards, cfg.Band = 2, join.Band{Diff: 2 * stream.UniformDiff(w, 2)}
+			cfg.Shards, cfg.Band = 2, join.Band{Diff: 2 * stream.UniformDiff(c.w, 2)}
 			r := NewRouter(cfg, 0)
 			defer r.Close()
-			for i, a := range stream.NewInterleaver(1, stream.NewUniform(2), stream.NewUniform(3), 0.5).Take(3 * w) {
-				a.Key <<= 1 // over the whole domain, so both shards hold half the window
+			stripe := uint32(1 << 32 / uint64(r.part.(RangePartitioner).n)) // stripe 0 is shard 0's, stripe 1 shard 1's
+			for i, a := range stream.NewInterleaver(1, stream.NewUniform(2), stream.NewUniform(3), 0.5).Take(3 * c.w) {
+				switch {
+				case !c.cold:
+					a.Key <<= 1 // over the whole domain, so both shards hold half the window
+				case i%1024 == 0:
+					a.Key = stripe + a.Key%stripe
+				default:
+					a.Key %= stripe
+				}
 				if cfg.Timed {
 					r.PushTimed(uint8(a.Stream), a.Key, uint64(i))
 				} else {
@@ -189,10 +207,19 @@ func TestShardStoreFootprint(t *testing.T) {
 			for s, e := range r.engines {
 				for slot, st := range e.stores {
 					held, free := chunkFootprint(st)
-					resident := int(st.head - st.tail)
-					if budget := c.perSlot * (resident + 4*chunkSlots); resident < 4*chunkSlots || held+free*c.perSlot*chunkSlots > budget {
-						t.Fatalf("shard %d slot %d: %d residents hold %d chunk bytes and keep %d spare chunks, over %d B a slot (%d B)",
-							s, slot, resident, held, free, c.perSlot, budget)
+					esc, escBytes := escapes(st)
+					resident, cost := int(st.head-st.tail), held+free*c.perSlot*chunkSlots+escBytes
+					budget := c.perSlot*(resident+4*chunkSlots) + 8*esc
+					if c.cold && s == 1 {
+						if budget = 9*resident + c.perSlot*chunkSlots; resident == 0 || resident > 64 || esc == 0 {
+							t.Fatalf("cold shard slot %d holds %d residents with %d escapes: want a handful, escaped", slot, resident, esc)
+						}
+					} else if resident < 4*chunkSlots {
+						t.Fatalf("shard %d slot %d holds only %d residents", s, slot, resident)
+					}
+					if cost > budget {
+						t.Fatalf("shard %d slot %d: %d residents hold %d chunk bytes, %d spare chunks and %d escapes in %d B: %d B, over %d",
+							s, slot, resident, held, free, esc, escBytes, cost, budget)
 					}
 				}
 			}

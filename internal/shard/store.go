@@ -8,8 +8,8 @@ import (
 )
 
 // A store keeps its slots in fixed chunks of chunkSlots, one array per column.
-// A chunk's refs and its keys are 16 KiB each and its times 32 KiB, every one
-// a small-object size class, so a chunk costs what its slots hold and no more.
+// A chunk's gaps are 4 KiB, its keys 16 KiB and its times 32 KiB, every one a
+// small-object size class, so a chunk costs what its slots hold and no more.
 const (
 	chunkShift = 12
 	chunkSlots = 1 << chunkShift
@@ -23,19 +23,16 @@ const (
 // fit the 32-bit ref arithmetic (see maxSpan).
 const spanOverflow = "shard: live span overflow — a window may cover at most 2^31 sequences"
 
-// chunk is chunkSlots consecutive store slots. A slot is the tuple's ref, the
-// low 32 bits of its sequence; in keyed stores also its key, and in timed
-// stores also its event timestamp. base restores a slot's full sequence: it
-// is at or below every resident's sequence, and within 2^32 of each.
+// chunk is chunkSlots consecutive store slots. A slot is the tuple's gap, its
+// sequence minus the previous resident's; in keyed stores also its key, and
+// in timed stores also its event timestamp. A gap of 1–255 is its own byte;
+// 0 marks an escape, whose full gap waits in the store's escape FIFO. The
+// tail slot's gap is never read: the store keeps the tail's sequence whole.
 type chunk struct {
-	base  uint64
-	refs  *[chunkSlots]uint32
+	gaps  *[chunkSlots]uint8
 	keys  *[chunkSlots]uint32 // keyed stores only
 	times *[chunkSlots]uint64 // timed stores only
 }
-
-// seq returns the full sequence of slot j.
-func (c *chunk) seq(j uint64) uint64 { return c.base + uint64(c.refs[j]-uint32(c.base)) }
 
 // store holds one stream's tuples resident in one shard, appended in sequence
 // order and evicted from the tail as the global window watermark passes them.
@@ -44,11 +41,16 @@ func (c *chunk) seq(j uint64) uint64 { return c.base + uint64(c.refs[j]-uint32(c
 // tuple's sequence, not its slot.
 //
 // A store comes in two forms. A keyed one keeps each tuple's key beside its
-// ref: an eager index (the B+-Tree) removes each evicted entry by key, and a
+// gap: an eager index (the B+-Tree) removes each evicted entry by key, and a
 // timed store keeps the keys beside the event times, which no index holds. A
-// keyless one keeps refs only — 4 bytes a tuple — since a lazily pruned index
+// keyless one keeps gaps only — 1 byte a tuple — since a lazily pruned index
 // already holds every resident's (key, ref) entry, and engine.live reads the
 // keys from there.
+//
+// No reader needs a resident at random: eviction, liveFrom, holds and
+// engine.live walk the residents in order from the tail (see cursor), adding
+// up gaps from the cached tail sequence, and span and maintainSlot read only
+// the cached oldest and newest sequences.
 //
 // Slots are addressed by monotone positions [tail, head). Position i lives in
 // chunk i>>chunkShift, which sits at ring[(i>>chunkShift)&mask]: the ring holds
@@ -70,6 +72,14 @@ type store struct {
 	tail  uint64 // evict position (monotone)
 	first uint64 // seq of the first tuple ever appended (valid once head > 0)
 	wm    uint64 // highest eviction watermark applied (seq, or minTS when timed)
+	// oldest and newest are the sequences at tail and head-1, valid while the
+	// store is not empty.
+	oldest, newest uint64
+	// esc holds the full gaps of the escaped slots in (tail, head), in
+	// position order from esc[escAt]. Two residents of a store are never 2^32
+	// apart (append panics first), so a gap fits 32 bits.
+	esc   []uint32
+	escAt int
 }
 
 // newStore returns an empty store; a timed one must be keyed.
@@ -80,13 +90,40 @@ func (s *store) slot(i uint64) (*chunk, uint64) {
 	return &s.ring[(i>>chunkShift)&s.mask], i & chunkMask
 }
 
-// expired reports whether slot j of c lies below the watermark: its sequence,
-// or its event time when timed.
-func (c *chunk) expired(j, wm uint64) bool {
-	if c.times != nil {
-		return c.times[j] < wm
+// cursor is one step of a walk over a store's residents from the tail: a
+// position, the sequence stored there (valid while pos < head), and the
+// escape FIFO index of the next escaped gap past pos.
+type cursor struct {
+	pos, seq uint64
+	esc      int
+}
+
+// begin returns a cursor at the tail.
+func (s *store) begin() cursor { return cursor{s.tail, s.oldest, s.escAt} }
+
+// next moves c to the following position, adding its gap to the sequence.
+func (s *store) next(c *cursor) {
+	c.pos++
+	if c.pos == s.head {
+		return
 	}
-	return c.seq(j) < wm
+	ch, j := s.slot(c.pos)
+	g := uint64(ch.gaps[j])
+	if g == 0 {
+		g = uint64(s.esc[c.esc])
+		c.esc++
+	}
+	c.seq += g
+}
+
+// expired reports whether the resident at c lies below the watermark: its
+// sequence, or its event time when timed.
+func (s *store) expired(c cursor, wm uint64) bool {
+	if s.timed {
+		ch, j := s.slot(c.pos)
+		return ch.times[j] < wm
+	}
+	return c.seq < wm
 }
 
 // evict drops tuples below the watermark from the tail — seq < wm, or event
@@ -96,19 +133,18 @@ func (c *chunk) expired(j, wm uint64) bool {
 // unless the store is keyed. Each chunk the tail leaves, and the last one when
 // the store empties, is released.
 func (s *store) evict(wm uint64, onEvict func(p kv.Pair)) {
-	for s.tail < s.head {
-		c, j := s.slot(s.tail)
-		if !c.expired(j, wm) {
-			break
-		}
+	c := s.begin()
+	for c.pos < s.head && s.expired(c, wm) {
+		ch, j := s.slot(c.pos)
 		if onEvict != nil {
-			onEvict(kv.Pair{Key: c.keys[j], Ref: c.refs[j]})
+			onEvict(kv.Pair{Key: ch.keys[j], Ref: uint32(c.seq)})
 		}
-		s.tail++
-		if s.tail&chunkMask == 0 || s.tail == s.head {
-			s.release(c)
+		s.next(&c)
+		if c.pos&chunkMask == 0 || c.pos == s.head {
+			s.release(ch)
 		}
 	}
+	s.tail, s.oldest, s.escAt = c.pos, c.seq, c.esc
 	if wm > s.wm {
 		s.wm = wm
 	}
@@ -124,47 +160,68 @@ func (s *store) release(c *chunk) {
 	*c = chunk{}
 }
 
-// liveFrom returns the position of the oldest tuple at or above the
-// watermark, or head when there is none. Positions are in eviction order, the
-// order evict relies on, so the live tuples are exactly [liveFrom(wm), head).
-func (s *store) liveFrom(wm uint64) uint64 {
-	i := s.tail
-	for i < s.head {
-		if c, j := s.slot(i); !c.expired(j, wm) {
-			break
-		}
-		i++
+// liveFrom returns a cursor at the oldest tuple at or above the watermark, or
+// at head when there is none. Positions are in eviction order, the order
+// evict relies on, so the live tuples are exactly [liveFrom(wm).pos, head).
+func (s *store) liveFrom(wm uint64) cursor {
+	c := s.begin()
+	for c.pos < s.head && s.expired(c, wm) {
+		s.next(&c)
 	}
-	return i
+	return c
 }
 
 // append stores a tuple (key is kept by keyed stores only, ts by timed ones).
-// Sequences must arrive in increasing order.
+// Sequences must arrive in increasing order. A tuple 2^32 or more past the
+// newest resident could never be compared with it in 32-bit arithmetic:
+// panic, as span does.
 func (s *store) append(key uint32, seq, ts uint64) {
+	empty := s.tail == s.head
+	gap := seq - s.newest
+	if !empty && gap > math.MaxUint32 {
+		panic(spanOverflow)
+	}
 	if s.head == 0 {
 		s.first = seq
 	}
-	if s.head&chunkMask == 0 || s.tail == s.head {
-		s.open(seq)
+	if s.head&chunkMask == 0 || empty {
+		s.open()
 	}
 	c, j := s.slot(s.head)
-	if seq-c.base > math.MaxUint32 {
-		s.rebase(c, seq)
+	switch {
+	case empty:
+		s.oldest = seq // the tail's gap is never read
+	case gap < 1<<8:
+		c.gaps[j] = uint8(gap)
+	default:
+		c.gaps[j] = 0
+		s.escape(uint32(gap))
 	}
-	c.refs[j] = uint32(seq)
 	if c.keys != nil {
 		c.keys[j] = key
 	}
 	if c.times != nil {
 		c.times[j] = ts
 	}
+	s.newest = seq
 	s.head++
 }
 
-// open installs a chunk for position head, whose first tuple is seq: one
-// from the free list, or a new one. The ring doubles first if the chunks
-// overlapping [tail, head] would not fit it.
-func (s *store) open(seq uint64) {
+// escape queues the full gap of the slot being appended. A full FIFO first
+// moves its unread gaps down over the ones the tail has passed, so it grows
+// only when every gap it holds is a resident's.
+func (s *store) escape(gap uint32) {
+	if len(s.esc) == cap(s.esc) && s.escAt > 0 {
+		s.esc = s.esc[:copy(s.esc, s.esc[s.escAt:])]
+		s.escAt = 0
+	}
+	s.esc = append(s.esc, gap)
+}
+
+// open installs a chunk for position head: one from the free list, or a new
+// one. The ring doubles first if the chunks overlapping [tail, head] would
+// not fit it.
+func (s *store) open() {
 	n := s.head >> chunkShift
 	held := uint64(0)
 	if s.tail < s.head {
@@ -178,7 +235,7 @@ func (s *store) open(seq uint64) {
 		s.nfree--
 		c, s.free[s.nfree] = s.free[s.nfree], chunk{}
 	} else {
-		c.refs = new([chunkSlots]uint32)
+		c.gaps = new([chunkSlots]uint8)
 		if s.keyed {
 			c.keys = new([chunkSlots]uint32)
 		}
@@ -186,7 +243,6 @@ func (s *store) open(seq uint64) {
 			c.times = new([chunkSlots]uint64)
 		}
 	}
-	c.base = seq
 	s.ring[n&s.mask] = c
 }
 
@@ -202,27 +258,10 @@ func (s *store) grow() {
 	s.ring, s.mask = ring, mask
 }
 
-// rebase moves the head chunk's base up to its oldest resident so that seq
-// — more than 2^32 past the old base — can join it. Every resident stays
-// exact, since they all lie between the new base and seq. If seq is 2^32 or
-// more past that oldest resident, the store's residents could never be
-// compared in 32-bit arithmetic: panic, as span does.
-func (s *store) rebase(c *chunk, seq uint64) {
-	c.base = c.seq(max(s.tail, s.head&^chunkMask) & chunkMask)
-	if seq-c.base > math.MaxUint32 {
-		panic(spanOverflow)
-	}
-}
-
-// seqAt returns the sequence stored at position i, which must be resident.
-func (s *store) seqAt(i uint64) uint64 {
-	c, j := s.slot(i)
-	return c.seq(j)
-}
-
-// at returns the tuple stored at position i, which must be resident; key is
-// zero unless the store is keyed, ts zero unless it is timed.
-func (s *store) at(i uint64) (key uint32, seq, ts uint64) {
+// at returns the key and event time stored at position i, which must be
+// resident; key is zero unless the store is keyed, ts zero unless it is
+// timed. A cursor carries the position's sequence.
+func (s *store) at(i uint64) (key uint32, ts uint64) {
 	c, j := s.slot(i)
 	if c.keys != nil {
 		key = c.keys[j]
@@ -230,7 +269,7 @@ func (s *store) at(i uint64) (key uint32, seq, ts uint64) {
 	if c.times != nil {
 		ts = c.times[j]
 	}
-	return key, c.seq(j), ts
+	return key, ts
 }
 
 // holds reports whether the store's watermark is wm and its residents are
@@ -240,10 +279,12 @@ func (s *store) holds(wm uint64, tuples []wal.Tuple) bool {
 	if s.wm != wm || s.head-s.tail != uint64(len(tuples)) {
 		return false
 	}
-	for i, t := range tuples {
-		if s.seqAt(s.tail+uint64(i)) != t.Seq {
+	c := s.begin()
+	for _, t := range tuples {
+		if c.seq != t.Seq {
 			return false
 		}
+		s.next(&c)
 	}
 	return true
 }
@@ -257,7 +298,7 @@ func (s *store) span(hi uint64) uint32 {
 	if s.tail == s.head {
 		return 0
 	}
-	n := hi - s.seqAt(s.tail)
+	n := hi - s.oldest
 	if n > maxSpan {
 		panic(spanOverflow)
 	}
