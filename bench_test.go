@@ -16,6 +16,7 @@ import (
 
 	"pimtree"
 	"pimtree/internal/bench"
+	"pimtree/internal/chainindex"
 	"pimtree/internal/core"
 	"pimtree/internal/join"
 	"pimtree/internal/kv"
@@ -44,7 +45,7 @@ func tuples(b *testing.B) int {
 	return n
 }
 
-func report(b *testing.B, st join.Stats) {
+func report(b *testing.B, st interface{ Mtps() float64 }) {
 	b.ReportMetric(st.Mtps(), "Mtps")
 }
 
@@ -54,7 +55,7 @@ func BenchmarkFig08a_NLWJSingle(b *testing.B) {
 	w := 1 << 10 // NLWJ is O(w) per tuple
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.NLWJ(arr[:b.N], join.SerialConfig{WR: w, WS: w, Band: band(w)}))
+	report(b, paper.NLWJ(arr[:b.N], join.SerialConfig{WR: w, WS: w, Band: band(w)}))
 }
 
 func BenchmarkFig08a_NLWJRoundRobin(b *testing.B) {
@@ -67,7 +68,7 @@ func BenchmarkFig08a_NLWJRoundRobin(b *testing.B) {
 func BenchmarkFig08a_IBWJSingleBTree(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.IBWJSerial(arr[:b.N], join.SerialConfig{
+	report(b, paper.IBWJSerial(arr[:b.N], join.SerialConfig{
 		WR: benchWindow, WS: benchWindow, Band: band(benchWindow), Index: join.IndexBTree,
 	}))
 }
@@ -85,28 +86,27 @@ func BenchmarkFig08a_IBWJSharedBwTree(b *testing.B) {
 	b.ResetTimer()
 	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
-		Band: band(benchWindow), Index: join.IndexBwTree,
+		Band: band(benchWindow), Index: paper.BwTree,
 	}))
 }
 
 func BenchmarkFig08b_ChainIndex(b *testing.B) {
 	for _, cfg := range []struct {
-		name string
-		kind join.IndexKind
-		l    int
+		name    string
+		variant chainindex.Variant
+		l       int
 	}{
-		{"BChain_L2", join.IndexChainB, 2},
-		{"BChain_L8", join.IndexChainB, 8},
-		{"IBChain_L2", join.IndexChainIB, 2},
-		{"IBChain_L8", join.IndexChainIB, 8},
+		{"BChain_L2", chainindex.BChain, 2},
+		{"BChain_L8", chainindex.BChain, 8},
+		{"IBChain_L2", chainindex.IBChain, 2},
+		{"IBChain_L8", chainindex.IBChain, 8},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			arr := benchArrivals(tuples(b))
 			b.ResetTimer()
-			report(b, join.IBWJSerial(arr[:b.N], join.SerialConfig{
+			report(b, paper.IBWJChain(arr[:b.N], join.SerialConfig{
 				WR: benchWindow, WS: benchWindow, Band: band(benchWindow),
-				Index: cfg.kind, ChainLength: cfg.l,
-			}))
+			}, cfg.variant, cfg.l))
 		})
 	}
 }
@@ -116,7 +116,7 @@ func BenchmarkFig08c_PIMSerialDI(b *testing.B) {
 		b.Run(diName(di), func(b *testing.B) {
 			arr := benchArrivals(tuples(b))
 			b.ResetTimer()
-			report(b, join.IBWJSerial(arr[:b.N], join.SerialConfig{
+			report(b, paper.IBWJSerial(arr[:b.N], join.SerialConfig{
 				WR: benchWindow, WS: benchWindow, Band: band(benchWindow),
 				Index: join.IndexPIMTree,
 				PIM:   core.PIMTreeConfig{MergeRatio: 1.0 / 16, InsertionDepth: di},
@@ -135,7 +135,7 @@ func BenchmarkFig08d_PIMParallelDI(b *testing.B) {
 			report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 				Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 				Band:  band(benchWindow),
-				Index: join.IndexPIMTree,
+				Index: paper.PIMTree,
 				PIM:   core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: di},
 			}))
 		})
@@ -152,7 +152,7 @@ func BenchmarkFig09a_ParallelMergeRatio(b *testing.B) {
 			report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 				Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
 				Band:  band(benchWindow),
-				Index: join.IndexPIMTree,
+				Index: paper.PIMTree,
 				PIM:   core.PIMTreeConfig{MergeRatio: m, InsertionDepth: 2},
 			}))
 		})
@@ -173,19 +173,19 @@ func ratioName(m float64) string {
 func BenchmarkFig09b_StepCosts(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	st := join.StepCosts(arr[:b.N], join.SerialConfig{
+	st := paper.StepCosts(arr[:b.N], join.SerialConfig{
 		WR: benchWindow, WS: benchWindow, Band: band(benchWindow),
 		Index: join.IndexPIMTree, PIM: core.PIMTreeConfig{MergeRatio: 1.0 / 16, InsertionDepth: 2},
 	})
-	b.ReportMetric(st.PerTuple(metrics.StepSearch), "search-ns/tuple")
-	b.ReportMetric(st.PerTuple(metrics.StepInsert), "insert-ns/tuple")
-	b.ReportMetric(st.PerTuple(metrics.StepMerge), "merge-ns/tuple")
+	b.ReportMetric(st.PerTuple(paper.StepSearch), "search-ns/tuple")
+	b.ReportMetric(st.PerTuple(paper.StepInsert), "insert-ns/tuple")
+	b.ReportMetric(st.PerTuple(paper.StepMerge), "merge-ns/tuple")
 }
 
 func BenchmarkFig09c_IMSerialMergeRatio(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.IBWJSerial(arr[:b.N], join.SerialConfig{
+	report(b, paper.IBWJSerial(arr[:b.N], join.SerialConfig{
 		WR: benchWindow, WS: benchWindow, Band: band(benchWindow),
 		Index: join.IndexIMTree, PIM: core.PIMTreeConfig{MergeRatio: 1.0 / 8},
 	}))
@@ -194,7 +194,7 @@ func BenchmarkFig09c_IMSerialMergeRatio(b *testing.B) {
 func BenchmarkFig09d_PIMSerialMergeRatio(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.IBWJSerial(arr[:b.N], join.SerialConfig{
+	report(b, paper.IBWJSerial(arr[:b.N], join.SerialConfig{
 		WR: benchWindow, WS: benchWindow, Band: band(benchWindow),
 		Index: join.IndexPIMTree, PIM: core.PIMTreeConfig{MergeRatio: 1.0 / 8, InsertionDepth: 2},
 	}))
@@ -207,7 +207,7 @@ func BenchmarkFig10a_SerialIndexes(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			arr := benchArrivals(tuples(b))
 			b.ResetTimer()
-			report(b, join.IBWJSerial(arr[:b.N], join.SerialConfig{
+			report(b, paper.IBWJSerial(arr[:b.N], join.SerialConfig{
 				WR: benchWindow, WS: benchWindow, Band: band(benchWindow),
 				Index: kind,
 				PIM:   core.PIMTreeConfig{MergeRatio: 1.0 / 16, InsertionDepth: 2},
@@ -222,7 +222,7 @@ func BenchmarkFig10b_MatchRate(b *testing.B) {
 			arr := benchArrivals(tuples(b))
 			bd := join.Band{Diff: stream.UniformDiff(benchWindow, sigma)}
 			b.ResetTimer()
-			report(b, join.IBWJSerial(arr[:b.N], join.SerialConfig{
+			report(b, paper.IBWJSerial(arr[:b.N], join.SerialConfig{
 				WR: benchWindow, WS: benchWindow, Band: bd,
 				Index: join.IndexPIMTree,
 				PIM:   core.PIMTreeConfig{MergeRatio: 1.0 / 16, InsertionDepth: 2},
@@ -249,7 +249,7 @@ func BenchmarkFig10c_TaskSize(b *testing.B) {
 			b.ResetTimer()
 			report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 				Threads: 2, TaskSize: task, WR: benchWindow, WS: benchWindow,
-				Band: band(benchWindow), Index: join.IndexPIMTree,
+				Band: band(benchWindow), Index: paper.PIMTree,
 				PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 			}))
 		})
@@ -265,11 +265,11 @@ func taskName(t int) string {
 
 func BenchmarkFig10d_Latency(b *testing.B) {
 	arr := benchArrivals(tuples(b))
-	rec := metrics.NewLatencyRecorder(1<<15, 8)
+	rec := paper.NewLatencyRecorder(1<<15, 8)
 	b.ResetTimer()
 	st := paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
-		Band: band(benchWindow), Index: join.IndexPIMTree,
+		Band: band(benchWindow), Index: paper.PIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2}, Latency: rec,
 	})
 	report(b, st)
@@ -300,7 +300,7 @@ func BenchmarkFig11b_AsymmetricRates(b *testing.B) {
 	b.ResetTimer()
 	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
-		Band: band(benchWindow), Index: join.IndexPIMTree,
+		Band: band(benchWindow), Index: paper.PIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 	}))
 }
@@ -310,7 +310,7 @@ func BenchmarkFig11c_AsymmetricWindows(b *testing.B) {
 	b.ResetTimer()
 	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow / 4, WS: benchWindow * 2,
-		Band: band(benchWindow), Index: join.IndexPIMTree,
+		Band: band(benchWindow), Index: paper.PIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 	}))
 }
@@ -322,7 +322,7 @@ func BenchmarkFig11d_MemoryBandwidth(b *testing.B) {
 	b.ResetTimer()
 	st := paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
-		Band: band(benchWindow), Index: join.IndexPIMTree,
+		Band: band(benchWindow), Index: paper.PIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 	})
 	b.StopTimer()
@@ -341,7 +341,7 @@ func BenchmarkFig12a_Scalability(b *testing.B) {
 			b.ResetTimer()
 			report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: benchWindow, WS: benchWindow,
-				Band: band(benchWindow), Index: join.IndexPIMTree,
+				Band: band(benchWindow), Index: paper.PIMTree,
 				PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 			}))
 		})
@@ -357,7 +357,7 @@ func BenchmarkFig12b_SkewedDistributions(b *testing.B) {
 	b.ResetTimer()
 	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
-		Band: join.Band{Diff: diff}, Index: join.IndexPIMTree,
+		Band: join.Band{Diff: diff}, Index: paper.PIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 	}))
 }
@@ -367,7 +367,7 @@ func BenchmarkFig12c_SelfJoin(b *testing.B) {
 	b.ResetTimer()
 	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, Self: true,
-		Band: band(benchWindow), Index: join.IndexPIMTree,
+		Band: band(benchWindow), Index: paper.PIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 	}))
 }
@@ -395,7 +395,7 @@ func BenchmarkFig13b_DriftThroughput(b *testing.B) {
 	b.ResetTimer()
 	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, Self: true,
-		Band: join.Band{Diff: diff}, Index: join.IndexPIMTree,
+		Band: join.Band{Diff: diff}, Index: paper.PIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 	}))
 }
@@ -411,7 +411,7 @@ func BenchmarkFig13c_BlockingVsNonblockingMerge(b *testing.B) {
 			b.ResetTimer()
 			report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 				Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
-				Band: band(benchWindow), Index: join.IndexPIMTree,
+				Band: band(benchWindow), Index: paper.PIMTree,
 				PIM:           core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 				BlockingMerge: blocking,
 			}))
@@ -575,7 +575,7 @@ func BenchmarkShardedPushDurable(b *testing.B) {
 func BenchmarkAblationCSSFanout(b *testing.B) {
 	arr := benchArrivals(tuples(b))
 	b.ResetTimer()
-	report(b, join.IBWJSerial(arr[:b.N], join.SerialConfig{
+	report(b, paper.IBWJSerial(arr[:b.N], join.SerialConfig{
 		WR: benchWindow, WS: benchWindow, Band: band(benchWindow),
 		Index: join.IndexPIMTree,
 		PIM:   core.PIMTreeConfig{MergeRatio: 1.0 / 16, InsertionDepth: 2},
@@ -587,7 +587,7 @@ func BenchmarkAblationSingleLock(b *testing.B) {
 	b.ResetTimer()
 	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: benchWindow, WS: benchWindow,
-		Band: band(benchWindow), Index: join.IndexPIMTree,
+		Band: band(benchWindow), Index: paper.PIMTree,
 		PIM:        core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 		SingleLock: true,
 	}))
@@ -598,7 +598,7 @@ func BenchmarkAblationEdgeScan(b *testing.B) {
 	b.ResetTimer()
 	report(b, paper.RunShared(arr[:b.N], paper.SharedConfig{
 		Threads: 2, TaskSize: 64, WR: benchWindow, WS: benchWindow,
-		Band: band(benchWindow), Index: join.IndexPIMTree,
+		Band: band(benchWindow), Index: paper.PIMTree,
 		PIM: core.PIMTreeConfig{MergeRatio: 1, InsertionDepth: 2},
 	}))
 }

@@ -5,7 +5,6 @@ import (
 
 	"pimtree/internal/cstree"
 	"pimtree/internal/join"
-	"pimtree/internal/metrics"
 	"pimtree/internal/paper"
 )
 
@@ -44,7 +43,7 @@ func runAblCSSFanout(cfg Config, out io.Writer) {
 	for _, fib := range []int{4, 8, 16, 32, 64, 128} {
 		pc := pimSerial()
 		pc.CSTree = cstree.Config{Fanout: fib, LeafSize: 32}
-		st := join.IBWJSerial(arr, join.SerialConfig{
+		st := paper.IBWJSerial(arr, join.SerialConfig{
 			WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pc,
 		})
 		row(out, fib, st.Mtps())
@@ -68,11 +67,11 @@ func runAblSingleLock(cfg Config, out io.Writer) {
 	for threads := 1; threads <= 2*cfg.threads(); threads++ {
 		fine := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(),
+			Index: paper.PIMTree, PIM: pimParallel(),
 		}).Mtps()
 		single := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(), SingleLock: true,
+			Index: paper.PIMTree, PIM: pimParallel(), SingleLock: true,
 		}).Mtps()
 		row(out, threads, fine, single)
 	}
@@ -94,10 +93,10 @@ func runAblEdgeScan(cfg Config, out io.Writer) {
 	band := bandFor(w, 2)
 	arr := twoWay(n, cfg.seed())
 	for _, task := range []int{1, 2, 4, 8, 16, 32, 64} {
-		rec := metrics.NewLatencyRecorder(1<<16, 4)
+		rec := paper.NewLatencyRecorder(1<<16, 4)
 		st := paper.RunShared(arr, paper.SharedConfig{
 			Threads: cfg.threads(), TaskSize: task, WR: w, WS: w, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(), Latency: rec,
+			Index: paper.PIMTree, PIM: pimParallel(), Latency: rec,
 		})
 		row(out, task, st.Mtps(), st.Latency.MeanMicros, st.Latency.P99Micros)
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"pimtree/internal/join"
-	"pimtree/internal/metrics"
 	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
@@ -40,9 +39,9 @@ func runFig10a(cfg Config, out io.Writer) {
 		n := cfg.tuplesFor(w)
 		band := bandFor(w, 2)
 		arr := twoWay(n, cfg.seed())
-		bt := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
-		im := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexIMTree, PIM: pimSerial()}).Mtps()
-		pim := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pimSerial()}).Mtps()
+		bt := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
+		im := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexIMTree, PIM: pimSerial()}).Mtps()
+		pim := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pimSerial()}).Mtps()
 		row(out, wLabel(w), bt, im, pim)
 	}
 }
@@ -81,12 +80,12 @@ func runFig10b(cfg Config, out io.Writer) {
 			}
 		}
 		arr := twoWay(n, cfg.seed())
-		bt := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
-		im := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexIMTree, PIM: pimSerial()}).Mtps()
-		pim := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pimSerial()}).Mtps()
+		bt := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
+		im := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexIMTree, PIM: pimSerial()}).Mtps()
+		pim := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pimSerial()}).Mtps()
 		pimMT := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(),
+			Index: paper.PIMTree, PIM: pimParallel(),
 		}).Mtps()
 		row(out, fmt.Sprintf("2^%d", e), bt, im, pim, pimMT)
 	}
@@ -121,7 +120,7 @@ func runFig10c(cfg Config, out io.Writer) {
 			arr := twoWay(n, cfg.seed())
 			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: task, WR: w, WS: w, Band: band,
-				Index: join.IndexPIMTree, PIM: pimParallel(),
+				Index: paper.PIMTree, PIM: pimParallel(),
 			})
 			cells = append(cells, st.Mtps())
 		}
@@ -144,10 +143,10 @@ func runFig10d(cfg Config, out io.Writer) {
 			n := cfg.tuplesFor(w)
 			band := bandFor(w, 2)
 			arr := twoWay(n, cfg.seed())
-			rec := metrics.NewLatencyRecorder(1<<16, 4)
+			rec := paper.NewLatencyRecorder(1<<16, 4)
 			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: task, WR: w, WS: w, Band: band,
-				Index: join.IndexPIMTree, PIM: pimParallel(), Latency: rec,
+				Index: paper.PIMTree, PIM: pimParallel(), Latency: rec,
 			})
 			cells = append(cells, st.Latency.MeanMicros)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"pimtree/internal/btree"
 	"pimtree/internal/core"
-	"pimtree/internal/join"
 	"pimtree/internal/kv"
 	"pimtree/internal/metrics"
 	"pimtree/internal/paper"
@@ -94,7 +93,7 @@ func runFig11b(cfg Config, out io.Writer) {
 				float64(pct)/100, n)
 			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-				Index: join.IndexPIMTree, PIM: pimParallel(),
+				Index: paper.PIMTree, PIM: pimParallel(),
 			})
 			cells = append(cells, st.Mtps())
 		}
@@ -131,7 +130,7 @@ func runFig11c(cfg Config, out io.Writer) {
 			arr := twoWay(n, cfg.seed())
 			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: wr, WS: ws, Band: band,
-				Index: join.IndexPIMTree, PIM: pimParallel(),
+				Index: paper.PIMTree, PIM: pimParallel(),
 			})
 			cells = append(cells, st.Mtps())
 		}
@@ -157,7 +156,7 @@ func runFig11d(cfg Config, out io.Writer) {
 		metrics.ResetTraffic()
 		st := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(),
+			Index: paper.PIMTree, PIM: pimParallel(),
 		})
 		tr := metrics.SnapshotTraffic()
 		metrics.Tracing = false

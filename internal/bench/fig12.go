@@ -44,10 +44,10 @@ func runFig12a(cfg Config, out io.Writer) {
 	// The no-CC baseline: the single-threaded serial driver, whose PIM-Tree
 	// takes no locks (Figure 12a's reference lines).
 	noCC := pimParallel()
-	twoNoCC := join.IBWJSerial(arrTwo, join.SerialConfig{
+	twoNoCC := paper.IBWJSerial(arrTwo, join.SerialConfig{
 		WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: noCC,
 	}).Mtps()
-	selfNoCC := join.IBWJSerial(arrSelf, join.SerialConfig{
+	selfNoCC := paper.IBWJSerial(arrSelf, join.SerialConfig{
 		WR: w, Self: true, Band: band, Index: join.IndexPIMTree, PIM: noCC,
 	}).Mtps()
 
@@ -55,11 +55,11 @@ func runFig12a(cfg Config, out io.Writer) {
 	for threads := 1; threads <= maxThreads; threads++ {
 		two := paper.RunShared(arrTwo, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(),
+			Index: paper.PIMTree, PIM: pimParallel(),
 		}).Mtps()
 		self := paper.RunShared(arrSelf, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, Self: true, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(),
+			Index: paper.PIMTree, PIM: pimParallel(),
 		}).Mtps()
 		row(out, threads, two, self, twoNoCC, selfNoCC)
 	}
@@ -86,7 +86,7 @@ func runFig12b(cfg Config, out io.Writer) {
 			arr := interleaveSeeded(cfg.seed(), d.mk, 0.5, n)
 			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: join.Band{Diff: diff},
-				Index: join.IndexPIMTree, PIM: pimParallel(),
+				Index: paper.PIMTree, PIM: pimParallel(),
 			})
 			cells = append(cells, st.Mtps())
 		}
@@ -102,22 +102,22 @@ func runFig12c(cfg Config, out io.Writer) {
 		n := cfg.tuplesFor(w)
 		band := bandFor(w, 2)
 		arr := selfStream(n, cfg.seed())
-		bt := join.IBWJSerial(arr, join.SerialConfig{
+		bt := paper.IBWJSerial(arr, join.SerialConfig{
 			WR: w, Self: true, Band: band, Index: join.IndexBTree,
 		}).Mtps()
-		pim1 := join.IBWJSerial(arr, join.SerialConfig{
+		pim1 := paper.IBWJSerial(arr, join.SerialConfig{
 			WR: w, Self: true, Band: band, Index: join.IndexPIMTree, PIM: pimSerial(),
 		}).Mtps()
 		bwMT := -1.0
 		if _, ok := paper.BwWindowsFit(threads, 8, w, w); ok {
 			bwMT = paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, Self: true, Band: band,
-				Index: join.IndexBwTree,
+				Index: paper.BwTree,
 			}).Mtps()
 		}
 		pimMT := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, Self: true, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(),
+			Index: paper.PIMTree, PIM: pimParallel(),
 		}).Mtps()
 		row(out, wLabel(w), bt, pim1, bwMT, pimMT)
 	}

@@ -179,7 +179,7 @@ func runFig13b(cfg Config, out io.Writer) {
 		}, w, 2)
 		st := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, Self: true,
-			Band: join.Band{Diff: diff}, Index: join.IndexPIMTree,
+			Band: join.Band{Diff: diff}, Index: paper.PIMTree,
 			PIM: pimParallelWithDI(3), ChunkTuples: chunk,
 		})
 		cells := []interface{}{fmt.Sprintf("%.1f", r)}
@@ -198,21 +198,21 @@ func runFig13c(cfg Config, out io.Writer) {
 		n := cfg.tuplesFor(w)
 		band := bandFor(w, 2)
 		arr := twoWay(n, cfg.seed())
-		bt := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
-		pim1 := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pimSerial()}).Mtps()
+		bt := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
+		pim1 := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pimSerial()}).Mtps()
 		bwMT := -1.0
 		if _, ok := paper.BwWindowsFit(threads, 8, w, w); ok {
 			bwMT = paper.RunShared(arr, paper.SharedConfig{
-				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band, Index: join.IndexBwTree,
+				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band, Index: paper.BwTree,
 			}).Mtps()
 		}
 		pimMT := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(),
+			Index: paper.PIMTree, PIM: pimParallel(),
 		}).Mtps()
 		pimBlk := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(), BlockingMerge: true,
+			Index: paper.PIMTree, PIM: pimParallel(), BlockingMerge: true,
 		}).Mtps()
 		row(out, wLabel(w), bt, pim1, bwMT, pimMT, pimBlk)
 	}

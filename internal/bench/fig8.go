@@ -3,6 +3,7 @@ package bench
 import (
 	"io"
 
+	"pimtree/internal/chainindex"
 	"pimtree/internal/join"
 	"pimtree/internal/paper"
 )
@@ -50,13 +51,13 @@ func runFig8a(cfg Config, out io.Writer) {
 
 		nlwj1, nlwjRR := -1.0, -1.0
 		if w <= nlwjCap {
-			nlwj1 = join.NLWJ(arr[:nlwjN], join.SerialConfig{WR: w, WS: w, Band: band}).Mtps()
+			nlwj1 = paper.NLWJ(arr[:nlwjN], join.SerialConfig{WR: w, WS: w, Band: band}).Mtps()
 			nlwjRR = paper.RunRR(arr[:nlwjN], paper.RRConfig{Cores: threads, WR: w, WS: w, Band: band}).Mtps()
 		}
-		ibwj1 := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
+		ibwj1 := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
 		ibwjRR := paper.RunRR(arr, paper.RRConfig{Cores: threads, WR: w, WS: w, Band: band, Indexed: true}).Mtps()
 		bwMT := paper.RunShared(arr, paper.SharedConfig{
-			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band, Index: join.IndexBwTree,
+			Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band, Index: paper.BwTree,
 		}).Mtps()
 		row(out, wLabel(w), nlwj1, nlwjRR, ibwj1, ibwjRR, bwMT)
 	}
@@ -74,14 +75,11 @@ func runFig8b(cfg Config, out io.Writer) {
 	n := cfg.tuplesFor(w)
 	band := bandFor(w, 2)
 	arr := twoWay(n, cfg.seed())
-	base := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
+	base := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: band, Index: join.IndexBTree}).Mtps()
 	for l := 1; l <= 16; l++ {
-		bc := join.IBWJSerial(arr, join.SerialConfig{
-			WR: w, WS: w, Band: band, Index: join.IndexChainB, ChainLength: l,
-		}).Mtps()
-		ibc := join.IBWJSerial(arr, join.SerialConfig{
-			WR: w, WS: w, Band: band, Index: join.IndexChainIB, ChainLength: l,
-		}).Mtps()
+		sc := join.SerialConfig{WR: w, WS: w, Band: band}
+		bc := paper.IBWJChain(arr, sc, chainindex.BChain, l).Mtps()
+		ibc := paper.IBWJChain(arr, sc, chainindex.IBChain, l).Mtps()
 		row(out, l, base, bc, ibc)
 	}
 }
@@ -97,7 +95,7 @@ func runFig8c(cfg Config, out io.Writer) {
 		for di := 1; di <= 4; di++ {
 			pc := pimSerial()
 			pc.InsertionDepth = di
-			st := join.IBWJSerial(arr, join.SerialConfig{
+			st := paper.IBWJSerial(arr, join.SerialConfig{
 				WR: w, WS: w, Band: band, Index: join.IndexPIMTree, PIM: pc,
 			})
 			cells = append(cells, st.Mtps())
@@ -120,7 +118,7 @@ func runFig8d(cfg Config, out io.Writer) {
 			pc.InsertionDepth = di
 			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-				Index: join.IndexPIMTree, PIM: pc,
+				Index: paper.PIMTree, PIM: pc,
 			})
 			cells = append(cells, st.Mtps())
 		}

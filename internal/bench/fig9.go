@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"pimtree/internal/join"
-	"pimtree/internal/metrics"
 	"pimtree/internal/paper"
 )
 
@@ -83,7 +82,7 @@ func runFig9a(cfg Config, out io.Writer) {
 			pc.MergeRatio = m
 			st := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: w, WS: w, Band: band,
-				Index: join.IndexPIMTree, PIM: pc,
+				Index: paper.PIMTree, PIM: pc,
 			})
 			cells = append(cells, st.Mtps())
 		}
@@ -108,21 +107,21 @@ func runFig9b(cfg Config, out io.Writer) {
 		band := bandFor(w, 2)
 		arr := twoWay(n, cfg.seed())
 		for _, kind := range []join.IndexKind{join.IndexPIMTree, join.IndexIMTree, join.IndexBTree} {
-			st := join.StepCosts(arr, join.SerialConfig{
+			st := paper.StepCosts(arr, join.SerialConfig{
 				WR: w, WS: w, Band: band, Index: kind, PIM: pimSerial(),
 			})
 			// The scan column is measured by subtracting the repeated
 			// descent time; scheduler noise can push it below zero on
 			// loaded machines, so clamp for presentation.
-			scan := st.PerTuple(metrics.StepScan)
+			scan := st.PerTuple(paper.StepScan)
 			if scan < 0 {
 				scan = 0
 			}
 			row(out, kind.String(), wLabel(w),
-				st.PerTuple(metrics.StepSearch),
-				st.PerTuple(metrics.StepInsert),
-				st.PerTuple(metrics.StepDelete),
-				st.PerTuple(metrics.StepMerge),
+				st.PerTuple(paper.StepSearch),
+				st.PerTuple(paper.StepInsert),
+				st.PerTuple(paper.StepDelete),
+				st.PerTuple(paper.StepMerge),
 				scan)
 		}
 	}
@@ -153,7 +152,7 @@ func runSerialMergeSweep(cfg Config, out io.Writer, kind join.IndexKind) {
 			arr := twoWay(n, cfg.seed())
 			sc := join.SerialConfig{WR: w, WS: w, Band: band, Index: kind, PIM: pimSerial()}
 			sc.PIM.MergeRatio = m
-			cells = append(cells, join.IBWJSerial(arr, sc).Mtps())
+			cells = append(cells, paper.IBWJSerial(arr, sc).Mtps())
 		}
 		row(out, cells...)
 	}

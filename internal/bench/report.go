@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pimtree/internal/join"
+	"pimtree/internal/paper"
 )
 
 // Table is one experiment's output in structured form: the column header
@@ -110,7 +111,7 @@ func Calibration() float64 {
 	const w = 1 << 12
 	const n = 1 << 15
 	arr := twoWay(n, 7)
-	st := join.IBWJSerial(arr, join.SerialConfig{
+	st := paper.IBWJSerial(arr, join.SerialConfig{
 		WR: w, WS: w, Band: bandFor(w, 2),
 		Index: join.IndexPIMTree, PIM: pimSerial(),
 	})

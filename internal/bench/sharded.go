@@ -51,7 +51,7 @@ func runAblSharded(cfg Config, out io.Writer) {
 		}).Mtps()
 		shared := paper.RunShared(arr, paper.SharedConfig{
 			Threads: k, TaskSize: 8, WR: w, WS: w, Band: band,
-			Index: join.IndexPIMTree, PIM: pimParallel(),
+			Index: paper.PIMTree, PIM: pimParallel(),
 		}).Mtps()
 		row(out, k, sharded, shared)
 	}

@@ -532,10 +532,6 @@ func TestSortHelpers(t *testing.T) {
 func TestMergeHelpers(t *testing.T) {
 	a := []kv.Pair{pair(1, 0), pair(3, 0), pair(5, 0)}
 	b := []kv.Pair{pair(2, 0), pair(3, 1), pair(6, 0)}
-	m := kv.Merge(a, b)
-	if !kv.IsSorted(m) || len(m) != 6 {
-		t.Fatalf("Merge result %v", m)
-	}
 	f := kv.MergeFiltered(a, b, func(p kv.Pair) bool { return p.Key%2 == 1 }, len(a)+len(b))
 	for _, p := range f {
 		if p.Key%2 != 1 {

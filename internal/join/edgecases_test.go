@@ -14,42 +14,42 @@ import (
 
 func TestEmptyArrivals(t *testing.T) {
 	cfg := join.SerialConfig{WR: 8, WS: 8, Band: join.Band{Diff: 1}}
-	if st := join.NLWJ(nil, cfg); st.Tuples != 0 || st.Matches != 0 {
+	if st := paper.NLWJ(nil, cfg); st.Tuples != 0 || st.Matches != 0 {
 		t.Fatal("NLWJ on empty input")
 	}
 	cfg.Index = join.IndexPIMTree
-	if st := join.IBWJSerial(nil, cfg); st.Tuples != 0 || st.Matches != 0 {
+	if st := paper.IBWJSerial(nil, cfg); st.Tuples != 0 || st.Matches != 0 {
 		t.Fatal("IBWJ on empty input")
 	}
 	if st := paper.RunRR(nil, paper.RRConfig{Cores: 2, WR: 8, WS: 8}); st.Tuples != 0 {
 		t.Fatal("RR on empty input")
 	}
-	if st := paper.RunShared(nil, paper.SharedConfig{Threads: 2, WR: 64, WS: 64, Index: join.IndexPIMTree}); st.Tuples != 0 {
+	if st := paper.RunShared(nil, paper.SharedConfig{Threads: 2, WR: 64, WS: 64, Index: paper.PIMTree}); st.Tuples != 0 {
 		t.Fatal("shared on empty input")
 	}
 }
 
 func TestSingleTuple(t *testing.T) {
 	arr := []stream.Arrival{{Stream: stream.StreamR, Key: 42}}
-	st := join.IBWJSerial(arr, join.SerialConfig{WR: 4, WS: 4, Band: join.Band{Diff: 100}, Index: join.IndexBTree})
+	st := paper.IBWJSerial(arr, join.SerialConfig{WR: 4, WS: 4, Band: join.Band{Diff: 100}, Index: join.IndexBTree})
 	if st.Matches != 0 || st.Tuples != 1 {
 		t.Fatalf("single tuple: %+v", st)
 	}
-	st = paper.RunShared(arr, paper.SharedConfig{Threads: 4, TaskSize: 8, WR: 64, WS: 64,
-		Band: join.Band{Diff: 100}, Index: join.IndexPIMTree})
-	if st.Matches != 0 || st.Tuples != 1 {
-		t.Fatalf("single tuple shared: %+v", st)
+	sh := paper.RunShared(arr, paper.SharedConfig{Threads: 4, TaskSize: 8, WR: 64, WS: 64,
+		Band: join.Band{Diff: 100}, Index: paper.PIMTree})
+	if sh.Matches != 0 || sh.Tuples != 1 {
+		t.Fatalf("single tuple shared: %+v", sh.Stats)
 	}
 }
 
 func TestWindowOfOne(t *testing.T) {
 	arr := twoWayArrivals(500, 31, 64)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 1, WS: 1, Band: join.Band{Diff: 2}})
-	got := join.IBWJSerial(arr, join.SerialConfig{WR: 1, WS: 1, Band: join.Band{Diff: 2}, Index: join.IndexBTree})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 1, WS: 1, Band: join.Band{Diff: 2}})
+	got := paper.IBWJSerial(arr, join.SerialConfig{WR: 1, WS: 1, Band: join.Band{Diff: 2}, Index: join.IndexBTree})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("w=1: %d vs oracle %d", got.Matches, oracle.Matches)
 	}
-	gotPIM := join.IBWJSerial(arr, join.SerialConfig{WR: 1, WS: 1, Band: join.Band{Diff: 2},
+	gotPIM := paper.IBWJSerial(arr, join.SerialConfig{WR: 1, WS: 1, Band: join.Band{Diff: 2},
 		Index: join.IndexPIMTree, PIM: smallPIM()})
 	if gotPIM.Matches != oracle.Matches {
 		t.Fatalf("w=1 PIM: %d vs oracle %d", gotPIM.Matches, oracle.Matches)
@@ -59,12 +59,12 @@ func TestWindowOfOne(t *testing.T) {
 func TestZeroDiffEqualityJoin(t *testing.T) {
 	// diff=0 degenerates the band join to an equi-join.
 	arr := twoWayArrivals(3000, 32, 64) // tiny key space: plenty of equal keys
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 0}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 0}})
 	if oracle.Matches == 0 {
 		t.Fatal("equality oracle found nothing; key space too large")
 	}
 	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexPIMTree} {
-		got := join.IBWJSerial(arr, join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 0},
+		got := paper.IBWJSerial(arr, join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 0},
 			Index: kind, PIM: smallPIM()})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("%v diff=0: %d vs %d", kind, got.Matches, oracle.Matches)
@@ -76,8 +76,8 @@ func TestFullDomainDiff(t *testing.T) {
 	// diff covering the whole domain: every live pair matches (cross join).
 	arr := twoWayArrivals(400, 33, 1<<30)
 	w := 32
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: w, WS: w, Band: join.Band{Diff: ^uint32(0)}})
-	got := join.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: join.Band{Diff: ^uint32(0)},
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: w, WS: w, Band: join.Band{Diff: ^uint32(0)}})
+	got := paper.IBWJSerial(arr, join.SerialConfig{WR: w, WS: w, Band: join.Band{Diff: ^uint32(0)},
 		Index: join.IndexPIMTree, PIM: smallPIM()})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("cross join: %d vs %d", got.Matches, oracle.Matches)
@@ -87,11 +87,11 @@ func TestFullDomainDiff(t *testing.T) {
 func TestMoreThreadsThanTuples(t *testing.T) {
 	arr := twoWayArrivals(10, 34, 1024)
 	st := paper.RunShared(arr, paper.SharedConfig{Threads: 8, TaskSize: 4, WR: 512, WS: 512,
-		Band: join.Band{Diff: 1000}, Index: join.IndexPIMTree, PIM: smallPIM()})
+		Band: join.Band{Diff: 1000}, Index: paper.PIMTree, PIM: smallPIM()})
 	if st.Tuples != 10 {
 		t.Fatalf("tuples = %d", st.Tuples)
 	}
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 1000}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 1000}})
 	if st.Matches != oracle.Matches {
 		t.Fatalf("matches %d vs %d", st.Matches, oracle.Matches)
 	}
@@ -100,7 +100,7 @@ func TestMoreThreadsThanTuples(t *testing.T) {
 func TestTaskSizeLargerThanInput(t *testing.T) {
 	arr := twoWayArrivals(5, 35, 1024)
 	st := paper.RunShared(arr, paper.SharedConfig{Threads: 2, TaskSize: 100, WR: 512, WS: 512,
-		Band: join.Band{Diff: 1 << 28}, Index: join.IndexPIMTree, PIM: smallPIM()})
+		Band: join.Band{Diff: 1 << 28}, Index: paper.PIMTree, PIM: smallPIM()})
 	if st.Tuples != 5 {
 		t.Fatalf("tuples = %d", st.Tuples)
 	}
@@ -112,13 +112,13 @@ func TestOneSidedInput(t *testing.T) {
 	for i := range arr {
 		arr[i] = stream.Arrival{Stream: stream.StreamR, Key: uint32(i % 50)}
 	}
-	st := join.IBWJSerial(arr, join.SerialConfig{WR: 64, WS: 64, Band: join.Band{Diff: 1 << 30},
+	st := paper.IBWJSerial(arr, join.SerialConfig{WR: 64, WS: 64, Band: join.Band{Diff: 1 << 30},
 		Index: join.IndexPIMTree, PIM: smallPIM()})
 	if st.Matches != 0 {
 		t.Fatalf("one-sided join matched %d", st.Matches)
 	}
 	stP := paper.RunShared(arr, paper.SharedConfig{Threads: 2, TaskSize: 8, WR: 512, WS: 512,
-		Band: join.Band{Diff: 1 << 30}, Index: join.IndexPIMTree, PIM: smallPIM()})
+		Band: join.Band{Diff: 1 << 30}, Index: paper.PIMTree, PIM: smallPIM()})
 	if stP.Matches != 0 {
 		t.Fatalf("one-sided parallel join matched %d", stP.Matches)
 	}
@@ -126,10 +126,10 @@ func TestOneSidedInput(t *testing.T) {
 
 func TestExtremeMergeRatios(t *testing.T) {
 	arr := twoWayArrivals(3000, 36, 4096)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}})
 	for _, m := range []float64{1.0 / 256, 1} {
 		pc := core.PIMTreeConfig{MergeRatio: m, InsertionDepth: 2}
-		got := join.IBWJSerial(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8},
+		got := paper.IBWJSerial(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8},
 			Index: join.IndexPIMTree, PIM: pc})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("m=%f: %d vs %d", m, got.Matches, oracle.Matches)
@@ -139,10 +139,10 @@ func TestExtremeMergeRatios(t *testing.T) {
 
 func TestExtremeInsertionDepths(t *testing.T) {
 	arr := twoWayArrivals(3000, 37, 4096)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}})
 	for _, di := range []int{1, 8} { // 8 clamps to the feasible maximum
 		pc := core.PIMTreeConfig{MergeRatio: 0.5, InsertionDepth: di}
-		got := join.IBWJSerial(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8},
+		got := paper.IBWJSerial(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8},
 			Index: join.IndexPIMTree, PIM: pc})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("di=%d: %d vs %d", di, got.Matches, oracle.Matches)
@@ -152,7 +152,7 @@ func TestExtremeInsertionDepths(t *testing.T) {
 
 func TestRRSingleCoreEqualsSerial(t *testing.T) {
 	arr := twoWayArrivals(2000, 38, 2048)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 16}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 16}})
 	got := paper.RunRR(arr, paper.RRConfig{Cores: 1, WR: 128, WS: 128, Band: join.Band{Diff: 16}, Indexed: true})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("1-core RR: %d vs %d", got.Matches, oracle.Matches)
@@ -161,7 +161,7 @@ func TestRRSingleCoreEqualsSerial(t *testing.T) {
 
 func TestRRMoreCoresThanWindow(t *testing.T) {
 	arr := twoWayArrivals(2000, 39, 2048)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 4, WS: 4, Band: join.Band{Diff: 1 << 24}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 4, WS: 4, Band: join.Band{Diff: 1 << 24}})
 	got := paper.RunRR(arr, paper.RRConfig{Cores: 8, WR: 4, WS: 4, Band: join.Band{Diff: 1 << 24}, Indexed: true, Batch: 16})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("tiny-window RR: %d vs %d", got.Matches, oracle.Matches)
@@ -171,7 +171,7 @@ func TestRRMoreCoresThanWindow(t *testing.T) {
 func TestSharedStatsAccounting(t *testing.T) {
 	arr := twoWayArrivals(6000, 40, 4096)
 	st := paper.RunShared(arr, paper.SharedConfig{Threads: 2, TaskSize: 8, WR: 256, WS: 256,
-		Band: join.Band{Diff: 8}, Index: join.IndexPIMTree, PIM: smallPIM()})
+		Band: join.Band{Diff: 8}, Index: paper.PIMTree, PIM: smallPIM()})
 	if st.Tuples != 6000 {
 		t.Fatalf("tuples = %d", st.Tuples)
 	}
@@ -186,7 +186,7 @@ func TestSharedStatsAccounting(t *testing.T) {
 func TestSharedChunkThroughput(t *testing.T) {
 	arr := twoWayArrivals(8000, 41, 4096)
 	st := paper.RunShared(arr, paper.SharedConfig{Threads: 2, TaskSize: 8, WR: 512, WS: 512,
-		Band: join.Band{Diff: 8}, Index: join.IndexPIMTree, PIM: smallPIM(), ChunkTuples: 1000})
+		Band: join.Band{Diff: 8}, Index: paper.PIMTree, PIM: smallPIM(), ChunkTuples: 1000})
 	if len(st.Chunks) < 7 {
 		t.Fatalf("chunks = %d, want >= 7", len(st.Chunks))
 	}

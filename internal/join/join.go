@@ -1,14 +1,13 @@
-// Package join implements the single-threaded window joins of Section 2:
-// the nested-loop window join (NLWJ, the correctness oracle) and the
-// index-based window join (IBWJ) over the B+-Tree, the chained indexes, the
-// IM-Tree and the PIM-Tree, as a batch driver (IBWJSerial, StepCosts) and as
-// the incremental Streaming operator the Engine's serial mode runs. It also
+// Package join implements the single-threaded index-based window join of
+// Section 2.2 (IBWJ) as the incremental Streaming operator the Engine's
+// serial mode runs, over the B+-Tree, the IM-Tree and the PIM-Tree. It also
 // holds what the single-writer engines share: the band predicate, the run
 // statistics, the per-stream index adapters (Index, NewIndex) and the
 // batched TS descent (Locator). Every index walks a probe's key range one
 // way, in contiguous runs (Index.QueryPairs), and a run the probe refuses
-// ends the walk. The paper's multithreaded joins, over shared indexes and
-// round-robin partitions, are in internal/paper.
+// ends the walk. The paper's baselines and figure drivers (the nested-loop
+// join, the batch IBWJ, the chained index, the step timer and the
+// multithreaded joins) are in internal/paper.
 package join
 
 import (
@@ -60,8 +59,6 @@ type Stats struct {
 	Elapsed   time.Duration
 	Merges    int
 	MergeTime time.Duration
-	Latency   metrics.Summary
-	Chunks    []ChunkStat // per-chunk throughput of the shared join (Fig 13b)
 	// Migrated is filled by the sharded runtime: window tuples its reshape
 	// epochs moved across shards.
 	Migrated int
@@ -70,12 +67,6 @@ type Stats struct {
 	// largest observed event-time lateness.
 	LateDropped uint64
 	MaxDisorder uint64
-}
-
-// ChunkStat is the throughput of one propagated chunk (Figure 13b).
-type ChunkStat struct {
-	Tuples int
-	Mtps   float64
 }
 
 // Mtps returns the throughput in million tuples per second.
@@ -88,15 +79,12 @@ func (s Stats) Mtps() float64 { return metrics.Mtps(s.Tuples, s.Elapsed) }
 // probe tuples follow arrival order.
 type MatchSink func(probeStream uint8, probeSeq, matchSeq uint64)
 
-// IndexKind selects the index structure for IBWJ drivers.
+// IndexKind selects the per-stream index of a single-writer engine.
 type IndexKind int
 
-// The index structures evaluated across the figures.
+// The index structures the service builds.
 const (
 	IndexBTree IndexKind = iota
-	IndexChainB
-	IndexChainIB
-	IndexBwTree
 	IndexIMTree
 	IndexPIMTree
 )
@@ -106,12 +94,6 @@ func (k IndexKind) String() string {
 	switch k {
 	case IndexBTree:
 		return "B+-Tree"
-	case IndexChainB:
-		return "B-chain"
-	case IndexChainIB:
-		return "IB-chain"
-	case IndexBwTree:
-		return "Bw-Tree"
 	case IndexIMTree:
 		return "IM-Tree"
 	case IndexPIMTree:

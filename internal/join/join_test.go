@@ -43,8 +43,8 @@ func TestBandMatches(t *testing.T) {
 
 func TestIndexKindString(t *testing.T) {
 	names := map[IndexKind]string{
-		IndexBTree: "B+-Tree", IndexChainB: "B-chain", IndexChainIB: "IB-chain",
-		IndexBwTree: "Bw-Tree", IndexIMTree: "IM-Tree", IndexPIMTree: "PIM-Tree",
+		IndexBTree: "B+-Tree", IndexIMTree: "IM-Tree", IndexPIMTree: "PIM-Tree",
+		IndexKind(3): "unknown",
 	}
 	for k, want := range names {
 		if k.String() != want {

@@ -6,17 +6,16 @@ import (
 	"testing"
 
 	"pimtree/internal/join"
-	"pimtree/internal/metrics"
 	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
-// The shared-index and round-robin joins are in internal/paper, which imports
-// this package; their tests check them against the NLWJ oracle from here.
+// The shared-index and round-robin joins are in internal/paper; their tests
+// run here, against paper.NLWJ, on the serial tests' workload helpers.
 
 func TestRunRRMatchesOracle(t *testing.T) {
 	arr := twoWayArrivals(8000, 10, 4096)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 300, WS: 300, Band: join.Band{Diff: 8}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 300, WS: 300, Band: join.Band{Diff: 8}})
 	if oracle.Matches == 0 {
 		t.Fatal("oracle empty")
 	}
@@ -36,7 +35,7 @@ func TestRunRRMatchesOracle(t *testing.T) {
 
 func TestRunRRAsymmetricWindows(t *testing.T) {
 	arr := twoWayArrivals(6000, 11, 4096)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 128, WS: 512, Band: join.Band{Diff: 10}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 128, WS: 512, Band: join.Band{Diff: 10}})
 	got := paper.RunRR(arr, paper.RRConfig{Cores: 3, WR: 128, WS: 512, Band: join.Band{Diff: 10}, Indexed: true, Batch: 64})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("matches = %d, oracle = %d", got.Matches, oracle.Matches)
@@ -45,7 +44,7 @@ func TestRunRRAsymmetricWindows(t *testing.T) {
 
 func TestRunSharedPIMMatchesOracle(t *testing.T) {
 	arr := twoWayArrivals(8000, 12, 4096)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
 	if oracle.Matches == 0 {
 		t.Fatal("oracle empty")
 	}
@@ -53,7 +52,7 @@ func TestRunSharedPIMMatchesOracle(t *testing.T) {
 		for _, taskSize := range []int{1, 4, 8} {
 			got := paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: taskSize, WR: 512, WS: 512,
-				Band: join.Band{Diff: 8}, Index: join.IndexPIMTree, PIM: smallPIM(),
+				Band: join.Band{Diff: 8}, Index: paper.PIMTree, PIM: smallPIM(),
 			})
 			if got.Matches != oracle.Matches {
 				t.Fatalf("threads=%d task=%d: matches = %d, oracle = %d",
@@ -66,11 +65,11 @@ func TestRunSharedPIMMatchesOracle(t *testing.T) {
 func TestRunSharedPIMExactResultSet(t *testing.T) {
 	arr := twoWayArrivals(4000, 13, 2048)
 	var nl, sh []matchRec
-	join.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 6}, Sink: collectSink(&nl)})
+	paper.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 6}, Sink: collectSink(&nl)})
 	var mu sync.Mutex
 	got := paper.RunShared(arr, paper.SharedConfig{
 		Threads: 4, TaskSize: 4, WR: 256, WS: 256, Band: join.Band{Diff: 6},
-		Index: join.IndexPIMTree, PIM: smallPIM(),
+		Index: paper.PIMTree, PIM: smallPIM(),
 		Sink: func(s uint8, p, m uint64) {
 			mu.Lock()
 			sh = append(sh, matchRec{s, p, m})
@@ -105,7 +104,7 @@ func TestRunSharedOrderPreserved(t *testing.T) {
 	var seen []probe
 	paper.RunShared(arr, paper.SharedConfig{
 		Threads: 4, TaskSize: 3, WR: 256, WS: 256, Band: join.Band{Diff: 20},
-		Index: join.IndexPIMTree, PIM: smallPIM(),
+		Index: paper.PIMTree, PIM: smallPIM(),
 		Sink: func(s uint8, p, m uint64) {
 			if n := len(seen); n == 0 || seen[n-1].stream != s || seen[n-1].seq != p {
 				seen = append(seen, probe{s, p})
@@ -138,14 +137,14 @@ func TestRunSharedOrderPreserved(t *testing.T) {
 
 func TestRunSharedSelfJoin(t *testing.T) {
 	arr := stream.NewSelfStream(capped{stream.NewUniform(15), 2048}).Take(6000)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, Self: true, Band: join.Band{Diff: 6}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 512, Self: true, Band: join.Band{Diff: 6}})
 	if oracle.Matches == 0 {
 		t.Fatal("oracle empty")
 	}
 	for _, threads := range []int{1, 3} {
 		got := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: 512, Self: true,
-			Band: join.Band{Diff: 6}, Index: join.IndexPIMTree, PIM: smallPIM(),
+			Band: join.Band{Diff: 6}, Index: paper.PIMTree, PIM: smallPIM(),
 		})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("threads=%d: matches = %d, oracle = %d", threads, got.Matches, oracle.Matches)
@@ -155,11 +154,11 @@ func TestRunSharedSelfJoin(t *testing.T) {
 
 func TestRunSharedBwTree(t *testing.T) {
 	arr := twoWayArrivals(8000, 16, 4096)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
 	for _, threads := range []int{1, 4} {
 		got := paper.RunShared(arr, paper.SharedConfig{
 			Threads: threads, TaskSize: 8, WR: 512, WS: 512,
-			Band: join.Band{Diff: 8}, Index: join.IndexBwTree,
+			Band: join.Band{Diff: 8}, Index: paper.BwTree,
 		})
 		if got.Matches != oracle.Matches {
 			t.Fatalf("bw threads=%d: matches = %d, oracle = %d", threads, got.Matches, oracle.Matches)
@@ -169,10 +168,10 @@ func TestRunSharedBwTree(t *testing.T) {
 
 func TestRunSharedBlockingMerge(t *testing.T) {
 	arr := twoWayArrivals(8000, 17, 4096)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
 	got := paper.RunShared(arr, paper.SharedConfig{
 		Threads: 3, TaskSize: 8, WR: 512, WS: 512, Band: join.Band{Diff: 8},
-		Index: join.IndexPIMTree, PIM: smallPIM(), BlockingMerge: true,
+		Index: paper.PIMTree, PIM: smallPIM(), BlockingMerge: true,
 	})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("blocking merge: matches = %d, oracle = %d", got.Matches, oracle.Matches)
@@ -186,12 +185,12 @@ func TestRunSharedNonblockingMergeHappens(t *testing.T) {
 	arr := twoWayArrivals(10000, 18, 4096)
 	got := paper.RunShared(arr, paper.SharedConfig{
 		Threads: 4, TaskSize: 4, WR: 256, WS: 256, Band: join.Band{Diff: 4},
-		Index: join.IndexPIMTree, PIM: smallPIM(),
+		Index: paper.PIMTree, PIM: smallPIM(),
 	})
 	if got.Merges == 0 {
 		t.Fatal("nonblocking merge never triggered")
 	}
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 4}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 4}})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("matches = %d, oracle = %d", got.Matches, oracle.Matches)
 	}
@@ -199,10 +198,10 @@ func TestRunSharedNonblockingMergeHappens(t *testing.T) {
 
 func TestRunSharedAsymmetricWindows(t *testing.T) {
 	arr := twoWayArrivals(6000, 19, 4096)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 128, WS: 1024, Band: join.Band{Diff: 8}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 128, WS: 1024, Band: join.Band{Diff: 8}})
 	got := paper.RunShared(arr, paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: 128, WS: 1024, Band: join.Band{Diff: 8},
-		Index: join.IndexPIMTree, PIM: smallPIM(),
+		Index: paper.PIMTree, PIM: smallPIM(),
 	})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("matches = %d, oracle = %d", got.Matches, oracle.Matches)
@@ -212,10 +211,10 @@ func TestRunSharedAsymmetricWindows(t *testing.T) {
 func TestRunSharedAsymmetricRates(t *testing.T) {
 	gen := stream.NewInterleaver(20, capped{stream.NewUniform(21), 4096}, capped{stream.NewUniform(22), 4096}, 0.15)
 	arr := gen.Take(8000)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 512, WS: 512, Band: join.Band{Diff: 8}})
 	got := paper.RunShared(arr, paper.SharedConfig{
 		Threads: 3, TaskSize: 8, WR: 512, WS: 512, Band: join.Band{Diff: 8},
-		Index: join.IndexPIMTree, PIM: smallPIM(),
+		Index: paper.PIMTree, PIM: smallPIM(),
 	})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("matches = %d, oracle = %d", got.Matches, oracle.Matches)
@@ -224,10 +223,10 @@ func TestRunSharedAsymmetricRates(t *testing.T) {
 
 func TestRunSharedLatencyRecorded(t *testing.T) {
 	arr := twoWayArrivals(4000, 23, 4096)
-	rec := metrics.NewLatencyRecorder(1<<14, 1)
+	rec := paper.NewLatencyRecorder(1<<14, 1)
 	st := paper.RunShared(arr, paper.SharedConfig{
 		Threads: 2, TaskSize: 8, WR: 512, WS: 512, Band: join.Band{Diff: 8},
-		Index: join.IndexPIMTree, PIM: smallPIM(), Latency: rec,
+		Index: paper.PIMTree, PIM: smallPIM(), Latency: rec,
 	})
 	if st.Latency.Count == 0 {
 		t.Fatal("no latency samples recorded")
@@ -247,7 +246,7 @@ func TestRunSharedTinyWindowBwPanics(t *testing.T) {
 		}
 	}()
 	paper.RunShared(make([]stream.Arrival, 10), paper.SharedConfig{
-		Threads: 8, TaskSize: 64, WR: 64, WS: 64, Index: join.IndexBwTree,
+		Threads: 8, TaskSize: 64, WR: 64, WS: 64, Index: paper.BwTree,
 	})
 }
 
@@ -255,10 +254,10 @@ func TestRunSharedDistributionShift(t *testing.T) {
 	// Drifting keys must not break correctness (Figure 13's scenario).
 	g := stream.NewShiftingGaussian(24, 1.0, 1000, 3000)
 	arr := stream.NewSelfStream(g).Take(6000)
-	oracle := join.NLWJ(arr, join.SerialConfig{WR: 512, Self: true, Band: join.Band{Diff: 1 << 20}})
+	oracle := paper.NLWJ(arr, join.SerialConfig{WR: 512, Self: true, Band: join.Band{Diff: 1 << 20}})
 	got := paper.RunShared(arr, paper.SharedConfig{
 		Threads: 4, TaskSize: 8, WR: 512, Self: true, Band: join.Band{Diff: 1 << 20},
-		Index: join.IndexPIMTree, PIM: smallPIM(),
+		Index: paper.PIMTree, PIM: smallPIM(),
 	})
 	if got.Matches != oracle.Matches {
 		t.Fatalf("matches = %d, oracle = %d", got.Matches, oracle.Matches)
@@ -276,7 +275,7 @@ func BenchmarkSharedPIM(b *testing.B) {
 			b.ResetTimer()
 			paper.RunShared(arr, paper.SharedConfig{
 				Threads: threads, TaskSize: 8, WR: 1 << 14, WS: 1 << 14,
-				Band: join.Band{Diff: 1 << 10}, Index: join.IndexPIMTree,
+				Band: join.Band{Diff: 1 << 10}, Index: paper.PIMTree,
 			})
 		})
 	}

@@ -5,9 +5,11 @@ import (
 	"sort"
 	"testing"
 
+	"pimtree/internal/chainindex"
 	"pimtree/internal/core"
 	"pimtree/internal/cstree"
 	"pimtree/internal/join"
+	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
 
@@ -52,10 +54,6 @@ func sortRecs(rs []matchRec) {
 	})
 }
 
-func allIndexKinds() []join.IndexKind {
-	return []join.IndexKind{join.IndexBTree, join.IndexChainB, join.IndexChainIB, join.IndexIMTree, join.IndexPIMTree}
-}
-
 func smallPIM() core.PIMTreeConfig {
 	return core.PIMTreeConfig{MergeRatio: 0.5, InsertionDepth: 2, CSTree: cstree.Config{Fanout: 8, LeafSize: 8}}
 }
@@ -63,16 +61,21 @@ func smallPIM() core.PIMTreeConfig {
 func TestIBWJSerialAllIndexesMatchNLWJ(t *testing.T) {
 	arr := twoWayArrivals(6000, 1, 4096)
 	base := join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}}
-	oracle := join.NLWJ(arr, base)
+	oracle := paper.NLWJ(arr, base)
 	if oracle.Matches == 0 {
 		t.Fatal("oracle produced no matches; workload broken")
 	}
-	for _, kind := range allIndexKinds() {
+	runs := map[string]join.Stats{
+		chainindex.BChain.String():  paper.IBWJChain(arr, base, chainindex.BChain, 3),
+		chainindex.IBChain.String(): paper.IBWJChain(arr, base, chainindex.IBChain, 3),
+	}
+	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexIMTree, join.IndexPIMTree} {
 		cfg := base
 		cfg.Index = kind
-		cfg.ChainLength = 3
 		cfg.PIM = smallPIM()
-		got := join.IBWJSerial(arr, cfg)
+		runs[kind.String()] = paper.IBWJSerial(arr, cfg)
+	}
+	for kind, got := range runs {
 		if got.Matches != oracle.Matches {
 			t.Fatalf("%v: matches = %d, oracle = %d", kind, got.Matches, oracle.Matches)
 		}
@@ -82,27 +85,32 @@ func TestIBWJSerialAllIndexesMatchNLWJ(t *testing.T) {
 	}
 }
 
-// TestNewIndexBwTreePanics: the Bw-Tree has no single-writer adapter; only
-// paper.RunShared builds it.
+// TestNewIndexBwTreePanics: NewIndex builds only the service's three kinds.
+// The Bw-Tree and the chains have no IndexKind (paper builds them), and
+// NewIndex panics on any value outside the three.
 func TestNewIndexBwTreePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewIndex built a Bw-Tree")
-		}
-	}()
-	join.NewIndex(join.IndexBwTree, 64, 0, core.PIMTreeConfig{})
+	for _, kind := range []join.IndexKind{-1, join.IndexPIMTree + 1, 99} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewIndex built an index for kind %d", int(kind))
+				}
+			}()
+			join.NewIndex(kind, 64, core.PIMTreeConfig{})
+		}()
+	}
 }
 
 func TestIBWJSerialExactResultSet(t *testing.T) {
 	arr := twoWayArrivals(3000, 2, 2048)
 	var nl, ib []matchRec
 	cfgNL := join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 6}, Sink: collectSink(&nl)}
-	join.NLWJ(arr, cfgNL)
+	paper.NLWJ(arr, cfgNL)
 	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexPIMTree, join.IndexIMTree} {
 		ib = ib[:0]
 		cfg := join.SerialConfig{WR: 128, WS: 128, Band: join.Band{Diff: 6}, Sink: collectSink(&ib),
 			Index: kind, PIM: smallPIM()}
-		join.IBWJSerial(arr, cfg)
+		paper.IBWJSerial(arr, cfg)
 		if len(ib) != len(nl) {
 			t.Fatalf("%v: %d results, oracle %d", kind, len(ib), len(nl))
 		}
@@ -121,7 +129,7 @@ func TestIBWJSerialExactResultSet(t *testing.T) {
 func TestSelfJoinSerial(t *testing.T) {
 	arr := stream.NewSelfStream(capped{stream.NewUniform(7), 2048}).Take(5000)
 	base := join.SerialConfig{WR: 256, Self: true, Band: join.Band{Diff: 5}}
-	oracle := join.NLWJ(arr, base)
+	oracle := paper.NLWJ(arr, base)
 	if oracle.Matches == 0 {
 		t.Fatal("self-join oracle produced no matches")
 	}
@@ -129,7 +137,7 @@ func TestSelfJoinSerial(t *testing.T) {
 		cfg := base
 		cfg.Index = kind
 		cfg.PIM = smallPIM()
-		got := join.IBWJSerial(arr, cfg)
+		got := paper.IBWJSerial(arr, cfg)
 		if got.Matches != oracle.Matches {
 			t.Fatalf("%v self-join: matches = %d, oracle = %d", kind, got.Matches, oracle.Matches)
 		}
@@ -140,11 +148,11 @@ func TestAsymmetricWindowsSerial(t *testing.T) {
 	arr := twoWayArrivals(6000, 3, 4096)
 	for _, ws := range []int{64, 256, 1024} {
 		base := join.SerialConfig{WR: 256, WS: ws, Band: join.Band{Diff: 8}}
-		oracle := join.NLWJ(arr, base)
+		oracle := paper.NLWJ(arr, base)
 		cfg := base
 		cfg.Index = join.IndexPIMTree
 		cfg.PIM = smallPIM()
-		got := join.IBWJSerial(arr, cfg)
+		got := paper.IBWJSerial(arr, cfg)
 		if got.Matches != oracle.Matches {
 			t.Fatalf("ws=%d: matches = %d, oracle = %d", ws, got.Matches, oracle.Matches)
 		}
@@ -154,7 +162,7 @@ func TestAsymmetricWindowsSerial(t *testing.T) {
 func TestSerialMergesHappen(t *testing.T) {
 	arr := twoWayArrivals(4000, 4, 4096)
 	cfg := join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 4}, Index: join.IndexPIMTree, PIM: smallPIM()}
-	st := join.IBWJSerial(arr, cfg)
+	st := paper.IBWJSerial(arr, cfg)
 	if st.Merges == 0 {
 		t.Fatal("PIM-Tree never merged over 4000 tuples at m=0.5, w=256")
 	}
@@ -167,7 +175,7 @@ func TestStepCostsAccounting(t *testing.T) {
 	arr := twoWayArrivals(3000, 5, 4096)
 	for _, kind := range []join.IndexKind{join.IndexBTree, join.IndexIMTree, join.IndexPIMTree} {
 		cfg := join.SerialConfig{WR: 256, WS: 256, Band: join.Band{Diff: 8}, Index: kind, PIM: smallPIM()}
-		st := join.StepCosts(arr, cfg)
+		st := paper.StepCosts(arr, cfg)
 		if st.Tuples() != uint64(len(arr)) {
 			t.Fatalf("%v: ticks = %d", kind, st.Tuples())
 		}
@@ -185,9 +193,9 @@ func TestStepCostsAccounting(t *testing.T) {
 
 func TestSerialConfigValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero WR":  func() { join.NLWJ(nil, join.SerialConfig{WR: 0, WS: 1}) },
-		"zero WS":  func() { join.NLWJ(nil, join.SerialConfig{WR: 1, WS: 0}) },
-		"bad kind": func() { join.IBWJSerial(nil, join.SerialConfig{WR: 1, WS: 1, Index: join.IndexKind(99)}) },
+		"zero WR":  func() { paper.NLWJ(nil, join.SerialConfig{WR: 0, WS: 1}) },
+		"zero WS":  func() { paper.NLWJ(nil, join.SerialConfig{WR: 1, WS: 0}) },
+		"bad kind": func() { paper.IBWJSerial(nil, join.SerialConfig{WR: 1, WS: 1, Index: join.IndexKind(99)}) },
 	} {
 		func() {
 			defer func() {
@@ -207,7 +215,7 @@ func BenchmarkSerialIBWJ(b *testing.B) {
 			cfg := join.SerialConfig{WR: 1 << 14, WS: 1 << 14, Band: join.Band{Diff: 32},
 				Index: kind, PIM: core.PIMTreeConfig{MergeRatio: 0.125}}
 			b.ResetTimer()
-			join.IBWJSerial(arr[:b.N], cfg)
+			paper.IBWJSerial(arr[:b.N], cfg)
 		})
 	}
 }

@@ -11,8 +11,8 @@ import (
 // Streaming is the incremental form of the single-threaded IBWJ: tuples are
 // pushed one at a time and matches are reported synchronously, which is the
 // shape a downstream stream-processing operator embeds (the public package
-// pimtree wraps it). IBWJSerial runs the same engine over a pre-materialized
-// arrival slice.
+// pimtree wraps it). paper.IBWJSerial runs the same engine over a
+// pre-materialized arrival slice.
 type Streaming struct {
 	cfg   SerialConfig
 	rings [2]*window.Ring
@@ -34,21 +34,34 @@ type Streaming struct {
 
 // NewStreaming builds an incremental IBWJ engine from the serial config.
 func NewStreaming(cfg SerialConfig) *Streaming {
-	wr, ws := cfg.windows()
-	s := &Streaming{cfg: cfg}
-	s.idxs[0] = cfg.newIndex(wr)
-	s.rings[0] = newRing(wr, s.idxs[0])
-	s.lives[0] = liveIn(s.rings[0])
-	if cfg.Self {
-		s.rings[1], s.idxs[1], s.lives[1] = s.rings[0], s.idxs[0], s.lives[0]
-	} else {
-		s.idxs[1] = cfg.newIndex(ws)
-		s.rings[1] = newRing(ws, s.idxs[1])
-		s.lives[1] = liveIn(s.rings[1])
+	wr, ws := cfg.Windows()
+	r := NewIndex(cfg.Index, wr, cfg.PIM)
+	s := r
+	if !cfg.Self {
+		s = NewIndex(cfg.Index, ws, cfg.PIM)
 	}
-	s.locs = NewLocator(s.idxs[0], cfg.Self)
-	s.probeEmit = s.emitPairs
-	return s
+	return NewStreamingOver(cfg, r, s)
+}
+
+// NewStreamingOver builds the engine of NewStreaming over the given R and S
+// indexes, each built for its window's length; a self-join uses r alone.
+// cfg.Index and cfg.PIM are not read.
+func NewStreamingOver(cfg SerialConfig, r, s Index) *Streaming {
+	wr, ws := cfg.Windows()
+	e := &Streaming{cfg: cfg}
+	e.idxs[0] = r
+	e.rings[0] = newRing(wr, r)
+	e.lives[0] = liveIn(e.rings[0])
+	if cfg.Self {
+		e.rings[1], e.idxs[1], e.lives[1] = e.rings[0], e.idxs[0], e.lives[0]
+	} else {
+		e.idxs[1] = s
+		e.rings[1] = newRing(ws, s)
+		e.lives[1] = liveIn(e.rings[1])
+	}
+	e.locs = NewLocator(e.idxs[0], cfg.Self)
+	e.probeEmit = e.emitPairs
+	return e
 }
 
 // emitPairs consumes one contiguous candidate run from the probed index,

@@ -69,26 +69,6 @@ func UpperBound(ps []Pair, key uint32) int {
 	return sort.Search(len(ps), func(i int) bool { return ps[i].Key > key })
 }
 
-// Merge merges two sorted slices into a newly allocated sorted slice.
-// It is the sorted-run merge used when combining TI and the surviving part of
-// TS during an IM-/PIM-Tree merge.
-func Merge(a, b []Pair) []Pair {
-	out := make([]Pair, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Less(b[j]) {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // MergeFiltered merges two sorted slices, keeping only elements that satisfy
 // live. This is the expired-tuple elimination pass of the IM-/PIM-Tree merge:
 // the caller passes a liveness predicate over window references. The result
@@ -144,18 +124,6 @@ func MergeFiltered(a, b []Pair, live func(Pair) bool, survivors int) []Pair {
 
 // unsorted is MergeFiltered's panic on an input out of (Key, Ref) order.
 const unsorted = "kv: MergeFiltered input not sorted"
-
-// Filter returns the elements of sorted ps that satisfy live, preserving
-// order, in a new slice.
-func Filter(ps []Pair, live func(Pair) bool) []Pair {
-	out := make([]Pair, 0, len(ps))
-	for _, p := range ps {
-		if live(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // PairBytes is the in-memory size of one element, used by the memory
 // footprint experiment (Figure 11a).

@@ -3,7 +3,6 @@ package kv
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestLessAndCompare(t *testing.T) {
@@ -58,29 +57,6 @@ func TestBounds(t *testing.T) {
 	}
 	if got := UpperBound(nil, 5); got != 0 {
 		t.Fatalf("UpperBound(nil) = %d", got)
-	}
-}
-
-func TestMergeProperties(t *testing.T) {
-	f := func(aRaw, bRaw []uint16) bool {
-		a := make([]Pair, len(aRaw))
-		for i, v := range aRaw {
-			a[i] = Pair{Key: uint32(v), Ref: uint32(i)}
-		}
-		b := make([]Pair, len(bRaw))
-		for i, v := range bRaw {
-			b[i] = Pair{Key: uint32(v), Ref: uint32(i + 1<<16)}
-		}
-		Sort(a)
-		Sort(b)
-		m := Merge(a, b)
-		if len(m) != len(a)+len(b) {
-			return false
-		}
-		return IsSorted(m)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -149,17 +125,6 @@ func TestMergeFilteredUnsortedPanics(t *testing.T) {
 			}()
 			MergeFiltered(c.a, c.b, c.live, len(c.a)+len(c.b))
 		}()
-	}
-}
-
-func TestFilter(t *testing.T) {
-	ps := []Pair{{1, 0}, {2, 0}, {3, 0}, {4, 0}}
-	f := Filter(ps, func(p Pair) bool { return p.Key > 2 })
-	if len(f) != 2 || f[0].Key != 3 || f[1].Key != 4 {
-		t.Fatalf("Filter = %v", f)
-	}
-	if len(Filter(nil, func(Pair) bool { return true })) != 0 {
-		t.Fatal("Filter(nil) not empty")
 	}
 }
 

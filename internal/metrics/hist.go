@@ -1,22 +1,17 @@
 package metrics
 
-import (
-	"math/bits"
-	"time"
-)
+import "math/bits"
 
 // Histogram is an HDR-style log-bucketed latency histogram: values are
 // non-negative int64 nanoseconds, bucketed exactly below histSubCount and
 // geometrically above it with histSubBits significant bits per octave, so
 // any recorded value is reproduced by Quantile with relative error at most
 // 1/histSubCount (~1.6%) at fixed O(1) memory. Unlike a sampling reservoir
-// (LatencyRecorder) it loses no observations, which is what an open-loop
-// load harness needs: coordinated-omission-safe percentiles are only
-// truthful if every stalled request is counted.
+// it loses no observations, which is what an open-loop load harness needs:
+// coordinated-omission-safe percentiles are only truthful if every stalled
+// request is counted.
 //
-// A Histogram is not safe for concurrent use. Concurrent recorders (one per
-// connection) each own an instance and aggregate with Merge — bucket
-// geometry is fixed, so merging is element-wise addition.
+// A Histogram is not safe for concurrent use: one goroutine owns it.
 type Histogram struct {
 	counts [histBuckets]uint64
 	count  uint64
@@ -74,9 +69,6 @@ func (h *Histogram) Record(v int64) {
 	h.count++
 	h.sum += v
 }
-
-// RecordDuration records a duration observation in nanoseconds.
-func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.count }
@@ -136,25 +128,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Merge adds every observation of o into h. The two histograms share one
-// fixed bucket geometry, so the merged quantile error bound is unchanged.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.count == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
 }
 
 // Reset returns the histogram to its empty state.

@@ -132,47 +132,6 @@ func TestHistogramNegativeClamp(t *testing.T) {
 	}
 }
 
-// TestHistogramMerge pins that merging per-connection histograms is
-// indistinguishable from recording every observation into one histogram —
-// the multi-connection aggregation path of the load harness.
-func TestHistogramMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	parts := make([]*Histogram, 4)
-	whole := &Histogram{}
-	var all []int64
-	for i := range parts {
-		parts[i] = &Histogram{}
-		for j := 0; j < 5000+i*1000; j++ {
-			v := int64(math.Exp(rng.Float64() * 14))
-			parts[i].Record(v)
-			whole.Record(v)
-			all = append(all, v)
-		}
-	}
-	merged := &Histogram{}
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	if merged.Count() != whole.Count() || merged.Min() != whole.Min() ||
-		merged.Max() != whole.Max() || merged.Mean() != whole.Mean() {
-		t.Fatalf("merge summary diverged: count %d/%d min %d/%d max %d/%d",
-			merged.Count(), whole.Count(), merged.Min(), whole.Min(), merged.Max(), whole.Max())
-	}
-	for q := 0.0; q <= 1.0; q += 0.001 {
-		if m, w := merged.Quantile(q), whole.Quantile(q); m != w {
-			t.Fatalf("q%.3f: merged %d, direct %d", q, m, w)
-		}
-	}
-	// Merging into an empty histogram and merging an empty one are identity.
-	empty := &Histogram{}
-	empty.Merge(merged)
-	merged.Merge(&Histogram{})
-	if empty.Quantile(0.5) != merged.Quantile(0.5) || empty.Count() != merged.Count() {
-		t.Fatal("empty-merge identity violated")
-	}
-	_ = all
-}
-
 // TestHistogramBucketGeometry pins the index/upper-bound mapping inverse
 // property the error bound rests on: for any value, the bucket's upper
 // bound is ≥ the value and within one bucket width of it.

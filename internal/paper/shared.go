@@ -1,7 +1,10 @@
-// Package paper holds the runtimes only the paper's figures run: the
-// parallel IBWJ over shared indexes (Section 4), with its concurrent window
-// and the Bw-Tree baseline, and the round-robin partitioned joins of Section
-// 2.2.3. The service's single-writer engines (internal/join's serial IBWJ,
+// Package paper holds what only the paper's figures run: the parallel IBWJ
+// over shared indexes (Section 4), with its concurrent window and the
+// Bw-Tree baseline; the round-robin partitioned joins of Section 2.2.3; the
+// single-threaded baselines and drivers of Section 2 (the nested-loop join,
+// the batch IBWJ over join.Streaming, the chained index of Section 2.2.2);
+// and the figures' instruments (the step timer of Figure 9b, the latency
+// sampler of Figure 10d). The service's single-writer engines (internal/join,
 // internal/shard) link none of it.
 package paper
 
@@ -30,7 +33,7 @@ type SharedConfig struct {
 	Band     join.Band // band predicate
 	Self     bool      // self-join: one stream, one window, one index
 
-	Index join.IndexKind     // join.IndexPIMTree or join.IndexBwTree
+	Index SharedIndex        // PIMTree (the zero value) or BwTree
 	PIM   core.PIMTreeConfig // PIM-Tree knobs (merge ratio, DI, ...)
 	// SingleLock guards each PIM-Tree's subindexes with one mutex instead of
 	// one each: the lock-granularity ablation.
@@ -41,13 +44,38 @@ type SharedConfig struct {
 	// (the "blocking merge" series of Figure 13c).
 	BlockingMerge bool
 
-	Sink    join.MatchSink           // optional ordered result sink
-	Latency *metrics.LatencyRecorder // optional latency sampling (Fig 10d)
+	Sink    join.MatchSink   // optional ordered result sink
+	Latency *LatencyRecorder // optional latency sampling (Fig 10d)
 
 	// ChunkTuples, when positive, records a timestamp every time that many
 	// tuples have been propagated, yielding the throughput-over-time series
-	// of Figure 13b in Stats.Chunks.
+	// of Figure 13b in SharedStats.Chunks.
 	ChunkTuples int
+}
+
+// SharedIndex selects RunShared's per-stream index.
+type SharedIndex int
+
+const (
+	// PIMTree is the PIM-Tree under the lock protocol of Section 4.2
+	// (core.SharedPIMTree).
+	PIMTree SharedIndex = iota
+	// BwTree is the latch-free Bw-Tree baseline, with eager deletes.
+	BwTree
+)
+
+// SharedStats is RunShared's result: the run's statistics plus the two
+// series only the shared join records.
+type SharedStats struct {
+	join.Stats
+	Latency Summary     // sampled latencies, when SharedConfig.Latency is set
+	Chunks  []ChunkStat // per-chunk throughput, when SharedConfig.ChunkTuples > 0
+}
+
+// ChunkStat is the throughput of one propagated chunk (Figure 13b).
+type ChunkStat struct {
+	Tuples int
+	Mtps   float64
 }
 
 // tupleState is the per-tuple completion record, padded to a cache line so
@@ -148,7 +176,7 @@ func BwWindowsFit(threads, task, wr, ws int) (inflight int, ok bool) {
 // which is published before the workers are told the run is closed. Results
 // are propagated in arrival order; the optional sink observes them in that
 // order.
-func RunShared(arrivals []stream.Arrival, cfg SharedConfig) join.Stats {
+func RunShared(arrivals []stream.Arrival, cfg SharedConfig) SharedStats {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
@@ -165,7 +193,7 @@ func RunShared(arrivals []stream.Arrival, cfg SharedConfig) join.Stats {
 		panic("paper: WS must be positive")
 	}
 	inflight, windowsOK := BwWindowsFit(cfg.Threads, cfg.TaskSize, cfg.WR, cfg.WS)
-	if cfg.Index == join.IndexBwTree && !windowsOK {
+	if cfg.Index == BwTree && !windowsOK {
 		panic(fmt.Sprintf("paper: windows (%d,%d) too small for %d in-flight tuples with eager deletes",
 			cfg.WR, cfg.WS, inflight))
 	}
@@ -199,14 +227,14 @@ func RunShared(arrivals []stream.Arrival, cfg SharedConfig) join.Stats {
 		r.wins[1] = NewWindow(cfg.WS, inflight)
 	}
 	switch cfg.Index {
-	case join.IndexPIMTree:
+	case PIMTree:
 		r.pim[0].Store(core.NewSharedPIMTree(cfg.WR, cfg.PIM, cfg.SingleLock))
 		if cfg.Self {
 			r.pim[1].Store(r.pim[0].Load())
 		} else {
 			r.pim[1].Store(core.NewSharedPIMTree(cfg.WS, cfg.PIM, cfg.SingleLock))
 		}
-	case join.IndexBwTree:
+	case BwTree:
 		r.bw[0] = bwtree.New(cfg.WR, bwtree.Config{})
 		if cfg.Self {
 			r.bw[1] = r.bw[0]
@@ -238,20 +266,20 @@ func RunShared(arrivals []stream.Arrival, cfg SharedConfig) join.Stats {
 	// Drain any results the last workers could not propagate.
 	r.propagate(time.Now().UnixNano())
 
-	st := join.Stats{
+	st := SharedStats{Stats: join.Stats{
 		Tuples:    r.appended,
 		Matches:   r.matches,
 		Elapsed:   time.Since(start),
 		Merges:    r.merges,
 		MergeTime: r.mergeTime,
-	}
+	}}
 	if cfg.Latency != nil {
 		st.Latency = cfg.Latency.Summarize()
 	}
 	if cfg.ChunkTuples > 0 {
 		prev := r.startNano
 		for _, nano := range r.chunkNanos {
-			st.Chunks = append(st.Chunks, join.ChunkStat{
+			st.Chunks = append(st.Chunks, ChunkStat{
 				Tuples: cfg.ChunkTuples,
 				Mtps:   metrics.Mtps(cfg.ChunkTuples, time.Duration(nano-prev)),
 			})
@@ -371,7 +399,7 @@ func (r *sharedRun) acquire(worker int) (lo, hi int, updates bool, admitNano int
 func (r *sharedRun) finishTask(worker int) (bounds [2]uint64) {
 	r.mu.Lock()
 	r.workerTe[worker] = [2]uint64{^uint64(0), ^uint64(0)}
-	if r.cfg.Index == join.IndexBwTree {
+	if r.cfg.Index == BwTree {
 		for sid := 0; sid < 2; sid++ {
 			head := r.wins[sid].Head()
 			if head <= r.wlen[sid] {
@@ -439,7 +467,7 @@ func (r *sharedRun) worker(id int) {
 			}
 		}
 		bounds := r.finishTask(id)
-		if r.cfg.Index == join.IndexBwTree {
+		if r.cfg.Index == BwTree {
 			for sid := 0; sid < 2; sid++ {
 				if r.cfg.Self && sid == 1 {
 					break
@@ -456,7 +484,7 @@ func (r *sharedRun) worker(id int) {
 // contiguous []kv.Pair runs aliasing index-owned storage, valid during emit
 // only.
 func (r *sharedRun) queryPairs(sid uint8, lo, hi uint32, emit func([]kv.Pair) bool) {
-	if r.cfg.Index == join.IndexPIMTree {
+	if r.cfg.Index == PIMTree {
 		r.pim[sid].Load().QueryPairs(lo, hi, emit)
 		return
 	}
@@ -572,7 +600,7 @@ func (r *sharedRun) indexUpdate(i int) {
 	own := r.wins[sid]
 	seq := r.tupleSeq[slot]
 	p := kv.Pair{Key: a.Key, Ref: own.RefOf(seq)}
-	if r.cfg.Index == join.IndexPIMTree {
+	if r.cfg.Index == PIMTree {
 		r.pim[sid].Load().Insert(p)
 	} else {
 		r.bw[sid].Insert(p)
@@ -633,7 +661,7 @@ func (r *sharedRun) propagate(nowNano int64) {
 // maybeMerge volunteers this worker as the merging thread when a PIM-Tree
 // needs maintenance (Section 4.2).
 func (r *sharedRun) maybeMerge() {
-	if r.cfg.Index != join.IndexPIMTree {
+	if r.cfg.Index != PIMTree {
 		return
 	}
 	for sid := 0; sid < 2; sid++ {
@@ -728,7 +756,7 @@ func (r *sharedRun) nonblockingMerge(sid int) {
 		win := r.wins[wi]
 		for seq := pending[wi].lo; seq < pending[wi].hi; seq++ {
 			p := kv.Pair{Key: win.KeyAt(seq), Ref: win.RefOf(seq)}
-			if r.cfg.Index == join.IndexPIMTree {
+			if r.cfg.Index == PIMTree {
 				r.pim[wi].Load().Insert(p)
 			}
 			win.MarkIndexed(seq)

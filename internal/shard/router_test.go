@@ -35,10 +35,13 @@ func sortTriples(ts []triple) {
 // serialOracle collects the match multiset of the single-threaded IBWJ.
 func serialOracle(arr []stream.Arrival, wr, ws int, self bool, band join.Band) []triple {
 	var out []triple
-	join.IBWJSerial(arr, join.SerialConfig{
+	eng := join.NewStreaming(join.SerialConfig{
 		WR: wr, WS: ws, Self: self, Band: band, Index: join.IndexBTree,
 		Sink: func(s uint8, p, m uint64) { out = append(out, triple{s, p, m}) },
 	})
+	for _, a := range arr {
+		eng.Push(a)
+	}
 	sortTriples(out)
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pimtree/internal/join"
-	"pimtree/internal/metrics"
 	"pimtree/internal/paper"
 	"pimtree/internal/stream"
 )
@@ -164,7 +163,7 @@ func TestRunParallelBwTreeAndLatency(t *testing.T) {
 	}
 	st := paper.RunShared(in, paper.SharedConfig{
 		Threads: 2, WR: 1024, WS: 1024, Band: join.Band{Diff: diff},
-		Index: join.IndexBwTree, Latency: metrics.NewLatencyRecorder(1<<14, 1),
+		Index: paper.BwTree, Latency: paper.NewLatencyRecorder(1<<14, 1),
 	})
 	if st.Matches == 0 || st.Matches != serial.Matches {
 		t.Fatalf("parallel matches = %d, serial = %d", st.Matches, serial.Matches)
